@@ -7,6 +7,12 @@ a reference norm, maximized exactly through the generalized Hermitian
 eigenproblem of the two Gram matrices.  A problem passes when ``kappa`` stays
 bounded under mesh refinement; the upwind first-derivative operator is the
 negative control whose critical-power ratio keeps growing.
+
+Powers are exact wherever the structure allows: Hermitian input goes through
+its eigendecomposition, and the negative control, a bidiagonal Toeplitz
+matrix, through the terminating binomial series of its single Jordan block.
+Only dense non-Hermitian input falls back to the square-root iteration
+(alpha = 1/2) or to quadrature.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import scipy.linalg as sla
 
 from .assembly import DiscreteOperator
 from .kato import _InvSqrtShifted
-from .matfun import QuadratureSpec, frac_power_quad, gauss_panels, sqrt_db
+from .matfun import (QuadratureSpec, _require_off_cut, frac_power_quad,
+                     is_hermitian, sqrt_db)
 from .problems import lions_operator, make_problem
 
 __all__ = [
@@ -32,16 +39,12 @@ __all__ = [
 ]
 
 
-def _is_hermitian(H: np.ndarray) -> bool:
-    return np.linalg.norm(H - H.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(H))
-
-
 def matrix_power(H: np.ndarray, alpha: float,
                  quad: QuadratureSpec | None = None) -> np.ndarray:
     """Fractional power dispatch: eigendecomposition for Hermitian input,
     the scaled square-root iteration at alpha = 1/2, quadrature otherwise."""
     H = np.asarray(H, dtype=complex)
-    if _is_hermitian(H):
+    if is_hermitian(H):
         evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
         if evals.min() < -1e-10 * max(1.0, abs(evals.max())):
             raise ValueError("Hermitian power path needs a nonnegative matrix")
@@ -52,40 +55,33 @@ def matrix_power(H: np.ndarray, alpha: float,
     return frac_power_quad(H, alpha, quad)
 
 
-def _banded_power(T: np.ndarray, alpha: float,
-                  quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Fractional power of a lower-bidiagonal matrix via banded solves.
+def _bidiagonal_toeplitz(H: np.ndarray) -> tuple[complex, complex] | None:
+    """(diagonal, subdiagonal) values of a lower-bidiagonal Toeplitz matrix,
+    or None for any other input."""
+    if H.shape[0] < 2:
+        return None
+    diag, sub = np.diag(H), np.diag(H, -1)
+    if (np.any(diag != diag[0]) or np.any(sub != sub[0])
+            or np.count_nonzero(H) != np.count_nonzero(diag)
+            + np.count_nonzero(sub)):
+        return None
+    return complex(diag[0]), complex(sub[0])
 
-    Same quadrature as the dense path but each node costs O(n^2), which
-    keeps the negative control affordable at a thousand unknowns.
+
+def _toeplitz_power(lam: complex, mu: complex, n: int,
+                    alpha: float) -> np.ndarray:
+    """``(lam I + mu S)^alpha`` for the n x n down-shift S, exactly.
+
+    ``mu S`` is nilpotent, so the binomial series of the single Jordan
+    block terminates (Higham, Functions of Matrices, 2008, sec. 1.2): the
+    power is lower-triangular Toeplitz with first column
+    ``c_k = binom(alpha, k) lam^(alpha - k) mu^k``, built by the recurrence
+    ``c_k = c_{k-1} (alpha - k + 1) / k * (mu / lam)``.
     """
-    quad = quad or QuadratureSpec()
-    n = T.shape[0]
-    diag = np.diag(T).copy()
-    sub = np.diag(T, -1).copy()
-    u, w = gauss_panels(quad.unit_edges(), quad.panel_nodes)
-    acc = np.zeros((n, n), dtype=complex)
-    ab = np.zeros((2, n), dtype=complex)
-
-    def banded_solve(shift_diag, scale):
-        # solve (scale*T + shift) X = T with the (1, 0)-banded structure
-        ab[0] = scale * diag + shift_diag
-        ab[1, :-1] = scale * sub
-        return sla.solve_banded((1, 0), ab, T)
-
-    for ui, wi in zip(u, w):
-        acc += wi * 2.0 * ui ** (2 * alpha - 1) * banded_solve(ui * ui, 1.0)
-        acc += wi * 2.0 * ui ** (1 - 2 * alpha) * banded_solve(1.0, ui * ui)
-    return np.sin(np.pi * alpha) / np.pi * acc
-
-
-def _is_lower_bidiagonal(H: np.ndarray) -> bool:
-    mask = np.ones_like(H, dtype=bool)
-    n = H.shape[0]
-    idx = np.arange(n)
-    mask[idx, idx] = False
-    mask[idx[1:], idx[:-1]] = False
-    return not np.any(H[mask])
+    _require_off_cut([lam])
+    k = np.arange(1, n)
+    steps = np.concatenate(([lam ** alpha], (alpha - k + 1) / k * (mu / lam)))
+    return sla.toeplitz(np.cumprod(steps), np.zeros(n))
 
 
 def _power_gram(H: np.ndarray, E: float, alpha: float,
@@ -94,18 +90,18 @@ def _power_gram(H: np.ndarray, E: float, alpha: float,
 
     For Hermitian input at the critical power the Gram is the shifted
     matrix itself, exactly; no root is formed (X is then None).
+    Bidiagonal Toeplitz input (either orientation) has a closed form.
     """
     n = H.shape[0]
     shifted = H + E * np.eye(n)
-    if _is_hermitian(shifted):
+    if is_hermitian(shifted):
         if alpha == 0.5:
             return None, shifted
         X = matrix_power(shifted, alpha, quad)
-    # bidiagonal inputs (either orientation) go through banded solves
-    elif _is_lower_bidiagonal(shifted):
-        X = _banded_power(shifted, alpha, quad)
-    elif _is_lower_bidiagonal(shifted.T):
-        X = _banded_power(shifted.T, alpha, quad).T
+    elif (band := _bidiagonal_toeplitz(shifted)) is not None:
+        X = _toeplitz_power(*band, n, alpha)
+    elif (band := _bidiagonal_toeplitz(shifted.T)) is not None:
+        X = _toeplitz_power(*band, n, alpha).T
     else:
         X = matrix_power(shifted, alpha, quad)
     return X, X.conj().T @ X
@@ -290,20 +286,18 @@ def lemma24_bounds(S: DiscreteOperator | np.ndarray,
     Tm = T.H if isinstance(T, DiscreteOperator) else np.asarray(T, dtype=complex)
     halver = _InvSqrtShifted(Tm)
     S_half = matrix_power(Sm, 0.5, quad)
+    E_use = [float(E) for E in E_grid if float(E) >= 1.0]
+    shiftless = halver.norms(E_use, right=S_half)[0]
     sup1, arg1, sup2, arg2 = 0.0, None, 0.0, None
-    for E in E_grid:
-        E = float(E)
-        if E < 1.0:
-            continue
-        v1 = halver.norm_right(S_half, E)
+    for E, v1 in zip(E_use, shiftless):
         SE_half = matrix_power(Sm + E * np.eye(Sm.shape[0]), 0.5, quad)
-        v2 = halver.norm_right(SE_half, E)
+        v2 = halver.norms([E], right=SE_half)[0][0]
         if v1 > sup1:
             sup1, arg1 = v1, E
         if v2 > sup2:
             sup2, arg2 = v2, E
-    return {"sup_shiftless": sup1, "argmax_shiftless": arg1,
-            "sup_shifted": sup2, "argmax_shifted": arg2}
+    return {"sup_shiftless": float(sup1), "argmax_shiftless": arg1,
+            "sup_shifted": float(sup2), "argmax_shifted": arg2}
 
 
 def thmA1_decay(phi: np.ndarray, L: DiscreteOperator | np.ndarray,
@@ -322,7 +316,7 @@ def thmA1_decay(phi: np.ndarray, L: DiscreteOperator | np.ndarray,
     halver = _InvSqrtShifted(Lm)
     Phi = np.diag(phi)
     E_arr = np.asarray(list(E_grid), dtype=float)
-    norms = np.array([halver.norm_right(Phi, E) for E in E_arr])
+    norms = halver.norms(E_arr, right=Phi)[0]
     if np.all(norms == 0.0):
         slope = 0.0
     else:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .assembly import (BoundaryCondition, CoefficientSet, DiscreteOperator,
                        Mesh, _dof_nodes)
-from .matfun import ResolventError, resolvent, spectral_norm, sqrt_db
+from .matfun import (ResolventError, is_hermitian, resolvent, spectral_norm,
+                     sqrt_db)
 
 __all__ = [
     "FactoredPerturbation",
@@ -250,33 +251,39 @@ class _InvSqrtShifted:
 
     def __init__(self, H: np.ndarray):
         self.H = np.asarray(H, dtype=complex)
-        self.hermitian = np.linalg.norm(self.H - self.H.conj().T) <= \
-            1e-12 * max(1.0, np.linalg.norm(self.H))
+        self.hermitian = is_hermitian(self.H)
         if self.hermitian:
             self.evals, self.evecs = np.linalg.eigh(self.H)
-        self._left_cache: dict[int, np.ndarray] = {}
 
-    def _project(self, X: np.ndarray) -> np.ndarray:
-        key = id(X)
-        if key not in self._left_cache:
-            self._left_cache[key] = X @ self.evecs
-        return self._left_cache[key]
+    def norms(self, shifts, right: np.ndarray | None = None,
+              left: np.ndarray | None = None
+              ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Per shift c, ``|| right (T0 + c)^{-1/2} ||`` and
+        ``|| (T0 + c)^{-1/2} left^H || = || left (T0^H + c)^{-1/2} ||``.
 
-    def norm_right(self, X: np.ndarray, c: float) -> float:
-        """|| X (T0 + c)^{-1/2} ||."""
+        Returns the two arrays of norms, None for an omitted factor.  Each
+        factor is projected onto the eigenbasis once per call; on the
+        non-Hermitian path each shift's root serves both factors.
+        """
+        shifts = np.asarray(shifts, dtype=float)
+        out_r = None if right is None else np.empty(shifts.size)
+        out_l = None if left is None else np.empty(shifts.size)
         if self.hermitian:
-            XU = self._project(X)
-            return spectral_norm(XU * ((self.evals + c) ** -0.5)[None, :])
-        S = sqrt_db(self.H + c * np.eye(self.H.shape[0]))
-        return spectral_norm(np.linalg.solve(S.T, X.T).T)
-
-    def norm_left(self, X: np.ndarray, c: float) -> float:
-        """|| (T0 + c)^{-1/2} X^H || = || X (T0^H + c)^{-1/2} ||."""
-        if self.hermitian:
-            XU = self._project(X)
-            return spectral_norm(XU * ((self.evals + c) ** -0.5)[None, :])
-        S = sqrt_db(self.H + c * np.eye(self.H.shape[0]))
-        return spectral_norm(np.linalg.solve(S, X.conj().T))
+            # (T0 + c)^{-1/2} is Hermitian, so both products are X U D_c
+            proj = [(out, X @ self.evecs) for out, X in
+                    ((out_r, right), (out_l, left)) if X is not None]
+            for i, c in enumerate(shifts):
+                scale = ((self.evals + c) ** -0.5)[None, :]
+                for out, XU in proj:
+                    out[i] = spectral_norm(XU * scale)
+            return out_r, out_l
+        for i, c in enumerate(shifts):
+            S = sqrt_db(self.H + c * np.eye(self.H.shape[0]))
+            if right is not None:
+                out_r[i] = spectral_norm(np.linalg.solve(S.T, right.T).T)
+            if left is not None:
+                out_l[i] = spectral_norm(np.linalg.solve(S, left.conj().T))
+        return out_r, out_l
 
 
 def decay_profile(T0: DiscreteOperator, fact: FactoredPerturbation,
@@ -297,19 +304,19 @@ def decay_profile(T0: DiscreteOperator, fact: FactoredPerturbation,
     _require_lumped(T0)
     halver = _InvSqrtShifted(T0.H)
     lam_grid = np.geomspace(d9_lower, d9_upper, d9_points)
+    # row i holds the shifts E_i and lam + E_i for lam on the grid
+    shifts = E_arr[:, None] + np.concatenate(([0.0], lam_grid))[None, :]
+    normsA, normsB = halver.norms(shifts.ravel(), right=fact.A, left=fact.B)
+    normsA = normsA.reshape(shifts.shape)
+    normsB = normsB.reshape(shifts.shape)
 
     rows = []
-    for E in E_arr:
+    for E, nA, nB in zip(E_arr, normsA, normsB):
         normK = spectral_norm(kato_K(T0, fact, -E))
-        normA = halver.norm_right(fact.A, E)
-        normB = halver.norm_left(fact.B, E)
-        vals = np.array([
-            halver.norm_right(fact.A, lam + E) * halver.norm_left(fact.B, lam + E)
-            for lam in lam_grid
-        ])
+        vals = nA[1:] * nB[1:]
         integral = float(np.trapezoid(vals / lam_grid, lam_grid))
         rows.append({"E": float(E), "normK": float(normK),
-                     "normA": float(normA), "normB": float(normB),
+                     "normA": float(nA[0]), "normB": float(nB[0]),
                      "integral_d9": integral})
 
     normKs = np.array([r["normK"] for r in rows])

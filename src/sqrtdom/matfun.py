@@ -29,6 +29,7 @@ __all__ = [
     "trace_det_check",
     "spectral_norm",
     "gauss_panels",
+    "is_hermitian",
 ]
 
 
@@ -80,6 +81,11 @@ def gauss_panels(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def is_hermitian(H: np.ndarray) -> bool:
+    """Hermitian to 1e-12 relative in the Frobenius norm."""
+    return np.linalg.norm(H - H.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(H))
+
+
 def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
     """Solve ``(H - z) R = I`` densely and verify the residual.
 
@@ -101,14 +107,14 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
     return R
 
 
-def _check_off_cut(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    evals = np.linalg.eigvals(X)
+def _require_off_cut(evals: np.ndarray, tol: float = 1e-12) -> None:
+    """Raise ``SpectrumOnCutError`` if any of ``evals`` lies on (-inf, 0]."""
+    evals = np.asarray(evals)
     scale = np.abs(evals) + 1.0
     on_cut = (evals.real <= tol * scale) & (np.abs(evals.imag) <= tol * scale)
     if np.any(on_cut):
         raise SpectrumOnCutError(
             f"eigenvalue(s) on (-inf, 0]: {evals[on_cut][:3]}")
-    return evals
 
 
 def sqrt_db(X: np.ndarray, tol: float = 1e-13, maxiter: int = 100) -> np.ndarray:
@@ -120,7 +126,7 @@ def sqrt_db(X: np.ndarray, tol: float = 1e-13, maxiter: int = 100) -> np.ndarray
     """
     X = np.asarray(X, dtype=complex)
     n = X.shape[0]
-    _check_off_cut(X)
+    _require_off_cut(np.linalg.eigvals(X))
     normX = np.linalg.norm(X)
     Y = X.copy()
     Z = np.eye(n, dtype=complex)
@@ -196,7 +202,8 @@ def _log_sym_det(A: np.ndarray, A0: np.ndarray, z: complex) -> complex:
     I = np.eye(n, dtype=complex)
     SA = sqrt_db(A - z * I)
     X = SA @ np.linalg.solve(A0 - z * I, SA)
-    _check_off_cut(X)  # branch crossing guard for the determinant log
+    # branch crossing guard for the determinant log
+    _require_off_cut(np.linalg.eigvals(X))
     sign, logabs = np.linalg.slogdet(X)
     return logabs + np.log(sign)
 

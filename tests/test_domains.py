@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from sqrtdom.domains import (_banded_power, lemma24_bounds, matrix_power,
+from sqrtdom.domains import (_power_gram, lemma24_bounds, matrix_power,
                              refinement_study, sqrt_domain_kappa, thmA1_decay)
-from sqrtdom.matfun import QuadratureSpec, frac_power_quad
+from sqrtdom.matfun import QuadratureSpec, SpectrumOnCutError, frac_power_quad
 from sqrtdom.problems import lions_operator, make_problem
 
 
@@ -16,12 +17,29 @@ class TestMatrixPower:
         P2 = frac_power_quad(H, 0.3, QuadratureSpec(panels=16))
         np.testing.assert_allclose(P1, P2, atol=1e-8 * np.linalg.norm(P1))
 
-    def test_banded_path_matches_dense(self):
-        T = lions_operator(24).H + 1.0 * np.eye(24)
-        quad = QuadratureSpec(panels=16)
-        Xb = _banded_power(T, 0.25, quad)
-        Xd = frac_power_quad(T, 0.25, quad)
-        np.testing.assert_allclose(Xb, Xd, atol=1e-10 * np.linalg.norm(Xd))
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_toeplitz_path_matches_schur_pade(self, alpha, upper):
+        T = lions_operator(64).H
+        if upper:
+            T = T.conj().T
+        X, _ = _power_gram(T, 1.0, alpha, None)
+        ref = sla.fractional_matrix_power(T + np.eye(64), alpha)
+        assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.75])
+    def test_toeplitz_path_matches_quadrature(self, alpha):
+        T = lions_operator(24).H
+        X, _ = _power_gram(T, 1.0, alpha, None)
+        Xq = frac_power_quad(T + np.eye(24), alpha, QuadratureSpec(panels=16))
+        assert np.linalg.norm(X - Xq) <= 1e-8 * np.linalg.norm(Xq)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_toeplitz_path_rejects_cut(self, lam):
+        T = lions_operator(16).H
+        E = lam - T[0, 0].real
+        with pytest.raises(SpectrumOnCutError):
+            _power_gram(T, E, 0.25, None)
 
 
 class TestSqrtDomainKappa:

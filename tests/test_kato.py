@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh, orthonormalize)
-from sqrtdom.kato import (AdmissibilityError, admissibility_threshold,
-                          build_factorization, decay_profile, kato_K,
-                          perturbed_resolvent, two_step, verify_identity)
+from sqrtdom.kato import (AdmissibilityError, _InvSqrtShifted,
+                          admissibility_threshold, build_factorization,
+                          decay_profile, kato_K, perturbed_resolvent,
+                          two_step, verify_identity)
 from sqrtdom.matfun import resolvent, spectral_norm
 from sqrtdom.problems import build_coefficients, make_problem
 from sqrtdom.sectorial import safe_shift
@@ -222,3 +224,34 @@ class TestDecayProfile:
         fact = build_factorization(mesh, coeffs, DIR, DIR, "s_pair")
         with pytest.raises(ValueError):
             decay_profile(T0, fact, [10.0, 5.0, 20.0])
+
+
+class TestInvSqrtShifted:
+    def test_fresh_factor_not_served_a_stale_projection(self):
+        # a new array of the same size often takes a freed array's id, so
+        # a long-lived instance must not key anything on id(X)
+        H = make_problem("free", n=48).operator.H
+        halver = _InvSqrtShifted(H)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            X = rng.standard_normal((5, H.shape[0])) + 0j
+            got = halver.norms([2.0], right=X)[0][0]
+            assert got == _InvSqrtShifted(H).norms([2.0], right=X)[0][0]
+            del X
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_norms_match_explicit_inverse_root(self, hermitian):
+        H = make_problem("free", n=24).operator.H
+        if not hermitian:
+            H = H + 1j * np.diag(np.linspace(0.0, 5.0, H.shape[0]))
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((3, H.shape[0])) + 0j
+        B = rng.standard_normal((2, H.shape[0])) + 0j
+        shifts = [1.0, 10.0, 100.0]
+        right, left = _InvSqrtShifted(H).norms(shifts, right=A, left=B)
+        for c, r, l in zip(shifts, right, left):
+            R = np.linalg.inv(sla.sqrtm(H + c * np.eye(H.shape[0])))
+            assert r == pytest.approx(np.linalg.norm(A @ R, 2), rel=1e-6)
+            assert l == pytest.approx(np.linalg.norm(R @ B.conj().T, 2),
+                                      rel=1e-6)
+        assert _InvSqrtShifted(H).norms(shifts, left=B)[0] is None
