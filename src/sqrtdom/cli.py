@@ -329,7 +329,7 @@ def cmd_kappa_study(cfg: dict, outdir: Path) -> int:
     report = refinement_study(cfg["problem"], n_list, E=cfg["E"] or 1.0,
                               alpha=cfg["alpha"],
                               growth_threshold=cfg["growth_threshold"],
-                              seed=cfg["seed"], quad=quad_from(cfg))
+                              seed=cfg["seed"])
     rows = [(str(r["n"]), csvio.fmt(r["E"]), csvio.fmt(r["alpha"]),
              csvio.fmt(r["min_ratio"]), csvio.fmt(r["max_ratio"]),
              csvio.fmt(r["kappa"]), r["verdict"]) for r in report.rows]
@@ -569,8 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--E-grid", dest="E_grid",
                        help="geometric grid: start,factor,count")
         p.add_argument("--alpha", type=float)
-        p.add_argument("--quad-panels", dest="quad_panels", type=int)
-        p.add_argument("--quad-nodes", dest="quad_nodes", type=int)
+        for key in ("quad_panels", "quad_nodes"):
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int,
+                           help="kernel quadrature rule; read by verify-krein "
+                                "and kernel-dump only")
         p.add_argument("--seed", type=int)
         p.add_argument("--growth-threshold", dest="growth_threshold",
                        type=float)

@@ -8,11 +8,10 @@ eigenproblem of the two Gram matrices.  A problem passes when ``kappa`` stays
 bounded under mesh refinement; the upwind first-derivative operator is the
 negative control whose critical-power ratio keeps growing.
 
-Powers are exact wherever the structure allows: Hermitian input goes through
-its eigendecomposition, and the negative control, a bidiagonal Toeplitz
-matrix, through the terminating binomial series of its single Jordan block.
-Only dense non-Hermitian input falls back to the square-root iteration
-(alpha = 1/2) or to quadrature.
+Every fractional power goes through ``matrix_power``, whose routes are all
+exact to roundoff: eigendecomposition for Hermitian input, the terminating
+binomial series for the negative control (a bidiagonal Toeplitz matrix),
+the scaled square-root iteration at alpha = 1/2, and Schur-Pade otherwise.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ import scipy.linalg as sla
 
 from .assembly import DiscreteOperator
 from .kato import _InvSqrtShifted
-from .matfun import (QuadratureSpec, _require_off_cut, frac_power_quad,
-                     is_hermitian, sqrt_db)
+from .matfun import _require_off_cut, is_hermitian, sqrt_db
 from .problems import lions_operator, make_problem
 
 __all__ = [
@@ -37,22 +35,6 @@ __all__ = [
     "thmA1_decay",
     "KAPPA_PROBLEMS",
 ]
-
-
-def matrix_power(H: np.ndarray, alpha: float,
-                 quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Fractional power dispatch: eigendecomposition for Hermitian input,
-    the scaled square-root iteration at alpha = 1/2, quadrature otherwise."""
-    H = np.asarray(H, dtype=complex)
-    if is_hermitian(H):
-        evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-        if evals.min() < -1e-10 * max(1.0, abs(evals.max())):
-            raise ValueError("Hermitian power path needs a nonnegative matrix")
-        evals = np.clip(evals, 0.0, None)
-        return (evecs * evals[None, :] ** alpha) @ evecs.conj().T
-    if alpha == 0.5:
-        return sqrt_db(H)
-    return frac_power_quad(H, alpha, quad)
 
 
 def _bidiagonal_toeplitz(H: np.ndarray) -> tuple[complex, complex] | None:
@@ -84,34 +66,50 @@ def _toeplitz_power(lam: complex, mu: complex, n: int,
     return sla.toeplitz(np.cumprod(steps), np.zeros(n))
 
 
-def _power_gram(H: np.ndarray, E: float, alpha: float,
-                quad: QuadratureSpec | None) -> tuple[np.ndarray | None, np.ndarray]:
-    """(X, X^H X) for ``X = (H + E)^alpha``, choosing the cheapest route.
+def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
+    """Fractional power ``H^alpha``; the one place a route is chosen.
+
+    Non-Hermitian, non-Toeplitz input at alpha != 1/2 goes through the
+    Schur-Pade algorithm (Higham & Lin, SIAM J. Matrix Anal. Appl. 32,
+    2011) once its spectrum is checked to avoid the cut (-inf, 0].
+    """
+    H = np.asarray(H, dtype=complex)
+    n = H.shape[0]
+    if is_hermitian(H):
+        evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
+        if evals.min() < -1e-10 * max(1.0, abs(evals.max())):
+            raise ValueError("Hermitian power path needs a nonnegative matrix")
+        evals = np.clip(evals, 0.0, None)
+        return (evecs * evals[None, :] ** alpha) @ evecs.conj().T
+    if (band := _bidiagonal_toeplitz(H)) is not None:
+        return _toeplitz_power(*band, n, alpha)
+    if (band := _bidiagonal_toeplitz(H.T)) is not None:
+        return _toeplitz_power(*band, n, alpha).T
+    if alpha == 0.5:
+        return sqrt_db(H)
+    _require_off_cut(np.linalg.eigvals(H))
+    return sla.fractional_matrix_power(H, alpha)
+
+
+def _power_gram(H: np.ndarray, E: float,
+                alpha: float) -> tuple[np.ndarray | None, np.ndarray]:
+    """(X, X^H X) for ``X = (H + E)^alpha``.
 
     For Hermitian input at the critical power the Gram is the shifted
     matrix itself, exactly; no root is formed (X is then None).
-    Bidiagonal Toeplitz input (either orientation) has a closed form.
     """
-    n = H.shape[0]
-    shifted = H + E * np.eye(n)
-    if is_hermitian(shifted):
-        if alpha == 0.5:
-            return None, shifted
-        X = matrix_power(shifted, alpha, quad)
-    elif (band := _bidiagonal_toeplitz(shifted)) is not None:
-        X = _toeplitz_power(*band, n, alpha)
-    elif (band := _bidiagonal_toeplitz(shifted.T)) is not None:
-        X = _toeplitz_power(*band, n, alpha).T
-    else:
-        X = matrix_power(shifted, alpha, quad)
+    shifted = H + E * np.eye(H.shape[0])
+    if alpha == 0.5 and is_hermitian(shifted):
+        return None, shifted
+    X = matrix_power(shifted, alpha)
     return X, X.conj().T @ X
 
 
 def sqrt_domain_kappa(H: DiscreteOperator | np.ndarray, E: float,
                       G_E: np.ndarray | None = None,
                       H_ref: DiscreteOperator | np.ndarray | None = None,
-                      alpha: float = 0.5, n_samples: int = 64, seed: int = 0,
-                      quad: QuadratureSpec | None = None) -> dict:
+                      alpha: float = 0.5, n_samples: int = 64,
+                      seed: int = 0) -> dict:
     """Equivalence ratio of the shifted power norm against a reference norm.
 
     The reference is either the E-scaled first-order Sobolev Gram ``G_E``
@@ -124,7 +122,7 @@ def sqrt_domain_kappa(H: DiscreteOperator | np.ndarray, E: float,
         raise ValueError("alpha must lie in (0, 1)")
     op = H if isinstance(H, DiscreteOperator) else None
     Hm = H.H if op is not None else np.asarray(H, dtype=complex)
-    X, P = _power_gram(Hm, E, alpha, quad)
+    X, P = _power_gram(Hm, E, alpha)
 
     if G_E is not None:
         if op is None or op.mass_treatment != "lumped":
@@ -137,7 +135,7 @@ def sqrt_domain_kappa(H: DiscreteOperator | np.ndarray, E: float,
             # the adjoint's power is the power's adjoint: reuse X
             Q = X @ X.conj().T
         else:
-            _, Q = _power_gram(Hr, E, alpha, quad)
+            _, Q = _power_gram(Hr, E, alpha)
     else:
         raise ValueError("need a reference: G_E or H_ref")
     P = 0.5 * (P + P.conj().T)
@@ -196,12 +194,12 @@ KAPPA_PROBLEMS = ("baseline", "complex_p", "complex_full", "robin_complex",
                   "lions")
 
 
-def _kappa_row(problem: str, n: int, E: float, alpha: float, seed: int,
-               quad: QuadratureSpec | None) -> dict:
+def _kappa_row(problem: str, n: int, E: float, alpha: float,
+               seed: int) -> dict:
     if problem == "lions":
         T = lions_operator(n)
         row = sqrt_domain_kappa(T.H, E, H_ref=T.H.conj().T, alpha=alpha,
-                                seed=seed, quad=quad)
+                                seed=seed)
     else:
         if problem == "baseline":
             prob = make_problem("free", n=n)
@@ -218,11 +216,11 @@ def _kappa_row(problem: str, n: int, E: float, alpha: float, seed: int,
         if alpha == 0.5:
             row = sqrt_domain_kappa(prob.operator, E,
                                     G_E=prob.sobolev_gram(E), alpha=alpha,
-                                    seed=seed, quad=quad)
+                                    seed=seed)
         else:
             row = sqrt_domain_kappa(prob.operator, E,
                                     H_ref=prob.reference_operator(),
-                                    alpha=alpha, seed=seed, quad=quad)
+                                    alpha=alpha, seed=seed)
     row["n"] = n
     return row
 
@@ -233,8 +231,7 @@ def _growth(rows: list) -> float:
 
 def refinement_study(problem: str, n_list, E: float = 1.0,
                      alpha: float = 0.5, growth_threshold: float | None = None,
-                     seed: int = 0,
-                     quad: QuadratureSpec | None = None) -> DomainEquivalenceReport:
+                     seed: int = 0) -> DomainEquivalenceReport:
     """Track the equivalence ratio under refinement and judge boundedness.
 
     With no explicit threshold the run calibrates itself: the negative
@@ -245,7 +242,7 @@ def refinement_study(problem: str, n_list, E: float = 1.0,
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 2:
         raise ValueError("need at least two refinement levels")
-    rows = [_kappa_row(problem, n, E, alpha, seed, quad) for n in n_list]
+    rows = [_kappa_row(problem, n, E, alpha, seed) for n in n_list]
     growth = _growth(rows)
 
     calibration = {}
@@ -257,7 +254,7 @@ def refinement_study(problem: str, n_list, E: float = 1.0,
             ref = {}
         for al in (0.25, 0.5):
             if al not in ref:
-                ref[al] = [_kappa_row("lions", n, E, al, seed, quad)
+                ref[al] = [_kappa_row("lions", n, E, al, seed)
                            for n in n_list]
         g_low, g_high = _growth(ref[0.25]), _growth(ref[0.5])
         growth_threshold = float(np.sqrt(g_low * g_high))
@@ -274,8 +271,7 @@ def refinement_study(problem: str, n_list, E: float = 1.0,
 
 
 def lemma24_bounds(S: DiscreteOperator | np.ndarray,
-                   T: DiscreteOperator | np.ndarray, E_grid,
-                   quad: QuadratureSpec | None = None) -> dict:
+                   T: DiscreteOperator | np.ndarray, E_grid) -> dict:
     """Suprema of the two half-power quotients over a shift grid.
 
     Returns ``sup ||S^{1/2} (T + E)^{-1/2}||`` and
@@ -285,12 +281,12 @@ def lemma24_bounds(S: DiscreteOperator | np.ndarray,
     Sm = S.H if isinstance(S, DiscreteOperator) else np.asarray(S, dtype=complex)
     Tm = T.H if isinstance(T, DiscreteOperator) else np.asarray(T, dtype=complex)
     halver = _InvSqrtShifted(Tm)
-    S_half = matrix_power(Sm, 0.5, quad)
+    S_half = matrix_power(Sm, 0.5)
     E_use = [float(E) for E in E_grid if float(E) >= 1.0]
     shiftless = halver.norms(E_use, right=S_half)[0]
     sup1, arg1, sup2, arg2 = 0.0, None, 0.0, None
     for E, v1 in zip(E_use, shiftless):
-        SE_half = matrix_power(Sm + E * np.eye(Sm.shape[0]), 0.5, quad)
+        SE_half = matrix_power(Sm + E * np.eye(Sm.shape[0]), 0.5)
         v2 = halver.norms([E], right=SE_half)[0][0]
         if v1 > sup1:
             sup1, arg1 = v1, E

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matfun import resolvent, spectral_norm
+from .matfun import _require_off_cut, resolvent, spectral_norm
 
 __all__ = [
     "SectorReport",
@@ -123,9 +123,7 @@ def sector_diagnostics(H: np.ndarray, t_grid, omega_prime,
     """
     H = np.asarray(H, dtype=complex)
     evals = np.linalg.eigvals(H)
-    scale = np.abs(evals) + 1.0
-    if np.any((evals.real <= 1e-12 * scale) & (np.abs(evals.imag) <= 1e-12 * scale)):
-        raise ValueError("spectrum intersects (-inf, 0]")
+    _require_off_cut(evals)
 
     M_A = 0.0
     for t in t_grid:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from sqrtdom.assembly import BoundaryCondition
 from sqrtdom.domains import (_power_gram, lemma24_bounds, matrix_power,
                              refinement_study, sqrt_domain_kappa, thmA1_decay)
 from sqrtdom.matfun import QuadratureSpec, SpectrumOnCutError, frac_power_quad
@@ -23,14 +24,14 @@ class TestMatrixPower:
         T = lions_operator(64).H
         if upper:
             T = T.conj().T
-        X, _ = _power_gram(T, 1.0, alpha, None)
+        X, _ = _power_gram(T, 1.0, alpha)
         ref = sla.fractional_matrix_power(T + np.eye(64), alpha)
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
     def test_toeplitz_path_matches_quadrature(self, alpha):
         T = lions_operator(24).H
-        X, _ = _power_gram(T, 1.0, alpha, None)
+        X, _ = _power_gram(T, 1.0, alpha)
         Xq = frac_power_quad(T + np.eye(24), alpha, QuadratureSpec(panels=16))
         assert np.linalg.norm(X - Xq) <= 1e-8 * np.linalg.norm(Xq)
 
@@ -39,7 +40,31 @@ class TestMatrixPower:
         T = lions_operator(16).H
         E = lam - T[0, 0].real
         with pytest.raises(SpectrumOnCutError):
-            _power_gram(T, E, 0.25, None)
+            _power_gram(T, E, 0.25)
+
+    def test_dense_path_rejects_cut(self):
+        rng = np.random.default_rng(5)
+        V = rng.standard_normal((12, 12))
+        evals = np.concatenate(([-1.0], np.linspace(1.0, 3.0, 11)))
+        H = V @ np.diag(evals) @ np.linalg.inv(V)
+        with pytest.raises(SpectrumOnCutError):
+            matrix_power(H, 0.25)
+
+    def test_dense_path_exact(self):
+        # the robin_complex kappa problem
+        prob = make_problem("mixed_sign", n=64,
+                            bc_left=BoundaryCondition(1 + 0.5j))
+        H = prob.operator.H + np.eye(prob.operator.H.shape[0])
+        X = matrix_power(H, 0.25)
+        X4 = np.linalg.matrix_power(X, 4)
+        assert np.linalg.norm(X4 - H) <= 1e-12 * np.linalg.norm(H)
+
+    def test_dense_path_matches_quadrature(self):
+        prob = make_problem("complex_constant", n=24)
+        H = prob.operator.H + np.eye(prob.operator.H.shape[0])
+        X = matrix_power(H, 0.3)
+        Xq = frac_power_quad(H, 0.3, QuadratureSpec(panels=16))
+        assert np.linalg.norm(X - Xq) <= 1e-8 * np.linalg.norm(Xq)
 
 
 class TestSqrtDomainKappa:
@@ -52,7 +77,7 @@ class TestSqrtDomainKappa:
     def test_identical_reference_any_alpha(self):
         prob = make_problem("complex_constant", n=24)
         row = sqrt_domain_kappa(prob.operator, 2.0, H_ref=prob.operator,
-                                alpha=0.375, quad=QuadratureSpec(panels=12))
+                                alpha=0.375)
         assert abs(row["kappa"] - 1.0) <= 1e-9
 
     def test_extremal_pair_dominates_samples(self):
