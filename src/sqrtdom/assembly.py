@@ -258,7 +258,7 @@ def coefficient_family(name: str, **params):
 class FormMatrices:
     """Assembled form matrices on the retained degrees of freedom.
 
-    ``M`` is the consistent mass, ``M_lumped`` its diagonal row-sum; ``K0``
+    ``M`` is the consistent mass, ``lumped_weights`` its row sums; ``K0``
     carries the second-order part, ``K1``/``K2`` the two convective terms,
     ``K3`` the (lumped, diagonal) potential and ``Bdry`` the rank <= 2
     boundary contribution.  ``dof_nodes`` indexes the retained mesh nodes.
@@ -300,13 +300,12 @@ class DiscreteOperator:
 
     ``H = M^{-1/2} S M^{-1/2}`` with ``S`` the full form matrix.  Nodal
     vectors ``f`` and orthonormal vectors ``u`` are related by
-    ``u = M^{1/2} f``; with the (default) lumped mass ``M^{1/2}`` is the
-    diagonal of square-rooted trapezoid weights.
+    ``u = M^{1/2} f``; with the lumped mass ``M^{1/2}`` is the diagonal of
+    square-rooted trapezoid weights.
     """
 
     H: np.ndarray
     forms: FormMatrices
-    mass_treatment: str = "lumped"
     coefficient_hash: str = ""
 
     @property
@@ -320,19 +319,6 @@ class DiscreteOperator:
     @property
     def dof_nodes(self) -> np.ndarray:
         return self.forms.dof_nodes
-
-    def mass_sqrt(self) -> np.ndarray:
-        """The square root of the mass used for the coordinate change."""
-        if self.mass_treatment == "lumped":
-            return np.diag(np.sqrt(self.forms.lumped_weights))
-        from .matfun import sqrt_db
-
-        return sqrt_db(self.forms.M)
-
-    def nodal_to_ortho(self, f: np.ndarray) -> np.ndarray:
-        if self.mass_treatment == "lumped":
-            return np.sqrt(self.forms.lumped_weights) * np.asarray(f, dtype=complex)
-        return self.mass_sqrt() @ np.asarray(f, dtype=complex)
 
     def kernel_table(self, R_ortho: np.ndarray) -> np.ndarray:
         """Two-point kernel samples of an operator given in orthonormal
@@ -425,47 +411,30 @@ def assemble_forms(mesh: Mesh, coeffs: CoefficientSet,
                         dof_nodes=keep, _lumped=lumped[keep])
 
 
-def orthonormalize(forms: FormMatrices,
-                   mass_treatment: str = "lumped") -> DiscreteOperator:
+def orthonormalize(forms: FormMatrices) -> DiscreteOperator:
     """Turn assembled forms into the operator matrix ``M^{-1/2} S M^{-1/2}``.
 
-    Lumped mode uses the diagonal row-sum mass, making ``M^{-1/2}`` exact;
-    consistent mode computes a dense Hermitian square root of ``M``.
+    ``M`` is the lumped (diagonal row-sum) mass, which makes ``M^{-1/2}``
+    exact.
     """
-    S = forms.total()
-    if mass_treatment == "lumped":
-        w = forms.lumped_weights
-        if np.any(w <= 0):
-            raise ValueError("lumped mass is not positive definite")
-        winv = 1.0 / np.sqrt(w)
-        H = winv[:, None] * S * winv[None, :]
-    elif mass_treatment == "consistent":
-        M = 0.5 * (forms.M + forms.M.conj().T)
-        evals, evecs = np.linalg.eigh(M)
-        if evals.min() <= 0:
-            raise ValueError("consistent mass is not positive definite")
-        Minvh = (evecs * (evals ** -0.5)[None, :]) @ evecs.conj().T
-        H = Minvh @ S @ Minvh
-    else:
-        raise ValueError(f"unknown mass treatment {mass_treatment!r}")
-    return DiscreteOperator(H=H, forms=forms, mass_treatment=mass_treatment,
+    w = forms.lumped_weights
+    if np.any(w <= 0):
+        raise ValueError("lumped mass is not positive definite")
+    winv = 1.0 / np.sqrt(w)
+    H = winv[:, None] * forms.total() * winv[None, :]
+    return DiscreteOperator(H=H, forms=forms,
                             coefficient_hash=forms.coeffs.digest())
 
 
 def w12_norm_matrix(mesh: Mesh, bc_left: BoundaryCondition,
-                    bc_right: BoundaryCondition, E: float,
-                    mass_treatment: str = "lumped") -> np.ndarray:
+                    bc_right: BoundaryCondition, E: float) -> np.ndarray:
     """Gram matrix of the E-scaled first-order Sobolev norm on interpolants.
 
     ``f^H G_E f = ||f'||^2 + E ||f||^2`` with unit diffusion stiffness and
-    the requested mass, Dirichlet DOFs removed per the boundary conditions.
+    the lumped mass, Dirichlet DOFs removed per the boundary conditions.
     """
     if E <= 0:
         raise ValueError("E must be positive")
     ref = CoefficientSet.from_callables(mesh, p=1.0)
     forms = assemble_forms(mesh, ref, bc_left, bc_right)
-    if mass_treatment == "lumped":
-        mass = np.diag(forms.lumped_weights).astype(complex)
-    else:
-        mass = forms.M
-    return forms.K0 + E * mass
+    return forms.K0 + E * np.diag(forms.lumped_weights).astype(complex)

@@ -18,22 +18,18 @@ from . import csvio
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                        assemble_forms, build_mesh, orthonormalize,
                        w12_norm_matrix)
-from .domains import refinement_study, thmA1_decay
+from .checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU, TOL_SLACK,
+                     TOL_SLOPE, TOL_TRACE, decay_ok, decay_profiles,
+                     krein_suite, multiplier_decay, trace_suite,
+                     two_step_errors)
+from .domains import KAPPA_PROBLEMS, refinement_study
 from .formbounds import check_form_bound, check_trudinger, locunif_norms
-from .kato import (build_factorization, decay_profile, kato_K, two_step,
-                   verify_identity)
-from .krein import (bessel_bound_check, bessel_k0_quad, green_kernel_dirichlet,
-                    krein_resolvent, sqrt_kernel, u2_closed_form, d_theta)
-from .matfun import QuadratureSpec, resolvent, spectral_norm, trace_det_check
+from .kato import build_factorization, kato_K, verify_identity
+from .krein import (green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
+                    u2_closed_form, d_theta)
+from .matfun import QuadratureSpec, resolvent, spectral_norm
 from .problems import FAMILY_NAMES, Problem, build_coefficients
 from .sectorial import check_m_accretive, numerical_range_hull, safe_shift
-
-TOL_KATO = 1e-9
-TOL_SLOPE = -0.2
-TOL_PLATEAU = 0.5
-TOL_SLACK = -1e-10
-TOL_TRACE = 1e-6
-TOL_K0 = 1e-8
 
 
 class ConfigError(ValueError):
@@ -119,6 +115,9 @@ def load_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"unknown interval kind {cfg['interval']!r}")
     if cfg["n"] < 2:
         raise ConfigError("n must be at least 2")
+    if cfg["n_list"] is not None and (len(cfg["n_list"]) < 2
+                                      or min(cfg["n_list"]) < 2):
+        raise ConfigError("n_list needs at least two entries, each at least 2")
     if not 0.0 < cfg["alpha"] < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
     return cfg
@@ -206,7 +205,7 @@ def cmd_assemble(cfg: dict, outdir: Path) -> int:
     _manifest(outdir, cfg, "assemble", ["form-matrices", "operator-matrix"],
               {"n_dof": forms.n_dof,
                "coefficient_hash": prob.operator.coefficient_hash,
-               "mass_treatment": prob.operator.mass_treatment})
+               "mass_treatment": "lumped"})
     return 0
 
 
@@ -221,107 +220,50 @@ def cmd_verify_kato(cfg: dict, outdir: Path) -> int:
                                prob.bc_right, "full_triple")
     one_shot = verify_identity(direct, T0, fact, z_list)
 
-    closure = two_step(T0, prob.coeffs)
-    two_rows, two_max = [], 0.0
-    for z in z_list:
-        R_direct = resolvent(direct.H, z)
-        err = float(np.linalg.norm(closure(z) - R_direct)
-                    / np.linalg.norm(R_direct))
-        two_rows.append((z, err))
-        two_max = max(two_max, err)
+    two_errs = two_step_errors(direct, T0, prob.coeffs, z_list)
 
     rows = [(csvio.fmt(r["z"].real), csvio.fmt(r["z"].imag), "full_triple",
              csvio.fmt(r["rel_error"])) for r in one_shot["records"]]
     rows += [(csvio.fmt(z.real), csvio.fmt(z.imag), "two_step",
-              csvio.fmt(err)) for z, err in two_rows]
+              csvio.fmt(err)) for z, err in zip(z_list, two_errs)]
     csvio.write_rows(outdir / "kato_errors.csv", "z_re,z_im,path,rel_error",
                      rows)
 
-    ok = one_shot["max_rel_error"] <= TOL_KATO and two_max <= TOL_KATO
+    ok = one_shot["max_rel_error"] <= TOL_KATO and max(two_errs) <= TOL_KATO
     _manifest(outdir, cfg, "verify-kato",
               ["factored-resolvent-identity", "two-step-composition"],
               {"tolerance": TOL_KATO,
                "max_identity_error": one_shot["max_rel_error"],
-               "max_two_step_error": two_max,
+               "max_two_step_error": max(two_errs),
                "excluded_points": len(one_shot["excluded"]),
                "verdict": "pass" if ok else "fail"})
     return 0 if ok else 1
 
 
 def cmd_verify_krein(cfg: dict, outdir: Path) -> int:
-    interval = IntervalSpec("finite", cfg["a"], cfg["b"])
-    thetas = [("neumann", BoundaryCondition.neumann()),
-              ("quarter_pi", BoundaryCondition(np.pi / 4)),
-              ("complex", BoundaryCondition(1 + 0.5j))]
-    n_list = cfg["n_list"] or [64, 128, 256]
-    z = -(cfg["E"] or 5.0)
-    order_rows, min_order = [], np.inf
-    for label, th in thetas:
-        errs = []
-        for n in n_list:
-            mesh = build_mesh(interval, n)
-            coeffs = CoefficientSet.from_callables(mesh, p=1.0)
-            op_dir = orthonormalize(assemble_forms(
-                mesh, coeffs, BoundaryCondition.dirichlet(),
-                BoundaryCondition.dirichlet()))
-            dir_table = op_dir.kernel_table(resolvent(op_dir.H, z))
-            krein_table = krein_resolvent(dir_table, z, th, mesh)
-            op_rob = orthonormalize(assemble_forms(
-                mesh, coeffs, th, BoundaryCondition.dirichlet()))
-            rob_table = op_rob.kernel_table(resolvent(op_rob.H, z))
-            errs.append(float(np.max(np.abs(krein_table - rob_table))))
-        orders = [float(np.log2(e1 / e2)) for e1, e2 in zip(errs, errs[1:])]
-        min_order = min(min_order, *orders)
-        for n, err in zip(n_list, errs):
-            order_rows.append((label, str(n), csvio.fmt(err)))
+    suite = krein_suite(cfg["a"], cfg["b"], -(cfg["E"] or 5.0),
+                        cfg["n_list"] or [64, 128, 256], cfg["n"],
+                        cfg["E"] or 25.0, cfg["E_grid"] or [25.0, 100.0],
+                        quad_from(cfg))
     csvio.write_rows(outdir / "krein_errors.csv", "theta,n,max_error",
-                     order_rows)
-
-    mesh = build_mesh(interval, cfg["n"])
-    quad = quad_from(cfg)
-    table = sqrt_kernel(cfg["E"] or 25.0, BoundaryCondition.neumann(), mesh,
-                        quad)
-    boundary_row = float(np.max(np.abs(table.values[-1, :])))
-
-    bessel_rows, min_slack = [], np.inf
-    xs = np.linspace(cfg["a"], cfg["b"], 7)[1:-1][:5]
-    for E in (cfg["E_grid"] or [25.0, 100.0]):
-        for x in xs:
-            for xp in xs:
-                rec = bessel_bound_check(E, float(x), float(xp),
-                                         BoundaryCondition.neumann(), mesh,
-                                         quad)
-                bessel_rows.append((csvio.fmt(E), csvio.fmt(rec["lhs"]),
-                                    csvio.fmt(rec["rhs"])))
-                min_slack = min(min_slack, rec["slack"])
-    csvio.write_rows(outdir / "bessel_bound.csv", "E,lhs,rhs", bessel_rows)
-
-    k0_diff = max(abs(bessel_k0_quad(y) - _k0_series(y))
-                  for y in (0.5, 1.0, 2.0, 5.0))
-
-    ok = (min_order >= 1.8 and boundary_row == 0.0 and min_slack >= 0.0
-          and k0_diff <= TOL_K0)
+                     [(label, str(n), csvio.fmt(err))
+                      for label, n, err in suite["errors"]])
+    csvio.write_rows(outdir / "bessel_bound.csv", "E,lhs,rhs",
+                     [(csvio.fmt(E), csvio.fmt(rec["lhs"]),
+                       csvio.fmt(rec["rhs"])) for E, rec in suite["bessel"]])
     _manifest(outdir, cfg, "verify-krein",
               ["rank-one-resolvent-convergence", "sqrt-kernel-boundary-row",
                "macdonald-envelope", "macdonald-two-method"],
-              {"min_observed_order": min_order,
-               "boundary_row_max": boundary_row,
-               "min_bessel_slack": min_slack,
-               "k0_two_method_diff": k0_diff,
-               "tolerance_order": 1.8, "tolerance_k0": TOL_K0,
-               "verdict": "pass" if ok else "fail"})
-    return 0 if ok else 1
-
-
-def _k0_series(y: float) -> float:
-    from scipy import special
-
-    return float(special.k0(y))
+              {"min_observed_order": suite["min_order"],
+               "boundary_row_max": suite["boundary_row"],
+               "min_bessel_slack": suite["min_slack"],
+               "k0_two_method_diff": suite["k0_diff"],
+               "tolerance_order": TOL_ORDER, "tolerance_k0": TOL_K0,
+               "verdict": "pass" if suite["ok"] else "fail"})
+    return 0 if suite["ok"] else 1
 
 
 def cmd_kappa_study(cfg: dict, outdir: Path) -> int:
-    from .domains import KAPPA_PROBLEMS
-
     if cfg["problem"] not in KAPPA_PROBLEMS:
         raise ConfigError(
             f"kappa-study needs one of {KAPPA_PROBLEMS}, got {cfg['problem']!r}")
@@ -345,17 +287,12 @@ def cmd_kappa_study(cfg: dict, outdir: Path) -> int:
 
 def cmd_decay_study(cfg: dict, outdir: Path) -> int:
     prob = problem_from(cfg)
-    T0 = prob.base_operator()
     # shifts beyond the mesh resolution scale cannot carry the continuum
     # plateau, so the default grid stops at 1/h^2
     E_stop = min(1e6, 1.0 / prob.mesh.h ** 2)
     E_grid = default_E_grid(cfg, stop=E_stop)
-    results = {}
-    for variant in ("qr_pair", "s_pair", "full_triple"):
-        fact = build_factorization(prob.mesh, prob.coeffs, prob.bc_left,
-                                   prob.bc_right, variant)
-        prof = decay_profile(T0, fact, E_grid)
-        results[variant] = prof
+    results = decay_profiles(prob, E_grid)
+    for variant, prof in results.items():
         rows = [(csvio.fmt(r["E"]), csvio.fmt(r["normK"]),
                  csvio.fmt(r["normA"]), csvio.fmt(r["normB"]),
                  csvio.fmt(r["integral_d9"])) for r in prof["rows"]]
@@ -363,27 +300,19 @@ def cmd_decay_study(cfg: dict, outdir: Path) -> int:
                          "E,normK,normA,normB,integral_d9", rows)
 
     ref = prob.reference_operator()
-    nodal = np.zeros(len(prob.mesh.nodes))
     phi_rows, phi_slopes = [], {}
     for name, cell_samples in (("abs_r", np.abs(prob.coeffs.r)),
                                ("abs_s", np.abs(prob.coeffs.s)),
                                ("sqrt_abs_q", np.sqrt(np.abs(prob.coeffs.q)))):
-        nodal[:] = 0.0
-        nodal[:-1] += 0.5 * cell_samples
-        nodal[1:] += 0.5 * cell_samples
-        rec = thmA1_decay(nodal[ref.dof_nodes], ref, E_grid)
+        rec = multiplier_decay(ref, cell_samples, E_grid)
         phi_slopes[name] = rec["slope"]
         phi_rows += [(name, csvio.fmt(E), csvio.fmt(v))
                      for E, v in zip(rec["E"], rec["norms"])]
     csvio.write_rows(outdir / "multiplier_decay.csv", "phi,E,norm", phi_rows)
 
-    ok = (results["qr_pair"]["slope"] <= TOL_SLOPE
-          and results["s_pair"]["slope"] <= TOL_SLOPE
-          and results["qr_pair"]["monotone"]
-          and results["s_pair"]["monotone"]
-          and results["full_triple"]["plateau_ratio"] >= TOL_PLATEAU
-          and all(s <= TOL_SLOPE for s in phi_slopes.values()
-                  if np.isfinite(s) and s != 0.0))
+    # a multiplier that vanishes identically has no slope to judge
+    ok = decay_ok(results, [s for s in phi_slopes.values()
+                            if np.isfinite(s) and s != 0.0])
     extra = {"slope_qr_pair": results["qr_pair"]["slope"],
              "slope_s_pair": results["s_pair"]["slope"],
              "monotone_qr_pair": results["qr_pair"]["monotone"],
@@ -502,33 +431,18 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_trace_check(cfg: dict, outdir: Path) -> int:
-    rng = np.random.default_rng(cfg["seed"])
-    A0 = np.diag([1.0 + 0j, 2.0])
-    A = A0 + 0.1 * np.outer([1.0, 0.0], [1.0, 0.0])
-    closed_residual = trace_det_check(A, A0, -1.0, h=1e-5)
-
-    B = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    herm = 0.5 * (B + B.conj().T)
-    shift = abs(np.linalg.eigvalsh(herm)[0]) + 2.0
-    A0r = B + shift * np.eye(6)
-    Ar = A0r + 0.05 * (rng.standard_normal((6, 6))
-                       + 1j * rng.standard_normal((6, 6)))
-    rows, residuals = [], []
-    for h in (4e-3, 2e-3, 1e-3):
-        res = trace_det_check(Ar, A0r, -2.0, h=h)
-        rows.append((csvio.fmt(h), csvio.fmt(res)))
-        residuals.append(res)
-    csvio.write_rows(outdir / "trace_residuals.csv", "h,residual", rows)
-    ratios = [residuals[i] / residuals[i + 1] for i in range(2)]
-
-    ok = closed_residual <= TOL_TRACE and all(2.5 <= r <= 6.5 for r in ratios)
+    suite = trace_suite(cfg["seed"])
+    csvio.write_rows(outdir / "trace_residuals.csv", "h,residual",
+                     [(csvio.fmt(h), csvio.fmt(res))
+                      for h, res in suite["residuals"]])
+    ratios = suite["ratios"]
     _manifest(outdir, cfg, "trace-check",
               ["determinant-trace-derivative", "step-halving-order"],
-              {"closed_form_residual": closed_residual,
+              {"closed_form_residual": suite["closed_residual"],
                "richardson_ratio_1": ratios[0], "richardson_ratio_2": ratios[1],
                "tolerance": TOL_TRACE,
-               "verdict": "pass" if ok else "fail"})
-    return 0 if ok else 1
+               "verdict": "pass" if suite["ok"] else "fail"})
+    return 0 if suite["ok"] else 1
 
 
 COMMANDS = {
@@ -552,8 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--problem", choices=FAMILY_NAMES + (
-            "baseline", "complex_full", "robin_complex", "lions"))
+        p.add_argument("--problem",
+                       choices=tuple(dict.fromkeys(FAMILY_NAMES
+                                                   + KAPPA_PROBLEMS)))
         for key in ("coeff_p", "coeff_q", "coeff_r", "coeff_s"):
             p.add_argument(f"--{key.replace('_', '-')}")
         p.add_argument("--interval", choices=("finite", "half_line",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import DiscreteOperator
+from .assembly import BoundaryCondition, DiscreteOperator
 from .kato import _InvSqrtShifted
 from .matfun import _require_off_cut, is_hermitian, sqrt_db
 from .problems import lions_operator, make_problem
@@ -125,8 +125,8 @@ def sqrt_domain_kappa(H: DiscreteOperator | np.ndarray, E: float,
     X, P = _power_gram(Hm, E, alpha)
 
     if G_E is not None:
-        if op is None or op.mass_treatment != "lumped":
-            raise ValueError("nodal reference Gram needs a lumped-mass operator")
+        if op is None:
+            raise ValueError("nodal reference Gram needs a DiscreteOperator")
         winv = 1.0 / np.sqrt(op.forms.lumped_weights)
         Q = winv[:, None] * np.asarray(G_E, dtype=complex) * winv[None, :]
     elif H_ref is not None:
@@ -190,8 +190,12 @@ class DomainEquivalenceReport:
     calibration: dict = field(default_factory=dict)
 
 
-KAPPA_PROBLEMS = ("baseline", "complex_p", "complex_full", "robin_complex",
-                  "lions")
+# each kappa problem but the lions control: its family and left condition
+_KAPPA_FAMILIES = {"baseline": ("free", None),
+                   "complex_p": ("complex_p", None),
+                   "complex_full": ("complex_constant", None),
+                   "robin_complex": ("mixed_sign", BoundaryCondition(1 + 0.5j))}
+KAPPA_PROBLEMS = (*_KAPPA_FAMILIES, "lions")
 
 
 def _kappa_row(problem: str, n: int, E: float, alpha: float,
@@ -201,18 +205,10 @@ def _kappa_row(problem: str, n: int, E: float, alpha: float,
         row = sqrt_domain_kappa(T.H, E, H_ref=T.H.conj().T, alpha=alpha,
                                 seed=seed)
     else:
-        if problem == "baseline":
-            prob = make_problem("free", n=n)
-        elif problem == "complex_p":
-            prob = make_problem("complex_p", n=n)
-        elif problem == "complex_full":
-            prob = make_problem("complex_constant", n=n)
-        elif problem == "robin_complex":
-            from .assembly import BoundaryCondition
-            prob = make_problem("mixed_sign", n=n,
-                                bc_left=BoundaryCondition(1 + 0.5j))
-        else:
+        if problem not in _KAPPA_FAMILIES:
             raise ValueError(f"unknown kappa problem {problem!r}")
+        family, bc_left = _KAPPA_FAMILIES[problem]
+        prob = make_problem(family, n=n, bc_left=bc_left)
         if alpha == 0.5:
             row = sqrt_domain_kappa(prob.operator, E,
                                     G_E=prob.sobolev_gram(E), alpha=alpha,

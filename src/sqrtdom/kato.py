@@ -143,15 +143,9 @@ def build_factorization(mesh: Mesh, coeffs: CoefficientSet,
     return FactoredPerturbation(A=A, B=B, variant=variant)
 
 
-def _require_lumped(T0: DiscreteOperator) -> None:
-    if T0.mass_treatment != "lumped":
-        raise ValueError("factored identities require the lumped-mass operator")
-
-
 def kato_K(T0: DiscreteOperator, fact: FactoredPerturbation,
            z: complex) -> np.ndarray:
     """The compressed resolvent ``K(z) = -A (T0 - z)^{-1} B^H``."""
-    _require_lumped(T0)
     n = T0.n
     X = np.linalg.solve(T0.H - z * np.eye(n), fact.B.conj().T)
     return -fact.A @ X
@@ -179,7 +173,6 @@ def _invert_core(K: np.ndarray, z: complex, stage: str = "") -> np.ndarray:
 def perturbed_resolvent(T0: DiscreteOperator, fact: FactoredPerturbation,
                         z: complex) -> np.ndarray:
     """Resolvent of the perturbed operator through the factored identity."""
-    _require_lumped(T0)
     R0 = resolvent(T0.H, z)
     K = -fact.A @ (R0 @ fact.B.conj().T)
     inv_ImK = _invert_core(K, z)
@@ -215,7 +208,6 @@ class TwoStepResolvent:
     """Composed resolvent: first adjoin the r/q terms, then the s term."""
 
     def __init__(self, T0: DiscreteOperator, coeffs: CoefficientSet):
-        _require_lumped(T0)
         mesh = T0.mesh
         bl, br = T0.forms.bc_left, T0.forms.bc_right
         stage1 = CoefficientSet(p=coeffs.p, q=coeffs.q, r=coeffs.r,
@@ -301,7 +293,6 @@ def decay_profile(T0: DiscreteOperator, fact: FactoredPerturbation,
     E_arr = np.asarray(list(E_list), dtype=float)
     if np.any(np.diff(E_arr) <= 0) or np.any(E_arr <= 0):
         raise ValueError("E grid must be positive and increasing")
-    _require_lumped(T0)
     halver = _InvSqrtShifted(T0.H)
     lam_grid = np.geomspace(d9_lower, d9_upper, d9_points)
     # row i holds the shifts E_i and lam + E_i for lam on the grid

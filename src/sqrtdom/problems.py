@@ -160,5 +160,4 @@ def lions_operator(n: int, X: float = 1.0) -> DiscreteOperator:
                          bc_right=BoundaryCondition.neumann(),
                          coeffs=coeffs, dof_nodes=np.arange(1, n + 1),
                          _lumped=np.full(n, h))
-    return DiscreteOperator(H=T, forms=forms, mass_treatment="lumped",
-                            coefficient_hash=coeffs.digest())
+    return DiscreteOperator(H=T, forms=forms, coefficient_hash=coeffs.digest())

@@ -130,14 +130,6 @@ class TestOrthonormalize:
             val = np.vdot(v, H @ v)
             assert abs(val.imag) <= (coeffs.Lam / coeffs.lam) * val.real + 1e-12
 
-    def test_consistent_mass_matches_lumped_spectrally(self):
-        mesh = build_mesh(IntervalSpec(), 64)
-        forms = assemble_forms(mesh, coeffs_for(mesh), DIR, DIR)
-        lo_lumped = np.linalg.eigvalsh(orthonormalize(forms, "lumped").H.real)[0]
-        lo_cons = np.linalg.eigvalsh(orthonormalize(forms, "consistent").H.real)[0]
-        assert lo_lumped == pytest.approx(np.pi**2, rel=1e-2)
-        assert lo_cons == pytest.approx(np.pi**2, rel=1e-2)
-
     def test_adjoint_symmetry(self):
         # conjugating p, q and swapping conjugated r and s gives the adjoint
         mesh = build_mesh(IntervalSpec(), 20)

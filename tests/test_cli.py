@@ -1,9 +1,10 @@
 import filecmp
 
 import numpy as np
+import pytest
 
 from sqrtdom import csvio
-from sqrtdom.cli import main, parse_theta, read_config_file
+from sqrtdom.cli import COMMANDS, main, parse_theta, read_config_file
 
 
 def run(tmp_path, name, *args):
@@ -35,8 +36,11 @@ class TestConfig:
         assert code == 2
 
     def test_bad_value_is_config_error(self, tmp_path):
-        code, _ = run(tmp_path, "o", "assemble", "--n", "1")
-        assert code == 2
+        # refinement studies need two levels; one used to fail as a check
+        for i, args in enumerate(("assemble --n 1", "verify-krein --n-list 64",
+                                  "verify-krein --n-list 1,64",
+                                  "kappa-study --problem complex_p --n-list 64")):
+            assert run(tmp_path, str(i), *args.split())[0] == 2
 
     def test_flag_overrides_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -123,3 +127,42 @@ class TestDeterminism:
                       "--seed", "2")
         assert not filecmp.cmp(out1 / "form_bound_margins.csv",
                                out2 / "form_bound_margins.csv", shallow=False)
+
+
+class TestManifestKeys:
+    """Each subcommand keeps its manifest keys, the config echo aside."""
+
+    CASES = {
+        "assemble": ("--problem free --n 8",
+                     "n_dof coefficient_hash mass_treatment"),
+        "verify-kato": ("--n 16", "tolerance max_identity_error "
+                        "max_two_step_error excluded_points verdict"),
+        "verify-krein": ("--n-list 16,32 --n 16", "min_observed_order "
+                         "boundary_row_max min_bessel_slack k0_two_method_diff "
+                         "tolerance_order tolerance_k0 verdict"),
+        "kappa-study": ("--problem lions --n-list 8,16", "growth threshold "
+                        "verdict calibration.lions_growth_quarter "
+                        "calibration.lions_growth_half"),
+        "decay-study": ("--n 16", "slope_qr_pair slope_s_pair monotone_qr_pair "
+                        "monotone_s_pair plateau_full_triple tolerance_slope "
+                        "tolerance_plateau verdict slope_multiplier_abs_r "
+                        "slope_multiplier_abs_s slope_multiplier_sqrt_abs_q"),
+        "kernel-dump": ("--theta-a neumann --n 16",
+                        "E n coupling_denominator u2_left_value"),
+        "hypothesis-check": ("--n 16", "C_q C_r C_s C_0 M eps_0 "
+                             "min_form_bound_slack sector_vertex sector_angle "
+                             "accretive_shift worst_resolvent_ratio "
+                             "K_norm_start K_norm_end tolerance_slack verdict"),
+        "trace-check": ("", "closed_form_residual richardson_ratio_1 "
+                        "richardson_ratio_2 tolerance verdict"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_manifest_keys(self, tmp_path, command):
+        args, keys = self.CASES[command]
+        code, out = run(tmp_path, "o", command, *args.split())
+        assert code == 0
+        got = [line.split(" = ")[0]
+               for line in (out / "manifest.txt").read_text().splitlines()
+               if not line.startswith("config.")]
+        assert got == ["command", "checks", *keys.split()]
