@@ -12,12 +12,13 @@ from .domains import (lemma24_bounds, matrix_power, refinement_study,
 from .formbounds import (FormBoundConstants, check_form_bound,
                          check_trudinger, compose_infinitesimal,
                          locunif_norms)
-from .kato import (FactoredPerturbation, admissibility_threshold,
-                   build_factorization, decay_profile, kato_K,
-                   perturbed_resolvent, two_step, verify_identity)
-from .krein import (KernelTable, bessel_bound_check, bessel_k0_quad,
-                    d_theta, green_kernel_dirichlet, krein_resolvent,
-                    sqrt_kernel, u2_closed_form)
+from .kato import (FactoredPerturbation, TwoStepResolvent,
+                   admissibility_threshold, build_factorization,
+                   decay_profile, kato_K, perturbed_resolvent,
+                   verify_identity)
+from .krein import (bessel_bound_check, bessel_k0_quad, d_theta,
+                    green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
+                    u2_closed_form)
 from .matfun import (QuadratureSpec, check_power_laws, frac_power_quad,
                      resolvent, spectral_norm, sqrt_db, trace_det_check)
 from .problems import (FAMILY_NAMES, Problem, build_coefficients,

@@ -60,18 +60,12 @@ class IntervalSpec:
             return self.a, self.a + self.truncation_radius
         return -self.truncation_radius, self.truncation_radius
 
-    @property
-    def length(self) -> float:
-        lo, hi = self.endpoints()
-        return hi - lo
-
 
 @dataclass(frozen=True)
 class Mesh:
     """Uniform partition of an interval into ``n_cells`` cells."""
 
     nodes: np.ndarray
-    uniform: bool = True
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)

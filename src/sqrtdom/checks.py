@@ -11,10 +11,10 @@ from scipy import special
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                        assemble_forms, build_mesh, orthonormalize)
 from .domains import thmA1_decay
-from .kato import build_factorization, decay_profile, two_step
+from .kato import TwoStepResolvent, build_factorization, decay_profile
 from .krein import (bessel_bound_check, bessel_k0_quad, krein_resolvent,
                     sqrt_kernel)
-from .matfun import QuadratureSpec, resolvent, trace_det_check
+from .matfun import resolvent, trace_det_check
 
 __all__ = ["TOL_KATO", "TOL_ORDER", "TOL_SLOPE", "TOL_PLATEAU", "TOL_SLACK",
            "TOL_TRACE", "TOL_K0", "two_step_errors", "krein_suite",
@@ -38,13 +38,13 @@ TRACE_STEPS = (4e-3, 2e-3, 1e-3)
 def two_step_errors(direct, T0, coeffs, z_list) -> list[float]:
     """Relative Frobenius errors of the two-step composed resolvent against
     the one-shot discretization ``direct``, one per shift."""
-    closure = two_step(T0, coeffs)
+    closure = TwoStepResolvent(T0, coeffs)
     pairs = ((closure(z), resolvent(direct.H, z)) for z in z_list)
     return [float(np.linalg.norm(C - R) / np.linalg.norm(R)) for C, R in pairs]
 
 
 def krein_suite(a: float, b: float, z: float, n_list, n: int, E: float,
-                E_grid, quad: QuadratureSpec) -> dict:
+                E_grid) -> dict:
     """Rank-one resolvent convergence, the square-root kernel's Dirichlet
     row, its Macdonald envelope, and the two-method K0 agreement.
 
@@ -73,12 +73,12 @@ def krein_suite(a: float, b: float, z: float, n_list, n: int, E: float,
 
     neumann = BoundaryCondition.neumann()
     mesh = build_mesh(interval, n)
-    table = sqrt_kernel(E, neumann, mesh, quad)
-    boundary_row = float(np.max(np.abs(table.values[-1, :])))
+    table = sqrt_kernel(E, neumann, mesh)
+    boundary_row = float(np.max(np.abs(table[-1, :])))
 
     xs = np.linspace(a, b, 7)[1:-1][:5]
     bessel = [(E_b, bessel_bound_check(E_b, float(x), float(xp), neumann,
-                                       mesh, quad))
+                                       mesh))
               for E_b in E_grid for x in xs for xp in xs]
     min_slack = min(rec["slack"] for _, rec in bessel)
 

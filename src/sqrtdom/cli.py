@@ -27,7 +27,7 @@ from .formbounds import check_form_bound, check_trudinger, locunif_norms
 from .kato import build_factorization, kato_K, verify_identity
 from .krein import (green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
                     u2_closed_form, d_theta)
-from .matfun import QuadratureSpec, resolvent, spectral_norm
+from .matfun import resolvent, spectral_norm
 from .problems import FAMILY_NAMES, Problem, build_coefficients
 from .sectorial import check_m_accretive, numerical_range_hull, safe_shift
 
@@ -44,14 +44,13 @@ DEFAULTS = {
     "theta_a": "dirichlet", "theta_b": "dirichlet",
     "E": None, "E_grid": None,
     "alpha": 0.5,
-    "quad_panels": 8, "quad_nodes": 25,
     "seed": 1234,
     "growth_threshold": None,
     "outdir": "out",
 }
 
 _FLOAT_KEYS = ("a", "b", "radius", "E", "alpha", "growth_threshold")
-_INT_KEYS = ("n", "quad_panels", "quad_nodes", "seed")
+_INT_KEYS = ("n", "seed")
 
 
 def parse_theta(text: str) -> BoundaryCondition:
@@ -128,11 +127,6 @@ def interval_from(cfg: dict) -> IntervalSpec:
                         truncation_radius=cfg["radius"])
 
 
-def quad_from(cfg: dict) -> QuadratureSpec:
-    return QuadratureSpec(panel_nodes=cfg["quad_nodes"],
-                          panels=cfg["quad_panels"])
-
-
 def coefficients_from(cfg: dict, mesh) -> CoefficientSet:
     paths = {k: cfg[f"coeff_{k}"] for k in "pqrs"}
     if not any(paths.values()):
@@ -163,12 +157,12 @@ def problem_from(cfg: dict) -> Problem:
                    operator=orthonormalize(forms))
 
 
-def default_E_grid(cfg: dict, start=1e2, stop=1e6, count=9):
+def default_E_grid(cfg: dict, stop: float):
     if cfg["E_grid"] is not None:
         return list(cfg["E_grid"])
     if cfg["E"] is not None:
         return [cfg["E"]]
-    return list(np.geomspace(start, stop, count))
+    return list(np.geomspace(1e2, stop, 9))
 
 
 def _manifest(outdir: Path, cfg: dict, command: str, checks: list[str],
@@ -243,8 +237,7 @@ def cmd_verify_kato(cfg: dict, outdir: Path) -> int:
 def cmd_verify_krein(cfg: dict, outdir: Path) -> int:
     suite = krein_suite(cfg["a"], cfg["b"], -(cfg["E"] or 5.0),
                         cfg["n_list"] or [64, 128, 256], cfg["n"],
-                        cfg["E"] or 25.0, cfg["E_grid"] or [25.0, 100.0],
-                        quad_from(cfg))
+                        cfg["E"] or 25.0, cfg["E_grid"] or [25.0, 100.0])
     csvio.write_rows(outdir / "krein_errors.csv", "theta,n,max_error",
                      [(label, str(n), csvio.fmt(err))
                       for label, n, err in suite["errors"]])
@@ -343,9 +336,8 @@ def cmd_kernel_dump(cfg: dict, outdir: Path) -> int:
     if not th.is_dirichlet:
         robin = krein_resolvent(green_dir, z, th, mesh)
         csvio.write_kernel(outdir / "green_robin.csv", mesh.nodes, robin)
-        table = sqrt_kernel(E, th, mesh, quad_from(cfg))
         csvio.write_kernel(outdir / "sqrt_kernel.csv", mesh.nodes,
-                           table.values)
+                           sqrt_kernel(E, th, mesh))
         checks += ["rank-one-corrected-green", "sqrt-kernel"]
         extra["coupling_denominator"] = abs(d_theta(z, th, cfg["a"], cfg["b"]))
         extra["u2_left_value"] = abs(u2_closed_form(z, cfg["a"], cfg["a"],
@@ -484,10 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--E-grid", dest="E_grid",
                        help="geometric grid: start,factor,count")
         p.add_argument("--alpha", type=float)
-        for key in ("quad_panels", "quad_nodes"):
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int,
-                           help="kernel quadrature rule; read by verify-krein "
-                                "and kernel-dump only")
         p.add_argument("--seed", type=int)
         p.add_argument("--growth-threshold", dest="growth_threshold",
                        type=float)

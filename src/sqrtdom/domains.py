@@ -202,7 +202,7 @@ def _kappa_row(problem: str, n: int, E: float, alpha: float,
                seed: int) -> dict:
     if problem == "lions":
         T = lions_operator(n)
-        row = sqrt_domain_kappa(T.H, E, H_ref=T.H.conj().T, alpha=alpha,
+        row = sqrt_domain_kappa(T, E, H_ref=T.conj().T, alpha=alpha,
                                 seed=seed)
     else:
         if problem not in _KAPPA_FAMILIES:

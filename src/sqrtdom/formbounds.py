@@ -154,10 +154,9 @@ class EtaTable:
     eta: np.ndarray
 
     @classmethod
-    def from_function(cls, fn, eps_max: float, decades: float = 4.0,
-                      per_decade: int = 32) -> "EtaTable":
-        k = int(np.ceil(decades * per_decade))
-        eps = eps_max * 10.0 ** (-np.arange(k, -1, -1.0) / per_decade)
+    def from_function(cls, fn, eps_max: float) -> "EtaTable":
+        """Tabulate ``fn`` over four decades below ``eps_max``."""
+        eps = eps_max * 10.0 ** (-np.arange(128, -1, -1.0) / 32)
         return cls(eps=eps, eta=np.asarray([fn(e) for e in eps], dtype=float))
 
     def __call__(self, e: float) -> float:

@@ -28,7 +28,7 @@ __all__ = [
     "kato_K",
     "perturbed_resolvent",
     "verify_identity",
-    "two_step",
+    "TwoStepResolvent",
     "decay_profile",
     "admissibility_threshold",
 ]
@@ -46,11 +46,6 @@ class FactoredPerturbation:
 
     A: np.ndarray
     B: np.ndarray
-    variant: str
-
-    @property
-    def k(self) -> int:
-        return self.A.shape[0]
 
     def product(self) -> np.ndarray:
         return self.B.conj().T @ self.A
@@ -140,7 +135,7 @@ def build_factorization(mesh: Mesh, coeffs: CoefficientSet,
         B = np.vstack([r_block, sb_block.astype(complex), qb_block])
     if A.shape[1] != n_dof:
         raise ValueError("factor blocks and DOF count out of step")
-    return FactoredPerturbation(A=A, B=B, variant=variant)
+    return FactoredPerturbation(A=A, B=B)
 
 
 def kato_K(T0: DiscreteOperator, fact: FactoredPerturbation,
@@ -151,7 +146,7 @@ def kato_K(T0: DiscreteOperator, fact: FactoredPerturbation,
     return -fact.A @ X
 
 
-def _invert_core(K: np.ndarray, z: complex, stage: str = "") -> np.ndarray:
+def _invert_core(K: np.ndarray, z: complex, stage: str) -> np.ndarray:
     """(I - K)^{-1} with an explicit conditioning guard.
 
     Backward-stable solves do not flag near-singularity on their own, so the
@@ -170,13 +165,19 @@ def _invert_core(K: np.ndarray, z: complex, stage: str = "") -> np.ndarray:
     return -core
 
 
+def _woodbury(R: np.ndarray, fact: FactoredPerturbation, z: complex,
+              stage: str) -> np.ndarray:
+    """Adjoin ``B^H A`` to the resolvent ``R``:
+    ``R - R B^H (I - K)^{-1} A R`` with ``K = -A R B^H``."""
+    RB = R @ fact.B.conj().T
+    inv_ImK = _invert_core(-fact.A @ RB, z, stage)
+    return R - RB @ inv_ImK @ (fact.A @ R)
+
+
 def perturbed_resolvent(T0: DiscreteOperator, fact: FactoredPerturbation,
                         z: complex) -> np.ndarray:
     """Resolvent of the perturbed operator through the factored identity."""
-    R0 = resolvent(T0.H, z)
-    K = -fact.A @ (R0 @ fact.B.conj().T)
-    inv_ImK = _invert_core(K, z)
-    return R0 - R0 @ fact.B.conj().T @ inv_ImK @ (fact.A @ R0)
+    return _woodbury(resolvent(T0.H, z), fact, z, "")
 
 
 def verify_identity(direct: DiscreteOperator, T0: DiscreteOperator,
@@ -205,7 +206,10 @@ def verify_identity(direct: DiscreteOperator, T0: DiscreteOperator,
 
 
 class TwoStepResolvent:
-    """Composed resolvent: first adjoin the r/q terms, then the s term."""
+    """Composed resolvent: first adjoin the r/q terms, then the s term.
+
+    Matches the one-shot discretization stage by stage.
+    """
 
     def __init__(self, T0: DiscreteOperator, coeffs: CoefficientSet):
         mesh = T0.mesh
@@ -223,15 +227,7 @@ class TwoStepResolvent:
             R1 = perturbed_resolvent(self.T0, self.fact_qr, z)
         except AdmissibilityError as exc:
             raise AdmissibilityError(f"stage 1 (r, q) inadmissible at z = {z}") from exc
-        A2, B2 = self.fact_s.A, self.fact_s.B
-        K2 = -A2 @ (R1 @ B2.conj().T)
-        inv_ImK2 = _invert_core(K2, z, stage="stage 2 (s):")
-        return R1 - R1 @ B2.conj().T @ inv_ImK2 @ (A2 @ R1)
-
-
-def two_step(T0: DiscreteOperator, coeffs: CoefficientSet) -> TwoStepResolvent:
-    """Stage-wise resolvent closure matching the one-shot discretization."""
-    return TwoStepResolvent(T0, coeffs)
+        return _woodbury(R1, self.fact_s, z, "stage 2 (s):")
 
 
 class _InvSqrtShifted:
@@ -279,22 +275,21 @@ class _InvSqrtShifted:
 
 
 def decay_profile(T0: DiscreteOperator, fact: FactoredPerturbation,
-                  E_list, d9_lower: float = 1.0, d9_upper: float = 1e6,
-                  d9_points: int = 25) -> dict:
+                  E_list, d9_points: int = 25) -> dict:
     """Shift-decay diagnostics of the factored pieces over a geometric grid.
 
     For each E the profile records ``||K(-E)||``, the two half-power norms
     ``||A (T0+E)^{-1/2}||`` and ``||(T0+E)^{-1/2} B^H||``, and a truncated
-    log-weighted integral of their product over shifts in
-    ``[d9_lower, d9_upper]``.  The fitted log-log slope of ``||K(-E)||``
-    quantifies the decay; the ratio min/max of the B-norm exposes a plateau
-    when the factor contains a derivative block.
+    log-weighted integral of their product over ``d9_points`` shifts in
+    ``[1, 1e6]``.  The fitted log-log slope of ``||K(-E)||`` quantifies the
+    decay; the ratio min/max of the B-norm exposes a plateau when the factor
+    contains a derivative block.
     """
     E_arr = np.asarray(list(E_list), dtype=float)
     if np.any(np.diff(E_arr) <= 0) or np.any(E_arr <= 0):
         raise ValueError("E grid must be positive and increasing")
     halver = _InvSqrtShifted(T0.H)
-    lam_grid = np.geomspace(d9_lower, d9_upper, d9_points)
+    lam_grid = np.geomspace(1.0, 1e6, d9_points)
     # row i holds the shifts E_i and lam + E_i for lam on the grid
     shifts = E_arr[:, None] + np.concatenate(([0.0], lam_grid))[None, :]
     normsA, normsB = halver.norms(shifts.ravel(), right=fact.A, left=fact.B)
@@ -321,24 +316,23 @@ def decay_profile(T0: DiscreteOperator, fact: FactoredPerturbation,
             "plateau_ratio": float(bvals.min() / bvals.max()) if bvals.max() > 0 else 0.0}
 
 
-def admissibility_threshold(T0: DiscreteOperator, fact: FactoredPerturbation,
-                            E_lo: float = 1e-2, E_hi: float = 1e8,
-                            target: float = 0.5, iters: int = 60) -> float:
-    """Bisect for the shift with ``||K(-E)|| = target`` (default 1/2).
+def admissibility_threshold(T0: DiscreteOperator,
+                            fact: FactoredPerturbation) -> float:
+    """Bisect over ``[1e-2, 1e8]`` for the shift with ``||K(-E)|| = 1/2``.
 
     The half-norm target keeps a safety factor under the admissibility
     bound; above the returned shift the factored resolvent is guaranteed
     well-posed on the sampled grid.
     """
     normK = lambda E: spectral_norm(kato_K(T0, fact, -E))
-    if normK(E_lo) < target:
-        return E_lo
-    if normK(E_hi) > target:
+    lo, hi = 1e-2, 1e8
+    if normK(lo) < 0.5:
+        return lo
+    if normK(hi) > 0.5:
         raise AdmissibilityError("no admissible shift inside the search range")
-    lo, hi = E_lo, E_hi
-    for _ in range(iters):
+    for _ in range(60):
         mid = np.sqrt(lo * hi)
-        if normK(mid) > target:
+        if normK(mid) > 0.5:
             lo = mid
         else:
             hi = mid

@@ -11,8 +11,6 @@ shifts never overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
@@ -20,7 +18,6 @@ from .assembly import BoundaryCondition, Mesh
 from .matfun import QuadratureSpec, gauss_panels
 
 __all__ = [
-    "KernelTable",
     "u2_closed_form",
     "d_theta",
     "green_kernel_dirichlet",
@@ -31,14 +28,13 @@ __all__ = [
 ]
 
 
-@dataclass
-class KernelTable:
-    """Two-point kernel samples on the mesh nodes."""
+# the split-Gauss rule both square-root integrals use
+_RULE = QuadratureSpec()
 
-    grid: np.ndarray
-    values: np.ndarray
-    kind: str  # green | sqrt_kernel | t_kernel
-    params: dict
+
+def _sqrt_nodes(cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, cutoff], panels geometric toward 0."""
+    return gauss_panels(cutoff * _RULE.unit_edges(), _RULE.panel_nodes)
 
 
 def u2_closed_form(z: complex, x, a: float, b: float):
@@ -137,31 +133,27 @@ def krein_resolvent(R_dir: np.ndarray, z: complex,
     return R_dir - np.outer(u2, np.conj(u2_bar)) / d
 
 
-def sqrt_kernel(E: float, theta_a: BoundaryCondition, mesh: Mesh,
-                quad: QuadratureSpec | None = None,
-                cutoff: float | None = None) -> KernelTable:
-    """Kernel table of the inverse square root at shift ``E``.
+def sqrt_kernel(E: float, theta_a: BoundaryCondition,
+                mesh: Mesh) -> np.ndarray:
+    """Kernel table of the inverse square root at shift ``E`` on the nodes.
 
     The Dirichlet part integrates the closed-form Green kernel over the
     spectral parameter; the boundary-condition correction subtracts the
     integrated coupling kernel.  Both use the shared composite Gauss rule
-    after the square-root substitution, truncated at ``cutoff`` (default
-    pi / h, the finest scale the grid can carry; the on-diagonal values
-    grow logarithmically with this cutoff, all off-diagonal entries
-    converge).  Rows at the Dirichlet end vanish identically.
+    after the square-root substitution, truncated at pi / h, the finest
+    scale the grid can carry (the on-diagonal values grow logarithmically
+    with this cutoff, all off-diagonal entries converge).  Rows at the
+    Dirichlet end vanish identically.
     """
-    quad = quad or QuadratureSpec()
     a, b = mesh.a, mesh.b
     if E <= 0:
         raise ValueError("E must be positive")
     d0 = d_theta(-E, theta_a, a, b)
     if abs(d0) < 1e-12 * (1.0 + np.sqrt(E)):
         raise ValueError("E below the safe shift: coupling denominator vanishes")
-    U = cutoff if cutoff is not None else np.pi / mesh.h
     cot_a = theta_a.cot()
     X, Xp = np.meshgrid(mesh.nodes, mesh.nodes, indexing="ij")
-    # panels geometric toward 0 then scaled to [0, U]
-    u, w = gauss_panels(U * quad.unit_edges(), quad.panel_nodes)
+    u, w = _sqrt_nodes(np.pi / mesh.h)
     acc = np.zeros_like(X, dtype=complex)
     for ui, wi in zip(u, w):
         tau = ui * ui + E
@@ -170,30 +162,27 @@ def sqrt_kernel(E: float, theta_a: BoundaryCondition, mesh: Mesh,
     values = (2.0 / np.pi) * acc
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("square-root kernel quadrature overflowed")
-    return KernelTable(grid=mesh.nodes.copy(), values=values,
-                       kind="sqrt_kernel",
-                       params={"E": E, "theta_a": theta_a.theta, "theta_b": 0.0,
-                               "cutoff": float(U)})
+    return values
 
 
-def bessel_k0_quad(y: float, n_panels: int = 8, n_nodes: int = 24) -> float:
+def bessel_k0_quad(y: float) -> float:
     """Macdonald function of order zero by quadrature of its cosh form.
 
-    Integrates ``exp(-y cosh(u))`` over a panelled range long enough that
-    the tail is below double precision; independent of the library
-    implementation used as cross-check.
+    Integrates ``exp(-y cosh(u))`` with 8 Gauss panels of 24 nodes over a
+    range long enough that the tail is below double precision; independent
+    of the library implementation used as cross-check.
     """
     if y <= 0:
         raise ValueError("argument must be positive")
     # truncate once y cosh(u) pushes the integrand below double precision
     upper = float(np.arccosh(max(50.0 / y, 2.0))) + 1.0
-    u, w = gauss_panels(np.linspace(0.0, upper, n_panels + 1), n_nodes)
+    u, w = gauss_panels(np.linspace(0.0, upper, 9), 24)
     return float(np.sum(w * np.exp(-y * np.cosh(u))))
 
 
 def _t_integral(E: float, x, xp, cot_a: complex, a: float, b: float,
-                quad: QuadratureSpec, cutoff: float) -> complex:
-    u, w = gauss_panels(cutoff * quad.unit_edges(), quad.panel_nodes)
+                cutoff: float) -> complex:
+    u, w = _sqrt_nodes(cutoff)
     acc = 0.0 + 0.0j
     for ui, wi in zip(u, w):
         acc += wi * _t_kernel(ui * ui + E, x, xp, cot_a, a, b)
@@ -201,19 +190,16 @@ def _t_integral(E: float, x, xp, cot_a: complex, a: float, b: float,
 
 
 def bessel_bound_check(E: float, x: float, xp: float,
-                       theta_a: BoundaryCondition, mesh: Mesh,
-                       quad: QuadratureSpec | None = None,
-                       n_fit: int = 96) -> dict:
+                       theta_a: BoundaryCondition, mesh: Mesh) -> dict:
     """Envelope check of the square-root correction by Macdonald functions.
 
     The left side is the integrated coupling kernel at ``(x, x')``; the
     right side the four-term Macdonald envelope with prefactor ``C`` fitted
-    as the supremum of the pointwise ratio over a log grid of spectral
-    arguments at and above ``E``, inflated by a small relative margin since
+    as the supremum of the pointwise ratio over 96 log-spaced spectral
+    arguments in ``[E, 1e6 E]``, inflated by a small relative margin since
     a sampled supremum underestimates the true one.  Degenerate corner
     arguments are rejected.
     """
-    quad = quad or QuadratureSpec()
     a, b = mesh.a, mesh.b
     args = np.array([x + xp - 2 * a, 2 * b + x - xp - 2 * a,
                      2 * b + xp - x - 2 * a, 4 * b - x - xp - 2 * a])
@@ -222,7 +208,7 @@ def bessel_bound_check(E: float, x: float, xp: float,
     cot_a = theta_a.cot()
 
     # fit C = sup |T(t, x, x')| sqrt(t) / (sum of four exponentials)
-    taus = np.geomspace(E, E * 1e6, n_fit)
+    taus = np.geomspace(E, E * 1e6, 96)
     C = 0.0
     for tau in taus:
         st = np.sqrt(tau)
@@ -233,7 +219,7 @@ def bessel_bound_check(E: float, x: float, xp: float,
     C *= 1.0 + 1e-6
 
     cutoff = np.pi / mesh.h
-    lhs = abs(_t_integral(E, x, xp, cot_a, a, b, quad, cutoff))
+    lhs = abs(_t_integral(E, x, xp, cot_a, a, b, cutoff))
     sqE = np.sqrt(E)
     rhs = 2.0 * C * float(sum(special.k0(sqE * d) for d in args))
     return {"lhs": float(lhs), "rhs": float(rhs), "slack": float(rhs - lhs),

@@ -49,19 +49,18 @@ class QuadratureSpec:
     """Split-Gauss rule parameters: composite panels per half-axis.
 
     ``panels`` Gauss-Legendre panels of ``panel_nodes`` points each cover
-    (0, 1], graded geometrically toward 0 with the given ratio so that the
-    substituted endpoint powers are resolved.  ``n_nodes`` is the per-half
-    total.
+    (0, 1], graded geometrically toward 0 by a factor of 10 per panel so
+    that the substituted endpoint powers are resolved.  ``n_nodes`` is the
+    per-half total.
     """
 
     panel_nodes: int = 25
     panels: int = 8
-    grading_ratio: float = 10.0
 
     def __post_init__(self):
         if self.n_nodes < 8:
             raise ValueError("need at least 8 quadrature nodes")
-        if self.panels < 1 or self.grading_ratio <= 1:
+        if self.panels < 1:
             raise ValueError("invalid panel layout")
 
     @property
@@ -70,7 +69,7 @@ class QuadratureSpec:
 
     def unit_edges(self) -> np.ndarray:
         """Panel edges on [0, 1], geometric toward 0."""
-        edges = self.grading_ratio ** (-np.arange(self.panels - 1, -1, -1.0))
+        edges = 10.0 ** (-np.arange(self.panels - 1, -1, -1.0))
         return np.concatenate(([0.0], edges))
 
 

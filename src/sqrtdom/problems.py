@@ -132,32 +132,16 @@ def make_problem(family: str, interval: IntervalSpec | None = None,
                    operator=orthonormalize(forms))
 
 
-def lions_operator(n: int, X: float = 1.0) -> DiscreteOperator:
-    """Upwind first-derivative operator with a Dirichlet condition at 0.
+def lions_operator(n: int) -> np.ndarray:
+    """Upwind first-derivative matrix with a Dirichlet condition at 0.
 
-    Forward differences on ``(0, X)`` in L2-orthonormal coordinates give the
-    lower-bidiagonal Toeplitz matrix with ``1/h`` on the diagonal: accretive,
-    heavily nonnormal, and the canonical negative control for square-root
-    domain questions at the critical power.
+    Forward differences on ``(0, 1)`` with ``n`` cells in L2-orthonormal
+    coordinates give the lower-bidiagonal Toeplitz matrix with ``1/h`` on
+    the diagonal: accretive, heavily nonnormal, and the canonical negative
+    control for square-root domain questions at the critical power.
     """
-    if n < 8:
-        raise ValueError("need at least 8 cells")
-    interval = IntervalSpec(kind="finite", a=0.0, b=X)
-    mesh = build_mesh(interval, n)
-    h = mesh.h
+    h = 1.0 / n
     T = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(T, 1.0 / h)
     T[np.arange(1, n), np.arange(0, n - 1)] = -1.0 / h
-    # carrier FormMatrices: uniform rectangle-rule mass, the derivative form
-    # itself in the base slot (no second-order part exists for this operator)
-    M = h * np.eye(n, dtype=complex)
-    S = h * T
-    zero = np.zeros((n, n), dtype=complex)
-    coeffs = CoefficientSet.from_callables(mesh, p=1.0)
-    forms = FormMatrices(M=M, K0=S, K1=zero, K2=zero.copy(), K3=zero.copy(),
-                         Bdry=zero.copy(), mesh=mesh,
-                         bc_left=BoundaryCondition.dirichlet(),
-                         bc_right=BoundaryCondition.neumann(),
-                         coeffs=coeffs, dof_nodes=np.arange(1, n + 1),
-                         _lumped=np.full(n, h))
-    return DiscreteOperator(H=T, forms=forms, coefficient_hash=coeffs.digest())
+    return T

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matfun import _require_off_cut, resolvent, spectral_norm
+from .matfun import _require_off_cut, resolvent
 
 __all__ = [
     "SectorReport",
@@ -35,8 +35,6 @@ class SectorReport:
     points: np.ndarray = field(repr=False, default=None)
     angles: np.ndarray = field(repr=False, default=None)
     boundary: np.ndarray = field(repr=False, default=None)
-    M_A: float | None = None
-    M_angle: dict | None = None
 
 
 def _hermitian_part(H: np.ndarray) -> np.ndarray:
@@ -44,15 +42,15 @@ def _hermitian_part(H: np.ndarray) -> np.ndarray:
 
 
 def numerical_range_hull(H: np.ndarray, n_samples: int = 256,
-                         seed: int = 0, n_angles: int = 64) -> SectorReport:
+                         seed: int = 0) -> SectorReport:
     """Sample the numerical range and fit a containing sector.
 
     Boundary points come from the support-function sweep (extreme
-    eigenvectors of the Hermitian part of ``e^{i phi} H`` over an angle
-    grid); interior points from seeded random unit states.  The sampled
-    range is an inner approximation of the true one; the fitted vertex is
-    the leftmost sampled real part, retreated by the imaginary spread of
-    the leftmost face when that face is not real (the tightest
+    eigenvectors of the Hermitian part of ``e^{i phi} H`` over 64 equally
+    spaced angles); interior points from seeded random unit states.  The
+    sampled range is an inner approximation of the true one; the fitted
+    vertex is the leftmost sampled real part, retreated by the imaginary
+    spread of the leftmost face when that face is not real (the tightest
     shift-covariant choice that still yields a proper sector).
     """
     if n_samples < 1:
@@ -60,7 +58,7 @@ def numerical_range_hull(H: np.ndarray, n_samples: int = 256,
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
     pts = []
-    phis = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+    phis = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     for phi in phis:
         Hp = _hermitian_part(np.exp(1j * phi) * H)
         _, vecs = np.linalg.eigh(Hp)
@@ -107,8 +105,8 @@ def check_m_accretive(H: np.ndarray, zeta_grid) -> tuple[bool, float]:
         if zeta.real <= 0:
             raise ValueError("grid points need Re(zeta) > 0")
         R = resolvent(H, -zeta)
-        worst = max(worst, spectral_norm(R) * zeta.real)
-    return worst <= 1.0 + 1e-10, worst
+        worst = max(worst, np.linalg.norm(R, 2) * zeta.real)
+    return bool(worst <= 1.0 + 1e-10), float(worst)
 
 
 def sector_diagnostics(H: np.ndarray, t_grid, omega_prime,
@@ -130,7 +128,7 @@ def sector_diagnostics(H: np.ndarray, t_grid, omega_prime,
         t = float(t)
         if t < 0:
             raise ValueError("t grid must be nonnegative")
-        M_A = max(M_A, (1.0 + t) * spectral_norm(resolvent(H, -t)))
+        M_A = max(M_A, (1.0 + t) * np.linalg.norm(resolvent(H, -t), 2))
 
     angles = np.atleast_1d(np.asarray(omega_prime, dtype=float))
     spec_angle = float(np.max(np.abs(np.angle(evals))))
@@ -147,16 +145,16 @@ def sector_diagnostics(H: np.ndarray, t_grid, omega_prime,
             z = complex(z)
             if z == 0 or abs(np.angle(z)) <= om:
                 continue
-            sup = max(sup, abs(z) * spectral_norm(resolvent(H, z)))
-        M_angle[float(om)] = sup
-    return M_A, M_angle
+            sup = max(sup, abs(z) * np.linalg.norm(resolvent(H, z), 2))
+        M_angle[float(om)] = float(sup)
+    return float(M_A), M_angle
 
 
-def safe_shift(H: np.ndarray, margin: float = 1.0) -> float:
+def safe_shift(H: np.ndarray) -> float:
     """Shift pushing the numerical range into the open right half-plane.
 
-    Uses the vertex of the Hermitian part plus the margin, so ``H + E`` is
-    strictly accretive and principal square roots stay off the cut.
+    Uses the vertex of the Hermitian part plus a unit margin, so ``H + E``
+    is strictly accretive and principal square roots stay off the cut.
     """
     gamma = float(np.linalg.eigvalsh(_hermitian_part(np.asarray(H, dtype=complex)))[0])
-    return max(0.0, -gamma) + margin
+    return max(0.0, -gamma) + 1.0

@@ -130,7 +130,7 @@ def test_criterion_3_fractional_power_suite():
 def test_criterion_4_krein_suite():
     # verify-krein's default run
     suite = krein_suite(0.0, 1.0, -5.0, (64, 128, 256), 64, 25.0,
-                        (25.0, 100.0), QuadratureSpec())
+                        (25.0, 100.0))
     report(4, suite["ok"], f"boundary-kernel suite: min observed order "
                            f"{suite['min_order']:.2f} (need {TOL_ORDER}), "
                            f"boundary row {suite['boundary_row']:.1e}, min "
@@ -222,7 +222,7 @@ def test_criterion_7_domain_dichotomy():
         T = lions_operator(n)
         for alpha in (0.25, 0.5):
             kappas[alpha].append(sqrt_domain_kappa(
-                T.H, 1.0, H_ref=T.H.conj().T, alpha=alpha)["kappa"])
+                T, 1.0, H_ref=T.conj().T, alpha=alpha)["kappa"])
     growth_quarter = kappas[0.25][-1] / kappas[0.25][0]
     growth_half = kappas[0.5][-1] / kappas[0.5][0]
     ceiling = float(np.sqrt(growth_quarter * growth_half))

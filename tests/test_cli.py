@@ -42,6 +42,15 @@ class TestConfig:
                                   "kappa-study --problem complex_p --n-list 64")):
             assert run(tmp_path, str(i), *args.split())[0] == 2
 
+    def test_coarse_ladder_runs_the_lions_control(self, tmp_path):
+        # n >= 2 is the only mesh floor: the lions control, run for itself
+        # or to calibrate the threshold, used to refuse fewer than 8 cells
+        for problem in ("lions", "complex_p"):
+            code, out = run(tmp_path, problem, "kappa-study", "--problem",
+                            problem, "--n-list", "4,8")
+            assert code == 0
+            assert len((out / "kappa.csv").read_text().splitlines()) == 3
+
     def test_flag_overrides_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("n = 16\nproblem = free\n")

@@ -21,7 +21,7 @@ class TestMatrixPower:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("upper", [False, True])
     def test_toeplitz_path_matches_schur_pade(self, alpha, upper):
-        T = lions_operator(64).H
+        T = lions_operator(64)
         if upper:
             T = T.conj().T
         X, _ = _power_gram(T, 1.0, alpha)
@@ -30,14 +30,14 @@ class TestMatrixPower:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
     def test_toeplitz_path_matches_quadrature(self, alpha):
-        T = lions_operator(24).H
+        T = lions_operator(24)
         X, _ = _power_gram(T, 1.0, alpha)
         Xq = frac_power_quad(T + np.eye(24), alpha, QuadratureSpec(panels=16))
         assert np.linalg.norm(X - Xq) <= 1e-8 * np.linalg.norm(Xq)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0])
     def test_toeplitz_path_rejects_cut(self, lam):
-        T = lions_operator(16).H
+        T = lions_operator(16)
         E = lam - T[0, 0].real
         with pytest.raises(SpectrumOnCutError):
             _power_gram(T, E, 0.25)
@@ -101,9 +101,9 @@ class TestLionsDichotomy:
         for n in (32, 64, 128, 256):
             T = lions_operator(n)
             halves.append(sqrt_domain_kappa(
-                T.H, 1.0, H_ref=T.H.conj().T, alpha=0.5)["kappa"])
+                T, 1.0, H_ref=T.conj().T, alpha=0.5)["kappa"])
             quarters.append(sqrt_domain_kappa(
-                T.H, 1.0, H_ref=T.H.conj().T, alpha=0.25)["kappa"])
+                T, 1.0, H_ref=T.conj().T, alpha=0.25)["kappa"])
         assert all(a < b for a, b in zip(halves, halves[1:]))
         growth_half = halves[-1] / halves[0]
         growth_quarter = quarters[-1] / quarters[0]

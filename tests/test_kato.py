@@ -4,10 +4,10 @@ import scipy.linalg as sla
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh, orthonormalize)
-from sqrtdom.kato import (AdmissibilityError, _InvSqrtShifted,
-                          admissibility_threshold, build_factorization,
-                          decay_profile, kato_K, perturbed_resolvent,
-                          two_step, verify_identity)
+from sqrtdom.kato import (AdmissibilityError, TwoStepResolvent,
+                          _InvSqrtShifted, admissibility_threshold,
+                          build_factorization, decay_profile, kato_K,
+                          perturbed_resolvent, verify_identity)
 from sqrtdom.matfun import resolvent, spectral_norm
 from sqrtdom.problems import build_coefficients, make_problem
 from sqrtdom.sectorial import safe_shift
@@ -94,7 +94,7 @@ class TestKatoK:
         T0 = DiscreteOperator(H=one.copy(), forms=forms)
         from sqrtdom.kato import FactoredPerturbation
 
-        fact = FactoredPerturbation(A=one.copy(), B=one.copy(), variant="s_pair")
+        fact = FactoredPerturbation(A=one.copy(), B=one.copy())
         np.testing.assert_allclose(kato_K(T0, fact, 0.0), [[-1.0]])
         R = perturbed_resolvent(T0, fact, 0.0)
         np.testing.assert_allclose(R, [[0.5]])  # (T0 + B*A)^{-1} = 1/2
@@ -152,7 +152,7 @@ class TestPerturbedResolvent:
 class TestTwoStep:
     def test_zero_s_second_stage_is_identity(self):
         direct, T0, coeffs, mesh = setup_pair("free", n=15)
-        closure = two_step(T0, coeffs)
+        closure = TwoStepResolvent(T0, coeffs)
         z = -3.0
         np.testing.assert_allclose(closure(z), resolvent(T0.H, z), atol=1e-12)
 
@@ -160,7 +160,7 @@ class TestTwoStep:
                                         "sawtooth"])
     def test_matches_one_shot_assembly(self, family):
         direct, T0, coeffs, mesh = setup_pair(family, n=40)
-        closure = two_step(T0, coeffs)
+        closure = TwoStepResolvent(T0, coeffs)
         E = safe_shift(direct.H) + 30.0
         R_direct = resolvent(direct.H, -E)
         err = np.linalg.norm(closure(-E) - R_direct) / np.linalg.norm(R_direct)
@@ -170,7 +170,7 @@ class TestTwoStep:
         iv = IntervalSpec("half_line", a=0.0, truncation_radius=8.0)
         direct, T0, coeffs, mesh = setup_pair("mixed_sign", n=64, interval=iv,
                                               bl=NEU, br=DIR)
-        closure = two_step(T0, coeffs)
+        closure = TwoStepResolvent(T0, coeffs)
         E = safe_shift(direct.H) + 25.0
         R_direct = resolvent(direct.H, -E)
         err = np.linalg.norm(closure(-E) - R_direct) / np.linalg.norm(R_direct)
@@ -179,7 +179,7 @@ class TestTwoStep:
     def test_full_line_variant(self):
         iv = IntervalSpec("full_line", truncation_radius=6.0)
         direct, T0, coeffs, mesh = setup_pair("spike", n=64, interval=iv)
-        closure = two_step(T0, coeffs)
+        closure = TwoStepResolvent(T0, coeffs)
         E = safe_shift(direct.H) + 25.0
         R_direct = resolvent(direct.H, -E)
         err = np.linalg.norm(closure(-E) - R_direct) / np.linalg.norm(R_direct)

@@ -153,15 +153,15 @@ class TestSqrtKernel:
     def test_dirichlet_row_vanishes(self):
         mesh = build_mesh(IntervalSpec("finite", A, B), 48)
         table = sqrt_kernel(25.0, NEU, mesh)
-        assert np.max(np.abs(table.values[-1, :])) == 0.0
-        assert np.all(np.isfinite(table.values))
+        assert np.max(np.abs(table[-1, :])) == 0.0
+        assert np.all(np.isfinite(table))
 
     def test_composition_reproduces_resolvent_kernel(self):
         E = 25.0
         rels = []
         for n in (32, 64):
             mesh = build_mesh(IntervalSpec("finite", A, B), n)
-            table = sqrt_kernel(E, NEU, mesh).values
+            table = sqrt_kernel(E, NEU, mesh)
             w = np.full(n + 1, mesh.h)
             w[0] = w[-1] = mesh.h / 2
             composed = (table * w[None, :]) @ table
@@ -182,7 +182,7 @@ class TestSqrtKernel:
         op = orthonormalize(assemble_forms(mesh, coeffs, NEU, DIR))
         S = sqrt_db(resolvent(op.H + E * np.eye(op.n), 0.0))
         disc = op.kernel_table(S)
-        cont = sqrt_kernel(E, NEU, mesh).values
+        cont = sqrt_kernel(E, NEU, mesh)
         band = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1))) >= 4
         err = np.max(np.abs((disc - cont)[band]))
         assert err <= 0.02 * np.max(np.abs(disc[band]))

@@ -6,7 +6,8 @@ import pytest
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh, orthonormalize)
-from sqrtdom.kato import build_factorization, two_step, verify_identity
+from sqrtdom.kato import (TwoStepResolvent, build_factorization,
+                          verify_identity)
 from sqrtdom.krein import bessel_bound_check, sqrt_kernel
 from sqrtdom.matfun import QuadratureSpec, frac_power_quad, resolvent, sqrt_db
 from sqrtdom.sectorial import safe_shift
@@ -69,7 +70,7 @@ class TestKatoWithRobinBase:
         base = CoefficientSet(p=coeffs.p, q=0 * coeffs.q, r=0 * coeffs.r,
                               s=0 * coeffs.s, lam=coeffs.lam, Lam=coeffs.Lam)
         T0 = orthonormalize(assemble_forms(mesh, base, NEU, DIR))
-        closure = two_step(T0, coeffs)
+        closure = TwoStepResolvent(T0, coeffs)
         z = -(safe_shift(direct.H) + 40.0) * (1 + 0.5j)
         R_direct = resolvent(direct.H, z)
         err = np.linalg.norm(closure(z) - R_direct) / np.linalg.norm(R_direct)
@@ -101,15 +102,15 @@ class TestComplexRobinSqrtKernel:
         E, n = 25.0, 64
         mesh = build_mesh(IntervalSpec(), n)
         table = sqrt_kernel(E, th, mesh)
-        assert np.all(np.isfinite(table.values))
-        assert np.max(np.abs(table.values[-1, :])) == 0.0
+        assert np.all(np.isfinite(table))
+        assert np.max(np.abs(table[-1, :])) == 0.0
         coeffs = CoefficientSet.from_callables(mesh, p=1.0)
         op = orthonormalize(assemble_forms(mesh, coeffs, th, DIR))
         S = sqrt_db(resolvent(op.H + E * np.eye(op.n), 0.0))
         disc = op.kernel_table(S)
         band = np.abs(np.subtract.outer(np.arange(n + 1),
                                         np.arange(n + 1))) >= 4
-        err = np.max(np.abs((disc - table.values)[band]))
+        err = np.max(np.abs((disc - table)[band]))
         assert err <= 0.02 * np.max(np.abs(disc[band]))
 
     def test_envelope_slack_with_complex_parameter(self):

@@ -66,14 +66,26 @@ class TestCheckMAccretive:
         assert ok and worst <= 1.0 + 1e-10
 
     def test_lions_operator_accretive_but_not_sectorial(self):
-        T = lions_operator(96).H
+        T = lions_operator(96)
         ok, worst = check_m_accretive(T, [0.5, 1.0, 4.0, 1 + 3j])
         assert ok
         # no n-uniform proper sector: the fitted angle creeps toward pi/2
-        angles = [numerical_range_hull(lions_operator(n).H).theta
+        angles = [numerical_range_hull(lions_operator(n)).theta
                   for n in (16, 64, 256)]
         assert angles[0] < angles[1] < angles[2]
         assert angles[2] > 0.45 * np.pi
+
+    def test_eigenvalue_just_left_of_axis_fails(self):
+        # Re z = 0.5 against the eigenvalue -1e-4: the exact worst ratio is
+        # 0.5 / 0.4999 = 1.0002, which 50 power-iteration steps read as 0.999
+        rng = np.random.default_rng(0)
+        Q = np.linalg.qr(rng.standard_normal((200, 200))
+                         + 1j * rng.standard_normal((200, 200)))[0]
+        lam = np.concatenate(([-1e-4], np.linspace(0.0, 1e-2, 199)))
+        H = Q @ np.diag(lam) @ Q.conj().T
+        ok, worst = check_m_accretive(H, (0.5, 1.0, 4.0, 1 + 2j))
+        assert not ok
+        assert worst == pytest.approx(0.5 / (0.5 - 1e-4), rel=1e-9)
 
     def test_rejects_left_halfplane_grid(self):
         with pytest.raises(ValueError):
