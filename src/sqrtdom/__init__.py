@@ -13,9 +13,8 @@ from .formbounds import (FormBoundConstants, check_form_bound,
                          check_trudinger, compose_infinitesimal,
                          locunif_norms)
 from .kato import (FactoredPerturbation, TwoStepResolvent,
-                   admissibility_threshold, build_factorization,
-                   decay_profile, kato_K, perturbed_resolvent,
-                   verify_identity)
+                   build_factorization, decay_profile, kato_K, kato_K_norms,
+                   perturbed_resolvent, verify_identity)
 from .krein import (bessel_bound_check, bessel_k0_quad, d_theta,
                     green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
                     u2_closed_form)

@@ -24,7 +24,7 @@ from .checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU, TOL_SLACK,
                      two_step_errors)
 from .domains import KAPPA_PROBLEMS, refinement_study
 from .formbounds import check_form_bound, check_trudinger, locunif_norms
-from .kato import build_factorization, kato_K, verify_identity
+from .kato import build_factorization, kato_K_norms, verify_identity
 from .krein import (green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
                     u2_closed_form, d_theta)
 from .matfun import resolvent, spectral_norm
@@ -402,8 +402,7 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
     fact = build_factorization(prob.mesh, prob.coeffs, prob.bc_left,
                                prob.bc_right, "full_triple")
     E0 = safe_shift(T0.H) + 10.0
-    Knorms = [spectral_norm(kato_K(T0, fact, -E)) for E in (E0, 10 * E0,
-                                                            100 * E0)]
+    Knorms = kato_K_norms(T0, fact, [E0, 10 * E0, 100 * E0]).tolist()
     k_ok = all(a >= b for a, b in zip(Knorms, Knorms[1:]))
 
     ok = min_slack >= TOL_SLACK and trud_ok and acc_ok and k_ok

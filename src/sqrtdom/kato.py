@@ -15,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .assembly import (BoundaryCondition, CoefficientSet, DiscreteOperator,
                        Mesh, _dof_nodes)
-from .matfun import (ResolventError, is_hermitian, resolvent, spectral_norm,
-                     sqrt_db)
+from .matfun import (ResolventError, SpectrumOnCutError, _require_off_cut,
+                     is_hermitian, power_norms, power_start, resolvent,
+                     spectral_norm)
 
 __all__ = [
     "FactoredPerturbation",
@@ -30,7 +32,7 @@ __all__ = [
     "verify_identity",
     "TwoStepResolvent",
     "decay_profile",
-    "admissibility_threshold",
+    "kato_K_norms",
 ]
 
 VARIANTS = ("qr_pair", "s_pair", "full_triple")
@@ -146,6 +148,14 @@ def kato_K(T0: DiscreteOperator, fact: FactoredPerturbation,
     return -fact.A @ X
 
 
+def kato_K_norms(T0: DiscreteOperator, fact: FactoredPerturbation,
+                 E_list) -> np.ndarray:
+    """``||K(-E)||`` for each shift ``E``, from one factorization of ``T0``
+    and without forming ``K``; ``decay_profile`` computes it the same way."""
+    halver = _InvSqrtShifted(T0.H)
+    return halver.inverse_norms(E_list, halver.gram(fact.A),
+                                halver.gram(fact.B))
+
 def _invert_core(K: np.ndarray, z: complex, stage: str) -> np.ndarray:
     """(I - K)^{-1} with an explicit conditioning guard.
 
@@ -230,18 +240,113 @@ class TwoStepResolvent:
         return _woodbury(R1, self.fact_s, z, "stage 2 (s):")
 
 
-class _InvSqrtShifted:
-    """Norms of products with ``(T0 + c)^{-1/2}`` over many shifts.
+# per-block cap on stacked n x n entries of the Schur path's shift factors
+_BLOCK_ENTRIES = 2 ** 16
 
-    Hermitian inputs use one eigendecomposition for all shifts; otherwise a
-    principal square root is computed per shift (documented slow path).
+
+class _InvSqrtShifted:
+    """Norms of products with ``(T0 + c)^{-1/2}`` and ``(T0 + c)^{-1}`` over
+    many shifts ``c``, from one factorization of ``T0``.
+
+    Hermitian ``T0`` is diagonalized once (``eigh``), so each shift's factor
+    is diagonal.  Otherwise the complex Schur form ``T0 = Q U Q^H`` is taken
+    once, and each shift's factor is the inverse of ``U + c`` or of its
+    triangular principal root (``scipy.linalg.sqrtm``, batched over shifts,
+    with the residual check ``||R^2 - (U + c)|| <= 1e-10 ||U + c||``).
+    For the half power the eigenvalues plus ``c`` (``diag(U) + c`` on the
+    Schur path) pass the branch-cut guard first.  Schur-path factors are
+    stacked in blocks of at most ``2**16 // n**2`` shifts.  A factor ``X``
+    enters only through ``X Q`` (or ``X V``) and its Gram, formed once by
+    ``gram``, and all shifts of a block run in one ``power_norms``.  Each
+    norm equals, in exact arithmetic, ``spectral_norm`` of the explicit
+    product, since the start vector is carried into the basis coordinates.
     """
 
     def __init__(self, H: np.ndarray):
-        self.H = np.asarray(H, dtype=complex)
-        self.hermitian = is_hermitian(self.H)
+        H = np.asarray(H, dtype=complex)
+        self.hermitian = is_hermitian(H)
         if self.hermitian:
-            self.evals, self.evecs = np.linalg.eigh(self.H)
+            self.diag, self.basis = np.linalg.eigh(H)
+        else:
+            self.U, self.basis = sla.schur(H, output="complex")
+            self.diag = np.diag(self.U)
+
+    def _factors(self, shifts: np.ndarray, power: float):
+        """``(block, F)`` pairs: ``F[j]`` is ``(T0 + c_j)^power`` in the
+        basis, as the diagonal on the Hermitian path."""
+        if power == -0.5:
+            _require_off_cut(self.diag[None, :] + shifts[:, None])
+        if self.hermitian:
+            yield slice(None), (self.diag[None, :] + shifts[:, None]) ** power
+            return
+        n = self.U.shape[0]
+        step = max(1, _BLOCK_ENTRIES // n ** 2)
+        for lo in range(0, shifts.size, step):
+            block = slice(lo, lo + step)
+            T = self.U + shifts[block, None, None] * np.eye(n)
+            if power == -0.5:
+                R = sla.sqrtm(T)
+                res = np.linalg.norm(R @ R - T, axis=(1, 2))
+                if np.any(res > 1e-10 * np.maximum(
+                        np.linalg.norm(T, axis=(1, 2)), 1e-300)):
+                    raise SpectrumOnCutError(
+                        "square-root residual above tolerance")
+                T = R
+            yield block, np.linalg.inv(T)
+
+    def _apply(self, F: np.ndarray, X: np.ndarray,
+               adjoint: bool = False) -> np.ndarray:
+        """Row j of ``X`` through ``F[j]`` (``F[j]^H`` with ``adjoint``)."""
+        if self.hermitian:
+            return F * X  # real diagonal
+        if adjoint:  # F^H x = conj(x^H F)
+            return np.matmul(X.conj()[:, None, :], F)[:, 0, :].conj()
+        return np.matmul(F, X[:, :, None])[:, :, 0]
+
+    def _run(self, shifts, power, start, inner=None, outer=None):
+        """``power_norms`` over the shifts, from the basis-coordinate state
+        ``start`` of the unit start iterate.
+
+        One step takes the state ``u`` to ``v = F^H inner F u`` and the new
+        state ``outer v``; the new iterate's norm is ``sqrt(v^H outer v)``.
+        A missing ``inner`` or ``outer`` is the identity.
+        """
+        shifts = np.asarray(shifts, dtype=float)
+        out = np.empty(shifts.size)
+        for block, F in self._factors(shifts, power):
+            def step(X, idx, F=F):
+                Fi = F[idx]
+                V = self._apply(Fi, X)
+                if inner is not None:
+                    V = V @ inner.T
+                V = self._apply(Fi, V, adjoint=True)
+                Y = V if outer is None else V @ outer.T
+                sq = np.einsum("ij,ij->i", V.conj(), Y).real
+                return Y, np.sqrt(np.maximum(sq, 0.0))
+            out[block] = power_norms(step, np.tile(start, (F.shape[0], 1)))
+        return out
+
+    def gram(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A factor ``X`` in the basis, ``X V``, with its Gram
+        ``(X V)^H X V``: all that the norms below use of ``X``."""
+        XB = np.asarray(X, dtype=complex) @ self.basis
+        return XB, XB.conj().T @ XB
+
+    def half_norms(self, shifts, right=None, left=None
+                   ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``norms`` for factors already passed through ``gram``."""
+        x0 = power_start(self.basis.shape[0])
+        start = x0 if self.hermitian else self.basis.conj().T @ x0
+        out_r = out_l = None
+        if right is not None:
+            out_r = self._run(shifts, -0.5, start, inner=right[1])
+        if left is not None and self.hermitian:
+            out_l = self._run(shifts, -0.5, start, inner=left[1])
+        elif left is not None:
+            XB, W = left
+            start_m = XB.conj().T @ power_start(XB.shape[0])
+            out_l = self._run(shifts, -0.5, start_m, outer=W)
+        return out_r, out_l
 
     def norms(self, shifts, right: np.ndarray | None = None,
               left: np.ndarray | None = None
@@ -249,29 +354,20 @@ class _InvSqrtShifted:
         """Per shift c, ``|| right (T0 + c)^{-1/2} ||`` and
         ``|| (T0 + c)^{-1/2} left^H || = || left (T0^H + c)^{-1/2} ||``.
 
-        Returns the two arrays of norms, None for an omitted factor.  Each
-        factor is projected onto the eigenbasis once per call; on the
-        non-Hermitian path each shift's root serves both factors.
+        Returns the two arrays of norms, None for an omitted factor.  The
+        right product starts in ``C^n``; the left one starts in ``C^m``
+        (``m`` rows of ``left``) on the Schur path and, as ``left V D_c``,
+        in ``C^n`` on the Hermitian path.
         """
-        shifts = np.asarray(shifts, dtype=float)
-        out_r = None if right is None else np.empty(shifts.size)
-        out_l = None if left is None else np.empty(shifts.size)
-        if self.hermitian:
-            # (T0 + c)^{-1/2} is Hermitian, so both products are X U D_c
-            proj = [(out, X @ self.evecs) for out, X in
-                    ((out_r, right), (out_l, left)) if X is not None]
-            for i, c in enumerate(shifts):
-                scale = ((self.evals + c) ** -0.5)[None, :]
-                for out, XU in proj:
-                    out[i] = spectral_norm(XU * scale)
-            return out_r, out_l
-        for i, c in enumerate(shifts):
-            S = sqrt_db(self.H + c * np.eye(self.H.shape[0]))
-            if right is not None:
-                out_r[i] = spectral_norm(np.linalg.solve(S.T, right.T).T)
-            if left is not None:
-                out_l[i] = spectral_norm(np.linalg.solve(S, left.conj().T))
-        return out_r, out_l
+        return self.half_norms(shifts, *(None if X is None else self.gram(X)
+                                         for X in (right, left)))
+
+    def inverse_norms(self, shifts, A, B) -> np.ndarray:
+        """Per shift c, ``|| A (T0 + c)^{-1} B^H || = || K(-c) ||`` for
+        factors passed through ``gram``; the start lies in ``C^m``."""
+        BB, WB = B
+        start = BB.conj().T @ power_start(BB.shape[0])
+        return self._run(shifts, -1.0, start, inner=A[1], outer=WB)
 
 
 def decay_profile(T0: DiscreteOperator, fact: FactoredPerturbation,
@@ -292,13 +388,14 @@ def decay_profile(T0: DiscreteOperator, fact: FactoredPerturbation,
     lam_grid = np.geomspace(1.0, 1e6, d9_points)
     # row i holds the shifts E_i and lam + E_i for lam on the grid
     shifts = E_arr[:, None] + np.concatenate(([0.0], lam_grid))[None, :]
-    normsA, normsB = halver.norms(shifts.ravel(), right=fact.A, left=fact.B)
+    gA, gB = halver.gram(fact.A), halver.gram(fact.B)
+    normsA, normsB = halver.half_norms(shifts.ravel(), gA, gB)
     normsA = normsA.reshape(shifts.shape)
     normsB = normsB.reshape(shifts.shape)
+    normsK = halver.inverse_norms(E_arr, gA, gB)
 
     rows = []
-    for E, nA, nB in zip(E_arr, normsA, normsB):
-        normK = spectral_norm(kato_K(T0, fact, -E))
+    for E, normK, nA, nB in zip(E_arr, normsK, normsA, normsB):
         vals = nA[1:] * nB[1:]
         integral = float(np.trapezoid(vals / lam_grid, lam_grid))
         rows.append({"E": float(E), "normK": float(normK),
@@ -314,26 +411,3 @@ def decay_profile(T0: DiscreteOperator, fact: FactoredPerturbation,
     return {"rows": rows, "slope": slope,
             "monotone": bool(np.all(np.diff(normKs) <= 0)),
             "plateau_ratio": float(bvals.min() / bvals.max()) if bvals.max() > 0 else 0.0}
-
-
-def admissibility_threshold(T0: DiscreteOperator,
-                            fact: FactoredPerturbation) -> float:
-    """Bisect over ``[1e-2, 1e8]`` for the shift with ``||K(-E)|| = 1/2``.
-
-    The half-norm target keeps a safety factor under the admissibility
-    bound; above the returned shift the factored resolvent is guaranteed
-    well-posed on the sampled grid.
-    """
-    normK = lambda E: spectral_norm(kato_K(T0, fact, -E))
-    lo, hi = 1e-2, 1e8
-    if normK(lo) < 0.5:
-        return lo
-    if normK(hi) > 0.5:
-        raise AdmissibilityError("no admissible shift inside the search range")
-    for _ in range(60):
-        mid = np.sqrt(lo * hi)
-        if normK(mid) > 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return float(hi)

@@ -1,4 +1,5 @@
-"""Dense complex matrix functions: resolvents, square roots, fractional powers.
+"""Dense complex matrix functions: resolvents, square roots, fractional powers
+and the power iteration for operator norms.
 
 Verdicts take their powers from ``domains.matrix_power`` (Schur-Pade for
 dense non-Hermitian input); ``frac_power_quad`` is the independent reference
@@ -31,6 +32,8 @@ __all__ = [
     "check_power_laws",
     "trace_det_check",
     "spectral_norm",
+    "power_norms",
+    "power_start",
     "gauss_panels",
     "is_hermitian",
 ]
@@ -230,29 +233,57 @@ def trace_det_check(A: np.ndarray, A0: np.ndarray, z: complex,
     return abs(lhs - rhs)
 
 
-def spectral_norm(A: np.ndarray, iters: int = 50, tol: float = 1e-10,
-                  seed: int = 7) -> float:
-    """Largest singular value via power iteration on ``A* A``.
+def power_start(d: int) -> np.ndarray:
+    """The seeded unit start vector in ``C^d`` of every power iteration."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return x / np.linalg.norm(x)
 
-    Deterministic seeded start; stops early once the Rayleigh quotient
-    stabilizes to ``tol`` relative.
+
+def power_norms(gram, start: np.ndarray) -> np.ndarray:
+    """Largest singular values of many operators by one blocked power iteration.
+
+    This is the package's one power iteration.  Row j of ``start`` is the
+    state of operator j: a linear image of its unit start iterate.
+    ``gram(X, idx)`` takes the states ``X`` of the operators ``idx`` through
+    one step ``x -> M^H M x`` and returns the new states and the norms of the
+    new iterates.  Each operator stops on its own once the estimate
+    ``sqrt(norm)`` changes by at most 1e-10 relative, after at most 50 steps,
+    or at an exact zero.
+    """
+    count = start.shape[0]
+    out = np.zeros(count)
+    prev = np.zeros(count)
+    active = np.arange(count)
+    X = start
+    for _ in range(50):
+        Y, nrm = gram(X, active)
+        est = np.sqrt(nrm)
+        stop = (nrm == 0.0) | (np.abs(est - prev)
+                               <= 1e-10 * np.maximum(est, 1e-300))
+        out[active[stop]] = est[stop]
+        go = ~stop
+        active, prev = active[go], est[go]
+        if not active.size:
+            return out
+        X = Y[go] / nrm[go, None]
+    out[active] = prev
+    return out
+
+
+def spectral_norm(A: np.ndarray) -> float:
+    """Largest singular value of one matrix by the package's one power
+    iteration, ``power_norms``: the ``power_start`` vector, a 1e-10
+    relative stop and at most 50 steps.
+
+    The estimate approaches the norm from below (an inner approximation).
     """
     A = np.asarray(A, dtype=complex)
     if min(A.shape) == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1])
-    x /= np.linalg.norm(x)
-    prev = 0.0
-    for _ in range(iters):
-        y = A @ x
-        x = A.conj().T @ y
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            return 0.0
-        x /= nrm
-        est = np.sqrt(nrm)
-        if abs(est - prev) <= tol * max(est, 1e-300):
-            return float(est)
-        prev = est
-    return float(prev)
+    def gram(X, idx):
+        # rows: (A^H y)^T = conj(conj(y)^T A), so no conjugate of A is formed
+        Y = ((X @ A.T).conj() @ A).conj()
+        return Y, np.linalg.norm(Y, axis=1)
+
+    return float(power_norms(gram, power_start(A.shape[1])[None, :])[0])

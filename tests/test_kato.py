@@ -4,11 +4,12 @@ import scipy.linalg as sla
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh, orthonormalize)
+from sqrtdom import kato
 from sqrtdom.kato import (AdmissibilityError, TwoStepResolvent,
-                          _InvSqrtShifted, admissibility_threshold,
-                          build_factorization, decay_profile, kato_K,
-                          perturbed_resolvent, verify_identity)
-from sqrtdom.matfun import resolvent, spectral_norm
+                          _InvSqrtShifted, build_factorization, decay_profile,
+                          kato_K, kato_K_norms, perturbed_resolvent,
+                          verify_identity)
+from sqrtdom.matfun import SpectrumOnCutError, resolvent, spectral_norm
 from sqrtdom.problems import build_coefficients, make_problem
 from sqrtdom.sectorial import safe_shift
 
@@ -186,17 +187,6 @@ class TestTwoStep:
         assert err <= 1e-9
 
 
-class TestAdmissibility:
-    def test_threshold_bisection(self):
-        direct, T0, coeffs, mesh = setup_pair("constant_qrs", n=30)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "qr_pair")
-        E_star = admissibility_threshold(T0, fact)
-        assert spectral_norm(kato_K(T0, fact, -E_star)) == pytest.approx(
-            0.5, abs=0.05)
-        # resolvent construction succeeds above the threshold
-        perturbed_resolvent(T0, fact, -2 * E_star)
-
-
 class TestDecayProfile:
     def test_zero_factorization_all_zero(self):
         direct, T0, coeffs, mesh = setup_pair("free", n=12)
@@ -255,3 +245,47 @@ class TestInvSqrtShifted:
             assert l == pytest.approx(np.linalg.norm(R @ B.conj().T, 2),
                                       rel=1e-6)
         assert _InvSqrtShifted(H).norms(shifts, left=B)[0] is None
+
+    @pytest.mark.parametrize("family", ["constant_qrs", "sawtooth"])
+    def test_batched_norms_match_explicit_products(self, family):
+        # sawtooth has complex p, so its T0 takes the Schur path; more
+        # shifts than one Schur block holds, so blocks are crossed
+        direct, T0, coeffs, mesh = setup_pair(family, n=64)
+        fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
+        halver = _InvSqrtShifted(T0.H)
+        n = T0.H.shape[0]
+        assert halver.hermitian == (family == "constant_qrs")
+        shifts = np.geomspace(1.0, 1e4, 20)
+        assert shifts.size > kato._BLOCK_ENTRIES // n ** 2
+        right, left = halver.norms(shifts, right=fact.A, left=fact.B)
+        normK = kato_K_norms(T0, fact, shifts)
+        for c, r, l, k in zip(shifts, right, left, normK):
+            if halver.hermitian:
+                # the eigen coordinates the Hermitian path iterates in
+                d = (halver.diag + c) ** -0.5
+                M_right = (fact.A @ halver.basis) * d
+                M_left = (fact.B @ halver.basis) * d
+            else:
+                R = np.linalg.inv(sla.sqrtm(T0.H + c * np.eye(n)))
+                M_right = fact.A @ R
+                M_left = R @ fact.B.conj().T
+            assert r == pytest.approx(spectral_norm(M_right), rel=1e-12)
+            assert l == pytest.approx(spectral_norm(M_left), rel=1e-12)
+            assert k == pytest.approx(spectral_norm(kato_K(T0, fact, -c)),
+                                      rel=1e-12)
+
+    def test_schur_path_guards_the_cut(self):
+        # non-Hermitian with the real eigenvalues 1..n: the shift -1 puts
+        # one at 0 and -3 puts three on (-inf, 0]
+        n = 12
+        rng = np.random.default_rng(5)
+        H = np.diag(np.arange(1.0, n + 1)) + np.triu(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        halver = _InvSqrtShifted(H)
+        assert not halver.hermitian
+        X = np.ones((2, n), dtype=complex)
+        for c in (-1.0, -3.0):
+            with pytest.raises(SpectrumOnCutError):
+                halver.norms([1.0, c], right=X)
+            with pytest.raises(SpectrumOnCutError):
+                halver.norms([c], left=X)

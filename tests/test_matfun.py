@@ -3,8 +3,9 @@ import pytest
 
 from sqrtdom.matfun import (QuadratureSpec, ResolventError,
                             SpectrumOnCutError, check_power_laws,
-                            frac_power_quad, resolvent, spectral_norm,
-                            sqrt_db, trace_det_check)
+                            frac_power_quad, power_norms, power_start,
+                            resolvent, spectral_norm, sqrt_db,
+                            trace_det_check)
 
 
 def random_accretive(n, seed, shift=1.0):
@@ -168,3 +169,47 @@ class TestSpectralNorm:
 
     def test_zero(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
+
+    def test_blocked_iteration_keeps_the_one_matrix_rule(self):
+        # early stop, the 50-step cap (clustered top singular values) and
+        # an exact zero, all in one block, against the rule written out for
+        # one matrix: seed-7 complex Gaussian start, 1e-10 relative stop
+        def reference(M):
+            rng = np.random.default_rng(7)
+            x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+            x /= np.linalg.norm(x)
+            prev = 0.0
+            for _ in range(50):
+                x = M.conj().T @ (M @ x)
+                nrm = np.linalg.norm(x)
+                if nrm == 0.0:
+                    return 0.0
+                x /= nrm
+                est = np.sqrt(nrm)
+                if abs(est - prev) <= 1e-10 * est:
+                    return est
+                prev = est
+            return prev
+
+        rng = np.random.default_rng(32)
+        Q1 = np.linalg.qr(rng.standard_normal((9, 9))
+                          + 1j * rng.standard_normal((9, 9)))[0]
+        Q2 = np.linalg.qr(rng.standard_normal((9, 9))
+                          + 1j * rng.standard_normal((9, 9)))[0]
+        mats = [Q1 @ np.diag(np.linspace(3.0, 0.1, 9)) @ Q2,
+                Q1 @ np.diag(np.linspace(1.0, 0.99, 9)) @ Q2,
+                np.zeros((9, 9), dtype=complex)]
+
+        def gram(X, idx):
+            Y = np.stack([mats[i].conj().T @ (mats[i] @ x)
+                          for i, x in zip(idx, X)])
+            return Y, np.linalg.norm(Y, axis=1)
+
+        got = power_norms(gram, np.tile(power_start(9), (3, 1)))
+        want = [reference(M) for M in mats]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose([spectral_norm(M) for M in mats], want,
+                                   rtol=1e-12, atol=0.0)
+        assert got[2] == 0.0
+        # the capped estimate is an inner approximation
+        assert got[1] < np.linalg.norm(mats[1], 2)
