@@ -11,7 +11,8 @@ from scipy import special
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                        assemble_forms, build_mesh, orthonormalize)
 from .domains import thmA1_decay
-from .kato import TwoStepResolvent, build_factorization, decay_profile
+from .kato import (TwoStepResolvent, _InvSqrtShifted, build_factorization,
+                   decay_profile)
 from .krein import (bessel_bound_check, bessel_k0_quad, krein_resolvent,
                     sqrt_kernel)
 from .matfun import resolvent, trace_det_check
@@ -116,9 +117,10 @@ def trace_suite(seed: int) -> dict:
 
 
 def decay_profiles(prob, E_grid, **kwargs) -> dict:
-    """``decay_profile`` of each factorization variant of ``prob``."""
-    T0 = prob.base_operator()
-    return {v: decay_profile(T0, build_factorization(
+    """``decay_profile`` of each factorization variant of ``prob``, all from
+    one factorization of the base operator."""
+    halver = _InvSqrtShifted(prob.base_operator().H)
+    return {v: decay_profile(halver, build_factorization(
                 prob.mesh, prob.coeffs, prob.bc_left, prob.bc_right, v),
                 E_grid, **kwargs)
             for v in ("qr_pair", "s_pair", "full_triple")}

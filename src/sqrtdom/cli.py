@@ -263,8 +263,7 @@ def cmd_kappa_study(cfg: dict, outdir: Path) -> int:
     n_list = cfg["n_list"] or [32, 64, 128, 256]
     report = refinement_study(cfg["problem"], n_list, E=cfg["E"] or 1.0,
                               alpha=cfg["alpha"],
-                              growth_threshold=cfg["growth_threshold"],
-                              seed=cfg["seed"])
+                              growth_threshold=cfg["growth_threshold"])
     rows = [(str(r["n"]), csvio.fmt(r["E"]), csvio.fmt(r["alpha"]),
              csvio.fmt(r["min_ratio"]), csvio.fmt(r["max_ratio"]),
              csvio.fmt(r["kappa"]), r["verdict"]) for r in report.rows]

@@ -19,7 +19,7 @@ import scipy.linalg as sla
 
 from .assembly import (BoundaryCondition, CoefficientSet, DiscreteOperator,
                        Mesh, _dof_nodes)
-from .matfun import (ResolventError, SpectrumOnCutError, _require_off_cut,
+from .matfun import (ResolventError, _principal_sqrt, _require_off_cut,
                      is_hermitian, power_norms, power_start, resolvent,
                      spectral_norm)
 
@@ -251,8 +251,8 @@ class _InvSqrtShifted:
     Hermitian ``T0`` is diagonalized once (``eigh``), so each shift's factor
     is diagonal.  Otherwise the complex Schur form ``T0 = Q U Q^H`` is taken
     once, and each shift's factor is the inverse of ``U + c`` or of its
-    triangular principal root (``scipy.linalg.sqrtm``, batched over shifts,
-    with the residual check ``||R^2 - (U + c)|| <= 1e-10 ||U + c||``).
+    triangular principal root (``matfun._principal_sqrt``, batched over
+    shifts and residual-checked).
     For the half power the eigenvalues plus ``c`` (``diag(U) + c`` on the
     Schur path) pass the branch-cut guard first.  Schur-path factors are
     stacked in blocks of at most ``2**16 // n**2`` shifts.  A factor ``X``
@@ -285,13 +285,7 @@ class _InvSqrtShifted:
             block = slice(lo, lo + step)
             T = self.U + shifts[block, None, None] * np.eye(n)
             if power == -0.5:
-                R = sla.sqrtm(T)
-                res = np.linalg.norm(R @ R - T, axis=(1, 2))
-                if np.any(res > 1e-10 * np.maximum(
-                        np.linalg.norm(T, axis=(1, 2)), 1e-300)):
-                    raise SpectrumOnCutError(
-                        "square-root residual above tolerance")
-                T = R
+                T = _principal_sqrt(T)
             yield block, np.linalg.inv(T)
 
     def _apply(self, F: np.ndarray, X: np.ndarray,
@@ -370,9 +364,13 @@ class _InvSqrtShifted:
         return self._run(shifts, -1.0, start, inner=A[1], outer=WB)
 
 
-def decay_profile(T0: DiscreteOperator, fact: FactoredPerturbation,
-                  E_list, d9_points: int = 25) -> dict:
+def decay_profile(T0: DiscreteOperator | _InvSqrtShifted,
+                  fact: FactoredPerturbation, E_list,
+                  d9_points: int = 25) -> dict:
     """Shift-decay diagnostics of the factored pieces over a geometric grid.
+
+    ``T0`` is the base operator or, to share one factorization among
+    several factor pairs, its ``_InvSqrtShifted(T0.H)``.
 
     For each E the profile records ``||K(-E)||``, the two half-power norms
     ``||A (T0+E)^{-1/2}||`` and ``||(T0+E)^{-1/2} B^H||``, and a truncated
@@ -384,7 +382,8 @@ def decay_profile(T0: DiscreteOperator, fact: FactoredPerturbation,
     E_arr = np.asarray(list(E_list), dtype=float)
     if np.any(np.diff(E_arr) <= 0) or np.any(E_arr <= 0):
         raise ValueError("E grid must be positive and increasing")
-    halver = _InvSqrtShifted(T0.H)
+    halver = (T0 if isinstance(T0, _InvSqrtShifted)
+              else _InvSqrtShifted(T0.H))
     lam_grid = np.geomspace(1.0, 1e6, d9_points)
     # row i holds the shifts E_i and lam + E_i for lam on the grid
     shifts = E_arr[:, None] + np.concatenate(([0.0], lam_grid))[None, :]

@@ -1,10 +1,14 @@
 """Dense complex matrix functions: resolvents, square roots, fractional powers
 and the power iteration for operator norms.
 
-Verdicts take their powers from ``domains.matrix_power`` (Schur-Pade for
-dense non-Hermitian input); ``frac_power_quad`` is the independent reference
-that criterion 3 and the tests compare against.  It uses the classical
-integral representation
+Verdicts take their powers from ``domains.matrix_power`` and their inverse
+half powers from ``kato._InvSqrtShifted``; on dense non-Hermitian input both
+take one complex Schur form and root its triangular factor with
+``_principal_sqrt``.  Every computed square root passes the one residual
+rule ``_require_root``.  The Denman-Beavers ``sqrt_db`` is left only to the
+determinant-trace identity and to the tests, as an independent root.
+``frac_power_quad`` is the independent reference that criterion 3 and the
+tests compare against.  It uses the classical integral representation
 
     H^alpha = sin(pi alpha)/pi * int_0^inf t^(alpha-1) H (H + t)^(-1) dt
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
@@ -122,17 +127,41 @@ def _require_off_cut(evals: np.ndarray, tol: float = 1e-12) -> None:
             f"eigenvalue(s) on (-inf, 0]: {evals[on_cut][:3]}")
 
 
+def _require_root(R: np.ndarray, T: np.ndarray) -> None:
+    """Raise ``SpectrumOnCutError`` unless ``||R^2 - T||_F <= 1e-10 ||T||_F``
+    for the matrix, or for each matrix of a stack along the leading axis."""
+    res = np.linalg.norm(R @ R - T, axis=(-2, -1))
+    if np.any(res > 1e-10 * np.maximum(np.linalg.norm(T, axis=(-2, -1)),
+                                       1e-300)):
+        raise SpectrumOnCutError("square-root residual above tolerance")
+
+
+def _principal_sqrt(T: np.ndarray) -> np.ndarray:
+    """Principal square root of a matrix, or of a stack of matrices, by the
+    Schur method of ``scipy.linalg.sqrtm`` (Bjorck-Hammarling; Deadman,
+    Higham & Ralha 2013), checked by ``_require_root``.
+
+    On upper-triangular input no Schur step is taken.  The caller guards
+    the cut: ``sqrtm`` returns a root of a matrix with eigenvalues on
+    (-inf, 0] without complaint.
+    """
+    R = sla.sqrtm(T)
+    _require_root(R, T)
+    return R
+
+
 def sqrt_db(X: np.ndarray) -> np.ndarray:
     """Principal matrix square root by the scaled Denman-Beavers iteration.
 
-    The iterate pair is rescaled each step by the determinant magnitude,
-    which keeps convergence uniform across badly scaled inputs.  The result
-    satisfies ``||Y^2 - X|| <= 1e-10 ||X||`` or an exception is raised.
+    Used by the determinant-trace identity (``trace_det_check``) and by the
+    tests as a root independent of the Schur method.  The iterate pair is
+    rescaled each step by the determinant magnitude, which keeps convergence
+    uniform across badly scaled inputs.  The result passes
+    ``_require_root`` or an exception is raised.
     """
     X = np.asarray(X, dtype=complex)
     n = X.shape[0]
     _require_off_cut(np.linalg.eigvals(X))
-    normX = np.linalg.norm(X)
     Y = X.copy()
     Z = np.eye(n, dtype=complex)
     for _ in range(100):
@@ -147,8 +176,7 @@ def sqrt_db(X: np.ndarray) -> np.ndarray:
             break
     else:
         raise SpectrumOnCutError("square-root iteration did not converge")
-    if np.linalg.norm(Y @ Y - X) > 1e-10 * max(normX, 1e-300):
-        raise SpectrumOnCutError("square-root residual above tolerance")
+    _require_root(Y, X)
     return Y
 
 

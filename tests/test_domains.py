@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from sqrtdom import domains, matfun
 from sqrtdom.assembly import BoundaryCondition
-from sqrtdom.domains import (_power_gram, lemma24_bounds, matrix_power,
-                             refinement_study, sqrt_domain_kappa, thmA1_decay)
-from sqrtdom.matfun import QuadratureSpec, SpectrumOnCutError, frac_power_quad
+from sqrtdom.domains import (_kappa_grams, _power_gram, lemma24_bounds,
+                             matrix_power, refinement_study, sqrt_domain_kappa,
+                             thmA1_decay)
+from sqrtdom.matfun import (QuadratureSpec, SpectrumOnCutError,
+                            frac_power_quad, sqrt_db)
 from sqrtdom.problems import lions_operator, make_problem
+
+
+def robin_complex(n):
+    """The shifted operator of the robin_complex kappa problem."""
+    prob = make_problem("mixed_sign", n=n, bc_left=BoundaryCondition(1 + 0.5j))
+    return prob.operator.H + np.eye(prob.operator.H.shape[0])
 
 
 class TestMatrixPower:
@@ -47,17 +56,41 @@ class TestMatrixPower:
         V = rng.standard_normal((12, 12))
         evals = np.concatenate(([-1.0], np.linspace(1.0, 3.0, 11)))
         H = V @ np.diag(evals) @ np.linalg.inv(V)
-        with pytest.raises(SpectrumOnCutError):
-            matrix_power(H, 0.25)
+        for alpha in (0.25, 0.5):
+            with pytest.raises(SpectrumOnCutError):
+                matrix_power(H, alpha)
 
     def test_dense_path_exact(self):
-        # the robin_complex kappa problem
-        prob = make_problem("mixed_sign", n=64,
-                            bc_left=BoundaryCondition(1 + 0.5j))
+        H = robin_complex(64)
+        for k in (4, 8):
+            Xk = np.linalg.matrix_power(matrix_power(H, 1 / k), k)
+            assert np.linalg.norm(Xk - H) <= 1e-12 * np.linalg.norm(H)
+
+    def test_dense_half_power_matches_denman_beavers(self):
+        prob = make_problem("complex_constant", n=48)
         H = prob.operator.H + np.eye(prob.operator.H.shape[0])
-        X = matrix_power(H, 0.25)
-        X4 = np.linalg.matrix_power(X, 4)
-        assert np.linalg.norm(X4 - H) <= 1e-12 * np.linalg.norm(H)
+        Y = sqrt_db(H)
+        assert np.linalg.norm(matrix_power(H, 0.5) - Y) \
+            <= 1e-12 * np.linalg.norm(Y)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25])
+    def test_dense_path_takes_one_schur_form(self, alpha, monkeypatch):
+        schur = sla.schur
+        schur_calls = []
+
+        def counting_schur(*args, **kwargs):
+            schur_calls.append(kwargs.get("output"))
+            return schur(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("second factorization on the dense route")
+
+        monkeypatch.setattr(sla, "schur", counting_schur)
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        monkeypatch.setattr(sla, "fractional_matrix_power", forbidden)
+        monkeypatch.setattr(matfun, "sqrt_db", forbidden)
+        matrix_power(robin_complex(32), alpha)
+        assert schur_calls == ["complex"]
 
     def test_dense_path_matches_quadrature(self):
         prob = make_problem("complex_constant", n=24)
@@ -82,10 +115,16 @@ class TestSqrtDomainKappa:
 
     def test_extremal_pair_dominates_samples(self):
         prob = make_problem("complex_constant", n=40)
-        row = sqrt_domain_kappa(prob.operator, 1.0,
-                                G_E=prob.sobolev_gram(1.0), n_samples=200)
-        assert row["sample_max"] <= row["max_ratio"] + 1e-10
-        assert row["sample_min"] >= row["min_ratio"] - 1e-10
+        G_E = prob.sobolev_gram(1.0)
+        row = sqrt_domain_kappa(prob.operator, 1.0, G_E=G_E)
+        P, Q = _kappa_grams(prob.operator, 1.0, G_E, None, 0.5)
+        rng = np.random.default_rng(0)
+        u = (rng.standard_normal((200, P.shape[0]))
+             + 1j * rng.standard_normal((200, P.shape[0])))
+        samples = np.sqrt(np.einsum("ij,jk,ik->i", u.conj(), P, u).real
+                          / np.einsum("ij,jk,ik->i", u.conj(), Q, u).real)
+        assert samples.max() <= row["max_ratio"] + 1e-10
+        assert samples.min() >= row["min_ratio"] - 1e-10
         assert row["kappa"] >= 1.0
 
     def test_alpha_validated(self):
@@ -124,6 +163,16 @@ class TestRefinementStudy:
     def test_lions_quarter_power_bounded(self):
         report = refinement_study("lions", [32, 64, 128], E=1.0, alpha=0.25)
         assert report.verdict == "bounded"
+
+    def test_early_drop_cannot_hide_growth(self, monkeypatch):
+        ladder = {16: 3.0, 32: 1.0, 64: 2.5}
+        monkeypatch.setattr(domains, "_kappa_row",
+                            lambda problem, n, E, alpha: {"n": n,
+                                                          "kappa": ladder[n]})
+        report = refinement_study("baseline", list(ladder), E=1.0,
+                                  growth_threshold=2.0)
+        assert report.growth == 2.5
+        assert report.verdict == "divergent"
 
     def test_explicit_threshold_respected(self):
         report = refinement_study("baseline", [16, 32], E=1.0,

@@ -5,6 +5,7 @@ import scipy.linalg as sla
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh, orthonormalize)
 from sqrtdom import kato
+from sqrtdom.checks import decay_profiles
 from sqrtdom.kato import (AdmissibilityError, TwoStepResolvent,
                           _InvSqrtShifted, build_factorization, decay_profile,
                           kato_K, kato_K_norms, perturbed_resolvent,
@@ -214,6 +215,27 @@ class TestDecayProfile:
         fact = build_factorization(mesh, coeffs, DIR, DIR, "s_pair")
         with pytest.raises(ValueError):
             decay_profile(T0, fact, [10.0, 5.0, 20.0])
+
+    @pytest.mark.parametrize("family", ["constant_qrs", "sawtooth"])
+    def test_variants_share_one_factorization(self, family, monkeypatch):
+        prob = make_problem(family, n=24)
+        E_grid = np.geomspace(1e2, 1e4, 3)
+        built = []
+        init = _InvSqrtShifted.__init__
+
+        def counting_init(self, H):
+            built.append(H.shape)
+            init(self, H)
+
+        monkeypatch.setattr(_InvSqrtShifted, "__init__", counting_init)
+        shared = decay_profiles(prob, E_grid, d9_points=3)
+        assert len(built) == 1
+        # the same numbers as one factorization per variant
+        T0 = prob.base_operator()
+        for variant, prof in shared.items():
+            fact = build_factorization(prob.mesh, prob.coeffs, prob.bc_left,
+                                       prob.bc_right, variant)
+            assert prof == decay_profile(T0, fact, E_grid, d9_points=3)
 
 
 class TestInvSqrtShifted:
