@@ -7,11 +7,10 @@ from .assembly import (BoundaryCondition, CoefficientSet, DiscreteOperator,
                        FormMatrices, IntervalSpec, Mesh, assemble_forms,
                        build_mesh, coefficient_family, orthonormalize,
                        w12_norm_matrix)
-from .domains import (lemma24_bounds, matrix_power, refinement_study,
-                      sqrt_domain_kappa, thmA1_decay)
+from .domains import (matrix_power, refinement_study, sqrt_domain_kappa,
+                      thmA1_decay)
 from .formbounds import (FormBoundConstants, check_form_bound,
-                         check_trudinger, compose_infinitesimal,
-                         locunif_norms)
+                         check_trudinger, locunif_norms)
 from .kato import (FactoredPerturbation, TwoStepResolvent,
                    build_factorization, decay_profile, kato_K, kato_K_norms,
                    perturbed_resolvent, verify_identity)
@@ -23,6 +22,6 @@ from .matfun import (QuadratureSpec, check_power_laws, frac_power_quad,
 from .problems import (FAMILY_NAMES, Problem, build_coefficients,
                        lions_operator, make_problem)
 from .sectorial import (SectorReport, check_m_accretive,
-                        numerical_range_hull, safe_shift, sector_diagnostics)
+                        numerical_range_hull, safe_shift)
 
 __version__ = "0.1.0"

@@ -146,9 +146,6 @@ class BoundaryCondition:
         th = self.theta
         return np.cos(th) / np.sin(th)
 
-    def conjugate(self) -> "BoundaryCondition":
-        return BoundaryCondition(np.conj(self.theta))
-
 
 @dataclass(frozen=True)
 class CoefficientSet:
@@ -203,12 +200,6 @@ class CoefficientSet:
 
         return cls(p=sample(p, 1.0), q=sample(q, 0.0), r=sample(r, 0.0),
                    s=sample(s, 0.0), lam=lam, Lam=Lam)
-
-    def conjugate_adjoint(self) -> "CoefficientSet":
-        """Coefficients of the formal adjoint: conjugate and swap r with s."""
-        return CoefficientSet(p=np.conj(self.p), q=np.conj(self.q),
-                              r=np.conj(self.s), s=np.conj(self.r),
-                              lam=self.lam, Lam=self.Lam)
 
     def digest(self) -> str:
         h = hashlib.sha256()

@@ -1,5 +1,5 @@
 """Square-root-domain equivalence ratios, the critical-power dichotomy and
-uniform half-power bounds.
+the shift decay of multipliers against the inverse half power.
 
 Domain equality statements are rendered finitely as two-sided norm
 equivalence: the ratio ``kappa = max/min`` of ``||(H + E)^alpha f||`` against
@@ -32,7 +32,6 @@ __all__ = [
     "matrix_power",
     "sqrt_domain_kappa",
     "refinement_study",
-    "lemma24_bounds",
     "thmA1_decay",
     "KAPPA_PROBLEMS",
 ]
@@ -266,32 +265,6 @@ def refinement_study(problem: str, n_list, E: float = 1.0,
                                    rows=rows, growth=float(growth),
                                    threshold=float(growth_threshold),
                                    verdict=verdict, calibration=calibration)
-
-
-def lemma24_bounds(S: DiscreteOperator | np.ndarray,
-                   T: DiscreteOperator | np.ndarray, E_grid) -> dict:
-    """Suprema of the two half-power quotients over a shift grid.
-
-    Returns ``sup ||S^{1/2} (T + E)^{-1/2}||`` and
-    ``sup ||(S + E)^{1/2} (T + E)^{-1/2}||`` over ``E_grid`` intersected
-    with [1, inf), along with the maximizing shifts.
-    """
-    Sm = S.H if isinstance(S, DiscreteOperator) else np.asarray(S, dtype=complex)
-    Tm = T.H if isinstance(T, DiscreteOperator) else np.asarray(T, dtype=complex)
-    halver = _InvSqrtShifted(Tm)
-    S_half = matrix_power(Sm, 0.5)
-    E_use = [float(E) for E in E_grid if float(E) >= 1.0]
-    shiftless = halver.norms(E_use, right=S_half)[0]
-    sup1, arg1, sup2, arg2 = 0.0, None, 0.0, None
-    for E, v1 in zip(E_use, shiftless):
-        SE_half = matrix_power(Sm + E * np.eye(Sm.shape[0]), 0.5)
-        v2 = halver.norms([E], right=SE_half)[0][0]
-        if v1 > sup1:
-            sup1, arg1 = v1, E
-        if v2 > sup2:
-            sup2, arg2 = v2, E
-    return {"sup_shiftless": float(sup1), "argmax_shiftless": arg1,
-            "sup_shifted": float(sup2), "argmax_shifted": arg2}
 
 
 def thmA1_decay(phi: np.ndarray, L: DiscreteOperator | np.ndarray,

@@ -20,11 +20,9 @@ from .assembly import CoefficientSet, FormMatrices, IntervalSpec, Mesh
 
 __all__ = [
     "FormBoundConstants",
-    "EtaTable",
     "locunif_norms",
     "check_form_bound",
     "check_trudinger",
-    "compose_infinitesimal",
 ]
 
 
@@ -144,36 +142,3 @@ def check_trudinger(f: np.ndarray, w: np.ndarray, mesh: Mesh,
             "point_bound": rhs_point, "point_slack": point_slack,
             "wf2": wf2, "N_w": N_w, "weighted_bound": rhs_weighted,
             "weighted_slack": rhs_weighted - wf2}
-
-
-@dataclass(frozen=True)
-class EtaTable:
-    """An eps -> eta(eps) table on a log grid, 32 points per decade."""
-
-    eps: np.ndarray
-    eta: np.ndarray
-
-    @classmethod
-    def from_function(cls, fn, eps_max: float) -> "EtaTable":
-        """Tabulate ``fn`` over four decades below ``eps_max``."""
-        eps = eps_max * 10.0 ** (-np.arange(128, -1, -1.0) / 32)
-        return cls(eps=eps, eta=np.asarray([fn(e) for e in eps], dtype=float))
-
-    def __call__(self, e: float) -> float:
-        # log-log interpolation; clamped at the grid ends
-        le = np.log(self.eps)
-        return float(np.exp(np.interp(np.log(e), le, np.log(self.eta))))
-
-
-def compose_infinitesimal(eps1: float, eps2: float, eta1: EtaTable,
-                          eta2: EtaTable) -> tuple[float, EtaTable]:
-    """Combine two infinitesimal form bounds into one for the summed base form.
-
-    Returns ``eps0 = 2 min(1/2, eps1, eps2)`` and the composed table
-    ``eta0(eps) = eta1(eps/2) + eta2(eps/2)`` on its valid range.
-    """
-    if eps1 <= 0 or eps2 <= 0:
-        raise ValueError("validity ranges must be positive")
-    eps0 = 2.0 * min(0.5, eps1, eps2)
-    grid = EtaTable.from_function(lambda e: eta1(e / 2) + eta2(e / 2), eps0)
-    return eps0, grid

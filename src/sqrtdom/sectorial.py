@@ -6,17 +6,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matfun import _require_off_cut, resolvent
+from .matfun import resolvent
 
 __all__ = [
     "SectorReport",
     "numerical_range_hull",
     "check_m_accretive",
-    "sector_diagnostics",
     "safe_shift",
 ]
 
 _HALF_PI = np.pi / 2
+_N_SAMPLES = 256  # seeded random interior states per hull
 
 
 @dataclass
@@ -41,8 +41,7 @@ def _hermitian_part(H: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.conj().T)
 
 
-def numerical_range_hull(H: np.ndarray, n_samples: int = 256,
-                         seed: int = 0) -> SectorReport:
+def numerical_range_hull(H: np.ndarray, seed: int = 0) -> SectorReport:
     """Sample the numerical range and fit a containing sector.
 
     Boundary points come from the support-function sweep (extreme
@@ -53,8 +52,6 @@ def numerical_range_hull(H: np.ndarray, n_samples: int = 256,
     spread of the leftmost face when that face is not real (the tightest
     shift-covariant choice that still yields a proper sector).
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
     pts = []
@@ -66,8 +63,8 @@ def numerical_range_hull(H: np.ndarray, n_samples: int = 256,
         pts.append(np.vdot(v, H @ v) / np.vdot(v, v))
     boundary = np.asarray(pts)
     rng = np.random.default_rng(seed)
-    states = rng.standard_normal((n_samples, n)) + 1j * rng.standard_normal((n_samples, n))
-    for k in range(n_samples):
+    states = rng.standard_normal((_N_SAMPLES, n)) + 1j * rng.standard_normal((_N_SAMPLES, n))
+    for k in range(_N_SAMPLES):
         v = states[k]
         pts.append(np.vdot(v, H @ v) / np.vdot(v, v))
     pts = np.asarray(pts)
@@ -107,47 +104,6 @@ def check_m_accretive(H: np.ndarray, zeta_grid) -> tuple[bool, float]:
         R = resolvent(H, -zeta)
         worst = max(worst, np.linalg.norm(R, 2) * zeta.real)
     return bool(worst <= 1.0 + 1e-10), float(worst)
-
-
-def sector_diagnostics(H: np.ndarray, t_grid, omega_prime,
-                       z_samples) -> tuple[float, dict]:
-    """Positive-type and sector-angle constants sampled on grids.
-
-    ``M_A`` approximates ``sup_t (1 + t) ||(H + t)^{-1}||`` over ``t_grid``;
-    for each requested angle the second constant approximates
-    ``sup ||z (H - z)^{-1}||`` over the samples lying outside the closed
-    sector of that angle.  The spectrum must avoid (-inf, 0] and stay inside
-    each sector tested, otherwise the blow-up is reported by raising.
-    """
-    H = np.asarray(H, dtype=complex)
-    evals = np.linalg.eigvals(H)
-    _require_off_cut(evals)
-
-    M_A = 0.0
-    for t in t_grid:
-        t = float(t)
-        if t < 0:
-            raise ValueError("t grid must be nonnegative")
-        M_A = max(M_A, (1.0 + t) * np.linalg.norm(resolvent(H, -t), 2))
-
-    angles = np.atleast_1d(np.asarray(omega_prime, dtype=float))
-    spec_angle = float(np.max(np.abs(np.angle(evals))))
-    M_angle = {}
-    for om in angles:
-        if not 0.0 < om < np.pi:
-            raise ValueError("omega' must lie in (0, pi)")
-        if spec_angle > om:
-            raise ValueError(
-                f"spectrum leaves the sector of angle {om:.4f} "
-                f"(spectral angle {spec_angle:.4f}); resolvent blow-up")
-        sup = 0.0
-        for z in z_samples:
-            z = complex(z)
-            if z == 0 or abs(np.angle(z)) <= om:
-                continue
-            sup = max(sup, abs(z) * np.linalg.norm(resolvent(H, z), 2))
-        M_angle[float(om)] = float(sup)
-    return float(M_A), M_angle
 
 
 def safe_shift(H: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from sqrtdom.formbounds import check_trudinger, locunif_norms
 from sqrtdom.kato import build_factorization, verify_identity
 from sqrtdom.matfun import (QuadratureSpec, check_power_laws, frac_power_quad,
                             sqrt_db)
-from sqrtdom.problems import lions_operator, make_problem
+from sqrtdom.problems import make_problem
 from sqrtdom.sectorial import safe_shift
 
 DIR = BoundaryCondition.dirichlet()
@@ -217,16 +217,14 @@ def test_criterion_7_domain_dichotomy():
                                 G_E=prob.sobolev_gram(1.0))
         baseline_worst = max(baseline_worst, abs(row["kappa"] - 1.0))
 
-    kappas = {0.25: [], 0.5: []}
-    for n in ns:
-        T = lions_operator(n)
-        for alpha in (0.25, 0.5):
-            kappas[alpha].append(sqrt_domain_kappa(
-                T, 1.0, H_ref=T.conj().T, alpha=alpha)["kappa"])
-    growth_quarter = kappas[0.25][-1] / kappas[0.25][0]
-    growth_half = kappas[0.5][-1] / kappas[0.5][0]
-    ceiling = float(np.sqrt(growth_quarter * growth_half))
-    monotone_half = all(a < b for a, b in zip(kappas[0.5], kappas[0.5][1:]))
+    # the negative control calibrates its own ceiling on this ladder, by the
+    # growth rule the verdict itself applies
+    control = refinement_study("lions", ns, E=1.0, alpha=0.5)
+    growth_quarter = control.calibration["lions_growth_quarter"]
+    growth_half = control.calibration["lions_growth_half"]
+    ceiling = control.threshold
+    kappas = [row["kappa"] for row in control.rows]
+    monotone_half = all(a < b for a, b in zip(kappas, kappas[1:]))
 
     # admissible-coefficient problems under the same calibrated ceiling
     # (shorter ladder: their ratios are flat in n, so this is conservative)
@@ -240,6 +238,7 @@ def test_criterion_7_domain_dichotomy():
           and growth_half > growth_quarter
           and growth_quarter < ceiling < growth_half
           and monotone_half
+          and control.verdict == "divergent"
           and all(v == "bounded" for v in verdicts.values()))
     report(7, ok, f"dichotomy: baseline |kappa-1| {baseline_worst:.1e} "
                   f"(tol 1e-12), control growth {growth_half:.2f} (critical) "

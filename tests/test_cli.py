@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sqrtdom import csvio
-from sqrtdom.cli import COMMANDS, main, parse_theta, read_config_file
+from sqrtdom.cli import (COMMANDS, build_parser, load_config, main,
+                         parse_theta, problem_from, read_config_file)
+from sqrtdom.matfun import resolvent
 
 
 def run(tmp_path, name, *args):
@@ -103,6 +105,25 @@ class TestVerifyCommands:
         code, out = run(tmp_path, "o", "trace-check")
         assert code == 0
         assert "verdict = pass" in (out / "manifest.txt").read_text()
+
+    def test_positive_type_ratios_are_exact_norms(self, tmp_path):
+        # (1 + t) ||(Hs + t)^-1|| is an exact 2-norm, not an inner estimate
+        args = ["hypothesis-check", "--problem", "sawtooth", "--n", "32",
+                "--theta-a", "neumann"]
+        code, out = run(tmp_path, "o", *args)
+        assert code == 0
+        cfg = load_config(build_parser().parse_args(
+            [*args, "--outdir", str(out)]))
+        manifest = dict(line.split(" = ", 1) for line in
+                        (out / "manifest.txt").read_text().splitlines())
+        H = problem_from(cfg).operator.H
+        Hs = H + float(manifest["accretive_shift"]) * np.eye(H.shape[0])
+        rows = (out / "positive_type.csv").read_text().splitlines()
+        assert rows[0] == "t,ratio" and len(rows) == 18
+        for line in rows[1:]:
+            t, ratio = map(float, line.split(","))
+            exact = (1 + t) * np.linalg.norm(resolvent(Hs, -t), 2)
+            assert ratio == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_kappa_study_rejects_plain_family(self, tmp_path):
         code, _ = run(tmp_path, "o", "kappa-study", "--problem", "sawtooth",

@@ -4,9 +4,8 @@ import scipy.linalg as sla
 
 from sqrtdom import domains, matfun
 from sqrtdom.assembly import BoundaryCondition
-from sqrtdom.domains import (_kappa_grams, _power_gram, lemma24_bounds,
-                             matrix_power, refinement_study, sqrt_domain_kappa,
-                             thmA1_decay)
+from sqrtdom.domains import (_kappa_grams, _power_gram, matrix_power,
+                             refinement_study, sqrt_domain_kappa, thmA1_decay)
 from sqrtdom.matfun import (QuadratureSpec, SpectrumOnCutError,
                             frac_power_quad, sqrt_db)
 from sqrtdom.problems import lions_operator, make_problem
@@ -179,29 +178,6 @@ class TestRefinementStudy:
                                   growth_threshold=3.0)
         assert report.verdict == "bounded"
         assert report.calibration == {}
-
-
-class TestLemma24Bounds:
-    def test_equal_hermitian_pair(self):
-        prob = make_problem("free", n=32)
-        H = prob.operator.H
-        rec = lemma24_bounds(H, H, [1.0, 4.0, 16.0, 64.0])
-        assert rec["sup_shiftless"] <= 1.0 + 1e-9
-        assert rec["sup_shifted"] == pytest.approx(1.0, rel=1e-9)
-
-    def test_doubled_operator_sqrt_two(self):
-        prob = make_problem("free", n=32)
-        H = prob.operator.H
-        rec = lemma24_bounds(2.0 * H, H, np.geomspace(1.0, 1e4, 9))
-        assert rec["sup_shifted"] <= np.sqrt(2.0) + 1e-9
-        assert rec["sup_shifted"] >= 1.0
-
-    def test_assembled_pair_finite_and_stable(self):
-        prob = make_problem("complex_constant", n=32)
-        ref = prob.reference_operator()
-        rec = lemma24_bounds(prob.operator, ref, [1.0, 10.0, 100.0])
-        assert np.isfinite(rec["sup_shiftless"])
-        assert np.isfinite(rec["sup_shifted"])
 
 
 class TestThmA1Decay:

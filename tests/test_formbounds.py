@@ -3,9 +3,8 @@ import pytest
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh)
-from sqrtdom.formbounds import (EtaTable, FormBoundConstants, check_form_bound,
-                                check_trudinger, compose_infinitesimal,
-                                locunif_norms)
+from sqrtdom.formbounds import (FormBoundConstants, check_form_bound,
+                                check_trudinger, locunif_norms)
 
 NEU = BoundaryCondition.neumann()
 
@@ -146,27 +145,3 @@ class TestCheckTrudinger:
         mesh = build_mesh(IntervalSpec(), 8)
         with pytest.raises(ValueError):
             check_trudinger(np.ones(9), np.zeros(8), mesh, 0.0)
-
-
-class TestComposeInfinitesimal:
-    def test_reciprocal_tables(self):
-        eta = EtaTable.from_function(lambda e: 1.0 / e, 0.5)
-        eps0, eta0 = compose_infinitesimal(0.5, 0.5, eta, eta)
-        assert eps0 == pytest.approx(1.0)
-        for e in (0.05, 0.2, 0.9):
-            assert eta0(e) == pytest.approx(4.0 / e, rel=1e-6)
-
-    def test_range_shrinks_to_half(self):
-        eta = EtaTable.from_function(lambda e: 1.0, 10.0)
-        eps0, _ = compose_infinitesimal(2.0, 3.0, eta, eta)
-        assert eps0 == pytest.approx(1.0)
-
-    def test_constant_tables_add(self):
-        eta = EtaTable.from_function(lambda e: 7.0, 1.0)
-        _, eta0 = compose_infinitesimal(1.0, 1.0, eta, eta)
-        assert eta0(0.3) == pytest.approx(14.0, rel=1e-9)
-
-    def test_rejects_nonpositive_ranges(self):
-        eta = EtaTable.from_function(lambda e: 1.0, 1.0)
-        with pytest.raises(ValueError):
-            compose_infinitesimal(0.0, 1.0, eta, eta)

@@ -5,7 +5,7 @@ from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh, orthonormalize)
 from sqrtdom.problems import lions_operator
 from sqrtdom.sectorial import (check_m_accretive, numerical_range_hull,
-                               safe_shift, sector_diagnostics)
+                               safe_shift)
 
 
 def hermitian_psd(n, seed, floor=0.0):
@@ -90,36 +90,6 @@ class TestCheckMAccretive:
     def test_rejects_left_halfplane_grid(self):
         with pytest.raises(ValueError):
             check_m_accretive(np.eye(3), [-1.0])
-
-
-class TestSectorDiagnostics:
-    def test_identity_positive_type_constant(self):
-        M_A, _ = sector_diagnostics(np.eye(6), [0.0, 1.0, 10.0, 100.0],
-                                    np.pi / 2, [])
-        assert M_A == pytest.approx(1.0, rel=1e-9)
-
-    def test_spectrum_in_interval_bound(self):
-        H = np.diag(np.linspace(1.0, 2.0, 8)).astype(complex)
-        M_A, _ = sector_diagnostics(H, np.geomspace(1e-3, 1e3, 40), np.pi / 2, [])
-        assert M_A <= 2.0 + 1e-9
-        # worst value over the continuum grid is (1 + t)/(1 + t) = 1 at t -> 0
-        assert M_A == pytest.approx(1.0, rel=1e-6)
-
-    def test_angle_constant_finite_outside_sector(self):
-        H = np.diag([1.0, np.exp(0.3j)]).astype(complex)
-        omega = 0.5
-        zs = [z for z in (np.exp(1j * 2.0) * 0.8, -1.5, np.exp(-1j * 2.4) * 3.0)]
-        M_A, M_angle = sector_diagnostics(H, [0.0, 1.0], omega, zs)
-        assert np.isfinite(M_angle[omega])
-
-    def test_blowup_reported_below_spectral_angle(self):
-        H = np.diag([1.0, np.exp(0.9j)]).astype(complex)
-        with pytest.raises(ValueError):
-            sector_diagnostics(H, [0.0], 0.5, [-1.0])
-
-    def test_negative_spectrum_rejected(self):
-        with pytest.raises(ValueError):
-            sector_diagnostics(np.diag([1.0, -2.0]), [0.0], np.pi / 2, [])
 
 
 class TestSafeShift:

@@ -1,18 +1,24 @@
-"""Every name the benchmark tracer wraps exists in the package.
+"""Every name the benchmark tracer wraps exists in the package, and every
+public function feeds a verdict.
 
-``perfbench/`` is not collected by the default test run, so a deletion that
-breaks ``perfbench/run.py --trace 1`` would otherwise go unnoticed here.  The
-tracer module is loaded read-only from its file and never installed.
+A deletion that breaks ``perfbench/run.py --trace 1`` fails here by name,
+not deep inside a traced benchmark run.  The tracer module is loaded
+read-only from its file and never installed.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+SRC = ROOT / "src" / "sqrtdom"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
 def load_tracing():
@@ -50,3 +56,37 @@ def test_cli_commands_table():
     from sqrtdom import cli
 
     assert cli.COMMANDS and all(callable(fn) for fn in cli.COMMANDS.values())
+
+
+def referenced_names(path):
+    """Identifiers the code of one file uses; docstrings and comments do not
+    count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_public_functions_feed_a_verdict():
+    # a public function is reached by another module of the package (the
+    # CLI among them), by the tracer's layers or by an acceptance criterion;
+    # one that only its own tests call is dead weight
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    uses = {stem: referenced_names(SRC / f"{stem}.py") for stem in modules}
+    acceptance = referenced_names(ACCEPTANCE)
+    unreached = {}
+    for stem in modules:
+        module = importlib.import_module(f"sqrtdom.{stem}")
+        reached = set(LAYERS.get(stem, ())) | acceptance
+        for other in modules:
+            if other != stem:
+                reached |= uses[other]
+        names = [name for name in getattr(module, "__all__", ())
+                 if inspect.isfunction(getattr(module, name))
+                 and name not in reached]
+        if names:
+            unreached[stem] = names
+    assert not unreached, f"public functions only tests reach: {unreached}"
