@@ -5,8 +5,7 @@ domain equivalence studies."""
 
 from .assembly import (BoundaryCondition, CoefficientSet, DiscreteOperator,
                        FormMatrices, IntervalSpec, Mesh, assemble_forms,
-                       build_mesh, coefficient_family, orthonormalize,
-                       w12_norm_matrix)
+                       build_mesh, orthonormalize, w12_norm_matrix)
 from .domains import (matrix_power, refinement_study, sqrt_domain_kappa,
                       thmA1_decay)
 from .formbounds import (FormBoundConstants, check_form_bound,

@@ -26,7 +26,6 @@ __all__ = [
     "assemble_forms",
     "orthonormalize",
     "w12_norm_matrix",
-    "coefficient_family",
 ]
 
 
@@ -149,18 +148,12 @@ class BoundaryCondition:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Cell-midpoint samples of the four coefficients plus ellipticity bounds.
-
-    ``lam`` is a positive lower bound for ``Re p`` and ``Lam`` an upper bound
-    for ``|p|`` over the samples; both default to the sampled extremes.
-    """
+    """Finite cell-midpoint samples of the four coefficients, ``Re p > 0``."""
 
     p: np.ndarray
     q: np.ndarray
     r: np.ndarray
     s: np.ndarray
-    lam: float = 0.0
-    Lam: float = 0.0
 
     def __post_init__(self):
         arrs = {}
@@ -171,23 +164,22 @@ class CoefficientSet:
                 n = len(arr)
             elif len(arr) != n:
                 raise ValueError("coefficient samples must share one length")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"coefficient {name} has non-finite samples")
             arrs[name] = arr
-        lam = self.lam if self.lam > 0 else float(arrs["p"].real.min())
-        Lam = self.Lam if self.Lam > 0 else float(np.abs(arrs["p"]).max())
-        if lam <= 0:
-            raise ValueError("need Re(p) >= lam > 0 at every sample")
-        if arrs["p"].real.min() < lam - 1e-12 * max(1.0, lam):
-            raise ValueError("Re(p) drops below the declared lower bound")
-        if np.abs(arrs["p"]).max() > Lam + 1e-12 * max(1.0, Lam):
-            raise ValueError("|p| exceeds the declared upper bound")
+        if arrs["p"].real.min() <= 0:
+            raise ValueError("need Re(p) > 0 at every sample")
         for name, arr in arrs.items():
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "Lam", Lam)
+
+    @property
+    def lam(self) -> float:
+        """Ellipticity constant: the smallest sampled ``Re p``."""
+        return float(self.p.real.min())
 
     @classmethod
-    def from_callables(cls, mesh: Mesh, p=None, q=None, r=None, s=None,
-                       lam: float = 0.0, Lam: float = 0.0) -> "CoefficientSet":
+    def from_callables(cls, mesh: Mesh, p=None, q=None, r=None,
+                       s=None) -> "CoefficientSet":
         """Sample callables (or constants) at the cell midpoints."""
         mids = mesh.midpoints
 
@@ -199,44 +191,13 @@ class CoefficientSet:
             return np.asarray(f(mids), dtype=complex)
 
         return cls(p=sample(p, 1.0), q=sample(q, 0.0), r=sample(r, 0.0),
-                   s=sample(s, 0.0), lam=lam, Lam=Lam)
+                   s=sample(s, 0.0))
 
     def digest(self) -> str:
         h = hashlib.sha256()
         for arr in (self.p, self.q, self.r, self.s):
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()[:12]
-
-
-def coefficient_family(name: str, **params):
-    """Built-in coefficient callables for the named test families.
-
-    Families: ``constant`` (value), ``sawtooth`` (amplitude, period) and
-    ``spike`` (center, exponent, cap), the last giving the locally
-    integrable singular profile ``|x - center|^(-exponent)`` truncated at
-    ``cap`` (callers truncate at grid scale).
-    """
-    if name == "constant":
-        value = complex(params.get("value", 1.0))
-        return lambda x: np.full(np.shape(x), value)
-    if name == "sawtooth":
-        amp = complex(params.get("amplitude", 1.0))
-        period = float(params.get("period", 0.25))
-        return lambda x: amp * (2.0 * np.mod(np.asarray(x) / period, 1.0) - 1.0)
-    if name == "spike":
-        center = float(params.get("center", 0.5))
-        expo = float(params.get("exponent", 0.5))
-        cap = float(params.get("cap", 1e6))
-        phase = complex(params.get("phase", 1.0))
-
-        def f(x):
-            d = np.abs(np.asarray(x) - center)
-            with np.errstate(divide="ignore"):
-                v = np.where(d > 0, d ** (-expo), np.inf)
-            return phase * np.minimum(v, cap)
-
-        return f
-    raise ValueError(f"unknown coefficient family {name!r}")
 
 
 @dataclass
@@ -291,7 +252,6 @@ class DiscreteOperator:
 
     H: np.ndarray
     forms: FormMatrices
-    coefficient_hash: str = ""
 
     @property
     def n(self) -> int:
@@ -407,8 +367,7 @@ def orthonormalize(forms: FormMatrices) -> DiscreteOperator:
         raise ValueError("lumped mass is not positive definite")
     winv = 1.0 / np.sqrt(w)
     H = winv[:, None] * forms.total() * winv[None, :]
-    return DiscreteOperator(H=H, forms=forms,
-                            coefficient_hash=forms.coeffs.digest())
+    return DiscreteOperator(H=H, forms=forms)
 
 
 def w12_norm_matrix(mesh: Mesh, bc_left: BoundaryCondition,

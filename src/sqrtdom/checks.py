@@ -132,7 +132,7 @@ def multiplier_decay(ref, cell_samples, E_grid) -> dict:
     nodal = np.zeros(len(ref.mesh.nodes))
     nodal[:-1] += 0.5 * cell_samples
     nodal[1:] += 0.5 * cell_samples
-    return thmA1_decay(nodal[ref.dof_nodes], ref, E_grid)
+    return thmA1_decay(nodal[ref.dof_nodes], ref.H, E_grid)
 
 
 def decay_ok(profiles: dict, multiplier_slopes) -> bool:

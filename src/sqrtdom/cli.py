@@ -140,10 +140,13 @@ def coefficients_from(cfg: dict, mesh) -> CoefficientSet:
         return (np.interp(mids, x, vals.real)
                 + 1j * np.interp(mids, x, vals.imag))
 
-    return CoefficientSet(p=sampled(paths["p"], 1.0),
-                          q=sampled(paths["q"], 0.0),
-                          r=sampled(paths["r"], 0.0),
-                          s=sampled(paths["s"], 0.0))
+    try:
+        return CoefficientSet(p=sampled(paths["p"], 1.0),
+                              q=sampled(paths["q"], 0.0),
+                              r=sampled(paths["r"], 0.0),
+                              s=sampled(paths["s"], 0.0))
+    except ValueError as exc:
+        raise ConfigError(f"coefficient file: {exc}") from exc
 
 
 def problem_from(cfg: dict) -> Problem:
@@ -198,7 +201,7 @@ def cmd_assemble(cfg: dict, outdir: Path) -> int:
     csvio.write_matrix(outdir / "sobolev_gram.csv", GE)
     _manifest(outdir, cfg, "assemble", ["form-matrices", "operator-matrix"],
               {"n_dof": forms.n_dof,
-               "coefficient_hash": prob.operator.coefficient_hash,
+               "coefficient_hash": prob.coeffs.digest(),
                "mass_treatment": "lumped"})
     return 0
 

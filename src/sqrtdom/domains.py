@@ -3,26 +3,28 @@ the shift decay of multipliers against the inverse half power.
 
 Domain equality statements are rendered finitely as two-sided norm
 equivalence: the ratio ``kappa = max/min`` of ``||(H + E)^alpha f||`` against
-a reference norm, maximized exactly through the generalized Hermitian
-eigenproblem of the two Gram matrices.  A problem passes when ``kappa`` stays
-bounded under mesh refinement; the upwind first-derivative operator is the
-negative control whose critical-power ratio keeps growing.
+a reference norm.  ``_kappa_row`` builds the Gram matrices of the two norms
+for each kappa problem, and ``sqrt_domain_kappa`` maximizes the ratio exactly
+through their generalized Hermitian eigenproblem.  A problem passes when
+``kappa`` stays bounded under mesh refinement; the upwind first-derivative
+operator is the negative control whose critical-power ratio keeps growing.
 
 Every fractional power goes through ``matrix_power``, whose three routes are
 all exact to roundoff: eigendecomposition for Hermitian input, the
-terminating binomial series for the negative control (a bidiagonal Toeplitz
-matrix), and one complex Schur form for any other input, whose triangular
-factor is rooted k times at alpha = 2^-k and raised by Schur-Pade otherwise.
+terminating binomial series for the negative control (a lower-bidiagonal
+Toeplitz matrix), and one complex Schur form for any other input, whose
+triangular factor is rooted k times at alpha = 2^-k and raised by Schur-Pade
+otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import BoundaryCondition, DiscreteOperator
+from .assembly import BoundaryCondition
 from .kato import _InvSqrtShifted
 from .matfun import _principal_sqrt, _require_off_cut, is_hermitian
 from .problems import lions_operator, make_problem
@@ -87,8 +89,6 @@ def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
         return (evecs * evals[None, :] ** alpha) @ evecs.conj().T
     if (band := _bidiagonal_toeplitz(H)) is not None:
         return _toeplitz_power(*band, n, alpha)
-    if (band := _bidiagonal_toeplitz(H.T)) is not None:
-        return _toeplitz_power(*band, n, alpha).T
     U, Q = sla.schur(H, output="complex")
     _require_off_cut(np.diag(U))
     roots = -np.log2(alpha)
@@ -100,63 +100,29 @@ def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
     return Q @ U @ Q.conj().T
 
 
-def _power_gram(H: np.ndarray, E: float,
-                alpha: float) -> tuple[np.ndarray | None, np.ndarray]:
-    """(X, X^H X) for ``X = (H + E)^alpha``.
+def _power_gram(H: np.ndarray, E: float, alpha: float) -> np.ndarray:
+    """``X^H X`` for ``X = (H + E)^alpha``.
 
     For Hermitian input at the critical power the Gram is the shifted
-    matrix itself, exactly; no root is formed (X is then None).
+    matrix itself, exactly; no root is formed.
     """
     shifted = H + E * np.eye(H.shape[0])
     if alpha == 0.5 and is_hermitian(shifted):
-        return None, shifted
+        return shifted
     X = matrix_power(shifted, alpha)
-    return X, X.conj().T @ X
+    return X.conj().T @ X
 
 
-def _kappa_grams(H: DiscreteOperator | np.ndarray, E: float,
-                 G_E: np.ndarray | None,
-                 H_ref: DiscreteOperator | np.ndarray | None,
-                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(P, Q): the Hermitian Grams of the power norm and of the reference
-    norm that ``sqrt_domain_kappa`` compares, in orthonormal coordinates."""
-    op = H if isinstance(H, DiscreteOperator) else None
-    Hm = H.H if op is not None else np.asarray(H, dtype=complex)
-    X, P = _power_gram(Hm, E, alpha)
+def sqrt_domain_kappa(P: np.ndarray, Q: np.ndarray) -> dict:
+    """Equivalence ratio of the power norm against a reference norm.
 
-    if G_E is not None:
-        if op is None:
-            raise ValueError("nodal reference Gram needs a DiscreteOperator")
-        winv = 1.0 / np.sqrt(op.forms.lumped_weights)
-        Q = winv[:, None] * np.asarray(G_E, dtype=complex) * winv[None, :]
-    elif H_ref is not None:
-        Hr = H_ref.H if isinstance(H_ref, DiscreteOperator) else np.asarray(H_ref, dtype=complex)
-        if np.array_equal(Hr, Hm.conj().T) and X is not None:
-            # the adjoint's power is the power's adjoint: reuse X
-            Q = X @ X.conj().T
-        else:
-            _, Q = _power_gram(Hr, E, alpha)
-    else:
-        raise ValueError("need a reference: G_E or H_ref")
-    return 0.5 * (P + P.conj().T), 0.5 * (Q + Q.conj().T)
-
-
-def sqrt_domain_kappa(H: DiscreteOperator | np.ndarray, E: float,
-                      G_E: np.ndarray | None = None,
-                      H_ref: DiscreteOperator | np.ndarray | None = None,
-                      alpha: float = 0.5) -> dict:
-    """Equivalence ratio of the shifted power norm against a reference norm.
-
-    The reference is either the E-scaled first-order Sobolev Gram ``G_E``
-    (given in nodal coordinates; the natural choice at the critical power)
-    or the matching power of a reference operator ``H_ref``.  The extremal
-    ratios over all vectors are exact: the square roots of the extreme
-    generalized eigenvalues of the two Grams.
+    ``P`` and ``Q`` are the Gram matrices of the two norms in orthonormal
+    coordinates; only their Hermitian parts are read.  The extremal ratios
+    over all vectors are exact: the square roots of the extreme generalized
+    eigenvalues of the pencil.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    P, Q = _kappa_grams(H, E, G_E, H_ref, alpha)
-
+    P = 0.5 * (P + P.conj().T)
+    Q = 0.5 * (Q + Q.conj().T)
     # equilibrated pencil through the difference P - Q: a diagonal
     # congruence leaves the generalized eigenvalues unchanged, and the
     # difference form keeps coincident Grams at ratio exactly one instead
@@ -174,23 +140,19 @@ def sqrt_domain_kappa(H: DiscreteOperator | np.ndarray, E: float,
     if evals[0] <= 0:
         raise ValueError("power Gram lost positivity (shift too small?)")
     min_ratio, max_ratio = float(np.sqrt(evals[0])), float(np.sqrt(evals[-1]))
-    return {"E": float(E), "alpha": float(alpha),
-            "min_ratio": min_ratio, "max_ratio": max_ratio,
-            "kappa": max_ratio / min_ratio, "n_dof": P.shape[0]}
+    return {"min_ratio": min_ratio, "max_ratio": max_ratio,
+            "kappa": max_ratio / min_ratio}
 
 
 @dataclass
 class DomainEquivalenceReport:
     """Refinement table of equivalence ratios with a boundedness verdict."""
 
-    problem: str
-    alpha: float
-    E: float
-    rows: list = field(default_factory=list)
-    growth: float = 1.0
-    threshold: float = 3.0
-    verdict: str = "bounded"
-    calibration: dict = field(default_factory=dict)
+    rows: list
+    growth: float
+    threshold: float
+    verdict: str
+    calibration: dict
 
 
 # each kappa problem but the lions control: its family and left condition
@@ -202,23 +164,31 @@ KAPPA_PROBLEMS = (*_KAPPA_FAMILIES, "lions")
 
 
 def _kappa_row(problem: str, n: int, E: float, alpha: float) -> dict:
+    """One refinement level: the power Gram ``P`` and reference Gram ``Q``
+    of the problem, compared by ``sqrt_domain_kappa``.
+
+    The lions control's reference is its adjoint, whose power is the
+    power's adjoint.  Any other problem is referred at the critical power
+    to the E-scaled Sobolev Gram, taken from nodal to orthonormal
+    coordinates, and otherwise to the same power of its self-adjoint
+    reference operator.
+    """
     if problem == "lions":
-        T = lions_operator(n)
-        row = sqrt_domain_kappa(T, E, H_ref=T.conj().T, alpha=alpha)
-    else:
-        if problem not in _KAPPA_FAMILIES:
-            raise ValueError(f"unknown kappa problem {problem!r}")
+        X = matrix_power(lions_operator(n) + E * np.eye(n), alpha)
+        P, Q = X.conj().T @ X, X @ X.conj().T
+    elif problem in _KAPPA_FAMILIES:
         family, bc_left = _KAPPA_FAMILIES[problem]
         prob = make_problem(family, n=n, bc_left=bc_left)
+        P = _power_gram(prob.operator.H, E, alpha)
         if alpha == 0.5:
-            row = sqrt_domain_kappa(prob.operator, E,
-                                    G_E=prob.sobolev_gram(E), alpha=alpha)
+            winv = 1.0 / np.sqrt(prob.forms.lumped_weights)
+            Q = winv[:, None] * prob.sobolev_gram(E) * winv[None, :]
         else:
-            row = sqrt_domain_kappa(prob.operator, E,
-                                    H_ref=prob.reference_operator(),
-                                    alpha=alpha)
-    row["n"] = n
-    return row
+            Q = _power_gram(prob.reference_operator().H, E, alpha)
+    else:
+        raise ValueError(f"unknown kappa problem {problem!r}")
+    return {"n": n, "E": float(E), "alpha": float(alpha),
+            **sqrt_domain_kappa(P, Q)}
 
 
 def _growth(rows: list) -> float:
@@ -237,6 +207,8 @@ def refinement_study(problem: str, n_list, E: float = 1.0,
     ladder, and the ceiling is the geometric mean of the two growth ratios,
     which cleanly separates convergent ratios from critical-power growth.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 2:
         raise ValueError("need at least two refinement levels")
@@ -261,14 +233,12 @@ def refinement_study(problem: str, n_list, E: float = 1.0,
     verdict = "bounded" if growth <= growth_threshold else "divergent"
     for row in rows:
         row["verdict"] = verdict
-    return DomainEquivalenceReport(problem=problem, alpha=alpha, E=E,
-                                   rows=rows, growth=float(growth),
+    return DomainEquivalenceReport(rows=rows, growth=float(growth),
                                    threshold=float(growth_threshold),
                                    verdict=verdict, calibration=calibration)
 
 
-def thmA1_decay(phi: np.ndarray, L: DiscreteOperator | np.ndarray,
-                E_grid) -> dict:
+def thmA1_decay(phi: np.ndarray, L: np.ndarray, E_grid) -> dict:
     """Shift decay of a diagonal multiplier against the inverse half power.
 
     ``phi`` holds the multiplier samples on the operator's degrees of
@@ -276,11 +246,10 @@ def thmA1_decay(phi: np.ndarray, L: DiscreteOperator | np.ndarray,
     the grid with its fitted log-log slope (the continuum envelope decays
     at least like the quarter power for admissible multipliers).
     """
-    Lm = L.H if isinstance(L, DiscreteOperator) else np.asarray(L, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
-    if phi.shape[0] != Lm.shape[0]:
+    if phi.shape[0] != L.shape[0]:
         raise ValueError("multiplier samples must match the DOF count")
-    halver = _InvSqrtShifted(Lm)
+    halver = _InvSqrtShifted(L)
     Phi = np.diag(phi)
     E_arr = np.asarray(list(E_grid), dtype=float)
     norms = halver.norms(E_arr, right=Phi)[0]

@@ -37,12 +37,10 @@ class FormBoundConstants:
     eps_qrs: float
     M: float
     eps_0: float
-    window_fallback: bool = False  # window exceeded the domain, whole-domain norms used
 
     @classmethod
     def from_window_norms(cls, C_q: float, C_r: float, C_s: float,
-                          lam: float, window_fallback: bool = False
-                          ) -> "FormBoundConstants":
+                          lam: float) -> "FormBoundConstants":
         C_0 = np.sqrt(2.0) * max(1.0, C_r, C_s, np.sqrt(2.0) * C_q ** 2)
         # zero coefficients impose no eps restriction of their own
         candidates = [v for v in (np.sqrt(C_r), np.sqrt(C_s), C_q) if v > 0]
@@ -50,27 +48,25 @@ class FormBoundConstants:
         M = 128.0 * C_0 ** 2 * (1.0 / lam + 1.0 / lam ** 3)
         eps_0 = min(1.0, 4.0 / lam * eps_qrs)
         return cls(C_q=C_q, C_r=C_r, C_s=C_s, C_0=float(C_0),
-                   eps_qrs=float(eps_qrs), M=float(M), eps_0=float(eps_0),
-                   window_fallback=window_fallback)
+                   eps_qrs=float(eps_qrs), M=float(M), eps_0=float(eps_0))
 
 
-def _window_sup(mesh: Mesh, values: np.ndarray, width: float) -> tuple[float, bool]:
+def _window_sup(mesh: Mesh, values: np.ndarray, width: float) -> float:
     """Sliding-window supremum of the per-cell integral, window starts on nodes.
 
     Evaluated at mesh-node window starts, so the result is a lower bound of
-    the true supremum; falls back to the whole-domain integral (flagged) if
-    the window does not fit.
+    the true supremum; falls back to the whole-domain integral if the window
+    does not fit.
     """
     h = mesh.h
     cell = values * h  # per-cell contributions, midpoint rule
-    total = float(np.sum(cell))
     if width >= mesh.b - mesh.a:
-        return total, True
+        return float(np.sum(cell))
     per_window = max(1, int(round(width / h)))
     csum = np.concatenate(([0.0], np.cumsum(cell)))
     n = mesh.n_cells
     sums = csum[per_window:] - csum[: n - per_window + 1]
-    return float(np.max(sums)), False
+    return float(np.max(sums))
 
 
 def locunif_norms(coeffs: CoefficientSet, interval: IntervalSpec,
@@ -81,12 +77,10 @@ def locunif_norms(coeffs: CoefficientSet, interval: IntervalSpec,
     mesh; on a finite interval the whole-domain norms are used instead.
     """
     width = 1.0 if interval.kind != "finite" else np.inf
-    C_q, fb_q = _window_sup(mesh, np.abs(coeffs.q), width)
-    C_r, fb_r = _window_sup(mesh, np.abs(coeffs.r) ** 2, width)
-    C_s, fb_s = _window_sup(mesh, np.abs(coeffs.s) ** 2, width)
-    fallback = interval.kind != "finite" and (fb_q or fb_r or fb_s)
-    return FormBoundConstants.from_window_norms(C_q, C_r, C_s, coeffs.lam,
-                                                window_fallback=fallback)
+    C_q = _window_sup(mesh, np.abs(coeffs.q), width)
+    C_r = _window_sup(mesh, np.abs(coeffs.r) ** 2, width)
+    C_s = _window_sup(mesh, np.abs(coeffs.s) ** 2, width)
+    return FormBoundConstants.from_window_norms(C_q, C_r, C_s, coeffs.lam)
 
 
 def check_form_bound(f: np.ndarray, forms: FormMatrices,

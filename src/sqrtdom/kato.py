@@ -225,8 +225,7 @@ class TwoStepResolvent:
         mesh = T0.mesh
         bl, br = T0.forms.bc_left, T0.forms.bc_right
         stage1 = CoefficientSet(p=coeffs.p, q=coeffs.q, r=coeffs.r,
-                                s=np.zeros_like(coeffs.s),
-                                lam=coeffs.lam, Lam=coeffs.Lam)
+                                s=np.zeros_like(coeffs.s))
         self.T0 = T0
         self.fact_qr = build_factorization(mesh, stage1, bl, br, "qr_pair")
         self.fact_s = build_factorization(mesh, coeffs, bl, br, "s_pair")

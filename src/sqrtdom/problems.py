@@ -13,8 +13,7 @@ import numpy as np
 
 from .assembly import (BoundaryCondition, CoefficientSet, DiscreteOperator,
                        FormMatrices, IntervalSpec, Mesh, assemble_forms,
-                       build_mesh, coefficient_family, orthonormalize,
-                       w12_norm_matrix)
+                       build_mesh, orthonormalize, w12_norm_matrix)
 
 __all__ = [
     "FAMILY_NAMES",
@@ -35,6 +34,23 @@ FAMILY_NAMES = (
 )
 
 
+def _sawtooth(amplitude: float, period: float):
+    """Sign-changing sawtooth of the given amplitude and period."""
+    return lambda x: amplitude * (2.0 * np.mod(x / period, 1.0) - 1.0)
+
+
+def _spike(center: float, exponent: float, cap: float, phase: complex):
+    """Locally integrable singular profile ``phase |x - center|^(-exponent)``,
+    its modulus truncated at ``cap``."""
+    def f(x):
+        d = np.abs(x - center)
+        with np.errstate(divide="ignore"):
+            v = np.where(d > 0, d ** (-exponent), np.inf)
+        return phase * np.minimum(v, cap)
+
+    return f
+
+
 def build_coefficients(name: str, mesh: Mesh) -> CoefficientSet:
     """Sample one named family on the mesh; spikes are capped at grid scale."""
     if name == "free":
@@ -48,27 +64,20 @@ def build_coefficients(name: str, mesh: Mesh) -> CoefficientSet:
             mesh, p=1.0 + 0.5j, q=2.0 - 1.0j, r=1.0 + 1.0j, s=0.5j)
     if name == "mixed_sign":
         return CoefficientSet.from_callables(
-            mesh,
-            q=coefficient_family("sawtooth", amplitude=3.0, period=0.37),
-            r=coefficient_family("sawtooth", amplitude=2.0, period=0.53),
-            s=-1.0)
+            mesh, q=_sawtooth(3.0, 0.37), r=_sawtooth(2.0, 0.53), s=-1.0)
     if name == "sawtooth":
         return CoefficientSet.from_callables(
             mesh, p=lambda x: 1.0 + 0.25j * np.ones_like(x),
-            q=coefficient_family("sawtooth", amplitude=4.0, period=0.29),
-            r=coefficient_family("sawtooth", amplitude=1.5, period=0.41),
-            s=coefficient_family("sawtooth", amplitude=1.0, period=0.61))
+            q=_sawtooth(4.0, 0.29), r=_sawtooth(1.5, 0.41),
+            s=_sawtooth(1.0, 0.61))
     if name == "spike":
         center = mesh.a + 0.5 * (mesh.b - mesh.a)
         return CoefficientSet.from_callables(
             mesh,
-            q=coefficient_family("spike", center=center, exponent=0.5,
-                                 cap=(mesh.h / 2.0) ** -0.5,
-                                 phase=np.exp(1j * np.pi / 3)),
-            r=coefficient_family("spike", center=center, exponent=0.25,
-                                 cap=(mesh.h / 2.0) ** -0.25),
-            s=coefficient_family("spike", center=center, exponent=0.25,
-                                 cap=(mesh.h / 2.0) ** -0.25, phase=-1.0))
+            q=_spike(center, 0.5, (mesh.h / 2.0) ** -0.5,
+                     np.exp(1j * np.pi / 3)),
+            r=_spike(center, 0.25, (mesh.h / 2.0) ** -0.25, 1.0),
+            s=_spike(center, 0.25, (mesh.h / 2.0) ** -0.25, -1.0))
     raise ValueError(f"unknown coefficient family {name!r}; "
                      f"choose one of {FAMILY_NAMES}")
 
@@ -90,8 +99,7 @@ class Problem:
         """Same second-order part and boundary conditions, no lower-order terms."""
         base = CoefficientSet(p=self.coeffs.p, q=np.zeros_like(self.coeffs.q),
                               r=np.zeros_like(self.coeffs.r),
-                              s=np.zeros_like(self.coeffs.s),
-                              lam=self.coeffs.lam, Lam=self.coeffs.Lam)
+                              s=np.zeros_like(self.coeffs.s))
         return orthonormalize(assemble_forms(self.mesh, base, self.bc_left,
                                              self.bc_right))
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                              assemble_forms, build_mesh, coefficient_family,
-                              orthonormalize, w12_norm_matrix)
+                              assemble_forms, build_mesh, orthonormalize,
+                              w12_norm_matrix)
 from sqrtdom import csvio
+from sqrtdom.problems import _spike
 
 DIR = BoundaryCondition.dirichlet()
 NEU = BoundaryCondition.neumann()
@@ -120,15 +121,16 @@ class TestOrthonormalize:
         np.testing.assert_allclose(H, H.conj().T, atol=1e-14)
 
     def test_complex_diffusion_sector(self):
-        # constant p: numerical range slope is exactly Im(p)/Re(p) <= Lam/lam
+        # constant p: numerical range slope is exactly Im(p)/Re(p) <= max|p|/lam
         mesh = build_mesh(IntervalSpec(), 32)
         coeffs = coeffs_for(mesh, p=1 + 0.5j)
         H = orthonormalize(assemble_forms(mesh, coeffs, DIR, DIR)).H
+        bound = np.abs(coeffs.p).max() / coeffs.lam
         rng = np.random.default_rng(0)
         for _ in range(50):
             v = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
             val = np.vdot(v, H @ v)
-            assert abs(val.imag) <= (coeffs.Lam / coeffs.lam) * val.real + 1e-12
+            assert abs(val.imag) <= bound * val.real + 1e-12
 
     def test_adjoint_symmetry(self):
         # conjugating p, q and swapping conjugated r and s gives the adjoint
@@ -137,8 +139,7 @@ class TestOrthonormalize:
         coeffs = coeffs_for(mesh, p=1 + 0.5j, q=lambda x: x + 1j,
                             r=lambda x: np.sin(x) + 2j, s=0.7 - 0.2j)
         adjoint = CoefficientSet(p=coeffs.p.conj(), q=coeffs.q.conj(),
-                                 r=coeffs.s.conj(), s=coeffs.r.conj(),
-                                 lam=coeffs.lam, Lam=coeffs.Lam)
+                                 r=coeffs.s.conj(), s=coeffs.r.conj())
         H = orthonormalize(assemble_forms(
             mesh, coeffs, BoundaryCondition(th), DIR)).H
         Hadj = orthonormalize(assemble_forms(
@@ -199,12 +200,18 @@ class TestCoefficientSet:
         mesh = build_mesh(IntervalSpec(), 4)
         coeffs = CoefficientSet.from_callables(mesh, p=2.0 + 1.0j)
         assert coeffs.lam == pytest.approx(2.0)
-        assert coeffs.Lam == pytest.approx(abs(2.0 + 1.0j))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        mesh = build_mesh(IntervalSpec(), 4)
+        q = np.zeros(4, dtype=complex)
+        q[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            CoefficientSet.from_callables(mesh, q=lambda x: q)
 
     def test_spike_family_capped_at_grid_scale(self):
         mesh = build_mesh(IntervalSpec(), 64)
-        f = coefficient_family("spike", center=0.5, exponent=0.5,
-                               cap=(mesh.h / 2) ** -0.5)
+        f = _spike(0.5, 0.5, (mesh.h / 2) ** -0.5, 1.0)
         vals = f(mesh.midpoints)
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) <= (mesh.h / 2) ** -0.5 + 1e-12

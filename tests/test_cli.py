@@ -82,6 +82,17 @@ class TestAssemble:
         K3 = csvio.read_matrix(out / "K3.csv")
         np.testing.assert_allclose(np.diag(K3), 2.0 / 8.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("command", ["assemble", "verify-kato"])
+    def test_non_finite_coefficient_file_is_config_error(self, tmp_path,
+                                                         command):
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("x,re,im\n0,1,0\n0.5,nan,0\n1,1,0\n",
+                         encoding="ascii")
+        code, out = run(tmp_path, "o", command, "--n", "16",
+                        "--coeff-q", str(qpath))
+        assert code == 2
+        assert not (out / "M.csv").exists()
+
 
 class TestVerifyCommands:
     def test_verify_kato_passes_on_default_problem(self, tmp_path):

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from sqrtdom import domains, matfun
 from sqrtdom.assembly import BoundaryCondition
-from sqrtdom.domains import (_kappa_grams, _power_gram, matrix_power,
+from sqrtdom.domains import (_kappa_row, _power_gram, matrix_power,
                              refinement_study, sqrt_domain_kappa, thmA1_decay)
 from sqrtdom.matfun import (QuadratureSpec, SpectrumOnCutError,
                             frac_power_quad, sqrt_db)
@@ -32,14 +32,14 @@ class TestMatrixPower:
         T = lions_operator(64)
         if upper:
             T = T.conj().T
-        X, _ = _power_gram(T, 1.0, alpha)
+        X = matrix_power(T + np.eye(64), alpha)
         ref = sla.fractional_matrix_power(T + np.eye(64), alpha)
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
     def test_toeplitz_path_matches_quadrature(self, alpha):
         T = lions_operator(24)
-        X, _ = _power_gram(T, 1.0, alpha)
+        X = matrix_power(T + np.eye(24), alpha)
         Xq = frac_power_quad(T + np.eye(24), alpha, QuadratureSpec(panels=16))
         assert np.linalg.norm(X - Xq) <= 1e-8 * np.linalg.norm(Xq)
 
@@ -48,7 +48,7 @@ class TestMatrixPower:
         T = lions_operator(16)
         E = lam - T[0, 0].real
         with pytest.raises(SpectrumOnCutError):
-            _power_gram(T, E, 0.25)
+            matrix_power(T + E * np.eye(16), 0.25)
 
     def test_dense_path_rejects_cut(self):
         rng = np.random.default_rng(5)
@@ -101,22 +101,22 @@ class TestMatrixPower:
 
 class TestSqrtDomainKappa:
     def test_selfadjoint_baseline_is_exactly_one(self):
-        prob = make_problem("free", n=48)
-        row = sqrt_domain_kappa(prob.operator, 1.0, G_E=prob.sobolev_gram(1.0))
+        row = _kappa_row("baseline", 48, 1.0, 0.5)
         assert abs(row["kappa"] - 1.0) <= 1e-12
         assert abs(row["min_ratio"] - 1.0) <= 1e-12
 
     def test_identical_reference_any_alpha(self):
         prob = make_problem("complex_constant", n=24)
-        row = sqrt_domain_kappa(prob.operator, 2.0, H_ref=prob.operator,
-                                alpha=0.375)
+        P = _power_gram(prob.operator.H, 2.0, 0.375)
+        row = sqrt_domain_kappa(P, P)
         assert abs(row["kappa"] - 1.0) <= 1e-9
 
     def test_extremal_pair_dominates_samples(self):
         prob = make_problem("complex_constant", n=40)
-        G_E = prob.sobolev_gram(1.0)
-        row = sqrt_domain_kappa(prob.operator, 1.0, G_E=G_E)
-        P, Q = _kappa_grams(prob.operator, 1.0, G_E, None, 0.5)
+        P = _power_gram(prob.operator.H, 1.0, 0.5)
+        winv = 1.0 / np.sqrt(prob.forms.lumped_weights)
+        Q = winv[:, None] * prob.sobolev_gram(1.0) * winv[None, :]
+        row = sqrt_domain_kappa(P, Q)
         rng = np.random.default_rng(0)
         u = (rng.standard_normal((200, P.shape[0]))
              + 1j * rng.standard_normal((200, P.shape[0])))
@@ -127,21 +127,17 @@ class TestSqrtDomainKappa:
         assert row["kappa"] >= 1.0
 
     def test_alpha_validated(self):
-        prob = make_problem("free", n=16)
         with pytest.raises(ValueError):
-            sqrt_domain_kappa(prob.operator, 1.0,
-                              G_E=prob.sobolev_gram(1.0), alpha=1.5)
+            refinement_study("baseline", [16, 32], E=1.0, alpha=1.5,
+                             growth_threshold=3.0)
 
 
 class TestLionsDichotomy:
     def test_quarter_power_stable_half_power_growing(self):
         halves, quarters = [], []
         for n in (32, 64, 128, 256):
-            T = lions_operator(n)
-            halves.append(sqrt_domain_kappa(
-                T, 1.0, H_ref=T.conj().T, alpha=0.5)["kappa"])
-            quarters.append(sqrt_domain_kappa(
-                T, 1.0, H_ref=T.conj().T, alpha=0.25)["kappa"])
+            halves.append(_kappa_row("lions", n, 1.0, 0.5)["kappa"])
+            quarters.append(_kappa_row("lions", n, 1.0, 0.25)["kappa"])
         assert all(a < b for a, b in zip(halves, halves[1:]))
         growth_half = halves[-1] / halves[0]
         growth_quarter = quarters[-1] / quarters[0]
@@ -187,7 +183,7 @@ class TestThmA1Decay:
         lam_min = np.linalg.eigvalsh(L.real)[0]
         c = 3.0
         E_grid = np.geomspace(1e2, 1e6, 9)
-        rec = thmA1_decay(np.full(L.shape[0], c), prob.operator, E_grid)
+        rec = thmA1_decay(np.full(L.shape[0], c), L, E_grid)
         # power-iteration norms are inner approximations; sub-percent here
         np.testing.assert_allclose(rec["norms"], c / np.sqrt(lam_min + E_grid),
                                    rtol=5e-3)
@@ -200,7 +196,7 @@ class TestThmA1Decay:
 
     def test_zero_multiplier(self):
         prob = make_problem("free", n=32)
-        rec = thmA1_decay(np.zeros(31), prob.operator, [10.0, 100.0])
+        rec = thmA1_decay(np.zeros(31), prob.operator.H, [10.0, 100.0])
         assert np.all(rec["norms"] == 0.0)
 
     def test_spike_multiplier_decays(self):
@@ -211,5 +207,6 @@ class TestThmA1Decay:
         nodal[:-1] += 0.5 * phi
         nodal[1:] += 0.5 * phi
         ref = prob.reference_operator()
-        rec = thmA1_decay(nodal[ref.dof_nodes], ref, np.geomspace(1e2, 1e6, 9))
+        rec = thmA1_decay(nodal[ref.dof_nodes], ref.H,
+                          np.geomspace(1e2, 1e6, 9))
         assert rec["slope"] <= -0.2

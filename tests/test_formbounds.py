@@ -50,7 +50,6 @@ class TestLocunifNorms:
         mesh = build_mesh(iv, 32)
         coeffs = CoefficientSet.from_callables(mesh, q=1.0)
         consts = locunif_norms(coeffs, iv, mesh)
-        assert consts.window_fallback
         assert consts.C_q == pytest.approx(0.5, rel=1e-12)
 
     def test_halfline_constants_reduce_to_whole_interval(self):

@@ -52,7 +52,7 @@ class TestKatoWithRobinBase:
             r=lambda x: (1 + 1j) * np.cos(2 * x), s=0.5 - 0.25j)
         direct = orthonormalize(assemble_forms(mesh, coeffs, th, DIR))
         base = CoefficientSet(p=coeffs.p, q=0 * coeffs.q, r=0 * coeffs.r,
-                              s=0 * coeffs.s, lam=coeffs.lam, Lam=coeffs.Lam)
+                              s=0 * coeffs.s)
         T0 = orthonormalize(assemble_forms(mesh, base, th, DIR))
         fact = build_factorization(mesh, coeffs, th, DIR, "full_triple")
         E = safe_shift(direct.H) + safe_shift(T0.H) + 25.0
@@ -68,7 +68,7 @@ class TestKatoWithRobinBase:
             r=1j, s=lambda x: np.sin(5 * x))
         direct = orthonormalize(assemble_forms(mesh, coeffs, NEU, DIR))
         base = CoefficientSet(p=coeffs.p, q=0 * coeffs.q, r=0 * coeffs.r,
-                              s=0 * coeffs.s, lam=coeffs.lam, Lam=coeffs.Lam)
+                              s=0 * coeffs.s)
         T0 = orthonormalize(assemble_forms(mesh, base, NEU, DIR))
         closure = TwoStepResolvent(T0, coeffs)
         z = -(safe_shift(direct.H) + 40.0) * (1 + 0.5j)

@@ -51,7 +51,7 @@ class TestNumericalRangeHull:
             mesh, coeffs, BoundaryCondition.dirichlet(),
             BoundaryCondition.dirichlet())).H
         rep = numerical_range_hull(H)
-        assert np.tan(rep.theta) <= coeffs.Lam / coeffs.lam + 1e-9
+        assert np.tan(rep.theta) <= np.abs(coeffs.p).max() / coeffs.lam + 1e-9
 
 
 class TestCheckMAccretive:
