@@ -3,9 +3,9 @@ complex coefficients: finite-element discretization, factored resolvent
 identities, fractional powers, boundary-condition kernels and square-root
 domain equivalence studies."""
 
-from .assembly import (BoundaryCondition, CoefficientSet, DiscreteOperator,
-                       FormMatrices, IntervalSpec, Mesh, assemble_forms,
-                       build_mesh, orthonormalize, w12_norm_matrix)
+from .assembly import (BoundaryCondition, CoefficientSet, FormMatrices,
+                       IntervalSpec, Mesh, assemble_forms, build_mesh,
+                       orthonormalize, w12_norm_matrix)
 from .domains import (matrix_power, refinement_study, sqrt_domain_kappa,
                       thmA1_decay)
 from .formbounds import (FormBoundConstants, check_form_bound,

@@ -6,12 +6,15 @@ meshes.  Coefficients are sampled once per cell at the midpoint, which keeps
 every matrix exact for piecewise-constant data and first-order accurate
 otherwise.  The convention throughout: the full form matrix ``S`` satisfies
 ``q(g, f) = g^H S f`` for nodal vectors, conjugate-linear in the first slot.
+``orthonormalize`` turns the forms into the operator matrix in
+L2-orthonormal coordinates; ``problems.Problem`` keeps one assembled
+operator together with its inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +24,6 @@ __all__ = [
     "BoundaryCondition",
     "CoefficientSet",
     "FormMatrices",
-    "DiscreteOperator",
     "build_mesh",
     "assemble_forms",
     "orthonormalize",
@@ -204,10 +206,12 @@ class CoefficientSet:
 class FormMatrices:
     """Assembled form matrices on the retained degrees of freedom.
 
-    ``M`` is the consistent mass, ``lumped_weights`` its row sums; ``K0``
-    carries the second-order part, ``K1``/``K2`` the two convective terms,
-    ``K3`` the (lumped, diagonal) potential and ``Bdry`` the rank <= 2
-    boundary contribution.  ``dof_nodes`` indexes the retained mesh nodes.
+    ``M`` is the consistent mass; ``K0`` carries the second-order part,
+    ``K1``/``K2`` the two convective terms, ``K3`` the (lumped, diagonal)
+    potential and ``Bdry`` the rank <= 2 boundary contribution.
+    ``dof_nodes`` indexes the retained mesh nodes and ``lumped_weights``
+    holds their full-mesh mass row sums, so interior nodes next to a
+    removed Dirichlet node keep their full weight.
     """
 
     M: np.ndarray
@@ -216,75 +220,29 @@ class FormMatrices:
     K2: np.ndarray
     K3: np.ndarray
     Bdry: np.ndarray
-    mesh: Mesh
-    bc_left: BoundaryCondition
-    bc_right: BoundaryCondition
-    coeffs: CoefficientSet
-    dof_nodes: np.ndarray = field(repr=False, default=None)
-    _lumped: np.ndarray = field(repr=False, default=None)
+    dof_nodes: np.ndarray
+    lumped_weights: np.ndarray
 
     @property
     def n_dof(self) -> int:
         return self.M.shape[0]
 
-    @property
-    def lumped_weights(self) -> np.ndarray:
-        """Trapezoid weights of the retained nodes (full-mesh row sums), real.
-
-        Computed before Dirichlet removal so interior nodes next to a
-        removed boundary node keep their full weight.
-        """
-        return self._lumped
-
     def total(self) -> np.ndarray:
         return self.K0 + self.K1 + self.K2 + self.K3 + self.Bdry
 
 
-@dataclass
-class DiscreteOperator:
-    """Operator matrix in L2-orthonormal coordinates plus provenance.
-
-    ``H = M^{-1/2} S M^{-1/2}`` with ``S`` the full form matrix.  Nodal
-    vectors ``f`` and orthonormal vectors ``u`` are related by
-    ``u = M^{1/2} f``; with the lumped mass ``M^{1/2}`` is the diagonal of
-    square-rooted trapezoid weights.
-    """
-
-    H: np.ndarray
-    forms: FormMatrices
-
-    @property
-    def n(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def mesh(self) -> Mesh:
-        return self.forms.mesh
-
-    @property
-    def dof_nodes(self) -> np.ndarray:
-        return self.forms.dof_nodes
-
-    def kernel_table(self, R_ortho: np.ndarray) -> np.ndarray:
-        """Two-point kernel samples of an operator given in orthonormal
-        coordinates, extended by zero onto removed Dirichlet nodes."""
-        w = self.forms.lumped_weights
-        winv = 1.0 / np.sqrt(w)
-        n_nodes = len(self.mesh.nodes)
-        table = np.zeros((n_nodes, n_nodes), dtype=complex)
-        idx = np.ix_(self.dof_nodes, self.dof_nodes)
-        table[idx] = winv[:, None] * R_ortho * winv[None, :]
-        return table
-
-
-def _dof_nodes(n_nodes: int, bc_left: BoundaryCondition,
-               bc_right: BoundaryCondition) -> np.ndarray:
-    keep = np.arange(n_nodes)
+def _retained_nodes(mesh: Mesh, bc_left: BoundaryCondition,
+                    bc_right: BoundaryCondition):
+    """Indices of the nodes no Dirichlet end removes, and their trapezoid
+    weights (full-mesh lumped-mass row sums)."""
+    weights = np.full(mesh.n_cells + 1, mesh.h)
+    weights[0] = weights[-1] = mesh.h / 2
+    keep = np.arange(mesh.n_cells + 1)
     if bc_left.is_dirichlet:
         keep = keep[1:]
     if bc_right.is_dirichlet:
         keep = keep[:-1]
-    return keep
+    return keep, weights[keep]
 
 
 def assemble_forms(mesh: Mesh, coeffs: CoefficientSet,
@@ -346,28 +304,25 @@ def assemble_forms(mesh: Mesh, coeffs: CoefficientSet,
     if not bc_right.is_dirichlet:
         Bdry[-1, -1] = -bc_right.cot()
 
-    keep = _dof_nodes(N, bc_left, bc_right)
+    keep, weights = _retained_nodes(mesh, bc_left, bc_right)
     sub = np.ix_(keep, keep)
-    lumped = np.full(N, h)
-    lumped[0] = lumped[-1] = h / 2
     return FormMatrices(M=M[sub], K0=K0[sub], K1=K1[sub], K2=K2[sub],
-                        K3=K3[sub], Bdry=Bdry[sub], mesh=mesh,
-                        bc_left=bc_left, bc_right=bc_right, coeffs=coeffs,
-                        dof_nodes=keep, _lumped=lumped[keep])
+                        K3=K3[sub], Bdry=Bdry[sub], dof_nodes=keep,
+                        lumped_weights=weights)
 
 
-def orthonormalize(forms: FormMatrices) -> DiscreteOperator:
-    """Turn assembled forms into the operator matrix ``M^{-1/2} S M^{-1/2}``.
+def orthonormalize(forms: FormMatrices) -> np.ndarray:
+    """The operator matrix ``H = M^{-1/2} S M^{-1/2}`` of assembled forms.
 
-    ``M`` is the lumped (diagonal row-sum) mass, which makes ``M^{-1/2}``
-    exact.
+    ``S`` is the full form matrix and ``M`` the lumped (diagonal row-sum)
+    mass, which makes ``M^{-1/2}`` exact.  Nodal vectors ``f`` and
+    orthonormal vectors ``u`` are related by ``u = M^{1/2} f``.
     """
     w = forms.lumped_weights
     if np.any(w <= 0):
         raise ValueError("lumped mass is not positive definite")
     winv = 1.0 / np.sqrt(w)
-    H = winv[:, None] * forms.total() * winv[None, :]
-    return DiscreteOperator(H=H, forms=forms)
+    return winv[:, None] * forms.total() * winv[None, :]
 
 
 def w12_norm_matrix(mesh: Mesh, bc_left: BoundaryCondition,

@@ -9,13 +9,14 @@ import numpy as np
 from scipy import special
 
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                       assemble_forms, build_mesh, orthonormalize)
+                       build_mesh)
 from .domains import thmA1_decay
 from .kato import (TwoStepResolvent, _InvSqrtShifted, build_factorization,
                    decay_profile)
 from .krein import (bessel_bound_check, bessel_k0_quad, krein_resolvent,
                     sqrt_kernel)
 from .matfun import resolvent, trace_det_check
+from .problems import Problem
 
 __all__ = ["TOL_KATO", "TOL_ORDER", "TOL_SLOPE", "TOL_PLATEAU", "TOL_SLACK",
            "TOL_TRACE", "TOL_K0", "two_step_errors", "krein_suite",
@@ -36,11 +37,11 @@ K0_POINTS = (0.3, 0.5, 1.0, 2.0, 2.5, 5.0, 6.0)
 TRACE_STEPS = (4e-3, 2e-3, 1e-3)
 
 
-def two_step_errors(direct, T0, coeffs, z_list) -> list[float]:
+def two_step_errors(prob: Problem, z_list) -> list[float]:
     """Relative Frobenius errors of the two-step composed resolvent against
-    the one-shot discretization ``direct``, one per shift."""
-    closure = TwoStepResolvent(T0, coeffs)
-    pairs = ((closure(z), resolvent(direct.H, z)) for z in z_list)
+    the one-shot discretization ``prob.H``, one per shift."""
+    closure = TwoStepResolvent(prob)
+    pairs = ((closure(z), resolvent(prob.H, z)) for z in z_list)
     return [float(np.linalg.norm(C - R) / np.linalg.norm(R)) for C, R in pairs]
 
 
@@ -60,8 +61,8 @@ def krein_suite(a: float, b: float, z: float, n_list, n: int, E: float,
         coeffs = CoefficientSet.from_callables(mesh, p=1.0)
 
         def kernel(left):
-            op = orthonormalize(assemble_forms(mesh, coeffs, left, dirichlet))
-            return op.kernel_table(resolvent(op.H, z))
+            prob = Problem(interval, mesh, coeffs, left, dirichlet)
+            return prob.kernel_table(resolvent(prob.H, z))
 
         dir_table = kernel(dirichlet)
         for label, th in KREIN_THETAS:
@@ -119,20 +120,21 @@ def trace_suite(seed: int) -> dict:
 def decay_profiles(prob, E_grid, **kwargs) -> dict:
     """``decay_profile`` of each factorization variant of ``prob``, all from
     one factorization of the base operator."""
-    halver = _InvSqrtShifted(prob.base_operator().H)
+    halver = _InvSqrtShifted(prob.base_operator())
     return {v: decay_profile(halver, build_factorization(
                 prob.mesh, prob.coeffs, prob.bc_left, prob.bc_right, v),
                 E_grid, **kwargs)
             for v in ("qr_pair", "s_pair", "full_triple")}
 
 
-def multiplier_decay(ref, cell_samples, E_grid) -> dict:
+def multiplier_decay(prob: Problem, cell_samples, E_grid) -> dict:
     """``thmA1_decay`` of a multiplier sampled per cell, averaged onto the
-    nodes of the reference operator ``ref``."""
-    nodal = np.zeros(len(ref.mesh.nodes))
+    retained nodes, against the reference operator of ``prob``."""
+    nodal = np.zeros(len(prob.mesh.nodes))
     nodal[:-1] += 0.5 * cell_samples
     nodal[1:] += 0.5 * cell_samples
-    return thmA1_decay(nodal[ref.dof_nodes], ref.H, E_grid)
+    return thmA1_decay(nodal[prob.forms.dof_nodes],
+                       prob.reference_operator(), E_grid)
 
 
 def decay_ok(profiles: dict, multiplier_slopes) -> bool:

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import csvio
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                       assemble_forms, build_mesh, orthonormalize,
-                       w12_norm_matrix)
+                       build_mesh, w12_norm_matrix)
 from .checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU, TOL_SLACK,
                      TOL_SLOPE, TOL_TRACE, decay_ok, decay_profiles,
                      krein_suite, multiplier_decay, trace_suite,
@@ -110,8 +109,12 @@ def load_config(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     cfg = _coerce(cfg)
-    if cfg["interval"] not in ("finite", "half_line", "full_line"):
-        raise ConfigError(f"unknown interval kind {cfg['interval']!r}")
+    try:
+        interval_from(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if cfg["E"] is not None and cfg["E"] <= 0:
+        raise ConfigError("E must be positive")
     if cfg["n"] < 2:
         raise ConfigError("n must be at least 2")
     if cfg["n_list"] is not None and (len(cfg["n_list"]) < 2
@@ -145,7 +148,7 @@ def coefficients_from(cfg: dict, mesh) -> CoefficientSet:
                               q=sampled(paths["q"], 0.0),
                               r=sampled(paths["r"], 0.0),
                               s=sampled(paths["s"], 0.0))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"coefficient file: {exc}") from exc
 
 
@@ -153,11 +156,8 @@ def problem_from(cfg: dict) -> Problem:
     interval = interval_from(cfg)
     mesh = build_mesh(interval, cfg["n"])
     coeffs = coefficients_from(cfg, mesh)
-    bl, br = parse_theta(cfg["theta_a"]), parse_theta(cfg["theta_b"])
-    forms = assemble_forms(mesh, coeffs, bl, br)
-    return Problem(name=cfg["problem"], interval=interval, mesh=mesh,
-                   coeffs=coeffs, bc_left=bl, bc_right=br, forms=forms,
-                   operator=orthonormalize(forms))
+    return Problem(interval, mesh, coeffs, parse_theta(cfg["theta_a"]),
+                   parse_theta(cfg["theta_b"]))
 
 
 def default_E_grid(cfg: dict, stop: float):
@@ -191,7 +191,7 @@ def cmd_assemble(cfg: dict, outdir: Path) -> int:
     forms = prob.forms
     for name, mat in (("M", forms.M), ("K0", forms.K0), ("K1", forms.K1),
                       ("K2", forms.K2), ("K3", forms.K3),
-                      ("Bdry", forms.Bdry), ("operator", prob.operator.H)):
+                      ("Bdry", forms.Bdry), ("operator", prob.H)):
         csvio.write_matrix(outdir / f"{name}.csv", mat)
     csvio.write_rows(outdir / "mesh.csv", "i,x",
                      [(str(i), csvio.fmt(x))
@@ -209,15 +209,14 @@ def cmd_assemble(cfg: dict, outdir: Path) -> int:
 def cmd_verify_kato(cfg: dict, outdir: Path) -> int:
     prob = problem_from(cfg)
     T0 = prob.base_operator()
-    direct = prob.operator
-    E0 = safe_shift(direct.H) + safe_shift(T0.H)
+    E0 = safe_shift(prob.H) + safe_shift(T0)
     z_list = [-(E0 + 10.0), -2 * (E0 + 10.0), -(E0 + 10.0) + 1j * (E0 + 10.0)]
 
     fact = build_factorization(prob.mesh, prob.coeffs, prob.bc_left,
                                prob.bc_right, "full_triple")
-    one_shot = verify_identity(direct, T0, fact, z_list)
+    one_shot = verify_identity(prob.H, T0, fact, z_list)
 
-    two_errs = two_step_errors(direct, T0, prob.coeffs, z_list)
+    two_errs = two_step_errors(prob, z_list)
 
     rows = [(csvio.fmt(r["z"].real), csvio.fmt(r["z"].imag), "full_triple",
              csvio.fmt(r["rel_error"])) for r in one_shot["records"]]
@@ -294,12 +293,11 @@ def cmd_decay_study(cfg: dict, outdir: Path) -> int:
         csvio.write_rows(outdir / f"decay_{variant}.csv",
                          "E,normK,normA,normB,integral_d9", rows)
 
-    ref = prob.reference_operator()
     phi_rows, phi_slopes = [], {}
     for name, cell_samples in (("abs_r", np.abs(prob.coeffs.r)),
                                ("abs_s", np.abs(prob.coeffs.s)),
                                ("sqrt_abs_q", np.sqrt(np.abs(prob.coeffs.q)))):
-        rec = multiplier_decay(ref, cell_samples, E_grid)
+        rec = multiplier_decay(prob, cell_samples, E_grid)
         phi_slopes[name] = rec["slope"]
         phi_rows += [(name, csvio.fmt(E), csvio.fmt(v))
                      for E, v in zip(rec["E"], rec["norms"])]
@@ -350,7 +348,7 @@ def cmd_kernel_dump(cfg: dict, outdir: Path) -> int:
 
 def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
     prob = problem_from(cfg)
-    H = prob.operator.H
+    H = prob.H
     rng = np.random.default_rng(cfg["seed"])
 
     consts = locunif_norms(prob.coeffs, prob.interval, prob.mesh)
@@ -402,7 +400,7 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
     T0 = prob.base_operator()
     fact = build_factorization(prob.mesh, prob.coeffs, prob.bc_left,
                                prob.bc_right, "full_triple")
-    E0 = safe_shift(T0.H) + 10.0
+    E0 = safe_shift(T0) + 10.0
     Knorms = kato_K_norms(T0, fact, [E0, 10 * E0, 100 * E0]).tolist()
     k_ok = all(a >= b for a, b in zip(Knorms, Knorms[1:]))
 
@@ -487,7 +485,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # unreadable --config
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(cfg["outdir"])

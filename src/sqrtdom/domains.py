@@ -3,8 +3,10 @@ the shift decay of multipliers against the inverse half power.
 
 Domain equality statements are rendered finitely as two-sided norm
 equivalence: the ratio ``kappa = max/min`` of ``||(H + E)^alpha f||`` against
-a reference norm.  ``_kappa_row`` builds the Gram matrices of the two norms
-for each kappa problem, and ``sqrt_domain_kappa`` maximizes the ratio exactly
+``||(H_ref + E)^alpha f||`` with ``H_ref`` the problem's self-adjoint
+reference operator; at alpha = 1/2 the reference norm is the E-scaled
+W^{1,2} norm.  ``_kappa_row`` builds the Gram matrices of the two norms for
+each kappa problem, and ``sqrt_domain_kappa`` maximizes the ratio exactly
 through their generalized Hermitian eigenproblem.  A problem passes when
 ``kappa`` stays bounded under mesh refinement; the upwind first-derivative
 operator is the negative control whose critical-power ratio keeps growing.
@@ -168,10 +170,9 @@ def _kappa_row(problem: str, n: int, E: float, alpha: float) -> dict:
     of the problem, compared by ``sqrt_domain_kappa``.
 
     The lions control's reference is its adjoint, whose power is the
-    power's adjoint.  Any other problem is referred at the critical power
-    to the E-scaled Sobolev Gram, taken from nodal to orthonormal
-    coordinates, and otherwise to the same power of its self-adjoint
-    reference operator.
+    power's adjoint.  Any other problem is referred to the same power of
+    its self-adjoint reference operator; at the critical power that Gram is
+    ``H_ref + E``, the E-scaled Sobolev Gram in orthonormal coordinates.
     """
     if problem == "lions":
         X = matrix_power(lions_operator(n) + E * np.eye(n), alpha)
@@ -179,12 +180,8 @@ def _kappa_row(problem: str, n: int, E: float, alpha: float) -> dict:
     elif problem in _KAPPA_FAMILIES:
         family, bc_left = _KAPPA_FAMILIES[problem]
         prob = make_problem(family, n=n, bc_left=bc_left)
-        P = _power_gram(prob.operator.H, E, alpha)
-        if alpha == 0.5:
-            winv = 1.0 / np.sqrt(prob.forms.lumped_weights)
-            Q = winv[:, None] * prob.sobolev_gram(E) * winv[None, :]
-        else:
-            Q = _power_gram(prob.reference_operator().H, E, alpha)
+        P = _power_gram(prob.H, E, alpha)
+        Q = _power_gram(prob.reference_operator(), E, alpha)
     else:
         raise ValueError(f"unknown kappa problem {problem!r}")
     return {"n": n, "E": float(E), "alpha": float(alpha),

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import (BoundaryCondition, CoefficientSet, DiscreteOperator,
-                       Mesh, _dof_nodes)
+from .assembly import (BoundaryCondition, CoefficientSet, Mesh,
+                       _retained_nodes)
 from .matfun import (ResolventError, _principal_sqrt, _require_off_cut,
                      is_hermitian, power_norms, power_start, resolvent,
                      spectral_norm)
+from .problems import Problem
 
 __all__ = [
     "FactoredPerturbation",
@@ -64,10 +65,7 @@ def _sampling_blocks(mesh: Mesh, bc_left: BoundaryCondition,
     n = mesh.n_cells
     h = mesh.h
     N = n + 1
-    keep = _dof_nodes(N, bc_left, bc_right)
-    w = np.full(N, h)
-    w[0] = w[-1] = h / 2
-    wk = w[keep]
+    keep, wk = _retained_nodes(mesh, bc_left, bc_right)
 
     V = np.zeros((n, N))
     G = np.zeros((n, N))
@@ -140,19 +138,18 @@ def build_factorization(mesh: Mesh, coeffs: CoefficientSet,
     return FactoredPerturbation(A=A, B=B)
 
 
-def kato_K(T0: DiscreteOperator, fact: FactoredPerturbation,
+def kato_K(H0: np.ndarray, fact: FactoredPerturbation,
            z: complex) -> np.ndarray:
-    """The compressed resolvent ``K(z) = -A (T0 - z)^{-1} B^H``."""
-    n = T0.n
-    X = np.linalg.solve(T0.H - z * np.eye(n), fact.B.conj().T)
+    """The compressed resolvent ``K(z) = -A (H0 - z)^{-1} B^H``."""
+    X = np.linalg.solve(H0 - z * np.eye(H0.shape[0]), fact.B.conj().T)
     return -fact.A @ X
 
 
-def kato_K_norms(T0: DiscreteOperator, fact: FactoredPerturbation,
+def kato_K_norms(H0: np.ndarray, fact: FactoredPerturbation,
                  E_list) -> np.ndarray:
-    """``||K(-E)||`` for each shift ``E``, from one factorization of ``T0``
+    """``||K(-E)||`` for each shift ``E``, from one factorization of ``H0``
     and without forming ``K``; ``decay_profile`` computes it the same way."""
-    halver = _InvSqrtShifted(T0.H)
+    halver = _InvSqrtShifted(H0)
     return halver.inverse_norms(E_list, halver.gram(fact.A),
                                 halver.gram(fact.B))
 
@@ -184,15 +181,15 @@ def _woodbury(R: np.ndarray, fact: FactoredPerturbation, z: complex,
     return R - RB @ inv_ImK @ (fact.A @ R)
 
 
-def perturbed_resolvent(T0: DiscreteOperator, fact: FactoredPerturbation,
+def perturbed_resolvent(H0: np.ndarray, fact: FactoredPerturbation,
                         z: complex) -> np.ndarray:
-    """Resolvent of the perturbed operator through the factored identity."""
-    return _woodbury(resolvent(T0.H, z), fact, z, "")
+    """Resolvent of ``H0 + B^H A`` through the factored identity."""
+    return _woodbury(resolvent(H0, z), fact, z, "")
 
 
-def verify_identity(direct: DiscreteOperator, T0: DiscreteOperator,
+def verify_identity(H: np.ndarray, H0: np.ndarray,
                     fact: FactoredPerturbation, z_list) -> dict:
-    """Compare the factored resolvent against the one-shot discretization.
+    """Compare the factored resolvent of ``H0 + B^H A`` against ``H``.
 
     Returns the maximum relative error over admissible shifts plus per-shift
     records; inadmissible points are excluded and reported.
@@ -202,11 +199,11 @@ def verify_identity(direct: DiscreteOperator, T0: DiscreteOperator,
     for z in z_list:
         z = complex(z)
         try:
-            R_fact = perturbed_resolvent(T0, fact, z)
+            R_fact = perturbed_resolvent(H0, fact, z)
         except AdmissibilityError:
             excluded.append(z)
             continue
-        R_direct = resolvent(direct.H, z)
+        R_direct = resolvent(H, z)
         err = (np.linalg.norm(R_fact - R_direct)
                / np.linalg.norm(R_direct))
         records.append({"z": z, "rel_error": float(err)})
@@ -216,24 +213,22 @@ def verify_identity(direct: DiscreteOperator, T0: DiscreteOperator,
 
 
 class TwoStepResolvent:
-    """Composed resolvent: first adjoin the r/q terms, then the s term.
+    """Composed resolvent: from the base operator of ``prob``, first adjoin
+    the r/q terms, then the s term; matches ``prob.H`` stage by stage."""
 
-    Matches the one-shot discretization stage by stage.
-    """
-
-    def __init__(self, T0: DiscreteOperator, coeffs: CoefficientSet):
-        mesh = T0.mesh
-        bl, br = T0.forms.bc_left, T0.forms.bc_right
+    def __init__(self, prob: Problem):
+        mesh, coeffs, bl, br = (prob.mesh, prob.coeffs, prob.bc_left,
+                                prob.bc_right)
         stage1 = CoefficientSet(p=coeffs.p, q=coeffs.q, r=coeffs.r,
                                 s=np.zeros_like(coeffs.s))
-        self.T0 = T0
+        self.H0 = prob.base_operator()
         self.fact_qr = build_factorization(mesh, stage1, bl, br, "qr_pair")
         self.fact_s = build_factorization(mesh, coeffs, bl, br, "s_pair")
 
     def __call__(self, z: complex) -> np.ndarray:
         z = complex(z)
         try:
-            R1 = perturbed_resolvent(self.T0, self.fact_qr, z)
+            R1 = perturbed_resolvent(self.H0, self.fact_qr, z)
         except AdmissibilityError as exc:
             raise AdmissibilityError(f"stage 1 (r, q) inadmissible at z = {z}") from exc
         return _woodbury(R1, self.fact_s, z, "stage 2 (s):")
@@ -363,13 +358,12 @@ class _InvSqrtShifted:
         return self._run(shifts, -1.0, start, inner=A[1], outer=WB)
 
 
-def decay_profile(T0: DiscreteOperator | _InvSqrtShifted,
-                  fact: FactoredPerturbation, E_list,
-                  d9_points: int = 25) -> dict:
+def decay_profile(halver: _InvSqrtShifted, fact: FactoredPerturbation,
+                  E_list, d9_points: int = 25) -> dict:
     """Shift-decay diagnostics of the factored pieces over a geometric grid.
 
-    ``T0`` is the base operator or, to share one factorization among
-    several factor pairs, its ``_InvSqrtShifted(T0.H)``.
+    ``halver`` is ``_InvSqrtShifted(T0)`` of the base operator ``T0``, one
+    factorization that the factor pairs of a study share.
 
     For each E the profile records ``||K(-E)||``, the two half-power norms
     ``||A (T0+E)^{-1/2}||`` and ``||(T0+E)^{-1/2} B^H||``, and a truncated
@@ -381,8 +375,6 @@ def decay_profile(T0: DiscreteOperator | _InvSqrtShifted,
     E_arr = np.asarray(list(E_list), dtype=float)
     if np.any(np.diff(E_arr) <= 0) or np.any(E_arr <= 0):
         raise ValueError("E grid must be positive and increasing")
-    halver = (T0 if isinstance(T0, _InvSqrtShifted)
-              else _InvSqrtShifted(T0.H))
     lam_grid = np.geomspace(1.0, 1e6, d9_points)
     # row i holds the shifts E_i and lam + E_i for lam on the grid
     shifts = E_arr[:, None] + np.concatenate(([0.0], lam_grid))[None, :]

@@ -117,11 +117,11 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
     return R
 
 
-def _require_off_cut(evals: np.ndarray, tol: float = 1e-12) -> None:
+def _require_off_cut(evals: np.ndarray) -> None:
     """Raise ``SpectrumOnCutError`` if any of ``evals`` lies on (-inf, 0]."""
     evals = np.asarray(evals)
-    scale = np.abs(evals) + 1.0
-    on_cut = (evals.real <= tol * scale) & (np.abs(evals.imag) <= tol * scale)
+    tol = 1e-12 * (np.abs(evals) + 1.0)
+    on_cut = (evals.real <= tol) & (np.abs(evals.imag) <= tol)
     if np.any(on_cut):
         raise SpectrumOnCutError(
             f"eigenvalue(s) on (-inf, 0]: {evals[on_cut][:3]}")
@@ -242,7 +242,7 @@ def _log_sym_det(A: np.ndarray, A0: np.ndarray, z: complex) -> complex:
 
 
 def trace_det_check(A: np.ndarray, A0: np.ndarray, z: complex,
-                    h: float = 1e-5) -> float:
+                    h: float) -> float:
     """Residual of the determinant/trace derivative identity at ``z``.
 
     Approximates ``-d/dz log det((A-z)^{1/2} (A0-z)^{-1} (A-z)^{1/2})`` by a

@@ -1,19 +1,22 @@
-"""Named coefficient families and ready-made operator setups.
+"""Named coefficient families and the record of one assembled operator.
 
 The families exercise the admissible coefficient classes: bounded complex
 constants, sign-changing sawtooth profiles, and locally integrable spikes
-whose singularity is truncated at grid scale.
+whose singularity is truncated at grid scale.  A ``Problem`` holds its five
+inputs (interval, mesh, coefficients, two boundary conditions) and builds
+its form matrices and operator matrix from them, so the three cannot
+disagree; the base and reference operators it derives are matrices too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (BoundaryCondition, CoefficientSet, DiscreteOperator,
-                       FormMatrices, IntervalSpec, Mesh, assemble_forms,
-                       build_mesh, orthonormalize, w12_norm_matrix)
+from .assembly import (BoundaryCondition, CoefficientSet, FormMatrices,
+                       IntervalSpec, Mesh, assemble_forms, build_mesh,
+                       orthonormalize)
 
 __all__ = [
     "FAMILY_NAMES",
@@ -82,20 +85,26 @@ def build_coefficients(name: str, mesh: Mesh) -> CoefficientSet:
                      f"choose one of {FAMILY_NAMES}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
-    """One assembled instance: mesh, coefficients and both operator forms."""
+    """One assembled operator: its inputs, form matrices ``forms`` and
+    matrix ``H = M^{-1/2} S M^{-1/2}`` in L2-orthonormal coordinates."""
 
-    name: str
     interval: IntervalSpec
     mesh: Mesh
     coeffs: CoefficientSet
     bc_left: BoundaryCondition
     bc_right: BoundaryCondition
-    forms: FormMatrices
-    operator: DiscreteOperator
+    forms: FormMatrices = field(init=False, repr=False)
+    H: np.ndarray = field(init=False, repr=False)
 
-    def base_operator(self) -> DiscreteOperator:
+    def __post_init__(self):
+        forms = assemble_forms(self.mesh, self.coeffs, self.bc_left,
+                               self.bc_right)
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "H", orthonormalize(forms))
+
+    def base_operator(self) -> np.ndarray:
         """Same second-order part and boundary conditions, no lower-order terms."""
         base = CoefficientSet(p=self.coeffs.p, q=np.zeros_like(self.coeffs.q),
                               r=np.zeros_like(self.coeffs.r),
@@ -103,7 +112,7 @@ class Problem:
         return orthonormalize(assemble_forms(self.mesh, base, self.bc_left,
                                              self.bc_right))
 
-    def reference_operator(self) -> DiscreteOperator:
+    def reference_operator(self) -> np.ndarray:
         """Self-adjoint unit-diffusion reference with the same form domain.
 
         Non-Dirichlet ends become Neumann: the form domain only sees whether
@@ -116,8 +125,15 @@ class Problem:
               else BoundaryCondition.neumann())
         return orthonormalize(assemble_forms(self.mesh, ref, bl, br))
 
-    def sobolev_gram(self, E: float) -> np.ndarray:
-        return w12_norm_matrix(self.mesh, self.bc_left, self.bc_right, E)
+    def kernel_table(self, R_ortho: np.ndarray) -> np.ndarray:
+        """Two-point kernel samples of an operator given in orthonormal
+        coordinates, extended by zero onto removed Dirichlet nodes."""
+        winv = 1.0 / np.sqrt(self.forms.lumped_weights)
+        n_nodes = len(self.mesh.nodes)
+        table = np.zeros((n_nodes, n_nodes), dtype=complex)
+        idx = np.ix_(self.forms.dof_nodes, self.forms.dof_nodes)
+        table[idx] = winv[:, None] * R_ortho * winv[None, :]
+        return table
 
 
 def make_problem(family: str, interval: IntervalSpec | None = None,
@@ -131,13 +147,10 @@ def make_problem(family: str, interval: IntervalSpec | None = None,
     """
     interval = interval or IntervalSpec()
     mesh = build_mesh(interval, n)
-    coeffs = build_coefficients(family, mesh)
-    bl = bc_left if bc_left is not None else BoundaryCondition.dirichlet()
-    br = bc_right if bc_right is not None else BoundaryCondition.dirichlet()
-    forms = assemble_forms(mesh, coeffs, bl, br)
-    return Problem(name=family, interval=interval, mesh=mesh, coeffs=coeffs,
-                   bc_left=bl, bc_right=br, forms=forms,
-                   operator=orthonormalize(forms))
+    dirichlet = BoundaryCondition.dirichlet()
+    return Problem(interval, mesh, build_coefficients(family, mesh),
+                   bc_left if bc_left is not None else dirichlet,
+                   bc_right if bc_right is not None else dirichlet)
 
 
 def lions_operator(n: int) -> np.ndarray:

@@ -32,9 +32,9 @@ class SectorReport:
     gamma: float
     theta: float
     accretive: bool
-    points: np.ndarray = field(repr=False, default=None)
-    angles: np.ndarray = field(repr=False, default=None)
-    boundary: np.ndarray = field(repr=False, default=None)
+    points: np.ndarray = field(repr=False)
+    angles: np.ndarray = field(repr=False)
+    boundary: np.ndarray = field(repr=False)
 
 
 def _hermitian_part(H: np.ndarray) -> np.ndarray:

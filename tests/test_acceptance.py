@@ -47,7 +47,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def admissible_grid(direct, T0):
-    E = safe_shift(direct.H) + safe_shift(T0.H) + 20.0
+    E = safe_shift(direct) + safe_shift(T0) + 20.0
     return [-E, -2.0 * E, -E * (1.0 + 1.0j)]
 
 
@@ -76,8 +76,7 @@ def test_criterion_1_kato_identity_oracle(kato_runs):
         T0 = prob.base_operator()
         fact = build_factorization(prob.mesh, prob.coeffs, prob.bc_left,
                                    prob.bc_right, "full_triple")
-        rep = verify_identity(prob.operator, T0, fact,
-                              admissible_grid(prob.operator, T0))
+        rep = verify_identity(prob.H, T0, fact, admissible_grid(prob.H, T0))
         worst = max(worst, rep["max_rel_error"])
         n_excluded += len(rep["excluded"])
     elapsed = time.perf_counter() - t0
@@ -91,8 +90,8 @@ def test_criterion_2_two_step_composition(kato_runs):
     worst = 0.0
     for prob in kato_runs:
         T0 = prob.base_operator()
-        worst = max(worst, *two_step_errors(prob.operator, T0, prob.coeffs,
-                                            admissible_grid(prob.operator, T0)))
+        worst = max(worst, *two_step_errors(prob,
+                                            admissible_grid(prob.H, T0)))
     ok = worst <= TOL_KATO
     report(2, ok, f"two-step composition: max rel err {worst:.3e} "
                   f"(tol {TOL_KATO:g})")
@@ -188,13 +187,12 @@ def test_criterion_6_decay_suite():
     profiles = decay_profiles(prob, E_grid, d9_points=4)
 
     # |r| = |s| = |q|^{1/2} = 1 for this family: one multiplier covers all
-    slope_phi = multiplier_decay(prob.reference_operator(),
-                                 np.abs(prob.coeffs.r), E_grid)["slope"]
+    slope_phi = multiplier_decay(prob, np.abs(prob.coeffs.r),
+                                 E_grid)["slope"]
 
     spike = make_problem("spike", IntervalSpec("finite", 0.0, 1.0), n=800,
                          bc_left=DIR, bc_right=DIR)
-    slope_spike = multiplier_decay(spike.reference_operator(),
-                                   np.sqrt(np.abs(spike.coeffs.q)),
+    slope_spike = multiplier_decay(spike, np.sqrt(np.abs(spike.coeffs.q)),
                                    E_grid)["slope"]
 
     qr, s = profiles["qr_pair"], profiles["s_pair"]

@@ -107,7 +107,7 @@ class TestOrthonormalize:
         # classical tridiagonal spectrum (4/h^2) sin^2(k h / 2) on (0, pi)
         n = 24
         mesh = build_mesh(IntervalSpec("finite", 0.0, np.pi), n)
-        H = orthonormalize(assemble_forms(mesh, coeffs_for(mesh), DIR, DIR)).H
+        H = orthonormalize(assemble_forms(mesh, coeffs_for(mesh), DIR, DIR))
         got = np.sort(np.linalg.eigvalsh(H.real))
         h = mesh.h
         expected = np.sort(4 / h**2 * np.sin(np.arange(1, n) * h / 2) ** 2)
@@ -117,14 +117,14 @@ class TestOrthonormalize:
         mesh = build_mesh(IntervalSpec(), 12)
         th = BoundaryCondition(0.7)
         forms = assemble_forms(mesh, coeffs_for(mesh, p=2.0), th, NEU)
-        H = orthonormalize(forms).H
+        H = orthonormalize(forms)
         np.testing.assert_allclose(H, H.conj().T, atol=1e-14)
 
     def test_complex_diffusion_sector(self):
         # constant p: numerical range slope is exactly Im(p)/Re(p) <= max|p|/lam
         mesh = build_mesh(IntervalSpec(), 32)
         coeffs = coeffs_for(mesh, p=1 + 0.5j)
-        H = orthonormalize(assemble_forms(mesh, coeffs, DIR, DIR)).H
+        H = orthonormalize(assemble_forms(mesh, coeffs, DIR, DIR))
         bound = np.abs(coeffs.p).max() / coeffs.lam
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -141,9 +141,9 @@ class TestOrthonormalize:
         adjoint = CoefficientSet(p=coeffs.p.conj(), q=coeffs.q.conj(),
                                  r=coeffs.s.conj(), s=coeffs.r.conj())
         H = orthonormalize(assemble_forms(
-            mesh, coeffs, BoundaryCondition(th), DIR)).H
+            mesh, coeffs, BoundaryCondition(th), DIR))
         Hadj = orthonormalize(assemble_forms(
-            mesh, adjoint, BoundaryCondition(np.conj(th)), DIR)).H
+            mesh, adjoint, BoundaryCondition(np.conj(th)), DIR))
         np.testing.assert_allclose(Hadj, H.conj().T, atol=1e-13)
 
     def test_hermitian_reduction_s_equals_r(self):
@@ -151,15 +151,15 @@ class TestOrthonormalize:
         mesh = build_mesh(IntervalSpec(), 20)
         r = lambda x: np.cos(2 * x)
         coeffs = coeffs_for(mesh, p=1.5, q=lambda x: x, r=r, s=r)
-        H = orthonormalize(assemble_forms(mesh, coeffs, NEU, DIR)).H
+        H = orthonormalize(assemble_forms(mesh, coeffs, NEU, DIR))
         np.testing.assert_allclose(H, H.conj().T, atol=1e-13)
 
     def test_dirichlet_monotonicity(self):
         # removing a boundary DOF can only raise the real-part lower bound
         mesh = build_mesh(IntervalSpec(), 16)
         coeffs = coeffs_for(mesh, p=1 + 0.3j, q=lambda x: np.sin(7 * x))
-        H_neu = orthonormalize(assemble_forms(mesh, coeffs, NEU, NEU)).H
-        H_dir = orthonormalize(assemble_forms(mesh, coeffs, DIR, NEU)).H
+        H_neu = orthonormalize(assemble_forms(mesh, coeffs, NEU, NEU))
+        H_dir = orthonormalize(assemble_forms(mesh, coeffs, DIR, NEU))
         lo = lambda A: np.linalg.eigvalsh(0.5 * (A + A.conj().T))[0]
         assert lo(H_dir) >= lo(H_neu) - 1e-12
 

@@ -38,11 +38,21 @@ class TestConfig:
         assert code == 2
 
     def test_bad_value_is_config_error(self, tmp_path):
-        # refinement studies need two levels; one used to fail as a check
-        for i, args in enumerate(("assemble --n 1", "verify-krein --n-list 64",
-                                  "verify-krein --n-list 1,64",
-                                  "kappa-study --problem complex_p --n-list 64")):
-            assert run(tmp_path, str(i), *args.split())[0] == 2
+        # refinement studies need two levels; one used to fail as a check.
+        # Missing files, a bad interval and E <= 0 used to exit 1, crash or,
+        # for kernel-dump, run at E = 25
+        missing = tmp_path / "missing"
+        for i, args in enumerate((
+                "assemble --n 1", "verify-krein --n-list 64",
+                "verify-krein --n-list 1,64",
+                "kappa-study --problem complex_p --n-list 64",
+                f"assemble --config {missing}.cfg",
+                f"assemble --n 8 --coeff-q {missing}.csv",
+                "assemble --a 1 --b 0 --n 8",
+                "assemble --interval half_line --radius -1 --n 8",
+                "kappa-study --problem baseline --E -3 --n-list 8,16",
+                "kernel-dump --E 0 --n 16")):
+            assert run(tmp_path, str(i), *args.split())[0] == 2, args
 
     def test_coarse_ladder_runs_the_lions_control(self, tmp_path):
         # n >= 2 is the only mesh floor: the lions control, run for itself
@@ -127,7 +137,7 @@ class TestVerifyCommands:
             [*args, "--outdir", str(out)]))
         manifest = dict(line.split(" = ", 1) for line in
                         (out / "manifest.txt").read_text().splitlines())
-        H = problem_from(cfg).operator.H
+        H = problem_from(cfg).H
         Hs = H + float(manifest["accretive_shift"]) * np.eye(H.shape[0])
         rows = (out / "positive_type.csv").read_text().splitlines()
         assert rows[0] == "t,ratio" and len(rows) == 18

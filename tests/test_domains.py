@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from sqrtdom import domains, matfun
-from sqrtdom.assembly import BoundaryCondition
+from sqrtdom.assembly import BoundaryCondition, w12_norm_matrix
 from sqrtdom.domains import (_kappa_row, _power_gram, matrix_power,
                              refinement_study, sqrt_domain_kappa, thmA1_decay)
 from sqrtdom.matfun import (QuadratureSpec, SpectrumOnCutError,
@@ -14,7 +14,7 @@ from sqrtdom.problems import lions_operator, make_problem
 def robin_complex(n):
     """The shifted operator of the robin_complex kappa problem."""
     prob = make_problem("mixed_sign", n=n, bc_left=BoundaryCondition(1 + 0.5j))
-    return prob.operator.H + np.eye(prob.operator.H.shape[0])
+    return prob.H + np.eye(prob.H.shape[0])
 
 
 class TestMatrixPower:
@@ -67,7 +67,7 @@ class TestMatrixPower:
 
     def test_dense_half_power_matches_denman_beavers(self):
         prob = make_problem("complex_constant", n=48)
-        H = prob.operator.H + np.eye(prob.operator.H.shape[0])
+        H = prob.H + np.eye(prob.H.shape[0])
         Y = sqrt_db(H)
         assert np.linalg.norm(matrix_power(H, 0.5) - Y) \
             <= 1e-12 * np.linalg.norm(Y)
@@ -93,7 +93,7 @@ class TestMatrixPower:
 
     def test_dense_path_matches_quadrature(self):
         prob = make_problem("complex_constant", n=24)
-        H = prob.operator.H + np.eye(prob.operator.H.shape[0])
+        H = prob.H + np.eye(prob.H.shape[0])
         X = matrix_power(H, 0.3)
         Xq = frac_power_quad(H, 0.3, QuadratureSpec(panels=16))
         assert np.linalg.norm(X - Xq) <= 1e-8 * np.linalg.norm(Xq)
@@ -105,17 +105,35 @@ class TestSqrtDomainKappa:
         assert abs(row["kappa"] - 1.0) <= 1e-12
         assert abs(row["min_ratio"] - 1.0) <= 1e-12
 
+    def test_critical_reference_gram_is_w12_gram(self):
+        # at the critical power the reference Gram H_ref + E is the E-scaled
+        # Sobolev Gram taken to orthonormal coordinates, whatever the left end
+        for theta in (0.0, np.pi / 2, 1 + 0.5j):
+            prob = make_problem("mixed_sign", n=64,
+                                bc_left=BoundaryCondition(theta))
+            H_ref = prob.reference_operator()
+            winv = 1.0 / np.sqrt(prob.forms.lumped_weights)
+            for E in (0.3, 1.0, 1e3):
+                G = w12_norm_matrix(prob.mesh, prob.bc_left, prob.bc_right, E)
+                Q = H_ref + E * np.eye(H_ref.shape[0])
+                assert np.array_equal(_power_gram(H_ref, E, 0.5), Q)
+                assert np.linalg.norm(winv[:, None] * G * winv[None, :] - Q) \
+                    <= 1e-14 * np.linalg.norm(Q)
+        # both Grams of the self-adjoint baseline are now the same matrix
+        assert _kappa_row("baseline", 100, 0.3, 0.5)["kappa"] == 1.0
+
     def test_identical_reference_any_alpha(self):
         prob = make_problem("complex_constant", n=24)
-        P = _power_gram(prob.operator.H, 2.0, 0.375)
+        P = _power_gram(prob.H, 2.0, 0.375)
         row = sqrt_domain_kappa(P, P)
         assert abs(row["kappa"] - 1.0) <= 1e-9
 
     def test_extremal_pair_dominates_samples(self):
         prob = make_problem("complex_constant", n=40)
-        P = _power_gram(prob.operator.H, 1.0, 0.5)
+        P = _power_gram(prob.H, 1.0, 0.5)
         winv = 1.0 / np.sqrt(prob.forms.lumped_weights)
-        Q = winv[:, None] * prob.sobolev_gram(1.0) * winv[None, :]
+        G = w12_norm_matrix(prob.mesh, prob.bc_left, prob.bc_right, 1.0)
+        Q = winv[:, None] * G * winv[None, :]
         row = sqrt_domain_kappa(P, Q)
         rng = np.random.default_rng(0)
         u = (rng.standard_normal((200, P.shape[0]))
@@ -179,7 +197,7 @@ class TestRefinementStudy:
 class TestThmA1Decay:
     def test_constant_multiplier_closed_form(self):
         prob = make_problem("free", n=64)
-        L = prob.operator.H
+        L = prob.H
         lam_min = np.linalg.eigvalsh(L.real)[0]
         c = 3.0
         E_grid = np.geomspace(1e2, 1e6, 9)
@@ -196,7 +214,7 @@ class TestThmA1Decay:
 
     def test_zero_multiplier(self):
         prob = make_problem("free", n=32)
-        rec = thmA1_decay(np.zeros(31), prob.operator.H, [10.0, 100.0])
+        rec = thmA1_decay(np.zeros(31), prob.H, [10.0, 100.0])
         assert np.all(rec["norms"] == 0.0)
 
     def test_spike_multiplier_decays(self):
@@ -206,7 +224,7 @@ class TestThmA1Decay:
         nodal = np.zeros(129)
         nodal[:-1] += 0.5 * phi
         nodal[1:] += 0.5 * phi
-        ref = prob.reference_operator()
-        rec = thmA1_decay(nodal[ref.dof_nodes], ref.H,
+        rec = thmA1_decay(nodal[prob.forms.dof_nodes],
+                          prob.reference_operator(),
                           np.geomspace(1e2, 1e6, 9))
         assert rec["slope"] <= -0.2

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                              assemble_forms, build_mesh, orthonormalize)
+                              assemble_forms, build_mesh)
 from sqrtdom import kato
 from sqrtdom.checks import decay_profiles
 from sqrtdom.kato import (AdmissibilityError, TwoStepResolvent,
@@ -21,11 +21,11 @@ NEU = BoundaryCondition.neumann()
 def setup_pair(family="constant_qrs", n=40, interval=None, bl=DIR, br=DIR):
     """(direct operator, base operator, coeffs, mesh) for one family."""
     prob = make_problem(family, interval=interval, n=n, bc_left=bl, bc_right=br)
-    return prob.operator, prob.base_operator(), prob.coeffs, prob.mesh
+    return prob.H, prob.base_operator(), prob.coeffs, prob.mesh
 
 
-def ortho_perturbation(prob_forms, T0):
-    w = T0.forms.lumped_weights
+def ortho_perturbation(prob_forms):
+    w = prob_forms.lumped_weights
     winv = 1.0 / np.sqrt(w)
     S = prob_forms.K1 + prob_forms.K2 + prob_forms.K3
     return winv[:, None] * S * winv[None, :]
@@ -43,10 +43,9 @@ class TestBuildFactorization:
         mesh = build_mesh(IntervalSpec(), 16)
         coeffs = CoefficientSet.from_callables(mesh, s=2.0 - 1.0j)
         forms = assemble_forms(mesh, coeffs, DIR, NEU)
-        T0 = orthonormalize(forms)
         fact = build_factorization(mesh, coeffs, DIR, NEU, "s_pair")
         np.testing.assert_allclose(fact.product(),
-                                   ortho_perturbation(forms, T0), atol=1e-14)
+                                   ortho_perturbation(forms), atol=1e-14)
 
     def test_unit_potential_gives_identity_block(self):
         # q = 1: the factored product is the orthonormalized lumped potential,
@@ -62,9 +61,8 @@ class TestBuildFactorization:
         mesh = build_mesh(IntervalSpec(), 32)
         coeffs = build_coefficients(family, mesh)
         forms = assemble_forms(mesh, coeffs, DIR, DIR)
-        T0 = orthonormalize(forms)
         fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
-        pert = ortho_perturbation(forms, T0)
+        pert = ortho_perturbation(forms)
         np.testing.assert_allclose(fact.product(), pert,
                                    atol=1e-13 * max(1, np.abs(pert).max()))
 
@@ -83,17 +81,9 @@ class TestKatoK:
         np.testing.assert_allclose(kato_K(T0, fact, -1.0), 0.0, atol=1e-15)
 
     def test_scalar_toy(self):
-        from sqrtdom.assembly import DiscreteOperator, FormMatrices, Mesh
-
         # hand-built 1x1 operator: T0 = [1], A = B = [1], z = 0 -> K = -1
-        mesh = Mesh(nodes=np.array([0.0, 0.5, 1.0]))
         one = np.eye(1, dtype=complex)
-        forms = FormMatrices(M=one, K0=one, K1=0 * one, K2=0 * one,
-                             K3=0 * one, Bdry=0 * one, mesh=mesh,
-                             bc_left=DIR, bc_right=DIR,
-                             coeffs=CoefficientSet.from_callables(mesh),
-                             dof_nodes=np.array([1]), _lumped=np.array([1.0]))
-        T0 = DiscreteOperator(H=one.copy(), forms=forms)
+        T0 = one.copy()
         from sqrtdom.kato import FactoredPerturbation
 
         fact = FactoredPerturbation(A=one.copy(), B=one.copy())
@@ -114,7 +104,7 @@ class TestPerturbedResolvent:
         direct, T0, coeffs, mesh = setup_pair("free", n=12)
         fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
         np.testing.assert_allclose(perturbed_resolvent(T0, fact, -2.0),
-                                   resolvent(T0.H, -2.0), atol=1e-13)
+                                   resolvent(T0, -2.0), atol=1e-13)
 
     @pytest.mark.parametrize("family,bl,br", [
         ("constant_qrs", DIR, DIR),
@@ -126,7 +116,7 @@ class TestPerturbedResolvent:
     def test_matches_direct_assembly(self, family, bl, br):
         direct, T0, coeffs, mesh = setup_pair(family, n=40, bl=bl, br=br)
         fact = build_factorization(mesh, coeffs, bl, br, "full_triple")
-        E = safe_shift(direct.H) + safe_shift(T0.H) + 20.0
+        E = safe_shift(direct) + safe_shift(T0) + 20.0
         report = verify_identity(direct, T0, fact,
                                  [-E, -2 * E, -E + 1j * E])
         assert not report["excluded"]
@@ -145,7 +135,7 @@ class TestPerturbedResolvent:
         direct, T0, coeffs, mesh = setup_pair("constant_qrs", n=20)
         fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
         # an eigenvalue of the perturbed operator is not admissible
-        lam = np.linalg.eigvals(direct.H)
+        lam = np.linalg.eigvals(direct)
         z = lam[np.argmin(np.abs(lam))]
         with pytest.raises((AdmissibilityError, np.linalg.LinAlgError)):
             perturbed_resolvent(T0, fact, complex(z))
@@ -153,37 +143,41 @@ class TestPerturbedResolvent:
 
 class TestTwoStep:
     def test_zero_s_second_stage_is_identity(self):
-        direct, T0, coeffs, mesh = setup_pair("free", n=15)
-        closure = TwoStepResolvent(T0, coeffs)
+        prob = make_problem("free", n=15)
+        closure = TwoStepResolvent(prob)
+        T0 = prob.base_operator()
         z = -3.0
-        np.testing.assert_allclose(closure(z), resolvent(T0.H, z), atol=1e-12)
+        np.testing.assert_allclose(closure(z), resolvent(T0, z), atol=1e-12)
 
     @pytest.mark.parametrize("family", ["constant_qrs", "complex_constant",
                                         "sawtooth"])
     def test_matches_one_shot_assembly(self, family):
-        direct, T0, coeffs, mesh = setup_pair(family, n=40)
-        closure = TwoStepResolvent(T0, coeffs)
-        E = safe_shift(direct.H) + 30.0
-        R_direct = resolvent(direct.H, -E)
+        prob = make_problem(family, n=40)
+        direct = prob.H
+        closure = TwoStepResolvent(prob)
+        E = safe_shift(direct) + 30.0
+        R_direct = resolvent(direct, -E)
         err = np.linalg.norm(closure(-E) - R_direct) / np.linalg.norm(R_direct)
         assert err <= 1e-9
 
     def test_half_line_variant(self):
         iv = IntervalSpec("half_line", a=0.0, truncation_radius=8.0)
-        direct, T0, coeffs, mesh = setup_pair("mixed_sign", n=64, interval=iv,
-                                              bl=NEU, br=DIR)
-        closure = TwoStepResolvent(T0, coeffs)
-        E = safe_shift(direct.H) + 25.0
-        R_direct = resolvent(direct.H, -E)
+        prob = make_problem("mixed_sign", interval=iv, n=64, bc_left=NEU,
+                            bc_right=DIR)
+        direct = prob.H
+        closure = TwoStepResolvent(prob)
+        E = safe_shift(direct) + 25.0
+        R_direct = resolvent(direct, -E)
         err = np.linalg.norm(closure(-E) - R_direct) / np.linalg.norm(R_direct)
         assert err <= 1e-9
 
     def test_full_line_variant(self):
         iv = IntervalSpec("full_line", truncation_radius=6.0)
-        direct, T0, coeffs, mesh = setup_pair("spike", n=64, interval=iv)
-        closure = TwoStepResolvent(T0, coeffs)
-        E = safe_shift(direct.H) + 25.0
-        R_direct = resolvent(direct.H, -E)
+        prob = make_problem("spike", interval=iv, n=64)
+        direct = prob.H
+        closure = TwoStepResolvent(prob)
+        E = safe_shift(direct) + 25.0
+        R_direct = resolvent(direct, -E)
         err = np.linalg.norm(closure(-E) - R_direct) / np.linalg.norm(R_direct)
         assert err <= 1e-9
 
@@ -192,29 +186,31 @@ class TestDecayProfile:
     def test_zero_factorization_all_zero(self):
         direct, T0, coeffs, mesh = setup_pair("free", n=12)
         fact = build_factorization(mesh, coeffs, DIR, DIR, "s_pair")
-        prof = decay_profile(T0, fact, np.geomspace(1.0, 100.0, 4),
-                             d9_points=5)
+        prof = decay_profile(_InvSqrtShifted(T0), fact,
+                             np.geomspace(1.0, 100.0, 4), d9_points=5)
         assert all(r["normK"] == 0.0 for r in prof["rows"])
         assert all(r["normA"] == 0.0 for r in prof["rows"])
 
     def test_qr_pair_norm_decays(self):
         direct, T0, coeffs, mesh = setup_pair("constant_qrs", n=120)
         fact = build_factorization(mesh, coeffs, DIR, DIR, "qr_pair")
-        prof = decay_profile(T0, fact, np.geomspace(1e2, 1e6, 7), d9_points=7)
+        prof = decay_profile(_InvSqrtShifted(T0), fact,
+                             np.geomspace(1e2, 1e6, 7), d9_points=7)
         assert prof["slope"] <= -0.2
         assert prof["monotone"]
 
     def test_full_triple_plateau_on_fine_mesh(self):
         direct, T0, coeffs, mesh = setup_pair("constant_qrs", n=400)
         fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
-        prof = decay_profile(T0, fact, np.geomspace(1e2, 1e5, 6), d9_points=5)
+        prof = decay_profile(_InvSqrtShifted(T0), fact,
+                             np.geomspace(1e2, 1e5, 6), d9_points=5)
         assert prof["plateau_ratio"] >= 0.5
 
     def test_nonmonotone_grid_rejected(self):
         direct, T0, coeffs, mesh = setup_pair("free", n=12)
         fact = build_factorization(mesh, coeffs, DIR, DIR, "s_pair")
         with pytest.raises(ValueError):
-            decay_profile(T0, fact, [10.0, 5.0, 20.0])
+            decay_profile(_InvSqrtShifted(T0), fact, [10.0, 5.0, 20.0])
 
     @pytest.mark.parametrize("family", ["constant_qrs", "sawtooth"])
     def test_variants_share_one_factorization(self, family, monkeypatch):
@@ -235,14 +231,15 @@ class TestDecayProfile:
         for variant, prof in shared.items():
             fact = build_factorization(prob.mesh, prob.coeffs, prob.bc_left,
                                        prob.bc_right, variant)
-            assert prof == decay_profile(T0, fact, E_grid, d9_points=3)
+            assert prof == decay_profile(_InvSqrtShifted(T0), fact, E_grid,
+                                         d9_points=3)
 
 
 class TestInvSqrtShifted:
     def test_fresh_factor_not_served_a_stale_projection(self):
         # a new array of the same size often takes a freed array's id, so
         # a long-lived instance must not key anything on id(X)
-        H = make_problem("free", n=48).operator.H
+        H = make_problem("free", n=48).H
         halver = _InvSqrtShifted(H)
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -253,7 +250,7 @@ class TestInvSqrtShifted:
 
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_norms_match_explicit_inverse_root(self, hermitian):
-        H = make_problem("free", n=24).operator.H
+        H = make_problem("free", n=24).H
         if not hermitian:
             H = H + 1j * np.diag(np.linspace(0.0, 5.0, H.shape[0]))
         rng = np.random.default_rng(4)
@@ -274,8 +271,8 @@ class TestInvSqrtShifted:
         # shifts than one Schur block holds, so blocks are crossed
         direct, T0, coeffs, mesh = setup_pair(family, n=64)
         fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
-        halver = _InvSqrtShifted(T0.H)
-        n = T0.H.shape[0]
+        halver = _InvSqrtShifted(T0)
+        n = T0.shape[0]
         assert halver.hermitian == (family == "constant_qrs")
         shifts = np.geomspace(1.0, 1e4, 20)
         assert shifts.size > kato._BLOCK_ENTRIES // n ** 2
@@ -288,7 +285,7 @@ class TestInvSqrtShifted:
                 M_right = (fact.A @ halver.basis) * d
                 M_left = (fact.B @ halver.basis) * d
             else:
-                R = np.linalg.inv(sla.sqrtm(T0.H + c * np.eye(n)))
+                R = np.linalg.inv(sla.sqrtm(T0 + c * np.eye(n)))
                 M_right = fact.A @ R
                 M_left = R @ fact.B.conj().T
             assert r == pytest.approx(spectral_norm(M_right), rel=1e-12)

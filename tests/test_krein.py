@@ -3,11 +3,12 @@ import pytest
 from scipy import special
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                              assemble_forms, build_mesh, orthonormalize)
+                              build_mesh)
 from sqrtdom.krein import (bessel_bound_check, bessel_k0_quad, d_theta,
                            green_kernel_dirichlet, krein_resolvent,
                            sqrt_kernel, u2_closed_form)
 from sqrtdom.matfun import resolvent, sqrt_db
+from sqrtdom.problems import Problem
 
 DIR = BoundaryCondition.dirichlet()
 NEU = BoundaryCondition.neumann()
@@ -16,9 +17,10 @@ A, B = 0.0, 1.0
 
 def discrete_kernel(n, z, bc_left, bc_right=DIR):
     """Resolvent kernel table of the assembled unit-diffusion operator."""
-    mesh = build_mesh(IntervalSpec("finite", A, B), n)
+    interval = IntervalSpec("finite", A, B)
+    mesh = build_mesh(interval, n)
     coeffs = CoefficientSet.from_callables(mesh, p=1.0)
-    op = orthonormalize(assemble_forms(mesh, coeffs, bc_left, bc_right))
+    op = Problem(interval, mesh, coeffs, bc_left, bc_right)
     R = resolvent(op.H, z)
     return mesh, op, op.kernel_table(R)
 
@@ -117,9 +119,10 @@ class TestGreenKernel:
             X, Xp = np.meshgrid(mesh.nodes, mesh.nodes, indexing="ij")
             table = green_kernel_dirichlet(z, X, Xp, A, B)
             w = np.sqrt(op.forms.lumped_weights)
-            sub = np.ix_(op.dof_nodes, op.dof_nodes)
+            sub = np.ix_(op.forms.dof_nodes, op.forms.dof_nodes)
             R_orth = w[:, None] * table[sub] * w[None, :]
-            D = (op.H - z * np.eye(op.n)) @ R_orth - np.eye(op.n)
+            n_dof = op.H.shape[0]
+            D = (op.H - z * np.eye(n_dof)) @ R_orth - np.eye(n_dof)
             assert np.abs(D).max() <= mesh.h
 
 
@@ -177,10 +180,11 @@ class TestSqrtKernel:
     def test_matches_matrix_square_root_off_diagonal(self):
         E = 25.0
         n = 64
-        mesh = build_mesh(IntervalSpec("finite", A, B), n)
+        interval = IntervalSpec("finite", A, B)
+        mesh = build_mesh(interval, n)
         coeffs = CoefficientSet.from_callables(mesh, p=1.0)
-        op = orthonormalize(assemble_forms(mesh, coeffs, NEU, DIR))
-        S = sqrt_db(resolvent(op.H + E * np.eye(op.n), 0.0))
+        op = Problem(interval, mesh, coeffs, NEU, DIR)
+        S = sqrt_db(resolvent(op.H + E * np.eye(op.H.shape[0]), 0.0))
         disc = op.kernel_table(S)
         cont = sqrt_kernel(E, NEU, mesh)
         band = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1))) >= 4

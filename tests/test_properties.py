@@ -26,20 +26,20 @@ def operator_for(q, r, s, n=12):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(q=finite_c, r=finite_c, s=finite_c)
 def test_adjoint_operator_is_conjugate_swap(q, r, s):
-    mesh, coeffs, op = operator_for(q, r, s)
-    _, _, adj = operator_for(np.conj(q), np.conj(s), np.conj(r))
-    np.testing.assert_allclose(adj.H, op.H.conj().T, atol=1e-12)
+    mesh, coeffs, H = operator_for(q, r, s)
+    _, _, H_adj = operator_for(np.conj(q), np.conj(s), np.conj(r))
+    np.testing.assert_allclose(H_adj, H.conj().T, atol=1e-12)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(z1=shifts, z2=shifts)
 def test_first_resolvent_identity(z1, z2):
-    mesh, coeffs, op = operator_for(1.0, 1.0 + 1.0j, -0.5)
+    mesh, coeffs, H = operator_for(1.0, 1.0 + 1.0j, -0.5)
     # keep both points safely in the resolvent set
     z1, z2 = -1.0 - abs(z1) - 1j * z1.imag, -1.0 - abs(z2) + 1j * z2.imag
     if abs(z1 - z2) < 1e-9:
         return
-    R1, R2 = resolvent(op.H, z1), resolvent(op.H, z2)
+    R1, R2 = resolvent(H, z1), resolvent(H, z2)
     rhs = (z1 - z2) * R1 @ R2
     assert np.linalg.norm(R1 - R2 - rhs) <= 1e-9 * max(np.linalg.norm(rhs), 1.0)
 
@@ -76,9 +76,9 @@ def test_form_bound_slack_everywhere_in_range(eps_frac, seed):
 def test_numerical_range_shift_covariance(c):
     from sqrtdom.sectorial import numerical_range_hull
 
-    mesh, coeffs, op = operator_for(0.5j, 2.0, 0.0)
-    base = numerical_range_hull(op.H)
-    shifted = numerical_range_hull(op.H + c * np.eye(op.n))
+    mesh, coeffs, H = operator_for(0.5j, 2.0, 0.0)
+    base = numerical_range_hull(H)
+    shifted = numerical_range_hull(H + c * np.eye(H.shape[0]))
     scale = 1.0 + abs(base.gamma) + abs(c)
     assert abs(shifted.gamma - (base.gamma + c)) <= 1e-9 * scale
     assert abs(shifted.theta - base.theta) <= 1e-9

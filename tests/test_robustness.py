@@ -10,6 +10,7 @@ from sqrtdom.kato import (TwoStepResolvent, build_factorization,
                           verify_identity)
 from sqrtdom.krein import bessel_bound_check, sqrt_kernel
 from sqrtdom.matfun import QuadratureSpec, frac_power_quad, resolvent, sqrt_db
+from sqrtdom.problems import Problem
 from sqrtdom.sectorial import safe_shift
 
 DIR = BoundaryCondition.dirichlet()
@@ -27,8 +28,8 @@ class TestRightEndpointBoundary:
             mesh, p=lambda x: 1 + 0.5 * np.cos(2 * np.pi * (x - 0.5)),
             q=lambda x: np.cos(4 * np.pi * (x - 0.5)))
         th = BoundaryCondition(0.8 + 0.3j)
-        H_left = orthonormalize(assemble_forms(mesh, even, th, DIR)).H
-        H_right = orthonormalize(assemble_forms(mesh, even, DIR, th)).H
+        H_left = orthonormalize(assemble_forms(mesh, even, th, DIR))
+        H_right = orthonormalize(assemble_forms(mesh, even, DIR, th))
         np.testing.assert_allclose(H_right, H_left[::-1, ::-1], atol=1e-12)
 
     def test_both_ends_robin_rank_two(self):
@@ -55,7 +56,7 @@ class TestKatoWithRobinBase:
                               s=0 * coeffs.s)
         T0 = orthonormalize(assemble_forms(mesh, base, th, DIR))
         fact = build_factorization(mesh, coeffs, th, DIR, "full_triple")
-        E = safe_shift(direct.H) + safe_shift(T0.H) + 25.0
+        E = safe_shift(direct) + safe_shift(T0) + 25.0
         rep = verify_identity(direct, T0, fact, [-E, -3 * E, -E + 2j * E])
         assert not rep["excluded"]
         assert rep["max_rel_error"] <= 1e-9
@@ -66,13 +67,10 @@ class TestKatoWithRobinBase:
             mesh, p=lambda x: 1.2 + 0.5j * np.sin(np.pi * x),
             q=lambda x: np.where(x < 0.5, -3.0, 2.0).astype(complex),
             r=1j, s=lambda x: np.sin(5 * x))
-        direct = orthonormalize(assemble_forms(mesh, coeffs, NEU, DIR))
-        base = CoefficientSet(p=coeffs.p, q=0 * coeffs.q, r=0 * coeffs.r,
-                              s=0 * coeffs.s)
-        T0 = orthonormalize(assemble_forms(mesh, base, NEU, DIR))
-        closure = TwoStepResolvent(T0, coeffs)
-        z = -(safe_shift(direct.H) + 40.0) * (1 + 0.5j)
-        R_direct = resolvent(direct.H, z)
+        prob = Problem(IntervalSpec(), mesh, coeffs, NEU, DIR)
+        closure = TwoStepResolvent(prob)
+        z = -(safe_shift(prob.H) + 40.0) * (1 + 0.5j)
+        R_direct = resolvent(prob.H, z)
         err = np.linalg.norm(closure(z) - R_direct) / np.linalg.norm(R_direct)
         assert err <= 1e-9
 
@@ -86,10 +84,10 @@ class TestKreinAtComplexSpectralPoints:
         n = 128
         mesh = build_mesh(IntervalSpec(), n)
         coeffs = CoefficientSet.from_callables(mesh, p=1.0)
-        op_dir = orthonormalize(assemble_forms(mesh, coeffs, DIR, DIR))
+        op_dir = Problem(IntervalSpec(), mesh, coeffs, DIR, DIR)
         dir_tab = op_dir.kernel_table(resolvent(op_dir.H, z))
         krein_tab = krein_resolvent(dir_tab, z, th, mesh)
-        op_rob = orthonormalize(assemble_forms(mesh, coeffs, th, DIR))
+        op_rob = Problem(IntervalSpec(), mesh, coeffs, th, DIR)
         rob_tab = op_rob.kernel_table(resolvent(op_rob.H, z))
         scale = np.max(np.abs(rob_tab))
         assert np.max(np.abs(krein_tab - rob_tab)) <= 5e-3 * scale
@@ -105,8 +103,8 @@ class TestComplexRobinSqrtKernel:
         assert np.all(np.isfinite(table))
         assert np.max(np.abs(table[-1, :])) == 0.0
         coeffs = CoefficientSet.from_callables(mesh, p=1.0)
-        op = orthonormalize(assemble_forms(mesh, coeffs, th, DIR))
-        S = sqrt_db(resolvent(op.H + E * np.eye(op.n), 0.0))
+        op = Problem(IntervalSpec(), mesh, coeffs, th, DIR)
+        S = sqrt_db(resolvent(op.H + E * np.eye(op.H.shape[0]), 0.0))
         disc = op.kernel_table(S)
         band = np.abs(np.subtract.outer(np.arange(n + 1),
                                         np.arange(n + 1))) >= 4

@@ -49,7 +49,7 @@ class TestNumericalRangeHull:
         coeffs = CoefficientSet.from_callables(mesh, p=1 + 0.5j)
         H = orthonormalize(assemble_forms(
             mesh, coeffs, BoundaryCondition.dirichlet(),
-            BoundaryCondition.dirichlet())).H
+            BoundaryCondition.dirichlet()))
         rep = numerical_range_hull(H)
         assert np.tan(rep.theta) <= np.abs(coeffs.p).max() / coeffs.lam + 1e-9
 

@@ -1,5 +1,5 @@
-"""Every name the benchmark tracer wraps exists in the package, and every
-public function feeds a verdict.
+"""Every name the benchmark tracer wraps exists in the package, every
+public function feeds a verdict, and the settable values do not regrow.
 
 A deletion that breaks ``perfbench/run.py --trace 1`` fails here by name,
 not deep inside a traced benchmark run.  The tracer module is loaded
@@ -90,3 +90,50 @@ def test_public_functions_feed_a_verdict():
         if names:
             unreached[stem] = names
     assert not unreached, f"public functions only tests reach: {unreached}"
+
+
+# defaulted parameters + dataclass init fields + cli.DEFAULTS keys
+SETTABLE_CEILING = 89
+
+
+def is_dataclass_decorator(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def is_init_false(value):
+    return isinstance(value, ast.Call) and any(
+        kw.arg == "init" and getattr(kw.value, "value", None) is False
+        for kw in value.keywords)
+
+
+def settable_values():
+    """Counts, by AST over the package, of what a caller or user can set."""
+    counts = {"defaulted_parameters": 0, "dataclass_fields": 0,
+              "config_keys": 0}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                counts["defaulted_parameters"] += len(args.defaults) + sum(
+                    d is not None for d in args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                    map(is_dataclass_decorator, node.decorator_list)):
+                counts["dataclass_fields"] += sum(
+                    isinstance(stmt, ast.AnnAssign)
+                    and not is_init_false(stmt.value) for stmt in node.body)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "DEFAULTS"
+                    for t in node.targets):
+                counts["config_keys"] += len(node.value.keys)
+    return counts
+
+
+def test_settable_values_do_not_regrow():
+    # every default, field and configuration key is a value someone can set
+    # and something must honour; new ones have to pay for themselves
+    counts = settable_values()
+    assert counts["config_keys"] == len(importlib.import_module(
+        "sqrtdom.cli").DEFAULTS)
+    assert sum(counts.values()) <= SETTABLE_CEILING, counts
