@@ -117,24 +117,25 @@ def trace_suite(seed: int) -> dict:
             "ratios": ratios, "ok": ok}
 
 
-def decay_profiles(prob, E_grid, **kwargs) -> dict:
+def decay_profiles(prob: Problem, E_grid) -> dict:
     """``decay_profile`` of each factorization variant of ``prob``, all from
     one factorization of the base operator."""
     halver = _InvSqrtShifted(prob.base_operator())
     return {v: decay_profile(halver, build_factorization(
                 prob.mesh, prob.coeffs, prob.bc_left, prob.bc_right, v),
-                E_grid, **kwargs)
+                E_grid)
             for v in ("qr_pair", "s_pair", "full_triple")}
 
 
-def multiplier_decay(prob: Problem, cell_samples, E_grid) -> dict:
-    """``thmA1_decay`` of a multiplier sampled per cell, averaged onto the
-    retained nodes, against the reference operator of ``prob``."""
-    nodal = np.zeros(len(prob.mesh.nodes))
-    nodal[:-1] += 0.5 * cell_samples
-    nodal[1:] += 0.5 * cell_samples
-    return thmA1_decay(nodal[prob.forms.dof_nodes],
-                       prob.reference_operator(), E_grid)
+def multiplier_decay(prob: Problem, multipliers: dict, E_grid) -> dict:
+    """``thmA1_decay`` of each multiplier sampled per cell, averaged onto the
+    retained nodes, all from one factorization of the reference operator of
+    ``prob``; keyed like ``multipliers``."""
+    halver = _InvSqrtShifted(prob.reference_operator())
+    padded = {name: np.pad(cells, 1) for name, cells in multipliers.items()}
+    # node i averages cells i - 1 and i
+    return {name: thmA1_decay(0.5 * (p[:-1] + p[1:])[prob.forms.dof_nodes],
+                              halver, E_grid) for name, p in padded.items()}
 
 
 def decay_ok(profiles: dict, multiplier_slopes) -> bool:

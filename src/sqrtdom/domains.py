@@ -235,21 +235,21 @@ def refinement_study(problem: str, n_list, E: float = 1.0,
                                    verdict=verdict, calibration=calibration)
 
 
-def thmA1_decay(phi: np.ndarray, L: np.ndarray, E_grid) -> dict:
+def thmA1_decay(phi: np.ndarray, halver: _InvSqrtShifted, E_grid) -> dict:
     """Shift decay of a diagonal multiplier against the inverse half power.
 
-    ``phi`` holds the multiplier samples on the operator's degrees of
-    freedom; the profile ``||diag(phi) (L + E)^{-1/2}||`` is recorded over
-    the grid with its fitted log-log slope (the continuum envelope decays
-    at least like the quarter power for admissible multipliers).
+    ``halver`` is ``_InvSqrtShifted(L)`` of the operator ``L``, one
+    factorization that the multipliers of a study share, and ``phi`` holds
+    the multiplier samples on its degrees of freedom.  The profile
+    ``||diag(phi) (L + E)^{-1/2}||`` is recorded over the grid with its
+    fitted log-log slope (the continuum envelope decays at least like the
+    quarter power for admissible multipliers).
     """
     phi = np.asarray(phi, dtype=complex)
-    if phi.shape[0] != L.shape[0]:
+    if phi.shape[0] != halver.basis.shape[0]:
         raise ValueError("multiplier samples must match the DOF count")
-    halver = _InvSqrtShifted(L)
-    Phi = np.diag(phi)
     E_arr = np.asarray(list(E_grid), dtype=float)
-    norms = halver.norms(E_arr, right=Phi)[0]
+    norms = halver.norms(E_arr, np.diag(phi))[0]
     if np.all(norms == 0.0):
         slope = 0.0
     else:

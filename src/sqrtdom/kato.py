@@ -1,4 +1,5 @@
-"""Factored perturbations, the associated resolvent identity and decay profiles.
+"""Factored perturbations, the associated resolvent identity and the shift
+decay of the factored pieces.
 
 A lower-order perturbation of the base operator is written as ``B* A`` over an
 auxiliary space built from cell-midpoint sampling blocks, so that the factored
@@ -7,7 +8,8 @@ resolvent
     R(z) = R0(z) - R0(z) B* [I - K(z)]^{-1} A R0(z),   K(z) = -A R0(z) B*,
 
 reproduces the one-shot discretization exactly at the matrix level (LU
-roundoff only).  That exactness is the primary oracle of this module.
+roundoff only).  That exactness is the primary oracle of this module.  The
+decay norms are computed at the shifts a verdict reads and nowhere else.
 """
 
 from __future__ import annotations
@@ -149,9 +151,8 @@ def kato_K_norms(H0: np.ndarray, fact: FactoredPerturbation,
                  E_list) -> np.ndarray:
     """``||K(-E)||`` for each shift ``E``, from one factorization of ``H0``
     and without forming ``K``; ``decay_profile`` computes it the same way."""
-    halver = _InvSqrtShifted(H0)
-    return halver.inverse_norms(E_list, halver.gram(fact.A),
-                                halver.gram(fact.B))
+    return _InvSqrtShifted(H0).norms(E_list, fact.A, fact.B)[2]
+
 
 def _invert_core(K: np.ndarray, z: complex, stage: str) -> np.ndarray:
     """(I - K)^{-1} with an explicit conditioning guard.
@@ -239,21 +240,21 @@ _BLOCK_ENTRIES = 2 ** 16
 
 
 class _InvSqrtShifted:
-    """Norms of products with ``(T0 + c)^{-1/2}`` and ``(T0 + c)^{-1}`` over
-    many shifts ``c``, from one factorization of ``T0``.
+    """Norms of products with ``F_c = (T0 + c)^{-1/2}`` and ``(T0 + c)^{-1}``
+    over many shifts ``c``, from one factorization of ``T0``.
 
-    Hermitian ``T0`` is diagonalized once (``eigh``), so each shift's factor
-    is diagonal.  Otherwise the complex Schur form ``T0 = Q U Q^H`` is taken
-    once, and each shift's factor is the inverse of ``U + c`` or of its
+    Hermitian ``T0`` is diagonalized once (``eigh``), so each shift's factors
+    are diagonal.  Otherwise the complex Schur form ``T0 = Q U Q^H`` is taken
+    once, and each shift's factors are the inverses of ``U + c`` and of its
     triangular principal root (``matfun._principal_sqrt``, batched over
-    shifts and residual-checked).
-    For the half power the eigenvalues plus ``c`` (``diag(U) + c`` on the
-    Schur path) pass the branch-cut guard first.  Schur-path factors are
-    stacked in blocks of at most ``2**16 // n**2`` shifts.  A factor ``X``
-    enters only through ``X Q`` (or ``X V``) and its Gram, formed once by
-    ``gram``, and all shifts of a block run in one ``power_norms``.  Each
-    norm equals, in exact arithmetic, ``spectral_norm`` of the explicit
-    product, since the start vector is carried into the basis coordinates.
+    shifts and residual-checked), stacked in blocks of at most
+    ``2**16 // n**2`` shifts.  The eigenvalues plus ``c`` (``diag(U) + c`` on
+    the Schur path) pass the branch-cut guard first.  A factor ``X`` enters
+    only through ``X Q`` (or ``X V``) and its Gram, each formed once per
+    ``norms`` call, and all shifts of a block run in one ``power_norms`` per
+    norm.  Each norm equals, in exact arithmetic, ``spectral_norm`` of the
+    explicit product, since the start vector is carried into the basis
+    coordinates.
     """
 
     def __init__(self, H: np.ndarray):
@@ -265,22 +266,19 @@ class _InvSqrtShifted:
             self.U, self.basis = sla.schur(H, output="complex")
             self.diag = np.diag(self.U)
 
-    def _factors(self, shifts: np.ndarray, power: float):
-        """``(block, F)`` pairs: ``F[j]`` is ``(T0 + c_j)^power`` in the
-        basis, as the diagonal on the Hermitian path."""
-        if power == -0.5:
-            _require_off_cut(self.diag[None, :] + shifts[:, None])
+    def _factors(self, shifts: np.ndarray):
+        """``(half, inv)`` per block of shifts: ``(T0 + c)^{-1/2}`` and
+        ``(T0 + c)^{-1}`` in the basis for each shift c of the block, as
+        diagonals on the Hermitian path, which has one block."""
         if self.hermitian:
-            yield slice(None), (self.diag[None, :] + shifts[:, None]) ** power
+            shifted = self.diag[None, :] + shifts[:, None]
+            yield shifted ** -0.5, shifted ** -1.0
             return
         n = self.U.shape[0]
         step = max(1, _BLOCK_ENTRIES // n ** 2)
         for lo in range(0, shifts.size, step):
-            block = slice(lo, lo + step)
-            T = self.U + shifts[block, None, None] * np.eye(n)
-            if power == -0.5:
-                T = _principal_sqrt(T)
-            yield block, np.linalg.inv(T)
+            T = self.U + shifts[lo:lo + step, None, None] * np.eye(n)
+            yield np.linalg.inv(_principal_sqrt(T)), np.linalg.inv(T)
 
     def _apply(self, F: np.ndarray, X: np.ndarray,
                adjoint: bool = False) -> np.ndarray:
@@ -291,113 +289,79 @@ class _InvSqrtShifted:
             return np.matmul(X.conj()[:, None, :], F)[:, 0, :].conj()
         return np.matmul(F, X[:, :, None])[:, :, 0]
 
-    def _run(self, shifts, power, start, inner=None, outer=None):
-        """``power_norms`` over the shifts, from the basis-coordinate state
-        ``start`` of the unit start iterate.
+    def _run(self, F, start, inner=None, outer=None) -> np.ndarray:
+        """``power_norms`` over the factors ``F`` of one block, from the
+        basis-coordinate state ``start`` of the unit start iterate.  A step
+        takes the state ``u`` to ``v = F^H inner F u`` and the new state
+        ``outer v``, whose iterate has norm ``sqrt(v^H outer v)``; a missing
+        ``inner`` or ``outer`` is the identity."""
+        def step(X, idx):
+            Fi = F[idx]
+            V = self._apply(Fi, X)
+            if inner is not None:
+                V = V @ inner.T
+            V = self._apply(Fi, V, adjoint=True)
+            Y = V if outer is None else V @ outer.T
+            sq = np.einsum("ij,ij->i", V.conj(), Y).real
+            return Y, np.sqrt(np.maximum(sq, 0.0))
+        return power_norms(step, np.tile(start, (F.shape[0], 1)))
 
-        One step takes the state ``u`` to ``v = F^H inner F u`` and the new
-        state ``outer v``; the new iterate's norm is ``sqrt(v^H outer v)``.
-        A missing ``inner`` or ``outer`` is the identity.
+    def norms(self, shifts, A: np.ndarray,
+              B: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """Per shift c, ``||A F_c||`` and, given ``B``, also ``||F_c B^H||``
+        and ``||A (T0 + c)^{-1} B^H|| = ||K(-c)||``, in this order.
+
+        The A product starts in ``C^n``.  The K product starts in ``C^m``
+        (``m`` rows of ``B``), and so does the B product on the Schur path;
+        on the Hermitian path the B product, as ``B V D_c``, starts in
+        ``C^n``.
         """
         shifts = np.asarray(shifts, dtype=float)
-        out = np.empty(shifts.size)
-        for block, F in self._factors(shifts, power):
-            def step(X, idx, F=F):
-                Fi = F[idx]
-                V = self._apply(Fi, X)
-                if inner is not None:
-                    V = V @ inner.T
-                V = self._apply(Fi, V, adjoint=True)
-                Y = V if outer is None else V @ outer.T
-                sq = np.einsum("ij,ij->i", V.conj(), Y).real
-                return Y, np.sqrt(np.maximum(sq, 0.0))
-            out[block] = power_norms(step, np.tile(start, (F.shape[0], 1)))
-        return out
-
-    def gram(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A factor ``X`` in the basis, ``X V``, with its Gram
-        ``(X V)^H X V``: all that the norms below use of ``X``."""
-        XB = np.asarray(X, dtype=complex) @ self.basis
-        return XB, XB.conj().T @ XB
-
-    def half_norms(self, shifts, right=None, left=None
-                   ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """``norms`` for factors already passed through ``gram``."""
+        _require_off_cut(self.diag[None, :] + shifts[:, None])
+        AV = np.asarray(A, dtype=complex) @ self.basis
+        WA = AV.conj().T @ AV
         x0 = power_start(self.basis.shape[0])
         start = x0 if self.hermitian else self.basis.conj().T @ x0
-        out_r = out_l = None
-        if right is not None:
-            out_r = self._run(shifts, -0.5, start, inner=right[1])
-        if left is not None and self.hermitian:
-            out_l = self._run(shifts, -0.5, start, inner=left[1])
-        elif left is not None:
-            XB, W = left
-            start_m = XB.conj().T @ power_start(XB.shape[0])
-            out_l = self._run(shifts, -0.5, start_m, outer=W)
-        return out_r, out_l
-
-    def norms(self, shifts, right: np.ndarray | None = None,
-              left: np.ndarray | None = None
-              ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Per shift c, ``|| right (T0 + c)^{-1/2} ||`` and
-        ``|| (T0 + c)^{-1/2} left^H || = || left (T0^H + c)^{-1/2} ||``.
-
-        Returns the two arrays of norms, None for an omitted factor.  The
-        right product starts in ``C^n``; the left one starts in ``C^m``
-        (``m`` rows of ``left``) on the Schur path and, as ``left V D_c``,
-        in ``C^n`` on the Hermitian path.
-        """
-        return self.half_norms(shifts, *(None if X is None else self.gram(X)
-                                         for X in (right, left)))
-
-    def inverse_norms(self, shifts, A, B) -> np.ndarray:
-        """Per shift c, ``|| A (T0 + c)^{-1} B^H || = || K(-c) ||`` for
-        factors passed through ``gram``; the start lies in ``C^m``."""
-        BB, WB = B
-        start = BB.conj().T @ power_start(BB.shape[0])
-        return self._run(shifts, -1.0, start, inner=A[1], outer=WB)
+        if B is not None:
+            BV = np.asarray(B, dtype=complex) @ self.basis
+            WB = BV.conj().T @ BV
+            start_m = BV.conj().T @ power_start(BV.shape[0])
+        blocks = []
+        for half, inv in self._factors(shifts):
+            block = [self._run(half, start, inner=WA)]
+            if B is not None:
+                block += [self._run(half, start, inner=WB) if self.hermitian
+                          else self._run(half, start_m, outer=WB),
+                          self._run(inv, start_m, inner=WA, outer=WB)]
+            blocks.append(block)
+        return tuple(np.concatenate(norm) for norm in zip(*blocks))
 
 
 def decay_profile(halver: _InvSqrtShifted, fact: FactoredPerturbation,
-                  E_list, d9_points: int = 25) -> dict:
-    """Shift-decay diagnostics of the factored pieces over a geometric grid.
+                  E_list) -> dict:
+    """Shift-decay diagnostics of the factored pieces over a shift grid.
 
     ``halver`` is ``_InvSqrtShifted(T0)`` of the base operator ``T0``, one
     factorization that the factor pairs of a study share.
 
-    For each E the profile records ``||K(-E)||``, the two half-power norms
-    ``||A (T0+E)^{-1/2}||`` and ``||(T0+E)^{-1/2} B^H||``, and a truncated
-    log-weighted integral of their product over ``d9_points`` shifts in
-    ``[1, 1e6]``.  The fitted log-log slope of ``||K(-E)||`` quantifies the
-    decay; the ratio min/max of the B-norm exposes a plateau when the factor
-    contains a derivative block.
+    For each E the profile records ``||K(-E)||`` and the two half-power
+    norms ``||A (T0+E)^{-1/2}||`` and ``||(T0+E)^{-1/2} B^H||``.  The fitted
+    log-log slope of ``||K(-E)||`` quantifies the decay; the ratio min/max
+    of the B-norm exposes a plateau when the factor contains a derivative
+    block.
     """
     E_arr = np.asarray(list(E_list), dtype=float)
     if np.any(np.diff(E_arr) <= 0) or np.any(E_arr <= 0):
         raise ValueError("E grid must be positive and increasing")
-    lam_grid = np.geomspace(1.0, 1e6, d9_points)
-    # row i holds the shifts E_i and lam + E_i for lam on the grid
-    shifts = E_arr[:, None] + np.concatenate(([0.0], lam_grid))[None, :]
-    gA, gB = halver.gram(fact.A), halver.gram(fact.B)
-    normsA, normsB = halver.half_norms(shifts.ravel(), gA, gB)
-    normsA = normsA.reshape(shifts.shape)
-    normsB = normsB.reshape(shifts.shape)
-    normsK = halver.inverse_norms(E_arr, gA, gB)
-
-    rows = []
-    for E, normK, nA, nB in zip(E_arr, normsK, normsA, normsB):
-        vals = nA[1:] * nB[1:]
-        integral = float(np.trapezoid(vals / lam_grid, lam_grid))
-        rows.append({"E": float(E), "normK": float(normK),
-                     "normA": float(nA[0]), "normB": float(nB[0]),
-                     "integral_d9": integral})
-
-    normKs = np.array([r["normK"] for r in rows])
-    if len(rows) > 1 and np.all(normKs > 0):
-        slope = float(np.polyfit(np.log(E_arr), np.log(normKs), 1)[0])
+    normsA, normsB, normsK = halver.norms(E_arr, fact.A, fact.B)
+    rows = [{"E": float(E), "normK": float(k), "normA": float(a),
+             "normB": float(b)}
+            for E, k, a, b in zip(E_arr, normsK, normsA, normsB)]
+    if len(rows) > 1 and np.all(normsK > 0):
+        slope = float(np.polyfit(np.log(E_arr), np.log(normsK), 1)[0])
     else:
         slope = 0.0
-    bvals = np.array([r["normB"] for r in rows])
     return {"rows": rows, "slope": slope,
-            "monotone": bool(np.all(np.diff(normKs) <= 0)),
-            "plateau_ratio": float(bvals.min() / bvals.max()) if bvals.max() > 0 else 0.0}
+            "monotone": bool(np.all(np.diff(normsK) <= 0)),
+            "plateau_ratio": (float(normsB.min() / normsB.max())
+                              if normsB.max() > 0 else 0.0)}

@@ -184,16 +184,17 @@ def test_criterion_6_decay_suite():
     prob = make_problem("constant_qrs", IntervalSpec("finite", 0.0, 1.0),
                         n=800, bc_left=DIR, bc_right=DIR)
     E_grid = np.geomspace(1e2, 1e6, 7)
-    profiles = decay_profiles(prob, E_grid, d9_points=4)
+    profiles = decay_profiles(prob, E_grid)
 
     # |r| = |s| = |q|^{1/2} = 1 for this family: one multiplier covers all
-    slope_phi = multiplier_decay(prob, np.abs(prob.coeffs.r),
-                                 E_grid)["slope"]
+    slope_phi = multiplier_decay(prob, {"abs_r": np.abs(prob.coeffs.r)},
+                                 E_grid)["abs_r"]["slope"]
 
     spike = make_problem("spike", IntervalSpec("finite", 0.0, 1.0), n=800,
                          bc_left=DIR, bc_right=DIR)
-    slope_spike = multiplier_decay(spike, np.sqrt(np.abs(spike.coeffs.q)),
-                                   E_grid)["slope"]
+    slope_spike = multiplier_decay(
+        spike, {"sqrt_abs_q": np.sqrt(np.abs(spike.coeffs.q))},
+        E_grid)["sqrt_abs_q"]["slope"]
 
     qr, s = profiles["qr_pair"], profiles["s_pair"]
     ok = decay_ok(profiles, [slope_phi, slope_spike])

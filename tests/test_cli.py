@@ -3,7 +3,7 @@ import filecmp
 import numpy as np
 import pytest
 
-from sqrtdom import csvio
+from sqrtdom import csvio, kato
 from sqrtdom.cli import (COMMANDS, build_parser, load_config, main,
                          parse_theta, problem_from, read_config_file)
 from sqrtdom.matfun import resolvent
@@ -51,7 +51,13 @@ class TestConfig:
                 "assemble --a 1 --b 0 --n 8",
                 "assemble --interval half_line --radius -1 --n 8",
                 "kappa-study --problem baseline --E -3 --n-list 8,16",
-                "kernel-dump --E 0 --n 16")):
+                "kernel-dump --E 0 --n 16",
+                # closed-form finite-interval commands used to compute on
+                # [a, b] whatever --interval said, or fail as a check
+                "kernel-dump --interval full_line --radius 3 --n 8",
+                "kernel-dump --interval half_line --a 1 --b 0 --n 8",
+                "verify-krein --interval full_line --a 1 --b 0 --n 8 "
+                "--n-list 8,16")):
             assert run(tmp_path, str(i), *args.split())[0] == 2, args
 
     def test_coarse_ladder_runs_the_lions_control(self, tmp_path):
@@ -113,6 +119,37 @@ class TestVerifyCommands:
         max_err = [float(l.split("=")[1]) for l in text.splitlines()
                    if l.startswith("max_identity_error")][0]
         assert max_err <= 1e-9
+
+    def test_verify_kato_fails_with_excluded_points(self, tmp_path,
+                                                   monkeypatch):
+        # reject only the full-triple core (wider than 2n): the one-shot
+        # identity is then checked at no shift, which is no pass
+        invert_core = kato._invert_core
+
+        def reject_full_triple(K, z, stage):
+            if K.shape[0] > 2 * 24:
+                raise kato.AdmissibilityError(f"probe at z = {z}")
+            return invert_core(K, z, stage)
+
+        monkeypatch.setattr(kato, "_invert_core", reject_full_triple)
+        code, out = run(tmp_path, "o", "verify-kato", "--problem", "sawtooth",
+                        "--n", "24")
+        text = (out / "manifest.txt").read_text()
+        assert "excluded_points = 3" in text
+        assert "verdict = fail" in text and code == 1
+
+    def test_decay_csv_columns(self, tmp_path):
+        # one row per shift of the default grid, nine from 100 to 1/h^2
+        code, out = run(tmp_path, "o", "decay-study", "--n", "16")
+        assert code == 0
+        for variant in ("qr_pair", "s_pair", "full_triple"):
+            rows = (out / f"decay_{variant}.csv").read_text().splitlines()
+            assert rows[0] == "E,normK,normA,normB"
+            table = np.array([row.split(",") for row in rows[1:]], dtype=float)
+            assert table.shape == (9, 4)
+            np.testing.assert_allclose(table[:, 0],
+                                       np.geomspace(1e2, 16.0 ** 2, 9),
+                                       rtol=1e-15)
 
     def test_kappa_study_lions_divergent(self, tmp_path):
         code, out = run(tmp_path, "o", "kappa-study", "--problem", "lions",

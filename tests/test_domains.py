@@ -6,6 +6,7 @@ from sqrtdom import domains, matfun
 from sqrtdom.assembly import BoundaryCondition, w12_norm_matrix
 from sqrtdom.domains import (_kappa_row, _power_gram, matrix_power,
                              refinement_study, sqrt_domain_kappa, thmA1_decay)
+from sqrtdom.kato import _InvSqrtShifted
 from sqrtdom.matfun import (QuadratureSpec, SpectrumOnCutError,
                             frac_power_quad, sqrt_db)
 from sqrtdom.problems import lions_operator, make_problem
@@ -201,7 +202,7 @@ class TestThmA1Decay:
         lam_min = np.linalg.eigvalsh(L.real)[0]
         c = 3.0
         E_grid = np.geomspace(1e2, 1e6, 9)
-        rec = thmA1_decay(np.full(L.shape[0], c), L, E_grid)
+        rec = thmA1_decay(np.full(L.shape[0], c), _InvSqrtShifted(L), E_grid)
         # power-iteration norms are inner approximations; sub-percent here
         np.testing.assert_allclose(rec["norms"], c / np.sqrt(lam_min + E_grid),
                                    rtol=5e-3)
@@ -214,7 +215,7 @@ class TestThmA1Decay:
 
     def test_zero_multiplier(self):
         prob = make_problem("free", n=32)
-        rec = thmA1_decay(np.zeros(31), prob.H, [10.0, 100.0])
+        rec = thmA1_decay(np.zeros(31), _InvSqrtShifted(prob.H), [10.0, 100.0])
         assert np.all(rec["norms"] == 0.0)
 
     def test_spike_multiplier_decays(self):
@@ -225,6 +226,6 @@ class TestThmA1Decay:
         nodal[:-1] += 0.5 * phi
         nodal[1:] += 0.5 * phi
         rec = thmA1_decay(nodal[prob.forms.dof_nodes],
-                          prob.reference_operator(),
+                          _InvSqrtShifted(prob.reference_operator()),
                           np.geomspace(1e2, 1e6, 9))
         assert rec["slope"] <= -0.2

@@ -5,13 +5,13 @@ import scipy.linalg as sla
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh)
 from sqrtdom import kato
-from sqrtdom.checks import decay_profiles
+from sqrtdom.checks import decay_profiles, multiplier_decay
 from sqrtdom.kato import (AdmissibilityError, TwoStepResolvent,
                           _InvSqrtShifted, build_factorization, decay_profile,
                           kato_K, kato_K_norms, perturbed_resolvent,
                           verify_identity)
 from sqrtdom.matfun import SpectrumOnCutError, resolvent, spectral_norm
-from sqrtdom.problems import build_coefficients, make_problem
+from sqrtdom.problems import Problem, build_coefficients, make_problem
 from sqrtdom.sectorial import safe_shift
 
 DIR = BoundaryCondition.dirichlet()
@@ -187,7 +187,7 @@ class TestDecayProfile:
         direct, T0, coeffs, mesh = setup_pair("free", n=12)
         fact = build_factorization(mesh, coeffs, DIR, DIR, "s_pair")
         prof = decay_profile(_InvSqrtShifted(T0), fact,
-                             np.geomspace(1.0, 100.0, 4), d9_points=5)
+                             np.geomspace(1.0, 100.0, 4))
         assert all(r["normK"] == 0.0 for r in prof["rows"])
         assert all(r["normA"] == 0.0 for r in prof["rows"])
 
@@ -195,7 +195,7 @@ class TestDecayProfile:
         direct, T0, coeffs, mesh = setup_pair("constant_qrs", n=120)
         fact = build_factorization(mesh, coeffs, DIR, DIR, "qr_pair")
         prof = decay_profile(_InvSqrtShifted(T0), fact,
-                             np.geomspace(1e2, 1e6, 7), d9_points=7)
+                             np.geomspace(1e2, 1e6, 7))
         assert prof["slope"] <= -0.2
         assert prof["monotone"]
 
@@ -203,7 +203,7 @@ class TestDecayProfile:
         direct, T0, coeffs, mesh = setup_pair("constant_qrs", n=400)
         fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
         prof = decay_profile(_InvSqrtShifted(T0), fact,
-                             np.geomspace(1e2, 1e5, 6), d9_points=5)
+                             np.geomspace(1e2, 1e5, 6))
         assert prof["plateau_ratio"] >= 0.5
 
     def test_nonmonotone_grid_rejected(self):
@@ -223,16 +223,32 @@ class TestDecayProfile:
             built.append(H.shape)
             init(self, H)
 
+        references = []
+        reference_operator = Problem.reference_operator
+
+        def counting_reference(self):
+            references.append(self)
+            return reference_operator(self)
+
         monkeypatch.setattr(_InvSqrtShifted, "__init__", counting_init)
-        shared = decay_profiles(prob, E_grid, d9_points=3)
+        monkeypatch.setattr(Problem, "reference_operator", counting_reference)
+        shared = decay_profiles(prob, E_grid)
         assert len(built) == 1
-        # the same numbers as one factorization per variant
+        multipliers = {"abs_r": np.abs(prob.coeffs.r),
+                       "abs_s": np.abs(prob.coeffs.s),
+                       "sqrt_abs_q": np.sqrt(np.abs(prob.coeffs.q))}
+        shared_phi = multiplier_decay(prob, multipliers, E_grid)
+        assert len(built) == 2 and len(references) == 1
+        # the same numbers as one factorization per variant and multiplier
         T0 = prob.base_operator()
         for variant, prof in shared.items():
             fact = build_factorization(prob.mesh, prob.coeffs, prob.bc_left,
                                        prob.bc_right, variant)
-            assert prof == decay_profile(_InvSqrtShifted(T0), fact, E_grid,
-                                         d9_points=3)
+            assert prof == decay_profile(_InvSqrtShifted(T0), fact, E_grid)
+        for name, samples in multipliers.items():
+            alone = multiplier_decay(prob, {name: samples}, E_grid)[name]
+            assert np.array_equal(shared_phi[name]["norms"], alone["norms"])
+            assert shared_phi[name]["slope"] == alone["slope"]
 
 
 class TestInvSqrtShifted:
@@ -244,8 +260,8 @@ class TestInvSqrtShifted:
         rng = np.random.default_rng(3)
         for _ in range(200):
             X = rng.standard_normal((5, H.shape[0])) + 0j
-            got = halver.norms([2.0], right=X)[0][0]
-            assert got == _InvSqrtShifted(H).norms([2.0], right=X)[0][0]
+            got = halver.norms([2.0], X)[0][0]
+            assert got == _InvSqrtShifted(H).norms([2.0], X)[0][0]
             del X
 
     @pytest.mark.parametrize("hermitian", [True, False])
@@ -257,13 +273,13 @@ class TestInvSqrtShifted:
         A = rng.standard_normal((3, H.shape[0])) + 0j
         B = rng.standard_normal((2, H.shape[0])) + 0j
         shifts = [1.0, 10.0, 100.0]
-        right, left = _InvSqrtShifted(H).norms(shifts, right=A, left=B)
+        right, left, _ = _InvSqrtShifted(H).norms(shifts, A, B)
         for c, r, l in zip(shifts, right, left):
             R = np.linalg.inv(sla.sqrtm(H + c * np.eye(H.shape[0])))
             assert r == pytest.approx(np.linalg.norm(A @ R, 2), rel=1e-6)
             assert l == pytest.approx(np.linalg.norm(R @ B.conj().T, 2),
                                       rel=1e-6)
-        assert _InvSqrtShifted(H).norms(shifts, left=B)[0] is None
+        assert len(_InvSqrtShifted(H).norms(shifts, A)) == 1
 
     @pytest.mark.parametrize("family", ["constant_qrs", "sawtooth"])
     def test_batched_norms_match_explicit_products(self, family):
@@ -276,8 +292,8 @@ class TestInvSqrtShifted:
         assert halver.hermitian == (family == "constant_qrs")
         shifts = np.geomspace(1.0, 1e4, 20)
         assert shifts.size > kato._BLOCK_ENTRIES // n ** 2
-        right, left = halver.norms(shifts, right=fact.A, left=fact.B)
-        normK = kato_K_norms(T0, fact, shifts)
+        right, left, normK = halver.norms(shifts, fact.A, fact.B)
+        assert np.array_equal(normK, kato_K_norms(T0, fact, shifts))
         for c, r, l, k in zip(shifts, right, left, normK):
             if halver.hermitian:
                 # the eigen coordinates the Hermitian path iterates in
@@ -305,6 +321,6 @@ class TestInvSqrtShifted:
         X = np.ones((2, n), dtype=complex)
         for c in (-1.0, -3.0):
             with pytest.raises(SpectrumOnCutError):
-                halver.norms([1.0, c], right=X)
+                halver.norms([1.0, c], X)
             with pytest.raises(SpectrumOnCutError):
-                halver.norms([c], left=X)
+                halver.norms([c], X, X)
