@@ -231,20 +231,6 @@ class FormMatrices:
         return self.K0 + self.K1 + self.K2 + self.K3 + self.Bdry
 
 
-def _retained_nodes(mesh: Mesh, bc_left: BoundaryCondition,
-                    bc_right: BoundaryCondition):
-    """Indices of the nodes no Dirichlet end removes, and their trapezoid
-    weights (full-mesh lumped-mass row sums)."""
-    weights = np.full(mesh.n_cells + 1, mesh.h)
-    weights[0] = weights[-1] = mesh.h / 2
-    keep = np.arange(mesh.n_cells + 1)
-    if bc_left.is_dirichlet:
-        keep = keep[1:]
-    if bc_right.is_dirichlet:
-        keep = keep[:-1]
-    return keep, weights[keep]
-
-
 def assemble_forms(mesh: Mesh, coeffs: CoefficientSet,
                    bc_left: BoundaryCondition,
                    bc_right: BoundaryCondition) -> FormMatrices:
@@ -304,11 +290,16 @@ def assemble_forms(mesh: Mesh, coeffs: CoefficientSet,
     if not bc_right.is_dirichlet:
         Bdry[-1, -1] = -bc_right.cot()
 
-    keep, weights = _retained_nodes(mesh, bc_left, bc_right)
+    # the nodes no Dirichlet end removes, weighted by their full-mesh
+    # lumped-mass row sums (trapezoid weights)
+    keep = np.arange(int(bc_left.is_dirichlet),
+                     N - int(bc_right.is_dirichlet))
+    weights = np.full(N, h)
+    weights[[0, -1]] = h / 2
     sub = np.ix_(keep, keep)
     return FormMatrices(M=M[sub], K0=K0[sub], K1=K1[sub], K2=K2[sub],
                         K3=K3[sub], Bdry=Bdry[sub], dof_nodes=keep,
-                        lumped_weights=weights)
+                        lumped_weights=weights[keep])
 
 
 def orthonormalize(forms: FormMatrices) -> np.ndarray:

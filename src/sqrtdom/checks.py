@@ -1,7 +1,9 @@
 """The pinned tolerances, each defined once, and the checks that the command
 line and the acceptance criteria share.  A suite returns its measured values
 and its PASS/FAIL verdict; a subcommand only writes them out, so it cannot
-drift from the acceptance criterion that calls the same suite."""
+drift from the acceptance criterion that calls the same suite.  The
+factored-resolvent identities have theirs in ``kato.verify_identity``, which
+``verify-kato`` and criteria 1 and 2 read against ``TOL_KATO``."""
 
 from __future__ import annotations
 
@@ -11,15 +13,14 @@ from scipy import special
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                        build_mesh)
 from .domains import thmA1_decay
-from .kato import (TwoStepResolvent, _InvSqrtShifted, build_factorization,
-                   decay_profile)
+from .kato import _InvSqrtShifted, build_factorization, decay_profile
 from .krein import (bessel_bound_check, bessel_k0_quad, krein_resolvent,
                     sqrt_kernel)
 from .matfun import resolvent, trace_det_check
 from .problems import Problem
 
 __all__ = ["TOL_KATO", "TOL_ORDER", "TOL_SLOPE", "TOL_PLATEAU", "TOL_SLACK",
-           "TOL_TRACE", "TOL_K0", "two_step_errors", "krein_suite",
+           "TOL_TRACE", "TOL_K0", "krein_suite",
            "trace_suite", "decay_profiles", "multiplier_decay", "decay_ok"]
 
 TOL_KATO = 1e-9       # relative resolvent error of the factored identities
@@ -35,14 +36,6 @@ KREIN_THETAS = (("neumann", BoundaryCondition.neumann()),
                 ("complex", BoundaryCondition(1 + 0.5j)))
 K0_POINTS = (0.3, 0.5, 1.0, 2.0, 2.5, 5.0, 6.0)
 TRACE_STEPS = (4e-3, 2e-3, 1e-3)
-
-
-def two_step_errors(prob: Problem, z_list) -> list[float]:
-    """Relative Frobenius errors of the two-step composed resolvent against
-    the one-shot discretization ``prob.H``, one per shift."""
-    closure = TwoStepResolvent(prob)
-    pairs = ((closure(z), resolvent(prob.H, z)) for z in z_list)
-    return [float(np.linalg.norm(C - R) / np.linalg.norm(R)) for C, R in pairs]
 
 
 def krein_suite(a: float, b: float, z: float, n_list, n: int, E: float,
@@ -121,21 +114,18 @@ def decay_profiles(prob: Problem, E_grid) -> dict:
     """``decay_profile`` of each factorization variant of ``prob``, all from
     one factorization of the base operator."""
     halver = _InvSqrtShifted(prob.base_operator())
-    return {v: decay_profile(halver, build_factorization(
-                prob.mesh, prob.coeffs, prob.bc_left, prob.bc_right, v),
-                E_grid)
+    return {v: decay_profile(halver, build_factorization(prob, v), E_grid)
             for v in ("qr_pair", "s_pair", "full_triple")}
 
 
 def multiplier_decay(prob: Problem, multipliers: dict, E_grid) -> dict:
     """``thmA1_decay`` of each multiplier sampled per cell, averaged onto the
-    retained nodes, all from one factorization of the reference operator of
-    ``prob``; keyed like ``multipliers``."""
+    retained nodes as the potential is (``prob.lumped_average``), all from
+    one factorization of the reference operator of ``prob``; keyed like
+    ``multipliers``."""
     halver = _InvSqrtShifted(prob.reference_operator())
-    padded = {name: np.pad(cells, 1) for name, cells in multipliers.items()}
-    # node i averages cells i - 1 and i
-    return {name: thmA1_decay(0.5 * (p[:-1] + p[1:])[prob.forms.dof_nodes],
-                              halver, E_grid) for name, p in padded.items()}
+    return {name: thmA1_decay(prob.lumped_average(cells), halver, E_grid)
+            for name, cells in multipliers.items()}
 
 
 def decay_ok(profiles: dict, multiplier_slopes) -> bool:

@@ -84,25 +84,29 @@ def locunif_norms(coeffs: CoefficientSet, interval: IntervalSpec,
 
 
 def check_form_bound(f: np.ndarray, forms: FormMatrices,
-                     constants: FormBoundConstants, eps: float) -> list[dict]:
-    """Evaluate both sides of the relative bound for one nodal vector.
+                     constants: FormBoundConstants, eps_grid) -> list[dict]:
+    """Evaluate both sides of the relative bound for one nodal vector over
+    a grid of ``eps``.
 
-    Returns one record per lower-order form ``j`` in {1, 2, 3} with the
-    absolute form value, the bound ``eps Re q0 + M eps^-3 ||f||^2`` and the
-    slack (nonnegative up to roundoff whenever the constants come from the
-    same discrete data).
+    Returns one record per ``eps`` and lower-order form ``j`` in {1, 2, 3},
+    eps-major, with the absolute form value, the bound
+    ``eps Re q0 + M eps^-3 ||f||^2`` and the slack (nonnegative up to
+    roundoff whenever the constants come from the same discrete data).  The
+    forms are evaluated once, whatever the grid size.
     """
-    if not 0.0 < eps < constants.eps_0:
+    eps_grid = np.asarray(eps_grid, dtype=float)
+    if not np.all((eps_grid > 0.0) & (eps_grid < constants.eps_0)):
         raise ValueError(f"eps must lie in (0, {constants.eps_0})")
     f = np.asarray(f, dtype=complex)
     re_q0 = float(np.real(np.vdot(f, forms.K0 @ f)))
     norm2 = float(np.real(np.vdot(f, forms.M @ f)))
-    bound = eps * re_q0 + constants.M * eps ** -3 * norm2
+    lhs = [(j, float(abs(np.vdot(f, K @ f))))
+           for j, K in ((1, forms.K1), (2, forms.K2), (3, forms.K3))]
     out = []
-    for j, K in ((1, forms.K1), (2, forms.K2), (3, forms.K3)):
-        lhs = abs(np.vdot(f, K @ f))
-        out.append({"j": j, "eps": eps, "lhs": float(lhs),
-                    "bound": float(bound), "slack": float(bound - lhs)})
+    for eps in eps_grid:
+        bound = float(eps * re_q0 + constants.M * eps ** -3 * norm2)
+        out += [{"j": j, "eps": eps, "lhs": v, "bound": bound,
+                 "slack": bound - v} for j, v in lhs]
     return out
 
 

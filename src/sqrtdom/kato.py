@@ -8,8 +8,11 @@ resolvent
     R(z) = R0(z) - R0(z) B* [I - K(z)]^{-1} A R0(z),   K(z) = -A R0(z) B*,
 
 reproduces the one-shot discretization exactly at the matrix level (LU
-roundoff only).  That exactness is the primary oracle of this module.  The
-decay norms are computed at the shifts a verdict reads and nowhere else.
+roundoff only).  That exactness is the primary oracle of this module:
+``verify_identity`` checks it for a ``Problem``, with all three lower-order
+terms adjoined at once and in two steps (r/q, then s), at shifts it derives
+from the problem.  The decay norms are computed at the shifts a verdict
+reads and nowhere else.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import (BoundaryCondition, CoefficientSet, Mesh,
-                       _retained_nodes)
 from .matfun import (ResolventError, _principal_sqrt, _require_off_cut,
                      is_hermitian, power_norms, power_start, resolvent,
                      spectral_norm)
 from .problems import Problem
+from .sectorial import safe_shift
 
 __all__ = [
     "FactoredPerturbation",
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 VARIANTS = ("qr_pair", "s_pair", "full_triple")
+PATHS = ("full_triple", "two_step")  # verify_identity's two factored paths
 
 
 class AdmissibilityError(RuntimeError):
@@ -56,67 +59,47 @@ class FactoredPerturbation:
         return self.B.conj().T @ self.A
 
 
-def _sampling_blocks(mesh: Mesh, bc_left: BoundaryCondition,
-                     bc_right: BoundaryCondition):
+def _sampling_blocks(prob: Problem):
     """Midpoint value/derivative blocks in L2-orthonormal coordinates.
 
     ``V`` maps an orthonormal vector to sqrt(h)-weighted midpoint values of
     its nodal interpolant and ``G`` to the weighted cell slopes, so that
     plain matrix adjoints implement the L2 pairings exactly.
     """
-    n = mesh.n_cells
-    h = mesh.h
-    N = n + 1
-    keep, wk = _retained_nodes(mesh, bc_left, bc_right)
-
-    V = np.zeros((n, N))
-    G = np.zeros((n, N))
+    n, h = prob.mesh.n_cells, prob.mesh.h
+    V = np.zeros((n, n + 1))
+    G = np.zeros((n, n + 1))
     rows = np.arange(n)
     V[rows, rows] = np.sqrt(h) / 2
     V[rows, rows + 1] = np.sqrt(h) / 2
     G[rows, rows] = -1.0 / np.sqrt(h)
     G[rows, rows + 1] = 1.0 / np.sqrt(h)
-    winv = 1.0 / np.sqrt(wk)
-    return V[:, keep] * winv[None, :], G[:, keep] * winv[None, :], keep, wk
+    keep = prob.forms.dof_nodes
+    winv = 1.0 / np.sqrt(prob.forms.lumped_weights)
+    return V[:, keep] * winv[None, :], G[:, keep] * winv[None, :]
 
 
-def _nodal_potential(mesh: Mesh, q: np.ndarray, keep: np.ndarray,
-                     wk: np.ndarray) -> np.ndarray:
-    """Weighted nodal average of the midpoint potential samples.
-
-    Matches the lumped potential matrix: the diagonal of the assembled
-    potential in orthonormal coordinates is exactly this vector.
-    """
-    h = mesh.h
-    N = mesh.n_cells + 1
-    acc = np.zeros(N, dtype=complex)
-    np.add.at(acc, np.arange(mesh.n_cells), q * h / 2)
-    np.add.at(acc, np.arange(1, N), q * h / 2)
-    return acc[keep] / wk
-
-
-def build_factorization(mesh: Mesh, coeffs: CoefficientSet,
-                        bc_left: BoundaryCondition,
-                        bc_right: BoundaryCondition,
-                        variant: str = "full_triple") -> FactoredPerturbation:
-    """Build the (A, B) pair for the requested perturbation split.
+def build_factorization(prob: Problem, variant: str) -> FactoredPerturbation:
+    """Build the (A, B) pair of ``prob`` for the requested perturbation split.
 
     ``qr_pair`` factors the convection-by-r plus potential terms (A stacks
     the derivative block over the unimodular-phase square-rooted potential,
     B the conjugated-r multiplication over the plain square root);
     ``s_pair`` factors the divergence-form convection with A the negated
-    s-multiplication; ``full_triple`` stacks all three blocks.  In every
-    case ``B^H A`` equals the corresponding form matrix exactly.
+    s-multiplication; ``full_triple`` stacks all three blocks.  The blocks
+    live on the retained nodes of ``prob.forms``, the potential is the
+    lumped nodal average ``prob.lumped_average(q)``, and in every case
+    ``B^H A`` equals the corresponding form matrix exactly.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    V, G, keep, wk = _sampling_blocks(mesh, bc_left, bc_right)
-    qt = _nodal_potential(mesh, coeffs.q, keep, wk)
+    coeffs = prob.coeffs
+    V, G = _sampling_blocks(prob)
+    qt = prob.lumped_average(coeffs.q)
     absq = np.abs(qt)
     # principal argument with Arg(0) := 0, so vanishing samples give zero rows
     phase = np.where(absq > 0, qt / np.where(absq > 0, absq, 1.0), 1.0)
     rootq = np.sqrt(absq)
-    n_dof = V.shape[1]
 
     qa_block = np.diag(phase * rootq)
     qb_block = np.diag(rootq).astype(complex)
@@ -135,8 +118,6 @@ def build_factorization(mesh: Mesh, coeffs: CoefficientSet,
     else:
         A = np.vstack([G.astype(complex), sa_block, qa_block])
         B = np.vstack([r_block, sb_block.astype(complex), qb_block])
-    if A.shape[1] != n_dof:
-        raise ValueError("factor blocks and DOF count out of step")
     return FactoredPerturbation(A=A, B=B)
 
 
@@ -188,43 +169,47 @@ def perturbed_resolvent(H0: np.ndarray, fact: FactoredPerturbation,
     return _woodbury(resolvent(H0, z), fact, z, "")
 
 
-def verify_identity(H: np.ndarray, H0: np.ndarray,
-                    fact: FactoredPerturbation, z_list) -> dict:
-    """Compare the factored resolvent of ``H0 + B^H A`` against ``H``.
+def verify_identity(prob: Problem) -> dict:
+    """Check both factored paths to the resolvent of ``prob.H``.
 
-    Returns the maximum relative error over admissible shifts plus per-shift
-    records; inadmissible points are excluded and reported.
+    From the base operator ``H0``, the one-shot path adjoins the full triple
+    and the two-step path (``TwoStepResolvent``) the r/q terms and then the
+    s term; each is compared with one direct resolvent per shift.  The
+    shifts are ``z = -E, -2E, -E + iE`` with
+    ``E = safe_shift(H) + safe_shift(H0) + 10``.  A shift where either path
+    is inadmissible is excluded and reported.  ``records`` holds per shift
+    ``z`` the relative Frobenius error of each path, keyed by its name in
+    ``PATHS``, and ``max_error`` the maximum per path.
     """
+    closure = TwoStepResolvent(prob)
+    fact = build_factorization(prob, "full_triple")
+    E = safe_shift(prob.H) + safe_shift(closure.H0) + 10.0
     records, excluded = [], []
-    max_err = 0.0
-    for z in z_list:
-        z = complex(z)
+    for z in (complex(-E), complex(-2 * E), complex(-E, E)):
         try:
-            R_fact = perturbed_resolvent(H0, fact, z)
+            paths = {"full_triple": perturbed_resolvent(closure.H0, fact, z),
+                     "two_step": closure(z)}
         except AdmissibilityError:
             excluded.append(z)
             continue
-        R_direct = resolvent(H, z)
-        err = (np.linalg.norm(R_fact - R_direct)
-               / np.linalg.norm(R_direct))
-        records.append({"z": z, "rel_error": float(err)})
-        max_err = max(max_err, float(err))
-    return {"max_rel_error": max_err, "records": records,
-            "excluded": excluded}
+        R = resolvent(prob.H, z)
+        scale = np.linalg.norm(R)
+        records.append({"z": z, **{path: float(np.linalg.norm(Rp - R) / scale)
+                                   for path, Rp in paths.items()}})
+    return {"max_error": {path: max((r[path] for r in records), default=0.0)
+                          for path in PATHS},
+            "records": records, "excluded": excluded}
 
 
 class TwoStepResolvent:
-    """Composed resolvent: from the base operator of ``prob``, first adjoin
-    the r/q terms, then the s term; matches ``prob.H`` stage by stage."""
+    """Composed resolvent of ``prob.H``: from the base operator ``H0``,
+    assembled once here, first adjoin the r/q terms (``qr_pair``), then the
+    s term (``s_pair``); ``verify_identity`` reuses ``H0``."""
 
     def __init__(self, prob: Problem):
-        mesh, coeffs, bl, br = (prob.mesh, prob.coeffs, prob.bc_left,
-                                prob.bc_right)
-        stage1 = CoefficientSet(p=coeffs.p, q=coeffs.q, r=coeffs.r,
-                                s=np.zeros_like(coeffs.s))
         self.H0 = prob.base_operator()
-        self.fact_qr = build_factorization(mesh, stage1, bl, br, "qr_pair")
-        self.fact_s = build_factorization(mesh, coeffs, bl, br, "s_pair")
+        self.fact_qr = build_factorization(prob, "qr_pair")
+        self.fact_s = build_factorization(prob, "s_pair")
 
     def __call__(self, z: complex) -> np.ndarray:
         z = complex(z)

@@ -125,6 +125,16 @@ class Problem:
               else BoundaryCondition.neumann())
         return orthonormalize(assemble_forms(self.mesh, ref, bl, br))
 
+    def lumped_average(self, cells: np.ndarray) -> np.ndarray:
+        """Cell samples averaged onto the retained nodes with the lumped
+        mass: a node weighs the half cells it touches, so an interior node
+        takes the mean of its two cells and an end node its one cell."""
+        h = self.mesh.h
+        acc = np.zeros(self.mesh.n_cells + 1, dtype=complex)
+        acc[:-1] += cells * h / 2
+        acc[1:] += cells * h / 2
+        return acc[self.forms.dof_nodes] / self.forms.lumped_weights
+
     def kernel_table(self, R_ortho: np.ndarray) -> np.ndarray:
         """Two-point kernel samples of an operator given in orthonormal
         coordinates, extended by zero onto removed Dirichlet nodes."""

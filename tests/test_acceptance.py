@@ -17,15 +17,14 @@ from sqrtdom.assembly import BoundaryCondition, IntervalSpec
 from sqrtdom.checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU,
                             TOL_SLACK, TOL_SLOPE, TOL_TRACE, decay_ok,
                             decay_profiles, krein_suite, multiplier_decay,
-                            trace_suite, two_step_errors)
+                            trace_suite)
 from sqrtdom.cli import main as cli_main
 from sqrtdom.domains import refinement_study
 from sqrtdom.formbounds import check_trudinger, locunif_norms
-from sqrtdom.kato import build_factorization, verify_identity
+from sqrtdom.kato import verify_identity
 from sqrtdom.matfun import (QuadratureSpec, check_power_laws, frac_power_quad,
                             sqrt_db)
 from sqrtdom.problems import make_problem
-from sqrtdom.sectorial import safe_shift
 
 DIR = BoundaryCondition.dirichlet()
 NEU = BoundaryCondition.neumann()
@@ -46,11 +45,6 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def admissible_grid(direct, T0):
-    E = safe_shift(direct) + safe_shift(T0) + 20.0
-    return [-E, -2.0 * E, -E * (1.0 + 1.0j)]
-
-
 def setup_runs(n):
     runs = []
     for i, family in enumerate(FAMILIES):
@@ -65,36 +59,33 @@ def setup_runs(n):
 
 
 @pytest.fixture(scope="module")
-def kato_runs():
-    return setup_runs(n=200)
-
-
-def test_criterion_1_kato_identity_oracle(kato_runs):
+def identity_pass():
+    """One ``verify_identity`` pass over the 15 problems at n = 200, which
+    criteria 1 and 2 share, and its wall time (assembly excluded)."""
+    runs = setup_runs(n=200)
     t0 = time.perf_counter()
-    worst, n_excluded = 0.0, 0
-    for prob in kato_runs:
-        T0 = prob.base_operator()
-        fact = build_factorization(prob.mesh, prob.coeffs, prob.bc_left,
-                                   prob.bc_right, "full_triple")
-        rep = verify_identity(prob.H, T0, fact, admissible_grid(prob.H, T0))
-        worst = max(worst, rep["max_rel_error"])
-        n_excluded += len(rep["excluded"])
-    elapsed = time.perf_counter() - t0
+    reports = [verify_identity(prob) for prob in runs]
+    return reports, time.perf_counter() - t0
+
+
+def identity_criterion(criterion, path, label, identity_pass):
+    reports, elapsed = identity_pass
+    worst = max(rep["max_error"][path] for rep in reports)
+    n_excluded = sum(len(rep["excluded"]) for rep in reports)
     ok = worst <= TOL_KATO and n_excluded == 0 and elapsed < 30.0
-    report(1, ok, f"factored-resolvent identity: max rel err {worst:.3e} "
-                  f"(tol {TOL_KATO:g}) over {len(kato_runs)} problems, "
-                  f"{elapsed:.1f}s at n=200")
+    report(criterion, ok, f"{label}: max rel err {worst:.3e} (tol "
+                          f"{TOL_KATO:g}) over {len(reports)} problems, "
+                          f"{n_excluded} shifts excluded, shared pass "
+                          f"{elapsed:.1f}s at n=200")
 
 
-def test_criterion_2_two_step_composition(kato_runs):
-    worst = 0.0
-    for prob in kato_runs:
-        T0 = prob.base_operator()
-        worst = max(worst, *two_step_errors(prob,
-                                            admissible_grid(prob.H, T0)))
-    ok = worst <= TOL_KATO
-    report(2, ok, f"two-step composition: max rel err {worst:.3e} "
-                  f"(tol {TOL_KATO:g})")
+def test_criterion_1_kato_identity_oracle(identity_pass):
+    identity_criterion(1, "full_triple", "factored-resolvent identity",
+                       identity_pass)
+
+
+def test_criterion_2_two_step_composition(identity_pass):
+    identity_criterion(2, "two_step", "two-step composition", identity_pass)
 
 
 def test_criterion_3_fractional_power_suite():

@@ -1,12 +1,14 @@
 import filecmp
+import sys
 
 import numpy as np
 import pytest
 
-from sqrtdom import csvio, kato
+from sqrtdom import cli, csvio, kato
 from sqrtdom.cli import (COMMANDS, build_parser, load_config, main,
                          parse_theta, problem_from, read_config_file)
 from sqrtdom.matfun import resolvent
+from sqrtdom.problems import Problem
 
 
 def run(tmp_path, name, *args):
@@ -122,21 +124,55 @@ class TestVerifyCommands:
 
     def test_verify_kato_fails_with_excluded_points(self, tmp_path,
                                                    monkeypatch):
-        # reject only the full-triple core (wider than 2n): the one-shot
-        # identity is then checked at no shift, which is no pass
         invert_core = kato._invert_core
+        probes = {
+            # the full-triple core is wider than 2n: the one-shot identity
+            # is then checked at no shift, which is no pass
+            "full_triple": lambda K, stage: K.shape[0] > 2 * 24,
+            # the two-step path's second core: the composition is unchecked
+            "stage_2": lambda K, stage: stage == "stage 2 (s):",
+        }
+        for name, rejected in probes.items():
+            def probe(K, z, stage):
+                if rejected(K, stage):
+                    raise kato.AdmissibilityError(f"probe at z = {z}")
+                return invert_core(K, z, stage)
 
-        def reject_full_triple(K, z, stage):
-            if K.shape[0] > 2 * 24:
-                raise kato.AdmissibilityError(f"probe at z = {z}")
-            return invert_core(K, z, stage)
+            monkeypatch.setattr(kato, "_invert_core", probe)
+            code, out = run(tmp_path, name, "verify-kato", "--problem",
+                            "sawtooth", "--n", "24")
+            text = (out / "manifest.txt").read_text()
+            assert "excluded_points = 3" in text, name
+            assert "verdict = fail" in text and code == 1, name
 
-        monkeypatch.setattr(kato, "_invert_core", reject_full_triple)
-        code, out = run(tmp_path, "o", "verify-kato", "--problem", "sawtooth",
-                        "--n", "24")
-        text = (out / "manifest.txt").read_text()
-        assert "excluded_points = 3" in text
-        assert "verdict = fail" in text and code == 1
+    def test_verify_kato_assembles_once_and_solves_once_per_shift(
+            self, tmp_path, monkeypatch):
+        problems, bases, direct = [], [], []
+
+        def capture(cfg):
+            problems.append(problem_from(cfg))
+            return problems[-1]
+
+        def counting_base(prob):
+            bases.append(prob)
+            return base_operator(prob)
+
+        def counting_resolvent(H, z):
+            direct.append(any(H is prob.H for prob in problems))
+            return resolvent(H, z)
+
+        base_operator = Problem.base_operator
+        monkeypatch.setattr(cli, "problem_from", capture)
+        monkeypatch.setattr(Problem, "base_operator", counting_base)
+        # every binding of the one resolvent, whichever module calls it
+        for module in [m for name, m in sys.modules.items()
+                       if name.startswith("sqrtdom")]:
+            for attr, value in list(vars(module).items()):
+                if value is resolvent:
+                    monkeypatch.setattr(module, attr, counting_resolvent)
+        code, _ = run(tmp_path, "o", "verify-kato", "--n", "16")
+        assert code == 0 and len(problems) == 1
+        assert len(bases) == 1 and sum(direct) == 3
 
     def test_decay_csv_columns(self, tmp_path):
         # one row per shift of the default grid, nine from 100 to 1/h^2

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                              assemble_forms, build_mesh)
+                              build_mesh)
 from sqrtdom import kato
 from sqrtdom.checks import decay_profiles, multiplier_decay
 from sqrtdom.kato import (AdmissibilityError, TwoStepResolvent,
@@ -11,17 +11,23 @@ from sqrtdom.kato import (AdmissibilityError, TwoStepResolvent,
                           kato_K, kato_K_norms, perturbed_resolvent,
                           verify_identity)
 from sqrtdom.matfun import SpectrumOnCutError, resolvent, spectral_norm
-from sqrtdom.problems import Problem, build_coefficients, make_problem
-from sqrtdom.sectorial import safe_shift
+from sqrtdom.problems import Problem, make_problem
 
 DIR = BoundaryCondition.dirichlet()
 NEU = BoundaryCondition.neumann()
 
 
-def setup_pair(family="constant_qrs", n=40, interval=None, bl=DIR, br=DIR):
-    """(direct operator, base operator, coeffs, mesh) for one family."""
-    prob = make_problem(family, interval=interval, n=n, bc_left=bl, bc_right=br)
-    return prob.H, prob.base_operator(), prob.coeffs, prob.mesh
+def setup_pair(family, n):
+    """(problem, base operator) for one family on [0, 1]."""
+    prob = make_problem(family, n=n)
+    return prob, prob.base_operator()
+
+
+def with_coeffs(n, bl=DIR, br=DIR, **coeffs):
+    """Problem on [0, 1] with the given constant or callable coefficients."""
+    mesh = build_mesh(IntervalSpec(), n)
+    return Problem(IntervalSpec(), mesh,
+                   CoefficientSet.from_callables(mesh, **coeffs), bl, br)
 
 
 def ortho_perturbation(prob_forms):
@@ -33,51 +39,41 @@ def ortho_perturbation(prob_forms):
 
 class TestBuildFactorization:
     def test_zero_qr_gives_zero_product(self):
-        mesh = build_mesh(IntervalSpec(), 12)
-        coeffs = CoefficientSet.from_callables(mesh, s=1.0)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "qr_pair")
+        fact = build_factorization(with_coeffs(12, s=1.0), "qr_pair")
         # the derivative block survives, but B's r-block is zero
         np.testing.assert_allclose(fact.product(), 0.0, atol=1e-15)
 
     def test_s_pair_reproduces_convection_matrix(self):
-        mesh = build_mesh(IntervalSpec(), 16)
-        coeffs = CoefficientSet.from_callables(mesh, s=2.0 - 1.0j)
-        forms = assemble_forms(mesh, coeffs, DIR, NEU)
-        fact = build_factorization(mesh, coeffs, DIR, NEU, "s_pair")
+        prob = with_coeffs(16, DIR, NEU, s=2.0 - 1.0j)
+        fact = build_factorization(prob, "s_pair")
         np.testing.assert_allclose(fact.product(),
-                                   ortho_perturbation(forms), atol=1e-14)
+                                   ortho_perturbation(prob.forms), atol=1e-14)
 
     def test_unit_potential_gives_identity_block(self):
         # q = 1: the factored product is the orthonormalized lumped potential,
         # i.e. the identity away from boundary weight effects
-        mesh = build_mesh(IntervalSpec(), 10)
-        coeffs = CoefficientSet.from_callables(mesh, q=1.0)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "qr_pair")
+        fact = build_factorization(with_coeffs(10, q=1.0), "qr_pair")
         np.testing.assert_allclose(fact.product(), np.eye(9), atol=1e-14)
 
     @pytest.mark.parametrize("family", ["constant_qrs", "complex_constant",
                                         "mixed_sign", "sawtooth", "spike"])
     def test_full_triple_exact_product(self, family):
-        mesh = build_mesh(IntervalSpec(), 32)
-        coeffs = build_coefficients(family, mesh)
-        forms = assemble_forms(mesh, coeffs, DIR, DIR)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
-        pert = ortho_perturbation(forms)
+        prob = make_problem(family, n=32)
+        fact = build_factorization(prob, "full_triple")
+        pert = ortho_perturbation(prob.forms)
         np.testing.assert_allclose(fact.product(), pert,
                                    atol=1e-13 * max(1, np.abs(pert).max()))
 
     def test_unknown_variant_rejected(self):
-        mesh = build_mesh(IntervalSpec(), 8)
         with pytest.raises(ValueError):
-            build_factorization(mesh, CoefficientSet.from_callables(mesh),
-                                DIR, DIR, "bogus")
+            build_factorization(with_coeffs(8), "bogus")
 
 
 class TestKatoK:
     def test_zero_factorization(self):
         # vanishing s gives a zero A-block, hence identically zero K
-        direct, T0, coeffs, mesh = setup_pair("free", n=12)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "s_pair")
+        prob, T0 = setup_pair("free", n=12)
+        fact = build_factorization(prob, "s_pair")
         np.testing.assert_allclose(kato_K(T0, fact, -1.0), 0.0, atol=1e-15)
 
     def test_scalar_toy(self):
@@ -92,17 +88,25 @@ class TestKatoK:
         np.testing.assert_allclose(R, [[0.5]])  # (T0 + B*A)^{-1} = 1/2
 
     def test_norm_decreasing_in_shift(self):
-        direct, T0, coeffs, mesh = setup_pair("constant_qrs", n=30)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "qr_pair")
+        prob, T0 = setup_pair("constant_qrs", n=30)
+        fact = build_factorization(prob, "qr_pair")
         norms = [spectral_norm(kato_K(T0, fact, -E))
                  for E in (1e1, 1e2, 1e3, 1e4)]
         assert all(a > b for a, b in zip(norms, norms[1:]))
 
 
+def checked(prob, path):
+    """``verify_identity``'s maximum error of one path; every shift must be
+    admissible."""
+    report = verify_identity(prob)
+    assert len(report["records"]) == 3 and not report["excluded"]
+    return report["max_error"][path]
+
+
 class TestPerturbedResolvent:
     def test_zero_factorization_recovers_base(self):
-        direct, T0, coeffs, mesh = setup_pair("free", n=12)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
+        prob, T0 = setup_pair("free", n=12)
+        fact = build_factorization(prob, "full_triple")
         np.testing.assert_allclose(perturbed_resolvent(T0, fact, -2.0),
                                    resolvent(T0, -2.0), atol=1e-13)
 
@@ -114,17 +118,12 @@ class TestPerturbedResolvent:
         ("spike", DIR, DIR),
     ])
     def test_matches_direct_assembly(self, family, bl, br):
-        direct, T0, coeffs, mesh = setup_pair(family, n=40, bl=bl, br=br)
-        fact = build_factorization(mesh, coeffs, bl, br, "full_triple")
-        E = safe_shift(direct) + safe_shift(T0) + 20.0
-        report = verify_identity(direct, T0, fact,
-                                 [-E, -2 * E, -E + 1j * E])
-        assert not report["excluded"]
-        assert report["max_rel_error"] <= 1e-9
+        prob = make_problem(family, n=40, bc_left=bl, bc_right=br)
+        assert checked(prob, "full_triple") <= 1e-9
 
     def test_second_resolvent_identity(self):
-        direct, T0, coeffs, mesh = setup_pair("constant_qrs", n=25)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
+        prob, T0 = setup_pair("constant_qrs", n=25)
+        fact = build_factorization(prob, "full_triple")
         z1, z2 = -30.0, -55.0 + 3j
         R1 = perturbed_resolvent(T0, fact, z1)
         R2 = perturbed_resolvent(T0, fact, z2)
@@ -132,10 +131,10 @@ class TestPerturbedResolvent:
         assert np.linalg.norm(R1 - R2 - rhs) / np.linalg.norm(rhs) < 1e-9
 
     def test_inadmissible_point_reported(self):
-        direct, T0, coeffs, mesh = setup_pair("constant_qrs", n=20)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
+        prob, T0 = setup_pair("constant_qrs", n=20)
+        fact = build_factorization(prob, "full_triple")
         # an eigenvalue of the perturbed operator is not admissible
-        lam = np.linalg.eigvals(direct)
+        lam = np.linalg.eigvals(prob.H)
         z = lam[np.argmin(np.abs(lam))]
         with pytest.raises((AdmissibilityError, np.linalg.LinAlgError)):
             perturbed_resolvent(T0, fact, complex(z))
@@ -145,70 +144,53 @@ class TestTwoStep:
     def test_zero_s_second_stage_is_identity(self):
         prob = make_problem("free", n=15)
         closure = TwoStepResolvent(prob)
-        T0 = prob.base_operator()
-        z = -3.0
-        np.testing.assert_allclose(closure(z), resolvent(T0, z), atol=1e-12)
+        np.testing.assert_allclose(closure(-3.0), resolvent(closure.H0, -3.0),
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("family", ["constant_qrs", "complex_constant",
                                         "sawtooth"])
     def test_matches_one_shot_assembly(self, family):
-        prob = make_problem(family, n=40)
-        direct = prob.H
-        closure = TwoStepResolvent(prob)
-        E = safe_shift(direct) + 30.0
-        R_direct = resolvent(direct, -E)
-        err = np.linalg.norm(closure(-E) - R_direct) / np.linalg.norm(R_direct)
-        assert err <= 1e-9
+        assert checked(make_problem(family, n=40), "two_step") <= 1e-9
 
     def test_half_line_variant(self):
         iv = IntervalSpec("half_line", a=0.0, truncation_radius=8.0)
         prob = make_problem("mixed_sign", interval=iv, n=64, bc_left=NEU,
                             bc_right=DIR)
-        direct = prob.H
-        closure = TwoStepResolvent(prob)
-        E = safe_shift(direct) + 25.0
-        R_direct = resolvent(direct, -E)
-        err = np.linalg.norm(closure(-E) - R_direct) / np.linalg.norm(R_direct)
-        assert err <= 1e-9
+        assert checked(prob, "two_step") <= 1e-9
 
     def test_full_line_variant(self):
         iv = IntervalSpec("full_line", truncation_radius=6.0)
         prob = make_problem("spike", interval=iv, n=64)
-        direct = prob.H
-        closure = TwoStepResolvent(prob)
-        E = safe_shift(direct) + 25.0
-        R_direct = resolvent(direct, -E)
-        err = np.linalg.norm(closure(-E) - R_direct) / np.linalg.norm(R_direct)
-        assert err <= 1e-9
+        assert checked(prob, "two_step") <= 1e-9
 
 
 class TestDecayProfile:
     def test_zero_factorization_all_zero(self):
-        direct, T0, coeffs, mesh = setup_pair("free", n=12)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "s_pair")
+        prob, T0 = setup_pair("free", n=12)
+        fact = build_factorization(prob, "s_pair")
         prof = decay_profile(_InvSqrtShifted(T0), fact,
                              np.geomspace(1.0, 100.0, 4))
         assert all(r["normK"] == 0.0 for r in prof["rows"])
         assert all(r["normA"] == 0.0 for r in prof["rows"])
 
     def test_qr_pair_norm_decays(self):
-        direct, T0, coeffs, mesh = setup_pair("constant_qrs", n=120)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "qr_pair")
+        prob, T0 = setup_pair("constant_qrs", n=120)
+        fact = build_factorization(prob, "qr_pair")
         prof = decay_profile(_InvSqrtShifted(T0), fact,
                              np.geomspace(1e2, 1e6, 7))
         assert prof["slope"] <= -0.2
         assert prof["monotone"]
 
     def test_full_triple_plateau_on_fine_mesh(self):
-        direct, T0, coeffs, mesh = setup_pair("constant_qrs", n=400)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
+        prob, T0 = setup_pair("constant_qrs", n=400)
+        fact = build_factorization(prob, "full_triple")
         prof = decay_profile(_InvSqrtShifted(T0), fact,
                              np.geomspace(1e2, 1e5, 6))
         assert prof["plateau_ratio"] >= 0.5
 
     def test_nonmonotone_grid_rejected(self):
-        direct, T0, coeffs, mesh = setup_pair("free", n=12)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "s_pair")
+        prob, T0 = setup_pair("free", n=12)
+        fact = build_factorization(prob, "s_pair")
         with pytest.raises(ValueError):
             decay_profile(_InvSqrtShifted(T0), fact, [10.0, 5.0, 20.0])
 
@@ -242,13 +224,25 @@ class TestDecayProfile:
         # the same numbers as one factorization per variant and multiplier
         T0 = prob.base_operator()
         for variant, prof in shared.items():
-            fact = build_factorization(prob.mesh, prob.coeffs, prob.bc_left,
-                                       prob.bc_right, variant)
+            fact = build_factorization(prob, variant)
             assert prof == decay_profile(_InvSqrtShifted(T0), fact, E_grid)
         for name, samples in multipliers.items():
             alone = multiplier_decay(prob, {name: samples}, E_grid)[name]
             assert np.array_equal(shared_phi[name]["norms"], alone["norms"])
             assert shared_phi[name]["slope"] == alone["slope"]
+
+
+class TestMultiplierDecay:
+    def test_unit_multiplier_is_exact_at_a_neumann_end(self):
+        # phi = 1 gives ||(H_ref + E)^{-1/2}|| = (lambda_min + E)^{-1/2}
+        # exactly; the end node must carry phi = 1 too, not half of it
+        prob = make_problem("mixed_sign", n=32, bc_left=NEU)
+        E_grid = [1.0, 10.0, 100.0]
+        rec = multiplier_decay(prob, {"one": np.ones(32)}, E_grid)["one"]
+        lam = np.linalg.eigvalsh(prob.reference_operator())[0]
+        np.testing.assert_allclose(rec["norms"],
+                                   (lam + np.array(E_grid)) ** -0.5,
+                                   rtol=1e-8)
 
 
 class TestInvSqrtShifted:
@@ -285,8 +279,8 @@ class TestInvSqrtShifted:
     def test_batched_norms_match_explicit_products(self, family):
         # sawtooth has complex p, so its T0 takes the Schur path; more
         # shifts than one Schur block holds, so blocks are crossed
-        direct, T0, coeffs, mesh = setup_pair(family, n=64)
-        fact = build_factorization(mesh, coeffs, DIR, DIR, "full_triple")
+        prob, T0 = setup_pair(family, n=64)
+        fact = build_factorization(prob, "full_triple")
         halver = _InvSqrtShifted(T0)
         n = T0.shape[0]
         assert halver.hermitian == (family == "constant_qrs")
