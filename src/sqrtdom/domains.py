@@ -5,11 +5,13 @@ Domain equality statements are rendered finitely as two-sided norm
 equivalence: the ratio ``kappa = max/min`` of ``||(H + E)^alpha f||`` against
 ``||(H_ref + E)^alpha f||`` with ``H_ref`` the problem's self-adjoint
 reference operator; at alpha = 1/2 the reference norm is the E-scaled
-W^{1,2} norm.  ``_kappa_row`` builds the Gram matrices of the two norms for
-each kappa problem, and ``sqrt_domain_kappa`` maximizes the ratio exactly
-through their generalized Hermitian eigenproblem.  A problem passes when
-``kappa`` stays bounded under mesh refinement; the upwind first-derivative
-operator is the negative control whose critical-power ratio keeps growing.
+W^{1,2} norm.  ``refinement_study`` takes the operator at each mesh level:
+any ``Problem``, or the upwind first-derivative control, which is referred
+to its adjoint.  ``_kappa_row`` builds the Gram matrices of the two norms,
+and ``sqrt_domain_kappa`` maximizes the ratio exactly through their
+generalized Hermitian eigenproblem.  A problem passes when ``kappa`` stays
+bounded under mesh refinement; the control's critical-power ratio keeps
+growing.
 
 Every fractional power goes through ``matrix_power``, whose three routes are
 all exact to roundoff: eigendecomposition for Hermitian input, the
@@ -26,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import BoundaryCondition
 from .kato import _InvSqrtShifted
 from .matfun import _principal_sqrt, _require_off_cut, is_hermitian
-from .problems import lions_operator, make_problem
+from .problems import lions_operator
 
 __all__ = [
     "DomainEquivalenceReport",
@@ -37,7 +38,6 @@ __all__ = [
     "sqrt_domain_kappa",
     "refinement_study",
     "thmA1_decay",
-    "KAPPA_PROBLEMS",
 ]
 
 
@@ -157,33 +157,22 @@ class DomainEquivalenceReport:
     calibration: dict
 
 
-# each kappa problem but the lions control: its family and left condition
-_KAPPA_FAMILIES = {"baseline": ("free", None),
-                   "complex_p": ("complex_p", None),
-                   "complex_full": ("complex_constant", None),
-                   "robin_complex": ("mixed_sign", BoundaryCondition(1 + 0.5j))}
-KAPPA_PROBLEMS = (*_KAPPA_FAMILIES, "lions")
+def _kappa_row(operator_at, n: int, E: float, alpha: float) -> dict:
+    """Level ``n`` of a study: the power Gram ``P`` of ``operator_at(n)``
+    against the reference Gram ``Q``, compared by ``sqrt_domain_kappa``.
 
-
-def _kappa_row(problem: str, n: int, E: float, alpha: float) -> dict:
-    """One refinement level: the power Gram ``P`` and reference Gram ``Q``
-    of the problem, compared by ``sqrt_domain_kappa``.
-
-    The lions control's reference is its adjoint, whose power is the
-    power's adjoint.  Any other problem is referred to the same power of
-    its self-adjoint reference operator; at the critical power that Gram is
-    ``H_ref + E``, the E-scaled Sobolev Gram in orthonormal coordinates.
-    """
-    if problem == "lions":
+    The lions control (its matrix freed before the power is taken) is
+    referred to its adjoint, whose power is the power's adjoint; a
+    ``Problem`` to the same power of its self-adjoint reference operator,
+    whose Gram at the critical power is ``H_ref + E``, the E-scaled Sobolev
+    Gram in orthonormal coordinates."""
+    if operator_at is lions_operator:
         X = matrix_power(lions_operator(n) + E * np.eye(n), alpha)
         P, Q = X.conj().T @ X, X @ X.conj().T
-    elif problem in _KAPPA_FAMILIES:
-        family, bc_left = _KAPPA_FAMILIES[problem]
-        prob = make_problem(family, n=n, bc_left=bc_left)
+    else:
+        prob = operator_at(n)
         P = _power_gram(prob.H, E, alpha)
         Q = _power_gram(prob.reference_operator(), E, alpha)
-    else:
-        raise ValueError(f"unknown kappa problem {problem!r}")
     return {"n": n, "E": float(E), "alpha": float(alpha),
             **sqrt_domain_kappa(P, Q)}
 
@@ -194,42 +183,40 @@ def _growth(rows: list) -> float:
     return rows[-1]["kappa"] / min(row["kappa"] for row in rows)
 
 
-def refinement_study(problem: str, n_list, E: float = 1.0,
-                     alpha: float = 0.5, growth_threshold: float | None = None
+def refinement_study(operator_at, n_list, E: float, alpha: float,
+                     growth_threshold: float | None
                      ) -> DomainEquivalenceReport:
     """Track the equivalence ratio under refinement and judge boundedness.
 
-    With no explicit threshold the run calibrates itself: the negative
-    control is evaluated at the critical power and at 1/4 on the same mesh
-    ladder, and the ceiling is the geometric mean of the two growth ratios,
-    which cleanly separates convergent ratios from critical-power growth.
+    ``operator_at(n)`` is the ``Problem`` at mesh level ``n``, or
+    ``operator_at`` is ``lions_operator`` itself for the control.  With no
+    explicit threshold the run calibrates itself: the control is evaluated
+    at the critical power and at 1/4 on the same mesh ladder, and the
+    ceiling is the geometric mean of the two growth ratios, which cleanly
+    separates convergent ratios from critical-power growth.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 2:
         raise ValueError("need at least two refinement levels")
-    rows = [_kappa_row(problem, n, E, alpha) for n in n_list]
+    rows = [_kappa_row(operator_at, n, E, alpha) for n in n_list]
     growth = _growth(rows)
 
     calibration = {}
     if growth_threshold is None:
-        if problem == "lions" and alpha in (0.25, 0.5):
-            # reuse this very sweep for its half of the calibration
-            ref = {alpha: rows}
-        else:
-            ref = {}
+        # the control's own sweep at a calibration power is not repeated
+        ref = {alpha: rows} if operator_at is lions_operator else {}
         for al in (0.25, 0.5):
             if al not in ref:
-                ref[al] = [_kappa_row("lions", n, E, al) for n in n_list]
+                ref[al] = [_kappa_row(lions_operator, n, E, al)
+                           for n in n_list]
         g_low, g_high = _growth(ref[0.25]), _growth(ref[0.5])
         growth_threshold = float(np.sqrt(g_low * g_high))
         calibration = {"lions_growth_quarter": float(g_low),
                        "lions_growth_half": float(g_high)}
 
     verdict = "bounded" if growth <= growth_threshold else "divergent"
-    for row in rows:
-        row["verdict"] = verdict
     return DomainEquivalenceReport(rows=rows, growth=float(growth),
                                    threshold=float(growth_threshold),
                                    verdict=verdict, calibration=calibration)

@@ -163,10 +163,11 @@ def _woodbury(R: np.ndarray, fact: FactoredPerturbation, z: complex,
     return R - RB @ inv_ImK @ (fact.A @ R)
 
 
-def perturbed_resolvent(H0: np.ndarray, fact: FactoredPerturbation,
+def perturbed_resolvent(R0: np.ndarray, fact: FactoredPerturbation,
                         z: complex) -> np.ndarray:
-    """Resolvent of ``H0 + B^H A`` through the factored identity."""
-    return _woodbury(resolvent(H0, z), fact, z, "")
+    """Resolvent of ``H0 + B^H A`` through the factored identity, from the
+    base resolvent ``R0 = (H0 - z)^{-1}``."""
+    return _woodbury(R0, fact, z, "")
 
 
 def verify_identity(prob: Problem) -> dict:
@@ -174,8 +175,8 @@ def verify_identity(prob: Problem) -> dict:
 
     From the base operator ``H0``, the one-shot path adjoins the full triple
     and the two-step path (``TwoStepResolvent``) the r/q terms and then the
-    s term; each is compared with one direct resolvent per shift.  The
-    shifts are ``z = -E, -2E, -E + iE`` with
+    s term, both to the one base resolvent of a shift, and each is compared
+    with one direct resolvent.  The shifts are ``z = -E, -2E, -E + iE`` with
     ``E = safe_shift(H) + safe_shift(H0) + 10``.  A shift where either path
     is inadmissible is excluded and reported.  ``records`` holds per shift
     ``z`` the relative Frobenius error of each path, keyed by its name in
@@ -186,9 +187,10 @@ def verify_identity(prob: Problem) -> dict:
     E = safe_shift(prob.H) + safe_shift(closure.H0) + 10.0
     records, excluded = [], []
     for z in (complex(-E), complex(-2 * E), complex(-E, E)):
+        R0 = resolvent(closure.H0, z)
         try:
-            paths = {"full_triple": perturbed_resolvent(closure.H0, fact, z),
-                     "two_step": closure(z)}
+            paths = {"full_triple": perturbed_resolvent(R0, fact, z),
+                     "two_step": closure(z, R0)}
         except AdmissibilityError:
             excluded.append(z)
             continue
@@ -202,21 +204,19 @@ def verify_identity(prob: Problem) -> dict:
 
 
 class TwoStepResolvent:
-    """Composed resolvent of ``prob.H``: from the base operator ``H0``,
-    assembled once here, first adjoin the r/q terms (``qr_pair``), then the
-    s term (``s_pair``); ``verify_identity`` reuses ``H0``."""
+    """Composed resolvent of ``prob.H``: to the resolvent of the base
+    operator ``H0``, assembled once here, first adjoin the r/q terms
+    (``qr_pair``), then the s term (``s_pair``); ``verify_identity`` reuses
+    ``H0``."""
 
     def __init__(self, prob: Problem):
         self.H0 = prob.base_operator()
         self.fact_qr = build_factorization(prob, "qr_pair")
         self.fact_s = build_factorization(prob, "s_pair")
 
-    def __call__(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        try:
-            R1 = perturbed_resolvent(self.H0, self.fact_qr, z)
-        except AdmissibilityError as exc:
-            raise AdmissibilityError(f"stage 1 (r, q) inadmissible at z = {z}") from exc
+    def __call__(self, z: complex, R0: np.ndarray) -> np.ndarray:
+        """The resolvent at ``z`` from ``R0 = (H0 - z)^{-1}``."""
+        R1 = _woodbury(R0, self.fact_qr, z, "stage 1 (r, q):")
         return _woodbury(R1, self.fact_s, z, "stage 2 (s):")
 
 

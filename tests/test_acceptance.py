@@ -24,7 +24,7 @@ from sqrtdom.formbounds import check_trudinger, locunif_norms
 from sqrtdom.kato import verify_identity
 from sqrtdom.matfun import (QuadratureSpec, check_power_laws, frac_power_quad,
                             sqrt_db)
-from sqrtdom.problems import make_problem
+from sqrtdom.problems import lions_operator, make_problem
 
 DIR = BoundaryCondition.dirichlet()
 NEU = BoundaryCondition.neumann()
@@ -202,13 +202,13 @@ def test_criterion_7_domain_dichotomy():
 
     # the negative control calibrates its own ceiling on this ladder, by the
     # growth rule the verdict itself applies
-    control = refinement_study("lions", ns, E=1.0, alpha=0.5)
+    control = refinement_study(lions_operator, ns, 1.0, 0.5, None)
     growth_quarter = control.calibration["lions_growth_quarter"]
     growth_half = control.calibration["lions_growth_half"]
     ceiling = control.threshold
 
-    baseline = refinement_study("baseline", ns, E=1.0, alpha=0.5,
-                                growth_threshold=ceiling)
+    baseline = refinement_study(lambda n: make_problem("free", n=n), ns, 1.0,
+                                0.5, ceiling)
     baseline_worst = max(abs(row["kappa"] - 1.0) for row in baseline.rows)
     kappas = [row["kappa"] for row in control.rows]
     monotone_half = all(a < b for a, b in zip(kappas, kappas[1:]))
@@ -216,9 +216,11 @@ def test_criterion_7_domain_dichotomy():
     # admissible-coefficient problems under the same calibrated ceiling
     # (shorter ladder: their ratios are flat in n, so this is conservative)
     verdicts = {}
-    for name in ("complex_p", "complex_full", "robin_complex"):
-        rep = refinement_study(name, [32, 64, 128, 256, 512], E=1.0,
-                               alpha=0.5, growth_threshold=ceiling)
+    for name, bc_left in (("complex_p", DIR), ("complex_constant", DIR),
+                          ("mixed_sign", BoundaryCondition(1 + 0.5j))):
+        rep = refinement_study(
+            lambda n: make_problem(name, n=n, bc_left=bc_left),
+            [32, 64, 128, 256, 512], 1.0, 0.5, ceiling)
         verdicts[name] = rep.verdict
 
     ok = (baseline_worst <= 1e-12

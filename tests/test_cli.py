@@ -42,8 +42,12 @@ class TestConfig:
     def test_bad_value_is_config_error(self, tmp_path):
         # refinement studies need two levels; one used to fail as a check.
         # Missing files, a bad interval and E <= 0 used to exit 1, crash or,
-        # for kernel-dump, run at E = 25
+        # for kernel-dump, run at E = 25.  A problem name the command cannot
+        # build used to exit 1, the failed-check code, and an alias must not
+        # silently override a boundary condition that was set
         missing = tmp_path / "missing"
+        nosuch = tmp_path / "nosuch.cfg"
+        nosuch.write_text("problem = nosuch\n")
         for i, args in enumerate((
                 "assemble --n 1", "verify-krein --n-list 64",
                 "verify-krein --n-list 1,64",
@@ -52,13 +56,18 @@ class TestConfig:
                 f"assemble --n 8 --coeff-q {missing}.csv",
                 "assemble --a 1 --b 0 --n 8",
                 "assemble --interval half_line --radius -1 --n 8",
-                "kappa-study --problem baseline --E -3 --n-list 8,16",
+                "kappa-study --problem free --E -3 --n-list 8,16",
                 "kernel-dump --E 0 --n 16",
                 # closed-form finite-interval commands used to compute on
                 # [a, b] whatever --interval said, or fail as a check
                 "kernel-dump --interval full_line --radius 3 --n 8",
                 "kernel-dump --interval half_line --a 1 --b 0 --n 8",
                 "verify-krein --interval full_line --a 1 --b 0 --n 8 "
+                "--n-list 8,16",
+                "verify-kato --problem lions --n 8",
+                "decay-study --problem robin_complex --n 8",
+                f"verify-kato --config {nosuch} --n 8",
+                "kappa-study --problem robin_complex --theta-a neumann "
                 "--n-list 8,16")):
             assert run(tmp_path, str(i), *args.split())[0] == 2, args
 
@@ -147,18 +156,19 @@ class TestVerifyCommands:
 
     def test_verify_kato_assembles_once_and_solves_once_per_shift(
             self, tmp_path, monkeypatch):
-        problems, bases, direct = [], [], []
+        problems, bases, direct, on_base = [], [], [], []
 
         def capture(cfg):
             problems.append(problem_from(cfg))
             return problems[-1]
 
         def counting_base(prob):
-            bases.append(prob)
-            return base_operator(prob)
+            bases.append(base_operator(prob))
+            return bases[-1]
 
         def counting_resolvent(H, z):
             direct.append(any(H is prob.H for prob in problems))
+            on_base.append(any(H is H0 for H0 in bases))
             return resolvent(H, z)
 
         base_operator = Problem.base_operator
@@ -173,6 +183,8 @@ class TestVerifyCommands:
         code, _ = run(tmp_path, "o", "verify-kato", "--n", "16")
         assert code == 0 and len(problems) == 1
         assert len(bases) == 1 and sum(direct) == 3
+        # both factored paths start from the one base resolvent of a shift
+        assert sum(on_base) == 3
 
     def test_decay_csv_columns(self, tmp_path):
         # one row per shift of the default grid, nine from 100 to 1/h^2
@@ -186,6 +198,17 @@ class TestVerifyCommands:
             np.testing.assert_allclose(table[:, 0],
                                        np.geomspace(1e2, 16.0 ** 2, 9),
                                        rtol=1e-15)
+
+    def test_kappa_study_exits_1_on_an_unexpected_verdict(self, tmp_path):
+        # the control must diverge at the critical power; a threshold that
+        # reads it bounded, or one that reads alpha = 1/4 divergent, fails
+        for i, args in enumerate((
+                "--alpha 0.5 --growth-threshold 10",
+                "--alpha 0.25 --growth-threshold 1.0")):
+            code, out = run(tmp_path, str(i), "kappa-study", "--problem",
+                            "lions", "--n-list", "8,16", *args.split())
+            assert code == 1, args
+            assert (out / "kappa.csv").exists()
 
     def test_kappa_study_lions_divergent(self, tmp_path):
         code, out = run(tmp_path, "o", "kappa-study", "--problem", "lions",
@@ -219,10 +242,16 @@ class TestVerifyCommands:
             exact = (1 + t) * np.linalg.norm(resolvent(Hs, -t), 2)
             assert ratio == pytest.approx(exact, rel=1e-12, abs=0)
 
-    def test_kappa_study_rejects_plain_family(self, tmp_path):
-        code, _ = run(tmp_path, "o", "kappa-study", "--problem", "sawtooth",
-                      "--n-list", "16,32")
-        assert code == 2
+    def test_kappa_study_builds_any_family_and_interval(self, tmp_path):
+        # every family on every interval, built like the other subcommands
+        args = ["kappa-study", "--problem", "sawtooth", "--n-list", "16,32"]
+        code, half = run(tmp_path, "half", *args, "--interval", "half_line",
+                         "--radius", "4")
+        assert code == 0
+        code, finite = run(tmp_path, "finite", *args)
+        assert code == 0
+        assert not filecmp.cmp(half / "kappa.csv", finite / "kappa.csv",
+                               shallow=False)
 
 
 class TestDeterminism:

@@ -3,13 +3,20 @@ import pytest
 import scipy.linalg as sla
 
 from sqrtdom import domains, matfun
-from sqrtdom.assembly import BoundaryCondition, w12_norm_matrix
+from sqrtdom.assembly import BoundaryCondition, IntervalSpec, w12_norm_matrix
 from sqrtdom.domains import (_kappa_row, _power_gram, matrix_power,
                              refinement_study, sqrt_domain_kappa, thmA1_decay)
 from sqrtdom.kato import _InvSqrtShifted
 from sqrtdom.matfun import (QuadratureSpec, SpectrumOnCutError,
                             frac_power_quad, sqrt_db)
-from sqrtdom.problems import lions_operator, make_problem
+from sqrtdom.problems import FAMILY_NAMES, lions_operator, make_problem
+
+DIR, NEU = BoundaryCondition.dirichlet(), BoundaryCondition.neumann()
+
+
+def family_at(family, interval=None, bc_left=None):
+    """A refinement study's operator function for one family."""
+    return lambda n: make_problem(family, interval, n, bc_left)
 
 
 def robin_complex(n):
@@ -102,7 +109,7 @@ class TestMatrixPower:
 
 class TestSqrtDomainKappa:
     def test_selfadjoint_baseline_is_exactly_one(self):
-        row = _kappa_row("baseline", 48, 1.0, 0.5)
+        row = _kappa_row(family_at("free"), 48, 1.0, 0.5)
         assert abs(row["kappa"] - 1.0) <= 1e-12
         assert abs(row["min_ratio"] - 1.0) <= 1e-12
 
@@ -121,7 +128,7 @@ class TestSqrtDomainKappa:
                 assert np.linalg.norm(winv[:, None] * G * winv[None, :] - Q) \
                     <= 1e-14 * np.linalg.norm(Q)
         # both Grams of the self-adjoint baseline are now the same matrix
-        assert _kappa_row("baseline", 100, 0.3, 0.5)["kappa"] == 1.0
+        assert _kappa_row(family_at("free"), 100, 0.3, 0.5)["kappa"] == 1.0
 
     def test_identical_reference_any_alpha(self):
         prob = make_problem("complex_constant", n=24)
@@ -147,16 +154,15 @@ class TestSqrtDomainKappa:
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
-            refinement_study("baseline", [16, 32], E=1.0, alpha=1.5,
-                             growth_threshold=3.0)
+            refinement_study(family_at("free"), [16, 32], 1.0, 1.5, 3.0)
 
 
 class TestLionsDichotomy:
     def test_quarter_power_stable_half_power_growing(self):
         halves, quarters = [], []
         for n in (32, 64, 128, 256):
-            halves.append(_kappa_row("lions", n, 1.0, 0.5)["kappa"])
-            quarters.append(_kappa_row("lions", n, 1.0, 0.25)["kappa"])
+            halves.append(_kappa_row(lions_operator, n, 1.0, 0.5)["kappa"])
+            quarters.append(_kappa_row(lions_operator, n, 1.0, 0.25)["kappa"])
         assert all(a < b for a, b in zip(halves, halves[1:]))
         growth_half = halves[-1] / halves[0]
         growth_quarter = quarters[-1] / quarters[0]
@@ -165,34 +171,84 @@ class TestLionsDichotomy:
 
 class TestRefinementStudy:
     def test_complex_diffusion_bounded(self):
-        report = refinement_study("complex_p", [32, 64, 128], E=1.0)
+        report = refinement_study(family_at("complex_p"), [32, 64, 128], 1.0,
+                                  0.5, None)
         assert report.verdict == "bounded"
         assert report.calibration["lions_growth_half"] > \
             report.calibration["lions_growth_quarter"]
 
     def test_lions_critical_power_divergent(self):
-        report = refinement_study("lions", [32, 64, 128], E=1.0, alpha=0.5)
+        report = refinement_study(lions_operator, [32, 64, 128], 1.0, 0.5,
+                                  None)
         assert report.verdict == "divergent"
 
     def test_lions_quarter_power_bounded(self):
-        report = refinement_study("lions", [32, 64, 128], E=1.0, alpha=0.25)
+        report = refinement_study(lions_operator, [32, 64, 128], 1.0, 0.25,
+                                  None)
         assert report.verdict == "bounded"
 
     def test_early_drop_cannot_hide_growth(self, monkeypatch):
         ladder = {16: 3.0, 32: 1.0, 64: 2.5}
         monkeypatch.setattr(domains, "_kappa_row",
-                            lambda problem, n, E, alpha: {"n": n,
-                                                          "kappa": ladder[n]})
-        report = refinement_study("baseline", list(ladder), E=1.0,
-                                  growth_threshold=2.0)
+                            lambda operator_at, n, E, alpha: {
+                                "n": n, "kappa": ladder[n]})
+        report = refinement_study(family_at("free"), list(ladder), 1.0, 0.5,
+                                  2.0)
         assert report.growth == 2.5
         assert report.verdict == "divergent"
 
     def test_explicit_threshold_respected(self):
-        report = refinement_study("baseline", [16, 32], E=1.0,
-                                  growth_threshold=3.0)
+        report = refinement_study(family_at("free"), [16, 32], 1.0, 0.5, 3.0)
         assert report.verdict == "bounded"
         assert report.calibration == {}
+
+
+# the settings of the paper's square-root-domain results: a finite interval
+# with a Dirichlet, Neumann or complex Robin left end, the half-line with a
+# Dirichlet or Neumann end, and the line, each truncated at radius 4
+KAPPA_LADDER = [32, 64, 128]
+HALF_LINE = IntervalSpec("half_line", truncation_radius=4.0)
+SETTINGS = {"finite-dirichlet": (None, DIR), "finite-neumann": (None, NEU),
+            "finite-robin": (None, BoundaryCondition(1 + 0.5j)),
+            "half-line-dirichlet": (HALF_LINE, DIR),
+            "half-line-neumann": (HALF_LINE, NEU),
+            "line": (IntervalSpec("full_line", truncation_radius=4.0), None)}
+
+
+@pytest.fixture(scope="module")
+def ceiling():
+    """The control's self-calibrated ceiling on the case table's ladder."""
+    return refinement_study(lions_operator, KAPPA_LADDER, 1.0, 0.5,
+                            None).threshold
+
+
+class TestKappaCases:
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_every_family_and_setting_bounded(self, family, setting,
+                                              ceiling):
+        report = refinement_study(family_at(family, *SETTINGS[setting]),
+                                  KAPPA_LADDER, 1.0, 0.5, ceiling)
+        assert report.verdict == "bounded", report.growth
+
+    @pytest.mark.parametrize("kind,bc", [("half_line", DIR),
+                                         ("half_line", NEU),
+                                         ("full_line", DIR)],
+                             ids=["half-line-dirichlet", "half-line-neumann",
+                                  "line"])
+    @pytest.mark.parametrize("family", ["constant_qrs", "complex_constant",
+                                        "spike"])
+    def test_truncation_radius_ladder(self, family, kind, bc, ceiling):
+        # the levels are the radii R = 5, 10, 20 at h = 1/8: kappa converges
+        # in R.  The sawtooth families need h well below their periods
+        # (0.29 to 0.61) before truncation, not resolution, moves kappa
+        per_radius = 8 if kind == "half_line" else 16
+        report = refinement_study(
+            lambda R: make_problem(family, IntervalSpec(kind,
+                                                        truncation_radius=R),
+                                   per_radius * R, bc),
+            [5, 10, 20], 1.0, 0.5, ceiling)
+        assert report.verdict == "bounded", report.growth
 
 
 class TestThmA1Decay:

@@ -84,7 +84,7 @@ class TestKatoK:
 
         fact = FactoredPerturbation(A=one.copy(), B=one.copy())
         np.testing.assert_allclose(kato_K(T0, fact, 0.0), [[-1.0]])
-        R = perturbed_resolvent(T0, fact, 0.0)
+        R = perturbed_resolvent(resolvent(T0, 0.0), fact, 0.0)
         np.testing.assert_allclose(R, [[0.5]])  # (T0 + B*A)^{-1} = 1/2
 
     def test_norm_decreasing_in_shift(self):
@@ -107,8 +107,9 @@ class TestPerturbedResolvent:
     def test_zero_factorization_recovers_base(self):
         prob, T0 = setup_pair("free", n=12)
         fact = build_factorization(prob, "full_triple")
-        np.testing.assert_allclose(perturbed_resolvent(T0, fact, -2.0),
-                                   resolvent(T0, -2.0), atol=1e-13)
+        R0 = resolvent(T0, -2.0)
+        np.testing.assert_allclose(perturbed_resolvent(R0, fact, -2.0), R0,
+                                   atol=1e-13)
 
     @pytest.mark.parametrize("family,bl,br", [
         ("constant_qrs", DIR, DIR),
@@ -125,8 +126,8 @@ class TestPerturbedResolvent:
         prob, T0 = setup_pair("constant_qrs", n=25)
         fact = build_factorization(prob, "full_triple")
         z1, z2 = -30.0, -55.0 + 3j
-        R1 = perturbed_resolvent(T0, fact, z1)
-        R2 = perturbed_resolvent(T0, fact, z2)
+        R1 = perturbed_resolvent(resolvent(T0, z1), fact, z1)
+        R2 = perturbed_resolvent(resolvent(T0, z2), fact, z2)
         rhs = (z1 - z2) * R1 @ R2
         assert np.linalg.norm(R1 - R2 - rhs) / np.linalg.norm(rhs) < 1e-9
 
@@ -137,15 +138,15 @@ class TestPerturbedResolvent:
         lam = np.linalg.eigvals(prob.H)
         z = lam[np.argmin(np.abs(lam))]
         with pytest.raises((AdmissibilityError, np.linalg.LinAlgError)):
-            perturbed_resolvent(T0, fact, complex(z))
+            perturbed_resolvent(resolvent(T0, complex(z)), fact, complex(z))
 
 
 class TestTwoStep:
     def test_zero_s_second_stage_is_identity(self):
         prob = make_problem("free", n=15)
         closure = TwoStepResolvent(prob)
-        np.testing.assert_allclose(closure(-3.0), resolvent(closure.H0, -3.0),
-                                   atol=1e-12)
+        R0 = resolvent(closure.H0, -3.0)
+        np.testing.assert_allclose(closure(-3.0, R0), R0, atol=1e-12)
 
     @pytest.mark.parametrize("family", ["constant_qrs", "complex_constant",
                                         "sawtooth"])
