@@ -1,9 +1,10 @@
 """The pinned tolerances, each defined once, and the checks that the command
 line and the acceptance criteria share.  A suite returns its measured values
 and its PASS/FAIL verdict; a subcommand only writes them out, so it cannot
-drift from the acceptance criterion that calls the same suite.  The
-factored-resolvent identities have theirs in ``kato.verify_identity``, which
-``verify-kato`` and criteria 1 and 2 read against ``TOL_KATO``."""
+drift from the acceptance criterion that calls the same suite (criteria 4,
+5, 6 and 8).  The factored-resolvent identities have theirs in
+``kato.verify_identity``, which ``verify-kato`` and criteria 1 and 2 read
+against ``TOL_KATO``."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from scipy import special
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                        build_mesh)
 from .domains import thmA1_decay
+from .formbounds import check_form_bound, check_trudinger, locunif_norms
 from .kato import _InvSqrtShifted, build_factorization, decay_profile
 from .krein import (bessel_bound_check, bessel_k0_quad, krein_resolvent,
                     sqrt_kernel)
@@ -20,8 +22,8 @@ from .matfun import resolvent, trace_det_check
 from .problems import Problem
 
 __all__ = ["TOL_KATO", "TOL_ORDER", "TOL_SLOPE", "TOL_PLATEAU", "TOL_SLACK",
-           "TOL_TRACE", "TOL_K0", "krein_suite",
-           "trace_suite", "decay_profiles", "multiplier_decay", "decay_ok"]
+           "TOL_TRACE", "TOL_K0", "krein_suite", "trace_suite",
+           "form_bound_suite", "decay_profiles", "multiplier_decay", "decay_ok"]
 
 TOL_KATO = 1e-9       # relative resolvent error of the factored identities
 TOL_ORDER = 1.8       # observed convergence order of the rank-one correction
@@ -36,6 +38,8 @@ KREIN_THETAS = (("neumann", BoundaryCondition.neumann()),
                 ("complex", BoundaryCondition(1 + 0.5j)))
 K0_POINTS = (0.3, 0.5, 1.0, 2.0, 2.5, 5.0, 6.0)
 TRACE_STEPS = (4e-3, 2e-3, 1e-3)
+FORM_EPS = np.geomspace(0.01, 0.99, 16)  # in units of eps_0
+TRUDINGER_EPS = (0.1, 1.0, 10.0)
 
 
 def krein_suite(a: float, b: float, z: float, n_list, n: int, E: float,
@@ -108,6 +112,24 @@ def trace_suite(seed: int) -> dict:
     ok = closed <= TOL_TRACE and all(2.5 <= r <= 6.5 for r in ratios)
     return {"closed_residual": closed, "residuals": residuals,
             "ratios": ratios, "ok": ok}
+
+
+def form_bound_suite(prob: Problem, F, G) -> dict:
+    """``check_form_bound`` on the columns of ``F`` (dof vectors) over
+    ``FORM_EPS``, and the pointwise trace bound, plain and weighted by ``r``,
+    on the columns of ``G`` (node vectors) at each ``TRUDINGER_EPS``."""
+    consts = locunif_norms(prob.coeffs, prob.interval, prob.mesh)
+    eps_grid = FORM_EPS * consts.eps_0
+    lhs, bound, slack = check_form_bound(F, prob.forms, consts, eps_grid)
+    min_slack = float(slack.min())
+    min_pointwise = min(
+        float(np.min([rec["point_slack"], rec["weighted_slack"]]))
+        for rec in (check_trudinger(G, prob.coeffs.r, prob.mesh, eps)
+                    for eps in TRUDINGER_EPS))
+    return {"constants": consts, "eps_grid": eps_grid, "lhs": lhs,
+            "bound": bound, "slack": slack, "min_slack": min_slack,
+            "min_pointwise_slack": min_pointwise,
+            "ok": min_slack >= TOL_SLACK and min_pointwise >= TOL_SLACK}
 
 
 def decay_profiles(prob: Problem, E_grid) -> dict:

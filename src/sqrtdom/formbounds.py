@@ -7,7 +7,8 @@ the cubic-in-1/eps bound
     |q_j(f, f)| <= eps * Re q0(f, f) + M eps^-3 ||f||^2,   0 < eps < eps0,
 
 with ``M = 128 C0^2 (lam^-1 + lam^-3)`` and
-``eps0 = min(1, 4 lam^-1 eps_qrs)``.
+``eps0 = min(1, 4 lam^-1 eps_qrs)``.  Both checks take a block of vectors,
+one per column; ``checks.form_bound_suite`` reads the verdict from them.
 """
 
 from __future__ import annotations
@@ -83,36 +84,33 @@ def locunif_norms(coeffs: CoefficientSet, interval: IntervalSpec,
     return FormBoundConstants.from_window_norms(C_q, C_r, C_s, coeffs.lam)
 
 
-def check_form_bound(f: np.ndarray, forms: FormMatrices,
-                     constants: FormBoundConstants, eps_grid) -> list[dict]:
-    """Evaluate both sides of the relative bound for one nodal vector over
-    a grid of ``eps``.
+def check_form_bound(F: np.ndarray, forms: FormMatrices,
+                     constants: FormBoundConstants, eps_grid):
+    """Evaluate both sides of the relative bound for each column of an
+    ``n_dof x k`` block of nodal vectors over a grid of ``eps``.
 
-    Returns one record per ``eps`` and lower-order form ``j`` in {1, 2, 3},
-    eps-major, with the absolute form value, the bound
-    ``eps Re q0 + M eps^-3 ||f||^2`` and the slack (nonnegative up to
+    Returns ``lhs`` (k, 3), the absolute values of the lower-order forms
+    j = 1, 2, 3; ``bound`` (k, n_eps), ``eps Re q0 + M eps^-3 ||f||^2``; and
+    ``slack`` (k, n_eps, 3), bound minus form value (nonnegative up to
     roundoff whenever the constants come from the same discrete data).  The
     forms are evaluated once, whatever the grid size.
     """
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if not np.all((eps_grid > 0.0) & (eps_grid < constants.eps_0)):
+    eps = np.asarray(eps_grid, dtype=float)
+    if not np.all((eps > 0.0) & (eps < constants.eps_0)):
         raise ValueError(f"eps must lie in (0, {constants.eps_0})")
-    f = np.asarray(f, dtype=complex)
-    re_q0 = float(np.real(np.vdot(f, forms.K0 @ f)))
-    norm2 = float(np.real(np.vdot(f, forms.M @ f)))
-    lhs = [(j, float(abs(np.vdot(f, K @ f))))
-           for j, K in ((1, forms.K1), (2, forms.K2), (3, forms.K3))]
-    out = []
-    for eps in eps_grid:
-        bound = float(eps * re_q0 + constants.M * eps ** -3 * norm2)
-        out += [{"j": j, "eps": eps, "lhs": v, "bound": bound,
-                 "slack": bound - v} for j, v in lhs]
-    return out
+    F = np.asarray(F, dtype=complex)
+    q0, norm2, *q = (np.einsum("ij,ij->j", F.conj(), K @ F) for K in
+                     (forms.K0, forms.M, forms.K1, forms.K2, forms.K3))
+    lhs = np.abs(np.stack(q, axis=1))
+    bound = (eps * q0.real[:, None]
+             + constants.M * eps ** -3 * norm2.real[:, None])
+    return lhs, bound, bound[:, :, None] - lhs[:, None, :]
 
 
-def check_trudinger(f: np.ndarray, w: np.ndarray, mesh: Mesh,
+def check_trudinger(G: np.ndarray, w: np.ndarray, mesh: Mesh,
                     eps: float) -> dict:
-    """Pointwise and weighted Trudinger-type bounds on a finite interval.
+    """Pointwise and weighted Trudinger-type bounds on a finite interval,
+    one value per column of an ``n_nodes x k`` block of nodal values.
 
     Checks ``|f(x)|^2 <= eps ||f'||^2 + ((b-a)^-1 + eps^-1) ||f||^2`` at
     every node and the weighted variant with ``N_w = ||w||^2``; uses exact
@@ -120,23 +118,19 @@ def check_trudinger(f: np.ndarray, w: np.ndarray, mesh: Mesh,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    f = np.asarray(f, dtype=complex)
+    G = np.asarray(G, dtype=complex)
     h, length = mesh.h, mesh.b - mesh.a
-    slopes = np.diff(f) / h
-    grad2 = float(np.sum(np.abs(slopes) ** 2) * h)
-    fl, fr = f[:-1], f[1:]
+    grad2 = np.sum(np.abs(np.diff(G, axis=0) / h) ** 2, axis=0) * h
+    gl, gr = G[:-1], G[1:]
     # exact cellwise integral of |linear|^2: h/3 (|a|^2 + Re(conj(a) b) + |b|^2)
-    norm2 = float(h / 3.0 * np.sum(np.abs(fl) ** 2 + (np.conj(fl) * fr).real
-                                   + np.abs(fr) ** 2))
-    rhs_point = eps * grad2 + (1.0 / length + 1.0 / eps) * norm2
-    point_slack = rhs_point - float(np.max(np.abs(f) ** 2))
+    norm2 = h / 3.0 * np.sum(np.abs(gl) ** 2 + (np.conj(gl) * gr).real
+                             + np.abs(gr) ** 2, axis=0)
+    point_bound = eps * grad2 + (1.0 / length + 1.0 / eps) * norm2
+    max_f2 = np.max(np.abs(G) ** 2, axis=0)
 
     w = np.asarray(w, dtype=complex)
     N_w = float(np.sum(np.abs(w) ** 2) * h)  # cell-midpoint samples
-    fm = 0.5 * (fl + fr)
-    wf2 = float(np.sum(np.abs(w * fm) ** 2) * h)
-    rhs_weighted = (eps * grad2 + (1.0 / length + 1.0 / eps) * norm2) * N_w
-    return {"eps": eps, "max_f2": float(np.max(np.abs(f) ** 2)),
-            "point_bound": rhs_point, "point_slack": point_slack,
-            "wf2": wf2, "N_w": N_w, "weighted_bound": rhs_weighted,
-            "weighted_slack": rhs_weighted - wf2}
+    wf2 = np.sum(np.abs(w[:, None] * (0.5 * (gl + gr))) ** 2, axis=0) * h
+    return {"max_f2": max_f2, "point_bound": point_bound,
+            "point_slack": point_bound - max_f2,
+            "weighted_slack": point_bound * N_w - wf2}

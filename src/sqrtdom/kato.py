@@ -55,9 +55,6 @@ class FactoredPerturbation:
     A: np.ndarray
     B: np.ndarray
 
-    def product(self) -> np.ndarray:
-        return self.B.conj().T @ self.A
-
 
 def _sampling_blocks(prob: Problem):
     """Midpoint value/derivative blocks in L2-orthonormal coordinates.

@@ -16,11 +16,10 @@ import pytest
 from sqrtdom.assembly import BoundaryCondition, IntervalSpec
 from sqrtdom.checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU,
                             TOL_SLACK, TOL_SLOPE, TOL_TRACE, decay_ok,
-                            decay_profiles, krein_suite, multiplier_decay,
-                            trace_suite)
+                            decay_profiles, form_bound_suite, krein_suite,
+                            multiplier_decay, trace_suite)
 from sqrtdom.cli import main as cli_main
 from sqrtdom.domains import refinement_study
-from sqrtdom.formbounds import check_trudinger, locunif_norms
 from sqrtdom.kato import verify_identity
 from sqrtdom.matfun import (QuadratureSpec, check_power_laws, frac_power_quad,
                             sqrt_db)
@@ -141,31 +140,19 @@ def test_criterion_5_form_bound_suite():
                      bc_left=DIR, bc_right=DIR),
     ]
     rng = np.random.default_rng(314)
-    min_slack = np.inf
-    min_trud = np.inf
+    suites = []
     for prob in problems:
-        consts = locunif_norms(prob.coeffs, prob.interval, prob.mesh)
         n_dof = prob.forms.n_dof
         F = (rng.standard_normal((n_dof, 1000))
              + 1j * rng.standard_normal((n_dof, 1000)))
-        re_q0 = np.einsum("ij,ij->j", F.conj(), prob.forms.K0 @ F).real
-        norm2 = np.einsum("ij,ij->j", F.conj(), prob.forms.M @ F).real
-        eps_grid = np.geomspace(0.01, 0.99, 16) * consts.eps_0
-        for K in (prob.forms.K1, prob.forms.K2, prob.forms.K3):
-            lhs = np.abs(np.einsum("ij,ij->j", F.conj(), K @ F))
-            for eps in eps_grid:
-                slack = eps * re_q0 + consts.M * eps**-3 * norm2 - lhs
-                min_slack = min(min_slack, float(slack.min()))
         # pointwise bound on the same battery, nodewise
         n_nodes = len(prob.mesh.nodes)
         G = (rng.standard_normal((n_nodes, 50))
              + 1j * rng.standard_normal((n_nodes, 50)))
-        for k in range(50):
-            for eps in (0.1, 1.0, 10.0):
-                rec = check_trudinger(G[:, k], prob.coeffs.r, prob.mesh, eps)
-                min_trud = min(min_trud, rec["point_slack"],
-                               rec["weighted_slack"])
-    ok = min_slack >= TOL_SLACK and min_trud >= TOL_SLACK
+        suites.append(form_bound_suite(prob, F, G))
+    ok = all(suite["ok"] for suite in suites)
+    min_slack = min(suite["min_slack"] for suite in suites)
+    min_trud = min(suite["min_pointwise_slack"] for suite in suites)
     report(5, ok, f"relative form bounds: min slack {min_slack:.3e} over "
                   f"1000 vectors x 16 eps x 3 problems (tol {TOL_SLACK:g}), "
                   f"pointwise-bound min slack {min_trud:.3e}")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csv_tables import read_matrix, write_coefficient
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh, orthonormalize,
                               w12_norm_matrix)
@@ -223,13 +224,13 @@ class TestCsvRoundtrip:
         mat = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         path = tmp_path / "m.csv"
         csvio.write_matrix(path, mat)
-        np.testing.assert_array_equal(csvio.read_matrix(path), mat)
+        np.testing.assert_array_equal(read_matrix(path), mat)
 
     def test_coefficient(self, tmp_path):
         x = np.linspace(0, 1, 7)
         v = np.sin(x) + 1j * x
         path = tmp_path / "c.csv"
-        csvio.write_coefficient(path, x, v)
+        write_coefficient(path, x, v)
         x2, v2 = csvio.read_coefficient(path)
         np.testing.assert_array_equal(x2, x)
         np.testing.assert_array_equal(v2, v)

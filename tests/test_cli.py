@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from sqrtdom import cli, csvio, kato
+from csv_tables import read_matrix, write_coefficient
+from sqrtdom import checks, cli, kato
 from sqrtdom.cli import (COMMANDS, build_parser, load_config, main,
                          parse_theta, problem_from, read_config_file)
 from sqrtdom.matfun import resolvent
@@ -68,7 +69,18 @@ class TestConfig:
                 "decay-study --problem robin_complex --n 8",
                 f"verify-kato --config {nosuch} --n 8",
                 "kappa-study --problem robin_complex --theta-a neumann "
-                "--n-list 8,16")):
+                "--n-list 8,16",
+                # the lions control is fixed on (0, 1) and used to ignore
+                # the keys that shape a problem
+                "kappa-study --problem lions --interval half_line --radius 4 "
+                "--n-list 8,16",
+                "kappa-study --problem lions --coeff-q /nonexistent.csv "
+                "--n-list 8,16",
+                # a boundary parameter used to be parsed only by the
+                # subcommands that build a problem
+                "trace-check --theta-a garbage",
+                "verify-krein --theta-b garbage --n-list 8,16 --n 8",
+                "kernel-dump --theta-b garbage --n 8")):
             assert run(tmp_path, str(i), *args.split())[0] == 2, args
 
     def test_coarse_ladder_runs_the_lions_control(self, tmp_path):
@@ -95,18 +107,18 @@ class TestAssemble:
         code, out = run(tmp_path, "o", "assemble", "--problem", "free",
                         "--n", "2")
         assert code == 0
-        K0 = csvio.read_matrix(out / "K0.csv")
+        K0 = read_matrix(out / "K0.csv")
         np.testing.assert_allclose(K0, [[4.0]])
 
     def test_coefficient_csv_input(self, tmp_path):
         x = np.linspace(0, 1, 33)
         qpath = tmp_path / "q.csv"
-        csvio.write_coefficient(qpath, x, np.full(33, 2.0 + 0.0j))
+        write_coefficient(qpath, x, np.full(33, 2.0 + 0.0j))
         code, out = run(tmp_path, "o", "assemble", "--n", "8",
                         "--coeff-q", str(qpath))
         assert code == 0
         # lumped potential at interior nodes: q * h with q == 2, h == 1/8
-        K3 = csvio.read_matrix(out / "K3.csv")
+        K3 = read_matrix(out / "K3.csv")
         np.testing.assert_allclose(np.diag(K3), 2.0 / 8.0, rtol=1e-12)
 
     @pytest.mark.parametrize("command", ["assemble", "verify-kato"])
@@ -241,6 +253,27 @@ class TestVerifyCommands:
             t, ratio = map(float, line.split(","))
             exact = (1 + t) * np.linalg.norm(resolvent(Hs, -t), 2)
             assert ratio == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("interval", ["half_line", "full_line"])
+    def test_hypothesis_check_pointwise_bound_on_every_interval(
+            self, tmp_path, monkeypatch, interval):
+        # the manifest lists pointwise-trace-bound as a check that ran; it
+        # used to run on the finite interval only
+        check_trudinger, blocks, shift = checks.check_trudinger, [], [0.0]
+
+        def spy(G, w, mesh, eps):
+            blocks.append(G.shape)
+            rec = check_trudinger(G, w, mesh, eps)
+            return {**rec, "point_slack": rec["point_slack"] - shift[0]}
+
+        monkeypatch.setattr(checks, "check_trudinger", spy)
+        args = ["hypothesis-check", "--n", "24", "--interval", interval,
+                "--radius", "4"]
+        assert run(tmp_path, "o", *args)[0] == 0
+        assert blocks == [(25, 32)] * 3
+        # the verdict reads it: a violated pointwise bound fails the check
+        shift[0] = 1e9
+        assert run(tmp_path, "violated", *args)[0] == 1
 
     def test_kappa_study_builds_any_family_and_interval(self, tmp_path):
         # every family on every interval, built like the other subcommands
