@@ -11,7 +11,7 @@ from .domains import (matrix_power, refinement_study, sqrt_domain_kappa,
 from .formbounds import (FormBoundConstants, check_form_bound,
                          check_trudinger, locunif_norms)
 from .kato import (FactoredPerturbation, TwoStepResolvent,
-                   build_factorization, decay_profile, kato_K, kato_K_norms,
+                   build_factorization, decay_profile, kato_K,
                    perturbed_resolvent, verify_identity)
 from .krein import (bessel_bound_check, bessel_k0_quad, d_theta,
                     green_kernel_dirichlet, krein_resolvent, sqrt_kernel,

@@ -2,9 +2,9 @@
 line and the acceptance criteria share.  A suite returns its measured values
 and its PASS/FAIL verdict; a subcommand only writes them out, so it cannot
 drift from the acceptance criterion that calls the same suite (criteria 4,
-5, 6 and 8).  The factored-resolvent identities have theirs in
-``kato.verify_identity``, which ``verify-kato`` and criteria 1 and 2 read
-against ``TOL_KATO``."""
+5, 6 and 8); ``decay_suite`` is the one shift-decay verdict.  The
+factored-resolvent identities have theirs in ``kato.verify_identity``, which
+``verify-kato`` and criteria 1 and 2 read against ``TOL_KATO``."""
 
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                        build_mesh)
 from .domains import thmA1_decay
 from .formbounds import check_form_bound, check_trudinger, locunif_norms
-from .kato import _InvSqrtShifted, build_factorization, decay_profile
+from .kato import (VARIANTS, _InvSqrtShifted, build_factorization,
+                   decay_profile)
 from .krein import (bessel_bound_check, bessel_k0_quad, krein_resolvent,
                     sqrt_kernel)
 from .matfun import resolvent, trace_det_check
@@ -23,7 +24,7 @@ from .problems import Problem
 
 __all__ = ["TOL_KATO", "TOL_ORDER", "TOL_SLOPE", "TOL_PLATEAU", "TOL_SLACK",
            "TOL_TRACE", "TOL_K0", "krein_suite", "trace_suite",
-           "form_bound_suite", "decay_profiles", "multiplier_decay", "decay_ok"]
+           "form_bound_suite", "decay_suite"]
 
 TOL_KATO = 1e-9       # relative resolvent error of the factored identities
 TOL_ORDER = 1.8       # observed convergence order of the rank-one correction
@@ -132,32 +133,35 @@ def form_bound_suite(prob: Problem, F, G) -> dict:
             "ok": min_slack >= TOL_SLACK and min_pointwise >= TOL_SLACK}
 
 
-def decay_profiles(prob: Problem, E_grid) -> dict:
-    """``decay_profile`` of each factorization variant of ``prob``, all from
-    one factorization of the base operator."""
-    halver = _InvSqrtShifted(prob.base_operator())
-    return {v: decay_profile(halver, build_factorization(prob, v), E_grid)
-            for v in ("qr_pair", "s_pair", "full_triple")}
-
-
-def multiplier_decay(prob: Problem, multipliers: dict, E_grid) -> dict:
-    """``thmA1_decay`` of each multiplier sampled per cell, averaged onto the
+def decay_suite(prob: Problem, E_grid) -> dict:
+    """Shift decay of ``prob`` over ``E_grid``: ``profiles`` holds
+    ``decay_profile`` of each factor pair, all from one factorization of the
+    base operator, and ``multipliers`` ``thmA1_decay`` of ``abs_r``,
+    ``abs_s`` and ``sqrt_abs_q``, sampled per cell and averaged onto the
     retained nodes as the potential is (``prob.lumped_average``), all from
-    one factorization of the reference operator of ``prob``; keyed like
-    ``multipliers``."""
-    halver = _InvSqrtShifted(prob.reference_operator())
-    return {name: thmA1_decay(prob.lumped_average(cells), halver, E_grid)
-            for name, cells in multipliers.items()}
+    one factorization of the reference operator.
 
-
-def decay_ok(profiles: dict, multiplier_slopes) -> bool:
-    """Shift-decay pass rule over ``decay_profile`` results by variant.
-
-    The qr and s pairs must decay (slope at most ``TOL_SLOPE``, monotone
-    K-norms), the full triple's derivative block must plateau (ratio at
-    least ``TOL_PLATEAU``), and every multiplier slope must decay.
+    The qr and s pairs must decay (K-norm slope at most ``TOL_SLOPE``,
+    monotone K-norms), the full triple's derivative block must plateau
+    (B-norm ratio at least ``TOL_PLATEAU``), and every multiplier must decay
+    (slope at most ``TOL_SLOPE``).  A pair or multiplier whose norms all
+    vanish has nothing to decay and is exempt; any other ``nan`` slope
+    fails.
     """
-    return (all(profiles[v]["slope"] <= TOL_SLOPE and profiles[v]["monotone"]
-                for v in ("qr_pair", "s_pair"))
-            and profiles["full_triple"]["plateau_ratio"] >= TOL_PLATEAU
-            and all(s <= TOL_SLOPE for s in multiplier_slopes))
+    halver = _InvSqrtShifted(prob.base_operator())
+    profiles = {v: decay_profile(halver, build_factorization(prob, v), E_grid)
+                for v in VARIANTS}
+    c = prob.coeffs
+    halver = _InvSqrtShifted(prob.reference_operator())
+    multipliers = {name: thmA1_decay(prob.lumped_average(cells), halver,
+                                     E_grid)
+                   for name, cells in (("abs_r", np.abs(c.r)),
+                                       ("abs_s", np.abs(c.s)),
+                                       ("sqrt_abs_q", np.sqrt(np.abs(c.q))))}
+    pairs = [profiles["qr_pair"], profiles["s_pair"]]
+    ok = (all(not np.any(p["normK"])
+              or (p["slope"] <= TOL_SLOPE and p["monotone"]) for p in pairs)
+          and profiles["full_triple"]["plateau_ratio"] >= TOL_PLATEAU
+          and all(not np.any(m["norms"]) or m["slope"] <= TOL_SLOPE
+                  for m in multipliers.values()))
+    return {"profiles": profiles, "multipliers": multipliers, "ok": ok}

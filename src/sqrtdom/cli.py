@@ -18,11 +18,11 @@ from . import csvio
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                        build_mesh, w12_norm_matrix)
 from .checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU, TOL_SLACK,
-                     TOL_SLOPE, TOL_TRACE, decay_ok, decay_profiles,
-                     form_bound_suite, krein_suite, multiplier_decay,
-                     trace_suite)
+                     TOL_SLOPE, TOL_TRACE, decay_suite, form_bound_suite,
+                     krein_suite, trace_suite)
 from .domains import refinement_study
-from .kato import PATHS, build_factorization, kato_K_norms, verify_identity
+from .kato import (PATHS, _InvSqrtShifted, build_factorization,
+                   decay_profile, verify_identity)
 from .krein import (green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
                     u2_closed_form, d_theta)
 from .matfun import resolvent
@@ -123,18 +123,24 @@ def load_config(args: argparse.Namespace) -> dict:
     if cfg["problem"] not in names:
         raise ConfigError(f"{args.command} needs a problem in {names}, "
                           f"got {cfg['problem']!r}")
+    for key in ("theta_a", "theta_b"):
+        parse_theta(cfg[key])  # cfg keeps the text the manifest echoes
+
+    def meaning(key, value):  # boundary texts compare as conditions
+        return parse_theta(value) if key in ("theta_a", "theta_b") else value
+
     for key, value in _KAPPA_ALIASES.get(cfg["problem"], {}).items():
         # an alias never silently overrides a value that was set
-        if key != "problem" and cfg[key] not in (DEFAULTS[key], value):
+        if key != "problem" and meaning(key, cfg[key]) not in (
+                meaning(key, DEFAULTS[key]), meaning(key, value)):
             raise ConfigError(f"{cfg['problem']} sets {key} = {value}, "
                               f"got {cfg[key]!r}")
     if cfg["problem"] == "lions":
-        unread = [key for key in _PROBLEM_KEYS if cfg[key] != DEFAULTS[key]]
+        unread = [key for key in _PROBLEM_KEYS
+                  if meaning(key, cfg[key]) != meaning(key, DEFAULTS[key])]
         if unread:
             raise ConfigError(f"the lions control is fixed on (0, 1) and "
                               f"reads none of {', '.join(unread)}")
-    for key in ("theta_a", "theta_b"):
-        parse_theta(cfg[key])  # cfg keeps the text the manifest echoes
     try:
         interval_from(cfg)
     except ValueError as exc:
@@ -145,6 +151,8 @@ def load_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"{args.command} needs --interval finite")
     if cfg["E"] is not None and cfg["E"] <= 0:
         raise ConfigError("E must be positive")
+    if args.command == "decay-study" and cfg["E"] is not None:
+        raise ConfigError("decay-study reads a shift grid (E_grid), not E")
     if cfg["n"] < 2:
         raise ConfigError("n must be at least 2")
     if cfg["n_list"] is not None and (len(cfg["n_list"]) < 2
@@ -188,14 +196,6 @@ def problem_from(cfg: dict) -> Problem:
     coeffs = coefficients_from(cfg, mesh)
     return Problem(interval, mesh, coeffs, parse_theta(cfg["theta_a"]),
                    parse_theta(cfg["theta_b"]))
-
-
-def default_E_grid(cfg: dict, stop: float):
-    if cfg["E_grid"] is not None:
-        return list(cfg["E_grid"])
-    if cfg["E"] is not None:
-        return [cfg["E"]]
-    return list(np.geomspace(1e2, stop, 9))
 
 
 def _manifest(outdir: Path, cfg: dict, command: str, checks: list[str],
@@ -301,45 +301,40 @@ def cmd_kappa_study(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_decay_study(cfg: dict, outdir: Path) -> int:
+    """``decay_suite`` over ``--E-grid``, by default nine geometric shifts
+    from 1e2 to ``min(1e6, 1/h^2)``: one CSV per factor pair, one for the
+    multipliers, and the slopes and verdict in the manifest."""
     prob = problem_from(cfg)
     # shifts beyond the mesh resolution scale cannot carry the continuum
     # plateau, so the default grid stops at 1/h^2
-    E_stop = min(1e6, 1.0 / prob.mesh.h ** 2)
-    E_grid = default_E_grid(cfg, stop=E_stop)
-    results = decay_profiles(prob, E_grid)
-    for variant, prof in results.items():
-        rows = [(csvio.fmt(r["E"]), csvio.fmt(r["normK"]),
-                 csvio.fmt(r["normA"]), csvio.fmt(r["normB"]))
-                for r in prof["rows"]]
+    E_grid = cfg["E_grid"] or np.geomspace(
+        1e2, min(1e6, 1.0 / prob.mesh.h ** 2), 9)
+    suite = decay_suite(prob, E_grid)
+    profiles, multipliers = suite["profiles"], suite["multipliers"]
+    for variant, prof in profiles.items():
         csvio.write_rows(outdir / f"decay_{variant}.csv",
-                         "E,normK,normA,normB", rows)
-
-    multipliers = multiplier_decay(
-        prob, {"abs_r": np.abs(prob.coeffs.r), "abs_s": np.abs(prob.coeffs.s),
-               "sqrt_abs_q": np.sqrt(np.abs(prob.coeffs.q))}, E_grid)
+                         "E,normK,normA,normB",
+                         [tuple(map(csvio.fmt, row)) for row in zip(
+                             prof["E"], prof["normK"], prof["normA"],
+                             prof["normB"])])
     csvio.write_rows(outdir / "multiplier_decay.csv", "phi,E,norm",
                      [(name, csvio.fmt(E), csvio.fmt(v))
                       for name, rec in multipliers.items()
                       for E, v in zip(rec["E"], rec["norms"])])
-    phi_slopes = {name: rec["slope"] for name, rec in multipliers.items()}
-
-    # a multiplier that vanishes identically has no slope to judge
-    ok = decay_ok(results, [s for s in phi_slopes.values()
-                            if np.isfinite(s) and s != 0.0])
-    extra = {"slope_qr_pair": results["qr_pair"]["slope"],
-             "slope_s_pair": results["s_pair"]["slope"],
-             "monotone_qr_pair": results["qr_pair"]["monotone"],
-             "monotone_s_pair": results["s_pair"]["monotone"],
-             "plateau_full_triple": results["full_triple"]["plateau_ratio"],
+    extra = {"slope_qr_pair": profiles["qr_pair"]["slope"],
+             "slope_s_pair": profiles["s_pair"]["slope"],
+             "monotone_qr_pair": profiles["qr_pair"]["monotone"],
+             "monotone_s_pair": profiles["s_pair"]["monotone"],
+             "plateau_full_triple": profiles["full_triple"]["plateau_ratio"],
              "tolerance_slope": TOL_SLOPE,
              "tolerance_plateau": TOL_PLATEAU,
-             "verdict": "pass" if ok else "fail"}
-    for name, slope in phi_slopes.items():
-        extra[f"slope_multiplier_{name}"] = slope
+             "verdict": "pass" if suite["ok"] else "fail",
+             **{f"slope_multiplier_{name}": rec["slope"]
+                for name, rec in multipliers.items()}}
     _manifest(outdir, cfg, "decay-study",
               ["factored-norm-decay", "derivative-block-plateau",
                "multiplier-decay"], extra)
-    return 0 if ok else 1
+    return 0 if suite["ok"] else 1
 
 
 def cmd_kernel_dump(cfg: dict, outdir: Path) -> int:
@@ -409,12 +404,12 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
     # factored-perturbation admissibility: compressed resolvent is bounded
     # and decays along the shift grid
     T0 = prob.base_operator()
-    fact = build_factorization(prob, "full_triple")
     E0 = safe_shift(T0) + 10.0
-    Knorms = kato_K_norms(T0, fact, [E0, 10 * E0, 100 * E0]).tolist()
-    k_ok = all(a >= b for a, b in zip(Knorms, Knorms[1:]))
+    decay = decay_profile(_InvSqrtShifted(T0),
+                          build_factorization(prob, "full_triple"),
+                          [E0, 10 * E0, 100 * E0])
 
-    ok = suite["ok"] and acc_ok and k_ok
+    ok = suite["ok"] and acc_ok and decay["monotone"]
     _manifest(outdir, cfg, "hypothesis-check",
               ["relative-form-bound", "pointwise-trace-bound",
                "numerical-range-sector", "shifted-m-accretivity",
@@ -422,9 +417,11 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
               {"C_q": consts.C_q, "C_r": consts.C_r, "C_s": consts.C_s,
                "C_0": consts.C_0, "M": consts.M, "eps_0": consts.eps_0,
                "min_form_bound_slack": suite["min_slack"],
+               "min_pointwise_slack": suite["min_pointwise_slack"],
                "sector_vertex": hull.gamma, "sector_angle": hull.theta,
                "accretive_shift": E_acc, "worst_resolvent_ratio": worst,
-               "K_norm_start": Knorms[0], "K_norm_end": Knorms[-1],
+               "K_norm_start": decay["normK"][0],
+               "K_norm_end": decay["normK"][-1],
                "tolerance_slack": TOL_SLACK,
                "verdict": "pass" if ok else "fail"})
     return 0 if ok else 1

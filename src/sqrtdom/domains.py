@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .kato import _InvSqrtShifted
+from .kato import _InvSqrtShifted, _loglog_slope
 from .matfun import _principal_sqrt, _require_off_cut, is_hermitian
 from .problems import lions_operator
 
@@ -229,16 +229,13 @@ def thmA1_decay(phi: np.ndarray, halver: _InvSqrtShifted, E_grid) -> dict:
     factorization that the multipliers of a study share, and ``phi`` holds
     the multiplier samples on its degrees of freedom.  The profile
     ``||diag(phi) (L + E)^{-1/2}||`` is recorded over the grid with its
-    fitted log-log slope (the continuum envelope decays at least like the
+    log-log slope, fitted as ``decay_profile`` fits its own (``nan`` unless
+    every norm is positive; the continuum envelope decays at least like the
     quarter power for admissible multipliers).
     """
     phi = np.asarray(phi, dtype=complex)
     if phi.shape[0] != halver.basis.shape[0]:
         raise ValueError("multiplier samples must match the DOF count")
-    E_arr = np.asarray(list(E_grid), dtype=float)
-    norms = halver.norms(E_arr, np.diag(phi))[0]
-    if np.all(norms == 0.0):
-        slope = 0.0
-    else:
-        slope = float(np.polyfit(np.log(E_arr), np.log(norms), 1)[0])
-    return {"E": E_arr, "norms": norms, "slope": slope}
+    E = np.asarray(list(E_grid), dtype=float)
+    norms = halver.norms(E, np.diag(phi))[0]
+    return {"E": E, "norms": norms, "slope": _loglog_slope(E, norms)}

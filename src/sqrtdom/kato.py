@@ -37,7 +37,6 @@ __all__ = [
     "verify_identity",
     "TwoStepResolvent",
     "decay_profile",
-    "kato_K_norms",
 ]
 
 VARIANTS = ("qr_pair", "s_pair", "full_triple")
@@ -123,13 +122,6 @@ def kato_K(H0: np.ndarray, fact: FactoredPerturbation,
     """The compressed resolvent ``K(z) = -A (H0 - z)^{-1} B^H``."""
     X = np.linalg.solve(H0 - z * np.eye(H0.shape[0]), fact.B.conj().T)
     return -fact.A @ X
-
-
-def kato_K_norms(H0: np.ndarray, fact: FactoredPerturbation,
-                 E_list) -> np.ndarray:
-    """``||K(-E)||`` for each shift ``E``, from one factorization of ``H0``
-    and without forming ``K``; ``decay_profile`` computes it the same way."""
-    return _InvSqrtShifted(H0).norms(E_list, fact.A, fact.B)[2]
 
 
 def _invert_core(K: np.ndarray, z: complex, stage: str) -> np.ndarray:
@@ -319,6 +311,18 @@ class _InvSqrtShifted:
         return tuple(np.concatenate(norm) for norm in zip(*blocks))
 
 
+def _loglog_slope(E: np.ndarray, norms: np.ndarray) -> float:
+    """Least-squares slope of ``log norms`` against ``log E``: the one decay
+    rate of a shift study.  ``E`` must hold at least two positive, strictly
+    increasing shifts; the slope is ``nan`` unless every norm is positive."""
+    if E.size < 2 or np.any(E <= 0) or np.any(np.diff(E) <= 0):
+        raise ValueError("E grid needs at least two positive, strictly "
+                         "increasing shifts")
+    if not np.all(norms > 0):
+        return float("nan")
+    return float(np.polyfit(np.log(E), np.log(norms), 1)[0])
+
+
 def decay_profile(halver: _InvSqrtShifted, fact: FactoredPerturbation,
                   E_list) -> dict:
     """Shift-decay diagnostics of the factored pieces over a shift grid.
@@ -326,24 +330,17 @@ def decay_profile(halver: _InvSqrtShifted, fact: FactoredPerturbation,
     ``halver`` is ``_InvSqrtShifted(T0)`` of the base operator ``T0``, one
     factorization that the factor pairs of a study share.
 
-    For each E the profile records ``||K(-E)||`` and the two half-power
-    norms ``||A (T0+E)^{-1/2}||`` and ``||(T0+E)^{-1/2} B^H||``.  The fitted
-    log-log slope of ``||K(-E)||`` quantifies the decay; the ratio min/max
-    of the B-norm exposes a plateau when the factor contains a derivative
-    block.
+    The arrays ``normK``, ``normA`` and ``normB`` hold, per shift of ``E``,
+    ``||K(-E)||`` and the two half-power norms ``||A (T0+E)^{-1/2}||`` and
+    ``||(T0+E)^{-1/2} B^H||``.  ``slope``, the log-log slope of
+    ``||K(-E)||`` (``nan`` unless every K-norm is positive), quantifies the
+    decay; the ratio min/max of the B-norm exposes a plateau when the
+    factor contains a derivative block.
     """
-    E_arr = np.asarray(list(E_list), dtype=float)
-    if np.any(np.diff(E_arr) <= 0) or np.any(E_arr <= 0):
-        raise ValueError("E grid must be positive and increasing")
-    normsA, normsB, normsK = halver.norms(E_arr, fact.A, fact.B)
-    rows = [{"E": float(E), "normK": float(k), "normA": float(a),
-             "normB": float(b)}
-            for E, k, a, b in zip(E_arr, normsK, normsA, normsB)]
-    if len(rows) > 1 and np.all(normsK > 0):
-        slope = float(np.polyfit(np.log(E_arr), np.log(normsK), 1)[0])
-    else:
-        slope = 0.0
-    return {"rows": rows, "slope": slope,
-            "monotone": bool(np.all(np.diff(normsK) <= 0)),
-            "plateau_ratio": (float(normsB.min() / normsB.max())
-                              if normsB.max() > 0 else 0.0)}
+    E = np.asarray(list(E_list), dtype=float)
+    normA, normB, normK = halver.norms(E, fact.A, fact.B)
+    return {"E": E, "normK": normK, "normA": normA, "normB": normB,
+            "slope": _loglog_slope(E, normK),
+            "monotone": bool(np.all(np.diff(normK) <= 0)),
+            "plateau_ratio": (float(normB.min() / normB.max())
+                              if normB.max() > 0 else 0.0)}

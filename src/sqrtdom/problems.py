@@ -105,12 +105,12 @@ class Problem:
         object.__setattr__(self, "H", orthonormalize(forms))
 
     def base_operator(self) -> np.ndarray:
-        """Same second-order part and boundary conditions, no lower-order terms."""
-        base = CoefficientSet(p=self.coeffs.p, q=np.zeros_like(self.coeffs.q),
-                              r=np.zeros_like(self.coeffs.r),
-                              s=np.zeros_like(self.coeffs.s))
-        return orthonormalize(assemble_forms(self.mesh, base, self.bc_left,
-                                             self.bc_right))
+        """Same second-order part and boundary conditions, no lower-order
+        terms: ``forms.K0 + forms.Bdry``, scaled as ``orthonormalize``
+        scales the total."""
+        forms = self.forms
+        winv = 1.0 / np.sqrt(forms.lumped_weights)
+        return winv[:, None] * (forms.K0 + forms.Bdry) * winv[None, :]
 
     def reference_operator(self) -> np.ndarray:
         """Self-adjoint unit-diffusion reference with the same form domain.

@@ -5,8 +5,8 @@ from csv_tables import read_matrix, write_coefficient
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh, orthonormalize,
                               w12_norm_matrix)
-from sqrtdom import csvio
-from sqrtdom.problems import _spike
+from sqrtdom import csvio, problems
+from sqrtdom.problems import FAMILY_NAMES, _spike, make_problem
 
 DIR = BoundaryCondition.dirichlet()
 NEU = BoundaryCondition.neumann()
@@ -163,6 +163,42 @@ class TestOrthonormalize:
         H_dir = orthonormalize(assemble_forms(mesh, coeffs, DIR, NEU))
         lo = lambda A: np.linalg.eigvalsh(0.5 * (A + A.conj().T))[0]
         assert lo(H_dir) >= lo(H_neu) - 1e-12
+
+
+class TestBaseOperator:
+    INTERVALS = (IntervalSpec("finite", 0.0, 1.0),
+                 IntervalSpec("half_line", a=0.0, truncation_radius=4.0),
+                 IntervalSpec("full_line", truncation_radius=3.0))
+    LEFT = (DIR, NEU, BoundaryCondition(0.7), BoundaryCondition(1 + 0.5j))
+    RIGHT = (DIR, NEU, BoundaryCondition(0.4 - 0.2j))
+
+    def test_equals_zero_coefficient_assembly_bitwise(self):
+        # the base operator is read off the problem's own forms; it used to
+        # be assembled a second time with q, r and s zeroed
+        for family in FAMILY_NAMES:
+            for interval in self.INTERVALS:
+                for bl in self.LEFT:
+                    for br in self.RIGHT:
+                        for n in (2, 3, 17, 64):
+                            prob = make_problem(family, interval, n, bl, br)
+                            c = prob.coeffs
+                            zero = np.zeros_like(c.q)
+                            base = CoefficientSet(p=c.p, q=zero, r=zero,
+                                                  s=zero)
+                            H0 = orthonormalize(assemble_forms(
+                                prob.mesh, base, bl, br))
+                            got = prob.base_operator()
+                            assert got.dtype == H0.dtype
+                            assert got.tobytes() == H0.tobytes(), (
+                                family, interval.kind, bl, br, n)
+
+    def test_assembles_nothing(self, monkeypatch):
+        prob = make_problem("sawtooth", n=16, bc_left=NEU)
+        calls = []
+        monkeypatch.setattr(problems, "assemble_forms",
+                            lambda *args: calls.append(args))
+        prob.base_operator()
+        assert not calls
 
 
 class TestW12NormMatrix:

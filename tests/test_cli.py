@@ -80,8 +80,25 @@ class TestConfig:
                 # subcommands that build a problem
                 "trace-check --theta-a garbage",
                 "verify-krein --theta-b garbage --n-list 8,16 --n 8",
-                "kernel-dump --theta-b garbage --n 8")):
+                "kernel-dump --theta-b garbage --n 8",
+                # decay-study reads a shift grid; one shift used to get a
+                # slope fitted through a single point
+                "decay-study --n 16 --E 100")):
             assert run(tmp_path, str(i), *args.split())[0] == 2, args
+
+    def test_same_boundary_condition_in_other_words(self, tmp_path):
+        # the lions and alias checks used to compare option text, so a
+        # condition spelled differently from its default read as a change
+        for i, args in enumerate((
+                "kappa-study --problem lions --theta-a Dirichlet "
+                "--n-list 8,16",
+                "kappa-study --problem robin_complex --theta-a 1+0.5I "
+                "--n-list 8,16")):
+            code, out = run(tmp_path, str(i), *args.split())
+            assert code == 0, args
+            # the manifest echoes the text as given
+            assert f"config.theta_a = {args.split()[4]}" in (
+                out / "manifest.txt").read_text()
 
     def test_coarse_ladder_runs_the_lions_control(self, tmp_path):
         # n >= 2 is the only mesh floor: the lions control, run for itself
@@ -211,6 +228,21 @@ class TestVerifyCommands:
                                        np.geomspace(1e2, 16.0 ** 2, 9),
                                        rtol=1e-15)
 
+    @pytest.mark.parametrize("problem", ["free", "complex_p"])
+    def test_decay_study_without_lower_order_terms(self, tmp_path, problem):
+        # K and every multiplier vanish identically: there is nothing to
+        # decay, and no slope; the zero-slope sentinel used to fail the check
+        code, out = run(tmp_path, "o", "decay-study", "--problem", problem,
+                        "--n", "16")
+        assert code == 0
+        manifest = dict(line.split(" = ", 1) for line in
+                        (out / "manifest.txt").read_text().splitlines())
+        assert manifest["verdict"] == "pass"
+        for key in ("slope_qr_pair", "slope_s_pair",
+                    "slope_multiplier_abs_r", "slope_multiplier_abs_s",
+                    "slope_multiplier_sqrt_abs_q"):
+            assert manifest[key] == "nan", key
+
     def test_kappa_study_exits_1_on_an_unexpected_verdict(self, tmp_path):
         # the control must diverge at the critical power; a threshold that
         # reads it bounded, or one that reads alpha = 1/4 divergent, fails
@@ -336,7 +368,8 @@ class TestManifestKeys:
         "kernel-dump": ("--theta-a neumann --n 16",
                         "E n coupling_denominator u2_left_value"),
         "hypothesis-check": ("--n 16", "C_q C_r C_s C_0 M eps_0 "
-                             "min_form_bound_slack sector_vertex sector_angle "
+                             "min_form_bound_slack min_pointwise_slack "
+                             "sector_vertex sector_angle "
                              "accretive_shift worst_resolvent_ratio "
                              "K_norm_start K_norm_end tolerance_slack verdict"),
         "trace-check": ("", "closed_form_residual richardson_ratio_1 "

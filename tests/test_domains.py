@@ -273,6 +273,14 @@ class TestThmA1Decay:
         prob = make_problem("free", n=32)
         rec = thmA1_decay(np.zeros(31), _InvSqrtShifted(prob.H), [10.0, 100.0])
         assert np.all(rec["norms"] == 0.0)
+        # vanishing norms have no log-log slope (it used to read 0.0)
+        assert np.isnan(rec["slope"])
+
+    def test_one_shift_grid_rejected(self):
+        # one shift used to get a slope fitted through a single point
+        prob = make_problem("constant_qrs", n=16)
+        with pytest.raises(ValueError):
+            thmA1_decay(np.ones(15), _InvSqrtShifted(prob.H), [100.0])
 
     def test_spike_multiplier_decays(self):
         prob = make_problem("spike", n=128)

@@ -5,11 +5,11 @@ import scipy.linalg as sla
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               build_mesh)
 from sqrtdom import kato
-from sqrtdom.checks import decay_profiles, multiplier_decay
+from sqrtdom.checks import decay_suite
+from sqrtdom.domains import thmA1_decay
 from sqrtdom.kato import (AdmissibilityError, TwoStepResolvent,
                           _InvSqrtShifted, build_factorization, decay_profile,
-                          kato_K, kato_K_norms, perturbed_resolvent,
-                          verify_identity)
+                          kato_K, perturbed_resolvent, verify_identity)
 from sqrtdom.matfun import SpectrumOnCutError, resolvent, spectral_norm
 from sqrtdom.problems import Problem, make_problem
 
@@ -173,8 +173,10 @@ class TestDecayProfile:
         fact = build_factorization(prob, "s_pair")
         prof = decay_profile(_InvSqrtShifted(T0), fact,
                              np.geomspace(1.0, 100.0, 4))
-        assert all(r["normK"] == 0.0 for r in prof["rows"])
-        assert all(r["normA"] == 0.0 for r in prof["rows"])
+        assert np.all(prof["normK"] == 0.0)
+        assert np.all(prof["normA"] == 0.0)
+        # vanishing norms have no log-log slope
+        assert np.isnan(prof["slope"])
 
     def test_qr_pair_norm_decays(self):
         prob, T0 = setup_pair("constant_qrs", n=120)
@@ -197,6 +199,13 @@ class TestDecayProfile:
         with pytest.raises(ValueError):
             decay_profile(_InvSqrtShifted(T0), fact, [10.0, 5.0, 20.0])
 
+    def test_one_shift_grid_rejected(self):
+        # one shift used to get a slope fitted through a single point
+        prob, T0 = setup_pair("constant_qrs", n=12)
+        fact = build_factorization(prob, "qr_pair")
+        with pytest.raises(ValueError):
+            decay_profile(_InvSqrtShifted(T0), fact, [100.0])
+
     @pytest.mark.parametrize("family", ["constant_qrs", "sawtooth"])
     def test_variants_share_one_factorization(self, family, monkeypatch):
         prob = make_problem(family, n=24)
@@ -217,35 +226,58 @@ class TestDecayProfile:
 
         monkeypatch.setattr(_InvSqrtShifted, "__init__", counting_init)
         monkeypatch.setattr(Problem, "reference_operator", counting_reference)
-        shared = decay_profiles(prob, E_grid)
-        assert len(built) == 1
-        multipliers = {"abs_r": np.abs(prob.coeffs.r),
-                       "abs_s": np.abs(prob.coeffs.s),
-                       "sqrt_abs_q": np.sqrt(np.abs(prob.coeffs.q))}
-        shared_phi = multiplier_decay(prob, multipliers, E_grid)
+        suite = decay_suite(prob, E_grid)
         assert len(built) == 2 and len(references) == 1
         # the same numbers as one factorization per variant and multiplier
         T0 = prob.base_operator()
-        for variant, prof in shared.items():
+        for variant, prof in suite["profiles"].items():
             fact = build_factorization(prob, variant)
-            assert prof == decay_profile(_InvSqrtShifted(T0), fact, E_grid)
+            alone = decay_profile(_InvSqrtShifted(T0), fact, E_grid)
+            assert prof.keys() == alone.keys()
+            assert all(np.array_equal(prof[key], alone[key]) for key in prof)
+        multipliers = {"abs_r": np.abs(prob.coeffs.r),
+                       "abs_s": np.abs(prob.coeffs.s),
+                       "sqrt_abs_q": np.sqrt(np.abs(prob.coeffs.q))}
+        assert suite["multipliers"].keys() == multipliers.keys()
         for name, samples in multipliers.items():
-            alone = multiplier_decay(prob, {name: samples}, E_grid)[name]
-            assert np.array_equal(shared_phi[name]["norms"], alone["norms"])
-            assert shared_phi[name]["slope"] == alone["slope"]
+            alone = thmA1_decay(prob.lumped_average(samples),
+                                _InvSqrtShifted(prob.reference_operator()),
+                                E_grid)
+            shared = suite["multipliers"][name]
+            assert np.array_equal(shared["norms"], alone["norms"])
+            assert shared["slope"] == alone["slope"]
 
 
 class TestMultiplierDecay:
     def test_unit_multiplier_is_exact_at_a_neumann_end(self):
-        # phi = 1 gives ||(H_ref + E)^{-1/2}|| = (lambda_min + E)^{-1/2}
+        # phi = |r| = 1 gives ||(H_ref + E)^{-1/2}|| = (lambda_min + E)^{-1/2}
         # exactly; the end node must carry phi = 1 too, not half of it
-        prob = make_problem("mixed_sign", n=32, bc_left=NEU)
+        prob = with_coeffs(32, bl=NEU, r=1.0)
         E_grid = [1.0, 10.0, 100.0]
-        rec = multiplier_decay(prob, {"one": np.ones(32)}, E_grid)["one"]
+        rec = decay_suite(prob, E_grid)["multipliers"]["abs_r"]
         lam = np.linalg.eigvalsh(prob.reference_operator())[0]
         np.testing.assert_allclose(rec["norms"],
                                    (lam + np.array(E_grid)) ** -0.5,
                                    rtol=1e-8)
+
+
+class TestDecaySuite:
+    def test_non_decaying_pair_fails(self, monkeypatch):
+        # a K-norm that grows along the grid reads as a failed verdict;
+        # the grid stops at 1/h^2, where the derivative block plateaus
+        prob = make_problem("constant_qrs", n=24)
+        E_grid = np.geomspace(1e2, 24.0 ** 2, 3)
+        assert decay_suite(prob, E_grid)["ok"]
+        norms = _InvSqrtShifted.norms
+
+        def growing(self, shifts, A, B=None):
+            out = norms(self, shifts, A, B)
+            if B is None:
+                return out
+            return out[0], out[1], np.asarray(shifts, dtype=float)
+
+        monkeypatch.setattr(_InvSqrtShifted, "norms", growing)
+        assert not decay_suite(prob, E_grid)["ok"]
 
 
 class TestInvSqrtShifted:
@@ -290,7 +322,9 @@ class TestInvSqrtShifted:
         shifts = np.geomspace(1.0, 1e4, 20)
         assert shifts.size > kato._BLOCK_ENTRIES // n ** 2
         right, left, normK = halver.norms(shifts, fact.A, fact.B)
-        assert np.array_equal(normK, kato_K_norms(T0, fact, shifts))
+        # a fresh factorization in decay_profile gives the same K-norms
+        prof = decay_profile(_InvSqrtShifted(T0), fact, shifts)
+        assert np.array_equal(normK, prof["normK"])
         for c, r, l, k in zip(shifts, right, left, normK):
             if halver.hermitian:
                 # the eigen coordinates the Hermitian path iterates in
