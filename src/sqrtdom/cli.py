@@ -307,8 +307,11 @@ def cmd_decay_study(cfg: dict, outdir: Path) -> int:
     prob = problem_from(cfg)
     # shifts beyond the mesh resolution scale cannot carry the continuum
     # plateau, so the default grid stops at 1/h^2
-    E_grid = cfg["E_grid"] or np.geomspace(
-        1e2, min(1e6, 1.0 / prob.mesh.h ** 2), 9)
+    top = min(1e6, 1.0 / prob.mesh.h ** 2)
+    if cfg["E_grid"] is None and top <= 1e2:
+        raise ConfigError(f"the default shift grid runs from 1e2 to 1/h^2 = "
+                          f"{top:g}; refine the mesh or give --E-grid")
+    E_grid = cfg["E_grid"] or np.geomspace(1e2, top, 9)
     suite = decay_suite(prob, E_grid)
     profiles, multipliers = suite["profiles"], suite["multipliers"]
     for variant, prof in profiles.items():

@@ -100,7 +100,7 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
     """Solve ``(H - z) R = I`` densely and verify the residual.
 
     Raises ``ResolventError`` if the shifted matrix is singular, reporting
-    ``z`` as (numerically) in the spectrum.
+    ``z`` as (numerically) in the spectrum, or if the residual is not finite.
     """
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
@@ -111,7 +111,7 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
         raise ResolventError(f"z = {z} lies in the spectrum") from exc
     cond_est = np.linalg.norm(A) * np.linalg.norm(R)
     residual = np.linalg.norm(A @ R - np.eye(n))
-    if residual > 1e-10 * max(1.0, cond_est):
+    if not residual <= 1e-10 * max(1.0, cond_est):  # NaN fails too
         raise ResolventError(
             f"resolvent residual {residual:.2e} exceeds tolerance at z = {z}")
     return R

@@ -8,7 +8,7 @@ from csv_tables import read_matrix, write_coefficient
 from sqrtdom import checks, cli, kato
 from sqrtdom.cli import (COMMANDS, build_parser, load_config, main,
                          parse_theta, problem_from, read_config_file)
-from sqrtdom.matfun import resolvent
+from sqrtdom.matfun import resolvent, spectral_norm
 from sqrtdom.problems import Problem
 
 
@@ -82,8 +82,9 @@ class TestConfig:
                 "verify-krein --theta-b garbage --n-list 8,16 --n 8",
                 "kernel-dump --theta-b garbage --n 8",
                 # decay-study reads a shift grid; one shift used to get a
-                # slope fitted through a single point
-                "decay-study --n 16 --E 100")):
+                # slope fitted through a single point, and a mesh too coarse
+                # for the default grid used to fail after every norm
+                "decay-study --n 16 --E 100", "decay-study --n 8")):
             assert run(tmp_path, str(i), *args.split())[0] == 2, args
 
     def test_same_boundary_condition_in_other_words(self, tmp_path):
@@ -162,21 +163,21 @@ class TestVerifyCommands:
 
     def test_verify_kato_fails_with_excluded_points(self, tmp_path,
                                                    monkeypatch):
-        invert_core = kato._invert_core
+        solve_core = kato._solve_core
         probes = {
             # the full-triple core is wider than 2n: the one-shot identity
             # is then checked at no shift, which is no pass
-            "full_triple": lambda K, stage: K.shape[0] > 2 * 24,
+            "full_triple": lambda ImK, stage: ImK.shape[0] > 2 * 24,
             # the two-step path's second core: the composition is unchecked
-            "stage_2": lambda K, stage: stage == "stage 2 (s):",
+            "stage_2": lambda ImK, stage: stage == "stage 2 (s):",
         }
         for name, rejected in probes.items():
-            def probe(K, z, stage):
-                if rejected(K, stage):
+            def probe(ImK, AR, z, stage):
+                if rejected(ImK, stage):
                     raise kato.AdmissibilityError(f"probe at z = {z}")
-                return invert_core(K, z, stage)
+                return solve_core(ImK, AR, z, stage)
 
-            monkeypatch.setattr(kato, "_invert_core", probe)
+            monkeypatch.setattr(kato, "_solve_core", probe)
             code, out = run(tmp_path, name, "verify-kato", "--problem",
                             "sawtooth", "--n", "24")
             text = (out / "manifest.txt").read_text()
@@ -185,7 +186,7 @@ class TestVerifyCommands:
 
     def test_verify_kato_assembles_once_and_solves_once_per_shift(
             self, tmp_path, monkeypatch):
-        problems, bases, direct, on_base = [], [], [], []
+        problems, bases, direct, on_base, guards = [], [], [], [], []
 
         def capture(cfg):
             problems.append(problem_from(cfg))
@@ -200,20 +201,29 @@ class TestVerifyCommands:
             on_base.append(any(H is H0 for H0 in bases))
             return resolvent(H, z)
 
+        def counting_norm(M):
+            guards.append(M.shape)
+            return spectral_norm(M)
+
         base_operator = Problem.base_operator
         monkeypatch.setattr(cli, "problem_from", capture)
         monkeypatch.setattr(Problem, "base_operator", counting_base)
-        # every binding of the one resolvent, whichever module calls it
+        # every binding of the one resolvent and the one power iteration,
+        # whichever module calls it
+        counted = {resolvent: counting_resolvent, spectral_norm: counting_norm}
         for module in [m for name, m in sys.modules.items()
                        if name.startswith("sqrtdom")]:
             for attr, value in list(vars(module).items()):
-                if value is resolvent:
-                    monkeypatch.setattr(module, attr, counting_resolvent)
+                if any(value is f for f in counted):
+                    monkeypatch.setattr(module, attr, counted[value])
         code, _ = run(tmp_path, "o", "verify-kato", "--n", "16")
         assert code == 0 and len(problems) == 1
         assert len(bases) == 1 and sum(direct) == 3
-        # both factored paths start from the one base resolvent of a shift
-        assert sum(on_base) == 3
+        # both factored paths start from the one base resolvent of a shift,
+        # and no factored core goes through resolvent
+        assert sum(on_base) == 3 and len(direct) == 6
+        # one conditioning guard per factored core: three cores per shift
+        assert len(guards) == 9
 
     def test_decay_csv_columns(self, tmp_path):
         # one row per shift of the default grid, nine from 100 to 1/h^2
@@ -227,6 +237,13 @@ class TestVerifyCommands:
             np.testing.assert_allclose(table[:, 0],
                                        np.geomspace(1e2, 16.0 ** 2, 9),
                                        rtol=1e-15)
+        # a mesh too coarse for the default grid runs on a grid it is given
+        code, out = run(tmp_path, "coarse", "decay-study", "--n", "8",
+                        "--E-grid", "10,2,4")
+        assert code == 0
+        rows = (out / "decay_qr_pair.csv").read_text().splitlines()
+        np.testing.assert_allclose([float(row.split(",")[0])
+                                    for row in rows[1:]], [10, 20, 40, 80])
 
     @pytest.mark.parametrize("problem", ["free", "complex_p"])
     def test_decay_study_without_lower_order_terms(self, tmp_path, problem):

@@ -143,6 +143,28 @@ class TestPerturbedResolvent:
             perturbed_resolvent(resolvent(T0, complex(z)), fact, complex(z))
 
 
+class TestSolveCore:
+    def test_near_singular_core_rejected(self):
+        # cond_2 = 1.002e13: two inner power-iteration estimates read the
+        # product as 9.97e12 and admitted the shift
+        rng = np.random.default_rng(3)
+        n = 60
+        U, V = (np.linalg.qr(rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)))[0]
+                for _ in range(2))
+        s = np.append(np.linspace(1.0, 0.5, n - 1), 1 / 1.002e13)
+        ImK = U @ np.diag(s) @ V.conj().T
+        with pytest.raises(AdmissibilityError, match="within roundoff"):
+            kato._solve_core(ImK, np.eye(n, dtype=complex), -1.0, "")
+
+    def test_non_finite_core_rejected(self):
+        # a NaN residual compared false against the tolerance
+        ImK = np.eye(4, dtype=complex)
+        ImK[1, 2] = np.nan
+        with pytest.raises(AdmissibilityError, match="in spectrum"):
+            kato._solve_core(ImK, np.eye(4, dtype=complex), -1.0, "")
+
+
 class TestTwoStep:
     def test_zero_s_second_stage_is_identity(self):
         prob = make_problem("free", n=15)

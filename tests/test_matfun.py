@@ -37,6 +37,15 @@ class TestResolvent:
         with pytest.raises(ResolventError):
             resolvent(np.diag([1.0, 2.0]), 1.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("H", [np.array([[np.inf]]),
+                                   np.array([[1.0, np.nan], [0.0, 2.0]])])
+    def test_non_finite_result_reported(self, H):
+        # a NaN residual compared false against the tolerance, so [[inf]]
+        # came back as [[0]] and a NaN entry as a NaN resolvent
+        with pytest.raises(ResolventError):
+            resolvent(H, 0.0)
+
     def test_first_resolvent_identity(self):
         H = random_accretive(25, 3)
         for z1, z2 in [(-1.0, -3.0 + 1j), (2j, -0.5 - 2j)]:
