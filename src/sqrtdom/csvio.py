@@ -29,11 +29,10 @@ def write_rows(path, header: str, rows) -> None:
 
 def write_matrix(path, mat: np.ndarray) -> None:
     """Dump a dense complex matrix as ``i,j,re,im`` triplets, 0-based indices."""
-    mat = np.asarray(mat)
     rows = (
-        (str(i), str(j), fmt(mat[i, j].real), fmt(np.imag(mat[i, j])))
-        for i in range(mat.shape[0])
-        for j in range(mat.shape[1])
+        (str(i), str(j), fmt(v.real), fmt(v.imag))
+        for i, row in enumerate(np.asarray(mat).tolist())
+        for j, v in enumerate(row)
     )
     write_rows(path, "i,j,re,im", rows)
 
@@ -56,11 +55,11 @@ def read_coefficient(path):
 
 def write_kernel(path, grid: np.ndarray, values: np.ndarray) -> None:
     """Dump a two-point kernel table as ``x,xp,re,im`` rows."""
-    values = np.asarray(values, dtype=complex)
+    xs = [fmt(x) for x in grid]
     rows = (
-        (fmt(grid[i]), fmt(grid[j]), fmt(values[i, j].real), fmt(values[i, j].imag))
-        for i in range(len(grid))
-        for j in range(len(grid))
+        (xs[i], xs[j], fmt(v.real), fmt(v.imag))
+        for i, row in enumerate(np.asarray(values, dtype=complex).tolist())
+        for j, v in enumerate(row)
     )
     write_rows(path, "x,xp,re,im", rows)
 

@@ -11,11 +11,13 @@ reproduces the one-shot discretization exactly at the matrix level (LU
 roundoff only).  That exactness is the primary oracle of this module:
 ``verify_identity`` checks it for a ``Problem``, with all three lower-order
 terms adjoined at once and in two steps (r/q, then s), at shifts it derives
-from the problem.  Each adjoined pair inverts its core ``I - K(z)`` once and
-checks the residual of the block ``(I - K)^{-1} A R0`` that the formula uses;
-a core that is singular, or within roundoff of it by a conditioning guard,
-makes the shift inadmissible (``AdmissibilityError``).  The decay norms are
-computed at the shifts a verdict reads and nowhere else.
+from the problem.  Each row of ``A`` and ``B`` has at most two nonzeros, so
+their products with ``R0`` are sparse.  Each adjoined pair inverts its core
+``I - K(z)`` once and checks the block ``(I - K)^{-1} A R0`` that the formula
+uses by the residual of the system applied exactly; a core that is singular,
+or within roundoff of it by a conditioning guard, makes the shift
+inadmissible (``AdmissibilityError``).  The decay norms are computed at the
+shifts a verdict reads and nowhere else.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .matfun import (_principal_sqrt, _require_off_cut, is_hermitian,
                      power_norms, power_start, resolvent, spectral_norm)
@@ -126,13 +129,15 @@ def kato_K(H0: np.ndarray, fact: FactoredPerturbation,
     return -fact.A @ X
 
 
-def _solve_core(ImK: np.ndarray, AR: np.ndarray, z: complex,
-                stage: str) -> np.ndarray:
-    """``Y = (I - K)^{-1} A R`` from ``ImK = I - K``, with a residual check
-    and a conditioning guard.
+def _solve_core(ImK: np.ndarray, A, RB: np.ndarray, AR: np.ndarray,
+                z: complex, stage: str) -> np.ndarray:
+    """``R B^H (I - K)^{-1} A R`` from ``ImK = I - K = I + A (R B^H)``, with
+    a residual check and a conditioning guard.
 
-    The core is inverted once (``np.linalg.inv``).  The block the caller
-    uses must satisfy ``||(I - K) Y - A R||_F <= 1e-10 ||I - K||_F ||Y||_F``;
+    The core is inverted once (``np.linalg.inv``) and applied to ``A R``,
+    giving ``Y = (I - K)^{-1} A R``.  The returned ``R B^H Y`` also gives the
+    residual of the system applied exactly through the factor ``A``, and
+    ``||Y + A (R B^H Y) - A R||_F <= 1e-10 ||I - K||_F ||Y||_F`` must hold;
     a singular core or a failed (or NaN) residual means 1 is in the spectrum
     of K.  Backward-stable solves do not flag near-singularity on their own,
     so the admissibility boundary is also detected through
@@ -156,23 +161,30 @@ def _solve_core(ImK: np.ndarray, AR: np.ndarray, z: complex,
         raise AdmissibilityError(
             f"{label}1 in spectrum of K(z) at z = {z}") from exc
     Y = core @ AR
+    RBY = RB @ Y
     norm_ImK = np.linalg.norm(ImK)
-    residual = np.linalg.norm(ImK @ Y - AR)
+    residual = np.linalg.norm(Y + A @ RBY - AR)
     if not residual <= 1e-10 * norm_ImK * np.linalg.norm(Y):
         raise AdmissibilityError(f"{label}1 in spectrum of K(z) at z = {z}")
     if spectral_norm(core) * norm_ImK > 1e13:
         raise AdmissibilityError(
             f"{label}1 within roundoff of the spectrum of K(z) at z = {z}")
-    return Y
+    return RBY
 
 
 def _woodbury(R: np.ndarray, fact: FactoredPerturbation, z: complex,
               stage: str) -> np.ndarray:
     """Adjoin ``B^H A`` to the resolvent ``R``:
-    ``R - R B^H (I - K)^{-1} A R`` with ``K = -A R B^H``."""
-    RB = R @ fact.B.conj().T
-    ImK = np.eye(fact.A.shape[0], dtype=complex) + fact.A @ RB
-    return R - RB @ _solve_core(ImK, fact.A @ R, z, stage)
+    ``R - R B^H (I - K)^{-1} A R`` with ``K = -A R B^H``.
+
+    Each row of ``A`` and ``B`` holds at most two nonzeros, so the products
+    with ``R`` run on CSR copies of the pair; ``R B^H`` is formed as
+    ``(B R^H)^H``."""
+    A = sp.csr_array(fact.A)
+    RB = (sp.csr_array(fact.B) @ R.conj().T).conj().T
+    ImK = A @ RB
+    ImK[np.diag_indices_from(ImK)] += 1.0
+    return R - _solve_core(ImK, A, RB, A @ R, z, stage)
 
 
 def perturbed_resolvent(R0: np.ndarray, fact: FactoredPerturbation,

@@ -118,10 +118,12 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
 
 
 def _require_off_cut(evals: np.ndarray) -> None:
-    """Raise ``SpectrumOnCutError`` if any of ``evals`` lies on (-inf, 0]."""
+    """Raise ``SpectrumOnCutError`` if any of ``evals`` lies on (-inf, 0]
+    or is not finite."""
     evals = np.asarray(evals)
     tol = 1e-12 * (np.abs(evals) + 1.0)
-    on_cut = (evals.real <= tol) & (np.abs(evals.imag) <= tol)
+    on_cut = ~np.isfinite(evals) | ((evals.real <= tol)
+                                    & (np.abs(evals.imag) <= tol))
     if np.any(on_cut):
         raise SpectrumOnCutError(
             f"eigenvalue(s) on (-inf, 0]: {evals[on_cut][:3]}")
@@ -129,10 +131,11 @@ def _require_off_cut(evals: np.ndarray) -> None:
 
 def _require_root(R: np.ndarray, T: np.ndarray) -> None:
     """Raise ``SpectrumOnCutError`` unless ``||R^2 - T||_F <= 1e-10 ||T||_F``
-    for the matrix, or for each matrix of a stack along the leading axis."""
+    for the matrix, or for each matrix of a stack along the leading axis
+    (a NaN residual fails)."""
     res = np.linalg.norm(R @ R - T, axis=(-2, -1))
-    if np.any(res > 1e-10 * np.maximum(np.linalg.norm(T, axis=(-2, -1)),
-                                       1e-300)):
+    if not np.all(res <= 1e-10 * np.maximum(np.linalg.norm(T, axis=(-2, -1)),
+                                            1e-300)):
         raise SpectrumOnCutError("square-root residual above tolerance")
 
 

@@ -262,6 +262,50 @@ class TestCsvRoundtrip:
         csvio.write_matrix(path, mat)
         np.testing.assert_array_equal(read_matrix(path), mat)
 
+    # signed zero, the smallest subnormal, a huge value, an integral value
+    # and NaN, as the dumps spell them
+    RE = np.array([[-0.0, 5e-324, 1e300], [2.0, np.nan, -2.5]])
+    IM = np.array([[5e-324, -0.0, np.nan], [1e300, 2.0, -0.0]])
+    TINY, HUGE = "4.9406564584124654e-324", "1.0000000000000001e+300"
+
+    @staticmethod
+    def cplx(re, im):
+        z = np.empty(re.shape, dtype=complex)
+        z.real, z.imag = re, im  # re + 1j * im would lose -0.0 and NaN parts
+        return z
+
+    def test_matrix_text(self, tmp_path):
+        T, H = self.TINY, self.HUGE
+        expected = {
+            "complex": [f"0,0,-0,{T}", f"0,1,{T},-0", f"0,2,{H},nan",
+                        f"1,0,2,{H}", "1,1,nan,2", "1,2,-2.5,-0"],
+            "real": ["0,0,-0,0", f"0,1,{T},0", f"0,2,{H},0", "1,0,2,0",
+                     "1,1,nan,0", "1,2,-2.5,0"],
+        }
+        for name, mat in (("complex", self.cplx(self.RE, self.IM)),
+                          ("real", self.RE)):
+            path = tmp_path / f"{name}.csv"
+            csvio.write_matrix(path, mat)
+            assert path.read_text(encoding="ascii").splitlines() == [
+                "i,j,re,im", *expected[name]], name
+
+    def test_kernel_text(self, tmp_path):
+        T, H = self.TINY, self.HUGE
+        grid = np.array([-0.0, 2.0])
+        re = np.array([[-0.0, 5e-324], [1e300, np.nan]])
+        im = np.array([[2.0, -0.0], [np.nan, 5e-324]])
+        expected = {
+            "complex": ["-0,-0,-0,2", f"-0,2,{T},-0", f"2,-0,{H},nan",
+                        f"2,2,nan,{T}"],
+            "real": ["-0,-0,-0,0", f"-0,2,{T},0", f"2,-0,{H},0",
+                     "2,2,nan,0"],
+        }
+        for name, vals in (("complex", self.cplx(re, im)), ("real", re)):
+            path = tmp_path / f"{name}.csv"
+            csvio.write_kernel(path, grid, vals)
+            assert path.read_text(encoding="ascii").splitlines() == [
+                "x,xp,re,im", *expected[name]], name
+
     def test_coefficient(self, tmp_path):
         x = np.linspace(0, 1, 7)
         v = np.sin(x) + 1j * x

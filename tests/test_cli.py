@@ -172,10 +172,10 @@ class TestVerifyCommands:
             "stage_2": lambda ImK, stage: stage == "stage 2 (s):",
         }
         for name, rejected in probes.items():
-            def probe(ImK, AR, z, stage):
+            def probe(ImK, A, RB, AR, z, stage):
                 if rejected(ImK, stage):
                     raise kato.AdmissibilityError(f"probe at z = {z}")
-                return solve_core(ImK, AR, z, stage)
+                return solve_core(ImK, A, RB, AR, z, stage)
 
             monkeypatch.setattr(kato, "_solve_core", probe)
             code, out = run(tmp_path, name, "verify-kato", "--problem",

@@ -7,9 +7,10 @@ from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
 from sqrtdom import kato
 from sqrtdom.checks import decay_suite
 from sqrtdom.domains import thmA1_decay
-from sqrtdom.kato import (AdmissibilityError, TwoStepResolvent,
-                          _InvSqrtShifted, build_factorization, decay_profile,
-                          kato_K, perturbed_resolvent, verify_identity)
+from sqrtdom.kato import (AdmissibilityError, FactoredPerturbation,
+                          TwoStepResolvent, _InvSqrtShifted,
+                          build_factorization, decay_profile, kato_K,
+                          perturbed_resolvent, verify_identity)
 from sqrtdom.matfun import SpectrumOnCutError, resolvent, spectral_norm
 from sqrtdom.problems import Problem, make_problem
 
@@ -82,8 +83,6 @@ class TestKatoK:
         # hand-built 1x1 operator: T0 = [1], A = B = [1], z = 0 -> K = -1
         one = np.eye(1, dtype=complex)
         T0 = one.copy()
-        from sqrtdom.kato import FactoredPerturbation
-
         fact = FactoredPerturbation(A=one.copy(), B=one.copy())
         np.testing.assert_allclose(kato_K(T0, fact, 0.0), [[-1.0]])
         R = perturbed_resolvent(resolvent(T0, 0.0), fact, 0.0)
@@ -133,6 +132,23 @@ class TestPerturbedResolvent:
         rhs = (z1 - z2) * R1 @ R2
         assert np.linalg.norm(R1 - R2 - rhs) / np.linalg.norm(rhs) < 1e-9
 
+    def test_dense_random_pair(self):
+        # no two-band structure: every entry of A and B is nonzero
+        rng = np.random.default_rng(5)
+        n, m, z = 20, 40, -1.0 + 0.5j
+        cplx = lambda *shape: (rng.standard_normal(shape)
+                               + 1j * rng.standard_normal(shape))
+        H0 = cplx(n, n) / np.sqrt(n) + 3.0 * np.eye(n)
+        A, B = cplx(m, n), cplx(m, n)
+        # ||K|| = 1/2 keeps 1 out of the spectrum of K
+        scale = np.sqrt(0.5 / spectral_norm(kato_K(
+            H0, FactoredPerturbation(A=A, B=B), z)))
+        fact = FactoredPerturbation(A=scale * A, B=scale * B)
+        R = perturbed_resolvent(resolvent(H0, z), fact, z)
+        R_direct = resolvent(H0 + fact.B.conj().T @ fact.A, z)
+        assert (np.linalg.norm(R - R_direct) / np.linalg.norm(R_direct)
+                <= 1e-12)
+
     def test_inadmissible_point_reported(self):
         prob, T0 = setup_pair("constant_qrs", n=20)
         fact = build_factorization(prob, "full_triple")
@@ -141,6 +157,13 @@ class TestPerturbedResolvent:
         z = lam[np.argmin(np.abs(lam))]
         with pytest.raises((AdmissibilityError, np.linalg.LinAlgError)):
             perturbed_resolvent(resolvent(T0, complex(z)), fact, complex(z))
+
+
+def solve_core(ImK):
+    """``_solve_core`` on the core ``ImK`` alone: the factors ``A = I`` and
+    ``R B^H = ImK - I`` give ``I + A (R B^H) = ImK``, and ``A R = I``."""
+    I = np.eye(ImK.shape[0], dtype=complex)
+    return kato._solve_core(ImK, I, ImK - I, I, -1.0, "")
 
 
 class TestSolveCore:
@@ -155,14 +178,14 @@ class TestSolveCore:
         s = np.append(np.linspace(1.0, 0.5, n - 1), 1 / 1.002e13)
         ImK = U @ np.diag(s) @ V.conj().T
         with pytest.raises(AdmissibilityError, match="within roundoff"):
-            kato._solve_core(ImK, np.eye(n, dtype=complex), -1.0, "")
+            solve_core(ImK)
 
     def test_non_finite_core_rejected(self):
         # a NaN residual compared false against the tolerance
         ImK = np.eye(4, dtype=complex)
         ImK[1, 2] = np.nan
         with pytest.raises(AdmissibilityError, match="in spectrum"):
-            kato._solve_core(ImK, np.eye(4, dtype=complex), -1.0, "")
+            solve_core(ImK)
 
 
 class TestTwoStep:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sqrtdom.matfun import (QuadratureSpec, ResolventError,
-                            SpectrumOnCutError, check_power_laws,
+                            SpectrumOnCutError, _principal_sqrt,
+                            _require_off_cut, check_power_laws,
                             frac_power_quad, power_norms, power_start,
                             resolvent, spectral_norm, sqrt_db,
                             trace_det_check)
@@ -82,6 +83,21 @@ class TestSqrtDb:
             sqrt_db(np.diag([1.0, -3.0]))
         with pytest.raises(SpectrumOnCutError):
             sqrt_db(np.diag([1.0, 0.0]))
+
+
+class TestNonFiniteGuards:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_root_rejected(self):
+        # a NaN residual compared false against the tolerance, so the root
+        # came back with a NaN entry
+        with pytest.raises(SpectrumOnCutError):
+            _principal_sqrt(np.array([[4.0, np.nan], [0.0, 9.0]]))
+
+    @pytest.mark.parametrize("ev", [np.nan, complex(1.0, np.nan)])
+    def test_nan_eigenvalue_on_cut(self, ev):
+        # NaN compared false against the cut's bounds and passed
+        with pytest.raises(SpectrumOnCutError):
+            _require_off_cut(np.array([ev, 1.0]))
 
 
 class TestFracPowerQuad:
