@@ -20,7 +20,7 @@ from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
 from .checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU, TOL_SLACK,
                      TOL_SLOPE, TOL_TRACE, decay_suite, form_bound_suite,
                      krein_suite, trace_suite)
-from .domains import refinement_study
+from .domains import ShiftBelowSpectrumError, refinement_study
 from .kato import (PATHS, _InvSqrtShifted, build_factorization,
                    decay_profile, verify_identity)
 from .krein import (green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
@@ -280,11 +280,16 @@ def cmd_verify_krein(cfg: dict, outdir: Path) -> int:
 def cmd_kappa_study(cfg: dict, outdir: Path) -> int:
     control = cfg["problem"] == "lions"
     level = {**cfg, **_KAPPA_ALIASES.get(cfg["problem"], {})}
-    report = refinement_study(lions_operator if control
-                              else lambda n: problem_from({**level, "n": n}),
-                              cfg["n_list"] or [32, 64, 128, 256],
-                              cfg["E"] or 1.0, cfg["alpha"],
-                              cfg["growth_threshold"])
+    E = cfg["E"] or 1.0
+    try:
+        report = refinement_study(
+            lions_operator if control
+            else lambda n: problem_from({**level, "n": n}),
+            cfg["n_list"] or [32, 64, 128, 256], E, cfg["alpha"],
+            cfg["growth_threshold"])
+    except ShiftBelowSpectrumError as exc:
+        raise ConfigError(f"--E {E:g} does not shift the operator above "
+                          f"zero: {exc}; raise --E") from exc
     rows = [(str(r["n"]), csvio.fmt(r["E"]), csvio.fmt(r["alpha"]),
              csvio.fmt(r["min_ratio"]), csvio.fmt(r["max_ratio"]),
              csvio.fmt(r["kappa"]), report.verdict) for r in report.rows]

@@ -18,7 +18,10 @@ all exact to roundoff: eigendecomposition for Hermitian input, the
 terminating binomial series for the negative control (a lower-bidiagonal
 Toeplitz matrix), and one complex Schur form for any other input, whose
 triangular factor is rooted k times at alpha = 2^-k and raised by Schur-Pade
-otherwise.
+otherwise.  Real input stays real on the Hermitian and Toeplitz routes, so
+the control and the self-adjoint reference, both real, run in real
+arithmetic.  A shift that leaves a Hermitian matrix, or a critical-power
+Gram, indefinite raises ``ShiftBelowSpectrumError``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .problems import lions_operator
 
 __all__ = [
     "DomainEquivalenceReport",
+    "ShiftBelowSpectrumError",
     "matrix_power",
     "sqrt_domain_kappa",
     "refinement_study",
@@ -41,9 +45,14 @@ __all__ = [
 ]
 
 
+class ShiftBelowSpectrumError(ValueError):
+    """Raised when a matrix that a positive shift should make positive has a
+    negative eigenvalue: the shift lies below the spectrum's bottom."""
+
+
 def _bidiagonal_toeplitz(H: np.ndarray) -> tuple[complex, complex] | None:
-    """(diagonal, subdiagonal) values of a lower-bidiagonal Toeplitz matrix,
-    or None for any other input."""
+    """(diagonal, subdiagonal) entries of a lower-bidiagonal Toeplitz matrix,
+    as scalars of the matrix's own dtype, or None for any other input."""
     if H.shape[0] < 2:
         return None
     diag, sub = np.diag(H), np.diag(H, -1)
@@ -51,7 +60,7 @@ def _bidiagonal_toeplitz(H: np.ndarray) -> tuple[complex, complex] | None:
             or np.count_nonzero(H) != np.count_nonzero(diag)
             + np.count_nonzero(sub)):
         return None
-    return complex(diag[0]), complex(sub[0])
+    return diag[0], sub[0]
 
 
 def _toeplitz_power(lam: complex, mu: complex, n: int,
@@ -73,20 +82,24 @@ def _toeplitz_power(lam: complex, mu: complex, n: int,
 def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
     """Fractional power ``H^alpha``; the one place a route is chosen.
 
-    Non-Hermitian, non-Toeplitz input is factored once as ``Q U Q^H``
-    (complex Schur) and ``diag(U)`` is checked to avoid the cut (-inf, 0].
-    At ``alpha = 2^-k`` the triangular ``U`` is rooted k times
-    (``matfun._principal_sqrt``, each root residual-checked); any other
-    alpha raises ``U`` by the Schur-Pade algorithm (Higham & Lin, SIAM J.
-    Matrix Anal. Appl. 32, 2011), which takes no second Schur step on
-    triangular input.  The triangular power ``R`` returns as ``Q R Q^H``.
+    Hermitian input is diagonalized (``eigh``) and must be nonnegative;
+    a lower-bidiagonal Toeplitz matrix takes ``_toeplitz_power``.  Both
+    routes return a real power for real input.  Any other input is factored
+    once as ``Q U Q^H`` (complex Schur) and ``diag(U)`` is checked to avoid
+    the cut (-inf, 0].  At ``alpha = 2^-k`` the triangular ``U`` is rooted
+    k times (``matfun._principal_sqrt``, each root residual-checked); any
+    other alpha raises ``U`` by the Schur-Pade algorithm (Higham & Lin,
+    SIAM J. Matrix Anal. Appl. 32, 2011), which takes no second Schur step
+    on triangular input.  The triangular power ``R`` returns as ``Q R Q^H``.
     """
-    H = np.asarray(H, dtype=complex)
+    H = np.asarray(H)
     n = H.shape[0]
     if is_hermitian(H):
         evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
         if evals.min() < -1e-10 * max(1.0, abs(evals.max())):
-            raise ValueError("Hermitian power path needs a nonnegative matrix")
+            raise ShiftBelowSpectrumError(
+                f"Hermitian power path needs a nonnegative matrix; smallest "
+                f"eigenvalue {evals.min():.6g}")
         evals = np.clip(evals, 0.0, None)
         return (evecs * evals[None, :] ** alpha) @ evecs.conj().T
     if (band := _bidiagonal_toeplitz(H)) is not None:
@@ -140,7 +153,9 @@ def sqrt_domain_kappa(P: np.ndarray, Q: np.ndarray) -> dict:
     S = sla.solve_triangular(L, S.conj().T, lower=True).conj().T
     evals = 1.0 + np.linalg.eigvalsh(0.5 * (S + S.conj().T))
     if evals[0] <= 0:
-        raise ValueError("power Gram lost positivity (shift too small?)")
+        raise ShiftBelowSpectrumError(
+            f"power Gram lost positivity; smallest pencil eigenvalue "
+            f"{evals[0]:.6g}")
     min_ratio, max_ratio = float(np.sqrt(evals[0])), float(np.sqrt(evals[-1]))
     return {"min_ratio": min_ratio, "max_ratio": max_ratio,
             "kappa": max_ratio / min_ratio}

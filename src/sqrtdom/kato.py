@@ -12,7 +12,8 @@ roundoff only).  That exactness is the primary oracle of this module:
 ``verify_identity`` checks it for a ``Problem``, with all three lower-order
 terms adjoined at once and in two steps (r/q, then s), at shifts it derives
 from the problem.  Each row of ``A`` and ``B`` has at most two nonzeros, so
-their products with ``R0`` are sparse.  Each adjoined pair inverts its core
+their products with ``R0`` are sparse; ``verify_identity`` converts each
+pair to CSR once for all its shifts.  Each adjoined pair inverts its core
 ``I - K(z)`` once and checks the block ``(I - K)^{-1} A R0`` that the formula
 uses by the residual of the system applied exactly; a core that is singular,
 or within roundoff of it by a conditioning guard, makes the shift
@@ -54,10 +55,18 @@ class AdmissibilityError(RuntimeError):
 
 @dataclass
 class FactoredPerturbation:
-    """The pair (A, B) with ``B^H A`` equal to the perturbation form matrix."""
+    """The pair (A, B) with ``B^H A`` equal to the perturbation form matrix,
+    dense as ``build_factorization`` returns it, or as the CSR arrays of
+    ``_csr`` on the resolvent paths."""
 
     A: np.ndarray
     B: np.ndarray
+
+
+def _csr(fact: FactoredPerturbation) -> FactoredPerturbation:
+    """The pair as CSR arrays, converted once for all shifts it is
+    adjoined at."""
+    return FactoredPerturbation(A=sp.csr_array(fact.A), B=sp.csr_array(fact.B))
 
 
 def _sampling_blocks(prob: Problem):
@@ -178,8 +187,10 @@ def _woodbury(R: np.ndarray, fact: FactoredPerturbation, z: complex,
     ``R - R B^H (I - K)^{-1} A R`` with ``K = -A R B^H``.
 
     Each row of ``A`` and ``B`` holds at most two nonzeros, so the products
-    with ``R`` run on CSR copies of the pair; ``R B^H`` is formed as
-    ``(B R^H)^H``."""
+    with ``R`` run on CSR arrays; ``R B^H`` is formed as ``(B R^H)^H``.
+    ``sp.csr_array`` converts a dense pair and wraps a ``_csr`` pair without
+    copying, so a caller that adjoins one pair at several shifts converts it
+    once."""
     A = sp.csr_array(fact.A)
     RB = (sp.csr_array(fact.B) @ R.conj().T).conj().T
     ImK = A @ RB
@@ -207,7 +218,7 @@ def verify_identity(prob: Problem) -> dict:
     ``PATHS``, and ``max_error`` the maximum per path.
     """
     closure = TwoStepResolvent(prob)
-    fact = build_factorization(prob, "full_triple")
+    fact = _csr(build_factorization(prob, "full_triple"))
     E = safe_shift(prob.H) + safe_shift(closure.H0) + 10.0
     records, excluded = [], []
     for z in (complex(-E), complex(-2 * E), complex(-E, E)):
@@ -230,13 +241,13 @@ def verify_identity(prob: Problem) -> dict:
 class TwoStepResolvent:
     """Composed resolvent of ``prob.H``: to the resolvent of the base
     operator ``H0``, assembled once here, first adjoin the r/q terms
-    (``qr_pair``), then the s term (``s_pair``); ``verify_identity`` reuses
-    ``H0``."""
+    (``qr_pair``), then the s term (``s_pair``), both pairs held as CSR
+    arrays; ``verify_identity`` reuses ``H0``."""
 
     def __init__(self, prob: Problem):
         self.H0 = prob.base_operator()
-        self.fact_qr = build_factorization(prob, "qr_pair")
-        self.fact_s = build_factorization(prob, "s_pair")
+        self.fact_qr = _csr(build_factorization(prob, "qr_pair"))
+        self.fact_s = _csr(build_factorization(prob, "s_pair"))
 
     def __call__(self, z: complex, R0: np.ndarray) -> np.ndarray:
         """The resolvent at ``z`` from ``R0 = (H0 - z)^{-1}``."""

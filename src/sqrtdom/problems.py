@@ -113,17 +113,21 @@ class Problem:
         return winv[:, None] * (forms.K0 + forms.Bdry) * winv[None, :]
 
     def reference_operator(self) -> np.ndarray:
-        """Self-adjoint unit-diffusion reference with the same form domain.
+        """Self-adjoint unit-diffusion reference with the same form domain,
+        as a real (float64, C-contiguous) matrix.
 
         Non-Dirichlet ends become Neumann: the form domain only sees whether
-        a boundary parameter vanishes.
+        a boundary parameter vanishes.  With p = 1, no lower-order terms and
+        Dirichlet or Neumann ends the assembled matrix has imaginary part
+        exactly zero, so its real part is returned as a copy.
         """
         ref = CoefficientSet.from_callables(self.mesh, p=1.0)
         bl = (self.bc_left if self.bc_left.is_dirichlet
               else BoundaryCondition.neumann())
         br = (self.bc_right if self.bc_right.is_dirichlet
               else BoundaryCondition.neumann())
-        return orthonormalize(assemble_forms(self.mesh, ref, bl, br))
+        return np.ascontiguousarray(
+            orthonormalize(assemble_forms(self.mesh, ref, bl, br)).real)
 
     def lumped_average(self, cells: np.ndarray) -> np.ndarray:
         """Cell samples averaged onto the retained nodes with the lumped
@@ -169,10 +173,11 @@ def lions_operator(n: int) -> np.ndarray:
     Forward differences on ``(0, 1)`` with ``n`` cells in L2-orthonormal
     coordinates give the lower-bidiagonal Toeplitz matrix with ``1/h`` on
     the diagonal: accretive, heavily nonnormal, and the canonical negative
-    control for square-root domain questions at the critical power.
+    control for square-root domain questions at the critical power.  The
+    matrix is real (float64), so its powers are taken in real arithmetic.
     """
     h = 1.0 / n
-    T = np.zeros((n, n), dtype=complex)
+    T = np.zeros((n, n))
     np.fill_diagonal(T, 1.0 / h)
     T[np.arange(1, n), np.arange(0, n - 1)] = -1.0 / h
     return T

@@ -201,6 +201,22 @@ class TestBaseOperator:
         assert not calls
 
 
+class TestReferenceOperator:
+    @pytest.mark.parametrize("bl", [DIR, NEU, BoundaryCondition(1 + 0.5j)],
+                             ids=["dirichlet", "neumann", "robin"])
+    def test_real_copy_of_the_complex_assembly(self, bl):
+        # p = 1 with no lower-order terms and Dirichlet or Neumann ends has
+        # an exactly real matrix; a Robin end is referred to Neumann
+        prob = make_problem("sawtooth", n=48, bc_left=bl, bc_right=NEU)
+        ref = prob.reference_operator()
+        assert ref.dtype == np.float64 and ref.flags.c_contiguous
+        ends = [bc if bc.is_dirichlet else NEU for bc in (bl, NEU)]
+        H = orthonormalize(assemble_forms(
+            prob.mesh, coeffs_for(prob.mesh, p=1.0), *ends))
+        assert np.iscomplexobj(H) and not np.any(H.imag)
+        assert np.array_equal(ref, H.real)
+
+
 class TestW12NormMatrix:
     def test_matches_unit_stiffness_plus_mass(self):
         mesh = build_mesh(IntervalSpec(), 8)

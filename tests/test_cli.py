@@ -271,6 +271,24 @@ class TestVerifyCommands:
             assert code == 1, args
             assert (out / "kappa.csv").exists()
 
+    @pytest.mark.parametrize("alpha", ["0.5", "0.25"])
+    def test_kappa_study_shift_below_spectrum_is_config_error(
+            self, tmp_path, alpha, capsys):
+        # a real potential well deeper than -E: the Gram pencil (alpha = 1/2)
+        # or the Hermitian power (alpha = 1/4) is indefinite; both used to
+        # exit 1, the failed-check code
+        x = np.linspace(0.0, 1.0, 2001)
+        with np.errstate(divide="ignore"):
+            q = -np.minimum(np.abs(x - 0.5) ** -1.0, 1e4)
+        qpath = tmp_path / "q.csv"
+        write_coefficient(qpath, x, q)
+        code, out = run(tmp_path, "o", "kappa-study", "--problem", "free",
+                        "--coeff-q", str(qpath), "--n-list", "32,64",
+                        "--alpha", alpha)
+        assert code == 2
+        assert "--E" in capsys.readouterr().err
+        assert not (out / "kappa.csv").exists()
+
     def test_kappa_study_lions_divergent(self, tmp_path):
         code, out = run(tmp_path, "o", "kappa-study", "--problem", "lions",
                         "--alpha", "0.5", "--n-list", "32,64,128")

@@ -58,6 +58,20 @@ class TestMatrixPower:
         with pytest.raises(SpectrumOnCutError):
             matrix_power(T + E * np.eye(16), 0.25)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    @pytest.mark.parametrize("route", ["hermitian", "toeplitz"])
+    def test_real_input_stays_real(self, route, alpha):
+        # the reference operator and the lions control are real themselves
+        if route == "hermitian":
+            H = make_problem("free", n=65).reference_operator() + np.eye(64)
+        else:
+            H = lions_operator(64) + np.eye(64)
+        assert H.dtype == np.float64
+        X = matrix_power(H, alpha)
+        Xc = matrix_power(H.astype(complex), alpha)
+        assert X.dtype == np.float64 and np.iscomplexobj(Xc)
+        assert np.linalg.norm(X - Xc) <= 1e-13 * np.linalg.norm(Xc)
+
     def test_dense_path_rejects_cut(self):
         rng = np.random.default_rng(5)
         V = rng.standard_normal((12, 12))
@@ -167,6 +181,16 @@ class TestLionsDichotomy:
         growth_half = halves[-1] / halves[0]
         growth_quarter = quarters[-1] / quarters[0]
         assert growth_half > growth_quarter
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_real_row_matches_complex_arithmetic(self, n, alpha):
+        row = _kappa_row(lions_operator, n, 1.0, alpha)
+        T = (lions_operator(n) + np.eye(n)).astype(complex)
+        X = matrix_power(T, alpha)
+        ref = sqrt_domain_kappa(X.conj().T @ X, X @ X.conj().T)
+        for key in ("min_ratio", "max_ratio", "kappa"):
+            assert abs(row[key] - ref[key]) <= 1e-13 * ref[key], key
 
 
 class TestRefinementStudy:

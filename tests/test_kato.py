@@ -149,6 +149,21 @@ class TestPerturbedResolvent:
         assert (np.linalg.norm(R - R_direct) / np.linalg.norm(R_direct)
                 <= 1e-12)
 
+    def test_verify_identity_converts_each_pair_once(self, monkeypatch):
+        # the full triple and the two step pairs go to CSR once for all
+        # three shifts; each call of _woodbury used to convert its pair
+        csr_array, converted = kato.sp.csr_array, []
+
+        def counting(arg):
+            if isinstance(arg, np.ndarray):
+                converted.append(arg.shape)
+            return csr_array(arg)
+
+        monkeypatch.setattr(kato.sp, "csr_array", counting)
+        prob = make_problem("sawtooth", n=24, bc_left=NEU)
+        assert len(verify_identity(prob)["records"]) == 3
+        assert len(converted) == 6
+
     def test_inadmissible_point_reported(self):
         prob, T0 = setup_pair("constant_qrs", n=20)
         fact = build_factorization(prob, "full_triple")
