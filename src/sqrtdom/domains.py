@@ -13,15 +13,19 @@ generalized Hermitian eigenproblem.  A problem passes when ``kappa`` stays
 bounded under mesh refinement; the control's critical-power ratio keeps
 growing.
 
-Every fractional power goes through ``matrix_power``, whose three routes are
-all exact to roundoff: eigendecomposition for Hermitian input, the
-terminating binomial series for the negative control (a lower-bidiagonal
-Toeplitz matrix), and one complex Schur form for any other input, whose
-triangular factor is rooted k times at alpha = 2^-k and raised by Schur-Pade
-otherwise.  Real input stays real on the Hermitian and Toeplitz routes, so
-the control and the self-adjoint reference, both real, run in real
-arithmetic.  A shift that leaves a Hermitian matrix, or a critical-power
-Gram, indefinite raises ``ShiftBelowSpectrumError``.
+Every fractional power goes through ``matrix_power``, whose four routes are
+all exact to roundoff: eigendecomposition for Hermitian input; for a
+tridiagonal Toeplitz matrix, the terminating binomial series when the
+superdiagonal vanishes (the negative control, lower bidiagonal) and the
+closed-form sine diagonalization ``D S diag(lam) S D^-1`` when neither
+off-diagonal does (every constant-coefficient family with Dirichlet ends),
+while the diagonal similarity D stays within ``_MAX_SIMILARITY_COND``; and
+one complex Schur form for any other input, whose triangular factor is
+rooted k times at alpha = 2^-k and raised by Schur-Pade otherwise.  Real
+input stays real on the first three routes, so the control and the
+self-adjoint reference, both real, run in real arithmetic.  A shift that
+leaves an eigenvalue of negative real part on any route, or a
+critical-power Gram indefinite, raises ``ShiftBelowSpectrumError``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .kato import _InvSqrtShifted, _loglog_slope
-from .matfun import _principal_sqrt, _require_off_cut, is_hermitian
+from .matfun import (_principal_sqrt, _require_off_cut, _require_root,
+                     is_hermitian)
 from .problems import lions_operator
 
 __all__ = [
@@ -46,21 +51,52 @@ __all__ = [
 
 
 class ShiftBelowSpectrumError(ValueError):
-    """Raised when a matrix that a positive shift should make positive has a
-    negative eigenvalue: the shift lies below the spectrum's bottom."""
+    """Raised when a matrix that a positive shift should make accretive has
+    an eigenvalue of negative real part: the shift lies below the
+    spectrum's bottom."""
 
 
-def _bidiagonal_toeplitz(H: np.ndarray) -> tuple[complex, complex] | None:
-    """(diagonal, subdiagonal) entries of a lower-bidiagonal Toeplitz matrix,
-    as scalars of the matrix's own dtype, or None for any other input."""
+# Largest conditioning ``max(|rho|, 1/|rho|)^(n-1)`` of the similarity
+# ``D = diag(rho^k)`` that ``_sine_power`` accepts; the closed form's
+# roundoff grows with it, so worse input takes the Schur route.
+# complex_constant with Dirichlet ends reads at most 1.65 for n <= 1024.
+_MAX_SIMILARITY_COND = 1e2
+
+# An eigenvalue counts as shifted into the closed right half-plane while its
+# real part stays above -_SHIFT_TOL max(1, max |eigenvalue|).
+_SHIFT_TOL = 1e-10
+
+
+def _require_shifted(evals: np.ndarray) -> None:
+    """Raise ``ShiftBelowSpectrumError`` when the smallest real part of
+    ``evals`` lies below ``-_SHIFT_TOL max(1, max |evals|)``: the shift left
+    part of the spectrum in the open left half-plane, where an accretive
+    operator has none."""
+    evals = np.asarray(evals)
+    lowest = evals.real.min()
+    if lowest < -_SHIFT_TOL * max(1.0, np.abs(evals).max()):
+        raise ShiftBelowSpectrumError(
+            f"smallest real part of an eigenvalue {lowest:.6g} lies below "
+            f"zero")
+
+
+def _dyadic_roots(alpha: float) -> int:
+    """``k`` when ``alpha = 2^-k`` for an integer ``k >= 1``, else 0."""
+    k = -np.log2(alpha)
+    return int(k) if k >= 1 and k == int(k) else 0
+
+
+def _tridiagonal_toeplitz(H: np.ndarray) -> tuple | None:
+    """(subdiagonal, diagonal, superdiagonal) entries of a tridiagonal
+    Toeplitz matrix, as scalars of the matrix's own dtype, or None for any
+    other input."""
     if H.shape[0] < 2:
         return None
-    diag, sub = np.diag(H), np.diag(H, -1)
-    if (np.any(diag != diag[0]) or np.any(sub != sub[0])
-            or np.count_nonzero(H) != np.count_nonzero(diag)
-            + np.count_nonzero(sub)):
+    bands = np.diag(H, -1), np.diag(H), np.diag(H, 1)
+    if (any(np.any(d != d[0]) for d in bands)
+            or np.count_nonzero(H) != sum(map(np.count_nonzero, bands))):
         return None
-    return diag[0], sub[0]
+    return tuple(d[0] for d in bands)
 
 
 def _toeplitz_power(lam: complex, mu: complex, n: int,
@@ -74,41 +110,90 @@ def _toeplitz_power(lam: complex, mu: complex, n: int,
     ``c_k = c_{k-1} (alpha - k + 1) / k * (mu / lam)``.
     """
     _require_off_cut([lam])
+    _require_shifted([lam])
     k = np.arange(1, n)
     steps = np.concatenate(([lam ** alpha], (alpha - k + 1) / k * (mu / lam)))
     return sla.toeplitz(np.cumprod(steps), np.zeros(n))
 
 
+def _sine_power(H: np.ndarray, b: complex, a: complex, c: complex,
+                alpha: float) -> np.ndarray | None:
+    """``H^alpha`` for ``H = tridiag(b, a, c)``, ``b c != 0``, in closed
+    form, or None when the diagonal similarity exceeds
+    ``_MAX_SIMILARITY_COND``.
+
+    With ``rho = sqrt(b / c)`` on the principal branch the matrix is
+    ``D S diag(lam) S D^-1``: ``D = diag(rho^k)``, S the orthogonal, symmetric
+    sine matrix ``sqrt(2/(n+1)) sin(jk pi/(n+1))`` and
+    ``lam_j = a + 2 c rho cos(j pi/(n+1))`` (Noschese, Pasquini & Reichel,
+    Numer. Linear Algebra Appl. 20, 2013).  The eigenvalues take the same
+    ``rho`` as D, not ``sqrt(b c)``, whose branch can pair them with the
+    wrong vectors.  The power ``D S diag(lam^alpha) S D^-1`` is one
+    real-by-complex product; at ``alpha = 2^-k`` it is raised back k times
+    and checked against the input by ``_require_root``.  Real input returns
+    a real power.
+    """
+    n = H.shape[0]
+    rho = np.emath.sqrt(b / c)
+    if abs(np.log(abs(rho))) * (n - 1) > np.log(_MAX_SIMILARITY_COND):
+        return None
+    j = np.arange(1, n + 1)
+    lam = a + 2 * c * rho * np.cos(j * np.pi / (n + 1))
+    _require_off_cut(lam)
+    _require_shifted(lam)
+    # jk reduced mod 2(n+1) keeps the sine arguments in [0, 2 pi)
+    S = np.sqrt(2 / (n + 1)) * np.sin(
+        np.pi / (n + 1) * (np.outer(j, j) % (2 * (n + 1))))
+    d = rho ** np.arange(n)
+    X = d[:, None] * (S @ (lam[:, None] ** alpha * S)) / d[None, :]
+    if np.isrealobj(H):
+        X = X.real
+    if roots := _dyadic_roots(alpha):
+        Y = X
+        for _ in range(roots - 1):
+            Y = Y @ Y
+        _require_root(Y, H)
+    return X
+
+
 def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
     """Fractional power ``H^alpha``; the one place a route is chosen.
 
-    Hermitian input is diagonalized (``eigh``) and must be nonnegative;
-    a lower-bidiagonal Toeplitz matrix takes ``_toeplitz_power``.  Both
-    routes return a real power for real input.  Any other input is factored
-    once as ``Q U Q^H`` (complex Schur) and ``diag(U)`` is checked to avoid
-    the cut (-inf, 0].  At ``alpha = 2^-k`` the triangular ``U`` is rooted
-    k times (``matfun._principal_sqrt``, each root residual-checked); any
-    other alpha raises ``U`` by the Schur-Pade algorithm (Higham & Lin,
+    Hermitian input is diagonalized (``eigh``).  A tridiagonal Toeplitz
+    matrix with a zero superdiagonal takes ``_toeplitz_power``, and with
+    both off-diagonals nonzero ``_sine_power``, while its diagonal
+    similarity stays within ``_MAX_SIMILARITY_COND``.  These three routes
+    return a real power for real input.  Any other input is factored once as
+    ``Q U Q^H`` (complex Schur).  At ``alpha = 2^-k`` the triangular ``U`` is
+    rooted k times (``matfun._principal_sqrt``, each root residual-checked);
+    any other alpha raises ``U`` by the Schur-Pade algorithm (Higham & Lin,
     SIAM J. Matrix Anal. Appl. 32, 2011), which takes no second Schur step
     on triangular input.  The triangular power ``R`` returns as ``Q R Q^H``.
+
+    Every route reads the eigenvalues it has (those of ``eigh``, the
+    Toeplitz ``lam_j`` or ``diag(U)``): off the Hermitian route they must
+    avoid the cut (-inf, 0] (``SpectrumOnCutError``), and on every route a
+    real part below ``_require_shifted``'s rule raises
+    ``ShiftBelowSpectrumError``.
     """
     H = np.asarray(H)
     n = H.shape[0]
     if is_hermitian(H):
         evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-        if evals.min() < -1e-10 * max(1.0, abs(evals.max())):
-            raise ShiftBelowSpectrumError(
-                f"Hermitian power path needs a nonnegative matrix; smallest "
-                f"eigenvalue {evals.min():.6g}")
+        _require_shifted(evals)
         evals = np.clip(evals, 0.0, None)
         return (evecs * evals[None, :] ** alpha) @ evecs.conj().T
-    if (band := _bidiagonal_toeplitz(H)) is not None:
-        return _toeplitz_power(*band, n, alpha)
+    if (band := _tridiagonal_toeplitz(H)) is not None:
+        b, a, c = band
+        if c == 0:
+            return _toeplitz_power(a, b, n, alpha)
+        if b != 0 and (X := _sine_power(H, b, a, c, alpha)) is not None:
+            return X
     U, Q = sla.schur(H, output="complex")
     _require_off_cut(np.diag(U))
-    roots = -np.log2(alpha)
-    if roots == int(roots):
-        for _ in range(int(roots)):
+    _require_shifted(np.diag(U))
+    if roots := _dyadic_roots(alpha):
+        for _ in range(roots):
             U = _principal_sqrt(U)
     else:
         U = sla.fractional_matrix_power(U, alpha)

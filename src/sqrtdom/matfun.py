@@ -4,7 +4,8 @@ and the power iteration for operator norms.
 Verdicts take their powers from ``domains.matrix_power`` and their inverse
 half powers from ``kato._InvSqrtShifted``; on dense non-Hermitian input both
 take one complex Schur form and root its triangular factor with
-``_principal_sqrt``.  Every computed square root passes the one residual
+``_principal_sqrt``, except that ``matrix_power`` takes tridiagonal Toeplitz
+input in closed form.  Every computed square root passes the one residual
 rule ``_require_root``.  The Denman-Beavers ``sqrt_db`` is left only to the
 determinant-trace identity and to the tests, as an independent root.
 ``frac_power_quad`` is the independent reference that criterion 3 and the

@@ -289,6 +289,23 @@ class TestVerifyCommands:
         assert "--E" in capsys.readouterr().err
         assert not (out / "kappa.csv").exists()
 
+    @pytest.mark.parametrize("theta_a", ["dirichlet", "neumann"])
+    def test_kappa_study_complex_well_below_shift_is_config_error(
+            self, tmp_path, theta_a, capsys):
+        # q = -100 + i leaves eigenvalues of H + 1 with real part near -89
+        # and imaginary part 1, off the cut: with Dirichlet ends the operator
+        # is tridiagonal Toeplitz (closed-form route), with a Neumann end it
+        # takes the Schur route; both used to exit 0 with verdict bounded
+        x = np.linspace(0.0, 1.0, 2001)
+        qpath = tmp_path / "q.csv"
+        write_coefficient(qpath, x, np.full(x.shape, -100.0 + 1.0j))
+        code, out = run(tmp_path, "o", "kappa-study", "--problem", "free",
+                        "--coeff-q", str(qpath), "--n-list", "32,64,128",
+                        "--theta-a", theta_a)
+        assert code == 2
+        assert "--E" in capsys.readouterr().err
+        assert not (out / "kappa.csv").exists()
+
     def test_kappa_study_lions_divergent(self, tmp_path):
         code, out = run(tmp_path, "o", "kappa-study", "--problem", "lions",
                         "--alpha", "0.5", "--n-list", "32,64,128")

@@ -3,13 +3,15 @@ import pytest
 import scipy.linalg as sla
 
 from sqrtdom import domains, matfun
-from sqrtdom.assembly import BoundaryCondition, IntervalSpec, w12_norm_matrix
+from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
+                              build_mesh, w12_norm_matrix)
 from sqrtdom.domains import (_kappa_row, _power_gram, matrix_power,
                              refinement_study, sqrt_domain_kappa, thmA1_decay)
 from sqrtdom.kato import _InvSqrtShifted
 from sqrtdom.matfun import (QuadratureSpec, SpectrumOnCutError,
                             frac_power_quad, sqrt_db)
-from sqrtdom.problems import FAMILY_NAMES, lions_operator, make_problem
+from sqrtdom.problems import (FAMILY_NAMES, Problem, lions_operator,
+                              make_problem)
 
 DIR, NEU = BoundaryCondition.dirichlet(), BoundaryCondition.neumann()
 
@@ -119,6 +121,104 @@ class TestMatrixPower:
         X = matrix_power(H, 0.3)
         Xq = frac_power_quad(H, 0.3, QuadratureSpec(panels=16))
         assert np.linalg.norm(X - Xq) <= 1e-8 * np.linalg.norm(Xq)
+
+    def test_schur_half_power_matches_denman_beavers(self):
+        # the twin of the test above on input that is not Toeplitz, so the
+        # Schur route keeps an independent root to agree with
+        prob = make_problem("sawtooth", n=48)
+        H = prob.H + np.eye(prob.H.shape[0])
+        assert domains._tridiagonal_toeplitz(H) is None
+        Y = sqrt_db(H)
+        assert np.linalg.norm(matrix_power(H, 0.5) - Y) \
+            <= 1e-12 * np.linalg.norm(Y)
+
+    def test_schur_path_matches_quadrature(self):
+        prob = make_problem("sawtooth", n=24)
+        H = prob.H + np.eye(prob.H.shape[0])
+        assert domains._tridiagonal_toeplitz(H) is None
+        X = matrix_power(H, 0.3)
+        Xq = frac_power_quad(H, 0.3, QuadratureSpec(panels=16))
+        assert np.linalg.norm(X - Xq) <= 1e-8 * np.linalg.norm(Xq)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.375])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_tridiagonal_toeplitz_takes_no_schur_form(self, n, alpha,
+                                                      monkeypatch):
+        prob = make_problem("complex_constant", n=n)
+        H = prob.H + np.eye(prob.H.shape[0])
+        T, Z = sla.schur(H, output="complex")
+        if alpha == 0.375:
+            R = sla.fractional_matrix_power(T, alpha)
+        else:
+            R = sla.sqrtm(T) if alpha == 0.5 else sla.sqrtm(sla.sqrtm(T))
+        ref = Z @ R @ Z.conj().T
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Schur form on the Toeplitz route")
+
+        monkeypatch.setattr(sla, "schur", forbidden)
+        X = matrix_power(H, alpha)
+        assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("case", ["neumann", "sawtooth", "large_r"])
+    def test_other_input_takes_one_schur_form(self, case, monkeypatch):
+        if case == "neumann":
+            prob = make_problem("complex_constant", n=32, bc_left=NEU)
+        elif case == "sawtooth":
+            prob = make_problem("sawtooth", n=32)
+        else:
+            # tridiagonal Toeplitz, but |b/c|^((n-1)/2) is about 4.6e13
+            mesh = build_mesh(IntervalSpec(), 32)
+            prob = Problem(IntervalSpec(), mesh,
+                           CoefficientSet.from_callables(mesh, r=50.0),
+                           DIR, DIR)
+            b, a, c = domains._tridiagonal_toeplitz(prob.H)
+            assert b * c != 0
+        schur = sla.schur
+        schur_calls = []
+
+        def counting_schur(*args, **kwargs):
+            schur_calls.append(kwargs.get("output"))
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "schur", counting_schur)
+        matrix_power(prob.H + np.eye(prob.H.shape[0]), 0.5)
+        assert schur_calls == ["complex"]
+
+    @pytest.mark.parametrize("route", ["hermitian", "bidiagonal", "sine",
+                                       "schur"])
+    def test_shift_below_spectrum_rejected_on_every_route(self, route):
+        # eigenvalues of real part near -90 and imaginary part 1 (real on
+        # the Hermitian route): off the cut, below the shift rule
+        if route == "hermitian":
+            H = make_problem("free", n=32).H - 100 * np.eye(31)
+        elif route == "bidiagonal":
+            H = lions_operator(16) - (16 + 90 - 1j) * np.eye(16)
+        else:
+            family = "free" if route == "sine" else "sawtooth"
+            H = make_problem(family, n=32).H - (100 - 1j) * np.eye(31)
+        for alpha in (0.5, 0.25, 0.375):
+            with pytest.raises(domains.ShiftBelowSpectrumError):
+                matrix_power(H, alpha)
+
+    def test_power_above_one_is_not_a_root(self):
+        # alpha = 2 is a dyadic exponent, but not a root to be taken
+        for family in ("complex_constant", "sawtooth"):
+            H = make_problem(family, n=24).H + np.eye(23)
+            X = matrix_power(H, 2.0)
+            assert np.linalg.norm(X - H @ H) <= 1e-12 * np.linalg.norm(H @ H)
+
+    @pytest.mark.parametrize("ratio", [1.21, -1.21])
+    def test_real_toeplitz_stays_real(self, ratio):
+        # a real nonsymmetric tridiagonal Toeplitz matrix: rho is real for
+        # b/c > 0 and imaginary for b/c < 0; the power is real either way
+        n = 12
+        H = sla.toeplitz(np.r_[4.0, ratio, np.zeros(n - 2)],
+                         np.r_[4.0, 1.0, np.zeros(n - 2)])
+        X = matrix_power(H, 0.5)
+        ref = sla.sqrtm(H)
+        assert X.dtype == np.float64
+        assert np.linalg.norm(X - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestSqrtDomainKappa:
