@@ -20,12 +20,12 @@ from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
 from .checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU, TOL_SLACK,
                      TOL_SLOPE, TOL_TRACE, decay_suite, form_bound_suite,
                      krein_suite, trace_suite)
-from .domains import ShiftBelowSpectrumError, refinement_study
+from .domains import refinement_study
 from .kato import (PATHS, _InvSqrtShifted, build_factorization,
                    decay_profile, verify_identity)
 from .krein import (green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
                     u2_closed_form, d_theta)
-from .matfun import resolvent
+from .matfun import ShiftBelowSpectrumError, resolvent
 from .problems import (FAMILY_NAMES, Problem, build_coefficients,
                        lions_operator)
 from .sectorial import check_m_accretive, numerical_range_hull, safe_shift
@@ -317,7 +317,12 @@ def cmd_decay_study(cfg: dict, outdir: Path) -> int:
         raise ConfigError(f"the default shift grid runs from 1e2 to 1/h^2 = "
                           f"{top:g}; refine the mesh or give --E-grid")
     E_grid = cfg["E_grid"] or np.geomspace(1e2, top, 9)
-    suite = decay_suite(prob, E_grid)
+    try:
+        suite = decay_suite(prob, E_grid)
+    except ShiftBelowSpectrumError as exc:
+        raise ConfigError(f"--E-grid from {min(E_grid):g} does not shift "
+                          f"the operator above zero: {exc}; raise --E-grid"
+                          ) from exc
     profiles, multipliers = suite["profiles"], suite["multipliers"]
     for variant, prof in profiles.items():
         csvio.write_rows(outdir / f"decay_{variant}.csv",
@@ -391,7 +396,7 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
                        csvio.fmt(slack[k, e, j]))
                       for k, e, j in np.ndindex(slack.shape)])
 
-    hull = numerical_range_hull(H, seed=cfg["seed"])
+    hull = numerical_range_hull(H)
     csvio.write_rows(outdir / "range_boundary.csv", "phi,re,im",
                      [(csvio.fmt(p), csvio.fmt(v.real), csvio.fmt(v.imag))
                       for p, v in zip(hull.angles, hull.boundary)])

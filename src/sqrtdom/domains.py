@@ -36,7 +36,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .kato import _InvSqrtShifted, _loglog_slope
-from .matfun import (_principal_sqrt, _require_off_cut, _require_root,
+from .matfun import (ShiftBelowSpectrumError, _principal_sqrt,
+                     _require_off_cut, _require_root, _require_shifted,
                      is_hermitian)
 from .problems import lions_operator
 
@@ -50,35 +51,11 @@ __all__ = [
 ]
 
 
-class ShiftBelowSpectrumError(ValueError):
-    """Raised when a matrix that a positive shift should make accretive has
-    an eigenvalue of negative real part: the shift lies below the
-    spectrum's bottom."""
-
-
 # Largest conditioning ``max(|rho|, 1/|rho|)^(n-1)`` of the similarity
 # ``D = diag(rho^k)`` that ``_sine_power`` accepts; the closed form's
 # roundoff grows with it, so worse input takes the Schur route.
 # complex_constant with Dirichlet ends reads at most 1.65 for n <= 1024.
 _MAX_SIMILARITY_COND = 1e2
-
-# An eigenvalue counts as shifted into the closed right half-plane while its
-# real part stays above -_SHIFT_TOL max(1, max |eigenvalue|).
-_SHIFT_TOL = 1e-10
-
-
-def _require_shifted(evals: np.ndarray) -> None:
-    """Raise ``ShiftBelowSpectrumError`` when the smallest real part of
-    ``evals`` lies below ``-_SHIFT_TOL max(1, max |evals|)``: the shift left
-    part of the spectrum in the open left half-plane, where an accretive
-    operator has none."""
-    evals = np.asarray(evals)
-    lowest = evals.real.min()
-    if lowest < -_SHIFT_TOL * max(1.0, np.abs(evals).max()):
-        raise ShiftBelowSpectrumError(
-            f"smallest real part of an eigenvalue {lowest:.6g} lies below "
-            f"zero")
-
 
 def _dyadic_roots(alpha: float) -> int:
     """``k`` when ``alpha = 2^-k`` for an integer ``k >= 1``, else 0."""

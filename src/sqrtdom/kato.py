@@ -12,12 +12,12 @@ roundoff only).  That exactness is the primary oracle of this module:
 ``verify_identity`` checks it for a ``Problem``, with all three lower-order
 terms adjoined at once and in two steps (r/q, then s), at shifts it derives
 from the problem.  Each row of ``A`` and ``B`` has at most two nonzeros, so
-their products with ``R0`` are sparse; ``verify_identity`` converts each
-pair to CSR once for all its shifts.  Each adjoined pair inverts its core
-``I - K(z)`` once and checks the block ``(I - K)^{-1} A R0`` that the formula
-uses by the residual of the system applied exactly; a core that is singular,
-or within roundoff of it by a conditioning guard, makes the shift
-inadmissible (``AdmissibilityError``).  The decay norms are computed at the
+``build_factorization`` returns the pair as CSR arrays and every product
+with it is sparse.  Each adjoined pair inverts its core ``I - K(z)`` once
+and checks the block ``(I - K)^{-1} A R0`` that the formula uses by the
+residual of the system applied exactly; a core that is singular, or within
+roundoff of it by a conditioning guard, makes the shift inadmissible
+(``AdmissibilityError``).  The decay norms are computed at the
 shifts a verdict reads and nowhere else.
 """
 
@@ -29,8 +29,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .matfun import (_principal_sqrt, _require_off_cut, is_hermitian,
-                     power_norms, power_start, resolvent, spectral_norm)
+from .matfun import (_principal_sqrt, _require_off_cut, _require_shifted,
+                     is_hermitian, power_norms, power_start, resolvent,
+                     spectral_norm)
 from .problems import Problem
 from .sectorial import safe_shift
 
@@ -55,18 +56,12 @@ class AdmissibilityError(RuntimeError):
 
 @dataclass
 class FactoredPerturbation:
-    """The pair (A, B) with ``B^H A`` equal to the perturbation form matrix,
-    dense as ``build_factorization`` returns it, or as the CSR arrays of
-    ``_csr`` on the resolvent paths."""
+    """The pair (A, B) with ``B^H A`` equal to the perturbation form matrix.
+    ``build_factorization`` returns it as CSR arrays, and every path
+    multiplies by the pair as it is given."""
 
-    A: np.ndarray
-    B: np.ndarray
-
-
-def _csr(fact: FactoredPerturbation) -> FactoredPerturbation:
-    """The pair as CSR arrays, converted once for all shifts it is
-    adjoined at."""
-    return FactoredPerturbation(A=sp.csr_array(fact.A), B=sp.csr_array(fact.B))
+    A: sp.csr_array
+    B: sp.csr_array
 
 
 def _sampling_blocks(prob: Problem):
@@ -99,7 +94,9 @@ def build_factorization(prob: Problem, variant: str) -> FactoredPerturbation:
     s-multiplication; ``full_triple`` stacks all three blocks.  The blocks
     live on the retained nodes of ``prob.forms``, the potential is the
     lumped nodal average ``prob.lumped_average(q)``, and in every case
-    ``B^H A`` equals the corresponding form matrix exactly.
+    ``B^H A`` equals the corresponding form matrix exactly.  Each row of
+    ``A`` and ``B`` holds at most two nonzeros, so both are returned as CSR
+    arrays.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -128,14 +125,15 @@ def build_factorization(prob: Problem, variant: str) -> FactoredPerturbation:
     else:
         A = np.vstack([G.astype(complex), sa_block, qa_block])
         B = np.vstack([r_block, sb_block.astype(complex), qb_block])
-    return FactoredPerturbation(A=A, B=B)
+    return FactoredPerturbation(A=sp.csr_array(A), B=sp.csr_array(B))
 
 
 def kato_K(H0: np.ndarray, fact: FactoredPerturbation,
            z: complex) -> np.ndarray:
-    """The compressed resolvent ``K(z) = -A (H0 - z)^{-1} B^H``."""
-    X = np.linalg.solve(H0 - z * np.eye(H0.shape[0]), fact.B.conj().T)
-    return -fact.A @ X
+    """The compressed resolvent ``K(z) = -A (R0 B^H)`` with
+    ``R0 = (H0 - z)^{-1}``, through the sparse products of ``_woodbury``."""
+    RB = (fact.B @ resolvent(H0, z).conj().T).conj().T
+    return -(fact.A @ RB)
 
 
 def _solve_core(ImK: np.ndarray, A, RB: np.ndarray, AR: np.ndarray,
@@ -186,16 +184,12 @@ def _woodbury(R: np.ndarray, fact: FactoredPerturbation, z: complex,
     """Adjoin ``B^H A`` to the resolvent ``R``:
     ``R - R B^H (I - K)^{-1} A R`` with ``K = -A R B^H``.
 
-    Each row of ``A`` and ``B`` holds at most two nonzeros, so the products
-    with ``R`` run on CSR arrays; ``R B^H`` is formed as ``(B R^H)^H``.
-    ``sp.csr_array`` converts a dense pair and wraps a ``_csr`` pair without
-    copying, so a caller that adjoins one pair at several shifts converts it
-    once."""
-    A = sp.csr_array(fact.A)
-    RB = (sp.csr_array(fact.B) @ R.conj().T).conj().T
-    ImK = A @ RB
+    The products with ``R`` take the pair as given, sparse from
+    ``build_factorization``; ``R B^H`` is formed as ``(B R^H)^H``."""
+    RB = (fact.B @ R.conj().T).conj().T
+    ImK = fact.A @ RB
     ImK[np.diag_indices_from(ImK)] += 1.0
-    return R - _solve_core(ImK, A, RB, A @ R, z, stage)
+    return R - _solve_core(ImK, fact.A, RB, fact.A @ R, z, stage)
 
 
 def perturbed_resolvent(R0: np.ndarray, fact: FactoredPerturbation,
@@ -218,7 +212,7 @@ def verify_identity(prob: Problem) -> dict:
     ``PATHS``, and ``max_error`` the maximum per path.
     """
     closure = TwoStepResolvent(prob)
-    fact = _csr(build_factorization(prob, "full_triple"))
+    fact = build_factorization(prob, "full_triple")
     E = safe_shift(prob.H) + safe_shift(closure.H0) + 10.0
     records, excluded = [], []
     for z in (complex(-E), complex(-2 * E), complex(-E, E)):
@@ -241,13 +235,13 @@ def verify_identity(prob: Problem) -> dict:
 class TwoStepResolvent:
     """Composed resolvent of ``prob.H``: to the resolvent of the base
     operator ``H0``, assembled once here, first adjoin the r/q terms
-    (``qr_pair``), then the s term (``s_pair``), both pairs held as CSR
-    arrays; ``verify_identity`` reuses ``H0``."""
+    (``qr_pair``), then the s term (``s_pair``), both pairs built once here
+    for all shifts; ``verify_identity`` reuses ``H0``."""
 
     def __init__(self, prob: Problem):
         self.H0 = prob.base_operator()
-        self.fact_qr = _csr(build_factorization(prob, "qr_pair"))
-        self.fact_s = _csr(build_factorization(prob, "s_pair"))
+        self.fact_qr = build_factorization(prob, "qr_pair")
+        self.fact_s = build_factorization(prob, "s_pair")
 
     def __call__(self, z: complex, R0: np.ndarray) -> np.ndarray:
         """The resolvent at ``z`` from ``R0 = (H0 - z)^{-1}``."""
@@ -269,7 +263,8 @@ class _InvSqrtShifted:
     triangular principal root (``matfun._principal_sqrt``, batched over
     shifts and residual-checked), stacked in blocks of at most
     ``2**16 // n**2`` shifts.  The eigenvalues plus ``c`` (``diag(U) + c`` on
-    the Schur path) pass the branch-cut guard first.  A factor ``X`` enters
+    the Schur path) pass the branch-cut guard and then the shift rule
+    (``matfun._require_shifted``) first.  A factor ``X`` enters
     only through ``X Q`` (or ``X V``) and its Gram, each formed once per
     ``norms`` call, and all shifts of a block run in one ``power_norms`` per
     norm.  Each norm equals, in exact arithmetic, ``spectral_norm`` of the
@@ -337,13 +332,15 @@ class _InvSqrtShifted:
         ``C^n``.
         """
         shifts = np.asarray(shifts, dtype=float)
-        _require_off_cut(self.diag[None, :] + shifts[:, None])
-        AV = np.asarray(A, dtype=complex) @ self.basis
+        shifted = self.diag[None, :] + shifts[:, None]
+        _require_off_cut(shifted)
+        _require_shifted(shifted)
+        AV = A @ self.basis
         WA = AV.conj().T @ AV
         x0 = power_start(self.basis.shape[0])
         start = x0 if self.hermitian else self.basis.conj().T @ x0
         if B is not None:
-            BV = np.asarray(B, dtype=complex) @ self.basis
+            BV = B @ self.basis
             WB = BV.conj().T @ BV
             start_m = BV.conj().T @ power_start(BV.shape[0])
         blocks = []

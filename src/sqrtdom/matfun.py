@@ -32,6 +32,7 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "QuadratureSpec",
     "SpectrumOnCutError",
+    "ShiftBelowSpectrumError",
     "resolvent",
     "sqrt_db",
     "frac_power_quad",
@@ -47,6 +48,12 @@ __all__ = [
 
 class SpectrumOnCutError(ValueError):
     """Raised when an eigenvalue sits on the branch cut (-inf, 0]."""
+
+
+class ShiftBelowSpectrumError(ValueError):
+    """Raised when a matrix that a positive shift should make accretive has
+    an eigenvalue of negative real part: the shift lies below the
+    spectrum's bottom."""
 
 
 class ResolventError(np.linalg.LinAlgError):
@@ -128,6 +135,26 @@ def _require_off_cut(evals: np.ndarray) -> None:
     if np.any(on_cut):
         raise SpectrumOnCutError(
             f"eigenvalue(s) on (-inf, 0]: {evals[on_cut][:3]}")
+
+
+# An eigenvalue counts as shifted into the closed right half-plane while its
+# real part stays above -_SHIFT_TOL max(1, max |eigenvalue|).
+_SHIFT_TOL = 1e-10
+
+
+def _require_shifted(evals: np.ndarray) -> None:
+    """Raise ``ShiftBelowSpectrumError`` when the smallest real part of
+    ``evals`` lies below ``-_SHIFT_TOL max(1, max |evals|)``, for one
+    spectrum or for each row of a stack of them: the shift left part of the
+    spectrum in the open left half-plane, where an accretive operator has
+    none."""
+    evals = np.asarray(evals)
+    lowest = evals.real.min(axis=-1)
+    scale = np.maximum(1.0, np.abs(evals).max(axis=-1))
+    if np.any(lowest < -_SHIFT_TOL * scale):
+        raise ShiftBelowSpectrumError(
+            f"smallest real part of an eigenvalue {lowest.min():.6g} lies "
+            f"below zero")
 
 
 def _require_root(R: np.ndarray, T: np.ndarray) -> None:

@@ -16,23 +16,22 @@ __all__ = [
 ]
 
 _HALF_PI = np.pi / 2
-_N_SAMPLES = 256  # seeded random interior states per hull
 
 
 @dataclass
 class SectorReport:
-    """Fitted sector of the sampled numerical range.
+    """Fitted sector of the numerical range's support points.
 
-    ``accretive`` is True when the samples fit a proper sector in the closed
-    right half-plane: vertex ``gamma >= 0`` (within roundoff) and semi-angle
-    strictly below pi/2.  Points are guaranteed to lie inside the reported
-    sector by construction of the fit.
+    ``accretive`` is True when the support points fit a proper sector in the
+    closed right half-plane: vertex ``gamma >= 0`` (within roundoff) and
+    semi-angle strictly below pi/2.  ``boundary`` holds the support point
+    of each angle of ``angles``; every one lies inside the reported sector
+    by construction of the fit.
     """
 
     gamma: float
     theta: float
     accretive: bool
-    points: np.ndarray = field(repr=False)
     angles: np.ndarray = field(repr=False)
     boundary: np.ndarray = field(repr=False)
 
@@ -41,31 +40,24 @@ def _hermitian_part(H: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.conj().T)
 
 
-def numerical_range_hull(H: np.ndarray, seed: int = 0) -> SectorReport:
-    """Sample the numerical range and fit a containing sector.
+def numerical_range_hull(H: np.ndarray) -> SectorReport:
+    """Fit a sector around the support points of the numerical range.
 
-    Boundary points come from the support-function sweep (extreme
+    The support points come from the support-function sweep: extreme
     eigenvectors of the Hermitian part of ``e^{i phi} H`` over 64 equally
-    spaced angles); interior points from seeded random unit states.  The
-    sampled range is an inner approximation of the true one; the fitted
-    vertex is the leftmost sampled real part, retreated by the imaginary
+    spaced angles.  They lie on the boundary of the numerical range, so
+    their hull is an inner approximation of the range.  The fitted vertex
+    is the leftmost support point's real part, retreated by the imaginary
     spread of the leftmost face when that face is not real (the tightest
     shift-covariant choice that still yields a proper sector).
     """
     H = np.asarray(H, dtype=complex)
-    n = H.shape[0]
     pts = []
     phis = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     for phi in phis:
         Hp = _hermitian_part(np.exp(1j * phi) * H)
         _, vecs = np.linalg.eigh(Hp)
         v = vecs[:, -1]
-        pts.append(np.vdot(v, H @ v) / np.vdot(v, v))
-    boundary = np.asarray(pts)
-    rng = np.random.default_rng(seed)
-    states = rng.standard_normal((_N_SAMPLES, n)) + 1j * rng.standard_normal((_N_SAMPLES, n))
-    for k in range(_N_SAMPLES):
-        v = states[k]
         pts.append(np.vdot(v, H @ v) / np.vdot(v, v))
     pts = np.asarray(pts)
 
@@ -85,7 +77,7 @@ def numerical_range_hull(H: np.ndarray, seed: int = 0) -> SectorReport:
     theta = float(np.max(np.arctan2(np.abs(pts.imag[ok]), rel[ok]))) if np.any(ok) else 0.0
     accretive = gamma >= -tol and theta < _HALF_PI - 1e-12
     return SectorReport(gamma=gamma, theta=theta, accretive=accretive,
-                        points=pts, angles=phis, boundary=boundary)
+                        angles=phis, boundary=pts)
 
 
 def check_m_accretive(H: np.ndarray, zeta_grid) -> tuple[bool, float]:

@@ -260,6 +260,17 @@ class TestVerifyCommands:
                     "slope_multiplier_sqrt_abs_q"):
             assert manifest[key] == "nan", key
 
+    def test_decay_study_shift_below_spectrum_is_config_error(
+            self, tmp_path, capsys):
+        # the complex Robin end puts a base eigenvalue at -348 + 142i, off
+        # the cut, below the default grid's first shift 1e2; the study used
+        # to run and exit 1 with verdict fail
+        code, out = run(tmp_path, "o", "decay-study", "--problem",
+                        "constant_qrs", "--n", "64", "--theta-a", "0.05+0.01i")
+        assert code == 2
+        assert "--E-grid" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_kappa_study_exits_1_on_an_unexpected_verdict(self, tmp_path):
         # the control must diverge at the critical power; a threshold that
         # reads it bounded, or one that reads alpha = 1/4 divergent, fails

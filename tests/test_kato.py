@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               build_mesh)
@@ -11,7 +12,8 @@ from sqrtdom.kato import (AdmissibilityError, FactoredPerturbation,
                           TwoStepResolvent, _InvSqrtShifted,
                           build_factorization, decay_profile, kato_K,
                           perturbed_resolvent, verify_identity)
-from sqrtdom.matfun import SpectrumOnCutError, resolvent, spectral_norm
+from sqrtdom.matfun import (ShiftBelowSpectrumError, SpectrumOnCutError,
+                            resolvent, spectral_norm)
 from sqrtdom.problems import Problem, make_problem
 
 DIR = BoundaryCondition.dirichlet()
@@ -42,21 +44,21 @@ class TestBuildFactorization:
     def test_zero_qr_gives_zero_product(self):
         fact = build_factorization(with_coeffs(12, s=1.0), "qr_pair")
         # the derivative block survives, but B's r-block is zero
-        np.testing.assert_allclose(fact.B.conj().T @ fact.A, 0.0,
+        np.testing.assert_allclose((fact.B.conj().T @ fact.A).toarray(), 0.0,
                                    atol=1e-15)
 
     def test_s_pair_reproduces_convection_matrix(self):
         prob = with_coeffs(16, DIR, NEU, s=2.0 - 1.0j)
         fact = build_factorization(prob, "s_pair")
-        np.testing.assert_allclose(fact.B.conj().T @ fact.A,
+        np.testing.assert_allclose((fact.B.conj().T @ fact.A).toarray(),
                                    ortho_perturbation(prob.forms), atol=1e-14)
 
     def test_unit_potential_gives_identity_block(self):
         # q = 1: the factored product is the orthonormalized lumped potential,
         # i.e. the identity away from boundary weight effects
         fact = build_factorization(with_coeffs(10, q=1.0), "qr_pair")
-        np.testing.assert_allclose(fact.B.conj().T @ fact.A, np.eye(9),
-                                   atol=1e-14)
+        np.testing.assert_allclose((fact.B.conj().T @ fact.A).toarray(),
+                                   np.eye(9), atol=1e-14)
 
     @pytest.mark.parametrize("family", ["constant_qrs", "complex_constant",
                                         "mixed_sign", "sawtooth", "spike"])
@@ -64,8 +66,27 @@ class TestBuildFactorization:
         prob = make_problem(family, n=32)
         fact = build_factorization(prob, "full_triple")
         pert = ortho_perturbation(prob.forms)
-        np.testing.assert_allclose(fact.B.conj().T @ fact.A, pert,
+        np.testing.assert_allclose((fact.B.conj().T @ fact.A).toarray(), pert,
                                    atol=1e-13 * max(1, np.abs(pert).max()))
+
+    @pytest.mark.parametrize("family", ["constant_qrs", "sawtooth", "spike"])
+    def test_every_variant_is_a_csr_pair(self, family):
+        # the pair is built sparse once; every path multiplies by it as
+        # built, with at most two nonzeros in each row of A and B
+        prob = make_problem(family, n=32)
+        f = prob.forms
+        forms = {"qr_pair": f.K1 + f.K3, "s_pair": f.K2,
+                 "full_triple": f.K1 + f.K2 + f.K3}
+        winv = 1.0 / np.sqrt(f.lumped_weights)
+        for variant in kato.VARIANTS:
+            fact = build_factorization(prob, variant)
+            for X in (fact.A, fact.B):
+                assert isinstance(X, sp.csr_array)
+                assert np.diff(X.indptr).max() <= 2
+            pert = winv[:, None] * forms[variant] * winv[None, :]
+            np.testing.assert_allclose(
+                (fact.B.conj().T @ fact.A).toarray(), pert,
+                atol=1e-13 * max(1, np.abs(pert).max()))
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -399,6 +420,22 @@ class TestInvSqrtShifted:
             assert l == pytest.approx(spectral_norm(M_left), rel=1e-12)
             assert k == pytest.approx(spectral_norm(kato_K(T0, fact, -c)),
                                       rel=1e-12)
+
+    def test_shift_below_spectrum_rejected(self):
+        # the eigenvalue -20 + 3i lies off the cut at every real shift, but
+        # the shift 10 leaves it at real part -10: the shift rule fires
+        # after the cut guard, and used to be skipped
+        n = 12
+        rng = np.random.default_rng(6)
+        H = np.diag(np.append(-20.0 + 3.0j, np.arange(1.0, n))) + np.triu(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        halver = _InvSqrtShifted(H)
+        X = np.ones((2, n), dtype=complex)
+        for args in ((X,), (X, X)):
+            with pytest.raises(ShiftBelowSpectrumError):
+                halver.norms([100.0, 10.0], *args)
+            assert all(np.all(norm > 0)
+                       for norm in halver.norms([30.0, 100.0], *args))
 
     def test_schur_path_guards_the_cut(self):
         # non-Hermitian with the real eigenvalues 1..n: the shift -1 puts

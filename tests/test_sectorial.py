@@ -32,9 +32,9 @@ class TestNumericalRangeHull:
         A = rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))
         H = A + 6 * np.eye(15)
         rep = numerical_range_hull(H)
-        rel = rep.points.real - rep.gamma
-        assert np.all(rel >= -1e-10 * np.abs(rep.points).max())
-        inside = np.abs(rep.points.imag) <= np.tan(rep.theta) * rel + 1e-9
+        rel = rep.boundary.real - rep.gamma
+        assert np.all(rel >= -1e-10 * np.abs(rep.boundary).max())
+        inside = np.abs(rep.boundary.imag) <= np.tan(rep.theta) * rel + 1e-9
         assert np.all(inside | (rel <= 1e-12))
 
     def test_shift_covariance(self):
