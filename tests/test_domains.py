@@ -37,22 +37,19 @@ class TestMatrixPower:
         np.testing.assert_allclose(P1, P2, atol=1e-8 * np.linalg.norm(P1))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-    def test_toeplitz_path_matches_schur_pade(self, alpha):
-        T = lions_operator(64)
-        X = matrix_power(T + np.eye(64), alpha)
-        ref = sla.fractional_matrix_power(T + np.eye(64), alpha)
-        assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-    def test_upper_bidiagonal_schur_route_matches_transposed_binomial(
-            self, alpha):
-        # the upper bidiagonal transpose has a zero subdiagonal, so it takes
-        # the Schur route; its power is the transpose of the lower one's,
-        # which the binomial series gives in closed form
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_toeplitz_path_matches_schur_pade(self, alpha, upper):
         L = lions_operator(64)
-        assert domains._tridiagonal_toeplitz(L.T)[0] == 0
-        X = matrix_power(L.T + np.eye(64), alpha)
-        ref = matrix_power(L + np.eye(64), alpha).T
+        if upper:
+            # the upper bidiagonal transpose has a zero subdiagonal, so it
+            # takes the Schur route; its power is the transpose of the lower
+            # one's, which the binomial series gives in closed form
+            assert domains._tridiagonal_toeplitz(L.T)[0] == 0
+            X = matrix_power(L.T + np.eye(64), alpha)
+            ref = matrix_power(L + np.eye(64), alpha).T
+        else:
+            X = matrix_power(L + np.eye(64), alpha)
+            ref = sla.fractional_matrix_power(L + np.eye(64), alpha)
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
