@@ -271,6 +271,18 @@ class TestVerifyCommands:
         assert "--E-grid" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    def test_decay_study_shift_onto_cut_is_config_error(self, tmp_path,
+                                                        capsys):
+        # the real twin of the case above: base eigenvalues -290, -231, -137
+        # stay real after the shift 1e2 and hit the cut guard before the
+        # shift rule; the study used to exit 1 as a failed check
+        code, out = run(tmp_path, "o", "decay-study", "--problem",
+                        "constant_qrs", "--n", "64", "--theta-a", "0.05")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "--E-grid" in err
+        assert not any(out.iterdir())
+
     def test_kappa_study_exits_1_on_an_unexpected_verdict(self, tmp_path):
         # the control must diverge at the critical power; a threshold that
         # reads it bounded, or one that reads alpha = 1/4 divergent, fails

@@ -202,7 +202,54 @@ def solve_core(ImK):
     return kato._solve_core(ImK, I, ImK - I, I, -1.0, "")
 
 
+def tall_factor(rng, n):
+    """A random CSR ``A`` with ``m = 3n`` rows, two nonzeros per row, as in
+    ``build_factorization``; its top n x n block is a random circulant
+    bidiagonal, so ``A`` has full column rank."""
+    rows = np.repeat(np.arange(3 * n), 2)
+    cols = np.concatenate([[i, (i + 1 + k) % n]
+                           for k in range(3) for i in range(n)])
+    vals = rng.standard_normal(6 * n) + 1j * rng.standard_normal(6 * n)
+    return sp.csr_array((vals, (rows, cols)), shape=(3 * n, n))
+
+
 class TestSolveCore:
+    def test_tall_factor_matches_explicit_inverse(self, monkeypatch):
+        # m = 3n: the core's inverse comes from the n x n push-through solve
+        rng = np.random.default_rng(5)
+        n = 20
+        A = tall_factor(rng, n)
+        RB = (rng.standard_normal((n, 3 * n))
+              + 1j * rng.standard_normal((n, 3 * n))) / n
+        AR = rng.standard_normal((3 * n, n)) + 1j * rng.standard_normal(
+            (3 * n, n))
+        ImK = np.eye(3 * n) + A @ RB
+        expected = RB @ np.linalg.inv(ImK) @ AR
+
+        def no_inverse(_):
+            raise AssertionError("_solve_core inverted a matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        np.testing.assert_allclose(
+            kato._solve_core(ImK, A, RB, AR, -1.0, ""), expected,
+            rtol=1e-12)
+
+    def test_tall_factor_near_singular_core_rejected(self):
+        # W = (M - I) A^+ gives I_n + W A = M with cond_2(M) = 1.002e13, so
+        # cond_2(I_m + A W) is at least 1e13 although only M is factored
+        rng = np.random.default_rng(3)
+        n = 60
+        A = tall_factor(rng, n)
+        U, V = (np.linalg.qr(rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)))[0]
+                for _ in range(2))
+        s = np.append(np.linspace(1.0, 0.5, n - 1), 1 / 1.002e13)
+        M = U @ np.diag(s) @ V.conj().T
+        W = (M - np.eye(n)) @ np.linalg.pinv(A.toarray())
+        ImK = np.eye(3 * n) + A @ W
+        with pytest.raises(AdmissibilityError):
+            kato._solve_core(ImK, A, W, A.toarray(), -1.0, "")
+
     def test_near_singular_core_rejected(self):
         # cond_2 = 1.002e13: two inner power-iteration estimates read the
         # product as 9.97e12 and admitted the shift
