@@ -227,6 +227,15 @@ class FormMatrices:
     def n_dof(self) -> int:
         return self.M.shape[0]
 
+    @property
+    def orthonormal_scaling(self) -> np.ndarray:
+        """``1/sqrt(lumped_weights)``, the diagonal of ``M^{-1/2}`` that
+        takes nodal coordinates to L2-orthonormal ones."""
+        w = self.lumped_weights
+        if np.any(w <= 0):
+            raise ValueError("lumped mass is not positive definite")
+        return 1.0 / np.sqrt(w)
+
     def total(self) -> np.ndarray:
         return self.K0 + self.K1 + self.K2 + self.K3 + self.Bdry
 
@@ -309,10 +318,7 @@ def orthonormalize(forms: FormMatrices) -> np.ndarray:
     mass, which makes ``M^{-1/2}`` exact.  Nodal vectors ``f`` and
     orthonormal vectors ``u`` are related by ``u = M^{1/2} f``.
     """
-    w = forms.lumped_weights
-    if np.any(w <= 0):
-        raise ValueError("lumped mass is not positive definite")
-    winv = 1.0 / np.sqrt(w)
+    winv = forms.orthonormal_scaling
     return winv[:, None] * forms.total() * winv[None, :]
 
 

@@ -200,16 +200,10 @@ def problem_from(cfg: dict) -> Problem:
 
 def _manifest(outdir: Path, cfg: dict, command: str, checks: list[str],
               extra: dict) -> None:
-    entries = {"command": command}
-    for key in sorted(DEFAULTS):
-        value = cfg[key]
-        if isinstance(value, list):
-            value = ",".join(csvio.fmt(v) if isinstance(v, float) else str(v)
-                             for v in value)
-        entries[f"config.{key}"] = value
-    entries["checks"] = ",".join(checks)
-    entries.update(extra)
-    csvio.write_manifest(outdir / "manifest.txt", entries)
+    csvio.write_manifest(outdir / "manifest.txt", {
+        "command": command,
+        **{f"config.{key}": cfg[key] for key in sorted(DEFAULTS)},
+        "checks": checks, **extra})
 
 
 # --------------------------------------------------------------------------
@@ -223,9 +217,7 @@ def cmd_assemble(cfg: dict, outdir: Path) -> int:
                       ("K2", forms.K2), ("K3", forms.K3),
                       ("Bdry", forms.Bdry), ("operator", prob.H)):
         csvio.write_matrix(outdir / f"{name}.csv", mat)
-    csvio.write_rows(outdir / "mesh.csv", "i,x",
-                     [(str(i), csvio.fmt(x))
-                      for i, x in enumerate(prob.mesh.nodes)])
+    csvio.write_rows(outdir / "mesh.csv", "i,x", enumerate(prob.mesh.nodes))
     GE = w12_norm_matrix(prob.mesh, prob.bc_left, prob.bc_right,
                          cfg["E"] or 1.0)
     csvio.write_matrix(outdir / "sobolev_gram.csv", GE)
@@ -239,8 +231,7 @@ def cmd_assemble(cfg: dict, outdir: Path) -> int:
 def cmd_verify_kato(cfg: dict, outdir: Path) -> int:
     rep = verify_identity(problem_from(cfg))
     csvio.write_rows(outdir / "kato_errors.csv", "z_re,z_im,path,rel_error",
-                     [(csvio.fmt(r["z"].real), csvio.fmt(r["z"].imag), path,
-                       csvio.fmt(r[path]))
+                     [(r["z"].real, r["z"].imag, path, r[path])
                       for path in PATHS for r in rep["records"]])
     worst = rep["max_error"]
     # an excluded shift is one the identities were not checked at
@@ -260,11 +251,10 @@ def cmd_verify_krein(cfg: dict, outdir: Path) -> int:
                         cfg["n_list"] or [64, 128, 256], cfg["n"],
                         cfg["E"] or 25.0, cfg["E_grid"] or [25.0, 100.0])
     csvio.write_rows(outdir / "krein_errors.csv", "theta,n,max_error",
-                     [(label, str(n), csvio.fmt(err))
-                      for label, n, err in suite["errors"]])
+                     suite["errors"])
     csvio.write_rows(outdir / "bessel_bound.csv", "E,lhs,rhs",
-                     [(csvio.fmt(E), csvio.fmt(rec["lhs"]),
-                       csvio.fmt(rec["rhs"])) for E, rec in suite["bessel"]])
+                     [(E, rec["lhs"], rec["rhs"])
+                      for E, rec in suite["bessel"]])
     _manifest(outdir, cfg, "verify-krein",
               ["rank-one-resolvent-convergence", "sqrt-kernel-boundary-row",
                "macdonald-envelope", "macdonald-two-method"],
@@ -290,13 +280,13 @@ def cmd_kappa_study(cfg: dict, outdir: Path) -> int:
     except ShiftBelowSpectrumError as exc:
         raise ConfigError(f"--E {E:g} does not shift the operator above "
                           f"zero: {exc}; raise --E") from exc
-    rows = [(str(r["n"]), csvio.fmt(r["E"]), csvio.fmt(r["alpha"]),
-             csvio.fmt(r["min_ratio"]), csvio.fmt(r["max_ratio"]),
-             csvio.fmt(r["kappa"]), report.verdict) for r in report.rows]
+    rows = [(r["n"], r["E"], r["alpha"], r["min_ratio"], r["max_ratio"],
+             r["kappa"], report.verdict) for r in report.rows]
     csvio.write_rows(outdir / "kappa.csv",
                      "n,E,alpha,min_ratio,max_ratio,kappa,verdict", rows)
-    extra = {"growth": report.growth, "threshold": report.threshold,
-             "verdict": report.verdict,
+    extra = {"growth": report.growth,
+             "increment_ratio": report.increment_ratio,
+             "threshold": report.threshold, "verdict": report.verdict,
              **{f"calibration.{k}": v for k, v in report.calibration.items()}}
     _manifest(outdir, cfg, "kappa-study", ["sqrt-domain-equivalence"], extra)
     # the control diverges from the critical power on; every problem that
@@ -329,12 +319,10 @@ def cmd_decay_study(cfg: dict, outdir: Path) -> int:
     for variant, prof in profiles.items():
         csvio.write_rows(outdir / f"decay_{variant}.csv",
                          "E,normK,normA,normB",
-                         [tuple(map(csvio.fmt, row)) for row in zip(
-                             prof["E"], prof["normK"], prof["normA"],
-                             prof["normB"])])
+                         zip(prof["E"], prof["normK"], prof["normA"],
+                             prof["normB"]))
     csvio.write_rows(outdir / "multiplier_decay.csv", "phi,E,norm",
-                     [(name, csvio.fmt(E), csvio.fmt(v))
-                      for name, rec in multipliers.items()
+                     [(name, E, v) for name, rec in multipliers.items()
                       for E, v in zip(rec["E"], rec["norms"])])
     extra = {"slope_qr_pair": profiles["qr_pair"]["slope"],
              "slope_s_pair": profiles["s_pair"]["slope"],
@@ -392,15 +380,13 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
     consts, eps, slack = suite["constants"], suite["eps_grid"], suite["slack"]
     csvio.write_rows(outdir / "form_bound_margins.csv",
                      "eps,j,lhs,bound,slack",
-                     [(csvio.fmt(eps[e]), str(j + 1),
-                       csvio.fmt(suite["lhs"][k, j]),
-                       csvio.fmt(suite["bound"][k, e]),
-                       csvio.fmt(slack[k, e, j]))
+                     [(eps[e], j + 1, suite["lhs"][k, j],
+                       suite["bound"][k, e], slack[k, e, j])
                       for k, e, j in np.ndindex(slack.shape)])
 
     hull = numerical_range_hull(H)
     csvio.write_rows(outdir / "range_boundary.csv", "phi,re,im",
-                     [(csvio.fmt(p), csvio.fmt(v.real), csvio.fmt(v.imag))
+                     [(p, v.real, v.imag)
                       for p, v in zip(hull.angles, hull.boundary)])
 
     # shifted accretivity at the bound suggested by the form estimate
@@ -409,12 +395,9 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
     Hs = H + E_acc * np.eye(H.shape[0])
     acc_ok, worst = check_m_accretive(Hs, [0.5, 1.0, 4.0, 1 + 2j])
 
-    t_grid = np.geomspace(1e-2, 1e6, 17)
-    ratio_rows = []
-    for t in t_grid:
-        ratio = (1 + float(t)) * np.linalg.norm(resolvent(Hs, -t), 2)
-        ratio_rows.append((csvio.fmt(float(t)), csvio.fmt(ratio)))
-    csvio.write_rows(outdir / "positive_type.csv", "t,ratio", ratio_rows)
+    csvio.write_rows(outdir / "positive_type.csv", "t,ratio",
+                     [(t, (1 + t) * np.linalg.norm(resolvent(Hs, -t), 2))
+                      for t in np.geomspace(1e-2, 1e6, 17)])
 
     # factored-perturbation admissibility: compressed resolvent is bounded
     # and decays along the shift grid
@@ -445,8 +428,7 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
 def cmd_trace_check(cfg: dict, outdir: Path) -> int:
     suite = trace_suite(cfg["seed"])
     csvio.write_rows(outdir / "trace_residuals.csv", "h,residual",
-                     [(csvio.fmt(h), csvio.fmt(res))
-                      for h, res in suite["residuals"]])
+                     suite["residuals"])
     ratios = suite["ratios"]
     _manifest(outdir, cfg, "trace-check",
               ["determinant-trace-derivative", "step-halving-order"],

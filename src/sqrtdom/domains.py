@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .kato import _InvSqrtShifted, _loglog_slope
 from .matfun import (ShiftBelowSpectrumError, _principal_sqrt,
@@ -229,6 +230,7 @@ class DomainEquivalenceReport:
 
     rows: list
     growth: float
+    increment_ratio: float
     threshold: float
     verdict: str
     calibration: dict
@@ -260,6 +262,15 @@ def _growth(rows: list) -> float:
     return rows[-1]["kappa"] / min(row["kappa"] for row in rows)
 
 
+def _last_increments(rows: list) -> tuple[float, float]:
+    """``(d1, d2)``, the last two increments ``kappa_k - kappa_{k-1}`` and
+    ``kappa_{k+1} - kappa_k`` of a ladder; ``nan`` on a two-level one."""
+    if len(rows) < 3:
+        return float("nan"), float("nan")
+    k0, k1, k2 = (row["kappa"] for row in rows[-3:])
+    return k1 - k0, k2 - k1
+
+
 def refinement_study(operator_at, n_list, E: float, alpha: float,
                      growth_threshold: float | None
                      ) -> DomainEquivalenceReport:
@@ -271,6 +282,12 @@ def refinement_study(operator_at, n_list, E: float, alpha: float,
     at the critical power and at 1/4 on the same mesh ladder, and the
     ceiling is the geometric mean of the two growth ratios, which cleanly
     separates convergent ratios from critical-power growth.
+
+    A ladder whose last two increments ``d1``, ``d2`` grow (``d1 > 0`` and
+    ``d2 >= d1``) is divergent whatever its growth: a kappa that rises by a
+    steady factor per refinement stays under the ceiling for a while.  The
+    report's ``increment_ratio`` is ``d2 / d1``, ``nan`` when ``d1 = 0`` or
+    the ladder has two levels, which the growth rule alone judges.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -293,8 +310,13 @@ def refinement_study(operator_at, n_list, E: float, alpha: float,
         calibration = {"lions_growth_quarter": float(g_low),
                        "lions_growth_half": float(g_high)}
 
-    verdict = "bounded" if growth <= growth_threshold else "divergent"
+    d1, d2 = _last_increments(rows)
+    rising = d1 > 0 and d2 >= d1  # False on a two-level ladder (nan)
+    verdict = ("bounded" if growth <= growth_threshold and not rising
+               else "divergent")
     return DomainEquivalenceReport(rows=rows, growth=float(growth),
+                                   increment_ratio=(d2 / d1 if d1 != 0
+                                                    else float("nan")),
                                    threshold=float(growth_threshold),
                                    verdict=verdict, calibration=calibration)
 
@@ -314,5 +336,5 @@ def thmA1_decay(phi: np.ndarray, halver: _InvSqrtShifted, E_grid) -> dict:
     if phi.shape[0] != halver.basis.shape[0]:
         raise ValueError("multiplier samples must match the DOF count")
     E = np.asarray(list(E_grid), dtype=float)
-    norms = halver.norms(E, np.diag(phi))[0]
+    norms = halver.norms(E, sp.diags_array(phi))[0]
     return {"E": E, "norms": norms, "slope": _loglog_slope(E, norms)}

@@ -31,8 +31,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .matfun import (_principal_sqrt, _require_off_cut, _require_shifted,
-                     is_hermitian, power_norms, power_start, resolvent,
-                     spectral_norm)
+                     _residual_fails, is_hermitian, power_norms, power_start,
+                     resolvent, spectral_norm)
 from .problems import Problem
 from .sectorial import safe_shift
 
@@ -81,7 +81,7 @@ def _sampling_blocks(prob: Problem):
     G[rows, rows] = -1.0 / np.sqrt(h)
     G[rows, rows + 1] = 1.0 / np.sqrt(h)
     keep = prob.forms.dof_nodes
-    winv = 1.0 / np.sqrt(prob.forms.lumped_weights)
+    winv = prob.forms.orthonormal_scaling
     return V[:, keep] * winv[None, :], G[:, keep] * winv[None, :]
 
 
@@ -153,10 +153,11 @@ def _solve_core(ImK: np.ndarray, A, RB: np.ndarray, AR: np.ndarray,
     (m = 2n); its solve against the m columns of ``W`` adds n^2 m.
 
     The returned ``R B^H Y`` also gives the residual of the m x m system
-    applied exactly through the factor ``A``, and
-    ``||Y + A (R B^H Y) - A R||_F <= 1e-10 ||I - K||_F ||Y||_F`` must hold,
-    which proves that ``Y`` solves it whatever produced it; a singular
-    ``X`` or a failed (or NaN) residual means 1 is in the spectrum of K.
+    applied exactly through the factor ``A``:
+    ``||Y + A (R B^H Y) - A R||_F`` must stay within
+    ``matfun._RESIDUAL_TOL ||I - K||_F ||Y||_F``, which proves that ``Y``
+    solves it whatever produced it; a singular ``X`` or a failed (or NaN)
+    residual means 1 is in the spectrum of K.
     Backward-stable solves do not flag near-singularity on their own, so the
     admissibility boundary is also detected through
     ``spectral_norm((I - K)^{-1}) ||I - K||_F > 1e13``:
@@ -186,7 +187,7 @@ def _solve_core(ImK: np.ndarray, A, RB: np.ndarray, AR: np.ndarray,
     RBY = RB @ Y
     norm_ImK = np.linalg.norm(ImK)
     residual = np.linalg.norm(Y + A @ RBY - AR)
-    if not residual <= 1e-10 * norm_ImK * np.linalg.norm(Y):
+    if _residual_fails(residual, norm_ImK * np.linalg.norm(Y)):
         raise AdmissibilityError(f"{label}1 in spectrum of K(z) at z = {z}")
     if spectral_norm(core) * norm_ImK > 1e13:
         raise AdmissibilityError(

@@ -104,6 +104,17 @@ def is_hermitian(H: np.ndarray) -> bool:
     return np.linalg.norm(H - H.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(H))
 
 
+# The relative tolerance of every residual check: a computed inverse, root
+# or solve stands when its residual is at most this times its scale.
+_RESIDUAL_TOL = 1e-10
+
+
+def _residual_fails(residual, scale) -> bool:
+    """True unless every ``residual <= _RESIDUAL_TOL * scale``, elementwise
+    for arrays; a NaN residual fails."""
+    return not np.all(residual <= _RESIDUAL_TOL * scale)
+
+
 def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
     """Solve ``(H - z) R = I`` densely and verify the residual.
 
@@ -119,7 +130,7 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
         raise ResolventError(f"z = {z} lies in the spectrum") from exc
     cond_est = np.linalg.norm(A) * np.linalg.norm(R)
     residual = np.linalg.norm(A @ R - np.eye(n))
-    if not residual <= 1e-10 * max(1.0, cond_est):  # NaN fails too
+    if _residual_fails(residual, max(1.0, cond_est)):
         raise ResolventError(
             f"resolvent residual {residual:.2e} exceeds tolerance at z = {z}")
     return R
@@ -158,12 +169,12 @@ def _require_shifted(evals: np.ndarray) -> None:
 
 
 def _require_root(R: np.ndarray, T: np.ndarray) -> None:
-    """Raise ``SpectrumOnCutError`` unless ``||R^2 - T||_F <= 1e-10 ||T||_F``
-    for the matrix, or for each matrix of a stack along the leading axis
-    (a NaN residual fails)."""
+    """Raise ``SpectrumOnCutError`` unless ``||R^2 - T||_F`` is within
+    ``_RESIDUAL_TOL ||T||_F`` for the matrix, or for each matrix of a stack
+    along the leading axis (a NaN residual fails)."""
     res = np.linalg.norm(R @ R - T, axis=(-2, -1))
-    if not np.all(res <= 1e-10 * np.maximum(np.linalg.norm(T, axis=(-2, -1)),
-                                            1e-300)):
+    if _residual_fails(res, np.maximum(np.linalg.norm(T, axis=(-2, -1)),
+                                       1e-300)):
         raise SpectrumOnCutError("square-root residual above tolerance")
 
 

@@ -109,7 +109,7 @@ class Problem:
         terms: ``forms.K0 + forms.Bdry``, scaled as ``orthonormalize``
         scales the total."""
         forms = self.forms
-        winv = 1.0 / np.sqrt(forms.lumped_weights)
+        winv = forms.orthonormal_scaling
         return winv[:, None] * (forms.K0 + forms.Bdry) * winv[None, :]
 
     def reference_operator(self) -> np.ndarray:
@@ -142,7 +142,7 @@ class Problem:
     def kernel_table(self, R_ortho: np.ndarray) -> np.ndarray:
         """Two-point kernel samples of an operator given in orthonormal
         coordinates, extended by zero onto removed Dirichlet nodes."""
-        winv = 1.0 / np.sqrt(self.forms.lumped_weights)
+        winv = self.forms.orthonormal_scaling
         n_nodes = len(self.mesh.nodes)
         table = np.zeros((n_nodes, n_nodes), dtype=complex)
         idx = np.ix_(self.forms.dof_nodes, self.forms.dof_nodes)

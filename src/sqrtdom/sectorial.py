@@ -15,23 +15,17 @@ __all__ = [
     "safe_shift",
 ]
 
-_HALF_PI = np.pi / 2
-
 
 @dataclass
 class SectorReport:
-    """Fitted sector of the numerical range's support points.
-
-    ``accretive`` is True when the support points fit a proper sector in the
-    closed right half-plane: vertex ``gamma >= 0`` (within roundoff) and
-    semi-angle strictly below pi/2.  ``boundary`` holds the support point
+    """Fitted sector of the numerical range's support points: vertex
+    ``gamma`` and semi-angle ``theta``.  ``boundary`` holds the support point
     of each angle of ``angles``; every one lies inside the reported sector
     by construction of the fit.
     """
 
     gamma: float
     theta: float
-    accretive: bool
     angles: np.ndarray = field(repr=False)
     boundary: np.ndarray = field(repr=False)
 
@@ -75,9 +69,7 @@ def numerical_range_hull(H: np.ndarray) -> SectorReport:
     rel = pts.real - gamma
     ok = rel > tol
     theta = float(np.max(np.arctan2(np.abs(pts.imag[ok]), rel[ok]))) if np.any(ok) else 0.0
-    accretive = gamma >= -tol and theta < _HALF_PI - 1e-12
-    return SectorReport(gamma=gamma, theta=theta, accretive=accretive,
-                        angles=phis, boundary=pts)
+    return SectorReport(gamma=gamma, theta=theta, angles=phis, boundary=pts)
 
 
 def check_m_accretive(H: np.ndarray, zeta_grid) -> tuple[bool, float]:

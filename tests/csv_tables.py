@@ -32,5 +32,5 @@ def write_coefficient(path, x: np.ndarray, values: np.ndarray) -> None:
     """Dump one sampled coefficient as ``x,re,im`` rows."""
     values = np.asarray(values, dtype=complex)
     csvio.write_rows(path, "x,re,im",
-                     ((csvio.fmt(xi), csvio.fmt(v.real), csvio.fmt(v.imag))
+                     ((xi, v.real, v.imag)
                       for xi, v in zip(np.asarray(x), values)))

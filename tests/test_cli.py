@@ -433,7 +433,8 @@ class TestManifestKeys:
         "verify-krein": ("--n-list 16,32 --n 16", "min_observed_order "
                          "boundary_row_max min_bessel_slack k0_two_method_diff "
                          "tolerance_order tolerance_k0 verdict"),
-        "kappa-study": ("--problem lions --n-list 8,16", "growth threshold "
+        "kappa-study": ("--problem lions --n-list 8,16", "growth "
+                        "increment_ratio threshold "
                         "verdict calibration.lions_growth_quarter "
                         "calibration.lions_growth_half"),
         "decay-study": ("--n 16", "slope_qr_pair slope_s_pair monotone_qr_pair "

@@ -331,6 +331,39 @@ class TestRefinementStudy:
         report = refinement_study(family_at("free"), [16, 32], 1.0, 0.5, 3.0)
         assert report.verdict == "bounded"
         assert report.calibration == {}
+        # two levels have no increment ratio; the growth rule alone judges
+        assert np.isnan(report.increment_ratio)
+
+    def test_rising_increments_divergent(self, monkeypatch):
+        # growth 1.2 stays under the ceiling, but each increment is larger
+        # than the last
+        ladder = {16: 1.0, 32: 1.05, 64: 1.2}
+        monkeypatch.setattr(domains, "_kappa_row",
+                            lambda operator_at, n, E, alpha: {
+                                "n": n, "kappa": ladder[n]})
+        report = refinement_study(family_at("free"), list(ladder), 1.0, 0.5,
+                                  2.0)
+        assert report.increment_ratio == pytest.approx(3.0)
+        assert report.verdict == "divergent"
+
+    def test_degenerate_diffusion_divergent(self):
+        # p = |x - 1/2|^(1/4) vanishes inside (0, 1): the square root's
+        # domain is the weighted form domain, strictly larger than W^{1,2}.
+        # kappa rises by a steady factor per doubling, with growth under
+        # the self-calibrated ceiling; its increments grow
+        interval = IntervalSpec()
+
+        def degenerate(n):
+            mesh = build_mesh(interval, n)
+            coeffs = CoefficientSet.from_callables(
+                mesh, p=lambda x: np.abs(x - 0.5) ** 0.25)
+            return Problem(interval, mesh, coeffs, DIR, DIR)
+
+        report = refinement_study(degenerate, [32, 64, 128, 256], 1.0, 0.5,
+                                  None)
+        assert report.growth <= report.threshold
+        assert report.verdict == "divergent"
+        assert report.increment_ratio >= 1.0
 
 
 # the settings of the paper's square-root-domain results: a finite interval

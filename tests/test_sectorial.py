@@ -20,12 +20,14 @@ class TestNumericalRangeHull:
         rep = numerical_range_hull(H)
         assert rep.theta == pytest.approx(0.0, abs=1e-7)
         assert rep.gamma == pytest.approx(np.linalg.eigvalsh(H)[0], rel=1e-10)
-        assert rep.accretive
+        # a proper sector in the closed right half-plane
+        assert rep.gamma >= 0 and rep.theta < np.pi / 2
 
     def test_rotated_psd_not_sectorial(self):
         H = 1j * hermitian_psd(10, 1, floor=0.1)
         rep = numerical_range_hull(H)
-        assert not rep.accretive
+        # the range lies on the imaginary axis: the vertex retreats left of it
+        assert rep.gamma < 0
 
     def test_sector_contains_every_sample(self):
         rng = np.random.default_rng(2)

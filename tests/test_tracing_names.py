@@ -1,5 +1,6 @@
 """Every name the benchmark tracer wraps exists in the package, every
-public function feeds a verdict, and the settable values do not regrow.
+public function feeds a verdict, the settable values do not regrow and only
+``csvio`` formats output.
 
 A deletion that breaks ``perfbench/run.py --trace 1`` fails here by name,
 not deep inside a traced benchmark run.  The tracer module is loaded
@@ -90,6 +91,27 @@ def test_public_functions_feed_a_verdict():
         if names:
             unreached[stem] = names
     assert not unreached, f"public functions only tests reach: {unreached}"
+
+
+def format_uses(path):
+    """Lines of one file that name csvio's cell rule (``fmt``/``_fmt``) or
+    hold a string with the 17-digit format."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if (name in ("fmt", "_fmt")
+                or isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and "17g" in node.value):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_csvio_formats_output():
+    # csvio owns the output format: every other module passes values
+    uses = {path.name: lines for path in sorted(SRC.glob("*.py"))
+            if path.stem != "csvio" and (lines := format_uses(path))}
+    assert not uses, f"output formatted outside csvio: {uses}"
+    assert format_uses(SRC / "csvio.py")
 
 
 # defaulted parameters + dataclass init fields + cli.DEFAULTS keys
