@@ -172,10 +172,10 @@ class TestVerifyCommands:
             "stage_2": lambda ImK, stage: stage == "stage 2 (s):",
         }
         for name, rejected in probes.items():
-            def probe(ImK, A, RB, AR, z, stage):
+            def probe(ImK, A, RB, R, z, stage):
                 if rejected(ImK, stage):
                     raise kato.AdmissibilityError(f"probe at z = {z}")
-                return solve_core(ImK, A, RB, AR, z, stage)
+                return solve_core(ImK, A, RB, R, z, stage)
 
             monkeypatch.setattr(kato, "_solve_core", probe)
             code, out = run(tmp_path, name, "verify-kato", "--problem",
@@ -222,8 +222,11 @@ class TestVerifyCommands:
         # both factored paths start from the one base resolvent of a shift,
         # and no factored core goes through resolvent
         assert sum(on_base) == 3 and len(direct) == 6
-        # one conditioning guard per factored core: three cores per shift
+        # one conditioning guard per factored core: three cores per shift,
+        # each on the n x n matrix that is factored, not the m x m core
         assert len(guards) == 9
+        dofs = problems[0].H.shape[0]
+        assert set(guards) == {(dofs, dofs)}
 
     def test_decay_csv_columns(self, tmp_path):
         # one row per shift of the default grid, nine from 100 to 1/h^2

@@ -215,28 +215,30 @@ def tall_factor(rng, n):
 
 class TestSolveCore:
     def test_tall_factor_matches_explicit_inverse(self, monkeypatch):
-        # m = 3n: the core's inverse comes from the n x n push-through solve
+        # m = 3n: only the n x n matrix of the push-through identity is
+        # inverted
         rng = np.random.default_rng(5)
         n = 20
         A = tall_factor(rng, n)
         RB = (rng.standard_normal((n, 3 * n))
               + 1j * rng.standard_normal((n, 3 * n))) / n
-        AR = rng.standard_normal((3 * n, n)) + 1j * rng.standard_normal(
-            (3 * n, n))
+        R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         ImK = np.eye(3 * n) + A @ RB
-        expected = RB @ np.linalg.inv(ImK) @ AR
+        expected = RB @ np.linalg.inv(ImK) @ (A @ R)
+        inv = np.linalg.inv
 
-        def no_inverse(_):
-            raise AssertionError("_solve_core inverted a matrix")
+        def no_wide_inverse(M):
+            if M.shape[0] > n:
+                raise AssertionError("_solve_core inverted an m x m matrix")
+            return inv(M)
 
-        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        monkeypatch.setattr(np.linalg, "inv", no_wide_inverse)
         np.testing.assert_allclose(
-            kato._solve_core(ImK, A, RB, AR, -1.0, ""), expected,
-            rtol=1e-12)
+            kato._solve_core(ImK, A, RB, R, -1.0, ""), expected, rtol=1e-12)
 
     def test_tall_factor_near_singular_core_rejected(self):
-        # W = (M - I) A^+ gives I_n + W A = M with cond_2(M) = 1.002e13, so
-        # cond_2(I_m + A W) is at least 1e13 although only M is factored
+        # W = (M - I) A^+ gives I_n + W A = M with cond_2(M) = 1.002e13:
+        # the guard reads M itself, spectral_norm(M^{-1}) ||M||_F ~ 6e13
         rng = np.random.default_rng(3)
         n = 60
         A = tall_factor(rng, n)
@@ -248,7 +250,7 @@ class TestSolveCore:
         W = (M - np.eye(n)) @ np.linalg.pinv(A.toarray())
         ImK = np.eye(3 * n) + A @ W
         with pytest.raises(AdmissibilityError):
-            kato._solve_core(ImK, A, W, A.toarray(), -1.0, "")
+            kato._solve_core(ImK, A, W, np.eye(n), -1.0, "")
 
     def test_near_singular_core_rejected(self):
         # cond_2 = 1.002e13: two inner power-iteration estimates read the
