@@ -17,7 +17,10 @@ with it is sparse.  Each adjoined pair obtains the block
 ``(I - K)^{-1} A R0`` that the formula uses from one n x n inverse, by the
 push-through identity ``(I_m + A W)^{-1} A = A (I_n + W A)^{-1}`` with
 ``W = R0 B^H`` (``_solve_core``), and checks it by the residual of the m x m
-system applied exactly.  A shift where ``X = I_n + W A`` is singular, or
+system applied exactly.  Everything m-dimensional that the check reads,
+``||I - K||_F`` included, comes from the n x n products ``B^H A``,
+``A^H A`` and ``B^H B`` of the pair, so no m x m array is formed.  A shift
+where ``X = I_n + W A`` is singular, or
 within roundoff of it by a conditioning guard on ``X``, is inadmissible
 (``AdmissibilityError``): ``X`` and ``I - K`` are singular at the same z, and
 each inverse bounds the other.  The decay norms are computed at the
@@ -134,31 +137,43 @@ def build_factorization(prob: Problem, variant: str) -> FactoredPerturbation:
 def kato_K(H0: np.ndarray, fact: FactoredPerturbation,
            z: complex) -> np.ndarray:
     """The compressed resolvent ``K(z) = -A (R0 B^H)`` with
-    ``R0 = (H0 - z)^{-1}``, through the sparse products of ``_woodbury``."""
+    ``R0 = (H0 - z)^{-1}``, with ``R0 B^H`` formed as ``(B R0^H)^H``
+    through the sparse ``B``."""
     RB = (fact.B @ resolvent(H0, z).conj().T).conj().T
     return -(fact.A @ RB)
 
 
-def _solve_core(ImK: np.ndarray, A, RB: np.ndarray, R: np.ndarray,
-                z: complex, stage: str) -> np.ndarray:
-    """``R B^H (I - K)^{-1} A R`` from ``ImK = I - K = I + A (R B^H)``, with
-    a residual check and a conditioning guard.
+def _solve_core(R: np.ndarray, fact: FactoredPerturbation, z: complex,
+                stage: str) -> np.ndarray:
+    """Adjoin ``B^H A`` to the resolvent ``R``:
+    ``R - R B^H (I - K)^{-1} A R`` with ``K = -A R B^H``, from n x n work
+    only, with a residual check and a conditioning guard.
 
-    The block comes from one n x n inverse (``A`` is m x n): with
-    ``W = R B^H`` and ``X = I_n + W A``, the push-through identity
-    ``(I_m + A W)^{-1} A = A (I_n + W A)^{-1}`` (both sides are the
-    solution of ``(I_m + A W) Y = A``, since ``A X = (I_m + A W) A``) gives
-    ``Y = (I - K)^{-1} A R = A (X^{-1} R)``.  No system with m right-hand
-    sides is solved and no m x m array is formed.  By Sylvester's identity
-    ``det(I_m + A W) = det(I_n + W A)``, so ``X`` and ``I - K`` are singular
-    at the same z.
+    ``A`` and ``B`` are m x n.  With ``W = R B^H``, the n x n products
+    ``V = B^H A``, ``G_A = A^H A`` and ``G_B = B^H B`` (sparse for the CSR
+    pair of ``build_factorization``) carry everything m-dimensional that
+    the check reads:
 
-    The returned ``R B^H Y`` also gives the residual of the m x m system
-    applied exactly through the factor ``A``:
-    ``||Y + A (R B^H Y) - A R||_F`` must stay within
-    ``matfun._RESIDUAL_TOL ||I - K||_F ||Y||_F``, which proves that ``Y``
-    solves it whatever produced it; a singular ``X`` or a failed (or NaN)
-    residual means 1 is in the spectrum of K.
+    - ``X = I_n + R V`` equals ``I_n + W A``, and the push-through identity
+      ``A X = (I_m + A W) A`` gives ``(I - K)^{-1} A R = A Z`` with
+      ``Z = X^{-1} R``.  By Sylvester's identity
+      ``det(I_m + A W) = det(I_n + W A)``, so ``X`` and ``I - K`` are
+      singular at the same z.
+    - The adjoined resolvent is ``R - W A Z = R - (X - I) Z = Z - D`` with
+      ``D = X Z - R``.
+    - The residual of the m x m system applied exactly is
+      ``(I - K) A Z - A R = A D``.  ``||A D||_F`` must stay within
+      ``matfun._RESIDUAL_TOL ||I - K||_F ||A Z||_F``, which proves that
+      ``A Z`` solves it whatever produced it; a singular ``X`` or a failed
+      (or NaN) residual means 1 is in the spectrum of K.
+    - ``||I - K||_F^2 = m + 2 Re tr(X - I_n) + tr(R^H G_A R G_B)`` exactly,
+      from ``tr(A W) = tr(W A)`` and ``||A W||_F^2 = tr(W^H G_A W)``.
+
+    So the check compares the same quantities as the explicit m x m system
+    in exact arithmetic, while no m x m array, no n x m array and no dense
+    product with inner dimension m is formed; ``A D`` and ``A Z`` are the
+    only arrays with m rows, each a sparse product.
+
     Backward-stable solves do not flag near-singularity on their own, so the
     admissibility boundary is also detected on the matrix that is factored,
     through ``spectral_norm(X^{-1}) ||X||_F > 1e13``:
@@ -184,42 +199,35 @@ def _solve_core(ImK: np.ndarray, A, RB: np.ndarray, R: np.ndarray,
       12.2 to 38.1 on them.
     """
     label = f"{stage} " if stage else ""
-    X = (A.T @ RB.T).T  # W A through the sparse A
+    A, B = fact.A, fact.B
+    Ah, Bh = A.conj().T, B.conj().T
+    V, GA, GB = Bh @ A, Ah @ A, Bh @ B
+    n = R.shape[0]
+    X = (V.T @ R.T).T  # R V through the sparse V
     X[np.diag_indices_from(X)] += 1.0
     try:
         Xinv = np.linalg.inv(X)
     except np.linalg.LinAlgError as exc:
         raise AdmissibilityError(
             f"{label}1 in spectrum of K(z) at z = {z}") from exc
-    Y = A @ (Xinv @ R)
-    RBY = RB @ Y
-    residual = np.linalg.norm(Y + A @ RBY - A @ R)
-    if _residual_fails(residual, np.linalg.norm(ImK) * np.linalg.norm(Y)):
+    Z = Xinv @ R
+    D = X @ Z - R
+    gram = np.vdot(R, (GB.T @ (GA @ R).T).T).real  # tr(R^H G_A R G_B)
+    norm_ImK = np.sqrt(A.shape[0] + 2.0 * (np.trace(X).real - n) + gram)
+    if _residual_fails(np.linalg.norm(A @ D),
+                       norm_ImK * np.linalg.norm(A @ Z)):
         raise AdmissibilityError(f"{label}1 in spectrum of K(z) at z = {z}")
     if spectral_norm(Xinv) * np.linalg.norm(X) > 1e13:
         raise AdmissibilityError(
             f"{label}1 within roundoff of the spectrum of K(z) at z = {z}")
-    return RBY
-
-
-def _woodbury(R: np.ndarray, fact: FactoredPerturbation, z: complex,
-              stage: str) -> np.ndarray:
-    """Adjoin ``B^H A`` to the resolvent ``R``:
-    ``R - R B^H (I - K)^{-1} A R`` with ``K = -A R B^H``.
-
-    The products with ``R`` take the pair as given, sparse from
-    ``build_factorization``; ``R B^H`` is formed as ``(B R^H)^H``."""
-    RB = (fact.B @ R.conj().T).conj().T
-    ImK = fact.A @ RB
-    ImK[np.diag_indices_from(ImK)] += 1.0
-    return R - _solve_core(ImK, fact.A, RB, R, z, stage)
+    return Z - D
 
 
 def perturbed_resolvent(R0: np.ndarray, fact: FactoredPerturbation,
                         z: complex) -> np.ndarray:
     """Resolvent of ``H0 + B^H A`` through the factored identity, from the
     base resolvent ``R0 = (H0 - z)^{-1}``."""
-    return _woodbury(R0, fact, z, "")
+    return _solve_core(R0, fact, z, "")
 
 
 def verify_identity(prob: Problem) -> dict:
@@ -268,8 +276,8 @@ class TwoStepResolvent:
 
     def __call__(self, z: complex, R0: np.ndarray) -> np.ndarray:
         """The resolvent at ``z`` from ``R0 = (H0 - z)^{-1}``."""
-        R1 = _woodbury(R0, self.fact_qr, z, "stage 1 (r, q):")
-        return _woodbury(R1, self.fact_s, z, "stage 2 (s):")
+        R1 = _solve_core(R0, self.fact_qr, z, "stage 1 (r, q):")
+        return _solve_core(R1, self.fact_s, z, "stage 2 (s):")
 
 
 # per-block cap on stacked n x n entries of the Schur path's shift factors

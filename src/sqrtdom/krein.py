@@ -6,7 +6,10 @@ the explicit boundary solution, the scalar denominator coupling the two
 realizations, the rank-one resolvent correction, sampled Green and
 square-root kernels, and the Bessel-type envelope of the square-root
 correction.  Expressions are evaluated in exponential-ratio form so large
-shifts never overflow.
+shifts never overflow.  The square-root integrals run over real spectral
+arguments ``tau > 0``, where ``sqrt(tau)`` is real: their Green kernels and
+coupling numerators are evaluated in real arithmetic, and only the scalar
+coupling denominator at each ``tau`` is complex.
 """
 
 from __future__ import annotations
@@ -84,13 +87,10 @@ def _expm1_ratio(st, d):
     return -np.expm1(-2.0 * st * d)
 
 
-def green_kernel_dirichlet(z: complex, x, xp, a: float, b: float):
-    """Green kernel of the Dirichlet realization at spectral point ``z``.
-
-    Written as ``exp(-sqrt(-z) |x - x'|)`` times bounded hyperbolic ratios,
-    so evaluation is stable arbitrarily deep on the negative real axis.
-    """
-    st = np.sqrt(-complex(z))  # principal root of -z; positive for z = -E
+def _green_from_root(st, x, xp, a: float, b: float):
+    """Green kernel of the Dirichlet realization at ``z = -st**2``, from the
+    root ``st = sqrt(-z)``: ``exp(-st |x - x'|)`` times bounded hyperbolic
+    ratios.  Real ``st`` keeps the evaluation in real arithmetic."""
     X = np.asarray(x, dtype=float)
     Xp = np.asarray(xp, dtype=float)
     xl = np.minimum(X, Xp)
@@ -99,12 +99,24 @@ def green_kernel_dirichlet(z: complex, x, xp, a: float, b: float):
     return num / (2.0 * st * _expm1_ratio(st, b - a))
 
 
+def green_kernel_dirichlet(z: complex, x, xp, a: float, b: float):
+    """Green kernel of the Dirichlet realization at spectral point ``z``.
+
+    Written as ``exp(-sqrt(-z) |x - x'|)`` times bounded hyperbolic ratios,
+    so evaluation is stable arbitrarily deep on the negative real axis.
+    """
+    # principal root of -z; positive for z = -E
+    return _green_from_root(np.sqrt(-complex(z)), x, xp, a, b)
+
+
 def _t_kernel(tau, x, xp, cot_a: complex, a: float, b: float):
-    """Square-root correction integrand at argument ``tau`` (> 0).
+    """Square-root correction integrand at real arguments ``tau`` (> 0),
+    elementwise over broadcast arrays of ``tau``, ``x`` and ``x'``.
 
     The hyperbolic product over the squared denominator, divided by the
     coupling denominator evaluated at ``-tau``; decays like
-    ``exp(-sqrt(tau) (x + x' - 2a))``.
+    ``exp(-sqrt(tau) (x + x' - 2a))``.  Only the coupling denominator
+    ``cot(theta_a) - sqrt(tau) coth(sqrt(tau) (b - a))`` is complex.
     """
     st = np.sqrt(tau)
     ell = b - a
@@ -143,7 +155,10 @@ def sqrt_kernel(E: float, theta_a: BoundaryCondition,
     after the square-root substitution, truncated at pi / h, the finest
     scale the grid can carry (the on-diagonal values grow logarithmically
     with this cutoff, all off-diagonal entries converge).  Rows at the
-    Dirichlet end vanish identically.
+    Dirichlet end vanish identically.  Every node ``tau = u**2 + E`` is
+    real, so both kernels are evaluated from the real root ``sqrt(tau)``
+    in real arithmetic; the coupling denominator is the one complex
+    factor, a scalar per node.
     """
     a, b = mesh.a, mesh.b
     if E <= 0:
@@ -152,12 +167,14 @@ def sqrt_kernel(E: float, theta_a: BoundaryCondition,
     if abs(d0) < 1e-12 * (1.0 + np.sqrt(E)):
         raise ValueError("E below the safe shift: coupling denominator vanishes")
     cot_a = theta_a.cot()
-    X, Xp = np.meshgrid(mesh.nodes, mesh.nodes, indexing="ij")
+    # a column and a row broadcast to the table, so the coupling kernel's
+    # one-end factors cost n evaluations per quadrature node, not n^2
+    X, Xp = mesh.nodes[:, None], mesh.nodes[None, :]
     u, w = _sqrt_nodes(np.pi / mesh.h)
-    acc = np.zeros_like(X, dtype=complex)
+    acc = np.zeros((X.size, Xp.size), dtype=complex)
     for ui, wi in zip(u, w):
         tau = ui * ui + E
-        acc += wi * (green_kernel_dirichlet(-tau, X, Xp, a, b)
+        acc += wi * (_green_from_root(np.sqrt(tau), X, Xp, a, b)
                      - _t_kernel(tau, X, Xp, cot_a, a, b))
     values = (2.0 / np.pi) * acc
     if not np.all(np.isfinite(values)):
@@ -183,10 +200,8 @@ def bessel_k0_quad(y: float) -> float:
 def _t_integral(E: float, x, xp, cot_a: complex, a: float, b: float,
                 cutoff: float) -> complex:
     u, w = _sqrt_nodes(cutoff)
-    acc = 0.0 + 0.0j
-    for ui, wi in zip(u, w):
-        acc += wi * _t_kernel(ui * ui + E, x, xp, cot_a, a, b)
-    return 2.0 * acc  # the substitution absorbs the inverse square root
+    # the substitution absorbs the inverse square root
+    return 2.0 * np.sum(w * _t_kernel(u * u + E, x, xp, cot_a, a, b))
 
 
 def bessel_bound_check(E: float, x: float, xp: float,
@@ -197,8 +212,9 @@ def bessel_bound_check(E: float, x: float, xp: float,
     right side the four-term Macdonald envelope with prefactor ``C`` fitted
     as the supremum of the pointwise ratio over 96 log-spaced spectral
     arguments in ``[E, 1e6 E]``, inflated by a small relative margin since
-    a sampled supremum underestimates the true one.  Degenerate corner
-    arguments are rejected.
+    a sampled supremum underestimates the true one.  The supremum's 96
+    arguments and the integral's nodes each go through one array
+    evaluation of the integrand.  Degenerate corner arguments are rejected.
     """
     a, b = mesh.a, mesh.b
     args = np.array([x + xp - 2 * a, 2 * b + x - xp - 2 * a,
@@ -209,13 +225,11 @@ def bessel_bound_check(E: float, x: float, xp: float,
 
     # fit C = sup |T(t, x, x')| sqrt(t) / (sum of four exponentials)
     taus = np.geomspace(E, E * 1e6, 96)
-    C = 0.0
-    for tau in taus:
-        st = np.sqrt(tau)
-        envelope = np.sum(np.exp(-st * args))
-        tval = abs(_t_kernel(tau, x, xp, cot_a, a, b))
-        if envelope > 0:
-            C = max(C, tval * np.sqrt(tau) / envelope)
+    st = np.sqrt(taus)
+    envelope = np.sum(np.exp(-st[:, None] * args[None, :]), axis=1)
+    tval = np.abs(_t_kernel(taus, x, xp, cot_a, a, b))
+    seen = envelope > 0
+    C = float(np.max(tval[seen] * st[seen] / envelope[seen], initial=0.0))
     C *= 1.0 + 1e-6
 
     cutoff = np.pi / mesh.h

@@ -165,17 +165,17 @@ class TestVerifyCommands:
                                                    monkeypatch):
         solve_core = kato._solve_core
         probes = {
-            # the full-triple core is wider than 2n: the one-shot identity
-            # is then checked at no shift, which is no pass
-            "full_triple": lambda ImK, stage: ImK.shape[0] > 2 * 24,
+            # the full-triple pair has more than 2n rows: the one-shot
+            # identity is then checked at no shift, which is no pass
+            "full_triple": lambda fact, stage: fact.A.shape[0] > 2 * 24,
             # the two-step path's second core: the composition is unchecked
-            "stage_2": lambda ImK, stage: stage == "stage 2 (s):",
+            "stage_2": lambda fact, stage: stage == "stage 2 (s):",
         }
         for name, rejected in probes.items():
-            def probe(ImK, A, RB, R, z, stage):
-                if rejected(ImK, stage):
+            def probe(R, fact, z, stage):
+                if rejected(fact, stage):
                     raise kato.AdmissibilityError(f"probe at z = {z}")
-                return solve_core(ImK, A, RB, R, z, stage)
+                return solve_core(R, fact, z, stage)
 
             monkeypatch.setattr(kato, "_solve_core", probe)
             code, out = run(tmp_path, name, "verify-kato", "--problem",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -172,7 +174,7 @@ class TestPerturbedResolvent:
 
     def test_verify_identity_converts_each_pair_once(self, monkeypatch):
         # the full triple and the two step pairs go to CSR once for all
-        # three shifts; each call of _woodbury used to convert its pair
+        # three shifts; each call of the core used to convert its pair
         csr_array, converted = kato.sp.csr_array, []
 
         def counting(arg):
@@ -196,35 +198,42 @@ class TestPerturbedResolvent:
 
 
 def solve_core(ImK):
-    """``_solve_core`` on the core ``ImK`` alone: the factors ``A = I`` and
-    ``R B^H = ImK - I`` give ``I + A (R B^H) = ImK``, and ``A R = I``."""
+    """``_solve_core`` on the core ``ImK`` alone: the factors ``A = R = I``
+    and ``B = (ImK - I)^H`` give ``I_n + R B^H A = ImK``."""
     I = np.eye(ImK.shape[0], dtype=complex)
-    return kato._solve_core(ImK, I, ImK - I, I, -1.0, "")
+    fact = FactoredPerturbation(A=I, B=(ImK - I).conj().T)
+    return kato._solve_core(I, fact, -1.0, "")
 
 
-def tall_factor(rng, n):
-    """A random CSR ``A`` with ``m = 3n`` rows, two nonzeros per row, as in
-    ``build_factorization``; its top n x n block is a random circulant
-    bidiagonal, so ``A`` has full column rank."""
-    rows = np.repeat(np.arange(3 * n), 2)
+def tall_factor(rng, n, blocks=3):
+    """A random CSR ``A`` with ``m = blocks * n`` rows, two nonzeros per
+    row, as in ``build_factorization``; its top n x n block is a random
+    circulant bidiagonal, so ``A`` has full column rank."""
+    m = blocks * n
+    rows = np.repeat(np.arange(m), 2)
     cols = np.concatenate([[i, (i + 1 + k) % n]
-                           for k in range(3) for i in range(n)])
-    vals = rng.standard_normal(6 * n) + 1j * rng.standard_normal(6 * n)
-    return sp.csr_array((vals, (rows, cols)), shape=(3 * n, n))
+                           for k in range(blocks) for i in range(n)])
+    vals = rng.standard_normal(2 * m) + 1j * rng.standard_normal(2 * m)
+    return sp.csr_array((vals, (rows, cols)), shape=(m, n))
+
+
+def explicit_core(R, fact):
+    """The m x m ``I - K = I_m + A (R B^H)``, formed explicitly."""
+    A = sp.csr_array(fact.A)
+    RB = R @ sp.csr_array(fact.B).conj().T.toarray()
+    return np.eye(A.shape[0]) + A @ RB, RB
 
 
 class TestSolveCore:
     def test_tall_factor_matches_explicit_inverse(self, monkeypatch):
-        # m = 3n: only the n x n matrix of the push-through identity is
-        # inverted
+        # m = 3n: only n x n matrices are inverted
         rng = np.random.default_rng(5)
         n = 20
-        A = tall_factor(rng, n)
-        RB = (rng.standard_normal((n, 3 * n))
-              + 1j * rng.standard_normal((n, 3 * n))) / n
+        fact = FactoredPerturbation(A=tall_factor(rng, n),
+                                    B=tall_factor(rng, n) / n)
         R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        ImK = np.eye(3 * n) + A @ RB
-        expected = RB @ np.linalg.inv(ImK) @ (A @ R)
+        ImK, RB = explicit_core(R, fact)
+        expected = R - RB @ np.linalg.inv(ImK) @ (fact.A @ R)
         inv = np.linalg.inv
 
         def no_wide_inverse(M):
@@ -233,12 +242,13 @@ class TestSolveCore:
             return inv(M)
 
         monkeypatch.setattr(np.linalg, "inv", no_wide_inverse)
-        np.testing.assert_allclose(
-            kato._solve_core(ImK, A, RB, R, -1.0, ""), expected, rtol=1e-12)
+        np.testing.assert_allclose(kato._solve_core(R, fact, -1.0, ""),
+                                   expected, rtol=1e-12)
 
     def test_tall_factor_near_singular_core_rejected(self):
-        # W = (M - I) A^+ gives I_n + W A = M with cond_2(M) = 1.002e13:
-        # the guard reads M itself, spectral_norm(M^{-1}) ||M||_F ~ 6e13
+        # W = (M - I) A^+ and R = I, so B = W^H, give I_n + W A = M with
+        # cond_2(M) = 1.002e13: the guard reads M itself,
+        # spectral_norm(M^{-1}) ||M||_F ~ 6e13
         rng = np.random.default_rng(3)
         n = 60
         A = tall_factor(rng, n)
@@ -248,9 +258,9 @@ class TestSolveCore:
         s = np.append(np.linspace(1.0, 0.5, n - 1), 1 / 1.002e13)
         M = U @ np.diag(s) @ V.conj().T
         W = (M - np.eye(n)) @ np.linalg.pinv(A.toarray())
-        ImK = np.eye(3 * n) + A @ W
-        with pytest.raises(AdmissibilityError):
-            kato._solve_core(ImK, A, W, np.eye(n), -1.0, "")
+        fact = FactoredPerturbation(A=A, B=W.conj().T)
+        with pytest.raises(AdmissibilityError, match="within roundoff"):
+            kato._solve_core(np.eye(n), fact, -1.0, "")
 
     def test_near_singular_core_rejected(self):
         # cond_2 = 1.002e13: two inner power-iteration estimates read the
@@ -271,6 +281,61 @@ class TestSolveCore:
         ImK[1, 2] = np.nan
         with pytest.raises(AdmissibilityError, match="in spectrum"):
             solve_core(ImK)
+
+    def test_core_norm_matches_explicit_array(self, monkeypatch):
+        # ||I - K||_F from n x n products: the residual check's scale is
+        # ||I - K||_F ||A Z||_F, against the explicit m x m array and the
+        # explicit solution of the m x m system
+        scales = []
+
+        def spy(residual, scale):
+            scales.append(scale)
+            return residual_fails(residual, scale)
+
+        residual_fails = kato._residual_fails
+        monkeypatch.setattr(kato, "_residual_fails", spy)
+        rng = np.random.default_rng(7)
+        n = 20
+        prob, T0 = setup_pair("sawtooth", n=40)
+        R0 = resolvent(T0, -30.0 + 5.0j)
+        cases = [(rng.standard_normal((n, n))
+                  + 1j * rng.standard_normal((n, n)),
+                  FactoredPerturbation(A=tall_factor(rng, n),
+                                       B=tall_factor(rng, n) / n))]
+        cases += [(R0, build_factorization(prob, variant))
+                  for variant in kato.VARIANTS]
+        for R, fact in cases:
+            kato._solve_core(R, fact, -1.0, "")
+            ImK, _ = explicit_core(R, fact)
+            Y = np.linalg.solve(ImK, fact.A @ R)
+            np.testing.assert_allclose(
+                scales.pop(), np.linalg.norm(ImK) * np.linalg.norm(Y),
+                rtol=1e-12)
+
+    def test_tall_pair_forms_no_m_by_m_array(self):
+        # m = 6n: the core's peak allocation stays below one m x m complex
+        # array (the parent formed I - K and read 1.92 times that)
+        rng = np.random.default_rng(11)
+        n, blocks, z = 40, 6, -1.0 + 0.5j
+        H0 = (rng.standard_normal((n, n))
+              + 1j * rng.standard_normal((n, n))) / np.sqrt(n) + 3 * np.eye(n)
+        A, B = tall_factor(rng, n, blocks), tall_factor(rng, n, blocks)
+        # ||K|| = 1/2 keeps 1 out of the spectrum of K
+        scale = np.sqrt(0.5 / spectral_norm(kato_K(
+            H0, FactoredPerturbation(A=A, B=B), z)))
+        fact = FactoredPerturbation(A=scale * A, B=scale * B)
+        R0 = resolvent(H0, z)
+        tracemalloc.start()
+        try:
+            R = perturbed_resolvent(R0, fact, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = blocks * n
+        assert peak < m * m * np.dtype(complex).itemsize
+        R_direct = resolvent(H0 + (fact.B.conj().T @ fact.A).toarray(), z)
+        assert (np.linalg.norm(R - R_direct) / np.linalg.norm(R_direct)
+                <= 1e-12)
 
 
 class TestTwoStep:

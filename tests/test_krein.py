@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from sqrtdom import krein
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               build_mesh)
 from sqrtdom.krein import (bessel_bound_check, bessel_k0_quad, d_theta,
@@ -12,7 +13,30 @@ from sqrtdom.problems import Problem
 
 DIR = BoundaryCondition.dirichlet()
 NEU = BoundaryCondition.neumann()
+ROBIN = BoundaryCondition(1 + 0.5j)
 A, B = 0.0, 1.0
+
+
+def complex_t_kernel(tau, x, xp, theta):
+    """The coupling integrand at one ``tau`` in complex arithmetic, as one
+    expression: the reference for ``krein``'s real-arithmetic kernels."""
+    st = np.sqrt(complex(tau))
+    em = np.exp(-2.0 * st * (B - A))
+    dval = theta.cot() - st * (1.0 + em) / (1.0 - em)
+    num = (np.exp(-st * ((x - A) + (xp - A)))
+           * -np.expm1(-2.0 * st * (B - x)) * -np.expm1(-2.0 * st * (B - xp)))
+    return num / (dval * np.expm1(-2.0 * st * (B - A)) ** 2)
+
+
+def reject_complex_array_exp(monkeypatch):
+    """Make ``np.exp`` and ``np.expm1`` raise on complex arrays; complex
+    scalars (``d_theta``) still pass."""
+    for name in ("exp", "expm1"):
+        def real_only(x, *args, _f=getattr(np, name), **kwargs):
+            if np.ndim(x) and np.iscomplexobj(x):
+                raise AssertionError("complex array exponential")
+            return _f(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, real_only)
 
 
 def discrete_kernel(n, z, bc_left, bc_right=DIR):
@@ -196,6 +220,28 @@ class TestSqrtKernel:
         with pytest.raises(ValueError):
             sqrt_kernel(-1.0, NEU, mesh)
 
+    @pytest.mark.parametrize("theta", [NEU, ROBIN], ids=["neumann", "robin"])
+    def test_matches_complex_node_loop(self, theta):
+        # one node at a time in complex arithmetic, as the kernel once ran
+        E, n = 25.0, 24
+        mesh = build_mesh(IntervalSpec("finite", A, B), n)
+        X, Xp = np.meshgrid(mesh.nodes, mesh.nodes, indexing="ij")
+        u, w = krein._sqrt_nodes(np.pi / mesh.h)
+        ref = np.zeros_like(X, dtype=complex)
+        for ui, wi in zip(u, w):
+            tau = ui * ui + E
+            ref += wi * (green_kernel_dirichlet(-tau, X, Xp, A, B)
+                         - complex_t_kernel(tau, X, Xp, theta))
+        ref *= 2.0 / np.pi
+        got = sqrt_kernel(E, theta, mesh)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_real_arithmetic_exponentials(self, monkeypatch):
+        mesh = build_mesh(IntervalSpec("finite", A, B), 16)
+        reject_complex_array_exp(monkeypatch)
+        for theta in (NEU, ROBIN):
+            assert np.all(np.isfinite(sqrt_kernel(25.0, theta, mesh)))
+
 
 class TestBesselBound:
     def test_k0_two_methods_agree(self):
@@ -221,3 +267,43 @@ class TestBesselBound:
         mesh = build_mesh(IntervalSpec("finite", A, B), 16)
         with pytest.raises(ValueError):
             bessel_bound_check(25.0, A, A, NEU, mesh)
+
+    @pytest.mark.parametrize("theta", [NEU, ROBIN], ids=["neumann", "robin"])
+    def test_matches_complex_scalar_loop(self, theta):
+        # the supremum and the integral one tau at a time in complex
+        # arithmetic, as the check once ran
+        E, x, xp = 25.0, 0.35, 0.6
+        mesh = build_mesh(IntervalSpec("finite", A, B), 40)
+        args = np.array([x + xp - 2 * A, 2 * B + x - xp - 2 * A,
+                         2 * B + xp - x - 2 * A, 4 * B - x - xp - 2 * A])
+        C = 0.0
+        for t in np.geomspace(E, E * 1e6, 96):
+            envelope = np.sum(np.exp(-np.sqrt(t) * args))
+            if envelope > 0:
+                C = max(C, abs(complex_t_kernel(t, x, xp, theta))
+                        * np.sqrt(t) / envelope)
+        C *= 1.0 + 1e-6
+        u, w = krein._sqrt_nodes(np.pi / mesh.h)
+        lhs = abs(2.0 * sum(wi * complex_t_kernel(ui * ui + E, x, xp, theta)
+                            for ui, wi in zip(u, w)))
+        rec = bessel_bound_check(E, x, xp, theta, mesh)
+        assert rec["C"] == pytest.approx(C, rel=1e-13)
+        assert rec["lhs"] == pytest.approx(lhs, rel=1e-13)
+
+    def test_one_array_kernel_call_per_sweep(self, monkeypatch):
+        # the supremum's 96 points and the integral's nodes each go through
+        # one array call, in real arithmetic
+        calls = []
+        t_kernel = krein._t_kernel
+
+        def counting(tau, *args):
+            calls.append(np.shape(tau))
+            return t_kernel(tau, *args)
+
+        monkeypatch.setattr(krein, "_t_kernel", counting)
+        reject_complex_array_exp(monkeypatch)
+        mesh = build_mesh(IntervalSpec("finite", A, B), 40)
+        for theta in (NEU, ROBIN):
+            rec = bessel_bound_check(25.0, 0.35, 0.6, theta, mesh)
+            assert rec["slack"] >= 0.0
+        assert calls == [(96,), (krein._RULE.n_nodes,)] * 2

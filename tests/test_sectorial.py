@@ -14,6 +14,31 @@ def hermitian_psd(n, seed, floor=0.0):
     return B @ B.conj().T / n + floor * np.eye(n)
 
 
+def exact_sector_angle(H):
+    """Half-angle of the sector with vertex ``lambda_min(Re H) - 1`` that
+    holds the numerical range of ``H``, by bisection to 1e-12: the smallest
+    psi with ``lambda_max(Im(e^{-i psi} S)) <= 0`` and
+    ``lambda_min(Im(e^{i psi} S)) >= 0`` for ``S = H - vertex``.  The
+    bracket's upper end is returned, an outer estimate."""
+    H = np.asarray(H, dtype=complex)
+    gamma = np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0] - 1.0
+    S = H - gamma * np.eye(H.shape[0])
+
+    def imag_part(M):
+        return (M - M.conj().T) / 2j
+
+    def inside(psi):
+        return (np.linalg.eigvalsh(imag_part(np.exp(-1j * psi) * S))[-1] <= 0
+                and np.linalg.eigvalsh(imag_part(np.exp(1j * psi) * S))[0]
+                >= 0)
+
+    lo, hi = 0.0, np.pi / 2
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+    return hi
+
+
 class TestNumericalRangeHull:
     def test_hermitian_psd_vertex_and_angle(self):
         H = hermitian_psd(12, 0, floor=0.3)
@@ -76,6 +101,24 @@ class TestCheckMAccretive:
                   for n in (16, 64, 256)]
         assert angles[0] < angles[1] < angles[2]
         assert angles[2] > 0.45 * np.pi
+
+    def test_lions_exact_sector_angle_grows(self):
+        # the fitted angles above differ only in the last ulps, all at the
+        # 64-direction sweep's limit pi/2 - pi/64; the exact angle shows the
+        # growth itself: tan theta reads 2.76, 5.63 and 11.30
+        tans = [np.tan(exact_sector_angle(lions_operator(n)))
+                for n in (16, 64, 256)]
+        assert all(t2 >= 1.8 * t1 for t1, t2 in zip(tans, tans[1:]))
+        # a sectorial control on the same ladder: with p = 1 + 0.5i the
+        # exact tan theta stays uniform (4.919, 4.934 and 4.935)
+        control = []
+        for n in (16, 64, 256):
+            mesh = build_mesh(IntervalSpec(), n)
+            H = orthonormalize(assemble_forms(
+                mesh, CoefficientSet.from_callables(mesh, p=1 + 0.5j),
+                BoundaryCondition.dirichlet(), BoundaryCondition.dirichlet()))
+            control.append(np.tan(exact_sector_angle(H)))
+        assert max(control) <= 1.01 * min(control)
 
     def test_eigenvalue_just_left_of_axis_fails(self):
         # Re z = 0.5 against the eigenvalue -1e-4: the exact worst ratio is
