@@ -9,6 +9,7 @@ any failed check, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -61,10 +62,15 @@ _PROBLEM_KEYS = ("interval", "a", "b", "radius", "theta_a", "theta_b",
 
 def _geometric_grid(text: str) -> list[float]:
     parts = [float(v) for v in text.split(",")]
-    if len(parts) != 3 or parts[0] <= 0 or parts[1] <= 1 or parts[2] < 2:
+    if not (len(parts) == 3 and parts[0] > 0 and parts[1] > 1
+            and parts[2] >= 2 and parts[2].is_integer()):
         raise ValueError("needs 'start,factor,count' with start > 0, "
-                         "factor > 1 and count >= 2")
+                         "factor > 1 and an integer count >= 2")
     start, factor, count = parts
+    if (math.log(start) + (count - 1) * math.log(factor)
+            > math.log(sys.float_info.max)):
+        raise ValueError(f"its last shift {start:g} * {factor:g}^"
+                         f"{count - 1:g} overflows")
     return [start * factor**k for k in range(int(count))]
 
 
@@ -452,16 +458,17 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand: the positional ``command``,
+    ``--config`` and one flag per ``DEFAULTS`` key, which every subcommand
+    reads through ``load_config``."""
     parser = argparse.ArgumentParser(
         prog="sqrtdom",
         description="Spectral diagnostics for 1-D operators with complex "
                     "coefficients")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key = value configuration file")
-        for key in DEFAULTS:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="key = value configuration file")
+    for key in DEFAULTS:
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
     return parser
 
 

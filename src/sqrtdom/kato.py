@@ -71,23 +71,43 @@ class FactoredPerturbation:
 
 
 def _sampling_blocks(prob: Problem):
-    """Midpoint value/derivative blocks in L2-orthonormal coordinates.
+    """Midpoint value/derivative blocks in L2-orthonormal coordinates, by
+    their two nonzero slots per cell row.
 
-    ``V`` maps an orthonormal vector to sqrt(h)-weighted midpoint values of
-    its nodal interpolant and ``G`` to the weighted cell slopes, so that
-    plain matrix adjoints implement the L2 pairings exactly.
+    Row i of ``V`` maps an orthonormal vector to the sqrt(h)-weighted
+    midpoint value of its nodal interpolant on cell i and row i of ``G`` to
+    the weighted slope there, so that plain matrix adjoints implement the L2
+    pairings exactly.  Cell i touches nodes i and i + 1, so each row has two
+    slots; ``cols`` holds their retained-node columns, -1 for a node that a
+    Dirichlet end removes.  Returns ``(cols, V, G)``, each n x 2, with the
+    values of ``V`` and ``G`` in the slots of ``cols``.
     """
     n, h = prob.mesh.n_cells, prob.mesh.h
-    V = np.zeros((n, n + 1))
-    G = np.zeros((n, n + 1))
-    rows = np.arange(n)
-    V[rows, rows] = np.sqrt(h) / 2
-    V[rows, rows + 1] = np.sqrt(h) / 2
-    G[rows, rows] = -1.0 / np.sqrt(h)
-    G[rows, rows + 1] = 1.0 / np.sqrt(h)
-    keep = prob.forms.dof_nodes
-    winv = prob.forms.orthonormal_scaling
-    return V[:, keep] * winv[None, :], G[:, keep] * winv[None, :]
+    column = np.full(n + 1, -1)
+    column[prob.forms.dof_nodes] = np.arange(prob.forms.n_dof)
+    cols = column[np.arange(n)[:, None] + np.arange(2)]
+    # a removed node's slot reads some weight; _stack_rows drops it
+    winv = prob.forms.orthonormal_scaling[cols]
+    return (cols, (np.sqrt(h) / 2) * winv,
+            (np.array([-1.0, 1.0]) / np.sqrt(h)) * winv)
+
+
+def _stack_rows(blocks, n_cols: int) -> sp.csr_array:
+    """The complex CSR array whose rows are the rows of ``blocks`` in order.
+
+    Each block is a pair ``(cols, vals)`` of k x 2 arrays: row r of the block
+    has value ``vals[r, t]`` in column ``cols[r, t]``, with the columns of a
+    row increasing.  A slot of column -1 or of value zero holds no entry, so
+    the result equals ``csr_array`` of the dense stack, bit for bit.
+    """
+    cols = np.concatenate([c for c, _ in blocks])
+    vals = np.concatenate([v for _, v in blocks]).astype(complex)
+    kept = (cols >= 0) & (vals != 0)
+    indptr = np.concatenate(([0], np.cumsum(kept.sum(axis=1))))
+    # int32 indices, as csr_array takes them for a dense array of this size
+    return sp.csr_array((vals[kept], cols[kept].astype(np.int32),
+                         indptr.astype(np.int32)),
+                        shape=(cols.shape[0], n_cols))
 
 
 def build_factorization(prob: Problem, variant: str) -> FactoredPerturbation:
@@ -101,37 +121,41 @@ def build_factorization(prob: Problem, variant: str) -> FactoredPerturbation:
     live on the retained nodes of ``prob.forms``, the potential is the
     lumped nodal average ``prob.lumped_average(q)``, and in every case
     ``B^H A`` equals the corresponding form matrix exactly.  Each row of
-    ``A`` and ``B`` holds at most two nonzeros, so both are returned as CSR
-    arrays.
+    ``A`` and ``B`` holds at most two nonzeros, so both are built as CSR
+    arrays from the two slots per row of ``_sampling_blocks`` and the
+    diagonal potential blocks, and no dense block is formed.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     coeffs = prob.coeffs
-    V, G = _sampling_blocks(prob)
+    cols, V, G = _sampling_blocks(prob)
     qt = prob.lumped_average(coeffs.q)
     absq = np.abs(qt)
     # principal argument with Arg(0) := 0, so vanishing samples give zero rows
     phase = np.where(absq > 0, qt / np.where(absq > 0, absq, 1.0), 1.0)
     rootq = np.sqrt(absq)
 
-    qa_block = np.diag(phase * rootq)
-    qb_block = np.diag(rootq).astype(complex)
-    r_block = np.conj(coeffs.r)[:, None] * V
+    # the diagonal potential blocks: one slot per row, the second empty
+    n_dof = prob.forms.n_dof
+    diag = np.stack([np.arange(n_dof), np.full(n_dof, -1)], axis=1)
+    qa_block = (diag, np.stack([phase * rootq, np.zeros(n_dof)], axis=1))
+    qb_block = (diag, np.stack([rootq, np.zeros(n_dof)], axis=1))
+    g_block = (cols, G)
+    r_block = (cols, np.conj(coeffs.r)[:, None] * V)
     # the derivative enters the s-side negated: the finite-dimensional
     # adjoint supplies no integration-by-parts sign of its own
-    sa_block = -(coeffs.s[:, None] * V)
-    sb_block = -G
+    sa_block = (cols, -(coeffs.s[:, None] * V))
+    sb_block = (cols, -G)
 
     if variant == "qr_pair":
-        A = np.vstack([G.astype(complex), qa_block])
-        B = np.vstack([r_block, qb_block])
+        A, B = [g_block, qa_block], [r_block, qb_block]
     elif variant == "s_pair":
-        A = sa_block
-        B = sb_block.astype(complex)
+        A, B = [sa_block], [sb_block]
     else:
-        A = np.vstack([G.astype(complex), sa_block, qa_block])
-        B = np.vstack([r_block, sb_block.astype(complex), qb_block])
-    return FactoredPerturbation(A=sp.csr_array(A), B=sp.csr_array(B))
+        A = [g_block, sa_block, qa_block]
+        B = [r_block, sb_block, qb_block]
+    return FactoredPerturbation(A=_stack_rows(A, n_dof),
+                                B=_stack_rows(B, n_dof))
 
 
 def kato_K(H0: np.ndarray, fact: FactoredPerturbation,

@@ -151,10 +151,12 @@ def sqrt_kernel(E: float, theta_a: BoundaryCondition,
 
     The Dirichlet part integrates the closed-form Green kernel over the
     spectral parameter; the boundary-condition correction subtracts the
-    integrated coupling kernel.  Both use the shared composite Gauss rule
-    after the square-root substitution, truncated at pi / h, the finest
-    scale the grid can carry (the on-diagonal values grow logarithmically
-    with this cutoff, all off-diagonal entries converge).  Rows at the
+    integrated coupling kernel, which is rank one in ``(x, x')`` at each
+    node, so that its integral is one matrix product over the nodes.  Both
+    use the shared composite Gauss rule after the square-root
+    substitution, truncated at pi / h, the finest scale the grid can carry
+    (the on-diagonal values grow logarithmically with this cutoff, all
+    off-diagonal entries converge).  Rows at the
     Dirichlet end vanish identically.  Every node ``tau = u**2 + E`` is
     real, so both kernels are evaluated from the real root ``sqrt(tau)``
     in real arithmetic; the coupling denominator is the one complex
@@ -166,17 +168,21 @@ def sqrt_kernel(E: float, theta_a: BoundaryCondition,
     d0 = d_theta(-E, theta_a, a, b)
     if abs(d0) < 1e-12 * (1.0 + np.sqrt(E)):
         raise ValueError("E below the safe shift: coupling denominator vanishes")
-    cot_a = theta_a.cot()
-    # a column and a row broadcast to the table, so the coupling kernel's
-    # one-end factors cost n evaluations per quadrature node, not n^2
-    X, Xp = mesh.nodes[:, None], mesh.nodes[None, :]
+    x = mesh.nodes
     u, w = _sqrt_nodes(np.pi / mesh.h)
-    acc = np.zeros((X.size, Xp.size), dtype=complex)
+    green = np.zeros((x.size, x.size))
     for ui, wi in zip(u, w):
-        tau = ui * ui + E
-        acc += wi * (_green_from_root(np.sqrt(tau), X, Xp, a, b)
-                     - _t_kernel(tau, X, Xp, cot_a, a, b))
-    values = (2.0 / np.pi) * acc
+        green += wi * _green_from_root(np.sqrt(ui * ui + E), x[:, None],
+                                       x[None, :], a, b)
+    # the coupling kernel is rank one at each node, f(x) f(x') c with
+    # f(x) = exp(-st (x - a)) (1 - exp(-2 st (b - x))) as in _t_kernel, so
+    # all nodes together are the one product F^T diag(w c) F
+    st = np.sqrt(u * u + E)
+    em = np.exp(-2.0 * st * (b - a))
+    dval = theta_a.cot() - st * (1.0 + em) / (1.0 - em)
+    F = np.exp(-st[:, None] * (x - a)) * _expm1_ratio(st[:, None], b - x)
+    coupling = (F.T * (w / (dval * _expm1_ratio(st, b - a) ** 2))) @ F
+    values = (2.0 / np.pi) * (green - coupling)
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("square-root kernel quadrature overflowed")
     return values

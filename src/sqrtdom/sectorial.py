@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
-from .matfun import resolvent
+from .matfun import _bandwidths, resolvent
 
 __all__ = [
     "SectorReport",
@@ -93,8 +94,23 @@ def check_m_accretive(H: np.ndarray, zeta_grid) -> tuple[bool, float]:
 def safe_shift(H: np.ndarray) -> float:
     """Shift pushing the numerical range into the open right half-plane.
 
-    Uses the vertex of the Hermitian part plus a unit margin, so ``H + E``
-    is strictly accretive and principal square roots stay off the cut.
+    Uses the vertex of the Hermitian part, its lowest eigenvalue, plus a
+    unit margin, so ``H + E`` is strictly accretive and principal square
+    roots stay off the cut.  The Hermitian part shares the band of ``H``
+    (``matfun._bandwidths``; a dense matrix is its own full band), so the
+    eigenvalue comes from its lower band storage through LAPACK's banded
+    Hermitian eigensolver, in O(n) for the tridiagonal operators of the
+    package.
     """
-    gamma = float(np.linalg.eigvalsh(_hermitian_part(np.asarray(H, dtype=complex)))[0])
+    H = np.asarray(H, dtype=complex)
+    n = H.shape[0]
+    width = max(_bandwidths(H))
+    # lower band storage of the Hermitian part S = (H + H^H)/2:
+    # band[k, j] = S[j + k, j]
+    band = np.zeros((width + 1, n), dtype=complex)
+    for k in range(width + 1):
+        band[k, :n - k] = 0.5 * (np.diagonal(H, -k)
+                                 + np.diagonal(H, k).conj())
+    gamma = float(sla.eigvals_banded(band, lower=True, select="i",
+                                     select_range=(0, 0))[0])
     return max(0.0, -gamma) + 1.0

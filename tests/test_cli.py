@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import sys
 
@@ -86,6 +87,28 @@ class TestConfig:
                 # for the default grid used to fail after every norm
                 "decay-study --n 16 --E 100", "decay-study --n 8")):
             assert run(tmp_path, str(i), *args.split())[0] == 2, args
+
+    def test_parser_adds_each_flag_once(self, monkeypatch):
+        # one parser for every subcommand: argparse's -h, the command,
+        # --config and one flag per key, where eight subparsers used to
+        # re-add the same flags in 169 calls on every main call
+        calls = []
+        add = argparse._ActionsContainer.add_argument
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return add(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                            counting)
+        build_parser()
+        assert len(calls) <= len(cli.DEFAULTS) + 3
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_same_boundary_condition_in_other_words(self, tmp_path):
         # the lions and alias checks used to compare option text, so a
@@ -285,6 +308,21 @@ class TestVerifyCommands:
         err = capsys.readouterr().err
         assert "configuration error" in err and "--E-grid" in err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("grid", ["100,10,2.9", "100,10,inf",
+                                      "100,10,nan", "100,10,400",
+                                      "100,inf,3"])
+    def test_decay_grid_must_be_a_finite_integer_count(self, tmp_path,
+                                                       capsys, grid):
+        # a count of 2.9 used to be truncated to 2, and the study ran two
+        # shifts without a word; a count of inf or a last shift past the
+        # float range used to escape as a traceback, and an infinite factor
+        # was reported as a grid below the spectrum
+        code, out = run(tmp_path, "o", "decay-study", "--n", "16",
+                        "--E-grid", grid)
+        assert code == 2
+        assert "configuration error: E_grid:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kappa_study_exits_1_on_an_unexpected_verdict(self, tmp_path):
         # the control must diverge at the critical power; a threshold that

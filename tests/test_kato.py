@@ -94,6 +94,66 @@ class TestBuildFactorization:
         with pytest.raises(ValueError):
             build_factorization(with_coeffs(8), "bogus")
 
+    @pytest.mark.parametrize("theta_a",
+                             [DIR, NEU, BoundaryCondition(1 + 0.5j)],
+                             ids=["dirichlet", "neumann", "robin"])
+    @pytest.mark.parametrize("interval", [
+        IntervalSpec(), IntervalSpec("half_line", truncation_radius=10.0),
+        IntervalSpec("full_line", truncation_radius=10.0)],
+        ids=["finite", "half_line", "full_line"])
+    @pytest.mark.parametrize("family", ["free", "constant_qrs",
+                                        "complex_constant", "mixed_sign",
+                                        "sawtooth", "spike"])
+    def test_pair_equals_dense_construction_bitwise(self, family, interval,
+                                                    theta_a):
+        # the slot-built pair is the CSR array of the dense stack, bit for
+        # bit: the same entries, the same explicit zeros dropped
+        prob = make_problem(family, interval, n=37, bc_left=theta_a)
+        for variant in kato.VARIANTS:
+            fact = build_factorization(prob, variant)
+            for got, want in zip((fact.A, fact.B),
+                                 dense_factorization(prob, variant)):
+                want = sp.csr_array(want)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                for attr in ("data", "indices", "indptr"):
+                    a, b = getattr(got, attr), getattr(want, attr)
+                    assert a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes(), (variant, attr)
+
+
+def dense_factorization(prob, variant):
+    """The dense (A, B) blocks of ``build_factorization``, built as full
+    n x (n + 1) sampling matrices restricted to the retained nodes and
+    stacked: the reference the CSR pair must reproduce."""
+    n, h = prob.mesh.n_cells, prob.mesh.h
+    V = np.zeros((n, n + 1))
+    G = np.zeros((n, n + 1))
+    rows = np.arange(n)
+    V[rows, rows] = np.sqrt(h) / 2
+    V[rows, rows + 1] = np.sqrt(h) / 2
+    G[rows, rows] = -1.0 / np.sqrt(h)
+    G[rows, rows + 1] = 1.0 / np.sqrt(h)
+    keep = prob.forms.dof_nodes
+    winv = prob.forms.orthonormal_scaling
+    V, G = V[:, keep] * winv[None, :], G[:, keep] * winv[None, :]
+    coeffs = prob.coeffs
+    qt = prob.lumped_average(coeffs.q)
+    absq = np.abs(qt)
+    phase = np.where(absq > 0, qt / np.where(absq > 0, absq, 1.0), 1.0)
+    rootq = np.sqrt(absq)
+    qa_block = np.diag(phase * rootq)
+    qb_block = np.diag(rootq).astype(complex)
+    r_block = np.conj(coeffs.r)[:, None] * V
+    sa_block = -(coeffs.s[:, None] * V)
+    sb_block = -G
+    if variant == "qr_pair":
+        return (np.vstack([G.astype(complex), qa_block]),
+                np.vstack([r_block, qb_block]))
+    if variant == "s_pair":
+        return sa_block, sb_block.astype(complex)
+    return (np.vstack([G.astype(complex), sa_block, qa_block]),
+            np.vstack([r_block, sb_block.astype(complex), qb_block]))
+
 
 class TestKatoK:
     def test_zero_factorization(self):
@@ -173,14 +233,13 @@ class TestPerturbedResolvent:
                 <= 1e-12)
 
     def test_verify_identity_converts_each_pair_once(self, monkeypatch):
-        # the full triple and the two step pairs go to CSR once for all
-        # three shifts; each call of the core used to convert its pair
+        # the full triple and the two step pairs are built as CSR once for
+        # all three shifts; each call of the core used to convert its pair
         csr_array, converted = kato.sp.csr_array, []
 
-        def counting(arg):
-            if isinstance(arg, np.ndarray):
-                converted.append(arg.shape)
-            return csr_array(arg)
+        def counting(*args, **kwargs):
+            converted.append(kwargs.get("shape"))
+            return csr_array(*args, **kwargs)
 
         monkeypatch.setattr(kato.sp, "csr_array", counting)
         prob = make_problem("sawtooth", n=24, bc_left=NEU)

@@ -56,6 +56,52 @@ class TestResolvent:
             assert (np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)) < 1e-9
 
 
+class TestBandedResolvent:
+    @staticmethod
+    def sawtooth():
+        from sqrtdom.assembly import BoundaryCondition, IntervalSpec
+        from sqrtdom.problems import make_problem
+        return make_problem("sawtooth", IntervalSpec(
+            "half_line", truncation_radius=10.0), n=150,
+            bc_left=BoundaryCondition.neumann()).H
+
+    @staticmethod
+    def pentadiagonal(n=40, seed=6):
+        rng = np.random.default_rng(seed)
+        H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.triu(np.tril(H, 2), -2)
+
+    @pytest.mark.parametrize("name", ["sawtooth", "pentadiagonal", "dense"])
+    def test_matches_dense_inverse(self, name):
+        H = {"sawtooth": self.sawtooth, "pentadiagonal": self.pentadiagonal,
+             "dense": lambda: random_accretive(6, 9)}[name]()
+        z = -2.0 + 0.5j
+        expected = np.linalg.inv(H - z * np.eye(H.shape[0]))
+        R = resolvent(H, z)
+        assert (np.linalg.norm(R - expected)
+                <= 1e-13 * np.linalg.norm(expected))
+
+    def test_singular_diagonal_lies_in_spectrum(self):
+        with pytest.raises(ResolventError, match="lies in the spectrum"):
+            resolvent(np.diag([1.0, 0.0, 2.0]), 0.0)
+        with pytest.raises(ResolventError, match="lies in the spectrum"):
+            resolvent(np.array([[3.0 + 1.0j]]), 3.0 + 1.0j)
+
+    def test_needs_no_dense_solve(self, monkeypatch):
+        # the operators are tridiagonal, so no dense LU or inverse is taken
+        H = self.sawtooth()
+        expected = np.linalg.inv(H + 4.0 * np.eye(H.shape[0]))
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense solve")
+
+        monkeypatch.setattr(np.linalg, "solve", dense)
+        monkeypatch.setattr(np.linalg, "inv", dense)
+        R = resolvent(H, -4.0)
+        assert (np.linalg.norm(R - expected)
+                <= 1e-13 * np.linalg.norm(expected))
+
+
 class TestSqrtDb:
     def test_scalar_four(self):
         np.testing.assert_allclose(sqrt_db(np.array([[4.0]])), [[2.0]])

@@ -3,7 +3,7 @@ import pytest
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh, orthonormalize)
-from sqrtdom.problems import lions_operator
+from sqrtdom.problems import lions_operator, make_problem
 from sqrtdom.sectorial import (check_m_accretive, numerical_range_hull,
                                safe_shift)
 
@@ -147,3 +147,43 @@ class TestSafeShift:
         E = safe_shift(A)
         lo = np.linalg.eigvalsh(0.5 * (A + A.conj().T))[0]
         assert lo + E >= 1.0 - 1e-12
+
+
+def sawtooth_operator():
+    """The n = 150 sawtooth operator on the half-line with a Neumann end:
+    tridiagonal and complex, as every operator the package assembles."""
+    return make_problem("sawtooth", IntervalSpec("half_line",
+                                                 truncation_radius=10.0),
+                        n=150, bc_left=BoundaryCondition.neumann()).H
+
+
+def eigvalsh_shift(H):
+    """The margin rule of ``safe_shift`` on a dense eigendecomposition."""
+    lowest = np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0]
+    return max(0.0, -lowest) + 1.0
+
+
+class TestBandedSafeShift:
+    @pytest.mark.parametrize("name", ["tridiagonal", "dense", "scalar"])
+    def test_matches_dense_eigenvalue(self, name):
+        rng = np.random.default_rng(4)
+        H = {"tridiagonal": sawtooth_operator,
+             "dense": lambda: rng.standard_normal((7, 7))
+             + 1j * rng.standard_normal((7, 7)) - 3 * np.eye(7),
+             "scalar": lambda: np.array([[-2.5 + 4.0j]])}[name]()
+        assert safe_shift(H) == pytest.approx(eigvalsh_shift(H), rel=1e-12)
+
+    def test_needs_no_dense_eigendecomposition(self, monkeypatch):
+        # the Hermitian part shares the band of H, so its lowest eigenvalue
+        # comes from the banded solver, not from a dense one
+        H = sawtooth_operator()
+        expected = eigvalsh_shift(H)
+        eigvalsh = np.linalg.eigvalsh
+
+        def small_only(M, *args, **kwargs):
+            if np.shape(M)[0] > 8:
+                raise AssertionError("dense eigendecomposition")
+            return eigvalsh(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", small_only)
+        assert safe_shift(H) == pytest.approx(expected, rel=1e-12)
