@@ -108,6 +108,16 @@ def build_mesh(interval: IntervalSpec, n: int) -> Mesh:
 _THETA_NEUMANN = np.pi / 2
 
 
+def _stable_cot(w: complex) -> complex:
+    """Complex cotangent via one-sided exponentials, overflow-free: the
+    package's one cotangent, finite at any ``|Im w|``."""
+    if w.imag >= 0:
+        t = np.exp(2j * w)
+        return 1j * (t + 1.0) / (t - 1.0)
+    t = np.exp(-2j * w)
+    return -1j * (1.0 + t) / (t - 1.0)
+
+
 @dataclass(frozen=True)
 class BoundaryCondition:
     """Separated boundary condition encoded by a strip parameter.
@@ -144,8 +154,7 @@ class BoundaryCondition:
             raise ZeroDivisionError("cot(theta) pole at theta = 0 (Dirichlet)")
         if self.theta == _THETA_NEUMANN:
             return 0.0 + 0.0j
-        th = self.theta
-        return np.cos(th) / np.sin(th)
+        return _stable_cot(self.theta)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """The pinned tolerances, each defined once, and the checks that the command
 line and the acceptance criteria share.  A suite returns its measured values
-and its PASS/FAIL verdict; a subcommand only writes them out, so it cannot
-drift from the acceptance criterion that calls the same suite (criteria 4,
-5, 6 and 8); ``decay_suite`` is the one shift-decay verdict.  The
-factored-resolvent identities have theirs in ``kato.verify_identity``, which
-``verify-kato`` and criteria 1 and 2 read against ``TOL_KATO``."""
+and ``checks``, an ordered mapping from each check's manifest name to
+whether it passed; a subcommand only writes them out, so it cannot drift
+from the acceptance criterion that calls the same suite (criteria 4, 5, 6
+and 8); ``decay_suite`` is the one shift-decay verdict.  ``kato_checks``
+judges ``kato.verify_identity``'s report against ``TOL_KATO`` for
+``verify-kato`` and criteria 1 and 2.  ``failed`` names the checks of a
+mapping that failed; a check mapped to ``None`` is reported, never judged.
+"""
 
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ from .matfun import resolvent, trace_det_check
 from .problems import Problem
 
 __all__ = ["TOL_KATO", "TOL_ORDER", "TOL_SLOPE", "TOL_PLATEAU", "TOL_SLACK",
-           "TOL_TRACE", "TOL_K0", "krein_suite", "trace_suite",
-           "form_bound_suite", "decay_suite"]
+           "TOL_TRACE", "TOL_K0", "failed", "kato_checks", "krein_suite",
+           "trace_suite", "form_bound_suite", "decay_suite"]
 
 TOL_KATO = 1e-9       # relative resolvent error of the factored identities
 TOL_ORDER = 1.8       # observed convergence order of the rank-one correction
@@ -41,6 +44,21 @@ K0_POINTS = (0.3, 0.5, 1.0, 2.0, 2.5, 5.0, 6.0)
 TRACE_STEPS = (4e-3, 2e-3, 1e-3)
 FORM_EPS = np.geomspace(0.01, 0.99, 16)  # in units of eps_0
 TRUDINGER_EPS = (0.1, 1.0, 10.0)
+
+
+def failed(checks: dict) -> list[str]:
+    """The names in ``checks`` that failed: a check mapped to ``None`` is
+    reported only, and any other value fails unless it is true."""
+    return [name for name, ok in checks.items() if ok is not None and not ok]
+
+
+def kato_checks(rep: dict) -> dict:
+    """``verify_identity``'s two identities: each path's largest relative
+    error within ``TOL_KATO``, and no shift excluded, since an excluded shift
+    is one where neither identity was checked."""
+    return {name: not rep["excluded"] and rep["max_error"][path] <= TOL_KATO
+            for name, path in (("factored-resolvent-identity", "full_triple"),
+                               ("two-step-composition", "two_step"))}
 
 
 def krein_suite(a: float, b: float, z: float, n_list, n: int, E: float,
@@ -84,11 +102,13 @@ def krein_suite(a: float, b: float, z: float, n_list, n: int, E: float,
 
     k0_diff = max(abs(bessel_k0_quad(y) - float(special.k0(y)))
                   for y in K0_POINTS)
-    ok = (min_order >= TOL_ORDER and boundary_row == 0.0 and min_slack >= 0.0
-          and k0_diff <= TOL_K0)
     return {"errors": errors, "min_order": min_order,
             "boundary_row": boundary_row, "bessel": bessel,
-            "min_slack": min_slack, "k0_diff": k0_diff, "ok": ok}
+            "min_slack": min_slack, "k0_diff": k0_diff,
+            "checks": {"rank-one-resolvent-convergence": min_order >= TOL_ORDER,
+                       "sqrt-kernel-boundary-row": boundary_row == 0.0,
+                       "macdonald-envelope": min_slack >= 0.0,
+                       "macdonald-two-method": k0_diff <= TOL_K0}}
 
 
 def trace_suite(seed: int) -> dict:
@@ -110,9 +130,11 @@ def trace_suite(seed: int) -> dict:
     residuals = [(h, trace_det_check(Ar, A0r, -2.0, h=h))
                  for h in TRACE_STEPS]
     ratios = [r1 / r2 for (_, r1), (_, r2) in zip(residuals, residuals[1:])]
-    ok = closed <= TOL_TRACE and all(2.5 <= r <= 6.5 for r in ratios)
     return {"closed_residual": closed, "residuals": residuals,
-            "ratios": ratios, "ok": ok}
+            "ratios": ratios,
+            "checks": {"determinant-trace-derivative": closed <= TOL_TRACE,
+                       "step-halving-order": all(2.5 <= r <= 6.5
+                                                 for r in ratios)}}
 
 
 def form_bound_suite(prob: Problem, F, G) -> dict:
@@ -130,7 +152,8 @@ def form_bound_suite(prob: Problem, F, G) -> dict:
     return {"constants": consts, "eps_grid": eps_grid, "lhs": lhs,
             "bound": bound, "slack": slack, "min_slack": min_slack,
             "min_pointwise_slack": min_pointwise,
-            "ok": min_slack >= TOL_SLACK and min_pointwise >= TOL_SLACK}
+            "checks": {"relative-form-bound": min_slack >= TOL_SLACK,
+                       "pointwise-trace-bound": min_pointwise >= TOL_SLACK}}
 
 
 def decay_suite(prob: Problem, E_grid) -> dict:
@@ -159,9 +182,12 @@ def decay_suite(prob: Problem, E_grid) -> dict:
                                        ("abs_s", np.abs(c.s)),
                                        ("sqrt_abs_q", np.sqrt(np.abs(c.q))))}
     pairs = [profiles["qr_pair"], profiles["s_pair"]]
-    ok = (all(not np.any(p["normK"])
-              or (p["slope"] <= TOL_SLOPE and p["monotone"]) for p in pairs)
-          and profiles["full_triple"]["plateau_ratio"] >= TOL_PLATEAU
-          and all(not np.any(m["norms"]) or m["slope"] <= TOL_SLOPE
-                  for m in multipliers.values()))
-    return {"profiles": profiles, "multipliers": multipliers, "ok": ok}
+    return {"profiles": profiles, "multipliers": multipliers, "checks": {
+        "factored-norm-decay": all(
+            not np.any(p["normK"]) or (p["slope"] <= TOL_SLOPE
+                                       and p["monotone"]) for p in pairs),
+        "derivative-block-plateau":
+            profiles["full_triple"]["plateau_ratio"] >= TOL_PLATEAU,
+        "multiplier-decay": all(not np.any(m["norms"])
+                                or m["slope"] <= TOL_SLOPE
+                                for m in multipliers.values())}}

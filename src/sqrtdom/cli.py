@@ -1,9 +1,14 @@
 """Command-line entry point: configuration, experiment orchestration, reports.
 
 Every subcommand writes its CSV artifacts plus a ``manifest.txt`` with the
-echoed configuration, seed, tolerances and verdicts.  Identical configuration
-and seed produce byte-identical output files.  Exit codes: 0 on success, 1 on
-any failed check, 2 on configuration errors.
+echoed configuration, seed, tolerances and verdicts, and ends in
+``_manifest``, which derives the verdict, ``failed_checks`` and exit code
+from one mapping of check names to ``True``, ``False`` or ``None``
+(reported only: hypothesis-check's ``numerical-range-sector`` and every
+check of ``assemble`` and ``kernel-dump``, which write no verdict).
+Identical configuration and seed produce byte-identical output files.  Exit
+codes: 0 on success, 1 on a failed check or a guard that rejected the
+input, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from . import csvio
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                        build_mesh, w12_norm_matrix)
 from .checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU, TOL_SLACK,
-                     TOL_SLOPE, TOL_TRACE, decay_suite, form_bound_suite,
-                     krein_suite, trace_suite)
+                     TOL_SLOPE, TOL_TRACE, decay_suite, failed,
+                     form_bound_suite, kato_checks, krein_suite, trace_suite)
 from .domains import refinement_study
 from .kato import (PATHS, _InvSqrtShifted, build_factorization,
                    decay_profile, verify_identity)
@@ -55,9 +60,19 @@ _KAPPA_ALIASES = {
     "complex_full": {"problem": "complex_constant"},
     "robin_complex": {"problem": "mixed_sign", "theta_a": "1+0.5i"},
 }
-# the keys that shape a problem; the lions control, fixed on (0, 1), reads none
-_PROBLEM_KEYS = ("interval", "a", "b", "radius", "theta_a", "theta_b",
-                 "coeff_p", "coeff_q", "coeff_r", "coeff_s")
+# the runs that read none of some keys that shape an operator: why, and which
+_COEFF_KEYS = ("coeff_p", "coeff_q", "coeff_r", "coeff_s")
+_CLOSED_FORMS = "kernels are closed forms for -u'' on [a, b], Dirichlet at b"
+_UNREAD = {
+    "lions": ("the lions control is fixed on (0, 1)",
+              ("interval", "a", "b", "radius", "theta_a", "theta_b",
+               *_COEFF_KEYS)),
+    "verify-krein": (f"verify-krein's {_CLOSED_FORMS}, at its own left ends",
+                     ("problem", "interval", *_COEFF_KEYS, "theta_a",
+                      "theta_b")),
+    "kernel-dump": (f"kernel-dump's {_CLOSED_FORMS}",
+                    ("problem", "interval", *_COEFF_KEYS, "theta_b")),
+}
 
 
 def _geometric_grid(text: str) -> list[float]:
@@ -141,20 +156,16 @@ def load_config(args: argparse.Namespace) -> dict:
                 meaning(key, DEFAULTS[key]), meaning(key, value)):
             raise ConfigError(f"{cfg['problem']} sets {key} = {value}, "
                               f"got {cfg[key]!r}")
-    if cfg["problem"] == "lions":
-        unread = [key for key in _PROBLEM_KEYS
-                  if meaning(key, cfg[key]) != meaning(key, DEFAULTS[key])]
-        if unread:
-            raise ConfigError(f"the lions control is fixed on (0, 1) and "
-                              f"reads none of {', '.join(unread)}")
+    why, keys = _UNREAD.get("lions" if cfg["problem"] == "lions"
+                            else args.command, ("", ()))
+    unread = [key for key in keys
+              if meaning(key, cfg[key]) != meaning(key, DEFAULTS[key])]
+    if unread:
+        raise ConfigError(f"{why}; set none of {', '.join(unread)}")
     try:
         interval_from(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if (args.command in ("verify-krein", "kernel-dump")
-            and cfg["interval"] != "finite"):
-        # their kernels are closed forms on a finite interval [a, b]
-        raise ConfigError(f"{args.command} needs --interval finite")
     if cfg["E"] is not None and cfg["E"] <= 0:
         raise ConfigError("E must be positive")
     if args.command == "decay-study" and cfg["E"] is not None:
@@ -204,12 +215,20 @@ def problem_from(cfg: dict) -> Problem:
                    parse_theta(cfg["theta_b"]))
 
 
-def _manifest(outdir: Path, cfg: dict, command: str, checks: list[str],
-              extra: dict) -> None:
-    csvio.write_manifest(outdir / "manifest.txt", {
-        "command": command,
-        **{f"config.{key}": cfg[key] for key in sorted(DEFAULTS)},
-        "checks": checks, **extra})
+def _manifest(outdir: Path, cfg: dict, command: str, checks: dict,
+              extra: dict) -> int:
+    """Write one run's manifest and return its exit code, both from
+    ``checks`` (name to passed, or ``None`` if reported only): a run that
+    judges a check closes with ``verdict`` and ``failed_checks``."""
+    entries = {"command": command,
+               **{f"config.{key}": cfg[key] for key in sorted(DEFAULTS)},
+               "checks": list(checks), **extra}
+    bad = failed(checks)
+    if any(ok is not None for ok in checks.values()):
+        entries.setdefault("verdict", "fail" if bad else "pass")
+        entries["failed_checks"] = bad or "none"
+    csvio.write_manifest(outdir / "manifest.txt", entries)
+    return 1 if bad else 0
 
 
 # --------------------------------------------------------------------------
@@ -227,11 +246,11 @@ def cmd_assemble(cfg: dict, outdir: Path) -> int:
     GE = w12_norm_matrix(prob.mesh, prob.bc_left, prob.bc_right,
                          cfg["E"] or 1.0)
     csvio.write_matrix(outdir / "sobolev_gram.csv", GE)
-    _manifest(outdir, cfg, "assemble", ["form-matrices", "operator-matrix"],
-              {"n_dof": forms.n_dof,
-               "coefficient_hash": prob.coeffs.digest(),
-               "mass_treatment": "lumped"})
-    return 0
+    return _manifest(outdir, cfg, "assemble",
+                     {"form-matrices": None, "operator-matrix": None},
+                     {"n_dof": forms.n_dof,
+                      "coefficient_hash": prob.coeffs.digest(),
+                      "mass_treatment": "lumped"})
 
 
 def cmd_verify_kato(cfg: dict, outdir: Path) -> int:
@@ -239,17 +258,11 @@ def cmd_verify_kato(cfg: dict, outdir: Path) -> int:
     csvio.write_rows(outdir / "kato_errors.csv", "z_re,z_im,path,rel_error",
                      [(r["z"].real, r["z"].imag, path, r[path])
                       for path in PATHS for r in rep["records"]])
-    worst = rep["max_error"]
-    # an excluded shift is one the identities were not checked at
-    ok = not rep["excluded"] and max(worst.values()) <= TOL_KATO
-    _manifest(outdir, cfg, "verify-kato",
-              ["factored-resolvent-identity", "two-step-composition"],
-              {"tolerance": TOL_KATO,
-               "max_identity_error": worst["full_triple"],
-               "max_two_step_error": worst["two_step"],
-               "excluded_points": len(rep["excluded"]),
-               "verdict": "pass" if ok else "fail"})
-    return 0 if ok else 1
+    return _manifest(outdir, cfg, "verify-kato", kato_checks(rep),
+                     {"tolerance": TOL_KATO,
+                      "max_identity_error": rep["max_error"]["full_triple"],
+                      "max_two_step_error": rep["max_error"]["two_step"],
+                      "excluded_points": len(rep["excluded"])})
 
 
 def cmd_verify_krein(cfg: dict, outdir: Path) -> int:
@@ -261,16 +274,12 @@ def cmd_verify_krein(cfg: dict, outdir: Path) -> int:
     csvio.write_rows(outdir / "bessel_bound.csv", "E,lhs,rhs",
                      [(E, rec["lhs"], rec["rhs"])
                       for E, rec in suite["bessel"]])
-    _manifest(outdir, cfg, "verify-krein",
-              ["rank-one-resolvent-convergence", "sqrt-kernel-boundary-row",
-               "macdonald-envelope", "macdonald-two-method"],
-              {"min_observed_order": suite["min_order"],
-               "boundary_row_max": suite["boundary_row"],
-               "min_bessel_slack": suite["min_slack"],
-               "k0_two_method_diff": suite["k0_diff"],
-               "tolerance_order": TOL_ORDER, "tolerance_k0": TOL_K0,
-               "verdict": "pass" if suite["ok"] else "fail"})
-    return 0 if suite["ok"] else 1
+    return _manifest(outdir, cfg, "verify-krein", suite["checks"],
+                     {"min_observed_order": suite["min_order"],
+                      "boundary_row_max": suite["boundary_row"],
+                      "min_bessel_slack": suite["min_slack"],
+                      "k0_two_method_diff": suite["k0_diff"],
+                      "tolerance_order": TOL_ORDER, "tolerance_k0": TOL_K0})
 
 
 def cmd_kappa_study(cfg: dict, outdir: Path) -> int:
@@ -290,15 +299,16 @@ def cmd_kappa_study(cfg: dict, outdir: Path) -> int:
              r["kappa"], report.verdict) for r in report.rows]
     csvio.write_rows(outdir / "kappa.csv",
                      "n,E,alpha,min_ratio,max_ratio,kappa,verdict", rows)
-    extra = {"growth": report.growth,
-             "increment_ratio": report.increment_ratio,
-             "threshold": report.threshold, "verdict": report.verdict,
-             **{f"calibration.{k}": v for k, v in report.calibration.items()}}
-    _manifest(outdir, cfg, "kappa-study", ["sqrt-domain-equivalence"], extra)
     # the control diverges from the critical power on; every problem that
-    # problem_from builds keeps its ratio bounded
+    # problem_from builds keeps its ratio bounded, and the verdict says which
     expected = "divergent" if control and cfg["alpha"] >= 0.5 else "bounded"
-    return 0 if report.verdict == expected else 1
+    return _manifest(outdir, cfg, "kappa-study",
+                     {"sqrt-domain-equivalence": report.verdict == expected},
+                     {"growth": report.growth,
+                      "increment_ratio": report.increment_ratio,
+                      "threshold": report.threshold, "verdict": report.verdict,
+                      **{f"calibration.{k}": v
+                         for k, v in report.calibration.items()}})
 
 
 def cmd_decay_study(cfg: dict, outdir: Path) -> int:
@@ -330,20 +340,15 @@ def cmd_decay_study(cfg: dict, outdir: Path) -> int:
     csvio.write_rows(outdir / "multiplier_decay.csv", "phi,E,norm",
                      [(name, E, v) for name, rec in multipliers.items()
                       for E, v in zip(rec["E"], rec["norms"])])
-    extra = {"slope_qr_pair": profiles["qr_pair"]["slope"],
-             "slope_s_pair": profiles["s_pair"]["slope"],
-             "monotone_qr_pair": profiles["qr_pair"]["monotone"],
-             "monotone_s_pair": profiles["s_pair"]["monotone"],
-             "plateau_full_triple": profiles["full_triple"]["plateau_ratio"],
-             "tolerance_slope": TOL_SLOPE,
-             "tolerance_plateau": TOL_PLATEAU,
-             "verdict": "pass" if suite["ok"] else "fail",
-             **{f"slope_multiplier_{name}": rec["slope"]
-                for name, rec in multipliers.items()}}
-    _manifest(outdir, cfg, "decay-study",
-              ["factored-norm-decay", "derivative-block-plateau",
-               "multiplier-decay"], extra)
-    return 0 if suite["ok"] else 1
+    return _manifest(outdir, cfg, "decay-study", suite["checks"], {
+        "slope_qr_pair": profiles["qr_pair"]["slope"],
+        "slope_s_pair": profiles["s_pair"]["slope"],
+        "monotone_qr_pair": profiles["qr_pair"]["monotone"],
+        "monotone_s_pair": profiles["s_pair"]["monotone"],
+        "plateau_full_triple": profiles["full_triple"]["plateau_ratio"],
+        "tolerance_slope": TOL_SLOPE, "tolerance_plateau": TOL_PLATEAU,
+        **{f"slope_multiplier_{name}": rec["slope"]
+           for name, rec in multipliers.items()}})
 
 
 def cmd_kernel_dump(cfg: dict, outdir: Path) -> int:
@@ -354,25 +359,25 @@ def cmd_kernel_dump(cfg: dict, outdir: Path) -> int:
     X, Xp = np.meshgrid(mesh.nodes, mesh.nodes, indexing="ij")
     green_dir = green_kernel_dirichlet(z, X, Xp, cfg["a"], cfg["b"])
     csvio.write_kernel(outdir / "green_dirichlet.csv", mesh.nodes, green_dir)
-    checks = ["green-kernel"]
+    checks = {"green-kernel": None}
     extra = {"E": E, "n": cfg["n"]}
     if not th.is_dirichlet:
         robin = krein_resolvent(green_dir, z, th, mesh)
         csvio.write_kernel(outdir / "green_robin.csv", mesh.nodes, robin)
         csvio.write_kernel(outdir / "sqrt_kernel.csv", mesh.nodes,
                            sqrt_kernel(E, th, mesh))
-        checks += ["rank-one-corrected-green", "sqrt-kernel"]
+        checks |= dict.fromkeys(("rank-one-corrected-green", "sqrt-kernel"))
         extra["coupling_denominator"] = abs(d_theta(z, th, cfg["a"], cfg["b"]))
         extra["u2_left_value"] = abs(u2_closed_form(z, cfg["a"], cfg["a"],
                                                     cfg["b"]))
-    _manifest(outdir, cfg, "kernel-dump", checks, extra)
-    return 0
+    return _manifest(outdir, cfg, "kernel-dump", checks, extra)
 
 
 def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
     """The paper's hypotheses: ``form_bound_suite`` on 64 seeded dof vectors
     and 32 seeded node vectors, on every interval, shifted m-accretivity and
-    compressed-resolvent decay; the sector and positive type are written."""
+    compressed-resolvent decay.  The sector (``numerical-range-sector``) is
+    reported only, and the positive-type ratios are written."""
     prob = problem_from(cfg)
     H = prob.H
     rng = np.random.default_rng(cfg["seed"])
@@ -413,36 +418,30 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
                           build_factorization(prob, "full_triple"),
                           [E0, 10 * E0, 100 * E0])
 
-    ok = suite["ok"] and acc_ok and decay["monotone"]
-    _manifest(outdir, cfg, "hypothesis-check",
-              ["relative-form-bound", "pointwise-trace-bound",
-               "numerical-range-sector", "shifted-m-accretivity",
-               "compressed-resolvent-decay"],
-              {"C_q": consts.C_q, "C_r": consts.C_r, "C_s": consts.C_s,
-               "C_0": consts.C_0, "M": consts.M, "eps_0": consts.eps_0,
-               "min_form_bound_slack": suite["min_slack"],
-               "min_pointwise_slack": suite["min_pointwise_slack"],
-               "sector_vertex": hull.gamma, "sector_angle": hull.theta,
-               "accretive_shift": E_acc, "worst_resolvent_ratio": worst,
-               "K_norm_start": decay["normK"][0],
-               "K_norm_end": decay["normK"][-1],
-               "tolerance_slack": TOL_SLACK,
-               "verdict": "pass" if ok else "fail"})
-    return 0 if ok else 1
+    return _manifest(outdir, cfg, "hypothesis-check",
+                     {**suite["checks"], "numerical-range-sector": None,
+                      "shifted-m-accretivity": acc_ok,
+                      "compressed-resolvent-decay": decay["monotone"]},
+                     {"C_q": consts.C_q, "C_r": consts.C_r, "C_s": consts.C_s,
+                      "C_0": consts.C_0, "M": consts.M, "eps_0": consts.eps_0,
+                      "min_form_bound_slack": suite["min_slack"],
+                      "min_pointwise_slack": suite["min_pointwise_slack"],
+                      "sector_vertex": hull.gamma, "sector_angle": hull.theta,
+                      "accretive_shift": E_acc, "worst_resolvent_ratio": worst,
+                      "K_norm_start": decay["normK"][0],
+                      "K_norm_end": decay["normK"][-1],
+                      "tolerance_slack": TOL_SLACK})
 
 
 def cmd_trace_check(cfg: dict, outdir: Path) -> int:
     suite = trace_suite(cfg["seed"])
     csvio.write_rows(outdir / "trace_residuals.csv", "h,residual",
                      suite["residuals"])
-    ratios = suite["ratios"]
-    _manifest(outdir, cfg, "trace-check",
-              ["determinant-trace-derivative", "step-halving-order"],
-              {"closed_form_residual": suite["closed_residual"],
-               "richardson_ratio_1": ratios[0], "richardson_ratio_2": ratios[1],
-               "tolerance": TOL_TRACE,
-               "verdict": "pass" if suite["ok"] else "fail"})
-    return 0 if suite["ok"] else 1
+    ratio_1, ratio_2 = suite["ratios"]
+    return _manifest(outdir, cfg, "trace-check", suite["checks"],
+                     {"closed_form_residual": suite["closed_residual"],
+                      "richardson_ratio_1": ratio_1,
+                      "richardson_ratio_2": ratio_2, "tolerance": TOL_TRACE})
 
 
 COMMANDS = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from .assembly import BoundaryCondition, Mesh
+from .assembly import BoundaryCondition, Mesh, _stable_cot
 from .matfun import QuadratureSpec, gauss_panels
 
 __all__ = [
@@ -53,15 +53,6 @@ def u2_closed_form(z: complex, x, a: float, b: float):
     if abs(den) < 1e-12 * (1.0 + abs(sz) * (b - a)):
         raise ZeroDivisionError(f"z = {z} is a Dirichlet eigenvalue")
     return np.sin(sz * (b - np.asarray(x))) / den
-
-
-def _stable_cot(w: complex) -> complex:
-    """Complex cotangent via one-sided exponentials, overflow-free."""
-    if w.imag >= 0:
-        t = np.exp(2j * w)
-        return 1j * (t + 1.0) / (t - 1.0)
-    t = np.exp(-2j * w)
-    return -1j * (1.0 + t) / (t - 1.0)
 
 
 def _u2_slope_at_a(z: complex, a: float, b: float) -> complex:

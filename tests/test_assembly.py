@@ -61,17 +61,26 @@ class TestAssembleForms:
         forms = assemble_forms(mesh, coeffs_for(mesh), NEU, NEU)
         assert np.all(forms.Bdry == 0)
 
-    def test_robin_boundary_rank_and_placement(self):
+    @pytest.mark.parametrize("theta", [0.3 + 0.2j, 1 - 0.5j, 0.05 + 0.01j,
+                                       np.pi / 4, 3.0 + 20j])
+    def test_robin_boundary_rank_and_placement(self, theta):
         mesh = build_mesh(IntervalSpec(), 8)
-        th = BoundaryCondition(0.3 + 0.2j)
+        th = BoundaryCondition(theta)
         forms = assemble_forms(mesh, coeffs_for(mesh), th, NEU)
         assert np.linalg.matrix_rank(forms.Bdry) == 1
         assert forms.Bdry[0, 0] == pytest.approx(
-            -np.cos(0.3 + 0.2j) / np.sin(0.3 + 0.2j))
+            -np.cos(theta) / np.sin(theta), rel=1e-13)
 
     def test_dirichlet_pole_never_evaluated(self):
         with pytest.raises(ZeroDivisionError):
             DIR.cot()
+
+    @pytest.mark.parametrize("theta, cot", [(1 + 800j, -1j), (1 - 800j, 1j),
+                                            (2.5 + 3e5j, -1j)])
+    def test_cot_far_from_the_real_axis(self, theta, cot):
+        # cot(theta) is -i (+i below the axis) to within e^(-2 |Im theta|);
+        # cos / sin overflowed to nan past |Im theta| ~ 710
+        assert BoundaryCondition(theta).cot() == cot
 
     def test_form_consistency_against_fine_quadrature(self):
         # assembled bilinear value vs midpoint-rule integral of interpolants

@@ -19,6 +19,11 @@ def run(tmp_path, name, *args):
     return code, out
 
 
+def read_manifest(out):
+    return dict(line.split(" = ", 1) for line in
+                (out / "manifest.txt").read_text().splitlines())
+
+
 class TestConfig:
     def test_theta_aliases(self):
         assert parse_theta("dirichlet").is_dirichlet
@@ -82,6 +87,18 @@ class TestConfig:
                 "trace-check --theta-a garbage",
                 "verify-krein --theta-b garbage --n-list 8,16 --n 8",
                 "kernel-dump --theta-b garbage --n 8",
+                # the kernels of both are closed forms for -u'' with
+                # Dirichlet at b, and verify-krein sweeps its own left ends:
+                # each of these used to exit 0 and echo the key it never
+                # read as if it had been used
+                "kernel-dump --theta-a neumann --theta-b neumann --n 16",
+                "kernel-dump --problem spike --n 16",
+                "kernel-dump --theta-a neumann --coeff-q /nonexistent.csv "
+                "--n 16",
+                "verify-krein --theta-a 1+0.5i --n-list 8,16 --n 8",
+                "verify-krein --problem spike --n-list 8,16 --n 8",
+                "verify-krein --theta-b 0.7 --n-list 8,16 --n 8",
+                "verify-krein --coeff-p /nonexistent.csv --n-list 8,16 --n 8",
                 # decay-study reads a shift grid; one shift used to get a
                 # slope fitted through a single point, and a mesh too coarse
                 # for the default grid used to fail after every norm
@@ -112,12 +129,18 @@ class TestConfig:
 
     def test_same_boundary_condition_in_other_words(self, tmp_path):
         # the lions and alias checks used to compare option text, so a
-        # condition spelled differently from its default read as a change
+        # condition spelled differently from its default read as a change;
+        # the closed-form commands take a key at its default, and the seed
+        # that every benchmark invocation passes
         for i, args in enumerate((
                 "kappa-study --problem lions --theta-a Dirichlet "
                 "--n-list 8,16",
                 "kappa-study --problem robin_complex --theta-a 1+0.5I "
-                "--n-list 8,16")):
+                "--n-list 8,16",
+                "kernel-dump --problem constant_qrs --theta-a 1+0.5I "
+                "--theta-b Dirichlet --seed 3 --n 8",
+                "verify-krein --n-list 8,16 --theta-a Dirichlet --theta-b 0 "
+                "--seed 3 --n 8")):
             code, out = run(tmp_path, str(i), *args.split())
             assert code == 0, args
             # the manifest echoes the text as given
@@ -175,6 +198,24 @@ class TestAssemble:
 
 
 class TestVerifyCommands:
+    @pytest.mark.parametrize("theta_a", ["1+800i", "1-800i"])
+    def test_boundary_parameter_far_from_the_real_axis(self, tmp_path,
+                                                       theta_a):
+        # cot(theta_a) is -i (+i) there; cos / sin overflowed to nan, which
+        # assemble wrote into operator.csv with exit 0, verify-kato failed
+        # on and kernel-dump reported as an overflowed quadrature
+        code, out = run(tmp_path, "assemble", "assemble", "--n", "8",
+                        "--theta-a", theta_a)
+        assert code == 0
+        assert np.all(np.isfinite(read_matrix(out / "operator.csv")))
+        # the boundary term -cot(theta_a) of the left end
+        assert read_matrix(out / "Bdry.csv")[0, 0] == (
+            1j if theta_a == "1+800i" else -1j)
+        for args in ("verify-kato --n 16", "kernel-dump --n 8"):
+            code, out = run(tmp_path, args.split()[0], *args.split(),
+                            "--theta-a", theta_a)
+            assert code == 0, args
+            assert "nan" not in (out / "manifest.txt").read_text(), args
     def test_verify_kato_passes_on_default_problem(self, tmp_path):
         code, out = run(tmp_path, "o", "verify-kato", "--n", "32")
         assert code == 0
@@ -203,9 +244,12 @@ class TestVerifyCommands:
             monkeypatch.setattr(kato, "_solve_core", probe)
             code, out = run(tmp_path, name, "verify-kato", "--problem",
                             "sawtooth", "--n", "24")
-            text = (out / "manifest.txt").read_text()
-            assert "excluded_points = 3" in text, name
-            assert "verdict = fail" in text and code == 1, name
+            manifest = read_manifest(out)
+            assert manifest["excluded_points"] == "3", name
+            assert manifest["verdict"] == "fail" and code == 1, name
+            # neither identity was checked at an excluded shift
+            assert manifest["failed_checks"] == (
+                "factored-resolvent-identity,two-step-composition"), name
 
     def test_verify_kato_assembles_once_and_solves_once_per_shift(
             self, tmp_path, monkeypatch):
@@ -278,8 +322,7 @@ class TestVerifyCommands:
         code, out = run(tmp_path, "o", "decay-study", "--problem", problem,
                         "--n", "16")
         assert code == 0
-        manifest = dict(line.split(" = ", 1) for line in
-                        (out / "manifest.txt").read_text().splitlines())
+        manifest = read_manifest(out)
         assert manifest["verdict"] == "pass"
         for key in ("slope_qr_pair", "slope_s_pair",
                     "slope_multiplier_abs_r", "slope_multiplier_abs_s",
@@ -334,6 +377,8 @@ class TestVerifyCommands:
                             "lions", "--n-list", "8,16", *args.split())
             assert code == 1, args
             assert (out / "kappa.csv").exists()
+            assert read_manifest(out)["failed_checks"] == (
+                "sqrt-domain-equivalence"), args
 
     @pytest.mark.parametrize("alpha", ["0.5", "0.25"])
     def test_kappa_study_shift_below_spectrum_is_config_error(
@@ -391,8 +436,7 @@ class TestVerifyCommands:
         assert code == 0
         cfg = load_config(build_parser().parse_args(
             [*args, "--outdir", str(out)]))
-        manifest = dict(line.split(" = ", 1) for line in
-                        (out / "manifest.txt").read_text().splitlines())
+        manifest = read_manifest(out)
         H = problem_from(cfg).H
         Hs = H + float(manifest["accretive_shift"]) * np.eye(H.shape[0])
         rows = (out / "positive_type.csv").read_text().splitlines()
@@ -421,7 +465,9 @@ class TestVerifyCommands:
         assert blocks == [(25, 32)] * 3
         # the verdict reads it: a violated pointwise bound fails the check
         shift[0] = 1e9
-        assert run(tmp_path, "violated", *args)[0] == 1
+        code, out = run(tmp_path, "violated", *args)
+        assert code == 1
+        assert read_manifest(out)["failed_checks"] == "pointwise-trace-bound"
 
     def test_kappa_study_builds_any_family_and_interval(self, tmp_path):
         # every family on every interval, built like the other subcommands
@@ -470,27 +516,30 @@ class TestManifestKeys:
         "assemble": ("--problem free --n 8",
                      "n_dof coefficient_hash mass_treatment"),
         "verify-kato": ("--n 16", "tolerance max_identity_error "
-                        "max_two_step_error excluded_points verdict"),
+                        "max_two_step_error excluded_points verdict "
+                        "failed_checks"),
         "verify-krein": ("--n-list 16,32 --n 16", "min_observed_order "
                          "boundary_row_max min_bessel_slack k0_two_method_diff "
-                         "tolerance_order tolerance_k0 verdict"),
+                         "tolerance_order tolerance_k0 verdict failed_checks"),
         "kappa-study": ("--problem lions --n-list 8,16", "growth "
                         "increment_ratio threshold "
                         "verdict calibration.lions_growth_quarter "
-                        "calibration.lions_growth_half"),
+                        "calibration.lions_growth_half failed_checks"),
         "decay-study": ("--n 16", "slope_qr_pair slope_s_pair monotone_qr_pair "
                         "monotone_s_pair plateau_full_triple tolerance_slope "
-                        "tolerance_plateau verdict slope_multiplier_abs_r "
-                        "slope_multiplier_abs_s slope_multiplier_sqrt_abs_q"),
+                        "tolerance_plateau slope_multiplier_abs_r "
+                        "slope_multiplier_abs_s slope_multiplier_sqrt_abs_q "
+                        "verdict failed_checks"),
         "kernel-dump": ("--theta-a neumann --n 16",
                         "E n coupling_denominator u2_left_value"),
         "hypothesis-check": ("--n 16", "C_q C_r C_s C_0 M eps_0 "
                              "min_form_bound_slack min_pointwise_slack "
                              "sector_vertex sector_angle "
                              "accretive_shift worst_resolvent_ratio "
-                             "K_norm_start K_norm_end tolerance_slack verdict"),
+                             "K_norm_start K_norm_end tolerance_slack verdict "
+                             "failed_checks"),
         "trace-check": ("", "closed_form_residual richardson_ratio_1 "
-                        "richardson_ratio_2 tolerance verdict"),
+                        "richardson_ratio_2 tolerance verdict failed_checks"),
     }
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -502,3 +551,29 @@ class TestManifestKeys:
                for line in (out / "manifest.txt").read_text().splitlines()
                if not line.startswith("config.")]
         assert got == ["command", "checks", *keys.split()]
+
+    def test_reported_only_checks(self, tmp_path, monkeypatch):
+        # every check is judged but these six, which are written and never
+        # read by a verdict; judging one (the sector) or dropping one (the
+        # dumps) must shrink this list on purpose
+        mappings = {}
+        manifest = cli._manifest
+
+        def spy(outdir, cfg, command, checks, extra):
+            mappings[command] = dict(checks)
+            return manifest(outdir, cfg, command, checks, extra)
+
+        monkeypatch.setattr(cli, "_manifest", spy)
+        for command, (args, _) in self.CASES.items():
+            assert run(tmp_path, command, command, *args.split())[0] == 0
+        assert set(mappings) == set(COMMANDS)
+        assert {command: [name for name, ok in checks.items() if ok is None]
+                for command, checks in mappings.items()
+                if None in checks.values()} == {
+            "assemble": ["form-matrices", "operator-matrix"],
+            "hypothesis-check": ["numerical-range-sector"],
+            "kernel-dump": ["green-kernel", "rank-one-corrected-green",
+                            "sqrt-kernel"]}
+        # a run that judges nothing writes no verdict
+        for command in ("assemble", "kernel-dump"):
+            assert "verdict" not in read_manifest(tmp_path / command)

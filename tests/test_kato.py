@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               build_mesh)
 from sqrtdom import kato
-from sqrtdom.checks import decay_suite
+from sqrtdom.checks import decay_suite, failed
 from sqrtdom.domains import thmA1_decay
 from sqrtdom.kato import (AdmissibilityError, FactoredPerturbation,
                           TwoStepResolvent, _InvSqrtShifted,
@@ -521,7 +521,7 @@ class TestDecaySuite:
         # the grid stops at 1/h^2, where the derivative block plateaus
         prob = make_problem("constant_qrs", n=24)
         E_grid = np.geomspace(1e2, 24.0 ** 2, 3)
-        assert decay_suite(prob, E_grid)["ok"]
+        assert failed(decay_suite(prob, E_grid)["checks"]) == []
         norms = _InvSqrtShifted.norms
 
         def growing(self, shifts, A, B=None):
@@ -531,7 +531,9 @@ class TestDecaySuite:
             return out[0], out[1], np.asarray(shifts, dtype=float)
 
         monkeypatch.setattr(_InvSqrtShifted, "norms", growing)
-        assert not decay_suite(prob, E_grid)["ok"]
+        # the multipliers and the derivative block do not read K
+        assert failed(decay_suite(prob, E_grid)["checks"]) == [
+            "factored-norm-decay"]
 
 
 class TestInvSqrtShifted:

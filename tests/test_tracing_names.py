@@ -1,6 +1,6 @@
 """Every name the benchmark tracer wraps exists in the package, every
-public function feeds a verdict, the settable values do not regrow and only
-``csvio`` formats output.
+public function feeds a verdict, the settable values do not regrow, only
+``csvio`` formats output and only ``cli._manifest`` decides a verdict.
 
 A deletion that breaks ``perfbench/run.py --trace 1`` fails here by name,
 not deep inside a traced benchmark run.  The tracer module is loaded
@@ -112,6 +112,52 @@ def test_only_csvio_formats_output():
             if path.stem != "csvio" and (lines := format_uses(path))}
     assert not uses, f"output formatted outside csvio: {uses}"
     assert format_uses(SRC / "csvio.py")
+
+
+def verdict_literals(path):
+    """``(function, line)`` of each ``"pass"`` or ``"fail"`` string in one
+    file, with the innermost function that holds it (``None`` outside any)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Constant)
+                    and child.value in ("pass", "fail")):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_the_manifest_decides_a_verdict():
+    # cli._manifest derives the verdict, failed_checks and exit code from a
+    # run's named checks; no other code spells pass or fail, no suite
+    # returns a bare "ok", and every subcommand ends in that one function
+    stray = {path.name: found for path in sorted(SRC.glob("*.py"))
+             if (found := [(owner, line)
+                           for owner, line in verdict_literals(path)
+                           if (path.stem, owner) != ("cli", "_manifest")])}
+    assert not stray, f"verdict decided outside cli._manifest: {stray}"
+    assert verdict_literals(SRC / "cli.py")
+    ok_keys = {path.name: node.lineno for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Dict) and any(
+                   isinstance(key, ast.Constant) and key.value == "ok"
+                   for key in node.keys)}
+    assert not ok_keys, f"a suite returns an 'ok' key: {ok_keys}"
+    endings = {node.name: node.body[-1]
+               for node in ast.parse((SRC / "cli.py").read_text()).body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("cmd_")}
+    assert len(endings) == len(importlib.import_module("sqrtdom.cli").COMMANDS)
+    assert all(isinstance(last, ast.Return)
+               and getattr(last.value, "func", None) is not None
+               and getattr(last.value.func, "id", None) == "_manifest"
+               for last in endings.values()), endings
 
 
 # defaulted parameters + dataclass init fields + cli.DEFAULTS keys
