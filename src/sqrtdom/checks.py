@@ -33,7 +33,7 @@ TOL_KATO = 1e-9       # relative resolvent error of the factored identities
 TOL_ORDER = 1.8       # observed convergence order of the rank-one correction
 TOL_SLOPE = -0.2      # log-log shift-decay slope ceiling
 TOL_PLATEAU = 0.5     # min/max floor of the derivative-block norm
-TOL_SLACK = -1e-10    # form-bound and pointwise-bound slack floor
+TOL_SLACK = -1e-10    # floor of 1 - ratio, form and pointwise bounds
 TOL_TRACE = 1e-6      # closed-form determinant-trace residual
 TOL_K0 = 1e-8         # Macdonald K0: quadrature against the library
 
@@ -137,21 +137,19 @@ def trace_suite(seed: int) -> dict:
                                                  for r in ratios)}}
 
 
-def form_bound_suite(prob: Problem, F, G) -> dict:
-    """``check_form_bound`` on the columns of ``F`` (dof vectors) over
-    ``FORM_EPS``, and the pointwise trace bound, plain and weighted by ``r``,
-    on the columns of ``G`` (node vectors) at each ``TRUDINGER_EPS``."""
+def form_bound_suite(prob: Problem) -> dict:
+    """``check_form_bound``'s ratios over ``FORM_EPS`` and the pointwise
+    trace bound's, plain and weighted by ``r``, at each ``TRUDINGER_EPS``;
+    each slack is one minus the largest ratio."""
     consts = locunif_norms(prob.coeffs, prob.interval, prob.mesh)
     eps_grid = FORM_EPS * consts.eps_0
-    lhs, bound, slack = check_form_bound(F, prob.forms, consts, eps_grid)
-    min_slack = float(slack.min())
-    min_pointwise = min(
-        float(np.min([rec["point_slack"], rec["weighted_slack"]]))
-        for rec in (check_trudinger(G, prob.coeffs.r, prob.mesh, eps)
-                    for eps in TRUDINGER_EPS))
-    return {"constants": consts, "eps_grid": eps_grid, "lhs": lhs,
-            "bound": bound, "slack": slack, "min_slack": min_slack,
-            "min_pointwise_slack": min_pointwise,
+    ratio = check_form_bound(prob.forms, consts, eps_grid)
+    min_slack = 1.0 - float(np.max(ratio))
+    min_pointwise = 1.0 - float(np.max(
+        [list(check_trudinger(prob.coeffs.r, prob.mesh, eps).values())
+         for eps in TRUDINGER_EPS]))
+    return {"constants": consts, "eps_grid": eps_grid, "ratio": ratio,
+            "min_slack": min_slack, "min_pointwise_slack": min_pointwise,
             "checks": {"relative-form-bound": min_slack >= TOL_SLACK,
                        "pointwise-trace-bound": min_pointwise >= TOL_SLACK}}
 

@@ -292,8 +292,8 @@ def refinement_study(operator_at, n_list, E: float, alpha: float,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     n_list = sorted(int(n) for n in n_list)
-    if len(n_list) < 2:
-        raise ValueError("need at least two refinement levels")
+    if len(n_list) < 2 or len(set(n_list)) < len(n_list):
+        raise ValueError("need at least two distinct refinement levels")
     rows = [_kappa_row(operator_at, n, E, alpha) for n in n_list]
     growth = _growth(rows)
 

@@ -7,8 +7,9 @@ the cubic-in-1/eps bound
     |q_j(f, f)| <= eps * Re q0(f, f) + M eps^-3 ||f||^2,   0 < eps < eps0,
 
 with ``M = 128 C0^2 (lam^-1 + lam^-3)`` and
-``eps0 = min(1, 4 lam^-1 eps_qrs)``.  Both checks take a block of vectors,
-one per column; ``checks.form_bound_suite`` reads the verdict from them.
+``eps0 = min(1, 4 lam^-1 eps_qrs)``.  Both checks return worst-case ratios
+over all f, left side over right side, from the Grams of the two sides;
+``checks.form_bound_suite`` reads the verdict from them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .assembly import CoefficientSet, FormMatrices, IntervalSpec, Mesh
 
@@ -84,53 +86,60 @@ def locunif_norms(coeffs: CoefficientSet, interval: IntervalSpec,
     return FormBoundConstants.from_window_norms(C_q, C_r, C_s, coeffs.lam)
 
 
-def check_form_bound(F: np.ndarray, forms: FormMatrices,
-                     constants: FormBoundConstants, eps_grid):
-    """Evaluate both sides of the relative bound for each column of an
-    ``n_dof x k`` block of nodal vectors over a grid of ``eps``.
+def check_form_bound(forms: FormMatrices, constants: FormBoundConstants,
+                     eps_grid) -> np.ndarray:
+    """Upper estimates, shape (n_eps, 3), of the relative bound's worst ratio
+    ``sup_f |q_j(f, f)| / (eps Re q0(f, f) + M eps^-3 ||f||^2)``, j = 1, 2, 3.
 
-    Returns ``lhs`` (k, 3), the absolute values of the lower-order forms
-    j = 1, 2, 3; ``bound`` (k, n_eps), ``eps Re q0 + M eps^-3 ||f||^2``; and
-    ``slack`` (k, n_eps, 3), bound minus form value (nonnegative up to
-    roundoff whenever the constants come from the same discrete data).  The
-    forms are evaluated once, whatever the grid size.
+    One generalized eigendecomposition ``V^H M V = I``, ``V^H Re K0 V =
+    diag(mu)`` turns the right side into ``diag(eps mu + M eps^-3)`` at every
+    eps; with ``D = diag(d)``, ``d^2`` its inverse, and ``S_j = V^H K_j V``,
+    the ratio is the numerical radius of ``D S_j D``, and its Frobenius norm
+    ``sqrt((d^2)^T |S_j|^2 d^2)`` bounds that from above, so the estimate
+    can only lean toward FAIL.
     """
     eps = np.asarray(eps_grid, dtype=float)
     if not np.all((eps > 0.0) & (eps < constants.eps_0)):
         raise ValueError(f"eps must lie in (0, {constants.eps_0})")
-    F = np.asarray(F, dtype=complex)
-    q0, norm2, *q = (np.einsum("ij,ij->j", F.conj(), K @ F) for K in
-                     (forms.K0, forms.M, forms.K1, forms.K2, forms.K3))
-    lhs = np.abs(np.stack(q, axis=1))
-    bound = (eps * q0.real[:, None]
-             + constants.M * eps ** -3 * norm2.real[:, None])
-    return lhs, bound, bound[:, :, None] - lhs[:, None, :]
+    # K0 is complex symmetric, so its Hermitian part is its real part
+    mu, V = sla.eigh(forms.K0.real, forms.M.real)
+    d2 = 1.0 / (eps[:, None] * mu + constants.M * eps[:, None] ** -3)
+    squares = [np.sum(d2 @ np.abs(V.T @ K @ V) ** 2 * d2, axis=1)
+               for K in (forms.K1, forms.K2, forms.K3)]
+    return np.sqrt(np.stack(squares, axis=1))
 
 
-def check_trudinger(G: np.ndarray, w: np.ndarray, mesh: Mesh,
-                    eps: float) -> dict:
-    """Pointwise and weighted Trudinger-type bounds on a finite interval,
-    one value per column of an ``n_nodes x k`` block of nodal values.
+def _trace_gram(mesh: Mesh, eps: float) -> np.ndarray:
+    """The Gram on all nodes of the pointwise bound's right side, ``eps K +
+    ((b-a)^-1 + eps^-1) M`` with the unit stiffness K and the consistent
+    mass M, the exact integrals of the nodal interpolant."""
+    h, c = mesh.h, 1.0 / (mesh.b - mesh.a) + 1.0 / eps
+    diag = np.full(len(mesh.nodes), 2.0 * (eps / h + c * h / 3.0))
+    diag[[0, -1]] /= 2.0  # an end node meets one cell
+    off = np.full(mesh.n_cells, c * h / 6.0 - eps / h)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
-    Checks ``|f(x)|^2 <= eps ||f'||^2 + ((b-a)^-1 + eps^-1) ||f||^2`` at
-    every node and the weighted variant with ``N_w = ||w||^2``; uses exact
-    interpolant integrals so the inequality carries over verbatim.
+
+def check_trudinger(w: np.ndarray, mesh: Mesh, eps: float) -> dict:
+    """Worst ratios of the pointwise bound ``|f(x)|^2 <= eps ||f'||^2 +
+    ((b-a)^-1 + eps^-1) ||f||^2`` and of its variant weighted by ``w``,
+    ``||w f||^2 <= N_w (...)`` with ``N_w = ||w||^2``, over all nodal f.
+
+    ``point_ratio`` is exact: ``f = Q^-1 e_i`` attains ``(Q^-1)_ii`` for
+    the right side's Gram ``Q``, and ``|f|^2`` of a piecewise-linear f peaks
+    at a node.  ``weighted_ratio`` is ``lambda_max(W, Q) / N_w`` for the
+    cell-midpoint Gram ``W`` of ``||w f||^2``, and 0 when ``w`` vanishes.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    G = np.asarray(G, dtype=complex)
-    h, length = mesh.h, mesh.b - mesh.a
-    grad2 = np.sum(np.abs(np.diff(G, axis=0) / h) ** 2, axis=0) * h
-    gl, gr = G[:-1], G[1:]
-    # exact cellwise integral of |linear|^2: h/3 (|a|^2 + Re(conj(a) b) + |b|^2)
-    norm2 = h / 3.0 * np.sum(np.abs(gl) ** 2 + (np.conj(gl) * gr).real
-                             + np.abs(gr) ** 2, axis=0)
-    point_bound = eps * grad2 + (1.0 / length + 1.0 / eps) * norm2
-    max_f2 = np.max(np.abs(G) ** 2, axis=0)
-
-    w = np.asarray(w, dtype=complex)
-    N_w = float(np.sum(np.abs(w) ** 2) * h)  # cell-midpoint samples
-    wf2 = np.sum(np.abs(w[:, None] * (0.5 * (gl + gr))) ** 2, axis=0) * h
-    return {"max_f2": max_f2, "point_bound": point_bound,
-            "point_slack": point_bound - max_f2,
-            "weighted_slack": point_bound * N_w - wf2}
+    Qinv = np.linalg.inv(_trace_gram(mesh, eps))
+    weight = np.abs(np.asarray(w)) * np.sqrt(mesh.h)  # N_w = ||weight||^2
+    N_w = float(weight @ weight)
+    # lambda_max(W, Q) is that of B Q^-1 B^T for W = B^T B, where B scales
+    # the midpoint average A by the weight
+    mid = 0.25 * (Qinv[:-1, :-1] + Qinv[1:, :-1] + Qinv[:-1, 1:]
+                  + Qinv[1:, 1:])  # A Q^-1 A^T
+    weighted = (np.linalg.eigvalsh(weight[:, None] * mid * weight)[-1] / N_w
+                if N_w > 0 else 0.0)
+    return {"point_ratio": float(np.max(np.diag(Qinv))),
+            "weighted_ratio": float(weighted)}

@@ -143,24 +143,19 @@ def test_criterion_5_form_bound_suite():
         make_problem("mixed_sign", IntervalSpec("finite", 0.0, 1.0), n=200,
                      bc_left=DIR, bc_right=DIR),
     ]
-    rng = np.random.default_rng(314)
-    suites = []
-    for prob in problems:
-        n_dof = prob.forms.n_dof
-        F = (rng.standard_normal((n_dof, 1000))
-             + 1j * rng.standard_normal((n_dof, 1000)))
-        # pointwise bound on the same battery, nodewise
-        n_nodes = len(prob.mesh.nodes)
-        G = (rng.standard_normal((n_nodes, 50))
-             + 1j * rng.standard_normal((n_nodes, 50)))
-        suites.append(form_bound_suite(prob, F, G))
+    suites = [form_bound_suite(prob) for prob in problems]
     bad = [failed(suite["checks"]) for suite in suites]
-    min_slack = min(suite["min_slack"] for suite in suites)
-    min_trud = min(suite["min_pointwise_slack"] for suite in suites)
-    report(5, not any(bad), f"relative form bounds: min slack {min_slack:.3e} "
-                            f"over 1000 vectors x 16 eps x 3 problems (tol "
-                            f"{TOL_SLACK:g}), pointwise-bound min slack "
-                            f"{min_trud:.3e}, failed per problem {bad}")
+    form = [float(np.max(suite["ratio"])) for suite in suites]
+    # the pointwise ratio is exact, so it reads the near-tight value the
+    # paper's inequality leaves (a missing 1/L term reads 1.085 to 10.03)
+    pointwise = [1.0 - suite["min_pointwise_slack"] for suite in suites]
+    ok = not any(bad) and np.allclose(pointwise, (0.9866, 0.9912, 0.9534),
+                                      rtol=0, atol=1e-3)
+    report(5, ok, f"relative form bounds: worst ratios "
+                  f"{', '.join(f'{r:.3e}' for r in form)} over 16 eps x 3 "
+                  f"forms (Frobenius upper estimates), pointwise-bound worst "
+                  f"ratios {', '.join(f'{r:.4f}' for r in pointwise)} (exact);"
+                  f" slack floor {TOL_SLACK:g}, failed per problem {bad}")
 
 
 def test_criterion_6_decay_suite():

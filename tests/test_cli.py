@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from csv_tables import read_matrix, write_coefficient
-from sqrtdom import checks, cli, kato
+from sqrtdom import checks, cli, formbounds, kato
+from sqrtdom.assembly import BoundaryCondition, CoefficientSet, assemble_forms
 from sqrtdom.cli import (COMMANDS, build_parser, load_config, main,
                          parse_theta, problem_from, read_config_file)
 from sqrtdom.matfun import resolvent, spectral_norm
 from sqrtdom.problems import Problem
+
+NEU = BoundaryCondition.neumann()
 
 
 def run(tmp_path, name, *args):
@@ -104,6 +107,31 @@ class TestConfig:
                 # for the default grid used to fail after every norm
                 "decay-study --n 16 --E 100", "decay-study --n 8")):
             assert run(tmp_path, str(i), *args.split())[0] == 2, args
+
+    @pytest.mark.parametrize("args", [
+        # non-finite numbers used to pass: NaN went into the dumps with
+        # exit 0, or the run failed as a check (exit 1), and an infinite
+        # growth threshold read bounded for any ladder
+        "kernel-dump --E nan --n 8", "assemble --E nan --n 8",
+        "kappa-study --problem free --n-list 4,8 --E nan",
+        "kappa-study --problem free --n-list 4,8 --E inf",
+        "verify-krein --E nan --n-list 8,16 --n 8",
+        "assemble --interval half_line --radius inf --n 8",
+        "assemble --a=-inf --n 8", "assemble --b=inf --n 8",
+        "kappa-study --problem free --n-list 4,8 --growth-threshold inf",
+        "kappa-study --problem free --n-list 4,8 --growth-threshold nan",
+        "kappa-study --problem free --n-list 4,8 --alpha nan",
+        # numpy refused a negative seed, which read as a failed check
+        "trace-check --seed -1", "hypothesis-check --n 8 --seed -5",
+        # a repeated level is no refinement: these used to read bounded
+        "kappa-study --problem complex_full --n-list 32,32",
+        "kappa-study --problem lions --n-list 8,8,8",
+        "kappa-study --problem lions --n-list 16,32,32",
+        "verify-krein --n-list 16,16 --n 8"])
+    def test_non_finite_negative_seed_and_repeated_level(self, tmp_path,
+                                                          capsys, args):
+        assert run(tmp_path, "o", *args.split())[0] == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_parser_adds_each_flag_once(self, monkeypatch):
         # one parser for every subcommand: argparse's -h, the command,
@@ -451,23 +479,30 @@ class TestVerifyCommands:
             self, tmp_path, monkeypatch, interval):
         # the manifest lists pointwise-trace-bound as a check that ran; it
         # used to run on the finite interval only
-        check_trudinger, blocks, shift = checks.check_trudinger, [], [0.0]
+        check_trudinger, calls = checks.check_trudinger, []
 
-        def spy(G, w, mesh, eps):
-            blocks.append(G.shape)
-            rec = check_trudinger(G, w, mesh, eps)
-            return {**rec, "point_slack": rec["point_slack"] - shift[0]}
+        def spy(w, mesh, eps):
+            calls.append((len(mesh.nodes), eps))
+            return check_trudinger(w, mesh, eps)
 
         monkeypatch.setattr(checks, "check_trudinger", spy)
         args = ["hypothesis-check", "--n", "24", "--interval", interval,
                 "--radius", "4"]
         assert run(tmp_path, "o", *args)[0] == 0
-        assert blocks == [(25, 32)] * 3
-        # the verdict reads it: a violated pointwise bound fails the check
-        shift[0] = 1e9
+        assert calls == [(25, eps) for eps in checks.TRUDINGER_EPS]
+
+        # the verdict reads it: a right side without its 1/L term is a
+        # false inequality, and the check fails on it
+        def missing_inverse_length(mesh, eps):
+            unit = assemble_forms(mesh, CoefficientSet.from_callables(mesh),
+                                  NEU, NEU)
+            return eps * unit.K0.real + unit.M.real / eps
+
+        monkeypatch.setattr(formbounds, "_trace_gram", missing_inverse_length)
         code, out = run(tmp_path, "violated", *args)
         assert code == 1
         assert read_manifest(out)["failed_checks"] == "pointwise-trace-bound"
+        assert float(read_manifest(out)["min_pointwise_slack"]) < -0.05
 
     def test_kappa_study_builds_any_family_and_interval(self, tmp_path):
         # every family on every interval, built like the other subcommands
@@ -501,12 +536,32 @@ class TestDeterminism:
                 assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
     def test_seed_changes_outputs(self, tmp_path):
+        # trace-check's 6 x 6 case is the one reader of --seed
+        _, out1 = run(tmp_path, "r1", "trace-check", "--seed", "1")
+        _, out2 = run(tmp_path, "r2", "trace-check", "--seed", "2")
+        assert not filecmp.cmp(out1 / "trace_residuals.csv",
+                               out2 / "trace_residuals.csv", shallow=False)
+
+    def test_hypothesis_check_reads_no_seed(self, tmp_path):
+        # its bounds are read at their worst case, not on seeded vectors:
+        # one row per (eps, j), the same whatever the seed
         _, out1 = run(tmp_path, "r1", "hypothesis-check", "--n", "24",
                       "--seed", "1")
         _, out2 = run(tmp_path, "r2", "hypothesis-check", "--n", "24",
                       "--seed", "2")
-        assert not filecmp.cmp(out1 / "form_bound_margins.csv",
-                               out2 / "form_bound_margins.csv", shallow=False)
+        names = sorted(path.name for path in out1.iterdir())
+        assert names == sorted(path.name for path in out2.iterdir())
+        for name in names:
+            if name != "manifest.txt":
+                assert filecmp.cmp(out1 / name, out2 / name,
+                                   shallow=False), name
+        echoes = ("config.seed", "config.outdir")
+        assert ({k: v for k, v in read_manifest(out1).items()
+                 if k not in echoes}
+                == {k: v for k, v in read_manifest(out2).items()
+                    if k not in echoes})
+        rows = (out1 / "form_bound_margins.csv").read_text().splitlines()
+        assert rows[0] == "eps,j,ratio" and len(rows) == 1 + 16 * 3
 
 
 class TestManifestKeys:

@@ -276,6 +276,13 @@ class TestSqrtDomainKappa:
         with pytest.raises(ValueError):
             refinement_study(family_at("free"), [16, 32], 1.0, 1.5, 3.0)
 
+    @pytest.mark.parametrize("n_list", [[32, 32], [8, 8, 8], [16, 32, 32]])
+    def test_repeated_levels_rejected(self, n_list):
+        # a repeated level is no refinement: [32, 32] used to read growth 1,
+        # bounded, and [16, 32, 32] fed the increment rule a zero increment
+        with pytest.raises(ValueError, match="distinct"):
+            refinement_study(family_at("free"), n_list, 1.0, 0.5, 3.0)
+
 
 class TestLionsDichotomy:
     def test_quarter_power_stable_half_power_growing(self):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+
+from sqrtdom import formbounds
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh)
@@ -64,6 +67,28 @@ class TestLocunifNorms:
         assert c_line.C_q == pytest.approx(c_fin.C_q, rel=1e-12)
 
 
+def form_quotients(f, forms, consts, eps):
+    """``|q_j(f, f)| / (eps Re q0(f, f) + M eps^-3 ||f||^2)`` of one dof
+    vector, j = 1, 2, 3, from its forms."""
+    q0, norm2, *q = (f.conj() @ K @ f for K in
+                     (forms.K0, forms.M, forms.K1, forms.K2, forms.K3))
+    return np.abs(q) / (eps * q0.real + consts.M * eps ** -3 * norm2.real)
+
+
+def trace_quotients(f, w, mesh, eps):
+    """``max |f|^2`` and ``||w f||^2 / N_w`` of one nodal vector over the
+    pointwise bound's right side, from the exact cellwise integrals of its
+    interpolant and the midpoint rule for the weight."""
+    h, fl, fr = mesh.h, f[:-1], f[1:]
+    grad2 = np.sum(np.abs(np.diff(f) / h) ** 2) * h
+    norm2 = h / 3.0 * np.sum(np.abs(fl) ** 2 + (np.conj(fl) * fr).real
+                             + np.abs(fr) ** 2)
+    bound = eps * grad2 + (1.0 / (mesh.b - mesh.a) + 1.0 / eps) * norm2
+    N_w = np.sum(np.abs(w) ** 2) * h
+    wf2 = np.sum(np.abs(w * 0.5 * (fl + fr)) ** 2) * h
+    return np.max(np.abs(f) ** 2) / bound, wf2 / (N_w * bound)
+
+
 class TestCheckFormBound:
     def build(self, n=200):
         iv = IntervalSpec("full_line", truncation_radius=10.0)
@@ -73,73 +98,64 @@ class TestCheckFormBound:
         consts = locunif_norms(coeffs, iv, mesh)
         return forms, consts
 
-    def test_zero_vector_zero_slack_sides(self):
-        forms, consts = self.build()
-        lhs, bound, slack = check_form_bound(np.zeros((forms.n_dof, 1)),
-                                             forms, consts, [0.5])
-        assert np.all(lhs == 0.0) and np.all(bound == 0.0)
-        assert np.all(slack == 0.0)
-
-    def test_zero_coefficients_trivial_bound(self):
+    def test_zero_coefficients_zero_ratio(self):
         iv = IntervalSpec("full_line", truncation_radius=10.0)
         mesh = build_mesh(iv, 100)
         coeffs = CoefficientSet.from_callables(mesh)
         forms = assemble_forms(mesh, coeffs, NEU, NEU)
         consts = locunif_norms(coeffs, iv, mesh)
-        rng = np.random.default_rng(0)
-        f = rng.standard_normal(forms.n_dof)
-        lhs, _, slack = check_form_bound(f[:, None], forms, consts, [0.5])
-        assert np.all(lhs == 0.0)
-        assert np.all(slack >= 0.0)
+        ratio = check_form_bound(forms, consts, [0.5])
+        assert ratio.shape == (1, 3) and np.all(ratio == 0.0)
 
-    def test_random_battery_nonnegative_slack(self):
+    def test_ratio_dominates_random_battery(self):
+        # the ratio bounds the quotient of every vector, not of a sample
         forms, consts = self.build()
         rng = np.random.default_rng(42)
         eps_grid = np.geomspace(0.01, 0.99 * consts.eps_0, 8)
-        F = np.stack([rng.standard_normal(forms.n_dof)
-                      + 1j * rng.standard_normal(forms.n_dof)
-                      for _ in range(50)], axis=1)
-        _, _, slack = check_form_bound(F, forms, consts, eps_grid)
-        assert np.all(slack >= -1e-10)
+        ratio = check_form_bound(forms, consts, eps_grid)
+        assert ratio.shape == (8, 3) and np.all(ratio < 1.0)
+        for _ in range(50):
+            f = (rng.standard_normal(forms.n_dof)
+                 + 1j * rng.standard_normal(forms.n_dof))
+            for e, eps in enumerate(eps_grid):
+                assert np.all(form_quotients(f, forms, consts, eps)
+                              <= ratio[e] * (1 + 1e-12))
 
-    def test_block_matches_each_column_alone(self):
-        forms, consts = self.build()
-        rng = np.random.default_rng(7)
-        F = (rng.standard_normal((forms.n_dof, 5))
-             + 1j * rng.standard_normal((forms.n_dof, 5)))
-        eps_grid = np.geomspace(0.01, 0.99, 6) * consts.eps_0
-        block = check_form_bound(F, forms, consts, eps_grid)
-        for k in range(5):
-            alone = check_form_bound(F[:, k:k + 1], forms, consts, eps_grid)
-            for got, want in zip(block, alone):
-                np.testing.assert_allclose(got[k:k + 1], want, rtol=1e-13)
+    def test_frobenius_estimate_bounds_the_exact_norm(self):
+        # the Frobenius estimate lies above the exact 2-norm of the weighted
+        # form, which lies above the supremum of the quotient
+        forms, consts = self.build(40)
+        eps = 0.3 * consts.eps_0
+        ratio = check_form_bound(forms, consts, [eps])[0]
+        R = eps * forms.K0.real + consts.M * eps ** -3 * forms.M.real
+        Rinv_half = np.linalg.inv(np.linalg.cholesky(R))
+        for j, K in enumerate((forms.K1, forms.K2, forms.K3)):
+            exact = np.linalg.norm(Rinv_half @ K @ Rinv_half.T, 2)
+            assert exact <= ratio[j] * (1 + 1e-12)
 
     def test_eps_outside_range_rejected(self):
         forms, consts = self.build(50)
         with pytest.raises(ValueError):
-            check_form_bound(np.zeros((forms.n_dof, 1)), forms, consts,
-                             [consts.eps_0 * 1.01])
+            check_form_bound(forms, consts, [consts.eps_0 * 1.01])
 
 
 class TestCheckTrudinger:
-    def test_constant_function(self):
-        mesh = build_mesh(IntervalSpec(), 32)
-        f = np.ones((33, 1))
-        w = np.zeros(32)
-        for eps in (0.1, 1.0, 10.0):
-            rec = check_trudinger(f, w, mesh, eps)
-            assert np.all(rec["point_slack"] >= 0.0)
-
-    def test_linear_function_hand_values(self):
-        # max |f|^2 = 1 <= eps * 1 + (1 + 1/eps) * 1/3 at eps = 1
+    def test_constant_and_linear_functions_below_the_ratio(self):
+        # a constant attains |f|^2 / ((1 + 1/eps) ||f||^2) = eps / (1 + eps);
+        # f = x at eps = 1 reads 1 / (1 + 2/3)
         mesh = build_mesh(IntervalSpec(), 64)
-        f = mesh.nodes.astype(complex)[:, None]
-        rec = check_trudinger(f, np.zeros(64), mesh, 1.0)
-        assert rec["max_f2"] == pytest.approx(1.0)
-        assert rec["point_bound"] == pytest.approx(1.0 + 2.0 / 3.0, rel=1e-12)
-        assert np.all(rec["point_slack"] >= 0.0)
+        for eps in (0.1, 1.0, 10.0):
+            rec = check_trudinger(np.zeros(64), mesh, eps)
+            const, _ = trace_quotients(np.ones(65), np.ones(64), mesh, eps)
+            assert const == pytest.approx(eps / (1.0 + eps), rel=1e-12)
+            assert const <= rec["point_ratio"] <= 1.0
+            assert rec["weighted_ratio"] == 0.0
+        linear, _ = trace_quotients(mesh.nodes, np.ones(64), mesh, 1.0)
+        assert linear == pytest.approx(0.6, rel=1e-12)
+        rec = check_trudinger(np.zeros(64), mesh, 1.0)
+        assert linear <= rec["point_ratio"]
 
-    def test_random_trig_battery(self):
+    def test_ratios_dominate_random_trig_battery(self):
         mesh = build_mesh(IntervalSpec(), 128)
         rng = np.random.default_rng(3)
         x = mesh.nodes
@@ -148,25 +164,35 @@ class TestCheckTrudinger:
             f = sum(c * np.sin((k + 1) * np.pi * x) for k, c in enumerate(coef))
             w = rng.standard_normal(128)
             for eps in (0.1, 1.0, 10.0):
-                rec = check_trudinger(f[:, None], w, mesh, eps)
-                assert np.all(rec["point_slack"] >= -1e-12)
-                assert np.all(rec["weighted_slack"] >= -1e-12)
+                rec = check_trudinger(w, mesh, eps)
+                point, weighted = trace_quotients(f, w, mesh, eps)
+                assert point <= rec["point_ratio"] * (1 + 1e-12)
+                assert weighted <= rec["weighted_ratio"] * (1 + 1e-12)
+                assert max(rec.values()) <= 1.0
 
-    def test_block_matches_each_column_alone(self):
-        mesh = build_mesh(IntervalSpec("half_line", a=0.0,
-                                       truncation_radius=4.0), 40)
-        rng = np.random.default_rng(11)
-        G = rng.standard_normal((41, 5)) + 1j * rng.standard_normal((41, 5))
-        w = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    @pytest.mark.parametrize("interval", [
+        IntervalSpec(),
+        IntervalSpec("half_line", a=0.0, truncation_radius=4.0),
+        IntervalSpec("full_line", truncation_radius=6.0)])
+    def test_ratios_are_attained(self, interval):
+        # f = Q^-1 e_i attains the pointwise ratio at the node i where it
+        # peaks, and the top generalized eigenvector the weighted one
+        mesh = build_mesh(interval, 40)
+        w = np.random.default_rng(11).standard_normal(40) + 0.5j
         for eps in (0.1, 1.0, 10.0):
-            block = check_trudinger(G, w, mesh, eps)
-            for k in range(5):
-                alone = check_trudinger(G[:, k:k + 1], w, mesh, eps)
-                for key, want in alone.items():
-                    np.testing.assert_allclose(block[key][k:k + 1], want,
-                                               rtol=1e-13)
+            rec = check_trudinger(w, mesh, eps)
+            Q = formbounds._trace_gram(mesh, eps)
+            Qinv = np.linalg.inv(Q)
+            f = Qinv[:, np.argmax(np.diag(Qinv))]
+            point, _ = trace_quotients(f, w, mesh, eps)
+            assert point == pytest.approx(rec["point_ratio"], rel=1e-10)
+            A = 0.5 * (np.eye(40, 41) + np.eye(40, 41, 1))
+            W = A.T @ ((np.abs(w) ** 2 * mesh.h)[:, None] * A)
+            f = sla.eigh(W, Q)[1][:, -1]
+            _, weighted = trace_quotients(f, w, mesh, eps)
+            assert weighted == pytest.approx(rec["weighted_ratio"], rel=1e-10)
 
     def test_rejects_nonpositive_eps(self):
         mesh = build_mesh(IntervalSpec(), 8)
         with pytest.raises(ValueError):
-            check_trudinger(np.ones((9, 1)), np.zeros(8), mesh, 0.0)
+            check_trudinger(np.zeros(8), mesh, 0.0)

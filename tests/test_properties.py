@@ -65,11 +65,16 @@ def test_form_bound_slack_everywhere_in_range(eps_frac, seed):
         r=1.0 - 1.0j, s=lambda x: np.cos(3 * x))
     forms = assemble_forms(mesh, coeffs, DIR, DIR)
     consts = locunif_norms(coeffs, iv, mesh)
+    eps = eps_frac * consts.eps_0
+    ratio = check_form_bound(forms, consts, [eps])[0]
+    assert np.all(1.0 - ratio >= -1e-10)
+    # the ratio dominates the quotient of any vector
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(forms.n_dof) + 1j * rng.standard_normal(forms.n_dof)
-    _, _, slack = check_form_bound(f[:, None], forms, consts,
-                                   [eps_frac * consts.eps_0])
-    assert np.all(slack >= -1e-10)
+    q0, norm2, *q = (f.conj() @ K @ f for K in
+                     (forms.K0, forms.M, forms.K1, forms.K2, forms.K3))
+    bound = eps * q0.real + consts.M * eps ** -3 * norm2.real
+    assert np.all(np.abs(q) <= ratio * bound * (1 + 1e-12))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

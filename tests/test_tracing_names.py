@@ -1,6 +1,7 @@
 """Every name the benchmark tracer wraps exists in the package, every
 public function feeds a verdict, the settable values do not regrow, only
-``csvio`` formats output and only ``cli._manifest`` decides a verdict.
+``csvio`` formats output, only ``cli._manifest`` decides a verdict and no
+verdict reads random vectors.
 
 A deletion that breaks ``perfbench/run.py --trace 1`` fails here by name,
 not deep inside a traced benchmark run.  The tracer module is loaded
@@ -158,6 +159,35 @@ def test_only_the_manifest_decides_a_verdict():
                and getattr(last.value, "func", None) is not None
                and getattr(last.value.func, "id", None) == "_manifest"
                for last in endings.values()), endings
+
+
+def random_draws(path):
+    """``(function, line)`` of each use of ``np.random`` or ``default_rng``
+    in one file, with the outermost function that holds it."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and owner is None):
+                visit(child, child.name)
+                continue
+            name = getattr(child, "id", getattr(child, "attr", None))
+            if name in ("random", "default_rng"):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_no_random_draws_in_a_verdict():
+    # a bound is judged at its worst case, not on random vectors: only
+    # trace-check's seeded 6 x 6 case and the power iteration's fixed start
+    # vector draw random numbers
+    draws = {(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             for owner, _ in random_draws(path)}
+    assert draws == {("checks", "trace_suite"), ("matfun", "power_start")}
 
 
 # defaulted parameters + dataclass init fields + cli.DEFAULTS keys
