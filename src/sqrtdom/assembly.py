@@ -245,8 +245,44 @@ class FormMatrices:
             raise ValueError("lumped mass is not positive definite")
         return 1.0 / np.sqrt(w)
 
+    def congruence(self, S: np.ndarray) -> np.ndarray:
+        """``D S D``, ``D = diag(orthonormal_scaling)``: a form matrix as an
+        orthonormal-coordinate operator, or such an operator as a kernel."""
+        winv = self.orthonormal_scaling
+        return winv[:, None] * S * winv[None, :]
+
     def total(self) -> np.ndarray:
         return self.K0 + self.K1 + self.K2 + self.K3 + self.Bdry
+
+
+def _cell_sum(ll, lr, rl, rr) -> np.ndarray:
+    """Sum the element blocks ``[[ll, lr], [rl, rr]]``, one entry per cell,
+    onto the nodes ``(k, k + 1)`` of cell ``k``.  A diagonal entry takes its
+    right cell's term, then its left cell's."""
+    k = np.arange(len(ll))
+    S = np.zeros((len(k) + 1,) * 2, dtype=np.result_type(ll, lr, rl, rr))
+    S[k, k] += ll
+    S[k + 1, k + 1] += rr
+    S[k, k + 1] += lr
+    S[k + 1, k] += rl
+    return S
+
+
+def _unit_stiffness(mesh: Mesh) -> np.ndarray:
+    """The real Gram of ``||f'||^2`` on all nodes: unit diffusion."""
+    return _cell_sum(*(np.full(mesh.n_cells, sign / mesh.h)
+                       for sign in (1, -1, -1, 1)))
+
+
+def _retained_nodes(mesh: Mesh, bc_left: BoundaryCondition,
+                    bc_right: BoundaryCondition):
+    """The nodes no Dirichlet end removes and their full-mesh lumped-mass
+    row sums (trapezoid weights)."""
+    keep = np.arange(int(bc_left.is_dirichlet),
+                     mesh.n_cells + 1 - int(bc_right.is_dirichlet))
+    weights = np.full(mesh.n_cells + 1, mesh.h)
+    weights[[0, -1]] = mesh.h / 2
+    return keep, weights[keep]
 
 
 def assemble_forms(mesh: Mesh, coeffs: CoefficientSet,
@@ -267,57 +303,31 @@ def assemble_forms(mesh: Mesh, coeffs: CoefficientSet,
     if len(coeffs.p) != n:
         raise ValueError("coefficient samples are not aligned with the mesh")
     h = mesh.h
-    N = n + 1
     p, q, r, s = coeffs.p, coeffs.q, coeffs.r, coeffs.s
 
-    M = np.zeros((N, N), dtype=complex)
-    K0 = np.zeros((N, N), dtype=complex)
-    K1 = np.zeros((N, N), dtype=complex)
-    K2 = np.zeros((N, N), dtype=complex)
-    K3 = np.zeros((N, N), dtype=complex)
-
-    ks = np.arange(n)
-    left, right = ks, ks + 1
-
-    def scatter(mat, ii, jj, vals):
-        np.add.at(mat, (ii, jj), vals)
-
     # mass: exact hat integrals per cell (h/3 diagonal, h/6 off-diagonal)
-    for ii, jj, w in ((left, left, h / 3), (right, right, h / 3),
-                      (left, right, h / 6), (right, left, h / 6)):
-        scatter(M, ii, jj, np.full(n, w, dtype=complex))
+    M = _cell_sum(*(np.full(n, w, dtype=complex)
+                    for w in (h / 3, h / 6, h / 6, h / 3)))
     # second-order part: p(mid) * grad(hat) products, +-1/h
-    for ii, jj, sign in ((left, left, 1), (right, right, 1),
-                         (left, right, -1), (right, left, -1)):
-        scatter(K0, ii, jj, sign * p / h)
+    K0 = _cell_sum(*(sign * p / h for sign in (1, -1, -1, 1)))
     # convection <f, r g'>: midpoint value 1/2 against slope +-1/h
-    for ii, jj, sign in ((left, left, -1), (left, right, 1),
-                         (right, left, -1), (right, right, 1)):
-        scatter(K1, ii, jj, sign * r / 2)
+    K1 = _cell_sum(*(sign * r / 2 for sign in (-1, 1, -1, 1)))
     # convection <f', s g>: transpose sparsity of K1
-    for ii, jj, sign in ((left, left, -1), (right, left, 1),
-                         (left, right, -1), (right, right, 1)):
-        scatter(K2, ii, jj, sign * s / 2)
+    K2 = _cell_sum(*(sign * s / 2 for sign in (-1, -1, 1, 1)))
     # potential: lumped quadrature, diagonal
-    scatter(K3, left, left, q * h / 2)
-    scatter(K3, right, right, q * h / 2)
+    K3 = _cell_sum(q * h / 2, *np.zeros((2, n), dtype=complex), q * h / 2)
 
-    Bdry = np.zeros((N, N), dtype=complex)
+    Bdry = np.zeros(M.shape, dtype=complex)
     if not bc_left.is_dirichlet:
         Bdry[0, 0] = -bc_left.cot()
     if not bc_right.is_dirichlet:
         Bdry[-1, -1] = -bc_right.cot()
 
-    # the nodes no Dirichlet end removes, weighted by their full-mesh
-    # lumped-mass row sums (trapezoid weights)
-    keep = np.arange(int(bc_left.is_dirichlet),
-                     N - int(bc_right.is_dirichlet))
-    weights = np.full(N, h)
-    weights[[0, -1]] = h / 2
+    keep, weights = _retained_nodes(mesh, bc_left, bc_right)
     sub = np.ix_(keep, keep)
     return FormMatrices(M=M[sub], K0=K0[sub], K1=K1[sub], K2=K2[sub],
                         K3=K3[sub], Bdry=Bdry[sub], dof_nodes=keep,
-                        lumped_weights=weights[keep])
+                        lumped_weights=weights)
 
 
 def orthonormalize(forms: FormMatrices) -> np.ndarray:
@@ -327,8 +337,7 @@ def orthonormalize(forms: FormMatrices) -> np.ndarray:
     mass, which makes ``M^{-1/2}`` exact.  Nodal vectors ``f`` and
     orthonormal vectors ``u`` are related by ``u = M^{1/2} f``.
     """
-    winv = forms.orthonormal_scaling
-    return winv[:, None] * forms.total() * winv[None, :]
+    return forms.congruence(forms.total())
 
 
 def w12_norm_matrix(mesh: Mesh, bc_left: BoundaryCondition,
@@ -340,6 +349,6 @@ def w12_norm_matrix(mesh: Mesh, bc_left: BoundaryCondition,
     """
     if E <= 0:
         raise ValueError("E must be positive")
-    ref = CoefficientSet.from_callables(mesh, p=1.0)
-    forms = assemble_forms(mesh, ref, bc_left, bc_right)
-    return forms.K0 + E * np.diag(forms.lumped_weights).astype(complex)
+    keep, weights = _retained_nodes(mesh, bc_left, bc_right)
+    K = _unit_stiffness(mesh)[np.ix_(keep, keep)]
+    return (K + E * np.diag(weights)).astype(complex)

@@ -188,6 +188,9 @@ def load_config(args: argparse.Namespace) -> dict:
         raise ConfigError("seed must be non-negative")
     if not 0.0 < cfg["alpha"] < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
+    if cfg["growth_threshold"] is not None and cfg["growth_threshold"] < 1:
+        # growth is at least 1, so a lower ceiling could only read divergent
+        raise ConfigError("growth_threshold must be at least 1")
     return cfg
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import CoefficientSet, FormMatrices, IntervalSpec, Mesh
+from .assembly import (CoefficientSet, FormMatrices, IntervalSpec, Mesh,
+                       _cell_sum)
 
 __all__ = [
     "FormBoundConstants",
@@ -114,10 +115,9 @@ def _trace_gram(mesh: Mesh, eps: float) -> np.ndarray:
     ((b-a)^-1 + eps^-1) M`` with the unit stiffness K and the consistent
     mass M, the exact integrals of the nodal interpolant."""
     h, c = mesh.h, 1.0 / (mesh.b - mesh.a) + 1.0 / eps
-    diag = np.full(len(mesh.nodes), 2.0 * (eps / h + c * h / 3.0))
-    diag[[0, -1]] /= 2.0  # an end node meets one cell
-    off = np.full(mesh.n_cells, c * h / 6.0 - eps / h)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    diag, off = (np.full(mesh.n_cells, v)
+                 for v in (eps / h + c * h / 3.0, c * h / 6.0 - eps / h))
+    return _cell_sum(diag, off, off, diag)
 
 
 def check_trudinger(w: np.ndarray, mesh: Mesh, eps: float) -> dict:

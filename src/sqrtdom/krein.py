@@ -43,16 +43,20 @@ def _sqrt_nodes(cutoff: float) -> tuple[np.ndarray, np.ndarray]:
 def u2_closed_form(z: complex, x, a: float, b: float):
     """Boundary solution with unit value at ``a`` and zero at ``b``.
 
-    ``sin(sqrt(z)(b - x)) / sin(sqrt(z)(b - a))`` on the principal branch;
-    for negative real ``z`` this is the hyperbolic ratio.  Raises when ``z``
-    hits a Dirichlet eigenvalue (vanishing denominator).
+    ``sin(sqrt(z)(b - x)) / sin(sqrt(z)(b - a))``, evaluated from the root
+    ``st = sqrt(-z)`` as ``exp(-st (x - a))`` times the bounded ratio
+    ``expm1(-2 st (b - x)) / expm1(-2 st (b - a))``, so it stays finite at
+    any shift.  Raises when ``z`` hits a Dirichlet eigenvalue (vanishing
+    denominator).
     """
     z = complex(z)
-    sz = np.sqrt(z)
-    den = np.sin(sz * (b - a))
-    if abs(den) < 1e-12 * (1.0 + abs(sz) * (b - a)):
+    st, ell = np.sqrt(-z), b - a
+    den = np.expm1(-2.0 * st * ell)
+    # |den| = 2 |exp(-st ell) sin(sqrt(z) ell)|: the sine's guard, restated
+    if abs(den) < 2e-12 * (1.0 + abs(st) * ell) * abs(np.exp(-st * ell)):
         raise ZeroDivisionError(f"z = {z} is a Dirichlet eigenvalue")
-    return np.sin(sz * (b - np.asarray(x))) / den
+    x = np.asarray(x)
+    return np.exp(-st * (x - a)) * np.expm1(-2.0 * st * (b - x)) / den
 
 
 def _u2_slope_at_a(z: complex, a: float, b: float) -> complex:

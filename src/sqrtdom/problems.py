@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (BoundaryCondition, CoefficientSet, FormMatrices,
-                       IntervalSpec, Mesh, assemble_forms, build_mesh,
-                       orthonormalize)
+                       IntervalSpec, Mesh, _unit_stiffness, assemble_forms,
+                       build_mesh, orthonormalize)
 
 __all__ = [
     "FAMILY_NAMES",
@@ -108,26 +108,18 @@ class Problem:
         """Same second-order part and boundary conditions, no lower-order
         terms: ``forms.K0 + forms.Bdry``, scaled as ``orthonormalize``
         scales the total."""
-        forms = self.forms
-        winv = forms.orthonormal_scaling
-        return winv[:, None] * (forms.K0 + forms.Bdry) * winv[None, :]
+        return self.forms.congruence(self.forms.K0 + self.forms.Bdry)
 
     def reference_operator(self) -> np.ndarray:
         """Self-adjoint unit-diffusion reference with the same form domain,
         as a real (float64, C-contiguous) matrix.
 
-        Non-Dirichlet ends become Neumann: the form domain only sees whether
-        a boundary parameter vanishes.  With p = 1, no lower-order terms and
-        Dirichlet or Neumann ends the assembled matrix has imaginary part
-        exactly zero, so its real part is returned as a copy.
+        Non-Dirichlet ends become Neumann, since the form domain only sees
+        whether a boundary parameter vanishes: the unit stiffness on the
+        retained nodes, scaled as ``orthonormalize`` scales the total.
         """
-        ref = CoefficientSet.from_callables(self.mesh, p=1.0)
-        bl = (self.bc_left if self.bc_left.is_dirichlet
-              else BoundaryCondition.neumann())
-        br = (self.bc_right if self.bc_right.is_dirichlet
-              else BoundaryCondition.neumann())
-        return np.ascontiguousarray(
-            orthonormalize(assemble_forms(self.mesh, ref, bl, br)).real)
+        keep = np.ix_(self.forms.dof_nodes, self.forms.dof_nodes)
+        return self.forms.congruence(_unit_stiffness(self.mesh)[keep])
 
     def lumped_average(self, cells: np.ndarray) -> np.ndarray:
         """Cell samples averaged onto the retained nodes with the lumped
@@ -142,11 +134,10 @@ class Problem:
     def kernel_table(self, R_ortho: np.ndarray) -> np.ndarray:
         """Two-point kernel samples of an operator given in orthonormal
         coordinates, extended by zero onto removed Dirichlet nodes."""
-        winv = self.forms.orthonormal_scaling
         n_nodes = len(self.mesh.nodes)
         table = np.zeros((n_nodes, n_nodes), dtype=complex)
         idx = np.ix_(self.forms.dof_nodes, self.forms.dof_nodes)
-        table[idx] = winv[:, None] * R_ortho * winv[None, :]
+        table[idx] = self.forms.congruence(R_ortho)
         return table
 
 

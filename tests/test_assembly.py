@@ -5,7 +5,7 @@ from csv_tables import read_matrix, write_coefficient
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh, orthonormalize,
                               w12_norm_matrix)
-from sqrtdom import csvio, problems
+from sqrtdom import assembly, csvio, problems
 from sqrtdom.problems import FAMILY_NAMES, _spike, make_problem
 
 DIR = BoundaryCondition.dirichlet()
@@ -14,6 +14,81 @@ NEU = BoundaryCondition.neumann()
 
 def coeffs_for(mesh, **kw):
     return CoefficientSet.from_callables(mesh, **kw)
+
+
+def scatter_assembly(mesh, coeffs, bc_left, bc_right):
+    """The forms as 20 ``np.add.at`` scatters, four per form matrix, and the
+    operator matrix scaled by hand: the construction the one cell sum must
+    reproduce bit for bit.  Returns ``(dict of matrices, keep, weights)``."""
+    n, h = mesh.n_cells, mesh.h
+    N = n + 1
+    p, q, r, s = coeffs.p, coeffs.q, coeffs.r, coeffs.s
+    M, K0, K1, K2, K3 = (np.zeros((N, N), dtype=complex) for _ in range(5))
+    left, right = np.arange(n), np.arange(n) + 1
+    for ii, jj, w in ((left, left, h / 3), (right, right, h / 3),
+                      (left, right, h / 6), (right, left, h / 6)):
+        np.add.at(M, (ii, jj), np.full(n, w, dtype=complex))
+    for ii, jj, sign in ((left, left, 1), (right, right, 1),
+                         (left, right, -1), (right, left, -1)):
+        np.add.at(K0, (ii, jj), sign * p / h)
+    for ii, jj, sign in ((left, left, -1), (left, right, 1),
+                         (right, left, -1), (right, right, 1)):
+        np.add.at(K1, (ii, jj), sign * r / 2)
+    for ii, jj, sign in ((left, left, -1), (right, left, 1),
+                         (left, right, -1), (right, right, 1)):
+        np.add.at(K2, (ii, jj), sign * s / 2)
+    np.add.at(K3, (left, left), q * h / 2)
+    np.add.at(K3, (right, right), q * h / 2)
+    Bdry = np.zeros((N, N), dtype=complex)
+    if not bc_left.is_dirichlet:
+        Bdry[0, 0] = -bc_left.cot()
+    if not bc_right.is_dirichlet:
+        Bdry[-1, -1] = -bc_right.cot()
+    keep = np.arange(int(bc_left.is_dirichlet),
+                     N - int(bc_right.is_dirichlet))
+    weights = np.full(N, h)
+    weights[[0, -1]] = h / 2
+    sub = np.ix_(keep, keep)
+    mats = {name: mat[sub] for name, mat in
+            zip(("M", "K0", "K1", "K2", "K3", "Bdry"),
+                (M, K0, K1, K2, K3, Bdry))}
+    winv = 1.0 / np.sqrt(weights[keep])
+    total = (mats["K0"] + mats["K1"] + mats["K2"] + mats["K3"]
+             + mats["Bdry"])
+    mats["H"] = winv[:, None] * total * winv[None, :]
+    return mats, keep, weights[keep]
+
+
+def scatter_reference(mesh, bc_left, bc_right):
+    """The reference operator as it was built: a second scatter assembly
+    with p = 1 and non-Dirichlet ends made Neumann, its real part."""
+    ends = [bc if bc.is_dirichlet else NEU for bc in (bc_left, bc_right)]
+    mats, _, _ = scatter_assembly(mesh, coeffs_for(mesh, p=1.0), *ends)
+    return np.ascontiguousarray(mats["H"].real)
+
+
+def scatter_w12(mesh, bc_left, bc_right, E):
+    """``w12_norm_matrix`` as it was built, from a scatter assembly."""
+    mats, _, weights = scatter_assembly(mesh, coeffs_for(mesh, p=1.0),
+                                        bc_left, bc_right)
+    return mats["K0"] + E * np.diag(weights).astype(complex)
+
+
+def assert_bitwise(got, want, *where):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, where
+    assert got.tobytes() == want.tobytes(), where
+
+
+# the families x intervals x left ends of the bit-for-bit pins
+PIN_INTERVALS = pytest.mark.parametrize("interval", [
+    IntervalSpec(), IntervalSpec("half_line", truncation_radius=10.0),
+    IntervalSpec("full_line", truncation_radius=10.0)],
+    ids=["finite", "half_line", "full_line"])
+PIN_LEFT = pytest.mark.parametrize(
+    "bc_left", [DIR, NEU, BoundaryCondition(1 + 0.5j)],
+    ids=["dirichlet", "neumann", "robin"])
+PIN_FAMILY = pytest.mark.parametrize("family", FAMILY_NAMES)
 
 
 class TestBuildMesh:
@@ -110,6 +185,28 @@ class TestAssembleForms:
         other = build_mesh(IntervalSpec(), 16)
         with pytest.raises(ValueError):
             assemble_forms(mesh, coeffs_for(other), DIR, DIR)
+
+
+class TestCellSum:
+    @PIN_LEFT
+    @PIN_INTERVALS
+    @PIN_FAMILY
+    def test_forms_equal_scatter_assembly_bitwise(self, family, interval,
+                                                  bc_left):
+        # each form matrix is one cell sum; the 20 scatters it replaced
+        # must give the same bits, signed zeros included
+        for bc_right in (DIR, NEU):
+            for n in (2, 37):
+                prob = make_problem(family, interval, n, bc_left, bc_right)
+                want, keep, weights = scatter_assembly(
+                    prob.mesh, prob.coeffs, bc_left, bc_right)
+                where = (bc_right, n)
+                for name in ("M", "K0", "K1", "K2", "K3", "Bdry"):
+                    assert_bitwise(getattr(prob.forms, name), want[name],
+                                   name, *where)
+                assert_bitwise(prob.H, want["H"], "H", *where)
+                assert_bitwise(prob.forms.dof_nodes, keep, *where)
+                assert_bitwise(prob.forms.lumped_weights, weights, *where)
 
 
 class TestOrthonormalize:
@@ -226,7 +323,45 @@ class TestReferenceOperator:
         assert np.array_equal(ref, H.real)
 
 
+    @PIN_LEFT
+    @PIN_INTERVALS
+    @PIN_FAMILY
+    def test_equals_neumannized_reassembly_bitwise(self, family, interval,
+                                                   bc_left):
+        # the reference is the unit stiffness on the retained nodes; it
+        # used to be a second five-form assembly with p = 1
+        for bc_right in (DIR, NEU, BoundaryCondition(0.4 - 0.2j)):
+            for n in (2, 37):
+                prob = make_problem(family, interval, n, bc_left, bc_right)
+                got = prob.reference_operator()
+                assert got.flags.c_contiguous
+                assert_bitwise(got, scatter_reference(prob.mesh, bc_left,
+                                                      bc_right), bc_right, n)
+
+    def test_reference_and_w12_assemble_nothing(self, monkeypatch):
+        prob = make_problem("sawtooth", n=16, bc_left=NEU)
+        calls = []
+        for module in (assembly, problems):
+            monkeypatch.setattr(module, "assemble_forms",
+                                lambda *args: calls.append(args))
+        prob.reference_operator()
+        w12_norm_matrix(prob.mesh, prob.bc_left, prob.bc_right, 4.0)
+        assert not calls
+
+
 class TestW12NormMatrix:
+    @PIN_LEFT
+    @PIN_INTERVALS
+    def test_equals_reassembled_stiffness_bitwise(self, interval, bc_left):
+        for bc_right in (DIR, NEU, BoundaryCondition(0.4 - 0.2j)):
+            for n in (2, 37):
+                mesh = build_mesh(interval, n)
+                for E in (1e-3, 1.0, 25.0):
+                    assert_bitwise(
+                        w12_norm_matrix(mesh, bc_left, bc_right, E),
+                        scatter_w12(mesh, bc_left, bc_right, E),
+                        bc_right, n, E)
+
     def test_matches_unit_stiffness_plus_mass(self):
         mesh = build_mesh(IntervalSpec(), 8)
         forms = assemble_forms(mesh, coeffs_for(mesh), NEU, NEU)

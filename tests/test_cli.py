@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import filecmp
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from csv_tables import read_matrix, write_coefficient
-from sqrtdom import checks, cli, formbounds, kato
+from sqrtdom import checks, cli, formbounds, kato, problems
 from sqrtdom.assembly import BoundaryCondition, CoefficientSet, assemble_forms
 from sqrtdom.cli import (COMMANDS, build_parser, load_config, main,
                          parse_theta, problem_from, read_config_file)
@@ -133,6 +134,22 @@ class TestConfig:
         assert run(tmp_path, "o", *args.split())[0] == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["0", "-2", "0.5"])
+    def test_growth_threshold_below_one_is_config_error(self, tmp_path,
+                                                        capsys, threshold):
+        # growth is at least 1 by construction, so a ceiling below 1 used
+        # to read divergent and exit 1 whatever the ladder showed
+        code, _ = run(tmp_path, "o", "kappa-study", "--problem", "free",
+                      "--n-list", "4,8", "--growth-threshold", threshold)
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_growth_threshold_one_is_accepted(self, tmp_path):
+        code, out = run(tmp_path, "o", "kappa-study", "--problem", "free",
+                        "--n-list", "4,8", "--growth-threshold", "1")
+        assert code in (0, 1)
+        assert read_manifest(out)["threshold"] == "1"
+
     def test_parser_adds_each_flag_once(self, monkeypatch):
         # one parser for every subcommand: argparse's -h, the command,
         # --config and one flag per key, where eight subparsers used to
@@ -244,6 +261,18 @@ class TestVerifyCommands:
                             "--theta-a", theta_a)
             assert code == 0, args
             assert "nan" not in (out / "manifest.txt").read_text(), args
+    def test_kernel_dump_at_a_huge_shift_is_finite(self, tmp_path):
+        # the boundary solution used to be a ratio of sines, which
+        # overflowed to nan rows of green_robin.csv with exit 0
+        code, out = run(tmp_path, "o", "kernel-dump", "--theta-a", "neumann",
+                        "--E", "1e300", "--n", "8")
+        assert code == 0
+        for name in ("green_dirichlet", "green_robin", "sqrt_kernel"):
+            table = np.loadtxt(out / f"{name}.csv", delimiter=",",
+                               skiprows=1)
+            assert table.shape == (81, 4) and np.all(np.isfinite(table)), name
+        assert read_manifest(out)["u2_left_value"] == "1"
+
     def test_verify_kato_passes_on_default_problem(self, tmp_path):
         code, out = run(tmp_path, "o", "verify-kato", "--n", "32")
         assert code == 0
@@ -278,6 +307,26 @@ class TestVerifyCommands:
             # neither identity was checked at an excluded shift
             assert manifest["failed_checks"] == (
                 "factored-resolvent-identity,two-step-composition"), name
+
+    @pytest.mark.parametrize("plant", [
+        lambda forms: dataclasses.replace(forms, K1=forms.K1.T),
+        lambda forms: dataclasses.replace(forms, K3=forms.K3 * (1 + 1e-6))],
+        ids=["K1_transposed", "K3_scaled"])
+    def test_verify_kato_fails_on_a_planted_assembly_defect(
+            self, tmp_path, monkeypatch, plant):
+        # the factored perturbation is built from the coefficients, not
+        # from the forms, so a defect of the assembled H breaks both
+        # identities (max errors 6.9e-2 and 2.2e-8 against 1e-9)
+        assemble = problems.assemble_forms
+        monkeypatch.setattr(problems, "assemble_forms",
+                            lambda *args: plant(assemble(*args)))
+        code, out = run(tmp_path, "o", "verify-kato", "--problem", "sawtooth",
+                        "--interval", "half_line", "--radius", "10",
+                        "--n", "150", "--theta-a", "neumann")
+        manifest = read_manifest(out)
+        assert code == 1 and manifest["verdict"] == "fail"
+        assert manifest["failed_checks"] == (
+            "factored-resolvent-identity,two-step-composition")
 
     def test_verify_kato_assembles_once_and_solves_once_per_shift(
             self, tmp_path, monkeypatch):

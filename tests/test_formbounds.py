@@ -196,3 +196,22 @@ class TestCheckTrudinger:
         mesh = build_mesh(IntervalSpec(), 8)
         with pytest.raises(ValueError):
             check_trudinger(np.zeros(8), mesh, 0.0)
+
+    @pytest.mark.parametrize("interval", [
+        IntervalSpec(), IntervalSpec("half_line", truncation_radius=10.0),
+        IntervalSpec("full_line", truncation_radius=10.0)],
+        ids=["finite", "half_line", "full_line"])
+    def test_trace_gram_equals_hand_stencil_bitwise(self, interval):
+        # the Gram is one cell sum of the element eps K_e + c M_e; the
+        # tridiagonal stencil it replaced must give the same bits
+        for n in (2, 3, 37, 150):
+            mesh = build_mesh(interval, n)
+            for eps in (1e-3, 0.1, 1.0, 10.0):
+                h, c = mesh.h, 1.0 / (mesh.b - mesh.a) + 1.0 / eps
+                diag = np.full(n + 1, 2.0 * (eps / h + c * h / 3.0))
+                diag[[0, -1]] /= 2.0
+                off = np.full(n, c * h / 6.0 - eps / h)
+                want = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+                got = formbounds._trace_gram(mesh, eps)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (n, eps)

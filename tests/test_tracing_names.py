@@ -235,3 +235,45 @@ def test_settable_values_do_not_regrow():
     assert counts["config_keys"] == len(importlib.import_module(
         "sqrtdom.cli").DEFAULTS)
     assert sum(counts.values()) <= SETTABLE_CEILING, counts
+
+
+def assembly_calls(path):
+    """``(class, function)`` of each ``assemble_forms`` call in one file and
+    the line of each ``add.at`` scatter, with the innermost class and
+    function that hold them."""
+    calls, scatters = [], []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, ast.ClassDef):
+                inner = (child.name, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = (owner[0], child.name)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == (
+                        "assemble_forms"):
+                    calls.append(owner)
+            elif (isinstance(child, ast.Attribute) and child.attr == "at"
+                  and getattr(child.value, "attr", None) == "add"):
+                scatters.append(child.lineno)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), (None, None))
+    return calls, scatters
+
+
+def test_one_assembly_per_problem():
+    # the forms, the unit-diffusion reference and the trace Gram come from
+    # one cell sum: no scatter anywhere, and the one assembly of a problem
+    # is the one its record makes
+    calls, scatters = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        found, lines = assembly_calls(path)
+        if found:
+            calls[path.stem] = found
+        if lines:
+            scatters[path.name] = lines
+    assert not scatters, f"np.add.at scatters: {scatters}"
+    assert calls == {"problems": [("Problem", "__post_init__")]}, calls
