@@ -16,8 +16,8 @@ from .kato import (FactoredPerturbation, TwoStepResolvent,
 from .krein import (bessel_bound_check, bessel_k0_quad, d_theta,
                     green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
                     u2_closed_form)
-from .matfun import (QuadratureSpec, check_power_laws, frac_power_quad,
-                     resolvent, spectral_norm, sqrt_db, trace_det_check)
+from .matfun import (QuadratureSpec, frac_power_quad, resolvent,
+                     spectral_norm, sqrt_db, trace_det_check)
 from .problems import (FAMILY_NAMES, Problem, build_coefficients,
                        lions_operator, make_problem)
 from .sectorial import (SectorReport, check_m_accretive,

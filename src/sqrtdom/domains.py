@@ -7,11 +7,17 @@ equivalence: the ratio ``kappa = max/min`` of ``||(H + E)^alpha f||`` against
 reference operator; at alpha = 1/2 the reference norm is the E-scaled
 W^{1,2} norm.  ``refinement_study`` takes the operator at each mesh level:
 any ``Problem``, or the upwind first-derivative control, which is referred
-to its adjoint.  ``_kappa_row`` builds the Gram matrices of the two norms,
-and ``sqrt_domain_kappa`` maximizes the ratio exactly through their
-generalized Hermitian eigenproblem.  A problem passes when ``kappa`` stays
-bounded under mesh refinement; the control's critical-power ratio keeps
-growing.
+to its adjoint.  The two norms are ``||X f||`` for the power X and ``||Y f||``
+for any factor Y of the reference Gram, so kappa is exactly
+``cond_2(X Y^-1)``, ``cond_2((H + E)^alpha (H_ref + E)^-alpha)`` whichever
+factor is taken; ``sqrt_domain_kappa`` reads it from the extreme eigenvalues
+of ``Z^H Z``.  ``_kappa_row`` takes each level's cheapest exact factor: at
+the critical power the bidiagonal Cholesky factor of the tridiagonal
+``H_ref + E``, applied by banded substitution (a Hermitian ``H + E`` is its
+own bidiagonal X); at any other power the Hermitian route's
+``(H_ref + E)^-alpha``; for the control ``Z = T^alpha (T^-alpha)^H``, both
+powers closed-form.  A problem passes when ``kappa`` stays bounded under
+mesh refinement; the control's critical-power ratio keeps growing.
 
 Every fractional power goes through ``matrix_power``, whose four routes are
 all exact to roundoff: eigendecomposition for Hermitian input; for a
@@ -24,8 +30,10 @@ one complex Schur form for any other input, whose triangular factor is
 rooted k times at alpha = 2^-k and raised by Schur-Pade otherwise.  Real
 input stays real on the first three routes, so the control and the
 self-adjoint reference, both real, run in real arithmetic.  A shift that
-leaves an eigenvalue of negative real part on any route, or a
-critical-power Gram indefinite, raises ``ShiftBelowSpectrumError``.
+leaves an eigenvalue of negative real part on any route, a Hermitian
+``H + E`` that is not positive definite, a negative power of a singular
+Hermitian matrix or a ``Z^H Z`` that is not positive definite raises
+``ShiftBelowSpectrumError``.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .kato import _InvSqrtShifted, _loglog_slope
-from .matfun import (ShiftBelowSpectrumError, _principal_sqrt,
+from .matfun import (ShiftBelowSpectrumError, _bandwidths, _principal_sqrt,
                      _require_off_cut, _require_root, _require_shifted,
                      is_hermitian)
 from .problems import lions_operator
@@ -60,6 +68,8 @@ _MAX_SIMILARITY_COND = 1e2
 
 def _dyadic_roots(alpha: float) -> int:
     """``k`` when ``alpha = 2^-k`` for an integer ``k >= 1``, else 0."""
+    if alpha <= 0:
+        return 0
     k = -np.log2(alpha)
     return int(k) if k >= 1 and k == int(k) else 0
 
@@ -152,13 +162,19 @@ def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
     Toeplitz ``lam_j`` or ``diag(U)``): off the Hermitian route they must
     avoid the cut (-inf, 0] (``SpectrumOnCutError``), and on every route a
     real part below ``_require_shifted``'s rule raises
-    ``ShiftBelowSpectrumError``.
+    ``ShiftBelowSpectrumError``.  A negative ``alpha`` takes the same
+    routes; on the Hermitian route an eigenvalue the rule lets through at or
+    below zero then raises too, since it has no negative power.
     """
     H = np.asarray(H)
     n = H.shape[0]
     if is_hermitian(H):
         evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
         _require_shifted(evals)
+        if alpha < 0 and evals[0] <= 0:
+            raise ShiftBelowSpectrumError(
+                f"negative power of a singular matrix: smallest eigenvalue "
+                f"{evals[0]:.6g}")
         evals = np.clip(evals, 0.0, None)
         return (evecs * evals[None, :] ** alpha) @ evecs.conj().T
     if (band := _tridiagonal_toeplitz(H)) is not None:
@@ -178,46 +194,84 @@ def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
     return Q @ U @ Q.conj().T
 
 
-def _power_gram(H: np.ndarray, E: float, alpha: float) -> np.ndarray:
-    """``X^H X`` for ``X = (H + E)^alpha``.
+def _band_cholesky(A: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor ``R`` of a Hermitian banded matrix,
+    ``A = R^H R``, in LAPACK upper band storage; real input stays real.
 
-    For Hermitian input at the critical power the Gram is the shifted
-    matrix itself, exactly; no root is formed.
+    The bandwidth comes from the nonzero pattern (``matfun._bandwidths``),
+    one for the tridiagonal operators of the package, so ``R`` is upper
+    bidiagonal.  Raises ``LinAlgError`` unless ``A`` is positive definite.
     """
-    shifted = H + E * np.eye(H.shape[0])
-    if alpha == 0.5 and is_hermitian(shifted):
-        return shifted
-    X = matrix_power(shifted, alpha)
-    return X.conj().T @ X
+    n = A.shape[0]
+    width = max(_bandwidths(A))
+    # row width - k holds superdiagonal k: band[width - k, j] = A[j - k, j]
+    band = np.zeros((width + 1, n), dtype=A.dtype)
+    for k in range(width + 1):
+        band[width - k, k:] = np.diagonal(A, k)
+    return sla.cholesky_banded(band, lower=False, check_finite=False)
 
 
-def sqrt_domain_kappa(P: np.ndarray, Q: np.ndarray) -> dict:
-    """Equivalence ratio of the power norm against a reference norm.
+def _right_solve(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``X R^-1`` for ``R`` upper triangular in band storage, by LAPACK's
+    banded triangular substitution (``?tbtrs``) on ``R^H Z^H = X^H``."""
+    tbtrs, = sla.get_lapack_funcs(("tbtrs",), (X, R))
+    ZH, info = tbtrs(R.astype(tbtrs.dtype, copy=False), X.conj().T,
+                     uplo="U", trans="C")
+    if info != 0:
+        raise ValueError("reference Gram is not positive definite")
+    return ZH.conj().T
 
-    ``P`` and ``Q`` are the Gram matrices of the two norms in orthonormal
-    coordinates; only their Hermitian parts are read.  The extremal ratios
-    over all vectors are exact: the square roots of the extreme generalized
-    eigenvalues of the pencil.
+
+def _power_over_reference(H: np.ndarray, H_ref: np.ndarray, E: float,
+                          alpha: float) -> np.ndarray:
+    """``Z = (H + E)^alpha Y^-1`` for a factor ``Y`` of the reference Gram,
+    ``Y^H Y = (H_ref + E)^(2 alpha)``.
+
+    The singular values of ``Z`` do not depend on which factor is taken,
+    so each case takes its cheapest exact one.  At the critical power
+    ``Y`` is the bidiagonal Cholesky factor of the tridiagonal
+    ``H_ref + E``, applied by substitution, and a Hermitian ``H + E`` is
+    its own bidiagonal factor ``X``, which no root is formed for (a
+    real-valued one factored in real arithmetic, so the self-adjoint
+    baseline reads ``Z = I`` exactly).  At any other power
+    ``Y^-1 = (H_ref + E)^-alpha`` is the Hermitian route's power.
     """
-    P = 0.5 * (P + P.conj().T)
-    Q = 0.5 * (Q + Q.conj().T)
-    # equilibrated pencil through the difference P - Q: a diagonal
-    # congruence leaves the generalized eigenvalues unchanged, and the
-    # difference form keeps coincident Grams at ratio exactly one instead
-    # of cond(Q)-scaled roundoff
-    d = 1.0 / np.sqrt(np.abs(np.diag(Q)))
-    Pe = d[:, None] * P * d[None, :]
-    Qe = d[:, None] * Q * d[None, :]
+    I = np.eye(H.shape[0])
+    shifted, ref = H + E * I, H_ref + E * I
+    if alpha != 0.5:
+        return matrix_power(shifted, alpha) @ matrix_power(ref, -alpha)
     try:
-        L = np.linalg.cholesky(Qe)
+        R = _band_cholesky(ref)
     except np.linalg.LinAlgError as exc:
         raise ValueError("reference Gram is not positive definite") from exc
-    S = sla.solve_triangular(L, Pe - Qe, lower=True)
-    S = sla.solve_triangular(L, S.conj().T, lower=True).conj().T
-    evals = 1.0 + np.linalg.eigvalsh(0.5 * (S + S.conj().T))
+    if not is_hermitian(shifted):
+        return _right_solve(matrix_power(shifted, alpha), R)
+    if not np.any(shifted.imag):
+        shifted = shifted.real
+    try:
+        X = _band_cholesky(shifted)
+    except np.linalg.LinAlgError as exc:
+        raise ShiftBelowSpectrumError(
+            "Hermitian H + E is not positive definite") from exc
+    # upper band storage is the DIA layout with offsets width, ..., 0
+    X = sp.dia_array((X, np.arange(len(X) - 1, -1, -1)),
+                     shape=shifted.shape).toarray()
+    return _right_solve(X, R)
+
+
+def sqrt_domain_kappa(Z: np.ndarray) -> dict:
+    """Equivalence ratio of the power norm against a reference norm.
+
+    ``Z = X Y^-1`` carries the power ``X`` over a factor ``Y`` of the
+    reference Gram, ``Y^H Y``, so ``||X f|| / ||Y f||`` ranges exactly over
+    the singular values of ``Z``: the square roots of the extreme
+    eigenvalues of ``Z^H Z``.  A nonpositive one raises
+    ``ShiftBelowSpectrumError``.
+    """
+    evals = np.linalg.eigvalsh(Z.conj().T @ Z)
     if evals[0] <= 0:
         raise ShiftBelowSpectrumError(
-            f"power Gram lost positivity; smallest pencil eigenvalue "
+            f"power Gram lost positivity; smallest eigenvalue of Z^H Z "
             f"{evals[0]:.6g}")
     min_ratio, max_ratio = float(np.sqrt(evals[0])), float(np.sqrt(evals[-1]))
     return {"min_ratio": min_ratio, "max_ratio": max_ratio,
@@ -237,23 +291,26 @@ class DomainEquivalenceReport:
 
 
 def _kappa_row(operator_at, n: int, E: float, alpha: float) -> dict:
-    """Level ``n`` of a study: the power Gram ``P`` of ``operator_at(n)``
-    against the reference Gram ``Q``, compared by ``sqrt_domain_kappa``.
+    """Level ``n`` of a study: ``sqrt_domain_kappa`` of the power of
+    ``operator_at(n)`` carried over a factor of its reference Gram.
 
-    The lions control (its matrix freed before the power is taken) is
-    referred to its adjoint, whose power is the power's adjoint; a
-    ``Problem`` to the same power of its self-adjoint reference operator,
-    whose Gram at the critical power is ``H_ref + E``, the E-scaled Sobolev
-    Gram in orthonormal coordinates."""
+    The lions control is referred to its adjoint, whose power is the
+    power's adjoint, so ``Y = (T^alpha)^H`` for ``T = lions + E`` and
+    ``Z = T^alpha (T^-alpha)^H``: both powers are the terminating binomial
+    series of one Jordan block, and no factorization is taken.  A
+    ``Problem`` is referred to the same power of its self-adjoint
+    reference operator (``_power_over_reference``), whose Gram at the
+    critical power is ``H_ref + E``, the E-scaled Sobolev Gram in
+    orthonormal coordinates."""
     if operator_at is lions_operator:
-        X = matrix_power(lions_operator(n) + E * np.eye(n), alpha)
-        P, Q = X.conj().T @ X, X @ X.conj().T
+        T = lions_operator(n) + E * np.eye(n)
+        Z = matrix_power(T, alpha) @ matrix_power(T, -alpha).conj().T
     else:
         prob = operator_at(n)
-        P = _power_gram(prob.H, E, alpha)
-        Q = _power_gram(prob.reference_operator(), E, alpha)
+        Z = _power_over_reference(prob.H, prob.reference_operator(), E,
+                                  alpha)
     return {"n": n, "E": float(E), "alpha": float(alpha),
-            **sqrt_domain_kappa(P, Q)}
+            **sqrt_domain_kappa(Z)}
 
 
 def _growth(rows: list) -> float:

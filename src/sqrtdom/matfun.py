@@ -42,7 +42,6 @@ __all__ = [
     "resolvent",
     "sqrt_db",
     "frac_power_quad",
-    "check_power_laws",
     "trace_det_check",
     "spectral_norm",
     "power_norms",
@@ -285,25 +284,6 @@ def frac_power_quad(H: np.ndarray, alpha: float,
             raise ResolventError(
                 f"resolvent failure at quadrature node u = {ui}") from exc
     return np.sin(np.pi * alpha) / np.pi * acc
-
-
-def check_power_laws(H: np.ndarray, alpha: float, beta: float,
-                     quad: QuadratureSpec | None = None) -> tuple[float, float]:
-    """Relative residuals of the adjoint and semigroup power identities.
-
-    Returns ``(||(H^a)* - (H*)^a|| / ||H^a||,
-    ||H^a H^b - H^(a+b)|| / ||H^(a+b)||)``; both should sit at quadrature
-    accuracy for an accretive input.
-    """
-    if not 0.0 < alpha + beta < 1.0:
-        raise ValueError("alpha + beta must lie in (0, 1)")
-    Ha = frac_power_quad(H, alpha, quad)
-    Hb = frac_power_quad(H, beta, quad) if beta != alpha else Ha
-    Hab = frac_power_quad(H, alpha + beta, quad)
-    Hstar_a = frac_power_quad(H.conj().T, alpha, quad)
-    adj = np.linalg.norm(Ha.conj().T - Hstar_a) / np.linalg.norm(Ha)
-    semi = np.linalg.norm(Ha @ Hb - Hab) / np.linalg.norm(Hab)
-    return adj, semi
 
 
 def _log_sym_det(A: np.ndarray, A0: np.ndarray, z: complex) -> complex:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from power_laws import check_power_laws
 from sqrtdom.assembly import BoundaryCondition, IntervalSpec
 from sqrtdom.checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU,
                             TOL_SLACK, TOL_SLOPE, TOL_TRACE, decay_suite,
@@ -21,8 +22,7 @@ from sqrtdom.checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU,
 from sqrtdom.cli import main as cli_main
 from sqrtdom.domains import refinement_study
 from sqrtdom.kato import verify_identity
-from sqrtdom.matfun import (QuadratureSpec, check_power_laws, frac_power_quad,
-                            sqrt_db)
+from sqrtdom.matfun import QuadratureSpec, frac_power_quad, sqrt_db
 from sqrtdom.problems import lions_operator, make_problem
 
 DIR = BoundaryCondition.dirichlet()

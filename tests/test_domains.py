@@ -1,11 +1,15 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from continuum import continuum_kappa
 from sqrtdom import domains, matfun
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               build_mesh, w12_norm_matrix)
-from sqrtdom.domains import (_kappa_row, _power_gram, matrix_power,
+from sqrtdom.domains import (_kappa_row, _power_over_reference, matrix_power,
                              refinement_study, sqrt_domain_kappa, thmA1_decay)
 from sqrtdom.kato import _InvSqrtShifted
 from sqrtdom.matfun import (QuadratureSpec, SpectrumOnCutError,
@@ -207,6 +211,32 @@ class TestMatrixPower:
             with pytest.raises(domains.ShiftBelowSpectrumError):
                 matrix_power(H, alpha)
 
+    @pytest.mark.parametrize("route", ["hermitian", "binomial", "sine",
+                                       "schur"])
+    def test_negative_half_power_inverts_the_half_power(self, route):
+        # alpha <= 0 is no dyadic root: it used to reach log2 with a
+        # RuntimeWarning on the sine and Schur routes
+        if route == "hermitian":
+            H = make_problem("mixed_sign", n=65).reference_operator()
+        elif route == "binomial":
+            H = lions_operator(64)
+        else:
+            family = "complex_constant" if route == "sine" else "sawtooth"
+            H = make_problem(family, n=65).H
+        H = H + np.eye(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = matrix_power(H, -0.5) @ matrix_power(H, 0.5)
+        assert np.linalg.norm(P - np.eye(64)) <= 1e-12 * np.sqrt(64)
+
+    @pytest.mark.parametrize("lowest", [0.0, -1e-17])
+    def test_negative_power_of_singular_hermitian_rejected(self, lowest):
+        # the eigenvalue passes the shift rule and is clipped to 0, whose
+        # negative power used to come back as inf
+        H = np.diag([lowest, 1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(domains.ShiftBelowSpectrumError):
+            matrix_power(H, -0.25)
+
     def test_power_above_one_is_not_a_root(self):
         # alpha = 2 is a dyadic exponent, but not a root to be taken
         for family in ("complex_constant", "sawtooth"):
@@ -234,8 +264,9 @@ class TestSqrtDomainKappa:
         assert abs(row["min_ratio"] - 1.0) <= 1e-12
 
     def test_critical_reference_gram_is_w12_gram(self):
-        # at the critical power the reference Gram H_ref + E is the E-scaled
-        # Sobolev Gram taken to orthonormal coordinates, whatever the left end
+        # at the critical power the reference factor R is the Cholesky
+        # factor of H_ref + E, the E-scaled Sobolev Gram taken to orthonormal
+        # coordinates, whatever the left end
         for theta in (0.0, np.pi / 2, 1 + 0.5j):
             prob = make_problem("mixed_sign", n=64,
                                 bc_left=BoundaryCondition(theta))
@@ -244,25 +275,36 @@ class TestSqrtDomainKappa:
             for E in (0.3, 1.0, 1e3):
                 G = w12_norm_matrix(prob.mesh, prob.bc_left, prob.bc_right, E)
                 Q = H_ref + E * np.eye(H_ref.shape[0])
-                assert np.array_equal(_power_gram(H_ref, E, 0.5), Q)
+                band = domains._band_cholesky(Q)
+                assert band.shape == (2, Q.shape[0])
+                assert band.dtype == np.float64
+                R = np.diag(band[1]) + np.diag(band[0, 1:], 1)
+                assert np.linalg.norm(R.T @ R - Q) \
+                    <= 1e-14 * np.linalg.norm(Q)
                 assert np.linalg.norm(winv[:, None] * G * winv[None, :] - Q) \
                     <= 1e-14 * np.linalg.norm(Q)
-        # both Grams of the self-adjoint baseline are now the same matrix
+        # the self-adjoint baseline's two factors are now the same matrix
         assert _kappa_row(family_at("free"), 100, 0.3, 0.5)["kappa"] == 1.0
 
     def test_identical_reference_any_alpha(self):
+        # the operator as its own reference: its power against its own
+        # inverse power, both on the sine route
         prob = make_problem("complex_constant", n=24)
-        P = _power_gram(prob.H, 2.0, 0.375)
-        row = sqrt_domain_kappa(P, P)
+        Z = _power_over_reference(prob.H, prob.H, 2.0, 0.375)
+        row = sqrt_domain_kappa(Z)
         assert abs(row["kappa"] - 1.0) <= 1e-9
 
     def test_extremal_pair_dominates_samples(self):
         prob = make_problem("complex_constant", n=40)
-        P = _power_gram(prob.H, 1.0, 0.5)
+        row = sqrt_domain_kappa(_power_over_reference(
+            prob.H, prob.reference_operator(), 1.0, 0.5))
+        # the two norms from their own Grams: the power's, and the Sobolev
+        # Gram assembled on the mesh
+        X = matrix_power(prob.H + np.eye(prob.H.shape[0]), 0.5)
+        P = X.conj().T @ X
         winv = 1.0 / np.sqrt(prob.forms.lumped_weights)
         G = w12_norm_matrix(prob.mesh, prob.bc_left, prob.bc_right, 1.0)
         Q = winv[:, None] * G * winv[None, :]
-        row = sqrt_domain_kappa(P, Q)
         rng = np.random.default_rng(0)
         u = (rng.standard_normal((200, P.shape[0]))
              + 1j * rng.standard_normal((200, P.shape[0])))
@@ -271,6 +313,23 @@ class TestSqrtDomainKappa:
         assert samples.max() <= row["max_ratio"] + 1e-10
         assert samples.min() >= row["min_ratio"] - 1e-10
         assert row["kappa"] >= 1.0
+
+    def test_nonpositive_gram_rejected(self):
+        with pytest.raises(domains.ShiftBelowSpectrumError):
+            sqrt_domain_kappa(np.diag([1.0, 0.0, 2.0]))
+
+    def test_indefinite_reference_rejected(self):
+        prob = make_problem("free", n=16)
+        with pytest.raises(ValueError,
+                           match="reference Gram is not positive definite"):
+            _power_over_reference(prob.H, prob.reference_operator() - 100.0
+                                  * np.eye(15), 1.0, 0.5)
+
+    def test_indefinite_hermitian_operator_rejected(self):
+        prob = make_problem("free", n=16)
+        with pytest.raises(domains.ShiftBelowSpectrumError):
+            _power_over_reference(prob.H - 100.0 * np.eye(15),
+                                  prob.reference_operator(), 1.0, 0.5)
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
@@ -300,10 +359,150 @@ class TestLionsDichotomy:
     def test_real_row_matches_complex_arithmetic(self, n, alpha):
         row = _kappa_row(lions_operator, n, 1.0, alpha)
         T = (lions_operator(n) + np.eye(n)).astype(complex)
-        X = matrix_power(T, alpha)
-        ref = sqrt_domain_kappa(X.conj().T @ X, X @ X.conj().T)
+        Z = matrix_power(T, alpha) @ matrix_power(T, -alpha).conj().T
+        assert np.iscomplexobj(Z)
+        ref = sqrt_domain_kappa(Z)
         for key in ("min_ratio", "max_ratio", "kappa"):
             assert abs(row[key] - ref[key]) <= 1e-13 * ref[key], key
+
+
+def pencil_power_gram(H, E, alpha):
+    """``X^H X`` for ``X = (H + E)^alpha``, one side of the Gram pencil
+    that the factor route must match.  A Hermitian ``H + E`` at the
+    critical power is its own Gram."""
+    shifted = H + E * np.eye(H.shape[0])
+    if alpha == 0.5 and matfun.is_hermitian(shifted):
+        return shifted
+    X = domains.matrix_power(shifted, alpha)
+    return X.conj().T @ X
+
+
+def pencil_kappa(P, Q):
+    """The extreme ratios of two Grams through their equilibrated
+    difference pencil, a dense Cholesky of Q and two triangular solves."""
+    P = 0.5 * (P + P.conj().T)
+    Q = 0.5 * (Q + Q.conj().T)
+    d = 1.0 / np.sqrt(np.abs(np.diag(Q)))
+    Pe = d[:, None] * P * d[None, :]
+    Qe = d[:, None] * Q * d[None, :]
+    try:
+        L = np.linalg.cholesky(Qe)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("reference Gram is not positive definite") from exc
+    S = sla.solve_triangular(L, Pe - Qe, lower=True)
+    S = sla.solve_triangular(L, S.conj().T, lower=True).conj().T
+    evals = 1.0 + np.linalg.eigvalsh(0.5 * (S + S.conj().T))
+    if evals[0] <= 0:
+        raise domains.ShiftBelowSpectrumError("power Gram lost positivity")
+    lo, hi = float(np.sqrt(evals[0])), float(np.sqrt(evals[-1]))
+    return {"min_ratio": lo, "max_ratio": hi, "kappa": hi / lo}
+
+
+def pencil_kappa_row(operator_at, n, E, alpha):
+    """One kappa level by the Gram pencil: the lions control's ``X^H X``
+    against ``X X^H``, a ``Problem``'s power Gram against its reference's."""
+    if operator_at is lions_operator:
+        X = domains.matrix_power(lions_operator(n) + E * np.eye(n), alpha)
+        return pencil_kappa(X.conj().T @ X, X @ X.conj().T)
+    prob = operator_at(n)
+    return pencil_kappa(pencil_power_gram(prob.H, E, alpha),
+                        pencil_power_gram(prob.reference_operator(), E, alpha))
+
+
+@pytest.fixture
+def shared_powers(monkeypatch):
+    """``domains.matrix_power`` memoized on its input's bytes, so that a
+    row and its pencil reference take one power between them."""
+    power, memo = domains.matrix_power, {}
+
+    def memoized(H, alpha):
+        key = (H.dtype.str, H.shape, H.tobytes(), alpha)
+        if key not in memo:
+            memo[key] = power(H, alpha)
+        return memo[key]
+
+    monkeypatch.setattr(domains, "matrix_power", memoized)
+
+
+PIN_INTERVALS = {"finite": None,
+                 "half_line": IntervalSpec("half_line", truncation_radius=4.0),
+                 "full_line": IntervalSpec("full_line", truncation_radius=4.0)}
+PIN_LEFT_ENDS = (DIR, NEU, BoundaryCondition(1 + 0.5j))
+PIN_ALPHAS = (0.25, 0.375, 0.5)
+
+
+class TestFactorRouteMatchesGramPencil:
+    """Kappa as the condition number of ``X Y^-1`` against the Gram pencil
+    it replaced, to 1e-11 relative (the largest gap measured is 9.6e-13);
+    an input the pencil rejects is rejected with the same exception."""
+
+    @staticmethod
+    def assert_rows_agree(operator_at, n, alpha):
+        try:
+            ref = pencil_kappa_row(operator_at, n, 1.0, alpha)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                _kappa_row(operator_at, n, 1.0, alpha)
+            return
+        row = _kappa_row(operator_at, n, 1.0, alpha)
+        for key in ("min_ratio", "max_ratio", "kappa"):
+            assert abs(row[key] - ref[key]) <= 1e-11 * ref[key], (n, alpha,
+                                                                  key)
+
+    @pytest.mark.parametrize("interval", sorted(PIN_INTERVALS))
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_problem_rows(self, family, interval, shared_powers):
+        # n = 128 only at the critical power, where the factor route is new
+        # and the gap grows with n (9.6e-13, against at most 1.0e-13 for
+        # the other powers there); Schur-Pade at n = 128 dominates the cost
+        for bc, alpha, n in itertools.product(PIN_LEFT_ENDS, PIN_ALPHAS,
+                                              (16, 64, 128)):
+            if n < 128 or alpha == 0.5:
+                self.assert_rows_agree(
+                    family_at(family, PIN_INTERVALS[interval], bc), n, alpha)
+
+    def test_lions_rows(self, shared_powers):
+        for alpha, n in itertools.product(PIN_ALPHAS, (16, 64, 128, 256)):
+            self.assert_rows_agree(lions_operator, n, alpha)
+
+
+class TestContinuumOracle:
+    """The finite-element kappa against the constant-coefficient continuum
+    (``continuum.continuum_kappa``): second-order convergence on [0, 1]
+    with Dirichlet ends."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25])
+    def test_complex_full_ladder_converges_at_second_order(self, alpha):
+        # complex_constant: the gauge is e^(x/2); W_512 is within 1e-7 of
+        # W_2048.  Errors at alpha = 1/2: 3.1e-4, 8.6e-5, 2.3e-5, 5.7e-6
+        kappa_inf = continuum_kappa(1 + 0.5j, 2 - 1j, 1 + 1j, 0.5j, 1.0,
+                                    alpha, 512)
+        errors = [abs(_kappa_row(family_at("complex_constant"), n, 1.0,
+                                 alpha)["kappa"] - kappa_inf)
+                  for n in (64, 128, 256, 512)]
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(3.3 <= r <= 4.5 for r in ratios), ratios
+        assert errors[-1] <= 1e-5
+
+    @pytest.mark.parametrize("family,coeffs", [
+        ("constant_qrs", (1, 1, 1, 1)), ("complex_p", (1 + 0.5j, 0, 0, 0))])
+    def test_scalar_forms(self, family, coeffs):
+        # r = s, so the gauge is trivial and kappa is a scalar extreme over
+        # mu_k = (k pi)^2.  constant_qrs: (mu + 2)/(mu + 1) falls from
+        # k = 1 to 1.  complex_p: |p mu + 1|^2/(mu + 1)^2 = 1 + mu^2/(4
+        # (mu + 1)^2) rises from k = 1 to |p|^2.  Gaps 1.5e-6, 3.7e-7 and
+        # 2.9e-7, 7.1e-8 at n = 256, 512
+        mu, p = np.pi ** 2, coeffs[0]
+        if family == "constant_qrs":
+            kappa_inf = np.sqrt((mu + 2) / (mu + 1))
+        else:
+            kappa_inf = (abs(p) / (abs(p * mu + 1) / (mu + 1))) ** 0.5
+        assert abs(continuum_kappa(*coeffs, 1.0, 0.5, 512) - kappa_inf) \
+            <= 1e-6
+        errors = [abs(_kappa_row(family_at(family), n, 1.0, 0.5)["kappa"]
+                      - kappa_inf) for n in (256, 512)]
+        assert 3.3 <= errors[0] / errors[1] <= 4.5, errors
+        assert errors[1] <= 1e-6
 
 
 class TestRefinementStudy:

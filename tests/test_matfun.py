@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from power_laws import check_power_laws
 from sqrtdom.matfun import (QuadratureSpec, ResolventError,
                             SpectrumOnCutError, _principal_sqrt,
-                            _require_off_cut, check_power_laws,
-                            frac_power_quad, power_norms, power_start,
-                            resolvent, spectral_norm, sqrt_db,
+                            _require_off_cut, frac_power_quad, power_norms,
+                            power_start, resolvent, spectral_norm, sqrt_db,
                             trace_det_check)
 
 
