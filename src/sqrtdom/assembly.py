@@ -154,7 +154,9 @@ class BoundaryCondition:
             raise ZeroDivisionError("cot(theta) pole at theta = 0 (Dirichlet)")
         if self.theta == _THETA_NEUMANN:
             return 0.0 + 0.0j
-        return _stable_cot(self.theta)
+        cot = _stable_cot(self.theta)
+        # a real theta has a real cotangent: drop the exponentials' roundoff
+        return complex(cot.real) if self.theta.imag == 0 else cot
 
 
 @dataclass(frozen=True)

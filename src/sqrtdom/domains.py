@@ -20,16 +20,15 @@ powers closed-form.  A problem passes when ``kappa`` stays bounded under
 mesh refinement; the control's critical-power ratio keeps growing.
 
 Every fractional power goes through ``matrix_power``, whose four routes are
-all exact to roundoff: eigendecomposition for Hermitian input; for a
-tridiagonal Toeplitz matrix, the terminating binomial series when the
-superdiagonal vanishes (the negative control, lower bidiagonal) and the
-closed-form sine diagonalization ``D S diag(lam) S D^-1`` when neither
-off-diagonal does (every constant-coefficient family with Dirichlet ends),
-while the diagonal similarity D stays within ``_MAX_SIMILARITY_COND``; and
-one complex Schur form for any other input, whose triangular factor is
-rooted k times at alpha = 2^-k and raised by Schur-Pade otherwise.  Real
-input stays real on the first three routes, so the control and the
-self-adjoint reference, both real, run in real arithmetic.  A shift that
+all exact to roundoff: eigendecomposition for Hermitian input; the
+terminating binomial series for a tridiagonal Toeplitz matrix with a zero
+superdiagonal (the negative control, lower bidiagonal); the discrete
+Liouville gauge for a tridiagonal matrix that a diagonal similarity D, within
+``_MAX_SIMILARITY_COND``, takes to a shifted and scaled real symmetric one
+(real coefficients with real ends, and every constant-coefficient family
+with Dirichlet ends); and one complex Schur form for any other input, whose
+triangular factor is rooted k times at alpha = 2^-k and raised by Schur-Pade
+otherwise.  Real input stays real on the first three routes.  A shift that
 leaves an eigenvalue of negative real part on any route, a Hermitian
 ``H + E`` that is not positive definite, a negative power of a singular
 Hermitian matrix or a ``Z^H Z`` that is not positive definite raises
@@ -45,9 +44,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .kato import _InvSqrtShifted, _loglog_slope
-from .matfun import (ShiftBelowSpectrumError, _bandwidths, _principal_sqrt,
-                     _require_off_cut, _require_root, _require_shifted,
-                     is_hermitian)
+from .matfun import (ShiftBelowSpectrumError, _band_storage, _bandwidths,
+                     _principal_sqrt, _require_off_cut, _require_root,
+                     _require_shifted, is_hermitian)
 from .problems import lions_operator
 
 __all__ = [
@@ -60,10 +59,8 @@ __all__ = [
 ]
 
 
-# Largest conditioning ``max(|rho|, 1/|rho|)^(n-1)`` of the similarity
-# ``D = diag(rho^k)`` that ``_sine_power`` accepts; the closed form's
-# roundoff grows with it, so worse input takes the Schur route.
-# complex_constant with Dirichlet ends reads at most 1.65 for n <= 1024.
+# Largest cond(D) that ``_gauge_power`` accepts: roundoff grows with it, so
+# worse input takes Schur.  complex_constant, Dirichlet: <= 1.65 to n = 1024.
 _MAX_SIMILARITY_COND = 1e2
 
 def _dyadic_roots(alpha: float) -> int:
@@ -104,62 +101,65 @@ def _toeplitz_power(lam: complex, mu: complex, n: int,
     return sla.toeplitz(np.cumprod(steps), np.zeros(n))
 
 
-def _sine_power(H: np.ndarray, b: complex, a: complex, c: complex,
-                alpha: float) -> np.ndarray | None:
-    """``H^alpha`` for ``H = tridiag(b, a, c)``, ``b c != 0``, in closed
-    form, or None when the diagonal similarity exceeds
-    ``_MAX_SIMILARITY_COND``.
+def _gauge_power(H: np.ndarray, alpha: float) -> np.ndarray | None:
+    """``H^alpha`` by the discrete Liouville gauge, or None unless H is
+    tridiagonal with every ``lo_k up_k != 0`` and the gauge applies.
 
-    With ``rho = sqrt(b / c)`` on the principal branch the matrix is
-    ``D S diag(lam) S D^-1``: ``D = diag(rho^k)``, S the orthogonal, symmetric
-    sine matrix ``sqrt(2/(n+1)) sin(jk pi/(n+1))`` and
-    ``lam_j = a + 2 c rho cos(j pi/(n+1))`` (Noschese, Pasquini & Reichel,
-    Numer. Linear Algebra Appl. 20, 2013).  The eigenvalues take the same
-    ``rho`` as D, not ``sqrt(b c)``, whose branch can pair them with the
-    wrong vectors.  The power ``D S diag(lam^alpha) S D^-1`` is one
-    real-by-complex product; at ``alpha = 2^-k`` it is raised back k times
-    and checked against the input by ``_require_root``.  Real input returns
-    a real power.
+    With ``e_k = sqrt(lo_k up_k)`` (principal branch) and ``D = diag(g)``,
+    ``g_{k+1} / g_k = e_k / up_k``, ``D^-1 H D`` is symmetric tridiagonal
+    with off-diagonal e.  The gauge applies when that is ``d_0 I + c S``,
+    ``c = e_0``, with S real (the one Hermitian test: S is symmetric) and
+    cond(D) within ``_MAX_SIMILARITY_COND``.  Then ``H^alpha = D V
+    diag((d_0 + c mu)^alpha) V^T D^-1`` for ``(mu, V) = eigh_tridiagonal(S)``
+    (the Toeplitz case is the sine diagonalization of Noschese, Pasquini &
+    Reichel, Numer. Linear Algebra Appl. 20, 2013), in real arithmetic for
+    real values.  At ``alpha = 2^-k`` the power is raised back k times and
+    checked against the input by ``_require_root``.
     """
-    n = H.shape[0]
-    rho = np.emath.sqrt(b / c)
-    if abs(np.log(abs(rho))) * (n - 1) > np.log(_MAX_SIMILARITY_COND):
+    B = H if np.any(H.imag) else H.real
+    lo, d, up = np.diag(B, -1), np.diag(B), np.diag(B, 1)
+    if not lo.size or max(_bandwidths(H)) > 1 or not np.all(lo * up):
         return None
-    j = np.arange(1, n + 1)
-    lam = a + 2 * c * rho * np.cos(j * np.pi / (n + 1))
+    e = np.emath.sqrt(lo * up)
+    a, b, g = (d - d[0]) / e[0], e / e[0], np.r_[1.0, e / up]
+    log_cond = np.ptp(np.cumsum(np.log(np.abs(g))))  # of D
+    # S = tridiag(b, a, b): its entries give is_hermitian the Frobenius
+    # norms of S and S - S^H, with no dense S
+    if (not is_hermitian(np.r_[a, b, b])
+            or log_cond > np.log(_MAX_SIMILARITY_COND)):
+        return None
+    mu, V = sla.eigh_tridiagonal(a.real, b.real)
+    lam, g = d[0] + e[0] * mu, np.cumprod(g)
     _require_off_cut(lam)
     _require_shifted(lam)
-    # jk reduced mod 2(n+1) keeps the sine arguments in [0, 2 pi)
-    S = np.sqrt(2 / (n + 1)) * np.sin(
-        np.pi / (n + 1) * (np.outer(j, j) % (2 * (n + 1))))
-    d = rho ** np.arange(n)
-    X = d[:, None] * (S @ (lam[:, None] ** alpha * S)) / d[None, :]
-    if np.isrealobj(H):
+    f = lam ** alpha
+    P = (V * f.real) @ V.T
+    if np.iscomplexobj(f):  # V is real: two real products, not a complex one
+        P = P + 1j * ((V * f.imag) @ V.T)
+    X = g[:, None] * P / g[None, :]
+    if np.isrealobj(B):
         X = X.real
     if roots := _dyadic_roots(alpha):
-        Y = X
-        for _ in range(roots - 1):
-            Y = Y @ Y
-        _require_root(Y, H)
-    return X
+        _require_root(np.linalg.matrix_power(X, 2 ** (roots - 1)), B)
+    return X.astype(H.dtype, copy=False)
 
 
 def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
     """Fractional power ``H^alpha``; the one place a route is chosen.
 
     Hermitian input is diagonalized (``eigh``).  A tridiagonal Toeplitz
-    matrix with a zero superdiagonal takes ``_toeplitz_power``, and with
-    both off-diagonals nonzero ``_sine_power``, while its diagonal
-    similarity stays within ``_MAX_SIMILARITY_COND``.  These three routes
-    return a real power for real input.  Any other input is factored once as
-    ``Q U Q^H`` (complex Schur).  At ``alpha = 2^-k`` the triangular ``U`` is
-    rooted k times (``matfun._principal_sqrt``, each root residual-checked);
-    any other alpha raises ``U`` by the Schur-Pade algorithm (Higham & Lin,
-    SIAM J. Matrix Anal. Appl. 32, 2011), which takes no second Schur step
-    on triangular input.  The triangular power ``R`` returns as ``Q R Q^H``.
+    matrix with a zero superdiagonal takes ``_toeplitz_power``, and a
+    tridiagonal matrix that a diagonal similarity symmetrizes takes
+    ``_gauge_power``.  These three routes return a real power for real input.
+    Any other input is factored once as ``Q U Q^H`` (complex Schur).  At
+    ``alpha = 2^-k`` the triangular ``U`` is rooted k times
+    (``matfun._principal_sqrt``, each root residual-checked); any other
+    alpha raises ``U`` by the Schur-Pade algorithm (Higham & Lin, SIAM J.
+    Matrix Anal. Appl. 32, 2011), which takes no second Schur step on
+    triangular input.  The triangular power ``R`` returns as ``Q R Q^H``.
 
     Every route reads the eigenvalues it has (those of ``eigh``, the
-    Toeplitz ``lam_j`` or ``diag(U)``): off the Hermitian route they must
+    gauge's ``d_0 + c mu`` or ``diag(U)``): off the Hermitian route they must
     avoid the cut (-inf, 0] (``SpectrumOnCutError``), and on every route a
     real part below ``_require_shifted``'s rule raises
     ``ShiftBelowSpectrumError``.  A negative ``alpha`` takes the same
@@ -177,12 +177,10 @@ def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
                 f"{evals[0]:.6g}")
         evals = np.clip(evals, 0.0, None)
         return (evecs * evals[None, :] ** alpha) @ evecs.conj().T
-    if (band := _tridiagonal_toeplitz(H)) is not None:
-        b, a, c = band
-        if c == 0:
-            return _toeplitz_power(a, b, n, alpha)
-        if b != 0 and (X := _sine_power(H, b, a, c, alpha)) is not None:
-            return X
+    if (band := _tridiagonal_toeplitz(H)) is not None and band[2] == 0:
+        return _toeplitz_power(band[1], band[0], n, alpha)
+    if (X := _gauge_power(H, alpha)) is not None:
+        return X
     U, Q = sla.schur(H, output="complex")
     _require_off_cut(np.diag(U))
     _require_shifted(np.diag(U))
@@ -202,12 +200,7 @@ def _band_cholesky(A: np.ndarray) -> np.ndarray:
     one for the tridiagonal operators of the package, so ``R`` is upper
     bidiagonal.  Raises ``LinAlgError`` unless ``A`` is positive definite.
     """
-    n = A.shape[0]
-    width = max(_bandwidths(A))
-    # row width - k holds superdiagonal k: band[width - k, j] = A[j - k, j]
-    band = np.zeros((width + 1, n), dtype=A.dtype)
-    for k in range(width + 1):
-        band[width - k, k:] = np.diagonal(A, k)
+    band = _band_storage(A, 0, max(_bandwidths(A)))
     return sla.cholesky_banded(band, lower=False, check_finite=False)
 
 

@@ -3,16 +3,18 @@ the power iteration for operator norms.
 
 Resolvents are solved in the band of their input: every operator the
 package assembles is tridiagonal, and ``resolvent`` reads the bandwidths off
-the nonzero pattern, so a dense input is simply its own full band.  The
-roots and powers work on dense matrices.
+the nonzero pattern, so a dense input is simply its own full band, laid
+out by the one band builder ``_band_storage``.  The roots and powers work
+on dense matrices.
 
 Verdicts take their powers from ``domains.matrix_power`` and their inverse
 half powers from ``kato._InvSqrtShifted``; on dense non-Hermitian input both
 take one complex Schur form and root its triangular factor with
-``_principal_sqrt``, except that ``matrix_power`` takes tridiagonal Toeplitz
-input in closed form.  Every computed square root passes the one residual
-rule ``_require_root``.  The Denman-Beavers ``sqrt_db`` is left only to the
-determinant-trace identity and to the tests, as an independent root.
+``_principal_sqrt``, except that ``matrix_power`` takes a tridiagonal matrix
+that a diagonal similarity symmetrizes through ``eigh_tridiagonal``.  Every
+computed square root passes the one residual rule ``_require_root``.  The
+Denman-Beavers ``sqrt_db`` is left only to the determinant-trace identity
+and to the tests, as an independent root.
 ``frac_power_quad`` is the independent reference that criterion 3 and the
 tests compare against.  It uses the classical integral representation
 
@@ -131,6 +133,17 @@ def _bandwidths(H: np.ndarray) -> tuple[int, int]:
     return max(0, -int(offsets.min())), max(0, int(offsets.max()))
 
 
+def _band_storage(H: np.ndarray, l: int, u: int) -> np.ndarray:
+    """Diagonals ``-l..u`` of ``H``, in its dtype, in LAPACK band storage
+    (also the DIA layout with offsets ``u..-l``): ``ab[u - k, j] =
+    H[j - k, j]``, zero elsewhere; ``u = 0`` is lower, ``l = 0`` upper."""
+    n = H.shape[0]
+    ab = np.zeros((l + u + 1, n), dtype=H.dtype)
+    for k in range(-l, u + 1):
+        ab[u - k, max(0, k):n + min(0, k)] = np.diagonal(H, k)
+    return ab
+
+
 def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
     """Solve ``(H - z) R = I`` in the band of ``H`` and verify the residual.
 
@@ -147,11 +160,7 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
     l, u = _bandwidths(H)
-    # LAPACK band storage, which is also the diagonal (DIA) layout:
-    # row u - k holds diagonal k, column-aligned, ab[u - k, j] = H[j - k, j]
-    ab = np.zeros((l + u + 1, n), dtype=complex)
-    for k in range(-l, u + 1):
-        ab[u - k, max(0, k):n + min(0, k)] = np.diagonal(H, k)
+    ab = _band_storage(H, l, u)
     ab[u] -= z
     try:
         # a 1 x 1 system is a division, which flags a zero pivot this way

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .matfun import _bandwidths, resolvent
+from .matfun import _band_storage, _bandwidths, resolvent
 
 __all__ = [
     "SectorReport",
@@ -103,14 +103,10 @@ def safe_shift(H: np.ndarray) -> float:
     package.
     """
     H = np.asarray(H, dtype=complex)
-    n = H.shape[0]
     width = max(_bandwidths(H))
-    # lower band storage of the Hermitian part S = (H + H^H)/2:
-    # band[k, j] = S[j + k, j]
-    band = np.zeros((width + 1, n), dtype=complex)
-    for k in range(width + 1):
-        band[k, :n - k] = 0.5 * (np.diagonal(H, -k)
-                                 + np.diagonal(H, k).conj())
+    # lower band storage of the Hermitian part (H + H^H)/2
+    band = 0.5 * (_band_storage(H, width, 0)
+                  + _band_storage(H.T, width, 0).conj())
     gamma = float(sla.eigvals_banded(band, lower=True, select="i",
                                      select_range=(0, 0))[0])
     return max(0.0, -gamma) + 1.0

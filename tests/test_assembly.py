@@ -157,6 +157,17 @@ class TestAssembleForms:
         # cos / sin overflowed to nan past |Im theta| ~ 710
         assert BoundaryCondition(theta).cot() == cot
 
+    @pytest.mark.parametrize("theta", [0.7, np.pi / 4, 2.5])
+    def test_real_theta_has_real_cot(self, theta):
+        # the exponential form left an imaginary part of about 6e-17, so a
+        # real Robin end gave a real operator a complex one
+        cot = BoundaryCondition(theta).cot()
+        assert cot.imag == 0.0
+        assert cot.real == assembly._stable_cot(complex(theta)).real
+        H = make_problem("free", n=64, bc_left=BoundaryCondition(theta)).H
+        assert not np.any(H.imag)
+        assert BoundaryCondition(theta + 0.1j).cot().imag != 0.0
+
     def test_form_consistency_against_fine_quadrature(self):
         # assembled bilinear value vs midpoint-rule integral of interpolants
         rng = np.random.default_rng(5)

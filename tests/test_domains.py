@@ -152,9 +152,17 @@ class TestMatrixPower:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.375])
     @pytest.mark.parametrize("n", [64, 256])
-    def test_tridiagonal_toeplitz_takes_no_schur_form(self, n, alpha,
-                                                      monkeypatch):
-        prob = make_problem("complex_constant", n=n)
+    @pytest.mark.parametrize("family,end", [
+        ("complex_constant", "dirichlet"), ("mixed_sign", "dirichlet"),
+        ("mixed_sign", "neumann"), ("mixed_sign", "robin"),
+        ("complex_p", "neumann")])
+    def test_tridiagonal_toeplitz_takes_no_schur_form(self, family, end, n,
+                                                      alpha, monkeypatch):
+        # the Toeplitz sine case and the variable-coefficient gauge: real
+        # coefficients with Dirichlet, Neumann or real Robin ends, and
+        # complex p with a Neumann end
+        theta = {"dirichlet": 0.0, "neumann": np.pi / 2, "robin": 0.7}[end]
+        prob = make_problem(family, n=n, bc_left=BoundaryCondition(theta))
         H = prob.H + np.eye(prob.H.shape[0])
         T, Z = sla.schur(H, output="complex")
         if alpha == 0.375:
@@ -164,18 +172,29 @@ class TestMatrixPower:
         ref = Z @ R @ Z.conj().T
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("Schur form on the Toeplitz route")
+            raise AssertionError("Schur form on the gauge route")
 
         monkeypatch.setattr(sla, "schur", forbidden)
         X = matrix_power(H, alpha)
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("case", ["neumann", "sawtooth", "large_r"])
+    @pytest.mark.parametrize("case", ["neumann", "sawtooth", "large_r",
+                                      "large_gauge", "complex_robin"])
     def test_other_input_takes_one_schur_form(self, case, monkeypatch):
         if case == "neumann":
             prob = make_problem("complex_constant", n=32, bc_left=NEU)
         elif case == "sawtooth":
             prob = make_problem("sawtooth", n=32)
+        elif case == "large_gauge":
+            # real coefficients, but cond(D) is about 2.3e4 on [0, 20]
+            prob = make_problem("mixed_sign", IntervalSpec("half_line"), 64,
+                                NEU)
+            lo, up = np.diag(prob.H, -1), np.diag(prob.H, 1)
+            log_g = np.cumsum(np.log(np.abs(np.sqrt(lo * up) / up)))
+            assert np.ptp(log_g) > np.log(1e4)
+        elif case == "complex_robin":
+            prob = make_problem("mixed_sign", n=32,
+                                bc_left=BoundaryCondition(1 + 0.5j))
         else:
             # tridiagonal Toeplitz, but |b/c|^((n-1)/2) is about 4.6e13
             mesh = build_mesh(IntervalSpec(), 32)
@@ -195,7 +214,7 @@ class TestMatrixPower:
         matrix_power(prob.H + np.eye(prob.H.shape[0]), 0.5)
         assert schur_calls == ["complex"]
 
-    @pytest.mark.parametrize("route", ["hermitian", "bidiagonal", "sine",
+    @pytest.mark.parametrize("route", ["hermitian", "bidiagonal", "gauge",
                                        "schur"])
     def test_shift_below_spectrum_rejected_on_every_route(self, route):
         # eigenvalues of real part near -90 and imaginary part 1 (real on
@@ -205,23 +224,23 @@ class TestMatrixPower:
         elif route == "bidiagonal":
             H = lions_operator(16) - (16 + 90 - 1j) * np.eye(16)
         else:
-            family = "free" if route == "sine" else "sawtooth"
+            family = "free" if route == "gauge" else "sawtooth"
             H = make_problem(family, n=32).H - (100 - 1j) * np.eye(31)
         for alpha in (0.5, 0.25, 0.375):
             with pytest.raises(domains.ShiftBelowSpectrumError):
                 matrix_power(H, alpha)
 
-    @pytest.mark.parametrize("route", ["hermitian", "binomial", "sine",
+    @pytest.mark.parametrize("route", ["hermitian", "binomial", "gauge",
                                        "schur"])
     def test_negative_half_power_inverts_the_half_power(self, route):
         # alpha <= 0 is no dyadic root: it used to reach log2 with a
-        # RuntimeWarning on the sine and Schur routes
+        # RuntimeWarning off the Hermitian and binomial routes
         if route == "hermitian":
             H = make_problem("mixed_sign", n=65).reference_operator()
         elif route == "binomial":
             H = lions_operator(64)
         else:
-            family = "complex_constant" if route == "sine" else "sawtooth"
+            family = "complex_constant" if route == "gauge" else "sawtooth"
             H = make_problem(family, n=65).H
         H = H + np.eye(64)
         with warnings.catch_warnings():
@@ -236,6 +255,25 @@ class TestMatrixPower:
         H = np.diag([lowest, 1.0, 2.0, 3.0, 4.0, 5.0])
         with pytest.raises(domains.ShiftBelowSpectrumError):
             matrix_power(H, -0.25)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25])
+    def test_gauge_root_residual_failure_raises(self, alpha, monkeypatch):
+        # eigenvalues off by 1e-6 relative: the root raised back must fail
+        # the residual rule, not return and not fall back to Schur
+        eigh_tridiagonal = sla.eigh_tridiagonal
+
+        def perturbed(*args, **kwargs):
+            mu, V = eigh_tridiagonal(*args, **kwargs)
+            return mu * (1 + 1e-6), V
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Schur form after a failed gauge root")
+
+        monkeypatch.setattr(sla, "eigh_tridiagonal", perturbed)
+        monkeypatch.setattr(sla, "schur", forbidden)
+        prob = make_problem("mixed_sign", n=64, bc_left=NEU)
+        with pytest.raises(SpectrumOnCutError):
+            matrix_power(prob.H + np.eye(64), alpha)
 
     def test_power_above_one_is_not_a_root(self):
         # alpha = 2 is a dyadic exponent, but not a root to be taken
@@ -288,7 +326,7 @@ class TestSqrtDomainKappa:
 
     def test_identical_reference_any_alpha(self):
         # the operator as its own reference: its power against its own
-        # inverse power, both on the sine route
+        # inverse power, both on the gauge route
         prob = make_problem("complex_constant", n=24)
         Z = _power_over_reference(prob.H, prob.H, 2.0, 0.375)
         row = sqrt_domain_kappa(Z)
