@@ -26,7 +26,10 @@ superdiagonal (the negative control, lower bidiagonal); the discrete
 Liouville gauge for a tridiagonal matrix that a diagonal similarity D, within
 ``_MAX_SIMILARITY_COND``, takes to a shifted and scaled real symmetric one
 (real coefficients with real ends, and every constant-coefficient family
-with Dirichlet ends); and one complex Schur form for any other input, whose
+with Dirichlet ends), or to one with a single complex boundary corner, a
+rank-one update whose eigenpairs come from its secular equation (one
+complex Robin end with real coefficients; one Neumann or Robin end with
+constant coefficients); and one complex Schur form for any other input, whose
 triangular factor is rooted k times at alpha = 2^-k and raised by Schur-Pade
 otherwise.  Real input stays real on the first three routes.  A shift that
 leaves an eigenvalue of negative real part on any route, a Hermitian
@@ -44,9 +47,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .kato import _InvSqrtShifted, _loglog_slope
-from .matfun import (ShiftBelowSpectrumError, _band_storage, _bandwidths,
-                     _principal_sqrt, _require_off_cut, _require_root,
-                     _require_shifted, is_hermitian)
+from .matfun import (ShiftBelowSpectrumError, SpectrumOnCutError,
+                     _band_storage, _bandwidths, _principal_sqrt,
+                     _require_off_cut, _require_root, _require_shifted,
+                     _residual_fails, is_hermitian)
 from .problems import lions_operator
 
 __all__ = [
@@ -60,8 +64,14 @@ __all__ = [
 
 
 # Largest cond(D) that ``_gauge_power`` accepts: roundoff grows with it, so
-# worse input takes Schur.  complex_constant, Dirichlet: <= 1.65 to n = 1024.
+# worse input takes Schur, a complex corner included.  complex_constant,
+# Dirichlet: <= 1.65 to n = 1024.
 _MAX_SIMILARITY_COND = 1e2
+
+# Ehrlich-Aberth steps that ``_secular_offsets`` may take; a solve that has
+# not converged by then leaves the input to Schur.
+_SECULAR_STEPS = 16
+
 
 def _dyadic_roots(alpha: float) -> int:
     """``k`` when ``alpha = 2^-k`` for an integer ``k >= 1``, else 0."""
@@ -71,17 +81,22 @@ def _dyadic_roots(alpha: float) -> int:
     return int(k) if k >= 1 and k == int(k) else 0
 
 
-def _tridiagonal_toeplitz(H: np.ndarray) -> tuple | None:
-    """(subdiagonal, diagonal, superdiagonal) entries of a tridiagonal
-    Toeplitz matrix, as scalars of the matrix's own dtype, or None for any
-    other input."""
-    if H.shape[0] < 2:
+def _diagonals(H: np.ndarray) -> tuple | None:
+    """``(lo, d, up)``, the three diagonals of H, when one read of its
+    nonzero pattern (``matfun._bandwidths``) finds it tridiagonal with
+    n >= 2, else None."""
+    if H.shape[0] < 2 or max(_bandwidths(H)) > 1:
         return None
-    bands = np.diag(H, -1), np.diag(H), np.diag(H, 1)
-    if (any(np.any(d != d[0]) for d in bands)
-            or np.count_nonzero(H) != sum(map(np.count_nonzero, bands))):
+    return np.diag(H, -1), np.diag(H), np.diag(H, 1)
+
+
+def _tridiagonal_toeplitz(band: tuple) -> tuple | None:
+    """(subdiagonal, diagonal, superdiagonal) entries of the tridiagonal
+    matrix with diagonals ``band`` when it is Toeplitz, as scalars of its
+    own dtype, else None."""
+    if any(np.any(x != x[0]) for x in band):
         return None
-    return tuple(d[0] for d in bands)
+    return tuple(x[0] for x in band)
 
 
 def _toeplitz_power(lam: complex, mu: complex, n: int,
@@ -101,74 +116,170 @@ def _toeplitz_power(lam: complex, mu: complex, n: int,
     return sla.toeplitz(np.cumprod(steps), np.zeros(n))
 
 
-def _gauge_power(H: np.ndarray, alpha: float) -> np.ndarray | None:
-    """``H^alpha`` by the discrete Liouville gauge, or None unless H is
-    tridiagonal with every ``lo_k up_k != 0`` and the gauge applies.
+def _secular_offsets(mu: np.ndarray, u: np.ndarray,
+                     beta: float) -> np.ndarray | None:
+    """Offsets ``delta`` of the eigenvalues ``mu + delta`` of
+    ``diag(mu) + i beta u u^T``, or None unless the solve converges within
+    ``_SECULAR_STEPS`` steps.
+
+    The eigenvalues are the roots of the secular equation
+    ``1 + i beta sum_j u_j^2 / (mu_j - lam) = 0`` (Golub, SIAM Rev. 15,
+    1973), found all at once by Ehrlich-Aberth steps (Bini, Gemignani &
+    Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005) from
+    ``mu_j + i beta u_j^2``.  They run on the offsets, so that
+    ``mu_i - lam_j = (mu_i - mu_j) - delta_j`` keeps its digits, and stop
+    once every step is within the residual rule of its offset.  A mode
+    with ``u_j^2 = 0`` has no secular root, and the solve returns None.
+    """
+    u2 = u * u
+    if not np.all(u2):
+        return None
+    gap = mu[:, None] - mu
+    delta = 1j * beta * u2
+    # two n x n work arrays, overwritten in place at every step
+    inv, root = np.empty((2, mu.size, mu.size), dtype=complex)
+    for _ in range(_SECULAR_STEPS):
+        np.subtract(gap, delta, out=inv)     # mu_i - lam_j
+        np.add(inv, delta[:, None], out=root)  # lam_i - lam_j
+        np.fill_diagonal(root, np.inf)
+        np.reciprocal(inv, out=inv)
+        # 1 / (p'/p - sum_{i != j} 1/(lam_j - lam_i)) for p(lam) =
+        # prod_i (mu_i - lam) f(lam), f = 1 + i beta sum_i u_i^2 inv_ij,
+        # the sums over the poles and the other roots merged term by term;
+        # written as f / (f' + f q), it is 0 at an exact root
+        f = 1.0 + 1j * beta * (u2 @ inv)
+        q = 1.0 / delta - delta @ np.divide(inv, root, out=root)
+        step = f / (1j * beta * (u2 @ np.square(inv, out=inv)) + f * q)
+        delta = delta - step
+        if not _residual_fails(np.abs(step), np.abs(delta)):
+            return delta
+    return None
+
+
+def _corner_eigenpairs(mu: np.ndarray, V: np.ndarray, k: int,
+                       beta: float) -> tuple:
+    """Eigenpairs ``(mu + delta, V W)`` of ``S_r + i beta e_k e_k^T`` from
+    ``(mu, V) = eigh_tridiagonal(S_r)``, or ``(None, None)`` when
+    ``_secular_offsets`` has not converged.
+
+    In the basis V the matrix is ``diag(mu) + i beta u u^T``, ``u = V[k]``,
+    complex symmetric, with eigenvectors ``W_ij = u_i / (mu_i - lam_j)``
+    scaled to ``w_j^T w_j = 1``, so that ``W^-1 = W^T``.  A
+    ``||W^T W - I||_F`` off the residual rule raises ``SpectrumOnCutError``.
+    """
+    u = V[k]
+    if (delta := _secular_offsets(mu, u, beta)) is None:
+        return None, None
+    W = np.reciprocal(mu[:, None] - mu - delta)
+    W *= u[:, None]
+    W /= np.sqrt(np.einsum("ij,ij->j", W, W))
+    gram = W.T @ W
+    gram[np.diag_indices(mu.size)] -= 1.0
+    if _residual_fails(np.linalg.norm(gram), np.sqrt(mu.size)):
+        raise SpectrumOnCutError("secular eigenvectors not orthonormal")
+    W.real, W.imag = V @ W.real, V @ W.imag  # V W, in W's memory
+    return mu + delta, W
+
+
+def _gauge_power(H: np.ndarray, band: tuple,
+                 alpha: float) -> np.ndarray | None:
+    """``H^alpha`` by the discrete Liouville gauge for H tridiagonal with
+    diagonals ``band = (lo, d, up)``, or None unless every
+    ``lo_k up_k != 0`` and the gauge applies.
 
     With ``e_k = sqrt(lo_k up_k)`` (principal branch) and ``D = diag(g)``,
     ``g_{k+1} / g_k = e_k / up_k``, ``D^-1 H D`` is symmetric tridiagonal
-    with off-diagonal e.  The gauge applies when that is ``d_0 I + c S``,
-    ``c = e_0``, with S real (the one Hermitian test: S is symmetric) and
-    cond(D) within ``_MAX_SIMILARITY_COND``.  Then ``H^alpha = D V
-    diag((d_0 + c mu)^alpha) V^T D^-1`` for ``(mu, V) = eigh_tridiagonal(S)``
-    (the Toeplitz case is the sine diagonalization of Noschese, Pasquini &
-    Reichel, Numer. Linear Algebra Appl. 20, 2013), in real arithmetic for
-    real values.  At ``alpha = 2^-k`` the power is raised back k times and
-    checked against the input by ``_require_root``.
+    with off-diagonal e.  The gauge applies when cond(D) is within
+    ``_MAX_SIMILARITY_COND`` and that is ``d_ref I + c S``, ``d_ref = d_0``
+    and ``c = e_0``, with S real (the one Hermitian test: S is symmetric).
+    Then ``H^alpha = D V diag((d_ref + c mu)^alpha) V^T D^-1`` for
+    ``(mu, V) = eigh_tridiagonal(S)`` (the Toeplitz case is the sine
+    diagonalization of Noschese, Pasquini & Reichel, Numer. Linear Algebra
+    Appl. 20, 2013), in real arithmetic for real values.
+
+    A boundary term that is no real multiple of c (a complex Robin end, or
+    a Neumann or Robin end with complex coefficients) makes one corner
+    ``S_kk`` complex.  With ``d_ref`` the diagonal at the other end, the
+    rest of S must be real, and ``S = S_r + i beta e_k e_k^T`` is a
+    rank-one update of the real ``S_r``.  ``_corner_eigenpairs`` turns the
+    eigenpairs of ``S_r`` into those of S, with V complex orthogonal
+    (``V^-1 = V^T``), so the power keeps its form.  An unconverged secular
+    solve, and complex corners at both ends, take Schur.  At
+    ``alpha = 2^-k`` the power is raised back k times and checked against
+    the input by ``_require_root``.
     """
-    B = H if np.any(H.imag) else H.real
-    lo, d, up = np.diag(B, -1), np.diag(B), np.diag(B, 1)
-    if not lo.size or max(_bandwidths(H)) > 1 or not np.all(lo * up):
+    real = not any(np.any(x.imag) for x in band)
+    lo, d, up = (x.real for x in band) if real else band
+    if not np.all(lo * up):
         return None
     e = np.emath.sqrt(lo * up)
-    a, b, g = (d - d[0]) / e[0], e / e[0], np.r_[1.0, e / up]
-    log_cond = np.ptp(np.cumsum(np.log(np.abs(g))))  # of D
-    # S = tridiag(b, a, b): its entries give is_hermitian the Frobenius
-    # norms of S and S - S^H, with no dense S
-    if (not is_hermitian(np.r_[a, b, b])
-            or log_cond > np.log(_MAX_SIMILARITY_COND)):
+    g = np.r_[1.0, e / up]
+    if np.ptp(np.cumsum(np.log(np.abs(g)))) > np.log(_MAX_SIMILARITY_COND):
+        return None  # cond(D) too large
+    n, b = d.size, e / e[0]
+    # S = tridiag(b, a, b), a = (d - d_ref) / c: real, or real but for one
+    # corner a_k with d_ref the far end's diagonal.  Its entries give
+    # is_hermitian the Frobenius norms of S and S - S^H, with no dense S
+    for k, ref in ((None, 0), (n - 1, 0), (0, n - 1)):
+        a = (d - d[ref]) / e[0]
+        if is_hermitian(np.r_[a if k is None else np.delete(a, k), b, b]):
+            break
+    else:
         return None
     mu, V = sla.eigh_tridiagonal(a.real, b.real)
-    lam, g = d[0] + e[0] * mu, np.cumprod(g)
+    if k is not None:
+        mu, V = _corner_eigenpairs(mu, V, k, a[k].imag)
+        if V is None:
+            return None
+    lam, g = d[ref] + e[0] * mu, np.cumprod(g)
     _require_off_cut(lam)
     _require_shifted(lam)
     f = lam ** alpha
-    P = (V * f.real) @ V.T
-    if np.iscomplexobj(f):  # V is real: two real products, not a complex one
-        P = P + 1j * ((V * f.imag) @ V.T)
-    X = g[:, None] * P / g[None, :]
-    if np.isrealobj(B):
-        X = X.real
+    if np.iscomplexobj(V):
+        P = (V * f) @ V.T
+    else:  # two real products, not a complex one
+        P = (V * f.real) @ V.T
+        if np.iscomplexobj(f):
+            P = P + 1j * ((V * f.imag) @ V.T)
+    del V  # the root check below holds three n x n products
+    P = g[:, None] * P
+    P /= g
+    X = P.real if real else P
     if roots := _dyadic_roots(alpha):
-        _require_root(np.linalg.matrix_power(X, 2 ** (roots - 1)), B)
+        _require_root(np.linalg.matrix_power(X, 2 ** (roots - 1)),
+                      H.real if real else H)
     return X.astype(H.dtype, copy=False)
 
 
 def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
     """Fractional power ``H^alpha``; the one place a route is chosen.
 
-    Hermitian input is diagonalized (``eigh``).  A tridiagonal Toeplitz
-    matrix with a zero superdiagonal takes ``_toeplitz_power``, and a
-    tridiagonal matrix that a diagonal similarity symmetrizes takes
-    ``_gauge_power``.  These three routes return a real power for real input.
-    Any other input is factored once as ``Q U Q^H`` (complex Schur).  At
-    ``alpha = 2^-k`` the triangular ``U`` is rooted k times
+    One read of the nonzero pattern (``_diagonals``) finds a tridiagonal
+    input, whose Hermitian, Toeplitz and gauge tests then read only its
+    three diagonals; any other input is tested whole.  Hermitian input is
+    diagonalized (``eigh``).  A tridiagonal Toeplitz matrix with a zero
+    superdiagonal takes ``_toeplitz_power``, and a tridiagonal matrix that a
+    diagonal similarity symmetrizes, up to one complex boundary corner,
+    takes ``_gauge_power``.  These three routes return a real power for real
+    input.  Any other input is factored once as ``Q U Q^H`` (complex
+    Schur).  At ``alpha = 2^-k`` the triangular ``U`` is rooted k times
     (``matfun._principal_sqrt``, each root residual-checked); any other
     alpha raises ``U`` by the Schur-Pade algorithm (Higham & Lin, SIAM J.
     Matrix Anal. Appl. 32, 2011), which takes no second Schur step on
     triangular input.  The triangular power ``R`` returns as ``Q R Q^H``.
 
     Every route reads the eigenvalues it has (those of ``eigh``, the
-    gauge's ``d_0 + c mu`` or ``diag(U)``): off the Hermitian route they must
-    avoid the cut (-inf, 0] (``SpectrumOnCutError``), and on every route a
-    real part below ``_require_shifted``'s rule raises
+    gauge's ``d_ref + c lam`` or ``diag(U)``): off the Hermitian route they
+    must avoid the cut (-inf, 0] (``SpectrumOnCutError``), and on every
+    route a real part below ``_require_shifted``'s rule raises
     ``ShiftBelowSpectrumError``.  A negative ``alpha`` takes the same
     routes; on the Hermitian route an eigenvalue the rule lets through at or
     below zero then raises too, since it has no negative power.
     """
     H = np.asarray(H)
     n = H.shape[0]
-    if is_hermitian(H):
+    band = _diagonals(H)
+    if is_hermitian(H if band is None else band):
         evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
         _require_shifted(evals)
         if alpha < 0 and evals[0] <= 0:
@@ -177,10 +288,11 @@ def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
                 f"{evals[0]:.6g}")
         evals = np.clip(evals, 0.0, None)
         return (evecs * evals[None, :] ** alpha) @ evecs.conj().T
-    if (band := _tridiagonal_toeplitz(H)) is not None and band[2] == 0:
-        return _toeplitz_power(band[1], band[0], n, alpha)
-    if (X := _gauge_power(H, alpha)) is not None:
-        return X
+    if band is not None:
+        if (toeplitz := _tridiagonal_toeplitz(band)) and toeplitz[2] == 0:
+            return _toeplitz_power(toeplitz[1], toeplitz[0], n, alpha)
+        if (X := _gauge_power(H, band, alpha)) is not None:
+            return X
     U, Q = sla.schur(H, output="complex")
     _require_off_cut(np.diag(U))
     _require_shifted(np.diag(U))
@@ -237,7 +349,8 @@ def _power_over_reference(H: np.ndarray, H_ref: np.ndarray, E: float,
         R = _band_cholesky(ref)
     except np.linalg.LinAlgError as exc:
         raise ValueError("reference Gram is not positive definite") from exc
-    if not is_hermitian(shifted):
+    band = _diagonals(shifted)
+    if not is_hermitian(shifted if band is None else band):
         return _right_solve(matrix_power(shifted, alpha), R)
     if not np.any(shifted.imag):
         shifted = shifted.real

@@ -11,7 +11,8 @@ Verdicts take their powers from ``domains.matrix_power`` and their inverse
 half powers from ``kato._InvSqrtShifted``; on dense non-Hermitian input both
 take one complex Schur form and root its triangular factor with
 ``_principal_sqrt``, except that ``matrix_power`` takes a tridiagonal matrix
-that a diagonal similarity symmetrizes through ``eigh_tridiagonal``.  Every
+that a diagonal similarity symmetrizes, up to one complex boundary corner,
+through ``eigh_tridiagonal`` (and the corner's secular equation).  Every
 computed square root passes the one residual rule ``_require_root``.  The
 Denman-Beavers ``sqrt_db`` is left only to the determinant-trace identity
 and to the tests, as an independent root.
@@ -106,9 +107,20 @@ def gauss_panels(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def is_hermitian(H: np.ndarray) -> bool:
-    """Hermitian to 1e-12 relative in the Frobenius norm."""
-    return np.linalg.norm(H - H.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(H))
+def is_hermitian(H: np.ndarray | tuple) -> bool:
+    """Hermitian to 1e-12 relative in the Frobenius norm.
+
+    ``H`` is a matrix, or the diagonals ``(lo, d, up)`` of a tridiagonal
+    one, whose norms are read off its 3n - 2 entries: ``H - H^H`` holds
+    ``d - conj(d)`` and, twice up to sign and conjugation, ``lo - conj(up)``.
+    """
+    if isinstance(H, tuple):
+        lo, d, up = H
+        skew = lo - up.conj()
+        defect, H = np.r_[d - d.conj(), skew, skew], np.r_[lo, d, up]
+    else:
+        defect = H - H.conj().T
+    return np.linalg.norm(defect) <= 1e-12 * max(1.0, np.linalg.norm(H))
 
 
 # The relative tolerance of every residual check: a computed inverse, root

@@ -25,10 +25,60 @@ def family_at(family, interval=None, bc_left=None):
     return lambda n: make_problem(family, interval, n, bc_left)
 
 
-def robin_complex(n):
-    """The shifted operator of the robin_complex kappa problem."""
-    prob = make_problem("mixed_sign", n=n, bc_left=BoundaryCondition(1 + 0.5j))
+def robin_complex(n, bc_right=None):
+    """The shifted operator of the robin_complex kappa problem, or with
+    ``bc_right`` in place of its Dirichlet right end."""
+    prob = make_problem("mixed_sign", n=n, bc_left=BoundaryCondition(1 + 0.5j),
+                        bc_right=bc_right)
     return prob.H + np.eye(prob.H.shape[0])
+
+
+def two_robin_ends(n):
+    """robin_complex with a complex Robin right end as well: two complex
+    corners, a rank-two update of the gauge, so the Schur route."""
+    return robin_complex(n, BoundaryCondition(2 - 1j))
+
+
+def schur_power(H, alpha):
+    """``H^alpha`` for alpha in {1/2, 1/4, 3/8} from one Schur form, by
+    ``sqrtm`` or Schur-Pade on its triangular factor."""
+    T, Z = sla.schur(H, output="complex")
+    if alpha == 0.375:
+        R = sla.fractional_matrix_power(T, alpha)
+    else:
+        R = sla.sqrtm(T) if alpha == 0.5 else sla.sqrtm(sla.sqrtm(T))
+    return Z @ R @ Z.conj().T
+
+
+def count_schur_forms(monkeypatch):
+    """The outputs asked of ``sla.schur`` from here on, one per call."""
+    schur, calls = sla.schur, []
+
+    def counting_schur(*args, **kwargs):
+        calls.append(kwargs.get("output"))
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "schur", counting_schur)
+    return calls
+
+
+def forbid_schur(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Schur form taken")
+
+    monkeypatch.setattr(sla, "schur", forbidden)
+
+
+def count_secular_solves(monkeypatch):
+    """The ``beta`` of every ``domains._secular_offsets`` call from here on."""
+    solve, calls = domains._secular_offsets, []
+
+    def counting(mu, u, beta):
+        calls.append(beta)
+        return solve(mu, u, beta)
+
+    monkeypatch.setattr(domains, "_secular_offsets", counting)
+    return calls
 
 
 class TestMatrixPower:
@@ -48,7 +98,8 @@ class TestMatrixPower:
             # the upper bidiagonal transpose has a zero subdiagonal, so it
             # takes the Schur route; its power is the transpose of the lower
             # one's, which the binomial series gives in closed form
-            assert domains._tridiagonal_toeplitz(L.T)[0] == 0
+            band = domains._diagonals(L.T)
+            assert domains._tridiagonal_toeplitz(band)[0] == 0
             X = matrix_power(L.T + np.eye(64), alpha)
             ref = matrix_power(L + np.eye(64), alpha).T
         else:
@@ -94,7 +145,7 @@ class TestMatrixPower:
                 matrix_power(H, alpha)
 
     def test_dense_path_exact(self):
-        H = robin_complex(64)
+        H = two_robin_ends(64)
         for k in (4, 8):
             Xk = np.linalg.matrix_power(matrix_power(H, 1 / k), k)
             assert np.linalg.norm(Xk - H) <= 1e-12 * np.linalg.norm(H)
@@ -108,21 +159,14 @@ class TestMatrixPower:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.25])
     def test_dense_path_takes_one_schur_form(self, alpha, monkeypatch):
-        schur = sla.schur
-        schur_calls = []
-
-        def counting_schur(*args, **kwargs):
-            schur_calls.append(kwargs.get("output"))
-            return schur(*args, **kwargs)
-
         def forbidden(*args, **kwargs):
             raise AssertionError("second factorization on the dense route")
 
-        monkeypatch.setattr(sla, "schur", counting_schur)
+        schur_calls = count_schur_forms(monkeypatch)
         monkeypatch.setattr(np.linalg, "eigvals", forbidden)
         monkeypatch.setattr(sla, "fractional_matrix_power", forbidden)
         monkeypatch.setattr(matfun, "sqrt_db", forbidden)
-        matrix_power(robin_complex(32), alpha)
+        matrix_power(two_robin_ends(32), alpha)
         assert schur_calls == ["complex"]
 
     def test_dense_path_matches_quadrature(self):
@@ -137,7 +181,7 @@ class TestMatrixPower:
         # Schur route keeps an independent root to agree with
         prob = make_problem("sawtooth", n=48)
         H = prob.H + np.eye(prob.H.shape[0])
-        assert domains._tridiagonal_toeplitz(H) is None
+        assert domains._tridiagonal_toeplitz(domains._diagonals(H)) is None
         Y = sqrt_db(H)
         assert np.linalg.norm(matrix_power(H, 0.5) - Y) \
             <= 1e-12 * np.linalg.norm(Y)
@@ -145,7 +189,7 @@ class TestMatrixPower:
     def test_schur_path_matches_quadrature(self):
         prob = make_problem("sawtooth", n=24)
         H = prob.H + np.eye(prob.H.shape[0])
-        assert domains._tridiagonal_toeplitz(H) is None
+        assert domains._tridiagonal_toeplitz(domains._diagonals(H)) is None
         X = matrix_power(H, 0.3)
         Xq = frac_power_quad(H, 0.3, QuadratureSpec(panels=16))
         assert np.linalg.norm(X - Xq) <= 1e-8 * np.linalg.norm(Xq)
@@ -155,34 +199,91 @@ class TestMatrixPower:
     @pytest.mark.parametrize("family,end", [
         ("complex_constant", "dirichlet"), ("mixed_sign", "dirichlet"),
         ("mixed_sign", "neumann"), ("mixed_sign", "robin"),
-        ("complex_p", "neumann")])
+        ("complex_p", "neumann"), ("mixed_sign", "complex_robin"),
+        ("complex_constant", "neumann"), ("complex_p", "robin"),
+        ("mixed_sign", "right_complex_robin")])
     def test_tridiagonal_toeplitz_takes_no_schur_form(self, family, end, n,
                                                       alpha, monkeypatch):
         # the Toeplitz sine case and the variable-coefficient gauge: real
         # coefficients with Dirichlet, Neumann or real Robin ends, and
-        # complex p with a Neumann end
-        theta = {"dirichlet": 0.0, "neumann": np.pi / 2, "robin": 0.7}[end]
-        prob = make_problem(family, n=n, bc_left=BoundaryCondition(theta))
+        # complex p with a Neumann end.  One end whose boundary term is no
+        # real multiple of the interior scale is a complex corner, solved by
+        # its secular equation: a complex Robin end with real coefficients,
+        # a Neumann end of complex_constant, a real Robin end with complex
+        # p, and the complex Robin end in the last row
+        left, right = {"dirichlet": (0.0, 0.0), "neumann": (np.pi / 2, 0.0),
+                       "robin": (0.7, 0.0), "complex_robin": (1 + 0.5j, 0.0),
+                       "right_complex_robin": (0.0, 1 + 0.5j)}[end]
+        corner = (family, end) in {
+            ("mixed_sign", "complex_robin"), ("complex_constant", "neumann"),
+            ("complex_p", "robin"), ("mixed_sign", "right_complex_robin")}
+        prob = make_problem(family, n=n, bc_left=BoundaryCondition(left),
+                            bc_right=BoundaryCondition(right))
         H = prob.H + np.eye(prob.H.shape[0])
-        T, Z = sla.schur(H, output="complex")
-        if alpha == 0.375:
-            R = sla.fractional_matrix_power(T, alpha)
-        else:
-            R = sla.sqrtm(T) if alpha == 0.5 else sla.sqrtm(sla.sqrtm(T))
-        ref = Z @ R @ Z.conj().T
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("Schur form on the gauge route")
-
-        monkeypatch.setattr(sla, "schur", forbidden)
+        ref = schur_power(H, alpha)
+        forbid_schur(monkeypatch)
+        betas = count_secular_solves(monkeypatch)
         X = matrix_power(H, alpha)
+        assert len(betas) == (1 if corner else 0) and all(betas)
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.375])
+    def test_perturbed_secular_solve_raises(self, alpha, monkeypatch):
+        # offsets off by 1e-6 relative leave W^T W off the identity: the
+        # route must raise, at a root and at a Schur-Pade power alike, and
+        # not fall back to Schur
+        solve = domains._secular_offsets
+
+        def perturbed(*args):
+            return solve(*args) * (1 + 1e-6)
+
+        monkeypatch.setattr(domains, "_secular_offsets", perturbed)
+        forbid_schur(monkeypatch)
+        with pytest.raises(SpectrumOnCutError):
+            matrix_power(robin_complex(64), alpha)
+
+    def test_unconverged_secular_solve_takes_schur(self, monkeypatch):
+        # the corner's solve takes three steps; one leaves it unconverged
+        H = robin_complex(64)
+        ref = schur_power(H, 0.375)
+        monkeypatch.setattr(domains, "_SECULAR_STEPS", 1)
+        betas = count_secular_solves(monkeypatch)
+        schur_calls = count_schur_forms(monkeypatch)
+        X = matrix_power(H, 0.375)
+        assert len(betas) == 1 and schur_calls == ["complex"]
+        assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("family,bc_left", [
+        ("complex_constant", None), ("constant_qrs", None),
+        ("mixed_sign", BoundaryCondition(1 + 0.5j))])
+    def test_tridiagonal_input_is_read_once(self, family, bc_left,
+                                            monkeypatch):
+        # one scan of the nonzero pattern; every later test reads the band
+        bandwidths, scans = domains._bandwidths, []
+        hermitian, tested = domains.is_hermitian, []
+
+        def counting(H):
+            scans.append(H.shape)
+            return bandwidths(H)
+
+        def band_only(H):
+            tested.append(isinstance(H, tuple) or H.ndim == 1)
+            return hermitian(H)
+
+        monkeypatch.setattr(domains, "_bandwidths", counting)
+        monkeypatch.setattr(domains, "is_hermitian", band_only)
+        H = make_problem(family, n=64, bc_left=bc_left).H
+        matrix_power(H + np.eye(H.shape[0]), 0.5)
+        assert scans == [H.shape]
+        assert tested and all(tested)
 
     @pytest.mark.parametrize("case", ["neumann", "sawtooth", "large_r",
                                       "large_gauge", "complex_robin"])
     def test_other_input_takes_one_schur_form(self, case, monkeypatch):
         if case == "neumann":
-            prob = make_problem("complex_constant", n=32, bc_left=NEU)
+            # a Neumann corner of complex_constant at each end: rank two
+            prob = make_problem("complex_constant", n=32, bc_left=NEU,
+                                bc_right=NEU)
         elif case == "sawtooth":
             prob = make_problem("sawtooth", n=32)
         elif case == "large_gauge":
@@ -193,24 +294,20 @@ class TestMatrixPower:
             log_g = np.cumsum(np.log(np.abs(np.sqrt(lo * up) / up)))
             assert np.ptp(log_g) > np.log(1e4)
         elif case == "complex_robin":
+            # a complex Robin corner at each end: rank two
             prob = make_problem("mixed_sign", n=32,
-                                bc_left=BoundaryCondition(1 + 0.5j))
+                                bc_left=BoundaryCondition(1 + 0.5j),
+                                bc_right=BoundaryCondition(2 - 1j))
         else:
             # tridiagonal Toeplitz, but |b/c|^((n-1)/2) is about 4.6e13
             mesh = build_mesh(IntervalSpec(), 32)
             prob = Problem(IntervalSpec(), mesh,
                            CoefficientSet.from_callables(mesh, r=50.0),
                            DIR, DIR)
-            b, a, c = domains._tridiagonal_toeplitz(prob.H)
+            b, a, c = domains._tridiagonal_toeplitz(
+                domains._diagonals(prob.H))
             assert b * c != 0
-        schur = sla.schur
-        schur_calls = []
-
-        def counting_schur(*args, **kwargs):
-            schur_calls.append(kwargs.get("output"))
-            return schur(*args, **kwargs)
-
-        monkeypatch.setattr(sla, "schur", counting_schur)
+        schur_calls = count_schur_forms(monkeypatch)
         matrix_power(prob.H + np.eye(prob.H.shape[0]), 0.5)
         assert schur_calls == ["complex"]
 
@@ -266,11 +363,8 @@ class TestMatrixPower:
             mu, V = eigh_tridiagonal(*args, **kwargs)
             return mu * (1 + 1e-6), V
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("Schur form after a failed gauge root")
-
         monkeypatch.setattr(sla, "eigh_tridiagonal", perturbed)
-        monkeypatch.setattr(sla, "schur", forbidden)
+        forbid_schur(monkeypatch)
         prob = make_problem("mixed_sign", n=64, bc_left=NEU)
         with pytest.raises(SpectrumOnCutError):
             matrix_power(prob.H + np.eye(64), alpha)

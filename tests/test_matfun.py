@@ -4,9 +4,9 @@ import pytest
 from power_laws import check_power_laws
 from sqrtdom.matfun import (QuadratureSpec, ResolventError,
                             SpectrumOnCutError, _principal_sqrt,
-                            _require_off_cut, frac_power_quad, power_norms,
-                            power_start, resolvent, spectral_norm, sqrt_db,
-                            trace_det_check)
+                            _require_off_cut, frac_power_quad, is_hermitian,
+                            power_norms, power_start, resolvent,
+                            spectral_norm, sqrt_db, trace_det_check)
 
 
 def random_accretive(n, seed, shift=1.0):
@@ -284,3 +284,21 @@ class TestSpectralNorm:
         assert got[2] == 0.0
         # the capped estimate is an inner approximation
         assert got[1] < np.linalg.norm(mats[1], 2)
+
+
+class TestIsHermitian:
+    @pytest.mark.parametrize("defect", [0.0, 1e-14, 1e-11, 1.0])
+    @pytest.mark.parametrize("where", ["diagonal", "lower", "upper"])
+    def test_band_test_agrees_with_dense(self, defect, where):
+        # a complex Hermitian tridiagonal matrix with one entry moved off
+        # Hermitian by ``defect``: its diagonals must get the dense verdict
+        rng = np.random.default_rng(11)
+        n = 40
+        lo = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        bands = {"lower": lo, "diagonal": rng.standard_normal(n) + 0j,
+                 "upper": lo.conj()}
+        bands[where][3] += 1j * defect
+        lo, d, up = bands["lower"], bands["diagonal"], bands["upper"]
+        H = np.diag(d) + np.diag(lo, -1) + np.diag(up, 1)
+        assert is_hermitian((lo, d, up)) == is_hermitian(H)
+        assert is_hermitian(H) == (defect < 1e-12)
