@@ -31,7 +31,7 @@ from .kato import (PATHS, _InvSqrtShifted, build_factorization,
                    decay_profile, verify_identity)
 from .krein import (green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
                     u2_closed_form, d_theta)
-from .matfun import ShiftBelowSpectrumError, SpectrumOnCutError, resolvent
+from .matfun import ShiftBelowSpectrumError, resolvent
 from .problems import (FAMILY_NAMES, Problem, build_coefficients,
                        lions_operator)
 from .sectorial import check_m_accretive, numerical_range_hull, safe_shift
@@ -337,11 +337,11 @@ def cmd_decay_study(cfg: dict, outdir: Path) -> int:
         raise ConfigError(f"the default shift grid runs from 1e2 to 1/h^2 = "
                           f"{top:g}; refine the mesh or give --E-grid")
     E_grid = cfg["E_grid"] or np.geomspace(1e2, top, 9)
-    # a grid that starts below the spectrum can leave a real eigenvalue on
-    # the cut, which the cut guard reports before the shift rule does
+    # a grid that starts below the spectrum fails the shift rule, real
+    # eigenvalues too; a failed root is no configuration error
     try:
         suite = decay_suite(prob, E_grid)
-    except (ShiftBelowSpectrumError, SpectrumOnCutError) as exc:
+    except ShiftBelowSpectrumError as exc:
         raise ConfigError(f"--E-grid from {min(E_grid):g} does not shift "
                           f"the operator above zero: {exc}; raise --E-grid"
                           ) from exc

@@ -14,27 +14,27 @@ factor is taken; ``sqrt_domain_kappa`` reads it from the extreme eigenvalues
 of ``Z^H Z``.  ``_kappa_row`` takes each level's cheapest exact factor: at
 the critical power the bidiagonal Cholesky factor of the tridiagonal
 ``H_ref + E``, applied by banded substitution (a Hermitian ``H + E`` is its
-own bidiagonal X); at any other power the Hermitian route's
+own bidiagonal X); at any other power the gauge route's
 ``(H_ref + E)^-alpha``; for the control ``Z = T^alpha (T^-alpha)^H``, both
 powers closed-form.  A problem passes when ``kappa`` stays bounded under
 mesh refinement; the control's critical-power ratio keeps growing.
 
-Every fractional power goes through ``matrix_power``, whose four routes are
-all exact to roundoff: eigendecomposition for Hermitian input; the
-terminating binomial series for a tridiagonal Toeplitz matrix with a zero
-superdiagonal (the negative control, lower bidiagonal); the discrete
-Liouville gauge for a tridiagonal matrix that a diagonal similarity D, within
-``_MAX_SIMILARITY_COND``, takes to a shifted and scaled real symmetric one
-(real coefficients with real ends, and every constant-coefficient family
-with Dirichlet ends), or to one with a single complex boundary corner, a
+Every fractional power goes through ``matrix_power``, whose three routes
+are all exact to roundoff: the terminating binomial series for a
+tridiagonal Toeplitz matrix with a zero superdiagonal (the negative
+control, lower bidiagonal); the discrete Liouville gauge for a tridiagonal
+matrix that a diagonal similarity D, within ``_MAX_SIMILARITY_COND``, takes
+to a shifted and scaled real symmetric one (Hermitian input, real
+coefficients with real ends, and every constant-coefficient family with
+Dirichlet ends), or to one with a single complex boundary corner, a
 rank-one update whose eigenpairs come from its secular equation (one
 complex Robin end with real coefficients; one Neumann or Robin end with
-constant coefficients); and one complex Schur form for any other input, whose
-triangular factor is rooted k times at alpha = 2^-k and raised by Schur-Pade
-otherwise.  Real input stays real on the first three routes.  A shift that
-leaves an eigenvalue of negative real part on any route, a Hermitian
-``H + E`` that is not positive definite, a negative power of a singular
-Hermitian matrix or a ``Z^H Z`` that is not positive definite raises
+constant coefficients); and one complex Schur form for any other input,
+dense input included, whose triangular factor is rooted k times at
+alpha = 2^-k and raised by Schur-Pade otherwise.  Real input stays real on
+the first two routes.  A shift that leaves an eigenvalue of negative real
+part (on every route, by the one guard ``matfun._require_shifted``), a
+Hermitian ``H + E`` or a ``Z^H Z`` that is not positive definite raises
 ``ShiftBelowSpectrumError``.
 """
 
@@ -49,8 +49,8 @@ import scipy.sparse as sp
 from .kato import _InvSqrtShifted, _loglog_slope
 from .matfun import (ShiftBelowSpectrumError, SpectrumOnCutError,
                      _band_storage, _bandwidths, _principal_sqrt,
-                     _require_off_cut, _require_root, _require_shifted,
-                     _residual_fails, is_hermitian)
+                     _require_root, _require_shifted, _residual_fails,
+                     is_hermitian)
 from .problems import lions_operator
 
 __all__ = [
@@ -109,7 +109,6 @@ def _toeplitz_power(lam: complex, mu: complex, n: int,
     ``c_k = binom(alpha, k) lam^(alpha - k) mu^k``, built by the recurrence
     ``c_k = c_{k-1} (alpha - k + 1) / k * (mu / lam)``.
     """
-    _require_off_cut([lam])
     _require_shifted([lam])
     k = np.arange(1, n)
     steps = np.concatenate(([lam ** alpha], (alpha - k + 1) / k * (mu / lam)))
@@ -232,7 +231,6 @@ def _gauge_power(H: np.ndarray, band: tuple,
         if V is None:
             return None
     lam, g = d[ref] + e[0] * mu, np.cumprod(g)
-    _require_off_cut(lam)
     _require_shifted(lam)
     f = lam ** alpha
     if np.iscomplexobj(V):
@@ -255,46 +253,34 @@ def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
     """Fractional power ``H^alpha``; the one place a route is chosen.
 
     One read of the nonzero pattern (``_diagonals``) finds a tridiagonal
-    input, whose Hermitian, Toeplitz and gauge tests then read only its
-    three diagonals; any other input is tested whole.  Hermitian input is
-    diagonalized (``eigh``).  A tridiagonal Toeplitz matrix with a zero
-    superdiagonal takes ``_toeplitz_power``, and a tridiagonal matrix that a
-    diagonal similarity symmetrizes, up to one complex boundary corner,
-    takes ``_gauge_power``.  These three routes return a real power for real
-    input.  Any other input is factored once as ``Q U Q^H`` (complex
-    Schur).  At ``alpha = 2^-k`` the triangular ``U`` is rooted k times
-    (``matfun._principal_sqrt``, each root residual-checked); any other
-    alpha raises ``U`` by the Schur-Pade algorithm (Higham & Lin, SIAM J.
-    Matrix Anal. Appl. 32, 2011), which takes no second Schur step on
-    triangular input.  The triangular power ``R`` returns as ``Q R Q^H``.
+    input, whose Toeplitz and gauge tests then read only its three
+    diagonals.  A tridiagonal Toeplitz matrix with a zero superdiagonal
+    takes ``_toeplitz_power``, and a tridiagonal matrix that a diagonal
+    similarity symmetrizes, up to one complex boundary corner, takes
+    ``_gauge_power`` (Hermitian tridiagonal input among them, with
+    ``|g_k| = 1``).  These two routes return a real power for real input.
+    Any other input, dense Hermitian input included, is factored once as
+    ``Q U Q^H`` (complex Schur).  At ``alpha = 2^-k`` the triangular ``U``
+    is rooted k times (``matfun._principal_sqrt``, each root
+    residual-checked); any other alpha raises ``U`` by the Schur-Pade
+    algorithm (Higham & Lin, SIAM J. Matrix Anal. Appl. 32, 2011), which
+    takes no second Schur step on triangular input.  The triangular power
+    ``R`` returns as ``Q R Q^H``.
 
-    Every route reads the eigenvalues it has (those of ``eigh``, the
-    gauge's ``d_ref + c lam`` or ``diag(U)``): off the Hermitian route they
-    must avoid the cut (-inf, 0] (``SpectrumOnCutError``), and on every
-    route a real part below ``_require_shifted``'s rule raises
-    ``ShiftBelowSpectrumError``.  A negative ``alpha`` takes the same
-    routes; on the Hermitian route an eigenvalue the rule lets through at or
-    below zero then raises too, since it has no negative power.
+    Every route passes the eigenvalues it has (the binomial series' one
+    diagonal value, the gauge's ``d_ref + c mu`` or ``diag(U)``) once
+    through ``matfun._require_shifted``, so the error class follows the
+    eigenvalues, not the route.  A negative ``alpha`` takes the same
+    routes.
     """
     H = np.asarray(H)
     n = H.shape[0]
-    band = _diagonals(H)
-    if is_hermitian(H if band is None else band):
-        evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-        _require_shifted(evals)
-        if alpha < 0 and evals[0] <= 0:
-            raise ShiftBelowSpectrumError(
-                f"negative power of a singular matrix: smallest eigenvalue "
-                f"{evals[0]:.6g}")
-        evals = np.clip(evals, 0.0, None)
-        return (evecs * evals[None, :] ** alpha) @ evecs.conj().T
-    if band is not None:
+    if (band := _diagonals(H)) is not None:
         if (toeplitz := _tridiagonal_toeplitz(band)) and toeplitz[2] == 0:
             return _toeplitz_power(toeplitz[1], toeplitz[0], n, alpha)
         if (X := _gauge_power(H, band, alpha)) is not None:
             return X
     U, Q = sla.schur(H, output="complex")
-    _require_off_cut(np.diag(U))
     _require_shifted(np.diag(U))
     if roots := _dyadic_roots(alpha):
         for _ in range(roots):
@@ -339,7 +325,7 @@ def _power_over_reference(H: np.ndarray, H_ref: np.ndarray, E: float,
     its own bidiagonal factor ``X``, which no root is formed for (a
     real-valued one factored in real arithmetic, so the self-adjoint
     baseline reads ``Z = I`` exactly).  At any other power
-    ``Y^-1 = (H_ref + E)^-alpha`` is the Hermitian route's power.
+    ``Y^-1 = (H_ref + E)^-alpha`` is the gauge route's power.
     """
     I = np.eye(H.shape[0])
     shifted, ref = H + E * I, H_ref + E * I

@@ -36,9 +36,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .matfun import (_principal_sqrt, _require_off_cut, _require_shifted,
-                     _residual_fails, is_hermitian, power_norms, power_start,
-                     resolvent, spectral_norm)
+from .matfun import (_principal_sqrt, _require_shifted, _residual_fails,
+                     is_hermitian, power_norms, power_start, resolvent,
+                     spectral_norm)
 from .problems import Problem
 from .sectorial import safe_shift
 
@@ -326,8 +326,8 @@ class _InvSqrtShifted:
     triangular principal root (``matfun._principal_sqrt``, batched over
     shifts and residual-checked), stacked in blocks of at most
     ``2**16 // n**2`` shifts.  The eigenvalues plus ``c`` (``diag(U) + c`` on
-    the Schur path) pass the branch-cut guard and then the shift rule
-    (``matfun._require_shifted``) first.  A factor ``X`` enters
+    the Schur path) first pass the one eigenvalue guard
+    (``matfun._require_shifted``), all shifts at once.  A factor ``X`` enters
     only through ``X Q`` (or ``X V``) and its Gram, each formed once per
     ``norms`` call, and all shifts of a block run in one ``power_norms`` per
     norm.  Each norm equals, in exact arithmetic, ``spectral_norm`` of the
@@ -396,7 +396,6 @@ class _InvSqrtShifted:
         """
         shifts = np.asarray(shifts, dtype=float)
         shifted = self.diag[None, :] + shifts[:, None]
-        _require_off_cut(shifted)
         _require_shifted(shifted)
         AV = A @ self.basis
         WA = AV.conj().T @ AV

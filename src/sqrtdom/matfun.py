@@ -8,12 +8,13 @@ out by the one band builder ``_band_storage``.  The roots and powers work
 on dense matrices.
 
 Verdicts take their powers from ``domains.matrix_power`` and their inverse
-half powers from ``kato._InvSqrtShifted``; on dense non-Hermitian input both
-take one complex Schur form and root its triangular factor with
-``_principal_sqrt``, except that ``matrix_power`` takes a tridiagonal matrix
-that a diagonal similarity symmetrizes, up to one complex boundary corner,
-through ``eigh_tridiagonal`` (and the corner's secular equation).  Every
-computed square root passes the one residual rule ``_require_root``.  The
+half powers from ``kato._InvSqrtShifted``; on dense (for the latter,
+non-Hermitian) input both take one complex Schur form and root its
+triangular factor with ``_principal_sqrt``, while ``matrix_power`` takes a
+tridiagonal matrix that a diagonal similarity symmetrizes, up to one
+complex boundary corner, through ``eigh_tridiagonal``.  Their eigenvalues
+pass the one guard ``_require_shifted``, and every computed square root
+the one residual rule ``_require_root``.  The
 Denman-Beavers ``sqrt_db`` is left only to the determinant-trace identity
 and to the tests, as an independent root.
 ``frac_power_quad`` is the independent reference that criterion 3 and the
@@ -193,7 +194,7 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
 
 def _require_off_cut(evals: np.ndarray) -> None:
     """Raise ``SpectrumOnCutError`` if any of ``evals`` lies on (-inf, 0]
-    or is not finite."""
+    or is not finite; the whole guard only of unshifted roots."""
     evals = np.asarray(evals)
     tol = 1e-12 * (np.abs(evals) + 1.0)
     on_cut = ~np.isfinite(evals) | ((evals.real <= tol)
@@ -209,18 +210,22 @@ _SHIFT_TOL = 1e-10
 
 
 def _require_shifted(evals: np.ndarray) -> None:
-    """Raise ``ShiftBelowSpectrumError`` when the smallest real part of
-    ``evals`` lies below ``-_SHIFT_TOL max(1, max |evals|)``, for one
-    spectrum or for each row of a stack of them: the shift left part of the
-    spectrum in the open left half-plane, where an accretive operator has
-    none."""
+    """The one eigenvalue guard of every power and shifted root, for one
+    spectrum or each row of a stack, so the error class follows the
+    eigenvalues, not the route.  A non-finite one raises
+    ``SpectrumOnCutError``; a smallest real part below
+    ``-_SHIFT_TOL max(1, max |evals|)``, left of where an accretive operator
+    has spectrum, ``ShiftBelowSpectrumError``; one still on (-inf, 0]
+    ``SpectrumOnCutError`` (``_require_off_cut``)."""
     evals = np.asarray(evals)
-    lowest = evals.real.min(axis=-1)
-    scale = np.maximum(1.0, np.abs(evals).max(axis=-1))
-    if np.any(lowest < -_SHIFT_TOL * scale):
-        raise ShiftBelowSpectrumError(
-            f"smallest real part of an eigenvalue {lowest.min():.6g} lies "
-            f"below zero")
+    if np.all(np.isfinite(evals)):
+        lowest = evals.real.min(axis=-1)
+        scale = np.maximum(1.0, np.abs(evals).max(axis=-1))
+        if np.any(lowest < -_SHIFT_TOL * scale):
+            raise ShiftBelowSpectrumError(
+                f"smallest real part of an eigenvalue {lowest.min():.6g} "
+                f"lies below zero")
+    _require_off_cut(evals)
 
 
 def _require_root(R: np.ndarray, T: np.ndarray) -> None:

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from csv_tables import read_matrix, write_coefficient
 from sqrtdom import checks, cli, formbounds, kato, problems
@@ -420,14 +421,29 @@ class TestVerifyCommands:
     def test_decay_study_shift_onto_cut_is_config_error(self, tmp_path,
                                                         capsys):
         # the real twin of the case above: base eigenvalues -290, -231, -137
-        # stay real after the shift 1e2 and hit the cut guard before the
-        # shift rule; the study used to exit 1 as a failed check
+        # stay real after the shift 1e2 and lie below the shift rule, which
+        # the one guard applies before the cut; the study used to exit 1
+        # as a failed check
         code, out = run(tmp_path, "o", "decay-study", "--problem",
                         "constant_qrs", "--n", "64", "--theta-a", "0.05")
         assert code == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "--E-grid" in err
         assert not any(out.iterdir())
+
+    def test_decay_study_failed_root_is_no_config_error(self, tmp_path,
+                                                        monkeypatch, capsys):
+        # sawtooth's base operator takes the Schur path, whose shifted roots
+        # come from sqrtm; roots off by 1e-6 relative fail the residual
+        # rule.  That is no shift below the spectrum: it used to be caught
+        # with the cut guard's class and reported as "raise --E-grid"
+        sqrtm = sla.sqrtm
+        monkeypatch.setattr(sla, "sqrtm", lambda T: sqrtm(T) * (1 + 1e-6))
+        code, out = run(tmp_path, "o", "decay-study", "--problem", "sawtooth",
+                        "--n", "16")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "residual" in err and "configuration error" not in err
 
     @pytest.mark.parametrize("grid", ["100,10,2.9", "100,10,inf",
                                       "100,10,nan", "100,10,400",
@@ -458,19 +474,24 @@ class TestVerifyCommands:
                 "sqrt-domain-equivalence"), args
 
     @pytest.mark.parametrize("alpha", ["0.5", "0.25"])
+    @pytest.mark.parametrize("coeffs", ["q", "q_and_r"])
     def test_kappa_study_shift_below_spectrum_is_config_error(
-            self, tmp_path, alpha, capsys):
-        # a real potential well deeper than -E: the Gram pencil (alpha = 1/2)
-        # or the Hermitian power (alpha = 1/4) is indefinite; both used to
-        # exit 1, the failed-check code
+            self, tmp_path, coeffs, alpha, capsys):
+        # a real potential well deeper than -E: the Cholesky factor of the
+        # Hermitian H + E (alpha = 1/2) or the gauge power (alpha = 1/4)
+        # finds it; both used to exit 1, the failed-check code.  With r = 1
+        # the operator is real but not Hermitian, and its real eigenvalues
+        # below zero used to reach the cut guard first and exit 1 too
         x = np.linspace(0.0, 1.0, 2001)
         with np.errstate(divide="ignore"):
             q = -np.minimum(np.abs(x - 0.5) ** -1.0, 1e4)
-        qpath = tmp_path / "q.csv"
+        qpath, rpath = tmp_path / "q.csv", tmp_path / "r.csv"
         write_coefficient(qpath, x, q)
+        write_coefficient(rpath, x, np.ones_like(x))
+        extra = ["--coeff-r", str(rpath)] if coeffs == "q_and_r" else []
         code, out = run(tmp_path, "o", "kappa-study", "--problem", "free",
                         "--coeff-q", str(qpath), "--n-list", "32,64",
-                        "--alpha", alpha)
+                        "--alpha", alpha, *extra)
         assert code == 2
         assert "--E" in capsys.readouterr().err
         assert not (out / "kappa.csv").exists()

@@ -81,13 +81,47 @@ def count_secular_solves(monkeypatch):
     return calls
 
 
+def eigh_power(H, alpha):
+    """``H^alpha`` of a Hermitian positive definite H from a dense ``eigh``
+    of its Hermitian part: an oracle independent of every route of
+    ``matrix_power``."""
+    evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
+    return (evecs * evals ** alpha) @ evecs.conj().T
+
+
+def hermitian_tridiagonal(n):
+    """A complex Hermitian tridiagonal matrix, positive definite by
+    diagonal dominance: the gauge's ``g_k`` are of modulus one."""
+    rng = np.random.default_rng(3)
+    off = rng.uniform(0.2, 1.0, n - 1) * np.exp(2j * np.pi * rng.random(n - 1))
+    return np.diag(off, -1) + np.diag(4.0 + rng.random(n)) \
+        + np.diag(off.conj(), 1)
+
+
+def neumann_reference(n):
+    """mixed_sign's self-adjoint reference with a Neumann left end, plus
+    the shift E = 1: a real symmetric tridiagonal ``H_ref + E``."""
+    H = make_problem("mixed_sign", n=n, bc_left=NEU).reference_operator()
+    return H + np.eye(H.shape[0])
+
+
+def free_real_robin(n):
+    """free with the real Robin end theta_a = 0.7, plus the shift E = 1."""
+    H = make_problem("free", n=n, bc_left=BoundaryCondition(0.7)).H
+    return H + np.eye(H.shape[0])
+
+
 class TestMatrixPower:
-    def test_hermitian_path_matches_quadrature(self):
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_dense_hermitian_input_takes_one_schur_form(self, alpha,
+                                                        monkeypatch):
         rng = np.random.default_rng(0)
         B = rng.standard_normal((15, 15))
         H = (B @ B.T + np.eye(15)).astype(complex)
-        P1 = matrix_power(H, 0.3)
-        P2 = frac_power_quad(H, 0.3, QuadratureSpec(panels=16))
+        schur_calls = count_schur_forms(monkeypatch)
+        P1 = matrix_power(H, alpha)
+        assert schur_calls == ["complex"]
+        P2 = frac_power_quad(H, alpha, QuadratureSpec(panels=16))
         np.testing.assert_allclose(P1, P2, atol=1e-8 * np.linalg.norm(P1))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -116,16 +150,20 @@ class TestMatrixPower:
 
     @pytest.mark.parametrize("lam", [0.0, -1.0])
     def test_toeplitz_path_rejects_cut(self, lam):
+        # an eigenvalue at 0 is on the cut; one at -1 lies below the shift
+        # rule, which the one guard applies first
         T = lions_operator(16)
         E = lam - T[0, 0].real
-        with pytest.raises(SpectrumOnCutError):
+        error = (SpectrumOnCutError if lam == 0
+                 else domains.ShiftBelowSpectrumError)
+        with pytest.raises(error):
             matrix_power(T + E * np.eye(16), 0.25)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5])
-    @pytest.mark.parametrize("route", ["hermitian", "toeplitz"])
+    @pytest.mark.parametrize("route", ["hermitian_gauge", "toeplitz"])
     def test_real_input_stays_real(self, route, alpha):
         # the reference operator and the lions control are real themselves
-        if route == "hermitian":
+        if route == "hermitian_gauge":
             H = make_problem("free", n=65).reference_operator() + np.eye(64)
         else:
             H = lions_operator(64) + np.eye(64)
@@ -136,13 +174,17 @@ class TestMatrixPower:
         assert np.linalg.norm(X - Xc) <= 1e-13 * np.linalg.norm(Xc)
 
     def test_dense_path_rejects_cut(self):
+        # an eigenvalue at 0 is on the cut; one at -1 lies below the shift
+        # rule, which the one guard applies first
         rng = np.random.default_rng(5)
         V = rng.standard_normal((12, 12))
-        evals = np.concatenate(([-1.0], np.linspace(1.0, 3.0, 11)))
-        H = V @ np.diag(evals) @ np.linalg.inv(V)
-        for alpha in (0.25, 0.5):
-            with pytest.raises(SpectrumOnCutError):
-                matrix_power(H, alpha)
+        for lowest, error in ((0.0, SpectrumOnCutError),
+                              (-1.0, domains.ShiftBelowSpectrumError)):
+            evals = np.concatenate(([lowest], np.linspace(1.0, 3.0, 11)))
+            H = V @ np.diag(evals) @ np.linalg.inv(V)
+            for alpha in (0.25, 0.5):
+                with pytest.raises(error):
+                    matrix_power(H, alpha)
 
     def test_dense_path_exact(self):
         H = two_robin_ends(64)
@@ -311,13 +353,23 @@ class TestMatrixPower:
         matrix_power(prob.H + np.eye(prob.H.shape[0]), 0.5)
         assert schur_calls == ["complex"]
 
-    @pytest.mark.parametrize("route", ["hermitian", "bidiagonal", "gauge",
-                                       "schur"])
+    @pytest.mark.parametrize("route", ["hermitian_gauge", "real_gauge",
+                                       "bidiagonal", "gauge", "schur"])
     def test_shift_below_spectrum_rejected_on_every_route(self, route):
         # eigenvalues of real part near -90 and imaginary part 1 (real on
-        # the Hermitian route): off the cut, below the shift rule
-        if route == "hermitian":
+        # the two real gauge cases): off the cut, below the shift rule.
+        # Real eigenvalues on the gauge route used to reach the cut guard
+        # first and raise SpectrumOnCutError
+        if route == "hermitian_gauge":
             H = make_problem("free", n=32).H - 100 * np.eye(31)
+        elif route == "real_gauge":
+            # r = 1: real, not Hermitian, lo up > 0, so the spectrum is real
+            mesh = build_mesh(IntervalSpec(), 32)
+            prob = Problem(IntervalSpec(), mesh,
+                           CoefficientSet.from_callables(mesh, r=1.0),
+                           DIR, DIR)
+            assert not matfun.is_hermitian(prob.H)
+            H = prob.H.real - 100 * np.eye(31)
         elif route == "bidiagonal":
             H = lions_operator(16) - (16 + 90 - 1j) * np.eye(16)
         else:
@@ -327,12 +379,12 @@ class TestMatrixPower:
             with pytest.raises(domains.ShiftBelowSpectrumError):
                 matrix_power(H, alpha)
 
-    @pytest.mark.parametrize("route", ["hermitian", "binomial", "gauge",
-                                       "schur"])
+    @pytest.mark.parametrize("route", ["hermitian_gauge", "binomial",
+                                       "gauge", "schur"])
     def test_negative_half_power_inverts_the_half_power(self, route):
         # alpha <= 0 is no dyadic root: it used to reach log2 with a
         # RuntimeWarning off the Hermitian and binomial routes
-        if route == "hermitian":
+        if route == "hermitian_gauge":
             H = make_problem("mixed_sign", n=65).reference_operator()
         elif route == "binomial":
             H = lions_operator(64)
@@ -347,11 +399,32 @@ class TestMatrixPower:
 
     @pytest.mark.parametrize("lowest", [0.0, -1e-17])
     def test_negative_power_of_singular_hermitian_rejected(self, lowest):
-        # the eigenvalue passes the shift rule and is clipped to 0, whose
-        # negative power used to come back as inf
+        # the eigenvalue passes the shift rule and sits on the cut, where a
+        # negative power used to come back as inf.  A diagonal matrix has
+        # lo up = 0, so it takes the Schur route
         H = np.diag([lowest, 1.0, 2.0, 3.0, 4.0, 5.0])
-        with pytest.raises(domains.ShiftBelowSpectrumError):
+        with pytest.raises(SpectrumOnCutError):
             matrix_power(H, -0.25)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.375, -0.25])
+    @pytest.mark.parametrize("case,n", [("complex_hermitian", 200),
+                                        ("neumann_reference", 256),
+                                        ("free_real_robin", 256)])
+    def test_hermitian_tridiagonal_takes_the_gauge(self, case, n, alpha,
+                                                   monkeypatch):
+        # the dense eigh route these inputs took is the oracle; at
+        # alpha = -1/4 the smallest eigenvalue dominates, and both carry
+        # about eps ||A|| / lambda_min (gaps measured: 2.3e-14 and 5.5e-12)
+        H = {"complex_hermitian": hermitian_tridiagonal,
+             "neumann_reference": neumann_reference,
+             "free_real_robin": free_real_robin}[case](n)
+        assert matfun.is_hermitian(H)
+        ref = eigh_power(H, alpha)
+        forbid_schur(monkeypatch)
+        monkeypatch.delattr(np.linalg, "eigh")
+        X = matrix_power(H, alpha)
+        tol = 1e-13 if alpha > 0 else 5e-11
+        assert np.linalg.norm(X - ref) <= tol * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.25])
     def test_gauge_root_residual_failure_raises(self, alpha, monkeypatch):
@@ -750,6 +823,39 @@ class TestKappaCases:
                                    per_radius * R, bc),
             [5, 10, 20], 1.0, 0.5, ceiling)
         assert report.verdict == "bounded", report.growth
+
+
+# alpha != 1/2 on [0, 1] with a Dirichlet right end.  For a second-order
+# operator dom(A^alpha) is H^(2 alpha) with no boundary condition while
+# 2 alpha < 3/2, and carries the condition above (Fujiwara 1967; Grisvard
+# 1967; Seeley 1972): a Robin end against the Neumann reference, and a jump
+# in s, part the domains above alpha = 3/4, and a constant s does not.  Only
+# powers well away from 3/4 are judged; no finite ladder decides alpha near
+# it.  Growth over 32..128 (ceiling 1.204): free 1.0165 at 0.6, 2.29 at
+# 0.9; mixed_sign Robin 1.0183, 1.84; sawtooth 1.0083, 1.585; mixed_sign
+# Dirichlet 1.0131 at 0.9.  The divergent ladders' last increments grow by
+# 1.51, 1.51 and 1.40
+THREE_QUARTER_CASES = {
+    "free-robin": ("free", BoundaryCondition(0.7)),
+    "mixed-sign-complex-robin": ("mixed_sign", BoundaryCondition(1 + 0.5j)),
+    "sawtooth-dirichlet": ("sawtooth", DIR),
+    "mixed-sign-dirichlet": ("mixed_sign", DIR)}
+
+
+class TestThreeQuarterPower:
+    @pytest.mark.parametrize("case,alpha,verdict", [
+        ("free-robin", 0.6, "bounded"), ("free-robin", 0.9, "divergent"),
+        ("mixed-sign-complex-robin", 0.6, "bounded"),
+        ("mixed-sign-complex-robin", 0.9, "divergent"),
+        ("sawtooth-dirichlet", 0.6, "bounded"),
+        ("sawtooth-dirichlet", 0.9, "divergent"),
+        ("mixed-sign-dirichlet", 0.9, "bounded")])
+    def test_ladder_verdict(self, case, alpha, verdict, ceiling):
+        family, bc = THREE_QUARTER_CASES[case]
+        report = refinement_study(family_at(family, None, bc),
+                                  KAPPA_LADDER, 1.0, alpha, ceiling)
+        assert report.verdict == verdict, (report.growth,
+                                           report.increment_ratio)
 
 
 class TestThmA1Decay:

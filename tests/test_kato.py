@@ -614,7 +614,8 @@ class TestInvSqrtShifted:
 
     def test_schur_path_guards_the_cut(self):
         # non-Hermitian with the real eigenvalues 1..n: the shift -1 puts
-        # one at 0 and -3 puts three on (-inf, 0]
+        # one at 0, on the cut, and -3 puts two below zero and one at 0,
+        # which the one guard reports by the shift rule first
         n = 12
         rng = np.random.default_rng(5)
         H = np.diag(np.arange(1.0, n + 1)) + np.triu(
@@ -622,8 +623,9 @@ class TestInvSqrtShifted:
         halver = _InvSqrtShifted(H)
         assert not halver.hermitian
         X = np.ones((2, n), dtype=complex)
-        for c in (-1.0, -3.0):
-            with pytest.raises(SpectrumOnCutError):
+        for c, error in ((-1.0, SpectrumOnCutError),
+                         (-3.0, ShiftBelowSpectrumError)):
+            with pytest.raises(error):
                 halver.norms([1.0, c], X)
-            with pytest.raises(SpectrumOnCutError):
+            with pytest.raises(error):
                 halver.norms([c], X, X)

@@ -1,7 +1,8 @@
 """Every name the benchmark tracer wraps exists in the package, every
 public function feeds a verdict, the settable values do not regrow, only
-``csvio`` formats output, only ``cli._manifest`` decides a verdict and no
-verdict reads random vectors.
+``csvio`` formats output, only ``cli._manifest`` decides a verdict, no
+verdict reads random vectors and every power route makes one eigenvalue
+guard call.
 
 A deletion that breaks ``perfbench/run.py --trace 1`` fails here by name,
 not deep inside a traced benchmark run.  The tracer module is loaded
@@ -188,6 +189,49 @@ def test_no_random_draws_in_a_verdict():
     draws = {(path.stem, owner) for path in sorted(SRC.glob("*.py"))
              for owner, _ in random_draws(path)}
     assert draws == {("checks", "trace_suite"), ("matfun", "power_start")}
+
+
+def calls_of(path, name):
+    """The caller of each call of ``name`` (a bare name or an attribute) in
+    one file: the innermost function that holds it, ``Class.method`` for a
+    method."""
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, ast.ClassDef):
+                inner = child.name
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name if owner is None else (
+                    f"{owner}.{child.name}")
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    callers.append(owner)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), None)
+    return callers
+
+
+def test_one_eigenvalue_guard_per_route():
+    # matfun._require_shifted is the one eigenvalue guard: each route of
+    # domains.matrix_power (binomial, gauge, Schur) and the shifted roots of
+    # kato._InvSqrtShifted.norms call it once, so the error class follows
+    # the eigenvalues.  The cut-only guard is its last step, and the whole
+    # guard of the unshifted roots; no dense eigh powers anything
+    def callers(name):
+        return sorted((path.stem, owner) for path in sorted(SRC.glob("*.py"))
+                      for owner in calls_of(path, name))
+
+    assert callers("_require_shifted") == [
+        ("domains", "_gauge_power"), ("domains", "_toeplitz_power"),
+        ("domains", "matrix_power"), ("kato", "_InvSqrtShifted.norms")]
+    assert callers("_require_off_cut") == [
+        ("matfun", "_log_sym_det"), ("matfun", "_require_shifted"),
+        ("matfun", "sqrt_db")]
+    assert not calls_of(SRC / "domains.py", "eigh")
 
 
 # defaulted parameters + dataclass init fields + cli.DEFAULTS keys
