@@ -6,9 +6,12 @@ meshes.  Coefficients are sampled once per cell at the midpoint, which keeps
 every matrix exact for piecewise-constant data and first-order accurate
 otherwise.  The convention throughout: the full form matrix ``S`` satisfies
 ``q(g, f) = g^H S f`` for nodal vectors, conjugate-linear in the first slot.
-``orthonormalize`` turns the forms into the operator matrix in
-L2-orthonormal coordinates; ``problems.Problem`` keeps one assembled
-operator together with its inputs.
+Every form is tridiagonal and stays in the band: a ``scipy.sparse``
+``dia_array`` whose data rows hold the diagonals ``1, 0, -1`` in LAPACK band
+layout, the layout of ``matfun._band_storage``.  ``orthonormalize`` scales
+the forms' sum into the operator matrix in L2-orthonormal coordinates and
+forms it densely, as ``_dense`` forms every matrix a consumer reads;
+``problems.Problem`` keeps that one dense matrix together with its inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "IntervalSpec",
@@ -219,18 +223,20 @@ class FormMatrices:
 
     ``M`` is the consistent mass; ``K0`` carries the second-order part,
     ``K1``/``K2`` the two convective terms, ``K3`` the (lumped, diagonal)
-    potential and ``Bdry`` the rank <= 2 boundary contribution.
-    ``dof_nodes`` indexes the retained mesh nodes and ``lumped_weights``
-    holds their full-mesh mass row sums, so interior nodes next to a
-    removed Dirichlet node keep their full weight.
+    potential and ``Bdry`` the rank <= 2 boundary contribution, a diagonal.
+    Each is a ``dia_array`` in the band layout of ``_cell_sum`` (``Bdry``
+    stores its one diagonal), and ``_dense`` forms it where a matrix is read.
+    ``dof_nodes`` indexes the retained mesh nodes, a contiguous range, and
+    ``lumped_weights`` holds their full-mesh mass row sums, so interior
+    nodes next to a removed Dirichlet node keep their full weight.
     """
 
-    M: np.ndarray
-    K0: np.ndarray
-    K1: np.ndarray
-    K2: np.ndarray
-    K3: np.ndarray
-    Bdry: np.ndarray
+    M: sp.dia_array
+    K0: sp.dia_array
+    K1: sp.dia_array
+    K2: sp.dia_array
+    K3: sp.dia_array
+    Bdry: sp.dia_array
     dof_nodes: np.ndarray
     lumped_weights: np.ndarray
 
@@ -247,30 +253,68 @@ class FormMatrices:
             raise ValueError("lumped mass is not positive definite")
         return 1.0 / np.sqrt(w)
 
-    def congruence(self, S: np.ndarray) -> np.ndarray:
+    def congruence(self, S: np.ndarray | sp.dia_array):
         """``D S D``, ``D = diag(orthonormal_scaling)``: a form matrix as an
-        orthonormal-coordinate operator, or such an operator as a kernel."""
-        winv = self.orthonormal_scaling
-        return winv[:, None] * S * winv[None, :]
+        orthonormal-coordinate operator, or such an operator as a kernel.
 
-    def total(self) -> np.ndarray:
+        A dense ``S`` gives a dense matrix and a band (``dia_array``) a band,
+        each entry scaled in the same order, ``(w_i S_ij) w_j``.
+        """
+        winv = self.orthonormal_scaling
+        if not sp.issparse(S):
+            return winv[:, None] * S * winv[None, :]
+        # the data row of offset k holds S[j - k, j] in column j; an entry
+        # off the matrix takes a clipped row's weight and stays unread
+        rows = np.clip(np.arange(S.shape[1]) - S.offsets[:, None], 0,
+                       S.shape[0] - 1)
+        return sp.dia_array(((winv[rows] * S.data) * winv, S.offsets),
+                            shape=S.shape)
+
+    def total(self) -> sp.dia_array:
         return self.K0 + self.K1 + self.K2 + self.K3 + self.Bdry
 
 
-def _cell_sum(ll, lr, rl, rr) -> np.ndarray:
+def _cell_sum(ll, lr, rl, rr) -> sp.dia_array:
     """Sum the element blocks ``[[ll, lr], [rl, rr]]``, one entry per cell,
-    onto the nodes ``(k, k + 1)`` of cell ``k``.  A diagonal entry takes its
-    right cell's term, then its left cell's."""
-    k = np.arange(len(ll))
-    S = np.zeros((len(k) + 1,) * 2, dtype=np.result_type(ll, lr, rl, rr))
-    S[k, k] += ll
-    S[k + 1, k + 1] += rr
-    S[k, k + 1] += lr
-    S[k + 1, k] += rl
-    return S
+    onto the nodes ``(k, k + 1)`` of cell ``k``, as a tridiagonal
+    ``dia_array`` in LAPACK band layout: data row ``1 - k`` holds diagonal
+    ``k = 1, 0, -1``, entry ``[j - k, j]`` in column ``j``, and zero where
+    that is off the matrix.
+
+    Each entry is accumulated from zero as a dense scatter accumulates it, a
+    diagonal entry taking its right cell's term, then its left cell's, so
+    the dense matrix is the scatter's bit for bit."""
+    n = len(ll)
+    ab = np.zeros((3, n + 1), dtype=np.result_type(ll, lr, rl, rr))
+    ab[0, 1:] += lr
+    ab[1, :-1] += ll
+    ab[1, 1:] += rr
+    ab[2, :-1] += rl
+    return sp.dia_array((ab, [1, 0, -1]), shape=(n + 1, n + 1))
 
 
-def _unit_stiffness(mesh: Mesh) -> np.ndarray:
+def _dense(S: sp.dia_array) -> np.ndarray:
+    """The dense matrix of a square ``dia_array``, each stored diagonal
+    written in place (``toarray`` reaches it through a CSR and a COO
+    copy)."""
+    n = S.shape[0]
+    out = np.zeros(S.shape, dtype=S.dtype)
+    flat = out.reshape(-1)
+    for k, row in zip(S.offsets.tolist(), S.data):
+        # diagonal k starts at [max(0, -k), max(0, k)] and steps by n + 1
+        flat[max(k, -k * n)::n + 1] = row[max(0, k):n + min(0, k)]
+    return out
+
+
+def _trim(S: sp.dia_array, keep: np.ndarray) -> sp.dia_array:
+    """The block of ``S`` on the contiguous node range ``keep``: the same
+    diagonals, their columns cut to the range.  A data entry the cut moves
+    off the matrix is kept but never read."""
+    lo, hi = int(keep[0]), int(keep[-1]) + 1
+    return sp.dia_array((S.data[:, lo:hi], S.offsets), shape=(hi - lo,) * 2)
+
+
+def _unit_stiffness(mesh: Mesh) -> sp.dia_array:
     """The real Gram of ``||f'||^2`` on all nodes: unit diffusion."""
     return _cell_sum(*(np.full(mesh.n_cells, sign / mesh.h)
                        for sign in (1, -1, -1, 1)))
@@ -278,8 +322,8 @@ def _unit_stiffness(mesh: Mesh) -> np.ndarray:
 
 def _retained_nodes(mesh: Mesh, bc_left: BoundaryCondition,
                     bc_right: BoundaryCondition):
-    """The nodes no Dirichlet end removes and their full-mesh lumped-mass
-    row sums (trapezoid weights)."""
+    """The nodes no Dirichlet end removes, a contiguous range, and their
+    full-mesh lumped-mass row sums (trapezoid weights)."""
     keep = np.arange(int(bc_left.is_dirichlet),
                      mesh.n_cells + 1 - int(bc_right.is_dirichlet))
     weights = np.full(mesh.n_cells + 1, mesh.h)
@@ -290,7 +334,8 @@ def _retained_nodes(mesh: Mesh, bc_left: BoundaryCondition,
 def assemble_forms(mesh: Mesh, coeffs: CoefficientSet,
                    bc_left: BoundaryCondition,
                    bc_right: BoundaryCondition) -> FormMatrices:
-    """Assemble the form matrices of the full operator on the mesh.
+    """Assemble the form matrices of the full operator on the mesh, each a
+    band on the retained nodes (see ``FormMatrices``).
 
     Parameters
     ----------
@@ -319,17 +364,20 @@ def assemble_forms(mesh: Mesh, coeffs: CoefficientSet,
     # potential: lumped quadrature, diagonal
     K3 = _cell_sum(q * h / 2, *np.zeros((2, n), dtype=complex), q * h / 2)
 
-    Bdry = np.zeros(M.shape, dtype=complex)
+    # accumulated from zero as the cell sums are, so a Neumann end's
+    # -cot = -0 leaves a positive zero
+    bdry = np.zeros((1, n + 1), dtype=complex)
     if not bc_left.is_dirichlet:
-        Bdry[0, 0] = -bc_left.cot()
+        bdry[0, 0] += -bc_left.cot()
     if not bc_right.is_dirichlet:
-        Bdry[-1, -1] = -bc_right.cot()
+        bdry[0, -1] += -bc_right.cot()
+    Bdry = sp.dia_array((bdry, [0]), shape=(n + 1, n + 1))
 
     keep, weights = _retained_nodes(mesh, bc_left, bc_right)
-    sub = np.ix_(keep, keep)
-    return FormMatrices(M=M[sub], K0=K0[sub], K1=K1[sub], K2=K2[sub],
-                        K3=K3[sub], Bdry=Bdry[sub], dof_nodes=keep,
-                        lumped_weights=weights)
+    M, K0, K1, K2, K3, Bdry = (_trim(S, keep)
+                               for S in (M, K0, K1, K2, K3, Bdry))
+    return FormMatrices(M=M, K0=K0, K1=K1, K2=K2, K3=K3, Bdry=Bdry,
+                        dof_nodes=keep, lumped_weights=weights)
 
 
 def orthonormalize(forms: FormMatrices) -> np.ndarray:
@@ -337,9 +385,10 @@ def orthonormalize(forms: FormMatrices) -> np.ndarray:
 
     ``S`` is the full form matrix and ``M`` the lumped (diagonal row-sum)
     mass, which makes ``M^{-1/2}`` exact.  Nodal vectors ``f`` and
-    orthonormal vectors ``u`` are related by ``u = M^{1/2} f``.
+    orthonormal vectors ``u`` are related by ``u = M^{1/2} f``.  The sum
+    and its scaling stay in the band; only ``H`` is formed densely.
     """
-    return forms.congruence(forms.total())
+    return _dense(forms.congruence(forms.total()))
 
 
 def w12_norm_matrix(mesh: Mesh, bc_left: BoundaryCondition,
@@ -352,5 +401,6 @@ def w12_norm_matrix(mesh: Mesh, bc_left: BoundaryCondition,
     if E <= 0:
         raise ValueError("E must be positive")
     keep, weights = _retained_nodes(mesh, bc_left, bc_right)
-    K = _unit_stiffness(mesh)[np.ix_(keep, keep)]
-    return (K + E * np.diag(weights)).astype(complex)
+    K = _trim(_unit_stiffness(mesh), keep)
+    mass = sp.dia_array((E * weights[None, :], [0]), shape=K.shape)
+    return _dense((K + mass).astype(complex))

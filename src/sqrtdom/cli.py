@@ -22,7 +22,7 @@ import numpy as np
 
 from . import csvio
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                       build_mesh, w12_norm_matrix)
+                       _dense, build_mesh, w12_norm_matrix)
 from .checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU, TOL_SLACK,
                      TOL_SLOPE, TOL_TRACE, decay_suite, failed,
                      form_bound_suite, kato_checks, krein_suite, trace_suite)
@@ -31,7 +31,7 @@ from .kato import (PATHS, _InvSqrtShifted, build_factorization,
                    decay_profile, verify_identity)
 from .krein import (green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
                     u2_closed_form, d_theta)
-from .matfun import ShiftBelowSpectrumError, resolvent
+from .matfun import ResolventError, ShiftBelowSpectrumError, resolvent
 from .problems import (FAMILY_NAMES, Problem, build_coefficients,
                        lions_operator)
 from .sectorial import check_m_accretive, numerical_range_hull, safe_shift
@@ -252,10 +252,10 @@ def _manifest(outdir: Path, cfg: dict, command: str, checks: dict,
 def cmd_assemble(cfg: dict, outdir: Path) -> int:
     prob = problem_from(cfg)
     forms = prob.forms
-    for name, mat in (("M", forms.M), ("K0", forms.K0), ("K1", forms.K1),
-                      ("K2", forms.K2), ("K3", forms.K3),
-                      ("Bdry", forms.Bdry), ("operator", prob.H)):
-        csvio.write_matrix(outdir / f"{name}.csv", mat)
+    for name in ("M", "K0", "K1", "K2", "K3", "Bdry"):
+        csvio.write_matrix(outdir / f"{name}.csv",
+                           _dense(getattr(forms, name)))
+    csvio.write_matrix(outdir / "operator.csv", prob.H)
     csvio.write_rows(outdir / "mesh.csv", "i,x", enumerate(prob.mesh.nodes))
     GE = w12_norm_matrix(prob.mesh, prob.bc_left, prob.bc_right,
                          cfg["E"] or 1.0)
@@ -280,9 +280,17 @@ def cmd_verify_kato(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_verify_krein(cfg: dict, outdir: Path) -> int:
-    suite = krein_suite(cfg["a"], cfg["b"], -(cfg["E"] or 5.0),
-                        cfg["n_list"] or [64, 128, 256], cfg["n"],
-                        cfg["E"] or 25.0, cfg["E_grid"] or [25.0, 100.0])
+    z = -(cfg["E"] or 5.0)
+    try:
+        suite = krein_suite(cfg["a"], cfg["b"], z,
+                            cfg["n_list"] or [64, 128, 256], cfg["n"],
+                            cfg["E"] or 25.0, cfg["E_grid"] or [25.0, 100.0])
+    except ResolventError as exc:
+        # z = -E lies left of the spectrum, so only the shift's size can
+        # make the finite-element resolvent fail
+        raise ConfigError(f"--E {-z:g}: the finite-element resolvent at "
+                          f"z = {z:g} cannot be represented ({exc}); "
+                          f"lower --E") from exc
     csvio.write_rows(outdir / "krein_errors.csv", "theta,n,max_error",
                      suite["errors"])
     csvio.write_rows(outdir / "bessel_bound.csv", "E,lhs,rhs",

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .assembly import (CoefficientSet, FormMatrices, IntervalSpec, Mesh,
-                       _cell_sum)
+                       _cell_sum, _dense)
 
 __all__ = [
     "FormBoundConstants",
@@ -103,17 +104,18 @@ def check_form_bound(forms: FormMatrices, constants: FormBoundConstants,
     if not np.all((eps > 0.0) & (eps < constants.eps_0)):
         raise ValueError(f"eps must lie in (0, {constants.eps_0})")
     # K0 is complex symmetric, so its Hermitian part is its real part
-    mu, V = sla.eigh(forms.K0.real, forms.M.real)
+    mu, V = sla.eigh(_dense(forms.K0.real), _dense(forms.M.real))
     d2 = 1.0 / (eps[:, None] * mu + constants.M * eps[:, None] ** -3)
-    squares = [np.sum(d2 @ np.abs(V.T @ K @ V) ** 2 * d2, axis=1)
+    # dense products: V is dense, and a sparse one would sum in another order
+    squares = [np.sum(d2 @ np.abs(V.T @ _dense(K) @ V) ** 2 * d2, axis=1)
                for K in (forms.K1, forms.K2, forms.K3)]
     return np.sqrt(np.stack(squares, axis=1))
 
 
-def _trace_gram(mesh: Mesh, eps: float) -> np.ndarray:
+def _trace_gram(mesh: Mesh, eps: float) -> sp.dia_array:
     """The Gram on all nodes of the pointwise bound's right side, ``eps K +
     ((b-a)^-1 + eps^-1) M`` with the unit stiffness K and the consistent
-    mass M, the exact integrals of the nodal interpolant."""
+    mass M, the exact integrals of the nodal interpolant, as a band."""
     h, c = mesh.h, 1.0 / (mesh.b - mesh.a) + 1.0 / eps
     diag, off = (np.full(mesh.n_cells, v)
                  for v in (eps / h + c * h / 3.0, c * h / 6.0 - eps / h))
@@ -132,7 +134,7 @@ def check_trudinger(w: np.ndarray, mesh: Mesh, eps: float) -> dict:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    Qinv = np.linalg.inv(_trace_gram(mesh, eps))
+    Qinv = np.linalg.inv(_dense(_trace_gram(mesh, eps)))
     weight = np.abs(np.asarray(w)) * np.sqrt(mesh.h)  # N_w = ||weight||^2
     N_w = float(weight @ weight)
     # lambda_max(W, Q) is that of B Q^-1 B^T for W = B^T B, where B scales

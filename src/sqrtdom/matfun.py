@@ -168,7 +168,9 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
     ``_RESIDUAL_TOL max(1, ||H - z||_F ||R||_F)``.
 
     Raises ``ResolventError`` if the shifted matrix is singular, reporting
-    ``z`` as (numerically) in the spectrum, or if the residual is not finite.
+    ``z`` as (numerically) in the spectrum, or if the residual or that
+    condition estimate is not finite: a resolvent too large or too small to
+    represent has no scale to check against.
     """
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
@@ -182,13 +184,17 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
                                  check_finite=False)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise ResolventError(f"z = {z} lies in the spectrum") from exc
-    cond_est = np.linalg.norm(ab) * np.linalg.norm(R)
     AR = sp.dia_array((ab, np.arange(u, -l - 1, -1)), shape=(n, n)) @ R
     AR[np.diag_indices(n)] -= 1.0
+    # an estimate that overflows, or reads inf * 0 = nan, fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond_est = np.linalg.norm(ab) * np.linalg.norm(R)
     residual = np.linalg.norm(AR)
-    if _residual_fails(residual, max(1.0, cond_est)):
+    if (not np.isfinite(cond_est)
+            or _residual_fails(residual, max(1.0, cond_est))):
         raise ResolventError(
-            f"resolvent residual {residual:.2e} exceeds tolerance at z = {z}")
+            f"resolvent residual {residual:.2e} fails against the condition "
+            f"estimate {cond_est:.2e} at z = {z}")
     return R
 
 

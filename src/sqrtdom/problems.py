@@ -5,7 +5,9 @@ constants, sign-changing sawtooth profiles, and locally integrable spikes
 whose singularity is truncated at grid scale.  A ``Problem`` holds its five
 inputs (interval, mesh, coefficients, two boundary conditions) and builds
 its form matrices and operator matrix from them, so the three cannot
-disagree; the base and reference operators it derives are matrices too.
+disagree.  The forms stay tridiagonal bands; the operator matrix ``H`` is
+the one dense matrix it keeps, and the base and reference operators it
+derives are formed densely only when asked for.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (BoundaryCondition, CoefficientSet, FormMatrices,
-                       IntervalSpec, Mesh, _unit_stiffness, assemble_forms,
-                       build_mesh, orthonormalize)
+                       IntervalSpec, Mesh, _dense, _trim, _unit_stiffness,
+                       assemble_forms, build_mesh, orthonormalize)
 
 __all__ = [
     "FAMILY_NAMES",
@@ -87,8 +89,9 @@ def build_coefficients(name: str, mesh: Mesh) -> CoefficientSet:
 
 @dataclass(frozen=True)
 class Problem:
-    """One assembled operator: its inputs, form matrices ``forms`` and
-    matrix ``H = M^{-1/2} S M^{-1/2}`` in L2-orthonormal coordinates."""
+    """One assembled operator: its inputs, form matrices ``forms`` (bands)
+    and matrix ``H = M^{-1/2} S M^{-1/2}`` in L2-orthonormal coordinates,
+    its one dense matrix."""
 
     interval: IntervalSpec
     mesh: Mesh
@@ -107,8 +110,8 @@ class Problem:
     def base_operator(self) -> np.ndarray:
         """Same second-order part and boundary conditions, no lower-order
         terms: ``forms.K0 + forms.Bdry``, scaled as ``orthonormalize``
-        scales the total."""
-        return self.forms.congruence(self.forms.K0 + self.forms.Bdry)
+        scales the total, and formed densely."""
+        return _dense(self.forms.congruence(self.forms.K0 + self.forms.Bdry))
 
     def reference_operator(self) -> np.ndarray:
         """Self-adjoint unit-diffusion reference with the same form domain,
@@ -118,8 +121,8 @@ class Problem:
         whether a boundary parameter vanishes: the unit stiffness on the
         retained nodes, scaled as ``orthonormalize`` scales the total.
         """
-        keep = np.ix_(self.forms.dof_nodes, self.forms.dof_nodes)
-        return self.forms.congruence(_unit_stiffness(self.mesh)[keep])
+        return _dense(self.forms.congruence(
+            _trim(_unit_stiffness(self.mesh), self.forms.dof_nodes)))
 
     def lumped_average(self, cells: np.ndarray) -> np.ndarray:
         """Cell samples averaged onto the retained nodes with the lumped

@@ -274,6 +274,17 @@ class TestVerifyCommands:
             assert table.shape == (81, 4) and np.all(np.isfinite(table)), name
         assert read_manifest(out)["u2_left_value"] == "1"
 
+    def test_verify_krein_at_a_huge_shift_is_a_config_error(self, tmp_path,
+                                                            capsys):
+        # the finite-element resolvent at z = -1e300 cannot be represented;
+        # it used to pass its residual rule, and the run failed as a check
+        # with 1e-150 in every krein_errors.csv row
+        code, out = run(tmp_path, "o", "verify-krein", "--E", "1e300",
+                        "--n-list", "8,16", "--n", "8")
+        assert code == 2
+        assert "--E 1e+300" in capsys.readouterr().err
+        assert not (out / "krein_errors.csv").exists()
+
     def test_verify_kato_passes_on_default_problem(self, tmp_path):
         code, out = run(tmp_path, "o", "verify-kato", "--n", "32")
         assert code == 0

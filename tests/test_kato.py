@@ -38,7 +38,7 @@ def with_coeffs(n, bl=DIR, br=DIR, **coeffs):
 def ortho_perturbation(prob_forms):
     w = prob_forms.lumped_weights
     winv = 1.0 / np.sqrt(w)
-    S = prob_forms.K1 + prob_forms.K2 + prob_forms.K3
+    S = (prob_forms.K1 + prob_forms.K2 + prob_forms.K3).toarray()
     return winv[:, None] * S * winv[None, :]
 
 
@@ -85,7 +85,7 @@ class TestBuildFactorization:
             for X in (fact.A, fact.B):
                 assert isinstance(X, sp.csr_array)
                 assert np.diff(X.indptr).max() <= 2
-            pert = winv[:, None] * forms[variant] * winv[None, :]
+            pert = winv[:, None] * forms[variant].toarray() * winv[None, :]
             np.testing.assert_allclose(
                 (fact.B.conj().T @ fact.A).toarray(), pert,
                 atol=1e-13 * max(1, np.abs(pert).max()))

@@ -47,6 +47,12 @@ class TestResolvent:
         with pytest.raises(ResolventError):
             resolvent(H, 0.0)
 
+    def test_unrepresentable_resolvent_reported(self):
+        # at z = -1e300 the condition estimate ||H - z||_F ||R||_F reads
+        # inf * 0 = nan, and max(1, nan) = 1 used to pass the residual
+        with pytest.raises(ResolventError, match="residual"):
+            resolvent(np.array([[2.0, -1.0], [-1.0, 2.0]]), -1e300)
+
     def test_first_resolvent_identity(self):
         H = random_accretive(25, 3)
         for z1, z2 in [(-1.0, -3.0 + 1j), (2j, -0.5 - 2j)]:
