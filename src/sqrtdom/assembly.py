@@ -270,16 +270,27 @@ class FormMatrices:
         return sp.dia_array(((winv[rows] * S.data) * winv, S.offsets),
                             shape=S.shape)
 
+    def plus_boundary(self, *forms: sp.dia_array) -> sp.dia_array:
+        """The sum of the tridiagonal ``forms``, left to right, and ``Bdry``
+        as one band: the forms share the cell sums' data layout, so their
+        data rows add entry by entry, and ``Bdry`` adds onto the main
+        diagonal last, each entry as ``dia_array`` addition forms it."""
+        data = forms[0].data.copy()
+        for S in forms[1:]:
+            data += S.data
+        data[1] += self.Bdry.data[0]
+        return sp.dia_array((data, forms[0].offsets), shape=self.Bdry.shape)
+
     def total(self) -> sp.dia_array:
-        return self.K0 + self.K1 + self.K2 + self.K3 + self.Bdry
+        return self.plus_boundary(self.K0, self.K1, self.K2, self.K3)
 
 
-def _cell_sum(ll, lr, rl, rr) -> sp.dia_array:
+def _cell_sum(ll, lr, rl, rr) -> np.ndarray:
     """Sum the element blocks ``[[ll, lr], [rl, rr]]``, one entry per cell,
-    onto the nodes ``(k, k + 1)`` of cell ``k``, as a tridiagonal
-    ``dia_array`` in LAPACK band layout: data row ``1 - k`` holds diagonal
+    onto the nodes ``(k, k + 1)`` of cell ``k``, as the data of a
+    tridiagonal band in LAPACK layout: data row ``1 - k`` holds diagonal
     ``k = 1, 0, -1``, entry ``[j - k, j]`` in column ``j``, and zero where
-    that is off the matrix.
+    that is off the matrix.  ``_trim`` wraps it.
 
     Each entry is accumulated from zero as a dense scatter accumulates it, a
     diagonal entry taking its right cell's term, then its left cell's, so
@@ -290,7 +301,7 @@ def _cell_sum(ll, lr, rl, rr) -> sp.dia_array:
     ab[1, :-1] += ll
     ab[1, 1:] += rr
     ab[2, :-1] += rl
-    return sp.dia_array((ab, [1, 0, -1]), shape=(n + 1, n + 1))
+    return ab
 
 
 def _dense(S: sp.dia_array) -> np.ndarray:
@@ -306,16 +317,21 @@ def _dense(S: sp.dia_array) -> np.ndarray:
     return out
 
 
-def _trim(S: sp.dia_array, keep: np.ndarray) -> sp.dia_array:
-    """The block of ``S`` on the contiguous node range ``keep``: the same
-    diagonals, their columns cut to the range.  A data entry the cut moves
-    off the matrix is kept but never read."""
+def _trim(ab: np.ndarray, keep: np.ndarray) -> sp.dia_array:
+    """The block on the contiguous node range ``keep`` of the band with data
+    ``ab``, whose rows hold the diagonals ``u, ..., -u`` in LAPACK layout
+    (``u = len(ab) // 2``: a cell sum's three diagonals, or one), as a
+    ``dia_array``: the columns are cut to the range before the one wrap.  A
+    data entry the cut moves off the matrix is kept but never read."""
     lo, hi = int(keep[0]), int(keep[-1]) + 1
-    return sp.dia_array((S.data[:, lo:hi], S.offsets), shape=(hi - lo,) * 2)
+    u = len(ab) // 2
+    return sp.dia_array((ab[:, lo:hi], np.arange(u, -u - 1, -1)),
+                        shape=(hi - lo,) * 2)
 
 
-def _unit_stiffness(mesh: Mesh) -> sp.dia_array:
-    """The real Gram of ``||f'||^2`` on all nodes: unit diffusion."""
+def _unit_stiffness(mesh: Mesh) -> np.ndarray:
+    """The band data of the real Gram of ``||f'||^2`` on all nodes: unit
+    diffusion."""
     return _cell_sum(*(np.full(mesh.n_cells, sign / mesh.h)
                        for sign in (1, -1, -1, 1)))
 
@@ -366,16 +382,15 @@ def assemble_forms(mesh: Mesh, coeffs: CoefficientSet,
 
     # accumulated from zero as the cell sums are, so a Neumann end's
     # -cot = -0 leaves a positive zero
-    bdry = np.zeros((1, n + 1), dtype=complex)
+    Bdry = np.zeros((1, n + 1), dtype=complex)
     if not bc_left.is_dirichlet:
-        bdry[0, 0] += -bc_left.cot()
+        Bdry[0, 0] += -bc_left.cot()
     if not bc_right.is_dirichlet:
-        bdry[0, -1] += -bc_right.cot()
-    Bdry = sp.dia_array((bdry, [0]), shape=(n + 1, n + 1))
+        Bdry[0, -1] += -bc_right.cot()
 
     keep, weights = _retained_nodes(mesh, bc_left, bc_right)
-    M, K0, K1, K2, K3, Bdry = (_trim(S, keep)
-                               for S in (M, K0, K1, K2, K3, Bdry))
+    M, K0, K1, K2, K3, Bdry = (_trim(ab, keep)
+                               for ab in (M, K0, K1, K2, K3, Bdry))
     return FormMatrices(M=M, K0=K0, K1=K1, K2=K2, K3=K3, Bdry=Bdry,
                         dof_nodes=keep, lumped_weights=weights)
 

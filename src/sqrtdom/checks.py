@@ -157,10 +157,11 @@ def form_bound_suite(prob: Problem) -> dict:
 def decay_suite(prob: Problem, E_grid) -> dict:
     """Shift decay of ``prob`` over ``E_grid``: ``profiles`` holds
     ``decay_profile`` of each factor pair, all from one factorization of the
-    base operator, and ``multipliers`` ``thmA1_decay`` of ``abs_r``,
-    ``abs_s`` and ``sqrt_abs_q``, sampled per cell and averaged onto the
-    retained nodes as the potential is (``prob.lumped_average``), all from
-    one factorization of the reference operator.
+    base operator, whose path ``base_path`` names, and ``multipliers``
+    ``thmA1_decay`` of ``abs_r``, ``abs_s`` and ``sqrt_abs_q``, sampled per
+    cell and averaged onto the retained nodes as the potential is
+    (``prob.lumped_average``), all from one factorization of the reference
+    operator.
 
     The qr and s pairs must decay (K-norm slope at most ``TOL_SLOPE``,
     monotone K-norms), the full triple's derivative block must plateau
@@ -169,8 +170,8 @@ def decay_suite(prob: Problem, E_grid) -> dict:
     vanish has nothing to decay and is exempt; any other ``nan`` slope
     fails.
     """
-    halver = _InvSqrtShifted(prob.base_operator())
-    profiles = {v: decay_profile(halver, build_factorization(prob, v), E_grid)
+    base = _InvSqrtShifted(prob.base_operator())
+    profiles = {v: decay_profile(base, build_factorization(prob, v), E_grid)
                 for v in VARIANTS}
     c = prob.coeffs
     halver = _InvSqrtShifted(prob.reference_operator())
@@ -180,7 +181,8 @@ def decay_suite(prob: Problem, E_grid) -> dict:
                                        ("abs_s", np.abs(c.s)),
                                        ("sqrt_abs_q", np.sqrt(np.abs(c.q))))}
     pairs = [profiles["qr_pair"], profiles["s_pair"]]
-    return {"profiles": profiles, "multipliers": multipliers, "checks": {
+    return {"profiles": profiles, "multipliers": multipliers,
+            "base_path": base.path, "checks": {
         "factored-norm-decay": all(
             not np.any(p["normK"]) or (p["slope"] <= TOL_SLOPE
                                        and p["monotone"]) for p in pairs),

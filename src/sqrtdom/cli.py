@@ -370,7 +370,8 @@ def cmd_decay_study(cfg: dict, outdir: Path) -> int:
         "plateau_full_triple": profiles["full_triple"]["plateau_ratio"],
         "tolerance_slope": TOL_SLOPE, "tolerance_plateau": TOL_PLATEAU,
         **{f"slope_multiplier_{name}": rec["slope"]
-           for name, rec in multipliers.items()}})
+           for name, rec in multipliers.items()},
+        "base_operator_path": suite["base_path"]})
 
 
 def cmd_kernel_dump(cfg: dict, outdir: Path) -> int:
@@ -427,8 +428,8 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
     # and decays along the shift grid
     T0 = prob.base_operator()
     E0 = safe_shift(T0) + 10.0
-    decay = decay_profile(_InvSqrtShifted(T0),
-                          build_factorization(prob, "full_triple"),
+    halver = _InvSqrtShifted(T0)
+    decay = decay_profile(halver, build_factorization(prob, "full_triple"),
                           [E0, 10 * E0, 100 * E0])
 
     return _manifest(outdir, cfg, "hypothesis-check",
@@ -443,7 +444,8 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
                       "accretive_shift": E_acc, "worst_resolvent_ratio": worst,
                       "K_norm_start": decay["normK"][0],
                       "K_norm_end": decay["normK"][-1],
-                      "tolerance_slack": TOL_SLACK})
+                      "tolerance_slack": TOL_SLACK,
+                      "base_operator_path": halver.path})
 
 
 def cmd_trace_check(cfg: dict, outdir: Path) -> int:

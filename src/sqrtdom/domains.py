@@ -22,9 +22,9 @@ mesh refinement; the control's critical-power ratio keeps growing.
 Every fractional power goes through ``matrix_power``, whose three routes
 are all exact to roundoff: the terminating binomial series for a
 tridiagonal Toeplitz matrix with a zero superdiagonal (the negative
-control, lower bidiagonal); the discrete Liouville gauge for a tridiagonal
-matrix that a diagonal similarity D, within ``_MAX_SIMILARITY_COND``, takes
-to a shifted and scaled real symmetric one (Hermitian input, real
+control, lower bidiagonal); the discrete Liouville gauge
+(``matfun._gauge``) for a tridiagonal matrix that a diagonal similarity D
+takes to a shifted and scaled real symmetric one (Hermitian input, real
 coefficients with real ends, and every constant-coefficient family with
 Dirichlet ends), or to one with a single complex boundary corner, a
 rank-one update whose eigenpairs come from its secular equation (one
@@ -48,9 +48,9 @@ import scipy.sparse as sp
 
 from .kato import _InvSqrtShifted, _loglog_slope
 from .matfun import (ShiftBelowSpectrumError, SpectrumOnCutError,
-                     _band_storage, _bandwidths, _principal_sqrt,
-                     _require_root, _require_shifted, _residual_fails,
-                     is_hermitian)
+                     _band_storage, _bandwidths, _diagonals, _gauge,
+                     _principal_sqrt, _require_root, _require_shifted,
+                     _residual_fails, is_hermitian)
 from .problems import lions_operator
 
 __all__ = [
@@ -63,11 +63,6 @@ __all__ = [
 ]
 
 
-# Largest cond(D) that ``_gauge_power`` accepts: roundoff grows with it, so
-# worse input takes Schur, a complex corner included.  complex_constant,
-# Dirichlet: <= 1.65 to n = 1024.
-_MAX_SIMILARITY_COND = 1e2
-
 # Ehrlich-Aberth steps that ``_secular_offsets`` may take; a solve that has
 # not converged by then leaves the input to Schur.
 _SECULAR_STEPS = 16
@@ -79,15 +74,6 @@ def _dyadic_roots(alpha: float) -> int:
         return 0
     k = -np.log2(alpha)
     return int(k) if k >= 1 and k == int(k) else 0
-
-
-def _diagonals(H: np.ndarray) -> tuple | None:
-    """``(lo, d, up)``, the three diagonals of H, when one read of its
-    nonzero pattern (``matfun._bandwidths``) finds it tridiagonal with
-    n >= 2, else None."""
-    if H.shape[0] < 2 or max(_bandwidths(H)) > 1:
-        return None
-    return np.diag(H, -1), np.diag(H), np.diag(H, 1)
 
 
 def _tridiagonal_toeplitz(band: tuple) -> tuple | None:
@@ -182,55 +168,31 @@ def _corner_eigenpairs(mu: np.ndarray, V: np.ndarray, k: int,
 
 def _gauge_power(H: np.ndarray, band: tuple,
                  alpha: float) -> np.ndarray | None:
-    """``H^alpha`` by the discrete Liouville gauge for H tridiagonal with
-    diagonals ``band = (lo, d, up)``, or None unless every
-    ``lo_k up_k != 0`` and the gauge applies.
+    """``H^alpha`` by the discrete Liouville gauge (``matfun._gauge``) for H
+    tridiagonal with diagonals ``band``, or None unless the gauge applies.
 
-    With ``e_k = sqrt(lo_k up_k)`` (principal branch) and ``D = diag(g)``,
-    ``g_{k+1} / g_k = e_k / up_k``, ``D^-1 H D`` is symmetric tridiagonal
-    with off-diagonal e.  The gauge applies when cond(D) is within
-    ``_MAX_SIMILARITY_COND`` and that is ``d_ref I + c S``, ``d_ref = d_0``
-    and ``c = e_0``, with S real (the one Hermitian test: S is symmetric).
-    Then ``H^alpha = D V diag((d_ref + c mu)^alpha) V^T D^-1`` for
-    ``(mu, V) = eigh_tridiagonal(S)`` (the Toeplitz case is the sine
-    diagonalization of Noschese, Pasquini & Reichel, Numer. Linear Algebra
-    Appl. 20, 2013), in real arithmetic for real values.
-
-    A boundary term that is no real multiple of c (a complex Robin end, or
-    a Neumann or Robin end with complex coefficients) makes one corner
-    ``S_kk`` complex.  With ``d_ref`` the diagonal at the other end, the
-    rest of S must be real, and ``S = S_r + i beta e_k e_k^T`` is a
-    rank-one update of the real ``S_r``.  ``_corner_eigenpairs`` turns the
-    eigenpairs of ``S_r`` into those of S, with V complex orthogonal
-    (``V^-1 = V^T``), so the power keeps its form.  An unconverged secular
-    solve, and complex corners at both ends, take Schur.  At
+    With S real the power is ``D V diag((d_ref + c mu)^alpha) V^T D^-1``
+    (the Toeplitz case is the sine diagonalization of Noschese, Pasquini &
+    Reichel, Numer. Linear Algebra Appl. 20, 2013), in real arithmetic for
+    real values.  With one complex corner (a complex Robin end, or a
+    Neumann or Robin end with complex coefficients) S is a rank-one update
+    of the real ``S_r``, and ``_corner_eigenpairs`` turns the eigenpairs of
+    ``S_r`` into those of S, with V complex orthogonal (``V^-1 = V^T``), so
+    the power keeps its form.  An unconverged secular solve takes Schur.  At
     ``alpha = 2^-k`` the power is raised back k times and checked against
     the input by ``_require_root``.
     """
     real = not any(np.any(x.imag) for x in band)
-    lo, d, up = (x.real for x in band) if real else band
-    if not np.all(lo * up):
+    if (gauge := _gauge(tuple(x.real for x in band) if real else band)
+            ) is None:
         return None
-    e = np.emath.sqrt(lo * up)
-    g = np.r_[1.0, e / up]
-    if np.ptp(np.cumsum(np.log(np.abs(g)))) > np.log(_MAX_SIMILARITY_COND):
-        return None  # cond(D) too large
-    n, b = d.size, e / e[0]
-    # S = tridiag(b, a, b), a = (d - d_ref) / c: real, or real but for one
-    # corner a_k with d_ref the far end's diagonal.  Its entries give
-    # is_hermitian the Frobenius norms of S and S - S^H, with no dense S
-    for k, ref in ((None, 0), (n - 1, 0), (0, n - 1)):
-        a = (d - d[ref]) / e[0]
-        if is_hermitian(np.r_[a if k is None else np.delete(a, k), b, b]):
-            break
-    else:
-        return None
-    mu, V = sla.eigh_tridiagonal(a.real, b.real)
-    if k is not None:
-        mu, V = _corner_eigenpairs(mu, V, k, a[k].imag)
+    g, d_ref, c, mu, V, corner = gauge
+    del gauge  # so that ``del V`` below frees the eigenvectors
+    if corner is not None:
+        mu, V = _corner_eigenpairs(mu, V, *corner)
         if V is None:
             return None
-    lam, g = d[ref] + e[0] * mu, np.cumprod(g)
+    lam = d_ref + c * mu
     _require_shifted(lam)
     f = lam ** alpha
     if np.iscomplexobj(V):

@@ -21,7 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import (CoefficientSet, FormMatrices, IntervalSpec, Mesh,
-                       _cell_sum, _dense)
+                       _cell_sum, _dense, _trim)
 
 __all__ = [
     "FormBoundConstants",
@@ -119,7 +119,8 @@ def _trace_gram(mesh: Mesh, eps: float) -> sp.dia_array:
     h, c = mesh.h, 1.0 / (mesh.b - mesh.a) + 1.0 / eps
     diag, off = (np.full(mesh.n_cells, v)
                  for v in (eps / h + c * h / 3.0, c * h / 6.0 - eps / h))
-    return _cell_sum(diag, off, off, diag)
+    return _trim(_cell_sum(diag, off, off, diag),
+                 np.arange(mesh.n_cells + 1))
 
 
 def check_trudinger(w: np.ndarray, mesh: Mesh, eps: float) -> dict:

@@ -36,9 +36,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .matfun import (_principal_sqrt, _require_shifted, _residual_fails,
-                     is_hermitian, power_norms, power_start, resolvent,
-                     spectral_norm)
+from .matfun import (_diagonals, _gauge, _principal_sqrt, _require_shifted,
+                     _residual_fails, is_hermitian, power_norms, power_start,
+                     resolvent, spectral_norm)
 from .problems import Problem
 from .sectorial import safe_shift
 
@@ -312,43 +312,69 @@ class TwoStepResolvent:
         return _solve_core(R1, self.fact_s, z, "stage 2 (s):")
 
 
+def _unitary_gauge(H: np.ndarray) -> tuple | None:
+    """``(d_ref + c mu, D V)`` when the gauge of a tridiagonal H
+    (``matfun._gauge``) has S real and every ``|g_k| = 1`` within the
+    residual rule, so that ``D V`` is unitary and
+    ``H = (D V) diag(d_ref + c mu) (D V)^H``; else None."""
+    if (band := _diagonals(H)) is None or (gauge := _gauge(band)) is None:
+        return None
+    g, d_ref, c, mu, V, corner = gauge
+    if corner is not None or _residual_fails(np.abs(np.abs(g) - 1.0), 1.0):
+        return None
+    return d_ref + c * mu, g[:, None] * V
+
+
 # per-block cap on stacked n x n entries of the Schur path's shift factors
 _BLOCK_ENTRIES = 2 ** 16
 
 
 class _InvSqrtShifted:
     """Norms of products with ``F_c = (T0 + c)^{-1/2}`` and ``(T0 + c)^{-1}``
-    over many shifts ``c``, from one factorization of ``T0``.
+    over many shifts ``c``, from one factorization of ``T0``, by one of
+    three paths, named in ``path``.
 
-    Hermitian ``T0`` is diagonalized once (``eigh``), so each shift's factors
-    are diagonal.  Otherwise the complex Schur form ``T0 = Q U Q^H`` is taken
-    once, and each shift's factors are the inverses of ``U + c`` and of its
-    triangular principal root (``matfun._principal_sqrt``, batched over
-    shifts and residual-checked), stacked in blocks of at most
-    ``2**16 // n**2`` shifts.  The eigenvalues plus ``c`` (``diag(U) + c`` on
-    the Schur path) first pass the one eigenvalue guard
-    (``matfun._require_shifted``), all shifts at once.  A factor ``X`` enters
-    only through ``X Q`` (or ``X V``) and its Gram, each formed once per
-    ``norms`` call, and all shifts of a block run in one ``power_norms`` per
-    norm.  Each norm equals, in exact arithmetic, ``spectral_norm`` of the
-    explicit product, since the start vector is carried into the basis
-    coordinates.
+    - ``hermitian``: ``T0`` is diagonalized once (``eigh``).
+    - ``normal``: the discrete Liouville gauge (``matfun._gauge``) takes a
+      tridiagonal ``T0`` to ``D (d_ref I + c S) D^-1`` with S real and
+      ``|g_k| = 1`` (constant complex p with Dirichlet or Neumann ends), so
+      the basis ``D V`` of ``eigh_tridiagonal(S)`` is unitary.
+    - ``schur``: any other ``T0`` (a complex Robin end, varying complex p)
+      takes the complex Schur form ``T0 = Q U Q^H`` once, and each shift's
+      factors are the inverses of ``U + c`` and of its triangular principal
+      root (``matfun._principal_sqrt``, batched over shifts and
+      residual-checked), stacked in blocks of at most ``2**16 // n**2``
+      shifts.
+
+    On the first two paths each shift's factors are diagonal, complex on
+    the normal path and conjugated on the adjoint side.  The eigenvalues
+    plus ``c`` (``diag(U) + c`` on the Schur path) first pass the one
+    eigenvalue guard (``matfun._require_shifted``), all shifts at once.  A
+    factor ``X`` enters only through ``X Q`` (or ``X V``) and its Gram, each
+    formed once per ``norms`` call, and all shifts of a block run in one
+    ``power_norms`` per norm.  Outside the Hermitian path each norm equals,
+    in exact arithmetic, ``spectral_norm`` of the explicit product, since
+    the start vector is carried into the basis coordinates.
     """
 
     def __init__(self, H: np.ndarray):
         H = np.asarray(H, dtype=complex)
-        self.hermitian = is_hermitian(H)
-        if self.hermitian:
+        if is_hermitian(H):
+            self.path = "hermitian"
             self.diag, self.basis = np.linalg.eigh(H)
+        elif (normal := _unitary_gauge(H)) is not None:
+            self.path = "normal"
+            self.diag, self.basis = normal
         else:
+            self.path = "schur"
             self.U, self.basis = sla.schur(H, output="complex")
             self.diag = np.diag(self.U)
 
     def _factors(self, shifts: np.ndarray):
         """``(half, inv)`` per block of shifts: ``(T0 + c)^{-1/2}`` and
         ``(T0 + c)^{-1}`` in the basis for each shift c of the block, as
-        diagonals on the Hermitian path, which has one block."""
-        if self.hermitian:
+        diagonals in one block outside the Schur path."""
+        if self.path != "schur":
             shifted = self.diag[None, :] + shifts[:, None]
             yield shifted ** -0.5, shifted ** -1.0
             return
@@ -361,8 +387,8 @@ class _InvSqrtShifted:
     def _apply(self, F: np.ndarray, X: np.ndarray,
                adjoint: bool = False) -> np.ndarray:
         """Row j of ``X`` through ``F[j]`` (``F[j]^H`` with ``adjoint``)."""
-        if self.hermitian:
-            return F * X  # real diagonal
+        if self.path != "schur":  # a diagonal
+            return (F.conj() if adjoint else F) * X
         if adjoint:  # F^H x = conj(x^H F)
             return np.matmul(X.conj()[:, None, :], F)[:, 0, :].conj()
         return np.matmul(F, X[:, :, None])[:, :, 0]
@@ -390,9 +416,9 @@ class _InvSqrtShifted:
         and ``||A (T0 + c)^{-1} B^H|| = ||K(-c)||``, in this order.
 
         The A product starts in ``C^n``.  The K product starts in ``C^m``
-        (``m`` rows of ``B``), and so does the B product on the Schur path;
-        on the Hermitian path the B product, as ``B V D_c``, starts in
-        ``C^n``.
+        (``m`` rows of ``B``), and so does the B product outside the
+        Hermitian path; on that path the B product, as ``B V D_c``, starts in
+        ``C^n``, from the start vector itself.
         """
         shifts = np.asarray(shifts, dtype=float)
         shifted = self.diag[None, :] + shifts[:, None]
@@ -400,7 +426,8 @@ class _InvSqrtShifted:
         AV = A @ self.basis
         WA = AV.conj().T @ AV
         x0 = power_start(self.basis.shape[0])
-        start = x0 if self.hermitian else self.basis.conj().T @ x0
+        hermitian = self.path == "hermitian"
+        start = x0 if hermitian else self.basis.conj().T @ x0
         if B is not None:
             BV = B @ self.basis
             WB = BV.conj().T @ BV
@@ -409,7 +436,7 @@ class _InvSqrtShifted:
         for half, inv in self._factors(shifts):
             block = [self._run(half, start, inner=WA)]
             if B is not None:
-                block += [self._run(half, start, inner=WB) if self.hermitian
+                block += [self._run(half, start, inner=WB) if hermitian
                           else self._run(half, start_m, outer=WB),
                           self._run(inv, start_m, inner=WA, outer=WB)]
             blocks.append(block)

@@ -8,15 +8,17 @@ out by the one band builder ``_band_storage``.  The roots and powers work
 on dense matrices.
 
 Verdicts take their powers from ``domains.matrix_power`` and their inverse
-half powers from ``kato._InvSqrtShifted``; on dense (for the latter,
-non-Hermitian) input both take one complex Schur form and root its
-triangular factor with ``_principal_sqrt``, while ``matrix_power`` takes a
-tridiagonal matrix that a diagonal similarity symmetrizes, up to one
-complex boundary corner, through ``eigh_tridiagonal``.  Their eigenvalues
-pass the one guard ``_require_shifted``, and every computed square root
-the one residual rule ``_require_root``.  The
-Denman-Beavers ``sqrt_db`` is left only to the determinant-trace identity
-and to the tests, as an independent root.
+half powers from ``kato._InvSqrtShifted``.  Both read a tridiagonal input
+through the one discrete Liouville gauge ``_gauge``: a diagonal similarity
+that symmetrizes it, up to one complex boundary corner, and diagonalizes
+the symmetric part with ``eigh_tridiagonal``.  ``matrix_power`` takes any
+such input; ``_InvSqrtShifted`` takes the normal ones, whose similarity is
+unitary, and diagonalizes Hermitian input by a dense ``eigh``.  Other
+input takes one complex Schur form, whose triangular factor
+``_principal_sqrt`` roots.  Their eigenvalues pass the one guard
+``_require_shifted``, and every computed square root the one residual rule
+``_require_root``.  The Denman-Beavers ``sqrt_db`` is left only to the
+determinant-trace identity and to the tests, as an independent root.
 ``frac_power_quad`` is the independent reference that criterion 3 and the
 tests compare against.  It uses the classical integral representation
 
@@ -155,6 +157,64 @@ def _band_storage(H: np.ndarray, l: int, u: int) -> np.ndarray:
     for k in range(-l, u + 1):
         ab[u - k, max(0, k):n + min(0, k)] = np.diagonal(H, k)
     return ab
+
+
+def _diagonals(H: np.ndarray) -> tuple | None:
+    """``(lo, d, up)``, the three diagonals of H, when one read of its
+    nonzero pattern (``_bandwidths``) finds it tridiagonal with n >= 2, else
+    None."""
+    if H.shape[0] < 2 or max(_bandwidths(H)) > 1:
+        return None
+    return np.diag(H, -1), np.diag(H), np.diag(H, 1)
+
+
+# Largest cond(D) that ``_gauge`` accepts: roundoff grows with it, so worse
+# input takes Schur, a complex corner included.  complex_constant,
+# Dirichlet: <= 1.65 to n = 1024.
+_MAX_SIMILARITY_COND = 1e2
+
+
+def _gauge(band: tuple) -> tuple | None:
+    """The discrete Liouville gauge of the tridiagonal H with diagonals
+    ``band = (lo, d, up)``: ``(g, d_ref, c, mu, V, corner)``, or None unless
+    every ``lo_k up_k != 0`` and the gauge applies.  Real diagonals are
+    worked in real arithmetic.
+
+    With ``e_k = sqrt(lo_k up_k)`` (principal branch) and ``D = diag(g)``,
+    ``g_{k+1} / g_k = e_k / up_k``, ``D^-1 H D`` is symmetric tridiagonal
+    with off-diagonal e.  The gauge applies when cond(D) is within
+    ``_MAX_SIMILARITY_COND`` and that is ``d_ref I + c S``, ``d_ref = d_0``
+    and ``c = e_0``, with S real (the one Hermitian test: S is symmetric);
+    then ``corner`` is None and ``(mu, V) = eigh_tridiagonal(S)``, so that
+    ``H = D V diag(d_ref + c mu) V^T D^-1``.  With ``|g_k| = 1`` the basis
+    ``D V`` is unitary, and H normal.
+
+    A boundary term that is no real multiple of c makes one corner ``S_kk``
+    complex.  With ``d_ref`` the diagonal at the other end, the rest of S
+    must be real; then ``corner = (k, beta)`` with
+    ``S = S_r + i beta e_k e_k^T`` and ``(mu, V) = eigh_tridiagonal(S_r)``.
+    Complex corners at both ends give None.
+    """
+    lo, d, up = band
+    if not np.all(lo * up):
+        return None
+    e = np.emath.sqrt(lo * up)
+    g = np.r_[1.0, e / up]
+    if np.ptp(np.cumsum(np.log(np.abs(g)))) > np.log(_MAX_SIMILARITY_COND):
+        return None  # cond(D) too large
+    n, b = d.size, e / e[0]
+    # S = tridiag(b, a, b), a = (d - d_ref) / c: real, or real but for one
+    # corner a_k with d_ref the far end's diagonal.  Its entries give
+    # is_hermitian the Frobenius norms of S and S - S^H, with no dense S
+    for k, ref in ((None, 0), (n - 1, 0), (0, n - 1)):
+        a = (d - d[ref]) / e[0]
+        if is_hermitian(np.r_[a if k is None else np.delete(a, k), b, b]):
+            break
+    else:
+        return None
+    mu, V = sla.eigh_tridiagonal(a.real, b.real)
+    corner = None if k is None else (k, a[k].imag)
+    return np.cumprod(g), d[ref], e[0], mu, V, corner
 
 
 def resolvent(H: np.ndarray, z: complex) -> np.ndarray:

@@ -111,7 +111,8 @@ class Problem:
         """Same second-order part and boundary conditions, no lower-order
         terms: ``forms.K0 + forms.Bdry``, scaled as ``orthonormalize``
         scales the total, and formed densely."""
-        return _dense(self.forms.congruence(self.forms.K0 + self.forms.Bdry))
+        return _dense(self.forms.congruence(
+            self.forms.plus_boundary(self.forms.K0)))
 
     def reference_operator(self) -> np.ndarray:
         """Self-adjoint unit-diffusion reference with the same form domain,

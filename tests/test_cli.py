@@ -444,17 +444,30 @@ class TestVerifyCommands:
 
     def test_decay_study_failed_root_is_no_config_error(self, tmp_path,
                                                         monkeypatch, capsys):
-        # sawtooth's base operator takes the Schur path, whose shifted roots
-        # come from sqrtm; roots off by 1e-6 relative fail the residual
-        # rule.  That is no shift below the spectrum: it used to be caught
-        # with the cut guard's class and reported as "raise --E-grid"
+        # sawtooth's base operator with a complex Robin end takes the Schur
+        # path, whose shifted roots come from sqrtm; roots off by 1e-6
+        # relative fail the residual rule.  That is no shift below the
+        # spectrum: it used to be caught with the cut guard's class and
+        # reported as "raise --E-grid"
         sqrtm = sla.sqrtm
         monkeypatch.setattr(sla, "sqrtm", lambda T: sqrtm(T) * (1 + 1e-6))
         code, out = run(tmp_path, "o", "decay-study", "--problem", "sawtooth",
-                        "--n", "16")
+                        "--n", "16", "--theta-a", "1+0.5i")
         assert code == 1
         err = capsys.readouterr().err
         assert "residual" in err and "configuration error" not in err
+
+    @pytest.mark.parametrize("command", ["decay-study", "hypothesis-check"])
+    @pytest.mark.parametrize("args, path", [
+        (("--problem", "free"), "hermitian"),
+        (("--problem", "sawtooth", "--theta-a", "neumann"), "normal"),
+        (("--problem", "sawtooth", "--theta-a", "1+0.5i"), "schur")])
+    def test_manifest_names_the_base_operator_path(self, tmp_path, command,
+                                                   args, path):
+        # which of _InvSqrtShifted's three paths factored the base operator
+        code, out = run(tmp_path, "o", command, *args, "--n", "16")
+        assert code == 0
+        assert read_manifest(out)["base_operator_path"] == path
 
     @pytest.mark.parametrize("grid", ["100,10,2.9", "100,10,inf",
                                       "100,10,nan", "100,10,400",
@@ -665,15 +678,15 @@ class TestManifestKeys:
                         "monotone_s_pair plateau_full_triple tolerance_slope "
                         "tolerance_plateau slope_multiplier_abs_r "
                         "slope_multiplier_abs_s slope_multiplier_sqrt_abs_q "
-                        "verdict failed_checks"),
+                        "base_operator_path verdict failed_checks"),
         "kernel-dump": ("--theta-a neumann --n 16",
                         "E n coupling_denominator u2_left_value"),
         "hypothesis-check": ("--n 16", "C_q C_r C_s C_0 M eps_0 "
                              "min_form_bound_slack min_pointwise_slack "
                              "sector_vertex sector_angle "
                              "accretive_shift worst_resolvent_ratio "
-                             "K_norm_start K_norm_end tolerance_slack verdict "
-                             "failed_checks"),
+                             "K_norm_start K_norm_end tolerance_slack "
+                             "base_operator_path verdict failed_checks"),
         "trace-check": ("", "closed_form_residual richardson_ratio_1 "
                         "richardson_ratio_2 tolerance verdict failed_checks"),
     }

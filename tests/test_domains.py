@@ -301,8 +301,8 @@ class TestMatrixPower:
     def test_tridiagonal_input_is_read_once(self, family, bc_left,
                                             monkeypatch):
         # one scan of the nonzero pattern; every later test reads the band
-        bandwidths, scans = domains._bandwidths, []
-        hermitian, tested = domains.is_hermitian, []
+        bandwidths, scans = matfun._bandwidths, []
+        hermitian, tested = matfun.is_hermitian, []
 
         def counting(H):
             scans.append(H.shape)
@@ -312,8 +312,8 @@ class TestMatrixPower:
             tested.append(isinstance(H, tuple) or H.ndim == 1)
             return hermitian(H)
 
-        monkeypatch.setattr(domains, "_bandwidths", counting)
-        monkeypatch.setattr(domains, "is_hermitian", band_only)
+        monkeypatch.setattr(matfun, "_bandwidths", counting)
+        monkeypatch.setattr(matfun, "is_hermitian", band_only)
         H = make_problem(family, n=64, bc_left=bc_left).H
         matrix_power(H + np.eye(H.shape[0]), 0.5)
         assert scans == [H.shape]

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               build_mesh)
-from sqrtdom import kato
+from sqrtdom import kato, matfun
 from sqrtdom.checks import decay_suite, failed
 from sqrtdom.domains import thmA1_decay
 from sqrtdom.kato import (AdmissibilityError, FactoredPerturbation,
@@ -568,13 +568,17 @@ class TestInvSqrtShifted:
 
     @pytest.mark.parametrize("family", ["constant_qrs", "sawtooth"])
     def test_batched_norms_match_explicit_products(self, family):
-        # sawtooth has complex p, so its T0 takes the Schur path; more
-        # shifts than one Schur block holds, so blocks are crossed
-        prob, T0 = setup_pair(family, n=64)
+        # sawtooth has complex p, and with a complex Robin end its T0 is not
+        # normal, so it takes the Schur path; more shifts than one Schur
+        # block holds, so blocks are crossed
+        prob = make_problem(family, n=64, bc_left=(
+            BoundaryCondition(1 + 0.5j) if family == "sawtooth" else None))
+        T0 = prob.base_operator()
         fact = build_factorization(prob, "full_triple")
         halver = _InvSqrtShifted(T0)
         n = T0.shape[0]
-        assert halver.hermitian == (family == "constant_qrs")
+        assert halver.path == ("hermitian" if family == "constant_qrs"
+                               else "schur")
         shifts = np.geomspace(1.0, 1e4, 20)
         assert shifts.size > kato._BLOCK_ENTRIES // n ** 2
         right, left, normK = halver.norms(shifts, fact.A, fact.B)
@@ -582,7 +586,7 @@ class TestInvSqrtShifted:
         prof = decay_profile(_InvSqrtShifted(T0), fact, shifts)
         assert np.array_equal(normK, prof["normK"])
         for c, r, l, k in zip(shifts, right, left, normK):
-            if halver.hermitian:
+            if halver.path == "hermitian":
                 # the eigen coordinates the Hermitian path iterates in
                 d = (halver.diag + c) ** -0.5
                 M_right = (fact.A @ halver.basis) * d
@@ -621,7 +625,7 @@ class TestInvSqrtShifted:
         H = np.diag(np.arange(1.0, n + 1)) + np.triu(
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
         halver = _InvSqrtShifted(H)
-        assert not halver.hermitian
+        assert halver.path == "schur"
         X = np.ones((2, n), dtype=complex)
         for c, error in ((-1.0, SpectrumOnCutError),
                          (-3.0, ShiftBelowSpectrumError)):
@@ -629,3 +633,71 @@ class TestInvSqrtShifted:
                 halver.norms([1.0, c], X)
             with pytest.raises(error):
                 halver.norms([c], X, X)
+
+    @pytest.mark.parametrize("bc", [DIR, NEU], ids=["dirichlet", "neumann"])
+    @pytest.mark.parametrize("family",
+                             ["sawtooth", "complex_p", "complex_constant"])
+    def test_normal_base_operator_takes_no_schur_form(self, family, bc,
+                                                      monkeypatch):
+        # constant complex p with Dirichlet or Neumann ends: T0 is p times a
+        # real symmetric matrix, so the gauge basis D V is unitary and each
+        # shift's factors are diagonal; the norms match the explicit
+        # products of a Schur-method root, taken before sla.schur and
+        # sla.sqrtm are forbidden
+        prob = make_problem(family, n=48, bc_left=bc, bc_right=bc)
+        T0 = prob.base_operator()
+        fact = build_factorization(prob, "full_triple")
+        shifts = np.geomspace(1e2, 1e6, 5)
+        oracle = []
+        for c in shifts:
+            R = np.linalg.inv(sla.sqrtm(T0 + c * np.eye(T0.shape[0])))
+            oracle.append([spectral_norm(fact.A @ R),
+                           spectral_norm(R @ fact.B.conj().T),
+                           spectral_norm(kato_K(T0, fact, -c))])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Schur form or sqrtm taken")
+
+        monkeypatch.setattr(sla, "schur", forbidden)
+        monkeypatch.setattr(sla, "sqrtm", forbidden)
+        halver = _InvSqrtShifted(T0)
+        assert halver.path == "normal"
+        got = np.array(halver.norms(shifts, fact.A, fact.B)).T
+        np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", ["complex_robin", "varying_complex_p"])
+    def test_non_normal_base_operator_takes_one_schur_form(self, case,
+                                                           monkeypatch):
+        # a complex Robin end puts a complex corner into the gauge's S, and
+        # a complex p of varying phase makes all of S complex: neither T0
+        # is normal
+        if case == "complex_robin":
+            prob = make_problem("sawtooth", n=32,
+                                bc_left=BoundaryCondition(1 + 0.5j))
+        else:
+            prob = with_coeffs(32, p=lambda x: 1.0 + 0.5j * x)
+        schur, calls = sla.schur, []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("output"))
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "schur", counting)
+        fact = build_factorization(prob, "full_triple")
+        halver = _InvSqrtShifted(prob.base_operator())
+        assert halver.path == "schur"
+        assert all(np.all(norm > 0)
+                   for norm in halver.norms([1e2, 1e3], fact.A, fact.B))
+        assert calls == ["complex"]
+
+    def test_gauge_off_the_unit_circle_stays_on_schur(self):
+        # one subdiagonal entry of sawtooth's normal T0 scaled by 1 + 1e-6:
+        # S stays real, but |g_k| leaves 1 by 5e-7 from k on, so D V is no
+        # longer unitary and the basis would not be orthonormal
+        T0 = make_problem("sawtooth", n=32).base_operator()
+        assert _InvSqrtShifted(T0).path == "normal"
+        T0[11, 10] *= 1 + 1e-6
+        g, *_, corner = matfun._gauge(matfun._diagonals(T0))
+        assert corner is None
+        assert np.abs(np.abs(g) - 1).max() > 1e-7
+        assert _InvSqrtShifted(T0).path == "schur"
