@@ -12,7 +12,6 @@ mapping that failed; a check mapped to ``None`` is reported, never judged.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                        build_mesh)
@@ -20,8 +19,8 @@ from .domains import thmA1_decay
 from .formbounds import check_form_bound, check_trudinger, locunif_norms
 from .kato import (VARIANTS, _InvSqrtShifted, build_factorization,
                    decay_profile)
-from .krein import (bessel_bound_check, bessel_k0_quad, krein_resolvent,
-                    sqrt_kernel)
+from .krein import (_k0, bessel_bound_check, bessel_k0_quad,
+                    krein_resolvent, sqrt_kernel)
 from .matfun import resolvent, trace_det_check
 from .problems import Problem
 
@@ -66,9 +65,11 @@ def krein_suite(a: float, b: float, z: float, n_list, n: int, E: float,
     """Rank-one resolvent convergence, the square-root kernel's Dirichlet
     row, its Macdonald envelope, and the two-method K0 agreement.
 
+    The ladder ``n_list`` is judged coarse to fine, whatever its order.
     ``errors`` holds ``(theta label, n, max kernel error)`` rows, ``bessel``
     ``(E, record)`` pairs from ``bessel_bound_check``.
     """
+    n_list = sorted(n_list)
     interval = IntervalSpec("finite", a, b)
     dirichlet = BoundaryCondition.dirichlet()
     errs = {label: [] for label, _ in KREIN_THETAS}
@@ -100,7 +101,7 @@ def krein_suite(a: float, b: float, z: float, n_list, n: int, E: float,
               for E_b in E_grid for x in xs for xp in xs]
     min_slack = min(rec["slack"] for _, rec in bessel)
 
-    k0_diff = max(abs(bessel_k0_quad(y) - float(special.k0(y)))
+    k0_diff = max(abs(bessel_k0_quad(y) - float(_k0(y)))
                   for y in K0_POINTS)
     return {"errors": errors, "min_order": min_order,
             "boundary_row": boundary_row, "bessel": bessel,

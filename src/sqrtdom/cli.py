@@ -328,6 +328,7 @@ def cmd_kappa_study(cfg: dict, outdir: Path) -> int:
                      {"sqrt-domain-equivalence": report.verdict == expected},
                      {"growth": report.growth,
                       "increment_ratio": report.increment_ratio,
+                      "kappa_extrapolated": report.kappa_extrapolated,
                       "threshold": report.threshold, "verdict": report.verdict,
                       **{f"calibration.{k}": v
                          for k, v in report.calibration.items()}})

@@ -339,6 +339,7 @@ class DomainEquivalenceReport:
     rows: list
     growth: float
     increment_ratio: float
+    kappa_extrapolated: float
     threshold: float
     verdict: str
     calibration: dict
@@ -398,7 +399,11 @@ def refinement_study(operator_at, n_list, E: float, alpha: float,
     ``d2 >= d1``) is divergent whatever its growth: a kappa that rises by a
     steady factor per refinement stays under the ceiling for a while.  The
     report's ``increment_ratio`` is ``d2 / d1``, ``nan`` when ``d1 = 0`` or
-    the ladder has two levels, which the growth rule alone judges.
+    the ladder has two levels, which the growth rule alone judges.  Its
+    ``kappa_extrapolated`` is the Aitken limit
+    ``kappa_last + d2 rho / (1 - rho)`` of a ladder whose increments shrink
+    geometrically, ``rho = d2 / d1`` in (0, 1), and ``nan`` otherwise; it
+    is reported and judges nothing.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -425,9 +430,12 @@ def refinement_study(operator_at, n_list, E: float, alpha: float,
     rising = d1 > 0 and d2 >= d1  # False on a two-level ladder (nan)
     verdict = ("bounded" if growth <= growth_threshold and not rising
                else "divergent")
+    rho = d2 / d1 if d1 != 0 else float("nan")
+    limit = (rows[-1]["kappa"] + d2 * rho / (1.0 - rho) if 0.0 < rho < 1.0
+             else float("nan"))
     return DomainEquivalenceReport(rows=rows, growth=float(growth),
-                                   increment_ratio=(d2 / d1 if d1 != 0
-                                                    else float("nan")),
+                                   increment_ratio=rho,
+                                   kappa_extrapolated=float(limit),
                                    threshold=float(growth_threshold),
                                    verdict=verdict, calibration=calibration)
 

@@ -15,7 +15,6 @@ coupling denominator at each ``tau`` is complex.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .assembly import BoundaryCondition, Mesh, _stable_cot
 from .matfun import QuadratureSpec, gauss_panels
@@ -198,6 +197,14 @@ def bessel_k0_quad(y: float) -> float:
     return float(np.sum(w * np.exp(-y * np.cosh(u))))
 
 
+def _k0(y):
+    """The library's Macdonald function K0, the one reference both the
+    envelope and the two-method check read.  ``scipy.special`` loads on the
+    first call, so only a run that evaluates K0 pays for the import."""
+    from scipy import special
+    return special.k0(y)
+
+
 def _t_integral(E: float, x, xp, cot_a: complex, a: float, b: float,
                 cutoff: float) -> complex:
     u, w = _sqrt_nodes(cutoff)
@@ -236,6 +243,6 @@ def bessel_bound_check(E: float, x: float, xp: float,
     cutoff = np.pi / mesh.h
     lhs = abs(_t_integral(E, x, xp, cot_a, a, b, cutoff))
     sqE = np.sqrt(E)
-    rhs = 2.0 * C * float(sum(special.k0(sqE * d) for d in args))
+    rhs = 2.0 * C * float(sum(_k0(sqE * d) for d in args))
     return {"lhs": float(lhs), "rhs": float(rhs), "slack": float(rhs - lhs),
             "C": float(C)}

@@ -35,6 +35,7 @@ shifted into the right half-plane before rooting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -100,9 +101,18 @@ class QuadratureSpec:
         return np.concatenate(([0.0], edges))
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed on the first
+    use of each node count and shared read-only after."""
+    x, w = leggauss(n_nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights over consecutive panels."""
-    x, w = leggauss(n_nodes)
+    x, w = _legendre_rule(n_nodes)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         nodes.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))

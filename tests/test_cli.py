@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
 import filecmp
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +287,22 @@ class TestVerifyCommands:
         assert code == 2
         assert "--E 1e+300" in capsys.readouterr().err
         assert not (out / "krein_errors.csv").exists()
+
+    def test_verify_krein_reads_its_ladder_coarse_to_fine(self, tmp_path):
+        # the ladder was judged in the order typed: 16,8 read
+        # min_observed_order = -2 and failed rank-one convergence
+        outs = {order: run(tmp_path, order, "verify-krein", "--n-list",
+                           order, "--n", "8") for order in ("8,16", "16,8")}
+        assert [code for code, _ in outs.values()] == [0, 0]
+        manifests = {order: read_manifest(out)
+                     for order, (_, out) in outs.items()}
+        for order, manifest in manifests.items():
+            assert manifest.pop("config.n_list") == order
+            manifest.pop("config.outdir")
+        assert manifests["8,16"] == manifests["16,8"]
+        assert filecmp.cmp(outs["8,16"][1] / "krein_errors.csv",
+                           outs["16,8"][1] / "krein_errors.csv",
+                           shallow=False)
 
     def test_verify_kato_passes_on_default_problem(self, tmp_path):
         code, out = run(tmp_path, "o", "verify-kato", "--n", "32")
@@ -658,6 +677,33 @@ class TestDeterminism:
         assert rows[0] == "eps,j,ratio" and len(rows) == 1 + 16 * 3
 
 
+class TestDeferredImports:
+    def test_only_verify_krein_loads_scipy_special(self, tmp_path):
+        # a fresh interpreter, since this one has loaded it; the seven other
+        # subcommands run at small sizes, and no quadrature rule is computed
+        # at import
+        runs = [[command, *args.split()] for command, (args, _)
+                in TestManifestKeys.CASES.items() if command != "verify-krein"]
+        assert len(runs) == 7
+        script = (
+            "import sys\n"
+            "from sqrtdom import cli, matfun\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "assert matfun._legendre_rule.cache_info().currsize == 0\n"
+            f"out, runs = sys.argv[1], {runs!r}\n"
+            "for k, argv in enumerate(runs):\n"
+            "    assert cli.main([*argv, '--outdir', f'{out}/{k}']) == 0\n"
+            "    assert 'scipy.special' not in sys.modules, argv\n"
+            "assert cli.main(['verify-krein', '--n-list', '8,16', '--n', '8',"
+            " '--outdir', f'{out}/krein']) == 0\n"
+            "assert 'scipy.special' in sys.modules\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestManifestKeys:
     """Each subcommand keeps its manifest keys, the config echo aside."""
 
@@ -671,7 +717,7 @@ class TestManifestKeys:
                          "boundary_row_max min_bessel_slack k0_two_method_diff "
                          "tolerance_order tolerance_k0 verdict failed_checks"),
         "kappa-study": ("--problem lions --n-list 8,16", "growth "
-                        "increment_ratio threshold "
+                        "increment_ratio kappa_extrapolated threshold "
                         "verdict calibration.lions_growth_quarter "
                         "calibration.lions_growth_half failed_checks"),
         "decay-study": ("--n 16", "slope_qr_pair slope_s_pair monotone_qr_pair "

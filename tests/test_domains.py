@@ -709,6 +709,17 @@ class TestContinuumOracle:
         assert 3.3 <= errors[0] / errors[1] <= 4.5, errors
         assert errors[1] <= 1e-6
 
+    def test_extrapolated_kappa_nears_the_continuum(self):
+        # complex_full, kappa-study's name for complex_constant, on its
+        # default ladder: kappa(256) = 1.0770544, its Aitken limit
+        # 1.0770793 and kappa_inf = 1.0770771
+        kappa_inf = continuum_kappa(1 + 0.5j, 2 - 1j, 1 + 1j, 0.5j, 1.0,
+                                    0.5, 512)
+        report = refinement_study(family_at("complex_constant"),
+                                  [32, 64, 128, 256], 1.0, 0.5, 2.0)
+        gap = abs(report.rows[-1]["kappa"] - kappa_inf)
+        assert abs(report.kappa_extrapolated - kappa_inf) < gap
+
 
 class TestRefinementStudy:
     def test_complex_diffusion_bounded(self):
@@ -756,6 +767,23 @@ class TestRefinementStudy:
                                   2.0)
         assert report.increment_ratio == pytest.approx(3.0)
         assert report.verdict == "divergent"
+
+    @pytest.mark.parametrize("kappas,limit", [
+        ((1.0, 1.5, 1.75), 2.0),       # rho = 1/2
+        ((1.0, 1.25, 2.0), np.nan),    # rho = 3: rising
+        ((1.0, 1.5, 1.25), np.nan),    # rho = -1/2: alternating
+        ((1.0, 1.5, 2.0), np.nan),     # rho = 1: no limit
+        ((1.0, 1.0, 1.0), np.nan),     # d1 = 0
+        ((1.0, 1.5), np.nan)])         # two levels
+    def test_extrapolated_kappa(self, monkeypatch, kappas, limit):
+        ladder = dict(zip((16, 32, 64), kappas))
+        monkeypatch.setattr(domains, "_kappa_row",
+                            lambda operator_at, n, E, alpha: {
+                                "n": n, "kappa": ladder[n]})
+        report = refinement_study(family_at("free"), list(ladder), 1.0, 0.5,
+                                  2.0)
+        np.testing.assert_allclose(report.kappa_extrapolated, limit,
+                                   rtol=1e-12)
 
     def test_degenerate_diffusion_divergent(self):
         # p = |x - 1/2|^(1/4) vanishes inside (0, 1): the square root's

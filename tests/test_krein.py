@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from sqrtdom import krein
+from sqrtdom import checks, krein
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               build_mesh)
 from sqrtdom.krein import (bessel_bound_check, bessel_k0_quad, d_theta,
@@ -250,6 +250,12 @@ class TestBesselBound:
             assert abs(bessel_k0_quad(y) - special.k0(y)) <= 1e-8
         assert bessel_k0_quad(1.0) == pytest.approx(0.42102443824070834,
                                                     abs=1e-8)
+
+    def test_k0_reference_is_the_library_function(self):
+        # the one deferred-import owner returns scipy.special.k0 unchanged
+        for y in checks.K0_POINTS:
+            got, want = krein._k0(y), special.k0(y)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), y
 
     def test_midpoint_slack_nonnegative(self):
         mesh = build_mesh(IntervalSpec("finite", A, B), 40)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from power_laws import check_power_laws
+from sqrtdom import matfun
 from sqrtdom.matfun import (QuadratureSpec, ResolventError,
                             SpectrumOnCutError, _principal_sqrt,
                             _require_off_cut, frac_power_quad, is_hermitian,
@@ -184,6 +186,42 @@ class TestFracPowerQuad:
     def test_alpha_range_validated(self):
         with pytest.raises(ValueError):
             frac_power_quad(np.eye(2), 1.5)
+
+
+class TestGaussPanels:
+    def test_rule_computed_once_per_node_count(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(matfun, "leggauss", counted)
+        matfun._legendre_rule.cache_clear()
+        edges = np.array([0.0, 0.25, 1.0])
+        first = matfun.gauss_panels(edges, 13)
+        for _ in range(3):
+            again = matfun.gauss_panels(edges, 13)
+            for a, b in zip(first, again):
+                assert a.tobytes() == b.tobytes()
+        matfun.gauss_panels(edges, 14)
+        assert calls == [13, 14]
+
+    def test_panels_unchanged_and_rule_read_only(self):
+        # the shared rule cannot be written through, and composing it gives
+        # the bytes of a freshly computed rule
+        x, w = matfun._legendre_rule(25)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        edges = 3.0 * QuadratureSpec().unit_edges()
+        xf, wf = leggauss(25)
+        want = (np.concatenate([0.5 * (hi - lo) * xf + 0.5 * (hi + lo)
+                                for lo, hi in zip(edges[:-1], edges[1:])]),
+                np.concatenate([0.5 * (hi - lo) * wf
+                                for lo, hi in zip(edges[:-1], edges[1:])]))
+        for got, ref in zip(matfun.gauss_panels(edges, 25), want):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestPowerLaws:
