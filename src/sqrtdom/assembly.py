@@ -11,7 +11,9 @@ Every form is tridiagonal and stays in the band: a ``scipy.sparse``
 layout, the layout of ``matfun._band_storage``.  ``orthonormalize`` scales
 the forms' sum into the operator matrix in L2-orthonormal coordinates and
 forms it densely, as ``_dense`` forms every matrix a consumer reads;
-``problems.Problem`` keeps that one dense matrix together with its inputs.
+``_tridiagonals`` reads the same band's three diagonals instead.
+``problems.Problem`` keeps that one dense matrix, formed on its first read,
+together with its inputs.
 """
 
 from __future__ import annotations
@@ -315,6 +317,15 @@ def _dense(S: sp.dia_array) -> np.ndarray:
         # diagonal k starts at [max(0, -k), max(0, k)] and steps by n + 1
         flat[max(k, -k * n)::n + 1] = row[max(0, k):n + min(0, k)]
     return out
+
+
+def _tridiagonals(S: sp.dia_array) -> tuple:
+    """``(lo, d, up)``, the diagonals ``-1, 0, 1`` of a tridiagonal
+    ``dia_array``: the entries of its data rows that ``_dense`` writes, so
+    they equal the dense matrix's diagonals bit for bit."""
+    n = S.shape[0]
+    rows = dict(zip(S.offsets.tolist(), S.data))
+    return tuple(rows[k][max(0, k):n + min(0, k)] for k in (-1, 0, 1))
 
 
 def _trim(ab: np.ndarray, keep: np.ndarray) -> sp.dia_array:

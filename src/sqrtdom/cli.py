@@ -31,7 +31,8 @@ from .kato import (PATHS, _InvSqrtShifted, build_factorization,
                    decay_profile, verify_identity)
 from .krein import (green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
                     u2_closed_form, d_theta)
-from .matfun import ResolventError, ShiftBelowSpectrumError, resolvent
+from .matfun import (ResolventError, ShiftBelowSpectrumError,
+                     SpectrumOnCutError, resolvent)
 from .problems import (FAMILY_NAMES, Problem, build_coefficients,
                        lions_operator)
 from .sectorial import check_m_accretive, numerical_range_hull, safe_shift
@@ -317,6 +318,11 @@ def cmd_kappa_study(cfg: dict, outdir: Path) -> int:
     except ShiftBelowSpectrumError as exc:
         raise ConfigError(f"--E {E:g} does not shift the operator above "
                           f"zero: {exc}; raise --E") from exc
+    except SpectrumOnCutError as exc:
+        # above the shift guard, a root fails its residual rule when the
+        # powers of H + E are too large for their norms to be represented
+        raise ConfigError(f"--E {E:g}: the roots of the shifted operator "
+                          f"cannot be checked ({exc}); lower --E") from exc
     rows = [(r["n"], r["E"], r["alpha"], r["min_ratio"], r["max_ratio"],
              r["kappa"], report.verdict) for r in report.rows]
     csvio.write_rows(outdir / "kappa.csv",

@@ -19,8 +19,9 @@ own bidiagonal X); at any other power the gauge route's
 powers closed-form.  A problem passes when ``kappa`` stays bounded under
 mesh refinement; the control's critical-power ratio keeps growing.
 
-Every fractional power goes through ``matrix_power``, whose three routes
-are all exact to roundoff: the terminating binomial series for a
+Every fractional power goes through ``matrix_power``, which takes a matrix
+or the diagonals ``(lo, d, up)`` of a tridiagonal one, and whose three
+routes are all exact to roundoff: the terminating binomial series for a
 tridiagonal Toeplitz matrix with a zero superdiagonal (the negative
 control, lower bidiagonal); the discrete Liouville gauge
 (``matfun._gauge``) for a tridiagonal matrix that a diagonal similarity D
@@ -46,6 +47,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .assembly import _dense
 from .kato import _InvSqrtShifted, _loglog_slope
 from .matfun import (ShiftBelowSpectrumError, SpectrumOnCutError,
                      _band_storage, _bandwidths, _diagonals, _gauge,
@@ -155,21 +157,23 @@ def _corner_eigenpairs(mu: np.ndarray, V: np.ndarray, k: int,
     u = V[k]
     if (delta := _secular_offsets(mu, u, beta)) is None:
         return None, None
-    W = np.reciprocal(mu[:, None] - mu - delta)
+    W = mu[:, None] - mu - delta
+    np.reciprocal(W, out=W)
     W *= u[:, None]
     W /= np.sqrt(np.einsum("ij,ij->j", W, W))
     gram = W.T @ W
     gram[np.diag_indices(mu.size)] -= 1.0
     if _residual_fails(np.linalg.norm(gram), np.sqrt(mu.size)):
         raise SpectrumOnCutError("secular eigenvectors not orthonormal")
+    del gram  # V W below takes two real n x n products
     W.real, W.imag = V @ W.real, V @ W.imag  # V W, in W's memory
     return mu + delta, W
 
 
-def _gauge_power(H: np.ndarray, band: tuple,
-                 alpha: float) -> np.ndarray | None:
-    """``H^alpha`` by the discrete Liouville gauge (``matfun._gauge``) for H
-    tridiagonal with diagonals ``band``, or None unless the gauge applies.
+def _gauge_power(band: tuple, alpha: float) -> np.ndarray | None:
+    """``H^alpha`` by the discrete Liouville gauge (``matfun._gauge``) for
+    the tridiagonal H with diagonals ``band``, or None unless the gauge
+    applies.
 
     With S real the power is ``D V diag((d_ref + c mu)^alpha) V^T D^-1``
     (the Toeplitz case is the sine diagonalization of Noschese, Pasquini &
@@ -180,11 +184,13 @@ def _gauge_power(H: np.ndarray, band: tuple,
     ``S_r`` into those of S, with V complex orthogonal (``V^-1 = V^T``), so
     the power keeps its form.  An unconverged secular solve takes Schur.  At
     ``alpha = 2^-k`` the power is raised back k times and checked against
-    the input by ``_require_root``.
+    the band by ``_require_root``, which subtracts the three diagonals in
+    place: no dense H is formed.
     """
-    real = not any(np.any(x.imag) for x in band)
-    if (gauge := _gauge(tuple(x.real for x in band) if real else band)
-            ) is None:
+    dtype = np.result_type(*band)
+    if real := not any(np.any(x.imag) for x in band):
+        band = tuple(x.real for x in band)
+    if (gauge := _gauge(band)) is None:
         return None
     g, d_ref, c, mu, V, corner = gauge
     del gauge  # so that ``del V`` below frees the eigenvectors
@@ -202,32 +208,32 @@ def _gauge_power(H: np.ndarray, band: tuple,
         if np.iscomplexobj(f):
             P = P + 1j * ((V * f.imag) @ V.T)
     del V  # the root check below holds three n x n products
-    P = g[:, None] * P
+    np.multiply(g[:, None], P, out=P)
     P /= g
     X = P.real if real else P
     if roots := _dyadic_roots(alpha):
-        _require_root(np.linalg.matrix_power(X, 2 ** (roots - 1)),
-                      H.real if real else H)
-    return X.astype(H.dtype, copy=False)
+        _require_root(np.linalg.matrix_power(X, 2 ** (roots - 1)), band)
+    return X.astype(dtype, copy=False)
 
 
-def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
+def matrix_power(H: np.ndarray | tuple, alpha: float) -> np.ndarray:
     """Fractional power ``H^alpha``; the one place a route is chosen.
 
-    One read of the nonzero pattern (``_diagonals``) finds a tridiagonal
-    input, whose Toeplitz and gauge tests then read only its three
-    diagonals.  A tridiagonal Toeplitz matrix with a zero superdiagonal
-    takes ``_toeplitz_power``, and a tridiagonal matrix that a diagonal
-    similarity symmetrizes, up to one complex boundary corner, takes
-    ``_gauge_power`` (Hermitian tridiagonal input among them, with
+    ``H`` is a matrix or the diagonals ``(lo, d, up)`` of a tridiagonal
+    one, and ``_diagonals`` reads either: a tuple as it is, a matrix by one
+    read of its nonzero pattern.  The Toeplitz and gauge tests then read
+    only the three diagonals.  A tridiagonal Toeplitz matrix with a zero
+    superdiagonal takes ``_toeplitz_power``, and a tridiagonal matrix that a
+    diagonal similarity symmetrizes, up to one complex boundary corner,
+    takes ``_gauge_power`` (Hermitian tridiagonal input among them, with
     ``|g_k| = 1``).  These two routes return a real power for real input.
     Any other input, dense Hermitian input included, is factored once as
-    ``Q U Q^H`` (complex Schur).  At ``alpha = 2^-k`` the triangular ``U``
-    is rooted k times (``matfun._principal_sqrt``, each root
-    residual-checked); any other alpha raises ``U`` by the Schur-Pade
-    algorithm (Higham & Lin, SIAM J. Matrix Anal. Appl. 32, 2011), which
-    takes no second Schur step on triangular input.  The triangular power
-    ``R`` returns as ``Q R Q^H``.
+    ``Q U Q^H`` (complex Schur), the one route that forms given diagonals
+    into a dense matrix.  At ``alpha = 2^-k`` the triangular ``U`` is rooted k times
+    (``matfun._principal_sqrt``, each root residual-checked); any other
+    alpha raises ``U`` by the Schur-Pade algorithm (Higham & Lin, SIAM J.
+    Matrix Anal. Appl. 32, 2011), which takes no second Schur step on
+    triangular input.  The triangular power ``R`` returns as ``Q R Q^H``.
 
     Every route passes the eigenvalues it has (the binomial series' one
     diagonal value, the gauge's ``d_ref + c mu`` or ``diag(U)``) once
@@ -235,13 +241,16 @@ def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
     eigenvalues, not the route.  A negative ``alpha`` takes the same
     routes.
     """
-    H = np.asarray(H)
-    n = H.shape[0]
-    if (band := _diagonals(H)) is not None:
+    if not isinstance(H, tuple):
+        H = np.asarray(H)
+    if (band := _diagonals(H)) is not None and band[1].size >= 2:
         if (toeplitz := _tridiagonal_toeplitz(band)) and toeplitz[2] == 0:
-            return _toeplitz_power(toeplitz[1], toeplitz[0], n, alpha)
-        if (X := _gauge_power(H, band, alpha)) is not None:
+            return _toeplitz_power(toeplitz[1], toeplitz[0], band[1].size,
+                                   alpha)
+        if (X := _gauge_power(band, alpha)) is not None:
             return X
+    if isinstance(H, tuple):
+        H = _dense_band(_band_storage(H, 1, 1), 1)
     U, Q = sla.schur(H, output="complex")
     _require_shifted(np.diag(U))
     if roots := _dyadic_roots(alpha):
@@ -252,15 +261,28 @@ def matrix_power(H: np.ndarray, alpha: float) -> np.ndarray:
     return Q @ U @ Q.conj().T
 
 
-def _band_cholesky(A: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor ``R`` of a Hermitian banded matrix,
-    ``A = R^H R``, in LAPACK upper band storage; real input stays real.
+def _dense_band(ab: np.ndarray, u: int) -> np.ndarray:
+    """The dense matrix with LAPACK band storage ``ab`` of upper bandwidth
+    ``u``, the DIA layout with offsets ``u, u - 1, ...``."""
+    n = ab.shape[1]
+    return _dense(sp.dia_array((ab, np.arange(u, u - len(ab), -1)),
+                               shape=(n, n)))
 
-    The bandwidth comes from the nonzero pattern (``matfun._bandwidths``),
-    one for the tridiagonal operators of the package, so ``R`` is upper
+
+def _band_cholesky(A: np.ndarray | tuple) -> np.ndarray:
+    """Upper Cholesky factor ``R`` of a Hermitian banded matrix,
+    ``A = R^H R``, in LAPACK upper band storage; a real-valued ``A`` is
+    factored in real arithmetic.
+
+    ``A`` is a matrix, whose bandwidth comes from its nonzero pattern
+    (``matfun._bandwidths``), or the diagonals ``(lo, d, up)`` of a
+    tridiagonal one; for the operators of the package ``R`` is upper
     bidiagonal.  Raises ``LinAlgError`` unless ``A`` is positive definite.
     """
-    band = _band_storage(A, 0, max(_bandwidths(A)))
+    width = 1 if isinstance(A, tuple) else max(_bandwidths(A))
+    band = _band_storage(A, 0, width)
+    if not np.any(band.imag):
+        band = band.real
     return sla.cholesky_banded(band, lower=False, check_finite=False)
 
 
@@ -275,42 +297,49 @@ def _right_solve(X: np.ndarray, R: np.ndarray) -> np.ndarray:
     return ZH.conj().T
 
 
-def _power_over_reference(H: np.ndarray, H_ref: np.ndarray, E: float,
-                          alpha: float) -> np.ndarray:
+def _shifted(H: np.ndarray | tuple, E: float) -> np.ndarray | tuple:
+    """``H + E``: the diagonals ``(lo, d + E, up)`` of a tridiagonal H,
+    given as a matrix or as its diagonals (``_diagonals``), and the dense
+    sum for any other matrix.  The diagonals equal those of the dense
+    ``H + E I`` bit for bit."""
+    if (band := _diagonals(H)) is None:
+        return H + E * np.eye(H.shape[0])
+    lo, d, up = band
+    return lo, d + E, up
+
+
+def _power_over_reference(H: np.ndarray | tuple, H_ref: np.ndarray | tuple,
+                          E: float, alpha: float) -> np.ndarray:
     """``Z = (H + E)^alpha Y^-1`` for a factor ``Y`` of the reference Gram,
     ``Y^H Y = (H_ref + E)^(2 alpha)``.
 
-    The singular values of ``Z`` do not depend on which factor is taken,
-    so each case takes its cheapest exact one.  At the critical power
-    ``Y`` is the bidiagonal Cholesky factor of the tridiagonal
-    ``H_ref + E``, applied by substitution, and a Hermitian ``H + E`` is
-    its own bidiagonal factor ``X``, which no root is formed for (a
-    real-valued one factored in real arithmetic, so the self-adjoint
-    baseline reads ``Z = I`` exactly).  At any other power
+    ``H`` and ``H_ref`` are matrices, or the diagonals ``(lo, d, up)`` of
+    tridiagonal ones, and E is added to the main diagonal of a band
+    (``_shifted``), so a tridiagonal operator is shifted, factored and
+    powered without a dense ``H + E``.  The singular values of ``Z`` do
+    not depend on which factor is taken, so each case takes its cheapest
+    exact one.  At the critical power ``Y`` is the bidiagonal Cholesky
+    factor of the tridiagonal ``H_ref + E``, applied by substitution, and a
+    Hermitian ``H + E`` is its own bidiagonal factor ``X``, which no root
+    is formed for (a real-valued one factored in real arithmetic, so the
+    self-adjoint baseline reads ``Z = I`` exactly).  At any other power
     ``Y^-1 = (H_ref + E)^-alpha`` is the gauge route's power.
     """
-    I = np.eye(H.shape[0])
-    shifted, ref = H + E * I, H_ref + E * I
+    shifted, ref = _shifted(H, E), _shifted(H_ref, E)
     if alpha != 0.5:
         return matrix_power(shifted, alpha) @ matrix_power(ref, -alpha)
     try:
         R = _band_cholesky(ref)
     except np.linalg.LinAlgError as exc:
         raise ValueError("reference Gram is not positive definite") from exc
-    band = _diagonals(shifted)
-    if not is_hermitian(shifted if band is None else band):
+    if not is_hermitian(shifted):
         return _right_solve(matrix_power(shifted, alpha), R)
-    if not np.any(shifted.imag):
-        shifted = shifted.real
     try:
         X = _band_cholesky(shifted)
     except np.linalg.LinAlgError as exc:
         raise ShiftBelowSpectrumError(
             "Hermitian H + E is not positive definite") from exc
-    # upper band storage is the DIA layout with offsets width, ..., 0
-    X = sp.dia_array((X, np.arange(len(X) - 1, -1, -1)),
-                     shape=shifted.shape).toarray()
-    return _right_solve(X, R)
+    return _right_solve(_dense_band(X, len(X) - 1), R)
 
 
 def sqrt_domain_kappa(Z: np.ndarray) -> dict:
@@ -356,14 +385,17 @@ def _kappa_row(operator_at, n: int, E: float, alpha: float) -> dict:
     ``Problem`` is referred to the same power of its self-adjoint
     reference operator (``_power_over_reference``), whose Gram at the
     critical power is ``H_ref + E``, the E-scaled Sobolev Gram in
-    orthonormal coordinates."""
+    orthonormal coordinates.  Both operators arrive as their diagonals,
+    read from the problem's form bands, so the row forms neither dense
+    ``H`` nor dense reference; its dense arrays are the power, its root
+    check and ``Z``."""
     if operator_at is lions_operator:
         T = lions_operator(n) + E * np.eye(n)
         Z = matrix_power(T, alpha) @ matrix_power(T, -alpha).conj().T
     else:
         prob = operator_at(n)
-        Z = _power_over_reference(prob.H, prob.reference_operator(), E,
-                                  alpha)
+        Z = _power_over_reference(prob.diagonals(),
+                                  prob.reference_diagonals(), E, alpha)
     return {"n": n, "E": float(E), "alpha": float(alpha),
             **sqrt_domain_kappa(Z)}
 

@@ -164,10 +164,19 @@ def sqrt_kernel(E: float, theta_a: BoundaryCondition,
         raise ValueError("E below the safe shift: coupling denominator vanishes")
     x = mesh.nodes
     u, w = _sqrt_nodes(np.pi / mesh.h)
+    # the nodes increase, so min(x, x') and max(x, x') are the nodes at the
+    # smaller and larger index: each hyperbolic factor of the Green kernel
+    # (``_green_from_root``) is one vector per quadrature node, picked at
+    # those indices, entry for entry the grid evaluation
+    k = np.arange(x.size)
+    near, far = np.minimum.outer(k, k), np.maximum.outer(k, k)
+    gap = x[far] - x[near]
     green = np.zeros((x.size, x.size))
     for ui, wi in zip(u, w):
-        green += wi * _green_from_root(np.sqrt(ui * ui + E), x[:, None],
-                                       x[None, :], a, b)
+        st = np.sqrt(ui * ui + E)
+        num = (np.exp(-st * gap) * _expm1_ratio(st, x - a)[near]
+               * _expm1_ratio(st, b - x)[far])
+        green += wi * (num / (2.0 * st * _expm1_ratio(st, b - a)))
     # the coupling kernel is rank one at each node, f(x) f(x') c with
     # f(x) = exp(-st (x - a)) (1 - exp(-2 st (b - x))) as in _t_kernel, so
     # all nodes together are the one product F^T diag(w c) F

@@ -4,8 +4,10 @@ the power iteration for operator norms.
 Resolvents are solved in the band of their input: every operator the
 package assembles is tridiagonal, and ``resolvent`` reads the bandwidths off
 the nonzero pattern, so a dense input is simply its own full band, laid
-out by the one band builder ``_band_storage``.  The roots and powers work
-on dense matrices.
+out by the one band builder ``_band_storage``.  The roots and powers return
+dense matrices; a tridiagonal input may also arrive as its three diagonals
+``(lo, d, up)``, which ``_diagonals`` passes through as it reads them off a
+matrix, so that its power is taken and root-checked with no dense input.
 
 Verdicts take their powers from ``domains.matrix_power`` and their inverse
 half powers from ``kato._InvSqrtShifted``.  Both read a tridiagonal input
@@ -126,6 +128,9 @@ def is_hermitian(H: np.ndarray | tuple) -> bool:
     ``H`` is a matrix, or the diagonals ``(lo, d, up)`` of a tridiagonal
     one, whose norms are read off its 3n - 2 entries: ``H - H^H`` holds
     ``d - conj(d)`` and, twice up to sign and conjugation, ``lo - conj(up)``.
+    A matrix whose norm overflows is not judged Hermitian, since any defect
+    would pass against it; it takes the general routes, whose residual
+    checks then fail (``_residual_fails``).
     """
     if isinstance(H, tuple):
         lo, d, up = H
@@ -133,7 +138,10 @@ def is_hermitian(H: np.ndarray | tuple) -> bool:
         defect, H = np.r_[d - d.conj(), skew, skew], np.r_[lo, d, up]
     else:
         defect = H - H.conj().T
-    return np.linalg.norm(defect) <= 1e-12 * max(1.0, np.linalg.norm(H))
+    with np.errstate(over="ignore"):  # an overflowing norm fails below
+        scale = np.linalg.norm(H)
+    return bool(np.isfinite(scale)
+                and np.linalg.norm(defect) <= 1e-12 * max(1.0, scale))
 
 
 # The relative tolerance of every residual check: a computed inverse, root
@@ -143,8 +151,11 @@ _RESIDUAL_TOL = 1e-10
 
 def _residual_fails(residual, scale) -> bool:
     """True unless every ``residual <= _RESIDUAL_TOL * scale``, elementwise
-    for arrays; a NaN residual fails."""
-    return not np.all(residual <= _RESIDUAL_TOL * scale)
+    for arrays.  A NaN residual fails, and so does a scale that is not
+    finite: a quantity too large to represent has no scale to check
+    against, and ``inf <= inf`` would pass any residual."""
+    return not (np.all(np.isfinite(scale))
+                and np.all(residual <= _RESIDUAL_TOL * scale))
 
 
 def _bandwidths(H: np.ndarray) -> tuple[int, int]:
@@ -158,21 +169,31 @@ def _bandwidths(H: np.ndarray) -> tuple[int, int]:
     return max(0, -int(offsets.min())), max(0, int(offsets.max()))
 
 
-def _band_storage(H: np.ndarray, l: int, u: int) -> np.ndarray:
+def _band_storage(H: np.ndarray | tuple, l: int, u: int) -> np.ndarray:
     """Diagonals ``-l..u`` of ``H``, in its dtype, in LAPACK band storage
     (also the DIA layout with offsets ``u..-l``): ``ab[u - k, j] =
-    H[j - k, j]``, zero elsewhere; ``u = 0`` is lower, ``l = 0`` upper."""
-    n = H.shape[0]
-    ab = np.zeros((l + u + 1, n), dtype=H.dtype)
+    H[j - k, j]``, zero elsewhere; ``u = 0`` is lower, ``l = 0`` upper.
+    ``H`` is a matrix, or the diagonals ``(lo, d, up)`` of a tridiagonal
+    one (``l, u <= 1``)."""
+    band = isinstance(H, tuple)
+    n = H[1].size if band else H.shape[0]
+    ab = np.zeros((l + u + 1, n), dtype=np.result_type(*H) if band
+                  else H.dtype)
     for k in range(-l, u + 1):
-        ab[u - k, max(0, k):n + min(0, k)] = np.diagonal(H, k)
+        ab[u - k, max(0, k):n + min(0, k)] = (H[k + 1] if band
+                                              else np.diagonal(H, k))
     return ab
 
 
-def _diagonals(H: np.ndarray) -> tuple | None:
-    """``(lo, d, up)``, the three diagonals of H, when one read of its
-    nonzero pattern (``_bandwidths``) finds it tridiagonal with n >= 2, else
-    None."""
+def _diagonals(H: np.ndarray | tuple) -> tuple | None:
+    """``(lo, d, up)``, the three diagonals of a tridiagonal H.
+
+    A tuple of them is returned unchanged, so a tridiagonal matrix and its
+    diagonals take the same route; a matrix gives its diagonals when one
+    read of its nonzero pattern (``_bandwidths``) finds it tridiagonal with
+    n >= 2, and None otherwise."""
+    if isinstance(H, tuple):
+        return H
     if H.shape[0] < 2 or max(_bandwidths(H)) > 1:
         return None
     return np.diag(H, -1), np.diag(H), np.diag(H, 1)
@@ -239,8 +260,8 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
 
     Raises ``ResolventError`` if the shifted matrix is singular, reporting
     ``z`` as (numerically) in the spectrum, or if the residual or that
-    condition estimate is not finite: a resolvent too large or too small to
-    represent has no scale to check against.
+    condition estimate is not finite (``_residual_fails``): a resolvent too
+    large or too small to represent has no scale to check against.
     """
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
@@ -260,8 +281,7 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         cond_est = np.linalg.norm(ab) * np.linalg.norm(R)
     residual = np.linalg.norm(AR)
-    if (not np.isfinite(cond_est)
-            or _residual_fails(residual, max(1.0, cond_est))):
+    if _residual_fails(residual, np.maximum(1.0, cond_est)):
         raise ResolventError(
             f"resolvent residual {residual:.2e} fails against the condition "
             f"estimate {cond_est:.2e} at z = {z}")
@@ -304,13 +324,31 @@ def _require_shifted(evals: np.ndarray) -> None:
     _require_off_cut(evals)
 
 
-def _require_root(R: np.ndarray, T: np.ndarray) -> None:
+def _require_root(R: np.ndarray, T: np.ndarray | tuple) -> None:
     """Raise ``SpectrumOnCutError`` unless ``||R^2 - T||_F`` is within
     ``_RESIDUAL_TOL ||T||_F`` for the matrix, or for each matrix of a stack
-    along the leading axis (a NaN residual fails)."""
-    res = np.linalg.norm(R @ R - T, axis=(-2, -1))
-    if _residual_fails(res, np.maximum(np.linalg.norm(T, axis=(-2, -1)),
-                                       1e-300)):
+    along the leading axis (``_residual_fails``: a NaN residual or a norm
+    that overflows fails).
+
+    ``T`` may also be the diagonals ``(lo, d, up)`` of a tridiagonal matrix,
+    which are subtracted from ``R^2`` in place, with ``||T||_F`` read off
+    its 3n - 2 entries, so that no dense ``T`` is formed.
+    """
+    if isinstance(T, tuple):
+        res, n = R @ R, R.shape[0]
+        flat = res.reshape(-1)
+        for k, x in zip((-1, 0, 1), T):
+            # diagonal k starts at [max(0, -k), max(0, k)], steps by n + 1
+            flat[max(k, -k * n)::n + 1] -= x
+        # flat, whose norm takes no n x n temporary
+        res, T = flat, np.concatenate(T)
+    else:
+        res = R @ R - T
+    axes = (-2, -1) if res.ndim > 1 else None
+    with np.errstate(over="ignore"):  # an overflowing norm fails below
+        res = np.linalg.norm(res, axis=axes)
+        scale = np.linalg.norm(T, axis=axes)
+    if _residual_fails(res, np.maximum(scale, 1e-300)):
         raise SpectrumOnCutError("square-root residual above tolerance")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               assemble_forms, build_mesh, orthonormalize,
                               w12_norm_matrix)
 from sqrtdom import assembly, csvio, problems
+from sqrtdom.matfun import _diagonals
 from sqrtdom.problems import FAMILY_NAMES, _spike, make_problem
 
 DIR = BoundaryCondition.dirichlet()
@@ -228,14 +230,15 @@ class TestCellSum:
 
 class TestBandStorage:
     def test_problem_keeps_one_dense_matrix(self):
-        # the six forms stay in the band and H is the one dense matrix a
-        # problem keeps; held densely, they retained 7 and peaked at 12
-        # dense matrices here
+        # the six forms stay in the band and H, formed on its first read,
+        # is the one dense matrix a problem keeps; held densely, they
+        # retained 7 and peaked at 12 dense matrices here
         n = 512
         dense = 16 * n * n
         tracemalloc.start()
         try:
             prob = make_problem("sawtooth", n=n, bc_left=NEU)
+            prob.H
             prob.base_operator()
             prob.reference_operator()
             retained, peak = tracemalloc.get_traced_memory()
@@ -245,6 +248,32 @@ class TestBandStorage:
         assert peak <= 4 * dense
         for name in ("M", "K0", "K1", "K2", "K3", "Bdry"):
             assert getattr(prob.forms, name).data.size <= 3 * prob.forms.n_dof
+
+
+class TestProblemDiagonals:
+    @PIN_INTERVALS
+    @PIN_FAMILY
+    def test_equal_the_dense_diagonals_bitwise(self, family, interval):
+        # the operator and its reference are read from the scaled form bands
+        # with no dense matrix formed, and equal the diagonals of the dense
+        # H and reference_operator() bit for bit, at every pair of ends
+        ends = (DIR, NEU, BoundaryCondition(1 + 0.5j))
+        for bc_left, bc_right in itertools.product(ends, ends):
+            prob = make_problem(family, interval, 16, bc_left, bc_right)
+            got, ref = prob.diagonals(), prob.reference_diagonals()
+            assert "H" not in vars(prob)
+            for k, (g, want) in enumerate(zip(got, _diagonals(prob.H))):
+                assert_bitwise(g, want, bc_left, bc_right, "H", k)
+            for k, (g, want) in enumerate(zip(
+                    ref, _diagonals(prob.reference_operator()))):
+                assert_bitwise(g, want, bc_left, bc_right, "reference", k)
+
+    def test_dense_operator_formed_on_first_read_and_kept(self):
+        prob = make_problem("sawtooth", n=16, bc_left=NEU)
+        assert "H" not in vars(prob)
+        H = prob.H
+        assert prob.H is H
+        assert_bitwise(H, orthonormalize(prob.forms))
 
 
 class TestOrthonormalize:

@@ -556,6 +556,20 @@ class TestVerifyCommands:
         assert "--E" in capsys.readouterr().err
         assert not (out / "kappa.csv").exists()
 
+    @pytest.mark.parametrize("problem,E", [("complex_full", "1e300"),
+                                           ("robin_complex", "1e200")])
+    def test_kappa_study_overflowing_shift_is_config_error(
+            self, tmp_path, problem, E, capsys):
+        # ||H + E||_F and the residual of its root both overflow to inf, and
+        # inf <= 1e-10 inf used to pass the root check: complex_full read
+        # divergent (exit 1) and robin_complex bounded (exit 0) on roots
+        # that were never checked
+        code, out = run(tmp_path, "o", "kappa-study", "--problem", problem,
+                        "--E", E, "--n-list", "16,32,64")
+        assert code == 2
+        assert f"--E {float(E):g}" in capsys.readouterr().err
+        assert not (out / "kappa.csv").exists()
+
     def test_kappa_study_lions_divergent(self, tmp_path):
         code, out = run(tmp_path, "o", "kappa-study", "--problem", "lions",
                         "--alpha", "0.5", "--n-list", "32,64,128")

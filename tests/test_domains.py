@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -548,6 +549,47 @@ class TestSqrtDomainKappa:
             refinement_study(family_at("free"), n_list, 1.0, 0.5, 3.0)
 
 
+class TestKappaRowInTheBand:
+    """A kappa row takes its problem's operator and reference as diagonals
+    and shifts them on the main diagonal, so the dense ``H``, reference,
+    identity and shifted copies are never formed."""
+
+    @pytest.mark.parametrize("family,bc_left", [
+        ("complex_constant", None), ("free", None), ("sawtooth", None),
+        ("mixed_sign", BoundaryCondition(1 + 0.5j))],
+        ids=["gauge", "hermitian", "schur", "corner"])
+    def test_problem_forms_no_dense_operator(self, family, bc_left):
+        built = []
+
+        def operator_at(n):
+            built.append(make_problem(family, n=n, bc_left=bc_left))
+            return built[-1]
+
+        for alpha in (0.5, 0.25, 0.375):
+            _kappa_row(operator_at, 24, 1.0, alpha)
+        assert len(built) == 3
+        assert not any("H" in vars(prob) for prob in built)
+
+    @pytest.mark.parametrize("family,bc_left,alpha", [
+        ("complex_constant", None, 0.5),
+        ("mixed_sign", BoundaryCondition(1 + 0.5j), 0.25)],
+        ids=["complex_full", "robin_complex"])
+    def test_peak_within_four_dense_matrices(self, family, bc_left, alpha):
+        # the Problem's build included; from dense H, a dense reference and
+        # two dense shifted copies this row peaked at 6.56 (complex_full)
+        # and 7.61 (robin_complex) dense complex n x n matrices
+        n = 256
+        operator_at = family_at(family, bc_left=bc_left)
+        _kappa_row(operator_at, 16, 1.0, alpha)  # one-time first-call work
+        tracemalloc.start()
+        try:
+            _kappa_row(operator_at, n, 1.0, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * 16 * n * n
+
+
 class TestLionsDichotomy:
     def test_quarter_power_stable_half_power_growing(self):
         halves, quarters = [], []
@@ -617,11 +659,15 @@ def pencil_kappa_row(operator_at, n, E, alpha):
 @pytest.fixture
 def shared_powers(monkeypatch):
     """``domains.matrix_power`` memoized on its input's bytes, so that a
-    row and its pencil reference take one power between them."""
+    row and its pencil reference take one power between them.  A row
+    passes the diagonals of a tridiagonal input and the pencil the dense
+    matrix, so either is keyed on its diagonals."""
     power, memo = domains.matrix_power, {}
 
     def memoized(H, alpha):
-        key = (H.dtype.str, H.shape, H.tobytes(), alpha)
+        band = domains._diagonals(H)
+        key = (alpha, *((x.dtype.str, x.shape, x.tobytes())
+                        for x in (band if band is not None else (H,))))
         if key not in memo:
             memo[key] = power(H, alpha)
         return memo[key]

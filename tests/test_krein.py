@@ -236,6 +236,34 @@ class TestSqrtKernel:
         got = sqrt_kernel(E, theta, mesh)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("interval", [
+        IntervalSpec("finite", A, B),
+        IntervalSpec("half_line", truncation_radius=4.0)],
+        ids=["finite", "half_line"])
+    @pytest.mark.parametrize("n", [64, 96])
+    def test_equals_the_per_entry_green_sum_bitwise(self, n, interval):
+        # each hyperbolic factor of the Green kernel is computed once per
+        # quadrature node as a vector over the nodes and picked at the
+        # min and max index; the kernel equals the sum that evaluated
+        # _green_from_root on the whole grid at every node, bit for bit
+        E, theta = 25.0, ROBIN
+        mesh = build_mesh(interval, n)
+        a, b, x = mesh.a, mesh.b, mesh.nodes
+        u, w = krein._sqrt_nodes(np.pi / mesh.h)
+        green = np.zeros((x.size, x.size))
+        for ui, wi in zip(u, w):
+            green += wi * krein._green_from_root(
+                np.sqrt(ui * ui + E), x[:, None], x[None, :], a, b)
+        st = np.sqrt(u * u + E)
+        em = np.exp(-2.0 * st * (b - a))
+        dval = theta.cot() - st * (1.0 + em) / (1.0 - em)
+        F = (np.exp(-st[:, None] * (x - a))
+             * krein._expm1_ratio(st[:, None], b - x))
+        coupling = (F.T * (w / (dval * krein._expm1_ratio(st, b - a) ** 2))
+                    ) @ F
+        want = (2.0 / np.pi) * (green - coupling)
+        assert np.array_equal(sqrt_kernel(E, theta, mesh), want)
+
     def test_real_arithmetic_exponentials(self, monkeypatch):
         mesh = build_mesh(IntervalSpec("finite", A, B), 16)
         reject_complex_array_exp(monkeypatch)
