@@ -6,14 +6,13 @@ meshes.  Coefficients are sampled once per cell at the midpoint, which keeps
 every matrix exact for piecewise-constant data and first-order accurate
 otherwise.  The convention throughout: the full form matrix ``S`` satisfies
 ``q(g, f) = g^H S f`` for nodal vectors, conjugate-linear in the first slot.
-Every form is tridiagonal and stays in the band: a ``scipy.sparse``
-``dia_array`` whose data rows hold the diagonals ``1, 0, -1`` in LAPACK band
-layout, the layout of ``matfun._band_storage``.  ``orthonormalize`` scales
+Every form is tridiagonal and is held as its three diagonals
+``(lo, d, up)``, from the cell sums through the scaling: a matrix is formed
+only where a consumer reads one, by ``_dense``.  ``orthonormalize`` scales
 the forms' sum into the operator matrix in L2-orthonormal coordinates and
-forms it densely, as ``_dense`` forms every matrix a consumer reads;
-``_tridiagonals`` reads the same band's three diagonals instead.
-``problems.Problem`` keeps that one dense matrix, formed on its first read,
-together with its inputs.
+forms it densely; ``problems.Problem`` keeps that one dense matrix, formed
+on its first read, together with its inputs, and hands out the scaled
+diagonals themselves.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "IntervalSpec",
@@ -226,25 +224,25 @@ class FormMatrices:
     ``M`` is the consistent mass; ``K0`` carries the second-order part,
     ``K1``/``K2`` the two convective terms, ``K3`` the (lumped, diagonal)
     potential and ``Bdry`` the rank <= 2 boundary contribution, a diagonal.
-    Each is a ``dia_array`` in the band layout of ``_cell_sum`` (``Bdry``
-    stores its one diagonal), and ``_dense`` forms it where a matrix is read.
+    Each is a tuple of its diagonals ``(lo, d, up)`` (``Bdry``'s off
+    diagonals are zero), and ``_dense`` forms it where a matrix is read.
     ``dof_nodes`` indexes the retained mesh nodes, a contiguous range, and
     ``lumped_weights`` holds their full-mesh mass row sums, so interior
     nodes next to a removed Dirichlet node keep their full weight.
     """
 
-    M: sp.dia_array
-    K0: sp.dia_array
-    K1: sp.dia_array
-    K2: sp.dia_array
-    K3: sp.dia_array
-    Bdry: sp.dia_array
+    M: tuple
+    K0: tuple
+    K1: tuple
+    K2: tuple
+    K3: tuple
+    Bdry: tuple
     dof_nodes: np.ndarray
     lumped_weights: np.ndarray
 
     @property
     def n_dof(self) -> int:
-        return self.M.shape[0]
+        return self.M[1].size
 
     @property
     def orthonormal_scaling(self) -> np.ndarray:
@@ -255,93 +253,79 @@ class FormMatrices:
             raise ValueError("lumped mass is not positive definite")
         return 1.0 / np.sqrt(w)
 
-    def congruence(self, S: np.ndarray | sp.dia_array):
+    def congruence(self, S: np.ndarray | tuple):
         """``D S D``, ``D = diag(orthonormal_scaling)``: a form matrix as an
         orthonormal-coordinate operator, or such an operator as a kernel.
 
-        A dense ``S`` gives a dense matrix and a band (``dia_array``) a band,
-        each entry scaled in the same order, ``(w_i S_ij) w_j``.
+        A dense ``S`` gives a dense matrix and diagonals ``(lo, d, up)``
+        give diagonals, each entry scaled in the same order,
+        ``(w_i S_ij) w_j``.
         """
         winv = self.orthonormal_scaling
-        if not sp.issparse(S):
+        if not isinstance(S, tuple):
             return winv[:, None] * S * winv[None, :]
-        # the data row of offset k holds S[j - k, j] in column j; an entry
-        # off the matrix takes a clipped row's weight and stays unread
-        rows = np.clip(np.arange(S.shape[1]) - S.offsets[:, None], 0,
-                       S.shape[0] - 1)
-        return sp.dia_array(((winv[rows] * S.data) * winv, S.offsets),
-                            shape=S.shape)
+        lo, d, up = S
+        return ((winv[1:] * lo) * winv[:-1], (winv * d) * winv,
+                (winv[:-1] * up) * winv[1:])
 
-    def plus_boundary(self, *forms: sp.dia_array) -> sp.dia_array:
-        """The sum of the tridiagonal ``forms``, left to right, and ``Bdry``
-        as one band: the forms share the cell sums' data layout, so their
-        data rows add entry by entry, and ``Bdry`` adds onto the main
-        diagonal last, each entry as ``dia_array`` addition forms it."""
-        data = forms[0].data.copy()
+    def plus_boundary(self, *forms: tuple) -> tuple:
+        """The sum of the tridiagonal ``forms``, left to right, and ``Bdry``,
+        as diagonals: the forms add diagonal by diagonal, entry by entry,
+        and ``Bdry`` adds onto the main diagonal last."""
+        total = [x.copy() for x in forms[0]]
         for S in forms[1:]:
-            data += S.data
-        data[1] += self.Bdry.data[0]
-        return sp.dia_array((data, forms[0].offsets), shape=self.Bdry.shape)
+            for acc, x in zip(total, S):
+                acc += x
+        total[1] += self.Bdry[1]
+        return tuple(total)
 
-    def total(self) -> sp.dia_array:
+    def total(self) -> tuple:
         return self.plus_boundary(self.K0, self.K1, self.K2, self.K3)
 
 
-def _cell_sum(ll, lr, rl, rr) -> np.ndarray:
+def _cell_sum(ll, lr, rl, rr) -> tuple:
     """Sum the element blocks ``[[ll, lr], [rl, rr]]``, one entry per cell,
-    onto the nodes ``(k, k + 1)`` of cell ``k``, as the data of a
-    tridiagonal band in LAPACK layout: data row ``1 - k`` holds diagonal
-    ``k = 1, 0, -1``, entry ``[j - k, j]`` in column ``j``, and zero where
-    that is off the matrix.  ``_trim`` wraps it.
+    onto the nodes ``(k, k + 1)`` of cell ``k``: the diagonals
+    ``(lo, d, up)`` of the tridiagonal sum, in one dtype.
 
     Each entry is accumulated from zero as a dense scatter accumulates it, a
     diagonal entry taking its right cell's term, then its left cell's, so
     the dense matrix is the scatter's bit for bit."""
-    n = len(ll)
-    ab = np.zeros((3, n + 1), dtype=np.result_type(ll, lr, rl, rr))
-    ab[0, 1:] += lr
-    ab[1, :-1] += ll
-    ab[1, 1:] += rr
-    ab[2, :-1] += rl
-    return ab
+    dtype = np.result_type(ll, lr, rl, rr)
+    lo, d, up = (np.zeros(m, dtype=dtype)
+                 for m in (len(ll), len(ll) + 1, len(ll)))
+    lo += rl
+    d[:-1] += ll
+    d[1:] += rr
+    up += lr
+    return lo, d, up
 
 
-def _dense(S: sp.dia_array) -> np.ndarray:
-    """The dense matrix of a square ``dia_array``, each stored diagonal
-    written in place (``toarray`` reaches it through a CSR and a COO
-    copy)."""
-    n = S.shape[0]
-    out = np.zeros(S.shape, dtype=S.dtype)
+def _dense(band: tuple) -> np.ndarray:
+    """The dense matrix with diagonals ``band = (lo, d, up)``, each written
+    in place."""
+    lo, d, up = band
+    n = d.size
+    out = np.zeros((n, n), dtype=np.result_type(*band))
     flat = out.reshape(-1)
-    for k, row in zip(S.offsets.tolist(), S.data):
-        # diagonal k starts at [max(0, -k), max(0, k)] and steps by n + 1
-        flat[max(k, -k * n)::n + 1] = row[max(0, k):n + min(0, k)]
+    # diagonals -1, 0 and 1 start at [1, 0], [0, 0] and [0, 1]; each
+    # steps by n + 1 in the flat matrix
+    flat[n::n + 1] = lo
+    flat[::n + 1] = d
+    flat[1::n + 1] = up
     return out
 
 
-def _tridiagonals(S: sp.dia_array) -> tuple:
-    """``(lo, d, up)``, the diagonals ``-1, 0, 1`` of a tridiagonal
-    ``dia_array``: the entries of its data rows that ``_dense`` writes, so
-    they equal the dense matrix's diagonals bit for bit."""
-    n = S.shape[0]
-    rows = dict(zip(S.offsets.tolist(), S.data))
-    return tuple(rows[k][max(0, k):n + min(0, k)] for k in (-1, 0, 1))
-
-
-def _trim(ab: np.ndarray, keep: np.ndarray) -> sp.dia_array:
-    """The block on the contiguous node range ``keep`` of the band with data
-    ``ab``, whose rows hold the diagonals ``u, ..., -u`` in LAPACK layout
-    (``u = len(ab) // 2``: a cell sum's three diagonals, or one), as a
-    ``dia_array``: the columns are cut to the range before the one wrap.  A
-    data entry the cut moves off the matrix is kept but never read."""
+def _trim(band: tuple, keep: np.ndarray) -> tuple:
+    """The block on the contiguous node range ``keep`` of the tridiagonal
+    form with diagonals ``band``, as its diagonals: each is sliced to the
+    range."""
     lo, hi = int(keep[0]), int(keep[-1]) + 1
-    u = len(ab) // 2
-    return sp.dia_array((ab[:, lo:hi], np.arange(u, -u - 1, -1)),
-                        shape=(hi - lo,) * 2)
+    return band[0][lo:hi - 1], band[1][lo:hi], band[2][lo:hi - 1]
 
 
-def _unit_stiffness(mesh: Mesh) -> np.ndarray:
-    """The band data of the real Gram of ``||f'||^2`` on all nodes: unit
+def _unit_stiffness(mesh: Mesh) -> tuple:
+    """The diagonals of the real Gram of ``||f'||^2`` on all nodes: unit
     diffusion."""
     return _cell_sum(*(np.full(mesh.n_cells, sign / mesh.h)
                        for sign in (1, -1, -1, 1)))
@@ -361,8 +345,9 @@ def _retained_nodes(mesh: Mesh, bc_left: BoundaryCondition,
 def assemble_forms(mesh: Mesh, coeffs: CoefficientSet,
                    bc_left: BoundaryCondition,
                    bc_right: BoundaryCondition) -> FormMatrices:
-    """Assemble the form matrices of the full operator on the mesh, each a
-    band on the retained nodes (see ``FormMatrices``).
+    """Assemble the form matrices of the full operator on the mesh, each
+    the diagonals of its block on the retained nodes (see
+    ``FormMatrices``).
 
     Parameters
     ----------
@@ -393,15 +378,15 @@ def assemble_forms(mesh: Mesh, coeffs: CoefficientSet,
 
     # accumulated from zero as the cell sums are, so a Neumann end's
     # -cot = -0 leaves a positive zero
-    Bdry = np.zeros((1, n + 1), dtype=complex)
+    Bdry = tuple(np.zeros(m, dtype=complex) for m in (n, n + 1, n))
     if not bc_left.is_dirichlet:
-        Bdry[0, 0] += -bc_left.cot()
+        Bdry[1][0] += -bc_left.cot()
     if not bc_right.is_dirichlet:
-        Bdry[0, -1] += -bc_right.cot()
+        Bdry[1][-1] += -bc_right.cot()
 
     keep, weights = _retained_nodes(mesh, bc_left, bc_right)
-    M, K0, K1, K2, K3, Bdry = (_trim(ab, keep)
-                               for ab in (M, K0, K1, K2, K3, Bdry))
+    M, K0, K1, K2, K3, Bdry = (_trim(band, keep)
+                               for band in (M, K0, K1, K2, K3, Bdry))
     return FormMatrices(M=M, K0=K0, K1=K1, K2=K2, K3=K3, Bdry=Bdry,
                         dof_nodes=keep, lumped_weights=weights)
 
@@ -412,7 +397,7 @@ def orthonormalize(forms: FormMatrices) -> np.ndarray:
     ``S`` is the full form matrix and ``M`` the lumped (diagonal row-sum)
     mass, which makes ``M^{-1/2}`` exact.  Nodal vectors ``f`` and
     orthonormal vectors ``u`` are related by ``u = M^{1/2} f``.  The sum
-    and its scaling stay in the band; only ``H`` is formed densely.
+    and its scaling stay diagonals; only ``H`` is formed densely.
     """
     return _dense(forms.congruence(forms.total()))
 
@@ -427,6 +412,5 @@ def w12_norm_matrix(mesh: Mesh, bc_left: BoundaryCondition,
     if E <= 0:
         raise ValueError("E must be positive")
     keep, weights = _retained_nodes(mesh, bc_left, bc_right)
-    K = _trim(_unit_stiffness(mesh), keep)
-    mass = sp.dia_array((E * weights[None, :], [0]), shape=K.shape)
-    return _dense((K + mass).astype(complex))
+    lo, d, up = _trim(_unit_stiffness(mesh), keep)
+    return _dense((lo, d + E * weights, up)).astype(complex)

@@ -74,6 +74,10 @@ _UNREAD = {
     "kernel-dump": (f"kernel-dump's {_CLOSED_FORMS}",
                     ("problem", "interval", *_COEFF_KEYS, "theta_b")),
 }
+# the interval keys that each kind of interval never reads: a finite one
+# reads a and b, a half line a and radius, the full line radius
+_INTERVAL_UNREAD = {"finite": ("radius",), "half_line": ("b",),
+                    "full_line": ("a", "b")}
 
 
 def _geometric_grid(text: str) -> list[float]:
@@ -170,6 +174,12 @@ def load_config(args: argparse.Namespace) -> dict:
               if meaning(key, cfg[key]) != meaning(key, DEFAULTS[key])]
     if unread:
         raise ConfigError(f"{why}; set none of {', '.join(unread)}")
+    kind = cfg["interval"]
+    unread = [key for key in _INTERVAL_UNREAD.get(kind, ())
+              if cfg[key] != DEFAULTS[key]]
+    if unread:
+        raise ConfigError(f"a {kind} interval never reads "
+                          f"{', '.join(unread)}; set none of them")
     try:
         interval_from(cfg)
     except ValueError as exc:

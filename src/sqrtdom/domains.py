@@ -250,7 +250,7 @@ def matrix_power(H: np.ndarray | tuple, alpha: float) -> np.ndarray:
         if (X := _gauge_power(band, alpha)) is not None:
             return X
     if isinstance(H, tuple):
-        H = _dense_band(_band_storage(H, 1, 1), 1)
+        H = _dense(H)
     U, Q = sla.schur(H, output="complex")
     _require_shifted(np.diag(U))
     if roots := _dyadic_roots(alpha):
@@ -259,14 +259,6 @@ def matrix_power(H: np.ndarray | tuple, alpha: float) -> np.ndarray:
     else:
         U = sla.fractional_matrix_power(U, alpha)
     return Q @ U @ Q.conj().T
-
-
-def _dense_band(ab: np.ndarray, u: int) -> np.ndarray:
-    """The dense matrix with LAPACK band storage ``ab`` of upper bandwidth
-    ``u``, the DIA layout with offsets ``u, u - 1, ...``."""
-    n = ab.shape[1]
-    return _dense(sp.dia_array((ab, np.arange(u, u - len(ab), -1)),
-                               shape=(n, n)))
 
 
 def _band_cholesky(A: np.ndarray | tuple) -> np.ndarray:
@@ -320,9 +312,10 @@ def _power_over_reference(H: np.ndarray | tuple, H_ref: np.ndarray | tuple,
     not depend on which factor is taken, so each case takes its cheapest
     exact one.  At the critical power ``Y`` is the bidiagonal Cholesky
     factor of the tridiagonal ``H_ref + E``, applied by substitution, and a
-    Hermitian ``H + E`` is its own bidiagonal factor ``X``, which no root
-    is formed for (a real-valued one factored in real arithmetic, so the
-    self-adjoint baseline reads ``Z = I`` exactly).  At any other power
+    Hermitian tridiagonal ``H + E`` is its own bidiagonal factor ``X``,
+    which no root is formed for (a real-valued one factored in real
+    arithmetic, so the self-adjoint baseline reads ``Z = I`` exactly); any
+    other ``H + E`` takes its root as ``X``.  At any other power
     ``Y^-1 = (H_ref + E)^-alpha`` is the gauge route's power.
     """
     shifted, ref = _shifted(H, E), _shifted(H_ref, E)
@@ -332,14 +325,16 @@ def _power_over_reference(H: np.ndarray | tuple, H_ref: np.ndarray | tuple,
         R = _band_cholesky(ref)
     except np.linalg.LinAlgError as exc:
         raise ValueError("reference Gram is not positive definite") from exc
-    if not is_hermitian(shifted):
+    if not (isinstance(shifted, tuple) and is_hermitian(shifted)):
         return _right_solve(matrix_power(shifted, alpha), R)
     try:
         X = _band_cholesky(shifted)
     except np.linalg.LinAlgError as exc:
         raise ShiftBelowSpectrumError(
             "Hermitian H + E is not positive definite") from exc
-    return _right_solve(_dense_band(X, len(X) - 1), R)
+    # X in upper band storage: row 0 the superdiagonal, row 1 the diagonal
+    return _right_solve(_dense((np.zeros_like(X[0, 1:]), X[1], X[0, 1:])),
+                        R)
 
 
 def sqrt_domain_kappa(Z: np.ndarray) -> dict:
@@ -386,7 +381,7 @@ def _kappa_row(operator_at, n: int, E: float, alpha: float) -> dict:
     reference operator (``_power_over_reference``), whose Gram at the
     critical power is ``H_ref + E``, the E-scaled Sobolev Gram in
     orthonormal coordinates.  Both operators arrive as their diagonals,
-    read from the problem's form bands, so the row forms neither dense
+    the problem's scaled forms, so the row forms neither dense
     ``H`` nor dense reference; its dense arrays are the power, its root
     check and ``Z``."""
     if operator_at is lions_operator:

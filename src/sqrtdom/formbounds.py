@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .assembly import (CoefficientSet, FormMatrices, IntervalSpec, Mesh,
-                       _cell_sum, _dense, _trim)
+                       _cell_sum, _dense)
 
 __all__ = [
     "FormBoundConstants",
@@ -104,7 +103,8 @@ def check_form_bound(forms: FormMatrices, constants: FormBoundConstants,
     if not np.all((eps > 0.0) & (eps < constants.eps_0)):
         raise ValueError(f"eps must lie in (0, {constants.eps_0})")
     # K0 is complex symmetric, so its Hermitian part is its real part
-    mu, V = sla.eigh(_dense(forms.K0.real), _dense(forms.M.real))
+    mu, V = sla.eigh(*(_dense(tuple(x.real for x in S))
+                       for S in (forms.K0, forms.M)))
     d2 = 1.0 / (eps[:, None] * mu + constants.M * eps[:, None] ** -3)
     # dense products: V is dense, and a sparse one would sum in another order
     squares = [np.sum(d2 @ np.abs(V.T @ _dense(K) @ V) ** 2 * d2, axis=1)
@@ -112,15 +112,15 @@ def check_form_bound(forms: FormMatrices, constants: FormBoundConstants,
     return np.sqrt(np.stack(squares, axis=1))
 
 
-def _trace_gram(mesh: Mesh, eps: float) -> sp.dia_array:
+def _trace_gram(mesh: Mesh, eps: float) -> tuple:
     """The Gram on all nodes of the pointwise bound's right side, ``eps K +
     ((b-a)^-1 + eps^-1) M`` with the unit stiffness K and the consistent
-    mass M, the exact integrals of the nodal interpolant, as a band."""
+    mass M, the exact integrals of the nodal interpolant, as its
+    diagonals."""
     h, c = mesh.h, 1.0 / (mesh.b - mesh.a) + 1.0 / eps
     diag, off = (np.full(mesh.n_cells, v)
                  for v in (eps / h + c * h / 3.0, c * h / 6.0 - eps / h))
-    return _trim(_cell_sum(diag, off, off, diag),
-                 np.arange(mesh.n_cells + 1))
+    return _cell_sum(diag, off, off, diag)
 
 
 def check_trudinger(w: np.ndarray, mesh: Mesh, eps: float) -> dict:

@@ -170,9 +170,9 @@ def _bandwidths(H: np.ndarray) -> tuple[int, int]:
 
 
 def _band_storage(H: np.ndarray | tuple, l: int, u: int) -> np.ndarray:
-    """Diagonals ``-l..u`` of ``H``, in its dtype, in LAPACK band storage
-    (also the DIA layout with offsets ``u..-l``): ``ab[u - k, j] =
-    H[j - k, j]``, zero elsewhere; ``u = 0`` is lower, ``l = 0`` upper.
+    """Diagonals ``-l..u`` of ``H``, in its dtype, in LAPACK band storage:
+    ``ab[u - k, j] = H[j - k, j]``, zero elsewhere; ``u = 0`` is lower,
+    ``l = 0`` upper.
     ``H`` is a matrix, or the diagonals ``(lo, d, up)`` of a tridiagonal
     one (``l, u <= 1``)."""
     band = isinstance(H, tuple)
@@ -275,6 +275,7 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
                                  check_finite=False)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise ResolventError(f"z = {z} lies in the spectrum") from exc
+    # LAPACK band storage is the DIA layout with offsets u..-l
     AR = sp.dia_array((ab, np.arange(u, -l - 1, -1)), shape=(n, n)) @ R
     AR[np.diag_indices(n)] -= 1.0
     # an estimate that overflows, or reads inf * 0 = nan, fails below

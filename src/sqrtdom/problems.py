@@ -5,10 +5,11 @@ constants, sign-changing sawtooth profiles, and locally integrable spikes
 whose singularity is truncated at grid scale.  A ``Problem`` holds its five
 inputs (interval, mesh, coefficients, two boundary conditions) and builds
 its form matrices from them, and every operator from those, so they cannot
-disagree.  The forms stay tridiagonal bands, and the operator and its
-reference are read from them as diagonals.  The operator matrix ``H`` is
-the one dense matrix it keeps, formed on its first read; the base and
-reference operators are formed densely only when asked for.
+disagree.  The forms are the diagonals ``(lo, d, up)`` of tridiagonal
+matrices, and so are the operator and its reference, scaled from them.  The
+operator matrix ``H`` is the one dense matrix it keeps, formed on its first
+read; the base and reference operators are formed densely only when asked
+for.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import (BoundaryCondition, CoefficientSet, FormMatrices,
-                       IntervalSpec, Mesh, _dense, _tridiagonals, _trim,
-                       _unit_stiffness, assemble_forms, build_mesh,
-                       orthonormalize)
+                       IntervalSpec, Mesh, _dense, _trim, _unit_stiffness,
+                       assemble_forms, build_mesh, orthonormalize)
 
 __all__ = [
     "FAMILY_NAMES",
@@ -92,15 +92,15 @@ def build_coefficients(name: str, mesh: Mesh) -> CoefficientSet:
 
 @dataclass(frozen=True)
 class Problem:
-    """One assembled operator: its inputs, form matrices ``forms`` (bands)
-    and the operator ``H = M^{-1/2} S M^{-1/2}`` in L2-orthonormal
-    coordinates.
+    """One assembled operator: its inputs, form matrices ``forms`` (each
+    its diagonals) and the operator ``H = M^{-1/2} S M^{-1/2}`` in
+    L2-orthonormal coordinates.
 
-    The operator and its self-adjoint reference are read as diagonals
-    (``diagonals``, ``reference_diagonals``) from the scaled form bands.
-    The dense ``H`` is formed on its first read and then kept, the one
-    dense matrix a problem holds; a caller that works in the band, such as
-    a kappa row, never forms it.
+    The operator and its self-adjoint reference are also given as
+    diagonals (``diagonals``, ``reference_diagonals``): the scaled forms
+    themselves.  The dense ``H`` is formed on its first read and then
+    kept, the one dense matrix a problem holds; a caller that works in the
+    band, such as a kappa row, never forms it.
     """
 
     interval: IntervalSpec
@@ -122,10 +122,10 @@ class Problem:
         return orthonormalize(self.forms)
 
     def diagonals(self) -> tuple:
-        """``(lo, d, up)``, the three diagonals of ``H``, read from the
-        scaled form band without forming ``H``; equal to those of ``H`` bit
+        """``(lo, d, up)``, the three diagonals of ``H``: the scaled form
+        sum that ``orthonormalize`` forms, so equal to those of ``H`` bit
         for bit."""
-        return _tridiagonals(self.forms.congruence(self.forms.total()))
+        return self.forms.congruence(self.forms.total())
 
     def base_operator(self) -> np.ndarray:
         """Same second-order part and boundary conditions, no lower-order
@@ -133,12 +133,6 @@ class Problem:
         scales the total, and formed densely."""
         return _dense(self.forms.congruence(
             self.forms.plus_boundary(self.forms.K0)))
-
-    def _reference_band(self):
-        """The reference operator as a band: the unit stiffness on the
-        retained nodes, scaled as ``orthonormalize`` scales the total."""
-        return self.forms.congruence(
-            _trim(_unit_stiffness(self.mesh), self.forms.dof_nodes))
 
     def reference_operator(self) -> np.ndarray:
         """Self-adjoint unit-diffusion reference with the same form domain,
@@ -148,13 +142,14 @@ class Problem:
         whether a boundary parameter vanishes: the unit stiffness on the
         retained nodes, scaled as ``orthonormalize`` scales the total.
         """
-        return _dense(self._reference_band())
+        return _dense(self.reference_diagonals())
 
     def reference_diagonals(self) -> tuple:
         """``(lo, d, up)``, the three real diagonals of
-        ``reference_operator()``, read from its band without forming it;
-        equal to its diagonals bit for bit."""
-        return _tridiagonals(self._reference_band())
+        ``reference_operator()``, which it forms: the unit stiffness on the
+        retained nodes, scaled as ``orthonormalize`` scales the total."""
+        return self.forms.congruence(
+            _trim(_unit_stiffness(self.mesh), self.forms.dof_nodes))
 
     def lumped_average(self, cells: np.ndarray) -> np.ndarray:
         """Cell samples averaged onto the retained nodes with the lumped

@@ -6,8 +6,8 @@ import pytest
 
 from csv_tables import read_matrix, write_coefficient
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                              assemble_forms, build_mesh, orthonormalize,
-                              w12_norm_matrix)
+                              _dense, assemble_forms, build_mesh,
+                              orthonormalize, w12_norm_matrix)
 from sqrtdom import assembly, csvio, problems
 from sqrtdom.matfun import _diagonals
 from sqrtdom.problems import FAMILY_NAMES, _spike, make_problem
@@ -127,21 +127,21 @@ class TestAssembleForms:
         # one interior hat on (0,1) with h = 1/2: stiffness 2/h per side
         mesh = build_mesh(IntervalSpec(), 2)
         forms = assemble_forms(mesh, coeffs_for(mesh), DIR, DIR)
-        np.testing.assert_allclose(forms.K0.toarray(), [[4.0]])
+        np.testing.assert_allclose(_dense(forms.K0), [[4.0]])
         np.testing.assert_allclose(forms.lumped_weights, [0.5])
 
     def test_constant_potential_is_lumped_mass_multiple(self):
         mesh = build_mesh(IntervalSpec(), 16)
         c = 2.5 - 0.75j
         forms = assemble_forms(mesh, coeffs_for(mesh, q=c), NEU, NEU)
-        np.testing.assert_allclose(forms.K3.toarray(),
+        np.testing.assert_allclose(_dense(forms.K3),
                                    c * np.diag(forms.lumped_weights),
                                    atol=1e-15)
 
     def test_neumann_boundary_term_vanishes(self):
         mesh = build_mesh(IntervalSpec(), 8)
         forms = assemble_forms(mesh, coeffs_for(mesh), NEU, NEU)
-        assert np.all(forms.Bdry.toarray() == 0)
+        assert np.all(_dense(forms.Bdry) == 0)
 
     @pytest.mark.parametrize("theta", [0.3 + 0.2j, 1 - 0.5j, 0.05 + 0.01j,
                                        np.pi / 4, 3.0 + 20j])
@@ -149,7 +149,7 @@ class TestAssembleForms:
         mesh = build_mesh(IntervalSpec(), 8)
         th = BoundaryCondition(theta)
         forms = assemble_forms(mesh, coeffs_for(mesh), th, NEU)
-        Bdry = forms.Bdry.toarray()
+        Bdry = _dense(forms.Bdry)
         assert np.linalg.matrix_rank(Bdry) == 1
         assert Bdry[0, 0] == pytest.approx(
             -np.cos(theta) / np.sin(theta), rel=1e-13)
@@ -195,7 +195,7 @@ class TestAssembleForms:
         integral = h * np.sum(
             np.conj(gd) * coeffs.p * fd + np.conj(gm) * coeffs.r * fd
             + np.conj(gd) * coeffs.s * fm + np.conj(gm) * coeffs.q * fm)
-        assembled = np.vdot(g, forms.total() @ f)
+        assembled = np.vdot(g, _dense(forms.total()) @ f)
         # identical midpoint data except the lumped potential: O(h) agreement
         assert abs(assembled - integral) <= 10 * mesh.h * abs(integral)
 
@@ -221,7 +221,7 @@ class TestCellSum:
                     prob.mesh, prob.coeffs, bc_left, bc_right)
                 where = (bc_right, n)
                 for name in ("M", "K0", "K1", "K2", "K3", "Bdry"):
-                    assert_bitwise(getattr(prob.forms, name).toarray(),
+                    assert_bitwise(_dense(getattr(prob.forms, name)),
                                    want[name], name, *where)
                 assert_bitwise(prob.H, want["H"], "H", *where)
                 assert_bitwise(prob.forms.dof_nodes, keep, *where)
@@ -230,7 +230,7 @@ class TestCellSum:
 
 class TestBandStorage:
     def test_problem_keeps_one_dense_matrix(self):
-        # the six forms stay in the band and H, formed on its first read,
+        # the six forms stay diagonals and H, formed on its first read,
         # is the one dense matrix a problem keeps; held densely, they
         # retained 7 and peaked at 12 dense matrices here
         n = 512
@@ -247,14 +247,15 @@ class TestBandStorage:
         assert retained <= 1.5 * dense
         assert peak <= 4 * dense
         for name in ("M", "K0", "K1", "K2", "K3", "Bdry"):
-            assert getattr(prob.forms, name).data.size <= 3 * prob.forms.n_dof
+            assert sum(x.size for x in getattr(prob.forms, name)) \
+                <= 3 * prob.forms.n_dof
 
 
 class TestProblemDiagonals:
     @PIN_INTERVALS
     @PIN_FAMILY
     def test_equal_the_dense_diagonals_bitwise(self, family, interval):
-        # the operator and its reference are read from the scaled form bands
+        # the operator and its reference are the scaled form diagonals,
         # with no dense matrix formed, and equal the diagonals of the dense
         # H and reference_operator() bit for bit, at every pair of ends
         ends = (DIR, NEU, BoundaryCondition(1 + 0.5j))
@@ -434,7 +435,7 @@ class TestW12NormMatrix:
         forms = assemble_forms(mesh, coeffs_for(mesh), NEU, NEU)
         G1 = w12_norm_matrix(mesh, NEU, NEU, 1.0)
         np.testing.assert_allclose(
-            G1, forms.K0 + np.diag(forms.lumped_weights), atol=1e-15)
+            G1, _dense(forms.K0) + np.diag(forms.lumped_weights), atol=1e-15)
 
     def test_constant_function_sees_only_mass(self):
         mesh = build_mesh(IntervalSpec(), 8)

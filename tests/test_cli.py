@@ -107,6 +107,16 @@ class TestConfig:
                 "verify-krein --problem spike --n-list 8,16 --n 8",
                 "verify-krein --theta-b 0.7 --n-list 8,16 --n 8",
                 "verify-krein --coeff-p /nonexistent.csv --n-list 8,16 --n 8",
+                # an interval reads a and b (finite), a and radius
+                # (half_line) or radius (full_line), and verify-krein and
+                # kernel-dump run on a finite one: each of these used to
+                # exit 0 and echo the key it never read
+                "verify-kato --interval finite --radius 5 --n 16",
+                "verify-kato --interval full_line --b 7 --n 16",
+                "verify-kato --interval full_line --a 1 --n 16",
+                "hypothesis-check --interval half_line --b 2 --n 8",
+                "kernel-dump --radius 3 --n 8",
+                "verify-krein --radius 3 --n 8 --n-list 8,16",
                 # decay-study reads a shift grid; one shift used to get a
                 # slope fitted through a single point, and a mesh too coarse
                 # for the default grid used to fail after every norm
@@ -340,8 +350,9 @@ class TestVerifyCommands:
                 "factored-resolvent-identity,two-step-composition"), name
 
     @pytest.mark.parametrize("plant", [
-        lambda forms: dataclasses.replace(forms, K1=forms.K1.T),
-        lambda forms: dataclasses.replace(forms, K3=forms.K3 * (1 + 1e-6))],
+        lambda forms: dataclasses.replace(forms, K1=forms.K1[::-1]),
+        lambda forms: dataclasses.replace(
+            forms, K3=tuple(x * (1 + 1e-6) for x in forms.K3))],
         ids=["K1_transposed", "K3_scaled"])
     def test_verify_kato_fails_on_a_planted_assembly_defect(
             self, tmp_path, monkeypatch, plant):
@@ -623,7 +634,8 @@ class TestVerifyCommands:
         def missing_inverse_length(mesh, eps):
             unit = assemble_forms(mesh, CoefficientSet.from_callables(mesh),
                                   NEU, NEU)
-            return eps * unit.K0.real + unit.M.real / eps
+            return tuple(eps * k.real + m.real / eps
+                         for k, m in zip(unit.K0, unit.M))
 
         monkeypatch.setattr(formbounds, "_trace_gram", missing_inverse_length)
         code, out = run(tmp_path, "violated", *args)

@@ -537,6 +537,22 @@ class TestSqrtDomainKappa:
             _power_over_reference(prob.H - 100.0 * np.eye(15),
                                   prob.reference_operator(), 1.0, 0.5)
 
+    @pytest.mark.parametrize("c", [0.3, 0.3j], ids=["real", "complex"])
+    def test_wider_hermitian_operator_takes_its_root(self, c):
+        # a Hermitian H + E with entries two off the diagonal is not its
+        # own bidiagonal factor; its root is a factor, and kappa is the
+        # condition number of the roots' quotient
+        H_ref = make_problem("free", n=21).reference_operator()
+        n, E = H_ref.shape[0], 5.0
+        H = (H_ref + np.diag(np.full(n - 2, c), 2)
+             + np.diag(np.full(n - 2, np.conj(c)), -2))
+        kappa = sqrt_domain_kappa(
+            _power_over_reference(H, H_ref, E, 0.5))["kappa"]
+        shift = E * np.eye(n)
+        want = np.linalg.cond(sla.sqrtm(H + shift)
+                              @ np.linalg.inv(sla.sqrtm(H_ref + shift)))
+        assert kappa == pytest.approx(want, rel=1e-12)
+
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             refinement_study(family_at("free"), [16, 32], 1.0, 1.5, 3.0)

@@ -5,7 +5,7 @@ import scipy.linalg as sla
 from sqrtdom import formbounds
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                              assemble_forms, build_mesh)
+                              _dense, assemble_forms, build_mesh)
 from sqrtdom.formbounds import (FormBoundConstants, check_form_bound,
                                 check_trudinger, locunif_norms)
 
@@ -70,7 +70,7 @@ class TestLocunifNorms:
 def form_quotients(f, forms, consts, eps):
     """``|q_j(f, f)| / (eps Re q0(f, f) + M eps^-3 ||f||^2)`` of one dof
     vector, j = 1, 2, 3, from its forms."""
-    q0, norm2, *q = (f.conj() @ K @ f for K in
+    q0, norm2, *q = (f.conj() @ _dense(K) @ f for K in
                      (forms.K0, forms.M, forms.K1, forms.K2, forms.K3))
     return np.abs(q) / (eps * q0.real + consts.M * eps ** -3 * norm2.real)
 
@@ -127,11 +127,11 @@ class TestCheckFormBound:
         forms, consts = self.build(40)
         eps = 0.3 * consts.eps_0
         ratio = check_form_bound(forms, consts, [eps])[0]
-        R = (eps * forms.K0.toarray().real
-             + consts.M * eps ** -3 * forms.M.toarray().real)
+        R = (eps * _dense(forms.K0).real
+             + consts.M * eps ** -3 * _dense(forms.M).real)
         Rinv_half = np.linalg.inv(np.linalg.cholesky(R))
         for j, K in enumerate((forms.K1, forms.K2, forms.K3)):
-            exact = np.linalg.norm(Rinv_half @ K.toarray() @ Rinv_half.T, 2)
+            exact = np.linalg.norm(Rinv_half @ _dense(K) @ Rinv_half.T, 2)
             assert exact <= ratio[j] * (1 + 1e-12)
 
     def test_eps_outside_range_rejected(self):
@@ -182,7 +182,7 @@ class TestCheckTrudinger:
         w = np.random.default_rng(11).standard_normal(40) + 0.5j
         for eps in (0.1, 1.0, 10.0):
             rec = check_trudinger(w, mesh, eps)
-            Q = formbounds._trace_gram(mesh, eps).toarray()
+            Q = _dense(formbounds._trace_gram(mesh, eps))
             Qinv = np.linalg.inv(Q)
             f = Qinv[:, np.argmax(np.diag(Qinv))]
             point, _ = trace_quotients(f, w, mesh, eps)
@@ -213,6 +213,6 @@ class TestCheckTrudinger:
                 diag[[0, -1]] /= 2.0
                 off = np.full(n, c * h / 6.0 - eps / h)
                 want = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-                got = formbounds._trace_gram(mesh, eps).toarray()
+                got = _dense(formbounds._trace_gram(mesh, eps))
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (n, eps)

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                              build_mesh)
+                              _dense, build_mesh)
 from sqrtdom import kato, matfun
 from sqrtdom.checks import decay_suite, failed
 from sqrtdom.domains import thmA1_decay
@@ -38,7 +38,8 @@ def with_coeffs(n, bl=DIR, br=DIR, **coeffs):
 def ortho_perturbation(prob_forms):
     w = prob_forms.lumped_weights
     winv = 1.0 / np.sqrt(w)
-    S = (prob_forms.K1 + prob_forms.K2 + prob_forms.K3).toarray()
+    S = (_dense(prob_forms.K1) + _dense(prob_forms.K2)
+         + _dense(prob_forms.K3))
     return winv[:, None] * S * winv[None, :]
 
 
@@ -77,15 +78,15 @@ class TestBuildFactorization:
         # built, with at most two nonzeros in each row of A and B
         prob = make_problem(family, n=32)
         f = prob.forms
-        forms = {"qr_pair": f.K1 + f.K3, "s_pair": f.K2,
-                 "full_triple": f.K1 + f.K2 + f.K3}
+        K1, K2, K3 = (_dense(K) for K in (f.K1, f.K2, f.K3))
+        forms = {"qr_pair": K1 + K3, "s_pair": K2, "full_triple": K1 + K2 + K3}
         winv = 1.0 / np.sqrt(f.lumped_weights)
         for variant in kato.VARIANTS:
             fact = build_factorization(prob, variant)
             for X in (fact.A, fact.B):
                 assert isinstance(X, sp.csr_array)
                 assert np.diff(X.indptr).max() <= 2
-            pert = winv[:, None] * forms[variant].toarray() * winv[None, :]
+            pert = winv[:, None] * forms[variant] * winv[None, :]
             np.testing.assert_allclose(
                 (fact.B.conj().T @ fact.A).toarray(), pert,
                 atol=1e-13 * max(1, np.abs(pert).max()))

@@ -1,8 +1,8 @@
 """Every name the benchmark tracer wraps exists in the package, every
 public function feeds a verdict, the settable values do not regrow, only
 ``csvio`` formats output, only ``cli._manifest`` decides a verdict, no
-verdict reads random vectors and every power route makes one eigenvalue
-guard call.
+verdict reads random vectors, every power route makes one eigenvalue
+guard call and a tridiagonal form has one format.
 
 A deletion that breaks ``perfbench/run.py --trace 1`` fails here by name,
 not deep inside a traced benchmark run.  The tracer module is loaded
@@ -321,3 +321,34 @@ def test_one_assembly_per_problem():
             scatters[path.name] = lines
     assert not scatters, f"np.add.at scatters: {scatters}"
     assert calls == {"problems": [("Problem", "__post_init__")]}, calls
+
+
+def sparse_uses(path):
+    """``(dia_array lines, scipy.sparse import lines)`` of one file."""
+    dia, imports = [], []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call)
+                and "dia_array" in (getattr(node.func, "attr", None),
+                                    getattr(node.func, "id", None))):
+            dia.append(node.lineno)
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[:2] == ["scipy", "sparse"] for name in names):
+            imports.append(node.lineno)
+    return dia, imports
+
+
+def test_one_tridiagonal_format():
+    # a P1 form is its diagonals (lo, d, up) from the cell sum to the dense
+    # matrix; the LAPACK band layout, as a dia_array, stays in matfun
+    dia = {path.name: lines for path in sorted(SRC.glob("*.py"))
+           if path.stem != "matfun" and (lines := sparse_uses(path)[0])}
+    assert not dia, f"dia_array outside matfun: {dia}"
+    assert sparse_uses(SRC / "matfun.py")[0]
+    imports = {stem: lines for stem in ("assembly", "problems", "formbounds")
+               if (lines := sparse_uses(SRC / f"{stem}.py")[1])}
+    assert not imports, f"scipy.sparse imported: {imports}"
