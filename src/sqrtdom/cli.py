@@ -61,23 +61,31 @@ _KAPPA_ALIASES = {
     "complex_full": {"problem": "complex_constant"},
     "robin_complex": {"problem": "mixed_sign", "theta_a": "1+0.5i"},
 }
-# the runs that read none of some keys that shape an operator: why, and which
+# the keys each subcommand reads besides seed and outdir, which every run
+# reads: a key set off its default that the run never reads is refused
 _COEFF_KEYS = ("coeff_p", "coeff_q", "coeff_r", "coeff_s")
-_CLOSED_FORMS = "kernels are closed forms for -u'' on [a, b], Dirichlet at b"
-_UNREAD = {
-    "lions": ("the lions control is fixed on (0, 1)",
-              ("interval", "a", "b", "radius", "theta_a", "theta_b",
-               *_COEFF_KEYS)),
-    "verify-krein": (f"verify-krein's {_CLOSED_FORMS}, at its own left ends",
-                     ("problem", "interval", *_COEFF_KEYS, "theta_a",
-                      "theta_b")),
-    "kernel-dump": (f"kernel-dump's {_CLOSED_FORMS}",
-                    ("problem", "interval", *_COEFF_KEYS, "theta_b")),
+_PROBLEM_KEYS = ("problem", *_COEFF_KEYS, "interval", "n", "theta_a",
+                 "theta_b")
+_READS = {
+    "assemble": (*_PROBLEM_KEYS, "E"),
+    "verify-kato": _PROBLEM_KEYS,
+    # the kernels are closed forms for -u'' on [a, b], Dirichlet at b, and
+    # verify-krein sweeps its own left ends
+    "verify-krein": ("a", "b", "n", "n_list", "E", "E_grid"),
+    "kernel-dump": ("a", "b", "n", "E", "theta_a"),
+    # each level's n comes from n_list
+    "kappa-study": (*(key for key in _PROBLEM_KEYS if key != "n"),
+                    "n_list", "E", "alpha", "growth_threshold"),
+    "decay-study": (*_PROBLEM_KEYS, "E_grid"),
+    "hypothesis-check": _PROBLEM_KEYS,
+    "trace-check": (),
 }
-# the interval keys that each kind of interval never reads: a finite one
-# reads a and b, a half line a and radius, the full line radius
-_INTERVAL_UNREAD = {"finite": ("radius",), "half_line": ("b",),
-                    "full_line": ("a", "b")}
+# the lions control is fixed on (0, 1): no interval, coefficient or end
+_LIONS_READS = ("problem", "n_list", "E", "alpha", "growth_threshold")
+# the interval keys each kind of interval reads: a finite one a and b, a
+# half line a and radius, the full line radius
+_INTERVAL_KEYS = {"finite": ("a", "b"), "half_line": ("a", "radius"),
+                  "full_line": ("radius",)}
 
 
 def _geometric_grid(text: str) -> list[float]:
@@ -168,26 +176,26 @@ def load_config(args: argparse.Namespace) -> dict:
                 meaning(key, DEFAULTS[key]), meaning(key, value)):
             raise ConfigError(f"{cfg['problem']} sets {key} = {value}, "
                               f"got {cfg[key]!r}")
-    why, keys = _UNREAD.get("lions" if cfg["problem"] == "lions"
-                            else args.command, ("", ()))
-    unread = [key for key in keys
-              if meaning(key, cfg[key]) != meaning(key, DEFAULTS[key])]
-    if unread:
-        raise ConfigError(f"{why}; set none of {', '.join(unread)}")
     kind = cfg["interval"]
-    unread = [key for key in _INTERVAL_UNREAD.get(kind, ())
-              if cfg[key] != DEFAULTS[key]]
+    run, reads = args.command, _READS[args.command]
+    if cfg["problem"] == "lions":
+        run, reads = "the lions control, fixed on (0, 1),", _LIONS_READS
+    elif "interval" in reads:
+        reads += _INTERVAL_KEYS.get(kind, ())
+    unread = [key for key in DEFAULTS
+              if key not in (*reads, "seed", "outdir")
+              and meaning(key, cfg[key]) != meaning(key, DEFAULTS[key])]
+    if "interval" in reads and {"a", "b", "radius"} & set(unread):
+        run += f" on a {kind} interval"
     if unread:
-        raise ConfigError(f"a {kind} interval never reads "
-                          f"{', '.join(unread)}; set none of them")
+        raise ConfigError(f"{run} never reads {', '.join(unread)}; set none "
+                          f"of them")
     try:
         interval_from(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg["E"] is not None and cfg["E"] <= 0:
         raise ConfigError("E must be positive")
-    if args.command == "decay-study" and cfg["E"] is not None:
-        raise ConfigError("decay-study reads a shift grid (E_grid), not E")
     if cfg["n"] < 2:
         raise ConfigError("n must be at least 2")
     levels = cfg["n_list"]

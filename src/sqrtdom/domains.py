@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .assembly import _dense
 from .kato import _InvSqrtShifted, _loglog_slope
@@ -482,5 +481,5 @@ def thmA1_decay(phi: np.ndarray, halver: _InvSqrtShifted, E_grid) -> dict:
     if phi.shape[0] != halver.basis.shape[0]:
         raise ValueError("multiplier samples must match the DOF count")
     E = np.asarray(list(E_grid), dtype=float)
-    norms = halver.norms(E, sp.diags_array(phi))[0]
+    norms = halver.norms(E, phi)[0]  # diag(phi), as its diagonal
     return {"E": E, "norms": norms, "slope": _loglog_slope(E, norms)}

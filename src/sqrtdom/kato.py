@@ -11,20 +11,23 @@ reproduces the one-shot discretization exactly at the matrix level (LU
 roundoff only).  That exactness is the primary oracle of this module:
 ``verify_identity`` checks it for a ``Problem``, with all three lower-order
 terms adjoined at once and in two steps (r/q, then s), at shifts it derives
-from the problem.  Each row of ``A`` and ``B`` has at most two nonzeros, so
-``build_factorization`` returns the pair as CSR arrays and every product
-with it is sparse.  Each adjoined pair obtains the block
+from the problem.  ``build_factorization`` holds the pair in the P1 cell
+layout of the forms (``FactoredPerturbation``): per cell block, the values
+at each cell's two nodes, and per node block, one value per retained node.
+A product with a factor (``_times``) reads its operand in node layout by
+two slices per cell block, and the pair's n x n products ``B^H A``,
+``A^H A`` and ``B^H B`` are cell sums (``assembly._cell_sum``), kept as
+their diagonals.  Each adjoined pair obtains the block
 ``(I - K)^{-1} A R0`` that the formula uses from one n x n inverse, by the
 push-through identity ``(I_m + A W)^{-1} A = A (I_n + W A)^{-1}`` with
 ``W = R0 B^H`` (``_solve_core``), and checks it by the residual of the m x m
 system applied exactly.  Everything m-dimensional that the check reads,
-``||I - K||_F`` included, comes from the n x n products ``B^H A``,
-``A^H A`` and ``B^H B`` of the pair, so no m x m array is formed.  A shift
-where ``X = I_n + W A`` is singular, or
-within roundoff of it by a conditioning guard on ``X``, is inadmissible
-(``AdmissibilityError``): ``X`` and ``I - K`` are singular at the same z, and
-each inverse bounds the other.  The decay norms are computed at the
-shifts a verdict reads and nowhere else.
+``||I - K||_F`` included, comes from the three products, so neither an
+m x m array nor an m x n factor is formed.  A shift where
+``X = I_n + W A`` is singular, or within roundoff of it by a conditioning
+guard on ``X``, is inadmissible (``AdmissibilityError``): ``X`` and
+``I - K`` are singular at the same z, and each inverse bounds the other.
+The decay norms are computed at the shifts a verdict reads and nowhere else.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
-from .matfun import (_diagonals, _gauge, _principal_sqrt, _require_shifted,
-                     _residual_fails, is_hermitian, power_norms, power_start,
-                     resolvent, spectral_norm)
+from .assembly import _cell_sum, _trim
+from .matfun import (_band_matmul, _diagonals, _gauge, _principal_sqrt,
+                     _require_shifted, _residual_fails, is_hermitian,
+                     power_norms, power_start, resolvent, spectral_norm)
 from .problems import Problem
 from .sectorial import safe_shift
 
@@ -61,62 +64,93 @@ class AdmissibilityError(RuntimeError):
     """Raised when 1 lies in the spectrum of K(z) at the requested point."""
 
 
+def _times(F, X: np.ndarray) -> np.ndarray:
+    """``F X`` for a factor ``F``: a matrix, a vector that stands for the
+    diagonal matrix it holds, or a factor ``(cells, nodes, keep)`` of a
+    ``FactoredPerturbation``.
+
+    Each cell block reads ``X`` in node layout by two slices, ``[:-1]`` at
+    the cells' left nodes and ``[1:]`` at their right ones, where a node
+    that a Dirichlet end removes reads a zero row; each node block scales
+    the rows of ``X``.  A row of a cell block sums its left term and then
+    its right one.
+    """
+    if not isinstance(F, tuple):
+        return F[:, None] * X if F.ndim == 1 else F @ X
+    cells, nodes, keep = F
+    k, n = cells.shape[:2]
+    Xn = X
+    if keep.size < n + 1:
+        Xn = np.zeros((n + 1, X.shape[1]), dtype=X.dtype)
+        Xn[keep[0]:keep[-1] + 1] = X
+    out = np.empty((k * n + nodes.size, X.shape[1]),
+                   dtype=np.result_type(cells, X))
+    # block by block, each product written in place: a 3-D broadcast or a
+    # sum of fresh temporaries reads several times slower
+    for rows, (left, right) in zip(out[:k * n].reshape(k, n, X.shape[1]),
+                                   cells.transpose(0, 2, 1)):
+        np.multiply(left[:, None], Xn[:-1], out=rows)
+        rows += right[:, None] * Xn[1:]
+    for rows, values in zip(out[k * n:].reshape(-1, *X.shape), nodes):
+        np.multiply(values[:, None], X, out=rows)
+    return out
+
+
+def _gram(F: tuple, G: tuple) -> tuple:
+    """``F^H G`` for two factors of one pair, as its diagonals
+    ``(lo, d, up)``: each cell's 2 x 2 element ``conj(f_s) g_t``, summed
+    over the cell blocks, is summed onto the cell's nodes
+    (``assembly._cell_sum``) and sliced to the retained ones (``_trim``), as
+    the forms are, and the node blocks' ``conj(f) g`` is added to the main
+    diagonal."""
+    (Fc, Fn, keep), (Gc, Gn, _) = F, G
+    Fc = Fc.conj()
+    lo, d, up = _trim(_cell_sum(*((Fc[..., s] * Gc[..., t]).sum(axis=0)
+                                  for s in (0, 1) for t in (0, 1))), keep)
+    return lo, d + (Fn.conj() * Gn).sum(axis=0), up
+
+
 @dataclass
 class FactoredPerturbation:
     """The pair (A, B) with ``B^H A`` equal to the perturbation form matrix.
-    ``build_factorization`` returns it as CSR arrays, and every path
-    multiplies by the pair as it is given."""
 
-    A: sp.csr_array
-    B: sp.csr_array
+    Each factor is ``(cells, nodes, keep)`` in the P1 cell layout:
+    ``cells[b, i]`` holds cell block b's values at cell i's nodes i and
+    i + 1, ``nodes[b]`` node block b's value at each retained node, and
+    ``keep`` the retained nodes, a contiguous range.  The rows of a factor
+    are its cell blocks' rows, block by block and cell by cell, then its
+    node blocks'.  Every path multiplies by the pair through ``_times``.
+    """
+
+    A: tuple
+    B: tuple
 
     @cached_property
     def products(self) -> tuple:
         """``(B^H A, A^H A, B^H B)``, the n x n products every factored core
-        of this pair reads, formed on the first core and kept for the
-        pair's other shifts; the decay norms never read them."""
-        Ah, Bh = self.A.conj().T, self.B.conj().T
-        return Bh @ self.A, Ah @ self.A, Bh @ self.B
+        of this pair reads, as diagonals (``_gram``), formed on the first
+        core and kept for the pair's other shifts; the decay norms never
+        read them."""
+        return (_gram(self.B, self.A), _gram(self.A, self.A),
+                _gram(self.B, self.B))
 
 
 def _sampling_blocks(prob: Problem):
-    """Midpoint value/derivative blocks in L2-orthonormal coordinates, by
-    their two nonzero slots per cell row.
+    """Midpoint value/derivative blocks in L2-orthonormal coordinates, in
+    the cell layout.
 
     Row i of ``V`` maps an orthonormal vector to the sqrt(h)-weighted
     midpoint value of its nodal interpolant on cell i and row i of ``G`` to
     the weighted slope there, so that plain matrix adjoints implement the L2
-    pairings exactly.  Cell i touches nodes i and i + 1, so each row has two
-    slots; ``cols`` holds their retained-node columns, -1 for a node that a
-    Dirichlet end removes.  Returns ``(cols, V, G)``, each n x 2, with the
-    values of ``V`` and ``G`` in the slots of ``cols``.
+    pairings exactly.  Returns ``(V, G)``, each n x 2: the values at cell
+    i's nodes i and i + 1, zero at a node that a Dirichlet end removes.
     """
     n, h = prob.mesh.n_cells, prob.mesh.h
-    column = np.full(n + 1, -1)
-    column[prob.forms.dof_nodes] = np.arange(prob.forms.n_dof)
-    cols = column[np.arange(n)[:, None] + np.arange(2)]
-    # a removed node's slot reads some weight; _stack_rows drops it
-    winv = prob.forms.orthonormal_scaling[cols]
-    return (cols, (np.sqrt(h) / 2) * winv,
+    winv = np.zeros(n + 1)
+    winv[prob.forms.dof_nodes] = prob.forms.orthonormal_scaling
+    winv = np.stack([winv[:-1], winv[1:]], axis=1)
+    return ((np.sqrt(h) / 2) * winv,
             (np.array([-1.0, 1.0]) / np.sqrt(h)) * winv)
-
-
-def _stack_rows(blocks, n_cols: int) -> sp.csr_array:
-    """The complex CSR array whose rows are the rows of ``blocks`` in order.
-
-    Each block is a pair ``(cols, vals)`` of k x 2 arrays: row r of the block
-    has value ``vals[r, t]`` in column ``cols[r, t]``, with the columns of a
-    row increasing.  A slot of column -1 or of value zero holds no entry, so
-    the result equals ``csr_array`` of the dense stack, bit for bit.
-    """
-    cols = np.concatenate([c for c, _ in blocks])
-    vals = np.concatenate([v for _, v in blocks]).astype(complex)
-    kept = (cols >= 0) & (vals != 0)
-    indptr = np.concatenate(([0], np.cumsum(kept.sum(axis=1))))
-    # int32 indices, as csr_array takes them for a dense array of this size
-    return sp.csr_array((vals[kept], cols[kept].astype(np.int32),
-                         indptr.astype(np.int32)),
-                        shape=(cols.shape[0], n_cols))
 
 
 def build_factorization(prob: Problem, variant: str) -> FactoredPerturbation:
@@ -129,51 +163,49 @@ def build_factorization(prob: Problem, variant: str) -> FactoredPerturbation:
     s-multiplication; ``full_triple`` stacks all three blocks.  The blocks
     live on the retained nodes of ``prob.forms``, the potential is the
     lumped nodal average ``prob.lumped_average(q)``, and in every case
-    ``B^H A`` equals the corresponding form matrix exactly.  Each row of
-    ``A`` and ``B`` holds at most two nonzeros, so both are built as CSR
-    arrays from the two slots per row of ``_sampling_blocks`` and the
-    diagonal potential blocks, and no dense block is formed.
+    ``B^H A`` equals the corresponding form matrix exactly.  The derivative
+    and convection blocks are cell blocks of ``_sampling_blocks``, the
+    potential blocks node blocks (see ``FactoredPerturbation``), and no
+    dense block is formed.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     coeffs = prob.coeffs
-    cols, V, G = _sampling_blocks(prob)
+    V, G = _sampling_blocks(prob)
     qt = prob.lumped_average(coeffs.q)
     absq = np.abs(qt)
     # principal argument with Arg(0) := 0, so vanishing samples give zero rows
     phase = np.where(absq > 0, qt / np.where(absq > 0, absq, 1.0), 1.0)
     rootq = np.sqrt(absq)
 
-    # the diagonal potential blocks: one slot per row, the second empty
-    n_dof = prob.forms.n_dof
-    diag = np.stack([np.arange(n_dof), np.full(n_dof, -1)], axis=1)
-    qa_block = (diag, np.stack([phase * rootq, np.zeros(n_dof)], axis=1))
-    qb_block = (diag, np.stack([rootq, np.zeros(n_dof)], axis=1))
-    g_block = (cols, G)
-    r_block = (cols, np.conj(coeffs.r)[:, None] * V)
+    r_block = np.conj(coeffs.r)[:, None] * V
     # the derivative enters the s-side negated: the finite-dimensional
     # adjoint supplies no integration-by-parts sign of its own
-    sa_block = (cols, -(coeffs.s[:, None] * V))
-    sb_block = (cols, -G)
-
+    sa_block, sb_block = -(coeffs.s[:, None] * V), -G
     if variant == "qr_pair":
-        A, B = [g_block, qa_block], [r_block, qb_block]
+        A, B = ([G], [phase * rootq]), ([r_block], [rootq])
     elif variant == "s_pair":
-        A, B = [sa_block], [sb_block]
+        A, B = ([sa_block], []), ([sb_block], [])
     else:
-        A = [g_block, sa_block, qa_block]
-        B = [r_block, sb_block, qb_block]
-    return FactoredPerturbation(A=_stack_rows(A, n_dof),
-                                B=_stack_rows(B, n_dof))
+        A = ([G, sa_block], [phase * rootq])
+        B = ([r_block, sb_block], [rootq])
+    keep = prob.forms.dof_nodes
+
+    def factor(cells, nodes):
+        return (np.array(cells, dtype=complex),
+                np.array(nodes, dtype=complex).reshape(len(nodes), keep.size),
+                keep)
+
+    return FactoredPerturbation(A=factor(*A), B=factor(*B))
 
 
 def kato_K(H0: np.ndarray, fact: FactoredPerturbation,
            z: complex) -> np.ndarray:
     """The compressed resolvent ``K(z) = -A (R0 B^H)`` with
     ``R0 = (H0 - z)^{-1}``, with ``R0 B^H`` formed as ``(B R0^H)^H``
-    through the sparse ``B``."""
-    RB = (fact.B @ resolvent(H0, z).conj().T).conj().T
-    return -(fact.A @ RB)
+    through the cell layout of ``B``."""
+    RB = _times(fact.B, resolvent(H0, z).conj().T).conj().T
+    return -_times(fact.A, RB)
 
 
 def _solve_core(R: np.ndarray, fact: FactoredPerturbation, z: complex,
@@ -184,14 +216,17 @@ def _solve_core(R: np.ndarray, fact: FactoredPerturbation, z: complex,
 
     ``A`` and ``B`` are m x n.  With ``W = R B^H``, the n x n products
     ``V = B^H A``, ``G_A = A^H A`` and ``G_B = B^H B`` (``fact.products``,
-    sparse for the CSR pair of ``build_factorization`` and formed once per
-    pair) carry everything m-dimensional that the check reads:
+    tridiagonal for the pair of ``build_factorization``, kept as diagonals
+    and formed once per pair) carry everything m-dimensional that the check
+    reads; ``R V`` and ``G_A R G_B`` are band products
+    (``matfun._band_matmul``):
 
     - ``X = I_n + R V`` equals ``I_n + W A``, and the push-through identity
       ``A X = (I_m + A W) A`` gives ``(I - K)^{-1} A R = A Z`` with
       ``Z = X^{-1} R``.  By Sylvester's identity
       ``det(I_m + A W) = det(I_n + W A)``, so ``X`` and ``I - K`` are
-      singular at the same z.
+      singular at the same z.  ``X^{-1}`` is LAPACK's ``getri`` on the
+      ``getrf`` factors, and a zero pivot is inadmissible.
     - The adjoined resolvent is ``R - W A Z = R - (X - I) Z = Z - D`` with
       ``D = X Z - R``.
     - The residual of the m x m system applied exactly is
@@ -205,7 +240,8 @@ def _solve_core(R: np.ndarray, fact: FactoredPerturbation, z: complex,
     So the check compares the same quantities as the explicit m x m system
     in exact arithmetic, while no m x m array, no n x m array and no dense
     product with inner dimension m is formed; ``A D`` and ``A Z`` are the
-    only arrays with m rows, each a sparse product.
+    only arrays with m rows, each a product in the cell layout
+    (``_times``).
 
     Backward-stable solves do not flag near-singularity on their own, so the
     admissibility boundary is also detected on the matrix that is factored,
@@ -235,19 +271,25 @@ def _solve_core(R: np.ndarray, fact: FactoredPerturbation, z: complex,
     A = fact.A
     V, GA, GB = fact.products
     n = R.shape[0]
-    X = (V.T @ R.T).T  # R V through the sparse V
+    X = _band_matmul(V[::-1], 1, 1, R.T).T  # R V = (V^T R^T)^T
     X[np.diag_indices_from(X)] += 1.0
-    try:
-        Xinv = np.linalg.inv(X)
-    except np.linalg.LinAlgError as exc:
-        raise AdmissibilityError(
-            f"{label}1 in spectrum of K(z) at z = {z}") from exc
+    getrf, getri, getri_lwork = sla.get_lapack_funcs(
+        ("getrf", "getri", "getri_lwork"), (X,))
+    lu, piv, info = getrf(X)
+    if info == 0:
+        Xinv, info = getri(lu, piv, lwork=int(getri_lwork(n)[0].real),
+                           overwrite_lu=True)
+    if info != 0:
+        raise AdmissibilityError(f"{label}1 in spectrum of K(z) at z = {z}")
     Z = Xinv @ R
     D = X @ Z - R
-    gram = np.vdot(R, (GB.T @ (GA @ R).T).T).real  # tr(R^H G_A R G_B)
-    norm_ImK = np.sqrt(A.shape[0] + 2.0 * (np.trace(X).real - n) + gram)
-    if _residual_fails(np.linalg.norm(A @ D),
-                       norm_ImK * np.linalg.norm(A @ Z)):
+    # tr(R^H G_A R G_B), with (G_A R) G_B = (G_B^T (G_A R)^T)^T
+    gram = np.vdot(R, _band_matmul(GB[::-1], 1, 1,
+                                   _band_matmul(GA, 1, 1, R).T).T).real
+    m = A[0].shape[0] * A[0].shape[1] + A[1].size  # the rows of A
+    norm_ImK = np.sqrt(m + 2.0 * (np.trace(X).real - n) + gram)
+    if _residual_fails(np.linalg.norm(_times(A, D)),
+                       norm_ImK * np.linalg.norm(_times(A, Z))):
         raise AdmissibilityError(f"{label}1 in spectrum of K(z) at z = {z}")
     if spectral_norm(Xinv) * np.linalg.norm(X) > 1e13:
         raise AdmissibilityError(
@@ -410,10 +452,11 @@ class _InvSqrtShifted:
             return Y, np.sqrt(np.maximum(sq, 0.0))
         return power_norms(step, np.tile(start, (F.shape[0], 1)))
 
-    def norms(self, shifts, A: np.ndarray,
-              B: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    def norms(self, shifts, A, B=None) -> tuple[np.ndarray, ...]:
         """Per shift c, ``||A F_c||`` and, given ``B``, also ``||F_c B^H||``
-        and ``||A (T0 + c)^{-1} B^H|| = ||K(-c)||``, in this order.
+        and ``||A (T0 + c)^{-1} B^H|| = ||K(-c)||``, in this order.  ``A``
+        and ``B`` are factors as ``_times`` takes them: matrices, a
+        multiplier's diagonal or a pair's factors in the cell layout.
 
         The A product starts in ``C^n``.  The K product starts in ``C^m``
         (``m`` rows of ``B``), and so does the B product outside the
@@ -423,13 +466,13 @@ class _InvSqrtShifted:
         shifts = np.asarray(shifts, dtype=float)
         shifted = self.diag[None, :] + shifts[:, None]
         _require_shifted(shifted)
-        AV = A @ self.basis
+        AV = _times(A, self.basis)
         WA = AV.conj().T @ AV
         x0 = power_start(self.basis.shape[0])
         hermitian = self.path == "hermitian"
         start = x0 if hermitian else self.basis.conj().T @ x0
         if B is not None:
-            BV = B @ self.basis
+            BV = _times(B, self.basis)
             WB = BV.conj().T @ BV
             start_m = BV.conj().T @ power_start(BV.shape[0])
         blocks = []

@@ -4,7 +4,9 @@ the power iteration for operator norms.
 Resolvents are solved in the band of their input: every operator the
 package assembles is tridiagonal, and ``resolvent`` reads the bandwidths off
 the nonzero pattern, so a dense input is simply its own full band, laid
-out by the one band builder ``_band_storage``.  The roots and powers return
+out by the one band builder ``_band_storage`` and multiplied by the one
+band product ``_band_matmul``, which the factored cores of ``kato`` share.
+The roots and powers return
 dense matrices; a tridiagonal input may also arrive as its three diagonals
 ``(lo, d, up)``, which ``_diagonals`` passes through as it reads them off a
 matrix, so that its power is taken and root-checked with no dense input.
@@ -41,7 +43,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
@@ -185,6 +186,25 @@ def _band_storage(H: np.ndarray | tuple, l: int, u: int) -> np.ndarray:
     return ab
 
 
+def _band_matmul(H: np.ndarray | tuple, l: int, u: int,
+                 X: np.ndarray) -> np.ndarray:
+    """``H X`` for the banded H with bandwidths ``(l, u)``, given in LAPACK
+    band storage (``_band_storage``) or as the diagonals ``(lo, d, up)`` of
+    a tridiagonal one (``l = u = 1``): one slice product per diagonal, the
+    main diagonal's first, then the upper ones', then the lower ones'.  The
+    result takes the memory layout of ``X``, so a transposed ``X`` gives
+    ``X^T H^T`` transposed at no copy: ``(X H)^T = H^T X^T``, and ``H^T``
+    has the diagonals ``(up, d, lo)``."""
+    ab = _band_storage(H, l, u) if isinstance(H, tuple) else H
+    n = X.shape[0]
+    out = ab[u, :, None] * X
+    for k in range(1, u + 1):  # H[i, i + k] = ab[u - k, i + k]
+        out[:n - k] += ab[u - k, k:, None] * X[k:]
+    for k in range(1, l + 1):  # H[i + k, i] = ab[u + k, i]
+        out[k:] += ab[u + k, :n - k, None] * X[:n - k]
+    return out
+
+
 def _diagonals(H: np.ndarray | tuple) -> tuple | None:
     """``(lo, d, up)``, the three diagonals of a tridiagonal H.
 
@@ -255,7 +275,8 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
     (``_bandwidths``), and LAPACK's banded LU solves the system: ``gtsv``
     for the tridiagonal operators of the package, ``gbsv`` otherwise, in
     O((l + u) n^2) against the O(n^3) of a dense solve.  The residual
-    ``||(H - z) R - I||_F`` goes through the same bands and must stay within
+    ``||(H - z) R - I||_F`` goes through the same bands, one slice product
+    per diagonal (``_band_matmul``), and must stay within
     ``_RESIDUAL_TOL max(1, ||H - z||_F ||R||_F)``.
 
     Raises ``ResolventError`` if the shifted matrix is singular, reporting
@@ -275,8 +296,7 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
                                  check_finite=False)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise ResolventError(f"z = {z} lies in the spectrum") from exc
-    # LAPACK band storage is the DIA layout with offsets u..-l
-    AR = sp.dia_array((ab, np.arange(u, -l - 1, -1)), shape=(n, n)) @ R
+    AR = _band_matmul(ab, l, u, R)
     AR[np.diag_indices(n)] -= 1.0
     # an estimate that overflows, or reads inf * 0 = nan, fails below
     with np.errstate(over="ignore", invalid="ignore"):

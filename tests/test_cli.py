@@ -117,6 +117,14 @@ class TestConfig:
                 "hypothesis-check --interval half_line --b 2 --n 8",
                 "kernel-dump --radius 3 --n 8",
                 "verify-krein --radius 3 --n 8 --n-list 8,16",
+                # kappa-study reads n_list, not n; verify-kato reads neither
+                # E, alpha nor n_list; trace-check reads only the seed: each
+                # of these used to exit 0 and echo the key it never read
+                "kappa-study --problem free --n-list 8,16 --n 99",
+                "verify-kato --n 16 --E 5", "verify-kato --n 16 --alpha 0.3",
+                "verify-kato --n 16 --n-list 8,16",
+                "trace-check --problem spike", "trace-check --n 99",
+                "trace-check --radius 3",
                 # decay-study reads a shift grid; one shift used to get a
                 # slope fitted through a single point, and a mesh too coarse
                 # for the default grid used to fail after every norm
@@ -147,6 +155,19 @@ class TestConfig:
                                                           capsys, args):
         assert run(tmp_path, "o", *args.split())[0] == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,message", [
+        # trace-check reads no interval: it used to be told that a finite
+        # interval never reads radius
+        ("trace-check --radius 3", "trace-check never reads radius"),
+        ("verify-kato --interval full_line --a 1 --n 16",
+         "verify-kato on a full_line interval never reads a"),
+        ("kappa-study --problem lions --theta-b neumann --n-list 8,16",
+         "the lions control, fixed on (0, 1), never reads theta_b")])
+    def test_unread_key_names_the_run(self, tmp_path, capsys, args,
+                                      message):
+        assert run(tmp_path, "o", *args.split())[0] == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("threshold", ["0", "-2", "0.5"])
     def test_growth_threshold_below_one_is_config_error(self, tmp_path,
@@ -327,9 +348,9 @@ class TestVerifyCommands:
                                                    monkeypatch):
         solve_core = kato._solve_core
         probes = {
-            # the full-triple pair has more than 2n rows: the one-shot
+            # the full-triple pair has two cell blocks: the one-shot
             # identity is then checked at no shift, which is no pass
-            "full_triple": lambda fact, stage: fact.A.shape[0] > 2 * 24,
+            "full_triple": lambda fact, stage: len(fact.A[0]) == 2,
             # the two-step path's second core: the composition is unchecked
             "stage_2": lambda fact, stage: stage == "stage 2 (s):",
         }
@@ -723,6 +744,28 @@ class TestDeferredImports:
             "assert cli.main(['verify-krein', '--n-list', '8,16', '--n', '8',"
             " '--outdir', f'{out}/krein']) == 0\n"
             "assert 'scipy.special' in sys.modules\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_subcommand_loads_scipy_sparse(self, tmp_path):
+        # a fresh interpreter runs all eight subcommands at small sizes:
+        # every band product is a slice product, so scipy.sparse never
+        # loads.  kappa-study keeps a dyadic alpha, since SciPy's own
+        # fractional_matrix_power, the Schur route's other powers, loads it
+        runs = [[command, *args.split()] for command, (args, _)
+                in TestManifestKeys.CASES.items()]
+        assert len(runs) == 8 and "--alpha" not in sum(runs, [])
+        script = (
+            "import sys\n"
+            "from sqrtdom import cli\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+            f"out, runs = sys.argv[1], {runs!r}\n"
+            "for k, argv in enumerate(runs):\n"
+            "    assert cli.main([*argv, '--outdir', f'{out}/{k}']) == 0\n"
+            "    assert 'scipy.sparse' not in sys.modules, argv\n")
         src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                               env={**os.environ, "PYTHONPATH": str(src)},

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               _dense, build_mesh)
@@ -43,25 +42,61 @@ def ortho_perturbation(prob_forms):
     return winv[:, None] * S * winv[None, :]
 
 
+def dense(F):
+    """The m x n matrix of a factor ``(cells, nodes, keep)`` in the cell
+    layout, its rows in the order ``kato._times`` writes them: each cell
+    block cell by cell, then each node block."""
+    cells, nodes, keep = F
+    k, n = cells.shape[:2]
+    rows = np.arange(n)
+    M = np.zeros((k, n, n + 1), dtype=complex)
+    M[:, rows, rows] = cells[..., 0]
+    M[:, rows, rows + 1] = cells[..., 1]
+    return np.vstack([M.reshape(k * n, n + 1)[:, keep],
+                      *(np.diag(v) for v in nodes)])
+
+
+def dense_pair(fact):
+    """The dense ``(A, B)`` of a pair."""
+    return dense(fact.A), dense(fact.B)
+
+
+def perturbation(fact):
+    """``B^H A``, formed from the dense pair."""
+    A, B = dense_pair(fact)
+    return B.conj().T @ A
+
+
+def scaled(F, c):
+    """The factor ``c F``."""
+    cells, nodes, keep = F
+    return c * cells, c * nodes, keep
+
+
+def identity_factor(n):
+    """``I_n`` as a factor: one node block of ones and no cell block."""
+    return (np.zeros((0, n - 1, 2), dtype=complex),
+            np.ones((1, n), dtype=complex), np.arange(n))
+
+
 class TestBuildFactorization:
     def test_zero_qr_gives_zero_product(self):
         fact = build_factorization(with_coeffs(12, s=1.0), "qr_pair")
         # the derivative block survives, but B's r-block is zero
-        np.testing.assert_allclose((fact.B.conj().T @ fact.A).toarray(), 0.0,
-                                   atol=1e-15)
+        np.testing.assert_allclose(perturbation(fact), 0.0, atol=1e-15)
 
     def test_s_pair_reproduces_convection_matrix(self):
         prob = with_coeffs(16, DIR, NEU, s=2.0 - 1.0j)
         fact = build_factorization(prob, "s_pair")
-        np.testing.assert_allclose((fact.B.conj().T @ fact.A).toarray(),
+        np.testing.assert_allclose(perturbation(fact),
                                    ortho_perturbation(prob.forms), atol=1e-14)
 
     def test_unit_potential_gives_identity_block(self):
         # q = 1: the factored product is the orthonormalized lumped potential,
         # i.e. the identity away from boundary weight effects
         fact = build_factorization(with_coeffs(10, q=1.0), "qr_pair")
-        np.testing.assert_allclose((fact.B.conj().T @ fact.A).toarray(),
-                                   np.eye(9), atol=1e-14)
+        np.testing.assert_allclose(perturbation(fact), np.eye(9),
+                                   atol=1e-14)
 
     @pytest.mark.parametrize("family", ["constant_qrs", "complex_constant",
                                         "mixed_sign", "sawtooth", "spike"])
@@ -69,13 +104,14 @@ class TestBuildFactorization:
         prob = make_problem(family, n=32)
         fact = build_factorization(prob, "full_triple")
         pert = ortho_perturbation(prob.forms)
-        np.testing.assert_allclose((fact.B.conj().T @ fact.A).toarray(), pert,
+        np.testing.assert_allclose(perturbation(fact), pert,
                                    atol=1e-13 * max(1, np.abs(pert).max()))
 
     @pytest.mark.parametrize("family", ["constant_qrs", "sawtooth", "spike"])
-    def test_every_variant_is_a_csr_pair(self, family):
-        # the pair is built sparse once; every path multiplies by it as
-        # built, with at most two nonzeros in each row of A and B
+    def test_every_variant_is_a_cell_pair(self, family):
+        # the pair is built in the cell layout once; every path multiplies
+        # by it as built, with at most two nonzeros in each row of A and B,
+        # and its products are the cell sums of the dense ones
         prob = make_problem(family, n=32)
         f = prob.forms
         K1, K2, K3 = (_dense(K) for K in (f.K1, f.K2, f.K3))
@@ -84,12 +120,20 @@ class TestBuildFactorization:
         for variant in kato.VARIANTS:
             fact = build_factorization(prob, variant)
             for X in (fact.A, fact.B):
-                assert isinstance(X, sp.csr_array)
-                assert np.diff(X.indptr).max() <= 2
+                cells, nodes, keep = X
+                assert cells.shape[1:] == (prob.mesh.n_cells, 2)
+                assert nodes.shape[1:] == (f.n_dof,)
+                assert np.array_equal(keep, f.dof_nodes)
+                assert np.count_nonzero(dense(X), axis=1).max() <= 2
             pert = winv[:, None] * forms[variant] * winv[None, :]
-            np.testing.assert_allclose(
-                (fact.B.conj().T @ fact.A).toarray(), pert,
-                atol=1e-13 * max(1, np.abs(pert).max()))
+            atol = 1e-13 * max(1, np.abs(pert).max())
+            np.testing.assert_allclose(perturbation(fact), pert, atol=atol)
+            A, B = dense_pair(fact)
+            for band, want in zip(fact.products, (
+                    pert, A.conj().T @ A, B.conj().T @ B)):
+                np.testing.assert_allclose(
+                    _dense(band), want,
+                    atol=1e-13 * max(1, np.abs(want).max()))
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -107,25 +151,22 @@ class TestBuildFactorization:
                                         "sawtooth", "spike"])
     def test_pair_equals_dense_construction_bitwise(self, family, interval,
                                                     theta_a):
-        # the slot-built pair is the CSR array of the dense stack, bit for
-        # bit: the same entries, the same explicit zeros dropped
+        # the cell-layout pair, formed densely, is the dense stack bit for
+        # bit: the same entries, a zero's sign aside
         prob = make_problem(family, interval, n=37, bc_left=theta_a)
         for variant in kato.VARIANTS:
             fact = build_factorization(prob, variant)
-            for got, want in zip((fact.A, fact.B),
+            for got, want in zip(dense_pair(fact),
                                  dense_factorization(prob, variant)):
-                want = sp.csr_array(want)
                 assert got.shape == want.shape and got.dtype == want.dtype
-                for attr in ("data", "indices", "indptr"):
-                    a, b = getattr(got, attr), getattr(want, attr)
-                    assert a.dtype == b.dtype
-                    assert a.tobytes() == b.tobytes(), (variant, attr)
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), (
+                    variant)
 
 
 def dense_factorization(prob, variant):
     """The dense (A, B) blocks of ``build_factorization``, built as full
     n x (n + 1) sampling matrices restricted to the retained nodes and
-    stacked: the reference the CSR pair must reproduce."""
+    stacked: the reference the cell-layout pair must reproduce."""
     n, h = prob.mesh.n_cells, prob.mesh.h
     V = np.zeros((n, n + 1))
     G = np.zeros((n, n + 1))
@@ -165,9 +206,9 @@ class TestKatoK:
 
     def test_scalar_toy(self):
         # hand-built 1x1 operator: T0 = [1], A = B = [1], z = 0 -> K = -1
-        one = np.eye(1, dtype=complex)
-        T0 = one.copy()
-        fact = FactoredPerturbation(A=one.copy(), B=one.copy())
+        T0 = np.eye(1, dtype=complex)
+        fact = FactoredPerturbation(A=identity_factor(1),
+                                    B=identity_factor(1))
         np.testing.assert_allclose(kato_K(T0, fact, 0.0), [[-1.0]])
         R = perturbed_resolvent(resolvent(T0, 0.0), fact, 0.0)
         np.testing.assert_allclose(R, [[0.5]])  # (T0 + B*A)^{-1} = 1/2
@@ -216,36 +257,38 @@ class TestPerturbedResolvent:
         rhs = (z1 - z2) * R1 @ R2
         assert np.linalg.norm(R1 - R2 - rhs) / np.linalg.norm(rhs) < 1e-9
 
-    def test_dense_random_pair(self):
-        # no two-band structure: every entry of A and B is nonzero
+    def test_random_pair(self):
+        # a dense H0 and a random pair: every value of A and B in its cell
+        # and node blocks is nonzero
         rng = np.random.default_rng(5)
-        n, m, z = 20, 40, -1.0 + 0.5j
-        cplx = lambda *shape: (rng.standard_normal(shape)
-                               + 1j * rng.standard_normal(shape))
-        H0 = cplx(n, n) / np.sqrt(n) + 3.0 * np.eye(n)
-        A, B = cplx(m, n), cplx(m, n)
+        n, z = 20, -1.0 + 0.5j
+        H0 = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+              ) / np.sqrt(n) + 3.0 * np.eye(n)
+        A, B = tall_factor(rng, n, 2), tall_factor(rng, n, 2)
         # ||K|| = 1/2 keeps 1 out of the spectrum of K
         scale = np.sqrt(0.5 / spectral_norm(kato_K(
             H0, FactoredPerturbation(A=A, B=B), z)))
-        fact = FactoredPerturbation(A=scale * A, B=scale * B)
+        fact = FactoredPerturbation(A=scaled(A, scale), B=scaled(B, scale))
         R = perturbed_resolvent(resolvent(H0, z), fact, z)
-        R_direct = resolvent(H0 + fact.B.conj().T @ fact.A, z)
+        R_direct = resolvent(H0 + perturbation(fact), z)
         assert (np.linalg.norm(R - R_direct) / np.linalg.norm(R_direct)
                 <= 1e-12)
 
-    def test_verify_identity_converts_each_pair_once(self, monkeypatch):
-        # the full triple and the two step pairs are built as CSR once for
-        # all three shifts; each call of the core used to convert its pair
-        csr_array, converted = kato.sp.csr_array, []
+    def test_verify_identity_forms_each_pair_products_once(self,
+                                                           monkeypatch):
+        # the full triple and the two step pairs are built once for all
+        # three shifts, and each pair's three products are formed on its
+        # first core only
+        gram, formed = kato._gram, []
 
-        def counting(*args, **kwargs):
-            converted.append(kwargs.get("shape"))
-            return csr_array(*args, **kwargs)
+        def counting(F, G):
+            formed.append(F[0].shape)
+            return gram(F, G)
 
-        monkeypatch.setattr(kato.sp, "csr_array", counting)
+        monkeypatch.setattr(kato, "_gram", counting)
         prob = make_problem("sawtooth", n=24, bc_left=NEU)
         assert len(verify_identity(prob)["records"]) == 3
-        assert len(converted) == 6
+        assert len(formed) == 9
 
     def test_inadmissible_point_reported(self):
         prob, T0 = setup_pair("constant_qrs", n=20)
@@ -258,29 +301,27 @@ class TestPerturbedResolvent:
 
 
 def solve_core(ImK):
-    """``_solve_core`` on the core ``ImK`` alone: the factors ``A = R = I``
-    and ``B = (ImK - I)^H`` give ``I_n + R B^H A = ImK``."""
-    I = np.eye(ImK.shape[0], dtype=complex)
-    fact = FactoredPerturbation(A=I, B=(ImK - I).conj().T)
-    return kato._solve_core(I, fact, -1.0, "")
+    """``_solve_core`` on the core ``ImK`` alone: the factors ``A = B = I``
+    and ``R = ImK - I`` give ``I_n + R B^H A = ImK``."""
+    I = identity_factor(ImK.shape[0])
+    fact = FactoredPerturbation(A=I, B=I)
+    return kato._solve_core(ImK - np.eye(ImK.shape[0]), fact, -1.0, "")
 
 
 def tall_factor(rng, n, blocks=3):
-    """A random CSR ``A`` with ``m = blocks * n`` rows, two nonzeros per
-    row, as in ``build_factorization``; its top n x n block is a random
-    circulant bidiagonal, so ``A`` has full column rank."""
-    m = blocks * n
-    rows = np.repeat(np.arange(m), 2)
-    cols = np.concatenate([[i, (i + 1 + k) % n]
-                           for k in range(blocks) for i in range(n)])
-    vals = rng.standard_normal(2 * m) + 1j * rng.standard_normal(2 * m)
-    return sp.csr_array((vals, (rows, cols)), shape=(m, n))
+    """A random factor on n nodes, all retained: ``blocks`` cell blocks on
+    n - 1 cells, two nonzeros per row as in ``build_factorization``, over
+    one node block, so ``m = blocks (n - 1) + n``.  Every value is
+    nonzero, and the node block gives ``A`` full column rank."""
+    cplx = lambda *shape: (rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+    return cplx(blocks, n - 1, 2), cplx(1, n), np.arange(n)
 
 
 def explicit_core(R, fact):
     """The m x m ``I - K = I_m + A (R B^H)``, formed explicitly."""
-    A = sp.csr_array(fact.A)
-    RB = R @ sp.csr_array(fact.B).conj().T.toarray()
+    A, B = dense_pair(fact)
+    RB = R @ B.conj().T
     return np.eye(A.shape[0]) + A @ RB, RB
 
 
@@ -290,37 +331,38 @@ class TestSolveCore:
         rng = np.random.default_rng(5)
         n = 20
         fact = FactoredPerturbation(A=tall_factor(rng, n),
-                                    B=tall_factor(rng, n) / n)
+                                    B=scaled(tall_factor(rng, n), 1 / n))
         R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         ImK, RB = explicit_core(R, fact)
-        expected = R - RB @ np.linalg.inv(ImK) @ (fact.A @ R)
-        inv = np.linalg.inv
+        expected = R - RB @ np.linalg.inv(ImK) @ (dense(fact.A) @ R)
+        get_lapack_funcs = sla.get_lapack_funcs
 
-        def no_wide_inverse(M):
-            if M.shape[0] > n:
+        def no_wide_inverse(names, arrays=(), *args, **kwargs):
+            if any(M.shape[0] > n for M in arrays):
                 raise AssertionError("_solve_core inverted an m x m matrix")
-            return inv(M)
+            return get_lapack_funcs(names, arrays, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "inv", no_wide_inverse)
+        monkeypatch.setattr(sla, "get_lapack_funcs", no_wide_inverse)
         np.testing.assert_allclose(kato._solve_core(R, fact, -1.0, ""),
                                    expected, rtol=1e-12)
 
     def test_tall_factor_near_singular_core_rejected(self):
-        # W = (M - I) A^+ and R = I, so B = W^H, give I_n + W A = M with
-        # cond_2(M) = 1.002e13: the guard reads M itself,
+        # R = (M - I) V^-1 for the tall pair B = A, V = A^H A, gives
+        # I_n + R V = M with cond_2(M) = 1.002e13: the guard reads M itself,
         # spectral_norm(M^{-1}) ||M||_F ~ 6e13
         rng = np.random.default_rng(3)
         n = 60
         A = tall_factor(rng, n)
+        fact = FactoredPerturbation(A=A, B=A)
         U, V = (np.linalg.qr(rng.standard_normal((n, n))
                              + 1j * rng.standard_normal((n, n)))[0]
                 for _ in range(2))
         s = np.append(np.linspace(1.0, 0.5, n - 1), 1 / 1.002e13)
         M = U @ np.diag(s) @ V.conj().T
-        W = (M - np.eye(n)) @ np.linalg.pinv(A.toarray())
-        fact = FactoredPerturbation(A=A, B=W.conj().T)
+        R = np.linalg.solve(_dense(fact.products[1]).T,
+                            (M - np.eye(n)).T).T
         with pytest.raises(AdmissibilityError, match="within roundoff"):
-            kato._solve_core(np.eye(n), fact, -1.0, "")
+            kato._solve_core(R, fact, -1.0, "")
 
     def test_near_singular_core_rejected(self):
         # cond_2 = 1.002e13: two inner power-iteration estimates read the
@@ -339,6 +381,13 @@ class TestSolveCore:
         # a NaN residual compared false against the tolerance
         ImK = np.eye(4, dtype=complex)
         ImK[1, 2] = np.nan
+        with pytest.raises(AdmissibilityError, match="in spectrum"):
+            solve_core(ImK)
+
+    def test_zero_pivot_rejected(self):
+        # an exactly singular X stops at getrf's zero pivot, before getri
+        ImK = np.eye(4, dtype=complex)
+        ImK[2, 2] = 0.0
         with pytest.raises(AdmissibilityError, match="in spectrum"):
             solve_core(ImK)
 
@@ -361,13 +410,13 @@ class TestSolveCore:
         cases = [(rng.standard_normal((n, n))
                   + 1j * rng.standard_normal((n, n)),
                   FactoredPerturbation(A=tall_factor(rng, n),
-                                       B=tall_factor(rng, n) / n))]
+                                       B=scaled(tall_factor(rng, n), 1 / n)))]
         cases += [(R0, build_factorization(prob, variant))
                   for variant in kato.VARIANTS]
         for R, fact in cases:
             kato._solve_core(R, fact, -1.0, "")
             ImK, _ = explicit_core(R, fact)
-            Y = np.linalg.solve(ImK, fact.A @ R)
+            Y = np.linalg.solve(ImK, dense(fact.A) @ R)
             np.testing.assert_allclose(
                 scales.pop(), np.linalg.norm(ImK) * np.linalg.norm(Y),
                 rtol=1e-12)
@@ -383,7 +432,7 @@ class TestSolveCore:
         # ||K|| = 1/2 keeps 1 out of the spectrum of K
         scale = np.sqrt(0.5 / spectral_norm(kato_K(
             H0, FactoredPerturbation(A=A, B=B), z)))
-        fact = FactoredPerturbation(A=scale * A, B=scale * B)
+        fact = FactoredPerturbation(A=scaled(A, scale), B=scaled(B, scale))
         R0 = resolvent(H0, z)
         tracemalloc.start()
         try:
@@ -391,9 +440,9 @@ class TestSolveCore:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        m = blocks * n
+        m = dense(fact.A).shape[0]
         assert peak < m * m * np.dtype(complex).itemsize
-        R_direct = resolvent(H0 + (fact.B.conj().T @ fact.A).toarray(), z)
+        R_direct = resolvent(H0 + perturbation(fact), z)
         assert (np.linalg.norm(R - R_direct) / np.linalg.norm(R_direct)
                 <= 1e-12)
 
@@ -583,6 +632,7 @@ class TestInvSqrtShifted:
         shifts = np.geomspace(1.0, 1e4, 20)
         assert shifts.size > kato._BLOCK_ENTRIES // n ** 2
         right, left, normK = halver.norms(shifts, fact.A, fact.B)
+        A, B = dense_pair(fact)
         # a fresh factorization in decay_profile gives the same K-norms
         prof = decay_profile(_InvSqrtShifted(T0), fact, shifts)
         assert np.array_equal(normK, prof["normK"])
@@ -590,12 +640,12 @@ class TestInvSqrtShifted:
             if halver.path == "hermitian":
                 # the eigen coordinates the Hermitian path iterates in
                 d = (halver.diag + c) ** -0.5
-                M_right = (fact.A @ halver.basis) * d
-                M_left = (fact.B @ halver.basis) * d
+                M_right = (A @ halver.basis) * d
+                M_left = (B @ halver.basis) * d
             else:
                 R = np.linalg.inv(sla.sqrtm(T0 + c * np.eye(n)))
-                M_right = fact.A @ R
-                M_left = R @ fact.B.conj().T
+                M_right = A @ R
+                M_left = R @ B.conj().T
             assert r == pytest.approx(spectral_norm(M_right), rel=1e-12)
             assert l == pytest.approx(spectral_norm(M_left), rel=1e-12)
             assert k == pytest.approx(spectral_norm(kato_K(T0, fact, -c)),
@@ -649,11 +699,12 @@ class TestInvSqrtShifted:
         T0 = prob.base_operator()
         fact = build_factorization(prob, "full_triple")
         shifts = np.geomspace(1e2, 1e6, 5)
+        A, B = dense_pair(fact)
         oracle = []
         for c in shifts:
             R = np.linalg.inv(sla.sqrtm(T0 + c * np.eye(T0.shape[0])))
-            oracle.append([spectral_norm(fact.A @ R),
-                           spectral_norm(R @ fact.B.conj().T),
+            oracle.append([spectral_norm(A @ R),
+                           spectral_norm(R @ B.conj().T),
                            spectral_norm(kato_K(T0, fact, -c))])
 
         def forbidden(*args, **kwargs):

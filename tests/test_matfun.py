@@ -89,6 +89,29 @@ class TestBandedResolvent:
         assert (np.linalg.norm(R - expected)
                 <= 1e-13 * np.linalg.norm(expected))
 
+    @pytest.mark.parametrize("l,u", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2),
+                                     (5, 5)])
+    def test_band_product_matches_dense(self, l, u):
+        # the residual product, one slice per diagonal, from band storage;
+        # a transposed operand gives the product's transpose in its layout
+        rng = np.random.default_rng(l + 3 * u)
+        n = 6
+        H = np.triu(np.tril(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)), u), -l)
+        X = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        ab = matfun._band_storage(H, l, u)
+        for operand in (X, np.asfortranarray(X)):
+            got = matfun._band_matmul(ab, l, u, operand)
+            np.testing.assert_allclose(got, H @ X, rtol=0,
+                                       atol=1e-14 * np.abs(H @ X).max())
+        R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if (l, u) == (1, 1):  # (lo, d, up), and R H as (H^T R^T)^T
+            band = matfun._diagonals(H)
+            got = matfun._band_matmul(band[::-1], 1, 1, R.T).T
+            assert got.flags.c_contiguous
+            np.testing.assert_allclose(got, R @ H, rtol=0,
+                                       atol=1e-14 * np.abs(R @ H).max())
+
     def test_singular_diagonal_lies_in_spectrum(self):
         with pytest.raises(ResolventError, match="lies in the spectrum"):
             resolvent(np.diag([1.0, 0.0, 2.0]), 0.0)

@@ -2,7 +2,8 @@
 public function feeds a verdict, the settable values do not regrow, only
 ``csvio`` formats output, only ``cli._manifest`` decides a verdict, no
 verdict reads random vectors, every power route makes one eigenvalue
-guard call and a tridiagonal form has one format.
+guard call and a tridiagonal form has one format, with no module on
+``scipy.sparse``.
 
 A deletion that breaks ``perfbench/run.py --trace 1`` fails here by name,
 not deep inside a traced benchmark run.  The tracer module is loaded
@@ -324,31 +325,28 @@ def test_one_assembly_per_problem():
 
 
 def sparse_uses(path):
-    """``(dia_array lines, scipy.sparse import lines)`` of one file."""
-    dia, imports = [], []
+    """Lines of one file that import ``scipy.sparse`` or name it as
+    ``scipy.sparse``."""
+    lines = []
     for node in ast.walk(ast.parse(path.read_text())):
-        if (isinstance(node, ast.Call)
-                and "dia_array" in (getattr(node.func, "attr", None),
-                                    getattr(node.func, "id", None))):
-            dia.append(node.lineno)
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "sparse"
+              and getattr(node.value, "id", None) == "scipy"):
+            names = ["scipy.sparse"]
         else:
             continue
         if any(name.split(".")[:2] == ["scipy", "sparse"] for name in names):
-            imports.append(node.lineno)
-    return dia, imports
+            lines.append(node.lineno)
+    return lines
 
 
 def test_one_tridiagonal_format():
     # a P1 form is its diagonals (lo, d, up) from the cell sum to the dense
-    # matrix; the LAPACK band layout, as a dia_array, stays in matfun
-    dia = {path.name: lines for path in sorted(SRC.glob("*.py"))
-           if path.stem != "matfun" and (lines := sparse_uses(path)[0])}
-    assert not dia, f"dia_array outside matfun: {dia}"
-    assert sparse_uses(SRC / "matfun.py")[0]
-    imports = {stem: lines for stem in ("assembly", "problems", "formbounds")
-               if (lines := sparse_uses(SRC / f"{stem}.py")[1])}
+    # matrix, and so are the factored pair's products; every band product
+    # is one slice product per diagonal, so no module uses scipy.sparse
+    imports = {path.name: lines for path in sorted(SRC.glob("*.py"))
+               if (lines := sparse_uses(path))}
     assert not imports, f"scipy.sparse imported: {imports}"
