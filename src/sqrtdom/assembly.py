@@ -113,8 +113,8 @@ _THETA_NEUMANN = np.pi / 2
 
 
 def _stable_cot(w: complex) -> complex:
-    """Complex cotangent via one-sided exponentials, overflow-free: the
-    package's one cotangent, finite at any ``|Im w|``."""
+    """Complex cotangent via one-sided exponentials, overflow-free: the one
+    cotangent of a boundary parameter, finite at any ``|Im w|``."""
     if w.imag >= 0:
         t = np.exp(2j * w)
         return 1j * (t + 1.0) / (t - 1.0)

@@ -125,9 +125,13 @@ def parse_theta(text: str) -> BoundaryCondition:
     if text == "neumann":
         return BoundaryCondition.neumann()
     try:
-        return BoundaryCondition(complex(text.replace("i", "j")))
+        theta = complex(text.replace("i", "j"))
     except ValueError as exc:
         raise ConfigError(f"cannot parse boundary parameter {text!r}") from exc
+    try:
+        return BoundaryCondition(theta)
+    except ValueError as exc:  # parsed, but outside the strip
+        raise ConfigError(f"{text!r}: {exc}") from exc
 
 
 def read_config_file(path: str) -> dict:
@@ -242,10 +246,27 @@ def coefficients_from(cfg: dict, mesh) -> CoefficientSet:
 
 def problem_from(cfg: dict) -> Problem:
     interval = interval_from(cfg)
-    mesh = build_mesh(interval, cfg["n"])
+    keys = " ".join(f"--{key} {cfg[key]!r}"
+                    for key in _INTERVAL_KEYS[cfg["interval"]])
+    too_short = (f"a {cfg['interval']} interval with {keys} is too short "
+                 f"for --n {cfg['n']} cells")
+    try:
+        mesh = build_mesh(interval, cfg["n"])
+    except ValueError as exc:  # nodes a rounding step apart coincide
+        raise ConfigError(f"{too_short}: {exc}") from exc
     coeffs = coefficients_from(cfg, mesh)
-    return Problem(interval, mesh, coeffs, parse_theta(cfg["theta_a"]),
+    prob = Problem(interval, mesh, coeffs, parse_theta(cfg["theta_a"]),
                    parse_theta(cfg["theta_b"]))
+    # the scaling 1/h of a cell too short for double precision overflows,
+    # and the mass of a subnormal half cell rounds to zero
+    try:
+        finite = all(np.all(np.isfinite(diagonal)) for diagonal in
+                     (*prob.diagonals(), *prob.reference_diagonals()))
+    except ValueError as exc:
+        raise ConfigError(f"{too_short}: {exc}") from exc
+    if not finite:
+        raise ConfigError(f"{too_short}: its operator overflows")
+    return prob
 
 
 def _manifest(outdir: Path, cfg: dict, command: str, checks: dict,

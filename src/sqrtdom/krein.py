@@ -5,18 +5,21 @@ condition at ``b`` and a (possibly complex) separated condition at ``a``:
 the explicit boundary solution, the scalar denominator coupling the two
 realizations, the rank-one resolvent correction, sampled Green and
 square-root kernels, and the Bessel-type envelope of the square-root
-correction.  Expressions are evaluated in exponential-ratio form so large
-shifts never overflow.  The square-root integrals run over real spectral
-arguments ``tau > 0``, where ``sqrt(tau)`` is real: their Green kernels and
-coupling numerators are evaluated in real arithmetic, and only the scalar
-coupling denominator at each ``tau`` is complex.
+correction.  The boundary solution ``u2`` and the denominator ``d`` are
+each written once, from the root ``sqrt(-z)``, and every Krein kernel is
+the rank-one term ``u2(x) u2(x') / d``.  Expressions are evaluated in
+exponential-ratio form so large shifts never overflow.  The square-root
+integrals run over real spectral arguments ``tau > 0``, where
+``sqrt(tau)`` is real: their Green kernels and boundary solutions are
+evaluated in real arithmetic, and only the coupling denominator at each
+``tau`` is complex.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .assembly import BoundaryCondition, Mesh, _stable_cot
+from .assembly import BoundaryCondition, Mesh
 from .matfun import QuadratureSpec, gauss_panels
 
 __all__ = [
@@ -39,33 +42,44 @@ def _sqrt_nodes(cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     return gauss_panels(cutoff * _RULE.unit_edges(), _RULE.panel_nodes)
 
 
+def _expm1_ratio(st, d):
+    """(1 - exp(-2 st d)) terms, stable for large |st|."""
+    return -np.expm1(-2.0 * st * d)
+
+
+def _boundary_solution(st, x, a: float, b: float):
+    """``u2`` at ``z = -st**2`` from the root ``st = sqrt(-z)``:
+    ``exp(-st (x - a))`` times the bounded ratio of two ``_expm1_ratio``
+    terms, finite at any shift.  Broadcasts over ``st`` and ``x``."""
+    return (np.exp(-st * (x - a)) * _expm1_ratio(st, b - x)
+            / _expm1_ratio(st, b - a))
+
+
+def _denominator(st, cot_a, a: float, b: float):
+    """``cot(theta_a) + u2'(a) = cot(theta_a) - st coth(st (b - a))`` at
+    ``z = -st**2``, the coth by one-sided exponentials; broadcasts."""
+    em = np.exp(-2.0 * st * (b - a))
+    return cot_a - st * (1.0 + em) / (1.0 - em)
+
+
 def u2_closed_form(z: complex, x, a: float, b: float):
     """Boundary solution with unit value at ``a`` and zero at ``b``.
 
-    ``sin(sqrt(z)(b - x)) / sin(sqrt(z)(b - a))``, evaluated from the root
-    ``st = sqrt(-z)`` as ``exp(-st (x - a))`` times the bounded ratio
-    ``expm1(-2 st (b - x)) / expm1(-2 st (b - a))``, so it stays finite at
-    any shift.  Raises when ``z`` hits a Dirichlet eigenvalue (vanishing
-    denominator).
+    ``sin(sqrt(z)(b - x)) / sin(sqrt(z)(b - a))``, ``_boundary_solution``
+    at ``st = sqrt(-z)``, so it stays finite at any shift.  Raises when
+    ``z`` hits a Dirichlet eigenvalue (vanishing denominator).
     """
     z = complex(z)
     st, ell = np.sqrt(-z), b - a
-    den = np.expm1(-2.0 * st * ell)
+    den = _expm1_ratio(st, ell)
     # |den| = 2 |exp(-st ell) sin(sqrt(z) ell)|: the sine's guard, restated
     if abs(den) < 2e-12 * (1.0 + abs(st) * ell) * abs(np.exp(-st * ell)):
         raise ZeroDivisionError(f"z = {z} is a Dirichlet eigenvalue")
-    x = np.asarray(x)
-    return np.exp(-st * (x - a)) * np.expm1(-2.0 * st * (b - x)) / den
-
-
-def _u2_slope_at_a(z: complex, a: float, b: float) -> complex:
-    # d/dx of the boundary solution at x = a
-    sz = np.sqrt(complex(z))
-    return -sz * _stable_cot(sz * (b - a))
+    return _boundary_solution(st, np.asarray(x), a, b)
 
 
 def d_theta(z: complex, theta_a: BoundaryCondition, a: float, b: float) -> complex:
-    """Coupling denominator ``cot(theta_a) + u2'(z, a)``.
+    """Coupling denominator ``cot(theta_a) + u2'(z, a)`` (``_denominator``).
 
     Nonzero whenever ``z`` lies in both resolvent sets; a (near) zero marks
     shared spectrum between the two realizations and is surfaced by the
@@ -73,12 +87,7 @@ def d_theta(z: complex, theta_a: BoundaryCondition, a: float, b: float) -> compl
     """
     if theta_a.is_dirichlet:
         raise ValueError("the coupling denominator needs theta_a != 0")
-    return theta_a.cot() + _u2_slope_at_a(z, a, b)
-
-
-def _expm1_ratio(st, d):
-    """(1 - exp(-2 st d)) terms, stable for large |st|."""
-    return -np.expm1(-2.0 * st * d)
+    return _denominator(np.sqrt(-complex(z)), theta_a.cot(), a, b)
 
 
 def _green_from_root(st, x, xp, a: float, b: float):
@@ -107,18 +116,13 @@ def _t_kernel(tau, x, xp, cot_a: complex, a: float, b: float):
     """Square-root correction integrand at real arguments ``tau`` (> 0),
     elementwise over broadcast arrays of ``tau``, ``x`` and ``x'``.
 
-    The hyperbolic product over the squared denominator, divided by the
-    coupling denominator evaluated at ``-tau``; decays like
-    ``exp(-sqrt(tau) (x + x' - 2a))``.  Only the coupling denominator
-    ``cot(theta_a) - sqrt(tau) coth(sqrt(tau) (b - a))`` is complex.
+    Krein's rank-one term ``u2(x) u2(x') / d`` at ``z = -tau``; decays like
+    ``exp(-sqrt(tau) (x + x' - 2a))``.  Only the coupling denominator is
+    complex.
     """
     st = np.sqrt(tau)
-    ell = b - a
-    em = np.exp(-2.0 * st * ell)
-    dval = cot_a - st * (1.0 + em) / (1.0 - em)
-    num = (np.exp(-st * ((x - a) + (xp - a)))
-           * _expm1_ratio(st, b - x) * _expm1_ratio(st, b - xp))
-    return num / (dval * _expm1_ratio(st, ell) ** 2)
+    return (_boundary_solution(st, x, a, b) * _boundary_solution(st, xp, a, b)
+            / _denominator(st, cot_a, a, b))
 
 
 def krein_resolvent(R_dir: np.ndarray, z: complex,
@@ -132,7 +136,8 @@ def krein_resolvent(R_dir: np.ndarray, z: complex,
     """
     a, b = mesh.a, mesh.b
     d = d_theta(z, theta_a, a, b)
-    if abs(d) < 1e-12 * (1.0 + abs(_u2_slope_at_a(z, a, b))):
+    # scaled by |u2'(a)| = |d - cot(theta_a)|
+    if abs(d) < 1e-12 * (1.0 + abs(d - theta_a.cot())):
         raise ZeroDivisionError("shared spectrum: coupling denominator vanishes")
     u2 = u2_closed_form(z, mesh.nodes, a, b)
     u2_bar = u2_closed_form(np.conj(complex(z)), mesh.nodes, a, b)
@@ -177,14 +182,12 @@ def sqrt_kernel(E: float, theta_a: BoundaryCondition,
         num = (np.exp(-st * gap) * _expm1_ratio(st, x - a)[near]
                * _expm1_ratio(st, b - x)[far])
         green += wi * (num / (2.0 * st * _expm1_ratio(st, b - a)))
-    # the coupling kernel is rank one at each node, f(x) f(x') c with
-    # f(x) = exp(-st (x - a)) (1 - exp(-2 st (b - x))) as in _t_kernel, so
-    # all nodes together are the one product F^T diag(w c) F
+    # the coupling kernel is Krein's rank-one term u2(x) u2(x') / d at each
+    # node (_t_kernel), so all nodes together are the one product
+    # U^T diag(w / d) U, a row of U per node
     st = np.sqrt(u * u + E)
-    em = np.exp(-2.0 * st * (b - a))
-    dval = theta_a.cot() - st * (1.0 + em) / (1.0 - em)
-    F = np.exp(-st[:, None] * (x - a)) * _expm1_ratio(st[:, None], b - x)
-    coupling = (F.T * (w / (dval * _expm1_ratio(st, b - a) ** 2))) @ F
+    U = _boundary_solution(st[:, None], x, a, b)
+    coupling = (U.T * (w / _denominator(st, theta_a.cot(), a, b))) @ U
     values = (2.0 / np.pi) * (green - coupling)
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("square-root kernel quadrature overflowed")
@@ -212,13 +215,6 @@ def _k0(y):
     first call, so only a run that evaluates K0 pays for the import."""
     from scipy import special
     return special.k0(y)
-
-
-def _t_integral(E: float, x, xp, cot_a: complex, a: float, b: float,
-                cutoff: float) -> complex:
-    u, w = _sqrt_nodes(cutoff)
-    # the substitution absorbs the inverse square root
-    return 2.0 * np.sum(w * _t_kernel(u * u + E, x, xp, cot_a, a, b))
 
 
 def bessel_bound_check(E: float, x: float, xp: float,
@@ -249,8 +245,9 @@ def bessel_bound_check(E: float, x: float, xp: float,
     C = float(np.max(tval[seen] * st[seen] / envelope[seen], initial=0.0))
     C *= 1.0 + 1e-6
 
-    cutoff = np.pi / mesh.h
-    lhs = abs(_t_integral(E, x, xp, cot_a, a, b, cutoff))
+    u, w = _sqrt_nodes(np.pi / mesh.h)
+    # the substitution absorbs the inverse square root
+    lhs = abs(2.0 * np.sum(w * _t_kernel(u * u + E, x, xp, cot_a, a, b)))
     sqE = np.sqrt(E)
     rhs = 2.0 * C * float(sum(_k0(sqE * d) for d in args))
     return {"lhs": float(lhs), "rhs": float(rhs), "slack": float(rhs - lhs),

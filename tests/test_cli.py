@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg as sla
 
 from csv_tables import read_matrix, write_coefficient
-from sqrtdom import checks, cli, formbounds, kato, problems
+from sqrtdom import checks, cli, formbounds, kato, krein, problems
 from sqrtdom.assembly import BoundaryCondition, CoefficientSet, assemble_forms
 from sqrtdom.cli import (COMMANDS, build_parser, load_config, main,
                          parse_theta, problem_from, read_config_file)
@@ -236,6 +236,49 @@ class TestConfig:
             assert code == 0
             assert len((out / "kappa.csv").read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("text,message", [
+        ("4", "0 <= Re(theta) < pi"), ("-0.5", "0 <= Re(theta) < pi"),
+        ("1+zz", "cannot parse boundary parameter")])
+    def test_boundary_parameter_outside_the_strip(self, text, message):
+        # a parameter that parsed but lies outside the strip used to be
+        # reported as one that did not parse
+        args = build_parser().parse_args(["assemble", "--theta-a", text])
+        with pytest.raises(cli.ConfigError) as exc:
+            load_config(args)
+        assert message in str(exc.value)
+        assert ("cannot parse" in str(exc.value)) == (text == "1+zz")
+
+    @pytest.mark.parametrize("args", [
+        "assemble --interval half_line --radius 1e-300 --n 2",
+        "verify-kato --interval half_line --radius 1e-300 --n 2",
+        "kappa-study --interval half_line --radius 1e-300 --n-list 2,4",
+        "decay-study --interval half_line --radius 1e-300 --n 2",
+        "hypothesis-check --interval half_line --radius 1e-300 --n 2",
+        # nodes a rounding step apart coincide, and a subnormal half cell
+        # has no mass
+        "assemble --interval half_line --radius 5e-324 --n 2",
+        "assemble --interval half_line --radius 1e-323 --n 2 --theta-a "
+        "neumann"])
+    def test_interval_too_short_for_its_mesh(self, tmp_path, capsys, args):
+        # the operator scales as 1/h^2 and overflowed: assemble wrote inf
+        # into operator.csv with exit 0, and the others failed as a check,
+        # as did a mesh whose nodes coincide or whose end has no mass
+        with np.errstate(all="ignore"):
+            code, out = run(tmp_path, "o", *args.split())
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "interval with --a 0.0 --radius" in err and "--n 2 " in err, err
+        assert not list(out.glob("*.csv"))
+
+    def test_krein_interval_too_short_is_a_config_error(self, tmp_path):
+        # the closed-form commands build no problem: the finite-element
+        # resolvent's guard refuses the interval
+        with np.errstate(all="ignore"):
+            code, out = run(tmp_path, "o", "verify-krein", "--b", "1e-300",
+                            "--n-list", "8,16", "--n", "8")
+        assert code == 2
+        assert not list(out.glob("*.csv"))
+
     def test_flag_overrides_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("n = 16\nproblem = free\n")
@@ -390,6 +433,19 @@ class TestVerifyCommands:
         assert code == 1 and manifest["verdict"] == "fail"
         assert manifest["failed_checks"] == (
             "factored-resolvent-identity,two-step-composition")
+
+    def test_verify_krein_fails_on_a_planted_denominator_defect(
+            self, tmp_path, monkeypatch):
+        # every Krein kernel divides by the one coupling denominator: off by
+        # 1e-3 it turns the rank-one convergence order negative (-0.370)
+        denominator = krein._denominator
+        monkeypatch.setattr(krein, "_denominator",
+                            lambda *args: denominator(*args) * (1 + 1e-3))
+        code, out = run(tmp_path, "o", "verify-krein", "--n-list",
+                        "64,128,256")
+        manifest = read_manifest(out)
+        assert code == 1 and manifest["verdict"] == "fail"
+        assert manifest["failed_checks"] == "rank-one-resolvent-convergence"
 
     def test_verify_kato_assembles_once_and_solves_once_per_shift(
             self, tmp_path, monkeypatch):

@@ -245,7 +245,9 @@ class TestSqrtKernel:
         # each hyperbolic factor of the Green kernel is computed once per
         # quadrature node as a vector over the nodes and picked at the
         # min and max index; the kernel equals the sum that evaluated
-        # _green_from_root on the whole grid at every node, bit for bit
+        # _green_from_root on the whole grid at every node, bit for bit; the
+        # coupling is Krein's term from the one boundary solution and the
+        # one denominator
         E, theta = 25.0, ROBIN
         mesh = build_mesh(interval, n)
         a, b, x = mesh.a, mesh.b, mesh.nodes
@@ -255,12 +257,8 @@ class TestSqrtKernel:
             green += wi * krein._green_from_root(
                 np.sqrt(ui * ui + E), x[:, None], x[None, :], a, b)
         st = np.sqrt(u * u + E)
-        em = np.exp(-2.0 * st * (b - a))
-        dval = theta.cot() - st * (1.0 + em) / (1.0 - em)
-        F = (np.exp(-st[:, None] * (x - a))
-             * krein._expm1_ratio(st[:, None], b - x))
-        coupling = (F.T * (w / (dval * krein._expm1_ratio(st, b - a) ** 2))
-                    ) @ F
+        U = krein._boundary_solution(st[:, None], x, a, b)
+        coupling = (U.T * (w / krein._denominator(st, theta.cot(), a, b))) @ U
         want = (2.0 / np.pi) * (green - coupling)
         assert np.array_equal(sqrt_kernel(E, theta, mesh), want)
 

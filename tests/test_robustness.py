@@ -1,16 +1,21 @@
 """Cross-cutting stress tests: complex boundary parameters, varying complex
-diffusion, reflection symmetry, and nonnormal fractional powers."""
+diffusion, reflection symmetry, nonnormal fractional powers and the guards
+on input from outside."""
 
 import numpy as np
 import pytest
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                              _dense, assemble_forms, build_mesh,
+                              Mesh, _dense, assemble_forms, build_mesh,
                               orthonormalize)
-from sqrtdom.kato import verify_identity
-from sqrtdom.krein import bessel_bound_check, sqrt_kernel
-from sqrtdom.matfun import QuadratureSpec, frac_power_quad, resolvent, sqrt_db
-from sqrtdom.problems import Problem
+from sqrtdom.cli import main
+from sqrtdom.domains import thmA1_decay
+from sqrtdom.kato import _InvSqrtShifted, verify_identity
+from sqrtdom.krein import (bessel_bound_check, bessel_k0_quad, d_theta,
+                           krein_resolvent, sqrt_kernel)
+from sqrtdom.matfun import (QuadratureSpec, ResolventError, frac_power_quad,
+                            gauss_panels, resolvent, spectral_norm, sqrt_db)
+from sqrtdom.problems import Problem, build_coefficients, make_problem
 
 DIR = BoundaryCondition.dirichlet()
 NEU = BoundaryCondition.neumann()
@@ -134,3 +139,89 @@ class TestNonnormalFractionalPowers:
         coeffs = CoefficientSet.from_callables(mesh, q=1.0, r=1.0, s=1.0)
         rep = verify_identity(Problem(IntervalSpec(), mesh, coeffs, DIR, DIR))
         assert max(rep["max_error"].values()) <= 1e-12
+
+
+def cli_exit(*args, file_text=None):
+    """A CLI run in a temporary directory; ``{file}`` in ``args`` names a
+    file holding ``file_text``."""
+    def run(tmp_path):
+        path = tmp_path / "input.txt"
+        if file_text is not None:
+            path.write_text(file_text)
+        return main([*(arg.format(file=path) for arg in args),
+                     "--outdir", str(tmp_path / "o")])
+    return run
+
+
+# cot(theta) = 2 coth(2): z = -4 is an eigenvalue of the Robin realization
+# on [0, 1], so the coupling denominator vanishes there
+SHARED = BoundaryCondition(np.arctan(np.tanh(2.0) / 2.0))
+UNIT = build_mesh(IntervalSpec(), 8)
+
+
+def free_halver():
+    return _InvSqrtShifted(make_problem("free", n=8).H)
+
+
+def kernel_on_a_tiny_interval(tmp_path):
+    # the quadrature's cutoff pi / h squared overflows
+    with np.errstate(all="ignore"):
+        return sqrt_kernel(25.0, NEU, build_mesh(
+            IntervalSpec("finite", 0.0, 1e-300), 8))
+
+
+def power_at_a_node_pole(tmp_path):
+    # H + u^2 vanishes at the rule's first node u
+    quad = QuadratureSpec()
+    u, _ = gauss_panels(quad.unit_edges(), quad.panel_nodes)
+    return frac_power_quad(np.array([[-u[0] ** 2]]), 0.5, quad)
+
+
+@pytest.mark.parametrize("call,expected", [
+    (cli_exit("assemble", "--interval", "ray"), (2, "unknown interval")),
+    (cli_exit("assemble", "--config", "{file}", file_text="problem free\n"),
+     (2, "expected 'key = value'")),
+    (cli_exit("kappa-study", "--alpha", "1.5"), (2, "alpha must lie")),
+    (cli_exit("assemble", "--n", "8", "--coeff-q", "{file}",
+              file_text="x,value\n0,1\n"), (2, "unexpected coefficient")),
+    (lambda tmp_path: Mesh(np.array([0.0, 1.0])),
+     (ValueError, "at least 2 cells")),
+    (lambda tmp_path: Mesh(np.array([0.0, 2.0, 1.0])),
+     (ValueError, "strictly increasing")),
+    (lambda tmp_path: CoefficientSet(p=np.ones(3), q=np.zeros(2),
+                                     r=np.zeros(3), s=np.zeros(3)),
+     (ValueError, "share one length")),
+    (lambda tmp_path: thmA1_decay(np.ones(3), free_halver(), [1e2, 1e3]),
+     (ValueError, "DOF count")),
+    (lambda tmp_path: d_theta(-1.0, DIR, 0.0, 1.0),
+     (ValueError, "theta_a != 0")),
+    (lambda tmp_path: krein_resolvent(np.zeros((9, 9)), -4.0, SHARED, UNIT),
+     (ZeroDivisionError, "shared spectrum")),
+    (lambda tmp_path: sqrt_kernel(4.0, SHARED, UNIT),
+     (ValueError, "safe shift")),
+    (kernel_on_a_tiny_interval, (FloatingPointError, "overflowed")),
+    (power_at_a_node_pole, (ResolventError, "quadrature node")),
+    (lambda tmp_path: bessel_k0_quad(0.0), (ValueError, "positive")),
+    (lambda tmp_path: QuadratureSpec(panels=0), (ValueError, "at least 8")),
+    (lambda tmp_path: QuadratureSpec(panel_nodes=-8, panels=-1),
+     (ValueError, "panel layout")),
+    (lambda tmp_path: build_coefficients("nope", UNIT),
+     (ValueError, "unknown coefficient family")),
+    (lambda tmp_path: spectral_norm(np.zeros((0, 3))), 0.0)],
+    ids=["interval_kind", "config_line", "alpha", "coefficient_header",
+         "mesh_size", "mesh_order", "sample_lengths", "multiplier_samples",
+         "dirichlet_denominator", "shared_spectrum", "safe_shift",
+         "kernel_overflow", "quadrature_pole", "k0_argument", "quadrature_nodes", "panel_layout", "family",
+         "empty_norm"])
+def test_outside_input_guard(tmp_path, capsys, call, expected):
+    # each guard on input from outside used to be reached by no test: a
+    # configuration error exits 2 with its own message, a bad argument
+    # raises its class with its own message, and the empty norm is 0
+    if not isinstance(expected, tuple):
+        assert call(tmp_path) == expected
+    elif isinstance(expected[0], int):
+        assert call(tmp_path) == expected[0]
+        assert expected[1] in capsys.readouterr().err
+    else:
+        with pytest.raises(expected[0], match=expected[1]):
+            call(tmp_path)

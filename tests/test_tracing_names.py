@@ -2,8 +2,9 @@
 public function feeds a verdict, the settable values do not regrow, only
 ``csvio`` formats output, only ``cli._manifest`` decides a verdict, no
 verdict reads random vectors, every power route makes one eigenvalue
-guard call and a tridiagonal form has one format, with no module on
-``scipy.sparse``.
+guard call, every Krein kernel reads one boundary solution and one
+coupling denominator, and a tridiagonal form has one format, with no
+module on ``scipy.sparse``.
 
 A deletion that breaks ``perfbench/run.py --trace 1`` fails here by name,
 not deep inside a traced benchmark run.  The tracer module is loaded
@@ -233,6 +234,26 @@ def test_one_eigenvalue_guard_per_route():
         ("matfun", "_log_sym_det"), ("matfun", "_require_shifted"),
         ("matfun", "sqrt_db")]
     assert not calls_of(SRC / "domains.py", "eigh")
+
+
+def test_one_boundary_solution_and_one_denominator():
+    # krein writes Krein's formula once: the boundary solution u2 and the
+    # coupling denominator d are each one function of the root sqrt(-z),
+    # and every kernel is the rank-one term u2(x) u2(x') / d built from
+    # them; the three earlier derivations of each are gone
+    def callers(name):
+        return sorted((path.stem, owner) for path in sorted(SRC.glob("*.py"))
+                      for owner in calls_of(path, name))
+
+    assert callers("_boundary_solution") == [
+        ("krein", "_t_kernel"), ("krein", "_t_kernel"),
+        ("krein", "sqrt_kernel"), ("krein", "u2_closed_form")]
+    assert callers("_denominator") == [
+        ("krein", "_t_kernel"), ("krein", "d_theta"), ("krein", "sqrt_kernel")]
+    text = (SRC / "krein.py").read_text()
+    gone = [name for name in ("_stable_cot", "_u2_slope_at_a", "_t_integral")
+            if name in text]
+    assert not gone, f"krein still names {gone}"
 
 
 # defaulted parameters + dataclass init fields + cli.DEFAULTS keys
