@@ -448,14 +448,13 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
     The sector (``numerical-range-sector``) is reported only, and the
     positive-type ratios are written."""
     prob = problem_from(cfg)
-    H = prob.H
     suite = form_bound_suite(prob)
     consts, eps, ratio = suite["constants"], suite["eps_grid"], suite["ratio"]
     csvio.write_rows(outdir / "form_bound_margins.csv", "eps,j,ratio",
                      [(eps[e], j + 1, ratio[e, j])
                       for e, j in np.ndindex(ratio.shape)])
 
-    hull = numerical_range_hull(H)
+    hull = numerical_range_hull(prob.H)
     csvio.write_rows(outdir / "range_boundary.csv", "phi,re,im",
                      [(p, v.real, v.imag)
                       for p, v in zip(hull.angles, hull.boundary)])
@@ -463,7 +462,8 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
     # shifted accretivity at the bound suggested by the form estimate
     eps0 = consts.eps_0
     E_acc = consts.M / (0.5 * eps0) ** 3 if eps0 > 0 else 1.0
-    Hs = H + E_acc * np.eye(H.shape[0])
+    lo, d, up = prob.diagonals()
+    Hs = (lo, d + E_acc, up)  # H + E_acc, as its diagonals
     acc_ok, worst = check_m_accretive(Hs, [0.5, 1.0, 4.0, 1 + 2j])
 
     csvio.write_rows(outdir / "positive_type.csv", "t,ratio",
@@ -472,9 +472,8 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
 
     # factored-perturbation admissibility: compressed resolvent is bounded
     # and decays along the shift grid
-    T0 = prob.base_operator()
-    E0 = safe_shift(T0) + 10.0
-    halver = _InvSqrtShifted(T0)
+    E0 = safe_shift(prob.base_diagonals()) + 10.0
+    halver = _InvSqrtShifted(prob.base_operator())
     decay = decay_profile(halver, build_factorization(prob, "full_triple"),
                           [E0, 10 * E0, 100 * E0])
 

@@ -22,8 +22,10 @@ their diagonals.  Each adjoined pair obtains the block
 push-through identity ``(I_m + A W)^{-1} A = A (I_n + W A)^{-1}`` with
 ``W = R0 B^H`` (``_solve_core``), and checks it by the residual of the m x m
 system applied exactly.  Everything m-dimensional that the check reads,
-``||I - K||_F`` included, comes from the three products, so neither an
-m x m array nor an m x n factor is formed.  A shift where
+``||I - K||_F`` included, comes from the three products, and the residual's
+two norms from the blocks of the cell layout one at a time
+(``_times_norm``), so no array with m rows is formed, no m x m array and
+no m x n factor.  A shift where
 ``X = I_n + W A`` is singular, or within roundoff of it by a conditioning
 guard on ``X``, is inadmissible (``AdmissibilityError``): ``X`` and
 ``I - K`` are singular at the same z, and each inverse bounds the other.
@@ -94,6 +96,30 @@ def _times(F, X: np.ndarray) -> np.ndarray:
     for rows, values in zip(out[k * n:].reshape(-1, *X.shape), nodes):
         np.multiply(values[:, None], X, out=rows)
     return out
+
+
+def _times_norm(F: tuple, X: np.ndarray) -> float:
+    """``||F X||_F`` for a factor ``(cells, nodes, keep)`` of a pair, from
+    the blocks of ``_times``, each written in turn into one work array of
+    the rows of a block, so that no array with the m rows of ``F`` is
+    formed.  The squared norms of the blocks add in block order."""
+    cells, nodes, keep = F
+    n = cells.shape[1]
+    Xn = X
+    if keep.size < n + 1:
+        Xn = np.zeros((n + 1, X.shape[1]), dtype=X.dtype)
+        Xn[keep[0]:keep[-1] + 1] = X
+    work = np.empty((max(n, keep.size), X.shape[1]),
+                    dtype=np.result_type(cells, X))
+    total = 0.0
+    for left, right in cells.transpose(0, 2, 1):
+        rows = np.multiply(left[:, None], Xn[:-1], out=work[:n])
+        rows += right[:, None] * Xn[1:]
+        total += np.vdot(rows, rows).real
+    for values in nodes:
+        rows = np.multiply(values[:, None], X, out=work[:keep.size])
+        total += np.vdot(rows, rows).real
+    return float(np.sqrt(total))
 
 
 def _gram(F: tuple, G: tuple) -> tuple:
@@ -208,6 +234,18 @@ def kato_K(H0: np.ndarray, fact: FactoredPerturbation,
     return -_times(fact.A, RB)
 
 
+def _inverse(X: np.ndarray) -> np.ndarray | None:
+    """``X^{-1}``, LAPACK's ``getri`` on the ``getrf`` factors, which it
+    overwrites; None at a zero pivot."""
+    getrf, getri, getri_lwork = sla.get_lapack_funcs(
+        ("getrf", "getri", "getri_lwork"), (X,))
+    lu, piv, info = getrf(X)
+    if info == 0:
+        lu, info = getri(lu, piv, lwork=int(getri_lwork(X.shape[0])[0].real),
+                         overwrite_lu=True)
+    return lu if info == 0 else None
+
+
 def _solve_core(R: np.ndarray, fact: FactoredPerturbation, z: complex,
                 stage: str) -> np.ndarray:
     """Adjoin ``B^H A`` to the resolvent ``R``:
@@ -238,10 +276,12 @@ def _solve_core(R: np.ndarray, fact: FactoredPerturbation, z: complex,
       from ``tr(A W) = tr(W A)`` and ``||A W||_F^2 = tr(W^H G_A W)``.
 
     So the check compares the same quantities as the explicit m x m system
-    in exact arithmetic, while no m x m array, no n x m array and no dense
-    product with inner dimension m is formed; ``A D`` and ``A Z`` are the
-    only arrays with m rows, each a product in the cell layout
-    (``_times``).
+    in exact arithmetic, while no array with m rows or columns and no
+    dense product with inner dimension m is formed: ``||A D||_F`` and
+    ``||A Z||_F`` are taken block by block in the cell layout through one
+    work array of a block's rows (``_times_norm``).  The guard's value
+    below is read before ``D`` is formed, so that ``X^{-1}`` is released
+    first; the residual check still raises before the guard.
 
     Backward-stable solves do not flag near-singularity on their own, so the
     admissibility boundary is also detected on the matrix that is factored,
@@ -273,28 +313,31 @@ def _solve_core(R: np.ndarray, fact: FactoredPerturbation, z: complex,
     n = R.shape[0]
     X = _band_matmul(V[::-1], 1, 1, R.T).T  # R V = (V^T R^T)^T
     X[np.diag_indices_from(X)] += 1.0
-    getrf, getri, getri_lwork = sla.get_lapack_funcs(
-        ("getrf", "getri", "getri_lwork"), (X,))
-    lu, piv, info = getrf(X)
-    if info == 0:
-        Xinv, info = getri(lu, piv, lwork=int(getri_lwork(n)[0].real),
-                           overwrite_lu=True)
-    if info != 0:
+    Xinv = _inverse(X)
+    if Xinv is None:
         raise AdmissibilityError(f"{label}1 in spectrum of K(z) at z = {z}")
     Z = Xinv @ R
-    D = X @ Z - R
+    # the guard's value, read before D is formed so that X^{-1} goes here;
+    # a non-finite core reads nan, and fails the residual check first
+    with np.errstate(invalid="ignore"):
+        guard = spectral_norm(Xinv) * np.linalg.norm(X)
+    del Xinv
+    trace_X = np.trace(X).real
+    D = X @ Z
+    del X
+    D -= R
     # tr(R^H G_A R G_B), with (G_A R) G_B = (G_B^T (G_A R)^T)^T
     gram = np.vdot(R, _band_matmul(GB[::-1], 1, 1,
                                    _band_matmul(GA, 1, 1, R).T).T).real
     m = A[0].shape[0] * A[0].shape[1] + A[1].size  # the rows of A
-    norm_ImK = np.sqrt(m + 2.0 * (np.trace(X).real - n) + gram)
-    if _residual_fails(np.linalg.norm(_times(A, D)),
-                       norm_ImK * np.linalg.norm(_times(A, Z))):
+    norm_ImK = np.sqrt(m + 2.0 * (trace_X - n) + gram)
+    if _residual_fails(_times_norm(A, D), norm_ImK * _times_norm(A, Z)):
         raise AdmissibilityError(f"{label}1 in spectrum of K(z) at z = {z}")
-    if spectral_norm(Xinv) * np.linalg.norm(X) > 1e13:
+    if guard > 1e13:
         raise AdmissibilityError(
             f"{label}1 within roundoff of the spectrum of K(z) at z = {z}")
-    return Z - D
+    Z -= D
+    return Z
 
 
 def perturbed_resolvent(R0: np.ndarray, fact: FactoredPerturbation,
@@ -305,46 +348,62 @@ def perturbed_resolvent(R0: np.ndarray, fact: FactoredPerturbation,
 
 
 def verify_identity(prob: Problem) -> dict:
-    """Check both factored paths to the resolvent of ``prob.H``.
+    """Check both factored paths to the resolvent of the operator of
+    ``prob``.
 
     From the base operator ``H0``, the one-shot path adjoins the full triple
     and the two-step path (``TwoStepResolvent``) the r/q terms and then the
     s term, both to the one base resolvent of a shift, and each is compared
     with one direct resolvent.  The shifts are ``z = -E, -2E, -E + iE`` with
-    ``E = safe_shift(H) + safe_shift(H0) + 10``.  A shift where either path
-    is inadmissible is excluded and reported.  ``records`` holds per shift
+    ``E = safe_shift(H) + safe_shift(H0) + 10``.  Both operators are taken
+    as their diagonals (``prob.diagonals()``, ``prob.base_diagonals()``),
+    so no dense operator is formed.  A shift where either path is
+    inadmissible is excluded and reported.  ``records`` holds per shift
     ``z`` the relative Frobenius error of each path, keyed by its name in
     ``PATHS``, and ``max_error`` the maximum per path.
     """
     closure = TwoStepResolvent(prob)
     fact = build_factorization(prob, "full_triple")
-    E = safe_shift(prob.H) + safe_shift(closure.H0) + 10.0
+    H = prob.diagonals()
+    E = safe_shift(H) + safe_shift(closure.H0) + 10.0
     records, excluded = [], []
     for z in (complex(-E), complex(-2 * E), complex(-E, E)):
-        R0 = resolvent(closure.H0, z)
         try:
-            paths = {"full_triple": perturbed_resolvent(R0, fact, z),
-                     "two_step": closure(z, R0)}
+            records.append({"z": z, **_path_errors(H, closure, fact, z)})
         except AdmissibilityError:
             excluded.append(z)
-            continue
-        R = resolvent(prob.H, z)
-        scale = np.linalg.norm(R)
-        records.append({"z": z, **{path: float(np.linalg.norm(Rp - R) / scale)
-                                   for path, Rp in paths.items()}})
     return {"max_error": {path: max((r[path] for r in records), default=0.0)
                           for path in PATHS},
             "records": records, "excluded": excluded}
 
 
+def _path_errors(H: tuple, closure: TwoStepResolvent,
+                 fact: FactoredPerturbation, z: complex) -> dict:
+    """The relative Frobenius error of each path of ``verify_identity`` at
+    ``z``, keyed by its name in ``PATHS``, against the direct resolvent of
+    the diagonals ``H``.  Each error overwrites its path's resolvent, and
+    the shift's arrays go on return."""
+    R0 = resolvent(closure.H0, z)
+    paths = {"full_triple": perturbed_resolvent(R0, fact, z),
+             "two_step": closure(z, R0)}
+    del R0
+    R = resolvent(H, z)
+    scale = np.linalg.norm(R)
+    for Rp in paths.values():
+        Rp -= R
+    return {path: float(np.linalg.norm(Rp) / scale)
+            for path, Rp in paths.items()}
+
+
 class TwoStepResolvent:
-    """Composed resolvent of ``prob.H``: to the resolvent of the base
-    operator ``H0``, assembled once here, first adjoin the r/q terms
-    (``qr_pair``), then the s term (``s_pair``), both pairs built once here
-    for all shifts; ``verify_identity`` reuses ``H0``."""
+    """Composed resolvent of the operator of ``prob``: to the resolvent of
+    the base operator ``H0``, kept as its diagonals
+    (``prob.base_diagonals()``), first adjoin the r/q terms (``qr_pair``),
+    then the s term (``s_pair``), both pairs built once here for all
+    shifts; ``verify_identity`` reuses ``H0``."""
 
     def __init__(self, prob: Problem):
-        self.H0 = prob.base_operator()
+        self.H0 = prob.base_diagonals()
         self.fact_qr = build_factorization(prob, "qr_pair")
         self.fact_s = build_factorization(prob, "s_pair")
 

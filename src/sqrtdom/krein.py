@@ -66,14 +66,20 @@ def u2_closed_form(z: complex, x, a: float, b: float):
     """Boundary solution with unit value at ``a`` and zero at ``b``.
 
     ``sin(sqrt(z)(b - x)) / sin(sqrt(z)(b - a))``, ``_boundary_solution``
-    at ``st = sqrt(-z)``, so it stays finite at any shift.  Raises when
-    ``z`` hits a Dirichlet eigenvalue (vanishing denominator).
+    at ``st = sqrt(-z)``, so it stays finite at any shift; at ``z = 0`` its
+    limit ``(b - x) / (b - a)``.  Raises when ``z`` hits a Dirichlet
+    eigenvalue, ``sqrt(z) (b - a) = m pi`` with ``m >= 1``.
     """
     z = complex(z)
     st, ell = np.sqrt(-z), b - a
+    if st == 0:
+        return (b - np.asarray(x)) / ell + 0j
     den = _expm1_ratio(st, ell)
-    # |den| = 2 |exp(-st ell) sin(sqrt(z) ell)|: the sine's guard, restated
-    if abs(den) < 2e-12 * (1.0 + abs(st) * ell) * abs(np.exp(-st * ell)):
+    # |den| = 2 |exp(-st ell) sinh(st ell)|: the guard on sinh(w) / w,
+    # w = st ell, which is scale-free and vanishes only at w = i m pi,
+    # m >= 1, so shifts near 0 pass
+    if (abs(den) < 2e-12 * abs(st) * ell * (1.0 + abs(st) * ell)
+            * abs(np.exp(-st * ell))):
         raise ZeroDivisionError(f"z = {z} is a Dirichlet eigenvalue")
     return _boundary_solution(st, np.asarray(x), a, b)
 
@@ -141,7 +147,10 @@ def krein_resolvent(R_dir: np.ndarray, z: complex,
         raise ZeroDivisionError("shared spectrum: coupling denominator vanishes")
     u2 = u2_closed_form(z, mesh.nodes, a, b)
     u2_bar = u2_closed_form(np.conj(complex(z)), mesh.nodes, a, b)
-    return R_dir - np.outer(u2, np.conj(u2_bar)) / d
+    # the correction, then the table, each written in place
+    out = np.outer(u2, np.conj(u2_bar))
+    out /= d
+    return np.subtract(R_dir, out, out=out)
 
 
 def sqrt_kernel(E: float, theta_a: BoundaryCondition,

@@ -2,8 +2,9 @@
 the power iteration for operator norms.
 
 Resolvents are solved in the band of their input: every operator the
-package assembles is tridiagonal, and ``resolvent`` reads the bandwidths off
-the nonzero pattern, so a dense input is simply its own full band, laid
+package assembles is tridiagonal, and ``resolvent`` takes it as its three
+diagonals ``(lo, d, up)`` or reads the bandwidths off a matrix's nonzero
+pattern, so a dense input is simply its own full band, laid
 out by the one band builder ``_band_storage`` and multiplied by the one
 band product ``_band_matmul``, which the factored cores of ``kato`` share.
 The roots and powers return
@@ -268,12 +269,26 @@ def _gauge(band: tuple) -> tuple | None:
     return np.cumprod(g), d[ref], e[0], mu, V, corner
 
 
-def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
+def _operator_band(H: np.ndarray | tuple) -> tuple:
+    """``(H, l, u)``: ``H`` in complex with its bandwidths, read off a
+    matrix's nonzero pattern (``_bandwidths``).  The diagonals
+    ``(lo, d, up)`` of a tridiagonal matrix are its (1, 1) band with no
+    scan, so both give the same band storage."""
+    if isinstance(H, tuple):
+        return tuple(np.asarray(x, dtype=complex) for x in H), 1, 1
+    H = np.asarray(H, dtype=complex)
+    return (H, *_bandwidths(H))
+
+
+def resolvent(H: np.ndarray | tuple, z: complex) -> np.ndarray:
     """Solve ``(H - z) R = I`` in the band of ``H`` and verify the residual.
 
-    The bandwidths ``(l, u)`` come from the nonzero pattern of ``H``
-    (``_bandwidths``), and LAPACK's banded LU solves the system: ``gtsv``
-    for the tridiagonal operators of the package, ``gbsv`` otherwise, in
+    ``H`` is a matrix, or the diagonals ``(lo, d, up)`` of a tridiagonal
+    one, which go straight to its (1, 1) band (``_operator_band``), so no
+    dense operator is read.  A matrix's bandwidths ``(l, u)`` come from its
+    nonzero pattern (``_bandwidths``).  LAPACK's banded LU solves the
+    system in place of its identity right-hand side: ``gtsv`` for the
+    tridiagonal operators of the package, ``gbsv`` otherwise, in
     O((l + u) n^2) against the O(n^3) of a dense solve.  The residual
     ``||(H - z) R - I||_F`` goes through the same bands, one slice product
     per diagonal (``_band_matmul``), and must stay within
@@ -284,16 +299,17 @@ def resolvent(H: np.ndarray, z: complex) -> np.ndarray:
     condition estimate is not finite (``_residual_fails``): a resolvent too
     large or too small to represent has no scale to check against.
     """
-    H = np.asarray(H, dtype=complex)
-    n = H.shape[0]
-    l, u = _bandwidths(H)
+    H, l, u = _operator_band(H)
     ab = _band_storage(H, l, u)
     ab[u] -= z
+    n = ab.shape[1]
     try:
         # a 1 x 1 system is a division, which flags a zero pivot this way
         with np.errstate(divide="raise"):
-            R = sla.solve_banded((l, u), ab, np.eye(n, dtype=complex),
-                                 check_finite=False)
+            # LAPACK's column-major identity, which the solve overwrites
+            R = sla.solve_banded((l, u), ab,
+                                 np.eye(n, dtype=complex, order="F"),
+                                 overwrite_b=True, check_finite=False)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise ResolventError(f"z = {z} lies in the spectrum") from exc
     AR = _band_matmul(ab, l, u, R)

@@ -8,8 +8,8 @@ its form matrices from them, and every operator from those, so they cannot
 disagree.  The forms are the diagonals ``(lo, d, up)`` of tridiagonal
 matrices, and so are the operator and its reference, scaled from them.  The
 operator matrix ``H`` is the one dense matrix it keeps, formed on its first
-read; the base and reference operators are formed densely only when asked
-for.
+read; the base and reference operators are also diagonals, formed densely
+only when asked for.
 """
 
 from __future__ import annotations
@@ -96,11 +96,13 @@ class Problem:
     its diagonals) and the operator ``H = M^{-1/2} S M^{-1/2}`` in
     L2-orthonormal coordinates.
 
-    The operator and its self-adjoint reference are also given as
-    diagonals (``diagonals``, ``reference_diagonals``): the scaled forms
-    themselves.  The dense ``H`` is formed on its first read and then
-    kept, the one dense matrix a problem holds; a caller that works in the
-    band, such as a kappa row, never forms it.
+    The operator, its base and its self-adjoint reference are also given
+    as diagonals (``diagonals``, ``base_diagonals``,
+    ``reference_diagonals``): the scaled forms themselves.  The dense ``H``
+    is formed on its first read and then kept, the one dense matrix a
+    problem holds; a caller that works in the band never forms it: a kappa
+    row, ``verify-kato`` (``kato.verify_identity``) and ``verify-krein``'s
+    refinement ladder (``checks.krein_suite``).
     """
 
     interval: IntervalSpec
@@ -127,12 +129,16 @@ class Problem:
         for bit."""
         return self.forms.congruence(self.forms.total())
 
+    def base_diagonals(self) -> tuple:
+        """``(lo, d, up)``, the three diagonals of ``base_operator()``,
+        which it forms: the same second-order part and boundary conditions,
+        no lower-order terms, ``forms.K0 + forms.Bdry`` scaled as
+        ``orthonormalize`` scales the total."""
+        return self.forms.congruence(self.forms.plus_boundary(self.forms.K0))
+
     def base_operator(self) -> np.ndarray:
-        """Same second-order part and boundary conditions, no lower-order
-        terms: ``forms.K0 + forms.Bdry``, scaled as ``orthonormalize``
-        scales the total, and formed densely."""
-        return _dense(self.forms.congruence(
-            self.forms.plus_boundary(self.forms.K0)))
+        """The base operator (``base_diagonals``), formed densely."""
+        return _dense(self.base_diagonals())
 
     def reference_operator(self) -> np.ndarray:
         """Self-adjoint unit-diffusion reference with the same form domain,
@@ -166,8 +172,13 @@ class Problem:
         coordinates, extended by zero onto removed Dirichlet nodes."""
         n_nodes = len(self.mesh.nodes)
         table = np.zeros((n_nodes, n_nodes), dtype=complex)
-        idx = np.ix_(self.forms.dof_nodes, self.forms.dof_nodes)
-        table[idx] = self.forms.congruence(R_ortho)
+        # the retained nodes are a contiguous range: the block is a view,
+        # scaled into as ``forms.congruence`` scales, ``(w_i R_ij) w_j``
+        keep = self.forms.dof_nodes
+        block = table[keep[0]:keep[-1] + 1, keep[0]:keep[-1] + 1]
+        winv = self.forms.orthonormal_scaling
+        np.multiply(winv[:, None], R_ortho, out=block)
+        block *= winv[None, :]
         return table
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .matfun import _band_storage, _bandwidths, resolvent
+from .matfun import _band_storage, _operator_band, resolvent
 
 __all__ = [
     "SectorReport",
@@ -73,14 +73,15 @@ def numerical_range_hull(H: np.ndarray) -> SectorReport:
     return SectorReport(gamma=gamma, theta=theta, angles=phis, boundary=pts)
 
 
-def check_m_accretive(H: np.ndarray, zeta_grid) -> tuple[bool, float]:
+def check_m_accretive(H: np.ndarray | tuple,
+                      zeta_grid) -> tuple[bool, float]:
     """Verify the resolvent bound ``||(H + z)^{-1}|| <= 1 / Re z``.
 
-    Returns the verdict together with the worst observed value of
-    ``||(H + z)^{-1}|| * Re z`` over the grid (at most 1 for an m-accretive
-    matrix, up to roundoff).
+    ``H`` is a matrix or the diagonals ``(lo, d, up)`` of a tridiagonal
+    one, as ``resolvent`` takes it.  Returns the verdict together with the
+    worst observed value of ``||(H + z)^{-1}|| * Re z`` over the grid (at
+    most 1 for an m-accretive matrix, up to roundoff).
     """
-    H = np.asarray(H, dtype=complex)
     worst = 0.0
     for zeta in zeta_grid:
         zeta = complex(zeta)
@@ -91,22 +92,26 @@ def check_m_accretive(H: np.ndarray, zeta_grid) -> tuple[bool, float]:
     return bool(worst <= 1.0 + 1e-10), float(worst)
 
 
-def safe_shift(H: np.ndarray) -> float:
+def safe_shift(H: np.ndarray | tuple) -> float:
     """Shift pushing the numerical range into the open right half-plane.
 
     Uses the vertex of the Hermitian part, its lowest eigenvalue, plus a
     unit margin, so ``H + E`` is strictly accretive and principal square
     roots stay off the cut.  The Hermitian part shares the band of ``H``
-    (``matfun._bandwidths``; a dense matrix is its own full band), so the
-    eigenvalue comes from its lower band storage through LAPACK's banded
+    (``matfun._operator_band``): the diagonals ``(lo, d, up)`` of a
+    tridiagonal ``H`` are its (1, 1) band, a matrix's band is read off its
+    nonzero pattern, and a dense matrix is its own full band.  The
+    eigenvalue comes from the lower band storage through LAPACK's banded
     Hermitian eigensolver, in O(n) for the tridiagonal operators of the
     package.
     """
-    H = np.asarray(H, dtype=complex)
-    width = max(_bandwidths(H))
-    # lower band storage of the Hermitian part (H + H^H)/2
+    H, l, u = _operator_band(H)
+    width = max(l, u)
+    # lower band storage of the Hermitian part (H + H^H)/2; the transpose
+    # of diagonals (lo, d, up) has the diagonals (up, d, lo)
     band = 0.5 * (_band_storage(H, width, 0)
-                  + _band_storage(H.T, width, 0).conj())
+                  + _band_storage(H[::-1] if isinstance(H, tuple) else H.T,
+                                  width, 0).conj())
     gamma = float(sla.eigvals_banded(band, lower=True, select="i",
                                      select_range=(0, 0))[0])
     return max(0.0, -gamma) + 1.0

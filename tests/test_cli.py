@@ -351,6 +351,20 @@ class TestVerifyCommands:
             assert table.shape == (81, 4) and np.all(np.isfinite(table)), name
         assert read_manifest(out)["u2_left_value"] == "1"
 
+    @pytest.mark.parametrize("theta_a", ["neumann", "1+0.5i"])
+    def test_kernel_dump_at_a_tiny_shift_is_finite(self, tmp_path, theta_a):
+        # the boundary solution's guard compared 1 - exp(-2 sqrt(E)), about
+        # 2 sqrt(E) near 0, with an absolute 2e-12 and exited 1 calling
+        # z = -1e-30 a Dirichlet eigenvalue, though the lowest is pi^2
+        code, out = run(tmp_path, "o", "kernel-dump", "--theta-a", theta_a,
+                        "--E", "1e-30", "--n", "8")
+        assert code == 0
+        for name in ("green_dirichlet", "green_robin", "sqrt_kernel"):
+            table = np.loadtxt(out / f"{name}.csv", delimiter=",",
+                               skiprows=1)
+            assert table.shape == (81, 4) and np.all(np.isfinite(table)), name
+        assert read_manifest(out)["u2_left_value"] == "1"
+
     def test_verify_krein_at_a_huge_shift_is_a_config_error(self, tmp_path,
                                                             capsys):
         # the finite-element resolvent at z = -1e300 cannot be represented;
@@ -449,18 +463,26 @@ class TestVerifyCommands:
 
     def test_verify_kato_assembles_once_and_solves_once_per_shift(
             self, tmp_path, monkeypatch):
-        problems, bases, direct, on_base, guards = [], [], [], [], []
+        # both operators reach resolvent as their diagonals, each tuple
+        # formed once and passed as it is
+        problems, operators, bases, direct, on_base, guards = (
+            [], [], [], [], [], [])
 
         def capture(cfg):
             problems.append(problem_from(cfg))
             return problems[-1]
 
+        def counting_diagonals(prob):
+            operators.append(diagonals(prob))
+            return operators[-1]
+
         def counting_base(prob):
-            bases.append(base_operator(prob))
+            bases.append(base_diagonals(prob))
             return bases[-1]
 
         def counting_resolvent(H, z):
-            direct.append(any(H is prob.H for prob in problems))
+            direct.append(next((k for k, band in enumerate(operators)
+                                if H is band), None))
             on_base.append(any(H is H0 for H0 in bases))
             return resolvent(H, z)
 
@@ -468,9 +490,10 @@ class TestVerifyCommands:
             guards.append(M.shape)
             return spectral_norm(M)
 
-        base_operator = Problem.base_operator
+        diagonals, base_diagonals = Problem.diagonals, Problem.base_diagonals
         monkeypatch.setattr(cli, "problem_from", capture)
-        monkeypatch.setattr(Problem, "base_operator", counting_base)
+        monkeypatch.setattr(Problem, "diagonals", counting_diagonals)
+        monkeypatch.setattr(Problem, "base_diagonals", counting_base)
         # every binding of the one resolvent and the one power iteration,
         # whichever module calls it
         counted = {resolvent: counting_resolvent, spectral_norm: counting_norm}
@@ -481,14 +504,17 @@ class TestVerifyCommands:
                     monkeypatch.setattr(module, attr, counted[value])
         code, _ = run(tmp_path, "o", "verify-kato", "--n", "16")
         assert code == 0 and len(problems) == 1
-        assert len(bases) == 1 and sum(direct) == 3
+        # the direct solves share one tuple of the operator's diagonals
+        assert len(bases) == 1
+        assert len({k for k in direct if k is not None}) == 1
+        assert sum(k is not None for k in direct) == 3
         # both factored paths start from the one base resolvent of a shift,
         # and no factored core goes through resolvent
         assert sum(on_base) == 3 and len(direct) == 6
         # one conditioning guard per factored core: three cores per shift,
         # each on the n x n matrix that is factored, not the m x m core
         assert len(guards) == 9
-        dofs = problems[0].H.shape[0]
+        dofs = problems[0].forms.n_dof
         assert set(guards) == {(dofs, dofs)}
 
     def test_decay_csv_columns(self, tmp_path):

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               _dense, build_mesh)
 from sqrtdom import kato, matfun
-from sqrtdom.checks import decay_suite, failed
+from sqrtdom.checks import decay_suite, failed, krein_suite
 from sqrtdom.domains import thmA1_decay
 from sqrtdom.kato import (AdmissibilityError, FactoredPerturbation,
                           TwoStepResolvent, _InvSqrtShifted,
@@ -421,6 +421,31 @@ class TestSolveCore:
                 scales.pop(), np.linalg.norm(ImK) * np.linalg.norm(Y),
                 rtol=1e-12)
 
+    @pytest.mark.parametrize("bc_left", [DIR, NEU])
+    def test_residual_norms_form_no_m_row_product(self, bc_left,
+                                                  monkeypatch):
+        # ||A D||_F and ||A Z||_F add the blocks' squared norms, a Dirichlet
+        # end's removed node read as zero, with no product of all m rows
+        rng = np.random.default_rng(13)
+        prob = make_problem("sawtooth", n=30, bc_left=bc_left)
+        n = prob.forms.n_dof
+        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for variant in kato.VARIANTS:
+            fact = build_factorization(prob, variant)
+            for F in (fact.A, fact.B):
+                np.testing.assert_allclose(
+                    kato._times_norm(F, X),
+                    np.linalg.norm(kato._times(F, X)), rtol=1e-14)
+
+        def no_stacked_product(F, X):
+            raise AssertionError("a product with m rows formed")
+
+        monkeypatch.setattr(kato, "_times", no_stacked_product)
+        R0 = resolvent(prob.base_diagonals(), -40.0)
+        R = kato._solve_core(R0, build_factorization(prob, "full_triple"),
+                             -40.0, "")
+        assert np.all(np.isfinite(R))
+
     def test_tall_pair_forms_no_m_by_m_array(self):
         # m = 6n: the core's peak allocation stays below one m x m complex
         # array (the parent formed I - K and read 1.92 times that)
@@ -445,6 +470,23 @@ class TestSolveCore:
         R_direct = resolvent(H0 + perturbation(fact), z)
         assert (np.linalg.norm(R - R_direct) / np.linalg.norm(R_direct)
                 <= 1e-12)
+
+
+def test_verdicts_form_no_dense_operator(monkeypatch):
+    # verify-kato and verify-krein's ladder solve from the diagonals of the
+    # operator and of its base: a read of the dense H fails
+    def no_dense(prob):
+        raise AssertionError("Problem.H formed")
+
+    monkeypatch.setattr(Problem, "H", property(no_dense))
+    prob = make_problem("sawtooth", n=24, bc_left=NEU)
+    rep = verify_identity(prob)
+    assert not rep["excluded"] and max(rep["max_error"].values()) <= 1e-9
+    closure = TwoStepResolvent(prob)
+    R = closure(-40.0, resolvent(closure.H0, -40.0))
+    assert np.all(np.isfinite(R))
+    suite = krein_suite(0.0, 1.0, -5.0, (16, 32), 16, 25.0, [25.0])
+    assert suite["min_order"] >= 1.8
 
 
 class TestTwoStep:

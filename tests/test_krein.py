@@ -77,6 +77,29 @@ class TestU2ClosedForm:
         with pytest.raises(ZeroDivisionError):
             u2_closed_form(np.pi ** 2, 0.5, A, B)
 
+    @pytest.mark.parametrize("z", [np.pi ** 2, 4 * np.pi ** 2,
+                                   np.pi ** 2 * (1 + 1e-13),
+                                   9 * np.pi ** 2 * (1 - 1e-13)])
+    def test_eigenvalues_within_roundoff_rejected(self, z):
+        with pytest.raises(ZeroDivisionError, match="Dirichlet eigenvalue"):
+            u2_closed_form(z, 0.5, A, B)
+
+    @pytest.mark.parametrize("z", [-1e-26, 1e-26, -1e-30, 1e-30j, 1e-300])
+    def test_shift_near_zero_reads_the_linear_limit(self, z):
+        # the guard compared |1 - exp(-2 sqrt(-z))|, about 2 sqrt(|z|) near
+        # 0, with an absolute 2e-12, and raised here, though the lowest
+        # Dirichlet eigenvalue is pi^2
+        x = np.linspace(A, B, 11)
+        got = u2_closed_form(z, x, A, B)
+        assert np.max(np.abs(got - (B - x) / (B - A))) <= 4e-16
+
+    def test_zero_shift_is_the_limit(self):
+        x = np.linspace(-1.0, 2.0, 7)
+        got = u2_closed_form(0.0, x, -1.0, 2.0)
+        assert got.dtype == complex
+        np.testing.assert_array_equal(got, (2.0 - x) / 3.0)
+        assert u2_closed_form(0.0, 0.25, A, B) == 0.75
+
 
 class TestDTheta:
     def test_neumann_closed_form(self):

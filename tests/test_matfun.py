@@ -9,6 +9,10 @@ from sqrtdom.matfun import (QuadratureSpec, ResolventError,
                             _require_off_cut, frac_power_quad, is_hermitian,
                             power_norms, power_start, resolvent,
                             spectral_norm, sqrt_db, trace_det_check)
+from sqrtdom.assembly import IntervalSpec
+from sqrtdom.cli import parse_theta
+from sqrtdom.problems import FAMILY_NAMES, make_problem
+from sqrtdom.sectorial import check_m_accretive, safe_shift
 
 
 def random_accretive(n, seed, shift=1.0):
@@ -131,6 +135,60 @@ class TestBandedResolvent:
         R = resolvent(H, -4.0)
         assert (np.linalg.norm(R - expected)
                 <= 1e-13 * np.linalg.norm(expected))
+
+
+BAND_INTERVALS = {"finite": None,
+                  "half_line": ("half_line", 10.0),
+                  "full_line": ("full_line", 10.0)}
+BAND_ENDS = {"dirichlet": ("dirichlet", "dirichlet"),
+             "neumann": ("neumann", "dirichlet"),
+             "robin_neumann": ("1+0.5i", "neumann")}
+
+
+def band_problem(family, interval, ends, n=32):
+    spec = BAND_INTERVALS[interval]
+    left, right = BAND_ENDS[ends]
+    return make_problem(family, spec and IntervalSpec(
+        spec[0], truncation_radius=spec[1]), n=n, bc_left=parse_theta(left),
+                        bc_right=parse_theta(right))
+
+
+class TestBandInput:
+    """An operator given as its diagonals ``(lo, d, up)`` reaches the same
+    band storage, and so the same LAPACK calls, as its dense matrix."""
+
+    @pytest.mark.parametrize("ends", sorted(BAND_ENDS))
+    @pytest.mark.parametrize("interval", sorted(BAND_INTERVALS))
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_matches_dense_input_bit_for_bit(self, family, interval, ends):
+        prob = band_problem(family, interval, ends)
+        for band, dense in ((prob.diagonals(), prob.H),
+                            (prob.base_diagonals(), prob.base_operator()),
+                            (prob.reference_diagonals(),
+                             prob.reference_operator())):
+            E = safe_shift(band)
+            assert E == safe_shift(dense)
+            for z in (-E, -2 * E + 3j * E):
+                got, want = resolvent(band, z), resolvent(dense, z)
+                assert got.tobytes() == want.tobytes()
+        assert (check_m_accretive(prob.diagonals(), [E, 1 + 2j * E])
+                == check_m_accretive(prob.H, [E, 1 + 2j * E]))
+
+    def test_one_unknown_matches_dense_input(self):
+        prob = make_problem("complex_constant", n=2)
+        assert prob.H.shape == (1, 1)
+        got, want = resolvent(prob.diagonals(), -3.0), resolvent(prob.H, -3.0)
+        assert got.tobytes() == want.tobytes()
+        assert safe_shift(prob.diagonals()) == safe_shift(prob.H)
+
+    def test_diagonals_take_no_pattern_scan(self, monkeypatch):
+        def no_scan(H):
+            raise AssertionError("nonzero pattern read")
+
+        monkeypatch.setattr(matfun, "_bandwidths", no_scan)
+        prob = band_problem("sawtooth", "half_line", "neumann")
+        band = prob.diagonals()
+        assert np.all(np.isfinite(resolvent(band, -safe_shift(band))))
 
 
 class TestSqrtDb:
