@@ -19,9 +19,9 @@ from .domains import thmA1_decay
 from .formbounds import check_form_bound, check_trudinger, locunif_norms
 from .kato import (VARIANTS, _InvSqrtShifted, build_factorization,
                    decay_profile)
-from .krein import (_k0, bessel_bound_check, bessel_k0_quad,
-                    krein_resolvent, sqrt_kernel)
-from .matfun import resolvent, trace_det_check
+from .krein import (_coupling, _k0, _subtract_coupling, bessel_bound_check,
+                    bessel_k0_quad, sqrt_kernel)
+from .matfun import _blocks, resolvent, trace_det_check
 from .problems import Problem
 
 __all__ = ["TOL_KATO", "TOL_ORDER", "TOL_SLOPE", "TOL_PLATEAU", "TOL_SLACK",
@@ -65,35 +65,17 @@ def krein_suite(a: float, b: float, z: float, n_list, n: int, E: float,
     """Rank-one resolvent convergence, the square-root kernel's Dirichlet
     row, its Macdonald envelope, and the two-method K0 agreement.
 
-    The ladder ``n_list`` is judged coarse to fine, whatever its order.
-    Its finite-element resolvents are solved from each operator's
-    diagonals, so no dense operator is formed.
-    ``errors`` holds ``(theta label, n, max kernel error)`` rows, ``bessel``
-    ``(E, record)`` pairs from ``bessel_bound_check``.
+    The ladder ``n_list`` is judged coarse to fine, whatever its order, one
+    level at a time (``_krein_level``), so that no level's tables outlive
+    it.  ``errors`` holds ``(theta label, n, max kernel error)`` rows,
+    ``bessel`` ``(E, record)`` pairs from ``bessel_bound_check``.
     """
     n_list = sorted(n_list)
     interval = IntervalSpec("finite", a, b)
-    dirichlet = BoundaryCondition.dirichlet()
     errs = {label: [] for label, _ in KREIN_THETAS}
     for m in n_list:
-        mesh = build_mesh(interval, m)
-        coeffs = CoefficientSet.from_callables(mesh, p=1.0)
-
-        def kernel(left):
-            prob = Problem(interval, mesh, coeffs, left, dirichlet)
-            return prob.kernel_table(resolvent(prob.diagonals(), z))
-
-        def max_error(th):
-            # each table goes on return; the error overwrites the
-            # corrected one
-            table = kernel(th)
-            err = krein_resolvent(dir_table, z, th, mesh)
-            err -= table
-            return float(np.max(np.abs(err)))
-
-        dir_table = kernel(dirichlet)
-        for label, th in KREIN_THETAS:
-            errs[label].append(max_error(th))
+        for label, err in _krein_level(interval, m, z):
+            errs[label].append(err)
     min_order = min(float(np.log2(e1 / e2)) for e in errs.values()
                     for e1, e2 in zip(e, e[1:]))
     errors = [(label, m, err) for label, e in errs.items()
@@ -121,6 +103,48 @@ def krein_suite(a: float, b: float, z: float, n_list, n: int, E: float,
                        "macdonald-two-method": k0_diff <= TOL_K0}}
 
 
+def _krein_level(interval: IntervalSpec, m: int, z: float) -> list:
+    """``(theta label, max kernel error)`` of each of ``KREIN_THETAS`` on
+    ``m`` cells of ``interval``: the finite-element kernel table against
+    Krein's correction of the Dirichlet one.
+
+    The resolvents are solved from each operator's diagonals, so no dense
+    operator is formed, and at most two kernel tables are held: the
+    Dirichlet one, and per theta the finite-element resolvent, scaled in
+    place into its table's retained block (``Problem.kernel_block``).
+    Every theta keeps the node a, so that block leads the table.  The error
+    is taken one row block at a time (``matfun._blocks``): Krein's term
+    (``krein._coupling``) is subtracted in place from a copy of the
+    Dirichlet rows (``krein._subtract_coupling``, as ``krein_resolvent``
+    subtracts it), then the finite-element rows.
+    """
+    mesh = build_mesh(interval, m)
+    coeffs = CoefficientSet.from_callables(mesh, p=1.0)
+    dirichlet = BoundaryCondition.dirichlet()
+
+    def problem(left):
+        return Problem(interval, mesh, coeffs, left, dirichlet)
+
+    def max_error(th):
+        # the finite-element block and the shift's coupling go on return
+        coupling = _coupling(z, th, mesh)
+        prob = problem(th)
+        fe = prob.kernel_block(resolvent(prob.diagonals(), z))
+        worst = 0.0
+        for rows in _blocks(m + 1, m + 1):
+            err = _subtract_coupling(dir_table[rows].copy(), rows.start,
+                                     coupling)
+            fe_rows = fe[rows]
+            err[:len(fe_rows), :fe.shape[1]] -= fe_rows
+            # np.maximum keeps a nan, which max() would drop
+            worst = np.maximum(worst, np.max(np.abs(err)))
+        return float(worst)
+
+    prob = problem(dirichlet)
+    dir_table = prob.kernel_table(resolvent(prob.diagonals(), z))
+    return [(label, max_error(th)) for label, th in KREIN_THETAS]
+
+
 def trace_suite(seed: int) -> dict:
     """The determinant-trace identity: a closed-form 2x2 case, and the
     step-halving ratios (near 4 at second order) of a seeded 6x6 case.
@@ -129,7 +153,7 @@ def trace_suite(seed: int) -> dict:
     """
     rng = np.random.default_rng(seed)
     A0 = np.diag([1.0 + 0j, 2.0])
-    A = A0 + 0.1 * np.outer([1.0, 0.0], [1.0, 0.0])
+    A = A0 + np.diag([0.1, 0.0])  # the rank-one 0.1 e1 e1^T
     closed = trace_det_check(A, A0, -1.0, h=1e-5)
 
     B = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,8 @@ from .checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU, TOL_SLACK,
 from .domains import refinement_study
 from .kato import (PATHS, _InvSqrtShifted, build_factorization,
                    decay_profile, verify_identity)
-from .krein import (green_kernel_dirichlet, krein_resolvent, sqrt_kernel,
-                    u2_closed_form, d_theta)
+from .krein import (SharedSpectrumError, green_kernel_dirichlet,
+                    krein_resolvent, sqrt_kernel, u2_closed_form, d_theta)
 from .matfun import (ResolventError, ShiftBelowSpectrumError,
                      SpectrumOnCutError, resolvent)
 from .problems import (FAMILY_NAMES, Problem, build_coefficients,
@@ -319,12 +320,30 @@ def cmd_verify_kato(cfg: dict, outdir: Path) -> int:
                       "excluded_points": len(rep["excluded"])})
 
 
+@contextmanager
+def _krein_guards(cfg: dict, E: float):
+    """Report Krein's guards on ``[a, b]`` at the shift ``z = -E`` as
+    configuration errors: a shared spectrum names ``--E``, and a coupling
+    denominator or square-root quadrature that is not finite (``sqrt(E)
+    (b - a)`` or the mesh width below double precision) the interval."""
+    try:
+        yield
+    except SharedSpectrumError as exc:
+        raise ConfigError(f"--E {E:g}: z = {-E:g} lies in the spectra of "
+                          f"both realizations ({exc}); change --E") from exc
+    except FloatingPointError as exc:
+        raise ConfigError(f"a finite interval with --a {cfg['a']!r} --b "
+                          f"{cfg['b']!r} is too short: {exc}") from exc
+
+
 def cmd_verify_krein(cfg: dict, outdir: Path) -> int:
     z = -(cfg["E"] or 5.0)
     try:
-        suite = krein_suite(cfg["a"], cfg["b"], z,
-                            cfg["n_list"] or [64, 128, 256], cfg["n"],
-                            cfg["E"] or 25.0, cfg["E_grid"] or [25.0, 100.0])
+        with _krein_guards(cfg, -z):
+            suite = krein_suite(cfg["a"], cfg["b"], z,
+                                cfg["n_list"] or [64, 128, 256], cfg["n"],
+                                cfg["E"] or 25.0,
+                                cfg["E_grid"] or [25.0, 100.0])
     except ResolventError as exc:
         # z = -E lies left of the spectrum, so only the shift's size can
         # make the finite-element resolvent fail
@@ -426,19 +445,23 @@ def cmd_kernel_dump(cfg: dict, outdir: Path) -> int:
     z = -E
     th = parse_theta(cfg["theta_a"])
     X, Xp = np.meshgrid(mesh.nodes, mesh.nodes, indexing="ij")
-    green_dir = green_kernel_dirichlet(z, X, Xp, cfg["a"], cfg["b"])
-    csvio.write_kernel(outdir / "green_dirichlet.csv", mesh.nodes, green_dir)
+    # every table is computed before any is written, so a guard that
+    # refuses the input leaves no CSV
+    tables = {"green_dirichlet": green_kernel_dirichlet(z, X, Xp, cfg["a"],
+                                                        cfg["b"])}
     checks = {"green-kernel": None}
     extra = {"E": E, "n": cfg["n"]}
     if not th.is_dirichlet:
-        robin = krein_resolvent(green_dir, z, th, mesh)
-        csvio.write_kernel(outdir / "green_robin.csv", mesh.nodes, robin)
-        csvio.write_kernel(outdir / "sqrt_kernel.csv", mesh.nodes,
-                           sqrt_kernel(E, th, mesh))
+        with _krein_guards(cfg, E):
+            tables["green_robin"] = krein_resolvent(
+                tables["green_dirichlet"], z, th, mesh)
+            tables["sqrt_kernel"] = sqrt_kernel(E, th, mesh)
         checks |= dict.fromkeys(("rank-one-corrected-green", "sqrt-kernel"))
         extra["coupling_denominator"] = abs(d_theta(z, th, cfg["a"], cfg["b"]))
         extra["u2_left_value"] = abs(u2_closed_form(z, cfg["a"], cfg["a"],
                                                     cfg["b"]))
+    for name, table in tables.items():
+        csvio.write_kernel(outdir / f"{name}.csv", mesh.nodes, table)
     return _manifest(outdir, cfg, "kernel-dump", checks, extra)
 
 

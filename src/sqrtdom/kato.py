@@ -23,9 +23,11 @@ push-through identity ``(I_m + A W)^{-1} A = A (I_n + W A)^{-1}`` with
 ``W = R0 B^H`` (``_solve_core``), and checks it by the residual of the m x m
 system applied exactly.  Everything m-dimensional that the check reads,
 ``||I - K||_F`` included, comes from the three products, and the residual's
-two norms from the blocks of the cell layout one at a time
-(``_times_norm``), so no array with m rows is formed, no m x m array and
-no m x n factor.  A shift where
+two norms from the blocks of the cell layout one at a time, each on one
+column block of its operand (``_times_norm``), so no array with m rows is
+formed, no m x m array and no m x n factor.  Each core takes its trace term
+first, while its input resolvent is its only n x n array, and holds at
+most ``X``, ``X^{-1}`` and ``Z`` beside it.  A shift where
 ``X = I_n + W A`` is singular, or within roundoff of it by a conditioning
 guard on ``X``, is inadmissible (``AdmissibilityError``): ``X`` and
 ``I - K`` are singular at the same z, and each inverse bounds the other.
@@ -41,9 +43,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from .assembly import _cell_sum, _trim
-from .matfun import (_band_matmul, _diagonals, _gauge, _principal_sqrt,
-                     _require_shifted, _residual_fails, is_hermitian,
-                     power_norms, power_start, resolvent, spectral_norm)
+from .matfun import (_band_matmul, _blocks, _diagonals, _gauge,
+                     _principal_sqrt, _require_shifted, _residual_fails,
+                     _squared_norm, is_hermitian, power_norms, power_start,
+                     resolvent, spectral_norm)
 from .problems import Problem
 from .sectorial import safe_shift
 
@@ -100,25 +103,25 @@ def _times(F, X: np.ndarray) -> np.ndarray:
 
 def _times_norm(F: tuple, X: np.ndarray) -> float:
     """``||F X||_F`` for a factor ``(cells, nodes, keep)`` of a pair, from
-    the blocks of ``_times``, each written in turn into one work array of
-    the rows of a block, so that no array with the m rows of ``F`` is
-    formed.  The squared norms of the blocks add in block order."""
+    the blocks of ``_times`` taken on one column block of ``X`` at a time
+    (``matfun._blocks``), so that no array with the m rows of ``F`` is
+    formed and the padded copy of ``X`` and each product are one column
+    block.  The squared norms add column block by column block, and within
+    one in block order."""
     cells, nodes, keep = F
     n = cells.shape[1]
-    Xn = X
-    if keep.size < n + 1:
-        Xn = np.zeros((n + 1, X.shape[1]), dtype=X.dtype)
-        Xn[keep[0]:keep[-1] + 1] = X
-    work = np.empty((max(n, keep.size), X.shape[1]),
-                    dtype=np.result_type(cells, X))
     total = 0.0
-    for left, right in cells.transpose(0, 2, 1):
-        rows = np.multiply(left[:, None], Xn[:-1], out=work[:n])
-        rows += right[:, None] * Xn[1:]
-        total += np.vdot(rows, rows).real
-    for values in nodes:
-        rows = np.multiply(values[:, None], X, out=work[:keep.size])
-        total += np.vdot(rows, rows).real
+    for cols in _blocks(X.shape[1], n + 1):
+        Xc = Xn = X[:, cols]
+        if keep.size < n + 1:
+            Xn = np.zeros((n + 1, Xc.shape[1]), dtype=X.dtype)
+            Xn[keep[0]:keep[-1] + 1] = Xc
+        for left, right in cells.transpose(0, 2, 1):
+            rows = left[:, None] * Xn[:-1]
+            rows += right[:, None] * Xn[1:]
+            total += _squared_norm(rows)
+        for values in nodes:
+            total += _squared_norm(values[:, None] * Xc)
     return float(np.sqrt(total))
 
 
@@ -278,10 +281,15 @@ def _solve_core(R: np.ndarray, fact: FactoredPerturbation, z: complex,
     So the check compares the same quantities as the explicit m x m system
     in exact arithmetic, while no array with m rows or columns and no
     dense product with inner dimension m is formed: ``||A D||_F`` and
-    ``||A Z||_F`` are taken block by block in the cell layout through one
-    work array of a block's rows (``_times_norm``).  The guard's value
-    below is read before ``D`` is formed, so that ``X^{-1}`` is released
-    first; the residual check still raises before the guard.
+    ``||A Z||_F`` are taken block by block in the cell layout, one column
+    block of ``D`` or ``Z`` at a time (``_times_norm``).
+
+    The order bounds the working set.  The trace term comes first, while
+    ``R`` is the only n x n array: ``R G_B`` whole, then ``G_A R G_B`` by
+    column blocks (``matfun._blocks``), each reduced against the same
+    columns of ``R``.  The guard's value below is read next, before ``Z``
+    is formed, so that ``X^{-1}`` goes once ``Z`` is and ``D`` never meets
+    it; the residual check still raises before the guard.
 
     Backward-stable solves do not flag near-singularity on their own, so the
     admissibility boundary is also detected on the matrix that is factored,
@@ -311,24 +319,26 @@ def _solve_core(R: np.ndarray, fact: FactoredPerturbation, z: complex,
     A = fact.A
     V, GA, GB = fact.products
     n = R.shape[0]
+    # tr(R^H G_A R G_B), with R G_B = (G_B^T R^T)^T
+    RGB = _band_matmul(GB[::-1], 1, 1, R.T).T
+    gram = sum(np.vdot(R[:, cols], _band_matmul(GA, 1, 1, RGB[:, cols])).real
+               for cols in _blocks(n, n))
+    del RGB
     X = _band_matmul(V[::-1], 1, 1, R.T).T  # R V = (V^T R^T)^T
     X[np.diag_indices_from(X)] += 1.0
     Xinv = _inverse(X)
     if Xinv is None:
         raise AdmissibilityError(f"{label}1 in spectrum of K(z) at z = {z}")
-    Z = Xinv @ R
-    # the guard's value, read before D is formed so that X^{-1} goes here;
-    # a non-finite core reads nan, and fails the residual check first
+    # the guard's value, read before Z is formed so that X^{-1} goes once Z
+    # is; a non-finite core reads nan, and fails the residual check first
     with np.errstate(invalid="ignore"):
         guard = spectral_norm(Xinv) * np.linalg.norm(X)
+    Z = Xinv @ R
     del Xinv
     trace_X = np.trace(X).real
     D = X @ Z
     del X
     D -= R
-    # tr(R^H G_A R G_B), with (G_A R) G_B = (G_B^T (G_A R)^T)^T
-    gram = np.vdot(R, _band_matmul(GB[::-1], 1, 1,
-                                   _band_matmul(GA, 1, 1, R).T).T).real
     m = A[0].shape[0] * A[0].shape[1] + A[1].size  # the rows of A
     norm_ImK = np.sqrt(m + 2.0 * (trace_X - n) + gram)
     if _residual_fails(_times_norm(A, D), norm_ImK * _times_norm(A, Z)):
@@ -381,12 +391,14 @@ def _path_errors(H: tuple, closure: TwoStepResolvent,
                  fact: FactoredPerturbation, z: complex) -> dict:
     """The relative Frobenius error of each path of ``verify_identity`` at
     ``z``, keyed by its name in ``PATHS``, against the direct resolvent of
-    the diagonals ``H``.  Each error overwrites its path's resolvent, and
-    the shift's arrays go on return."""
+    the diagonals ``H``.  The two-step path runs first, so that its two
+    cores see no resolvent of the other path; each error overwrites its
+    path's resolvent, and the shift's arrays go on return."""
     R0 = resolvent(closure.H0, z)
+    two_step = closure(z, R0)
     paths = {"full_triple": perturbed_resolvent(R0, fact, z),
-             "two_step": closure(z, R0)}
-    del R0
+             "two_step": two_step}
+    del R0, two_step
     R = resolvent(H, z)
     scale = np.linalg.norm(R)
     for Rp in paths.values():

@@ -7,9 +7,12 @@ realizations, the rank-one resolvent correction, sampled Green and
 square-root kernels, and the Bessel-type envelope of the square-root
 correction.  The boundary solution ``u2`` and the denominator ``d`` are
 each written once, from the root ``sqrt(-z)``, and every Krein kernel is
-the rank-one term ``u2(x) u2(x') / d``.  Expressions are evaluated in
-exponential-ratio form so large shifts never overflow.  The square-root
-integrals run over real spectral arguments ``tau > 0``, where
+the rank-one term ``u2(x) u2(x') / d``.  On a resolvent table that term
+is guarded once (``_coupling``) and subtracted in place, one row block at
+a time (``_subtract_coupling``), by ``krein_resolvent`` and by the
+refinement ladder of ``checks.krein_suite`` alike.  Expressions are
+evaluated in exponential-ratio form so large shifts never overflow.  The
+square-root integrals run over real spectral arguments ``tau > 0``, where
 ``sqrt(tau)`` is real: their Green kernels and boundary solutions are
 evaluated in real arithmetic, and only the coupling denominator at each
 ``tau`` is complex.
@@ -20,17 +23,23 @@ from __future__ import annotations
 import numpy as np
 
 from .assembly import BoundaryCondition, Mesh
-from .matfun import QuadratureSpec, gauss_panels
+from .matfun import QuadratureSpec, _blocks, gauss_panels
 
 __all__ = [
     "u2_closed_form",
     "d_theta",
     "green_kernel_dirichlet",
     "krein_resolvent",
+    "SharedSpectrumError",
     "sqrt_kernel",
     "bessel_bound_check",
     "bessel_k0_quad",
 ]
+
+
+class SharedSpectrumError(ZeroDivisionError):
+    """Raised when the coupling denominator vanishes: ``z`` lies in the
+    spectra of both realizations."""
 
 
 # the split-Gauss rule both square-root integrals use
@@ -138,19 +147,51 @@ def krein_resolvent(R_dir: np.ndarray, z: complex,
     ``R_dir`` is the kernel table of the Dirichlet resolvent on the full
     node grid; the return value is the kernel of the realization with the
     ``theta_a`` condition at the left endpoint (Dirichlet kept at the
-    right).  Aborts when the coupling denominator is numerically zero.
+    right), Krein's term subtracted in place of a copy of ``R_dir`` by
+    ``_subtract_coupling``.  Aborts, before the copy is touched, when the
+    coupling denominator is not finite or numerically zero (``_coupling``).
+    """
+    coupling = _coupling(z, theta_a, mesh)
+    return _subtract_coupling(np.array(R_dir, dtype=complex), 0, coupling)
+
+
+def _coupling(z: complex, theta_a: BoundaryCondition, mesh: Mesh) -> tuple:
+    """Krein's rank-one term ``u2(x) conj(u2_bar(x')) / d`` at ``z`` on the
+    nodes of ``mesh``, as ``(u2, conj(u2_bar), d)``, ``u2_bar`` the boundary
+    solution at ``conj(z)``.
+
+    Raises ``FloatingPointError`` when ``d`` is not finite, which happens
+    once ``sqrt(-z) (b - a)`` is below double precision, and
+    ``SharedSpectrumError`` when ``|d|`` is below ``1e-12`` times
+    ``1 + |u2'(a)|``, ``|u2'(a)| = |d - cot(theta_a)|``.
     """
     a, b = mesh.a, mesh.b
     d = d_theta(z, theta_a, a, b)
-    # scaled by |u2'(a)| = |d - cot(theta_a)|
-    if abs(d) < 1e-12 * (1.0 + abs(d - theta_a.cot())):
-        raise ZeroDivisionError("shared spectrum: coupling denominator vanishes")
-    u2 = u2_closed_form(z, mesh.nodes, a, b)
-    u2_bar = u2_closed_form(np.conj(complex(z)), mesh.nodes, a, b)
-    # the correction, then the table, each written in place
-    out = np.outer(u2, np.conj(u2_bar))
-    out /= d
-    return np.subtract(R_dir, out, out=out)
+    if not np.isfinite(d):
+        raise FloatingPointError(
+            f"the coupling denominator at z = {z} is not finite: "
+            f"sqrt(-z) (b - a) = {abs(np.sqrt(-complex(z))) * (b - a):.3g} "
+            f"is below double precision")
+    if not abs(d) >= 1e-12 * (1.0 + abs(d - theta_a.cot())):
+        raise SharedSpectrumError(
+            "shared spectrum: coupling denominator vanishes")
+    return (u2_closed_form(z, mesh.nodes, a, b),
+            np.conj(u2_closed_form(np.conj(complex(z)), mesh.nodes, a, b)), d)
+
+
+def _subtract_coupling(table: np.ndarray, first: int,
+                       coupling: tuple) -> np.ndarray:
+    """Subtract Krein's rank-one term ``coupling`` (``_coupling``) in place
+    from ``table``, whose rows are the nodes ``first``, ``first + 1``, ...
+    of a kernel table, one row block at a time (``matfun._blocks``): each
+    entry is ``table - (u2(x) conj(u2_bar(x'))) / d``.  Returns ``table``."""
+    u2, conj_u2_bar, d = coupling
+    for rows in _blocks(table.shape[0], table.shape[1]):
+        term = np.multiply.outer(u2[first + rows.start:first + rows.stop],
+                                 conj_u2_bar)
+        term /= d
+        table[rows] -= term
+    return table
 
 
 def sqrt_kernel(E: float, theta_a: BoundaryCondition,

@@ -269,6 +269,27 @@ def _gauge(band: tuple) -> tuple | None:
     return np.cumprod(g), d[ref], e[0], mu, V, corner
 
 
+# Entries of one block of a product that is only reduced to a norm: its
+# transient arrays stay a small share of an n x n one.
+_NORM_BLOCK_ENTRIES = 2 ** 11
+
+
+def _blocks(count: int, length: int):
+    """Slices that cover ``range(count)`` in order, each of at most
+    ``_NORM_BLOCK_ENTRIES // length`` indices and at least one: the column
+    blocks of an array whose columns hold ``length`` entries each, or its
+    row blocks."""
+    step = max(1, _NORM_BLOCK_ENTRIES // length)
+    return (slice(j, min(j + step, count)) for j in range(0, count, step))
+
+
+def _squared_norm(X: np.ndarray) -> float:
+    """``||X||_F^2``, read in memory order: no copy of a contiguous block
+    of either layout."""
+    flat = X.ravel(order="K")
+    return np.vdot(flat, flat).real
+
+
 def _operator_band(H: np.ndarray | tuple) -> tuple:
     """``(H, l, u)``: ``H`` in complex with its bandwidths, read off a
     matrix's nonzero pattern (``_bandwidths``).  The diagonals
@@ -291,7 +312,9 @@ def resolvent(H: np.ndarray | tuple, z: complex) -> np.ndarray:
     tridiagonal operators of the package, ``gbsv`` otherwise, in
     O((l + u) n^2) against the O(n^3) of a dense solve.  The residual
     ``||(H - z) R - I||_F`` goes through the same bands, one slice product
-    per diagonal (``_band_matmul``), and must stay within
+    per diagonal (``_band_matmul``), by column blocks of ``R``
+    (``_blocks``), whose squared norms add in column order, so that ``R``
+    is the only n x n array.  It must stay within
     ``_RESIDUAL_TOL max(1, ||H - z||_F ||R||_F)``.
 
     Raises ``ResolventError`` if the shifted matrix is singular, reporting
@@ -312,12 +335,17 @@ def resolvent(H: np.ndarray | tuple, z: complex) -> np.ndarray:
                                  overwrite_b=True, check_finite=False)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise ResolventError(f"z = {z} lies in the spectrum") from exc
-    AR = _band_matmul(ab, l, u, R)
-    AR[np.diag_indices(n)] -= 1.0
+    # the residual by column blocks: R is the only n x n array
+    squares = 0.0
+    for cols in _blocks(n, n):
+        block = _band_matmul(ab, l, u, R[:, cols])
+        k = np.arange(block.shape[1])
+        block[cols.start + k, k] -= 1.0
+        squares += _squared_norm(block)
+    residual = np.sqrt(squares)
     # an estimate that overflows, or reads inf * 0 = nan, fails below
     with np.errstate(over="ignore", invalid="ignore"):
         cond_est = np.linalg.norm(ab) * np.linalg.norm(R)
-    residual = np.linalg.norm(AR)
     if _residual_fails(residual, np.maximum(1.0, cond_est)):
         raise ResolventError(
             f"resolvent residual {residual:.2e} fails against the condition "

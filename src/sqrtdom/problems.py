@@ -167,18 +167,25 @@ class Problem:
         acc[1:] += cells * h / 2
         return acc[self.forms.dof_nodes] / self.forms.lumped_weights
 
+    def kernel_block(self, R_ortho: np.ndarray) -> np.ndarray:
+        """Two-point kernel samples at the retained nodes of an operator
+        given in orthonormal coordinates, scaled in place of ``R_ortho`` as
+        ``forms.congruence`` scales, ``(w_i R_ij) w_j``."""
+        winv = self.forms.orthonormal_scaling
+        np.multiply(winv[:, None], R_ortho, out=R_ortho)
+        R_ortho *= winv[None, :]
+        return R_ortho
+
     def kernel_table(self, R_ortho: np.ndarray) -> np.ndarray:
         """Two-point kernel samples of an operator given in orthonormal
-        coordinates, extended by zero onto removed Dirichlet nodes."""
+        coordinates on all nodes: ``kernel_block``, which overwrites
+        ``R_ortho``, extended by zero onto removed Dirichlet nodes."""
         n_nodes = len(self.mesh.nodes)
         table = np.zeros((n_nodes, n_nodes), dtype=complex)
-        # the retained nodes are a contiguous range: the block is a view,
-        # scaled into as ``forms.congruence`` scales, ``(w_i R_ij) w_j``
+        # the retained nodes are a contiguous range
         keep = self.forms.dof_nodes
-        block = table[keep[0]:keep[-1] + 1, keep[0]:keep[-1] + 1]
-        winv = self.forms.orthonormal_scaling
-        np.multiply(winv[:, None], R_ortho, out=block)
-        block *= winv[None, :]
+        table[keep[0]:keep[-1] + 1, keep[0]:keep[-1] + 1] = (
+            self.kernel_block(R_ortho))
         return table
 
 

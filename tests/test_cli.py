@@ -376,6 +376,38 @@ class TestVerifyCommands:
         assert "--E 1e+300" in capsys.readouterr().err
         assert not (out / "krein_errors.csv").exists()
 
+    @pytest.mark.parametrize("args, interval", [
+        ("--b 1e-300", "--a 0.0 --b 1e-300"),
+        ("--b 1e-200", "--a 0.0 --b 1e-200"),
+        ("--E 1e-40", "--a 0.0 --b 1.0")])
+    def test_kernel_dump_below_double_precision_is_a_config_error(
+            self, tmp_path, capsys, args, interval):
+        # sqrt(E) (b - a) below double precision gave a coupling denominator
+        # of -inf + nan i, which the shared-spectrum guard passed: the
+        # first two wrote green_robin.csv full of nan and exited 1 blaming
+        # the square-root quadrature, the third exited 0
+        with np.errstate(all="ignore"):
+            code, out = run(tmp_path, "o", "kernel-dump", "--n", "8",
+                            "--theta-a", "neumann", *args.split())
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"a finite interval with {interval} is too short" in err, err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["verify-krein", "kernel-dump"])
+    def test_shared_spectrum_is_a_config_error(self, tmp_path, capsys,
+                                               command):
+        # at E = 1 on [-3, 50] the quarter_pi end, cot = 1, meets
+        # sqrt(E) coth(53 sqrt(E)) = 1: the run exited 1 as a failed guard
+        theta = ("--theta-a", "0.7853981633974483") * (command
+                                                       == "kernel-dump")
+        code, out = run(tmp_path, "o", command, "--E", "1", "--a", "-3",
+                        "--b", "50", *theta)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--E 1: z = -1 lies in the spectra of both" in err, err
+        assert not list(out.glob("*.csv"))
+
     def test_verify_krein_reads_its_ladder_coarse_to_fine(self, tmp_path):
         # the ladder was judged in the order typed: 16,8 read
         # min_observed_order = -2 and failed rank-one convergence

@@ -413,6 +413,12 @@ class TestSolveCore:
                                        B=scaled(tall_factor(rng, n), 1 / n)))]
         cases += [(R0, build_factorization(prob, variant))
                   for variant in kato.VARIANTS]
+        # 119 unknowns: the trace term and the residual norms run over
+        # several column blocks
+        prob, T0 = setup_pair("sawtooth", n=120)
+        cases += [(resolvent(T0, -30.0 + 5.0j),
+                   build_factorization(prob, "full_triple"))]
+        assert len(list(matfun._blocks(119, 119))) > 1
         for R, fact in cases:
             kato._solve_core(R, fact, -1.0, "")
             ImK, _ = explicit_core(R, fact)
@@ -487,6 +493,40 @@ def test_verdicts_form_no_dense_operator(monkeypatch):
     assert np.all(np.isfinite(R))
     suite = krein_suite(0.0, 1.0, -5.0, (16, 32), 16, 25.0, [25.0])
     assert suite["min_order"] >= 1.8
+
+
+@pytest.mark.parametrize("bc_left", [DIR, NEU, BoundaryCondition(1 + 0.5j)],
+                         ids=["dirichlet", "neumann", "complex"])
+def test_verify_identity_holds_five_dense_arrays(bc_left):
+    # the peak is R0, R1, X, X^{-1} and Z of the two-step path's second
+    # core; the trace term's products, the residual's padded copy and a
+    # full-triple resolvent beside the two-step cores read 9.1 of them
+    prob = make_problem("sawtooth", n=150, bc_left=bc_left)
+    n = prob.forms.n_dof
+    tracemalloc.start()
+    try:
+        rep = verify_identity(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep["excluded"] and max(rep["max_error"].values()) <= 1e-9
+    assert peak < 6 * n * n * np.dtype(complex).itemsize
+
+
+def test_krein_ladder_holds_two_tables():
+    # the Dirichlet table and one finite-element resolvent: the correction,
+    # the corrected table, the finite-element table and its error each
+    # were one more, and the peak read 4.35 tables of 257^2 entries
+    krein_suite(0.0, 1.0, -5.0, (8, 16), 8, 25.0, [25.0])
+    tracemalloc.start()
+    try:
+        suite = krein_suite(0.0, 1.0, -5.0, (64, 128, 256), 16, 25.0,
+                            [25.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert suite["checks"]["rank-one-resolvent-convergence"]
+    assert peak < 2.5 * 257 ** 2 * np.dtype(complex).itemsize
 
 
 class TestTwoStep:

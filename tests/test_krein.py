@@ -199,6 +199,74 @@ class TestKreinResolvent:
         assert np.max(np.abs(got - got.T)) <= 1e-10
 
 
+    @pytest.mark.parametrize("z", [-5.0, 3.0 + 2.0j])
+    @pytest.mark.parametrize("theta", [np.pi / 2, 0.9, 1 + 0.5j])
+    def test_in_place_correction_is_the_outer_product_bitwise(self, z,
+                                                              theta):
+        # the row blocks subtract in place what the whole outer product
+        # subtracted, entry for entry
+        th = BoundaryCondition(theta)
+        mesh, _, table = discrete_kernel(160, z, DIR)
+        u2 = u2_closed_form(z, mesh.nodes, A, B)
+        u2_bar = u2_closed_form(np.conj(z), mesh.nodes, A, B)
+        term = np.outer(u2, np.conj(u2_bar))
+        term /= d_theta(z, th, A, B)
+        got = krein_resolvent(table, z, th, mesh)
+        assert np.array_equal(got, table - term)
+        assert len(list(krein._blocks(161, 161))) > 1
+
+    def test_ladder_errors_are_the_whole_tables_bitwise(self):
+        # krein_suite's level holds two tables and takes its error by row
+        # blocks: the same maxima as the whole corrected and finite-element
+        # tables give
+        z, m = -5.0, 96
+        got = dict(checks._krein_level(IntervalSpec("finite", A, B), m, z))
+        for label, th in checks.KREIN_THETAS:
+            mesh, _, dir_table = discrete_kernel(m, z, DIR)
+            _, _, fe_table = discrete_kernel(m, z, th)
+            expected = np.max(np.abs(krein_resolvent(dir_table, z, th, mesh)
+                                     - fe_table))
+            assert got[label] == expected, label
+
+    def test_ladder_error_keeps_a_nan_row_block(self, monkeypatch):
+        # the error is a maximum over row blocks: one nan entry makes the
+        # level's error nan, as the whole table's maximum was, so the
+        # convergence check cannot read a finite order past it
+        subtract = checks._subtract_coupling
+
+        def planted(table, first, coupling):
+            out = subtract(table, first, coupling)
+            if first == 0:
+                out[0, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(checks, "_subtract_coupling", planted)
+        got = checks._krein_level(IntervalSpec("finite", A, B), 64, -5.0)
+        assert all(np.isnan(err) for _, err in got)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("b, z", [(1e-300, -25.0), (1e-200, -25.0),
+                                      (1.0, -1e-40)])
+    def test_non_finite_denominator_rejected_before_the_table(self, b, z):
+        # sqrt(-z) (b - a) below double precision makes 1 - exp(-2 sqrt(-z)
+        # (b - a)) zero and d = -inf + nan i, which |d| < 1e-12 (1 + |u2'|)
+        # let through: the table came back full of nan
+        mesh = build_mesh(IntervalSpec("finite", A, b), 8)
+        table = np.eye(9, dtype=complex)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            krein_resolvent(table, z, NEU, mesh)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            krein._coupling(z, NEU, mesh)
+        assert np.array_equal(table, np.eye(9))
+
+    def test_shared_spectrum_is_its_own_error(self):
+        # cot(theta) = 1 and sqrt(E) coth(sqrt(E) 53) = 1 at E = 1
+        mesh = build_mesh(IntervalSpec("finite", -3.0, 50.0), 8)
+        with pytest.raises(krein.SharedSpectrumError, match="shared"):
+            krein_resolvent(np.zeros((9, 9)), -1.0,
+                            BoundaryCondition(np.pi / 4), mesh)
+
+
 class TestSqrtKernel:
     def test_dirichlet_row_vanishes(self):
         mesh = build_mesh(IntervalSpec("finite", A, B), 48)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -58,6 +60,36 @@ class TestResolvent:
         # inf * 0 = nan, and max(1, nan) = 1 used to pass the residual
         with pytest.raises(ResolventError, match="residual"):
             resolvent(np.array([[2.0, -1.0], [-1.0, 2.0]]), -1e300)
+
+    def test_residual_by_column_blocks_reads_every_column(self,
+                                                         monkeypatch):
+        # 70 columns of a full band are three blocks, the last one partial:
+        # their squared norms add up to the whole residual's
+        seen = []
+        monkeypatch.setattr(matfun, "_residual_fails",
+                            lambda residual, scale: seen.append(residual))
+        H, z = random_accretive(70, 5), -1.0 + 0.5j
+        R = resolvent(H, z)
+        ab = matfun._band_storage(H.astype(complex), 69, 69)
+        ab[69] -= z
+        whole = matfun._band_matmul(ab, 69, 69, R) - np.eye(70)
+        assert len(list(matfun._blocks(70, 70))) == 3
+        np.testing.assert_allclose(seen, [np.linalg.norm(whole)],
+                                   rtol=1e-12)
+
+    def test_resolvent_is_its_only_n_by_n_array(self):
+        # the residual (H - z) R - I and its band product's temporaries
+        # were two more n x n arrays: the peak read 3.26 times R
+        diagonals = make_problem("sawtooth", n=256).diagonals()
+        resolvent(diagonals, -1.0)  # loads LAPACK outside the trace
+        tracemalloc.start()
+        try:
+            R = resolvent(diagonals, -1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert R.shape == (255, 255)
+        assert peak < 1.3 * R.nbytes
 
     def test_first_resolvent_identity(self):
         H = random_accretive(25, 3)

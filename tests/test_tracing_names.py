@@ -256,6 +256,25 @@ def test_one_boundary_solution_and_one_denominator():
     assert not gone, f"krein still names {gone}"
 
 
+def test_krein_correction_only_through_krein():
+    # Krein's rank-one term is formed in one place: the guarded factors
+    # come from krein._coupling and are subtracted in place, one row block
+    # of outer product at a time, by krein._subtract_coupling, which
+    # krein_resolvent and the ladder's row blocks both call; checks forms
+    # no outer product of its own
+    def callers(name):
+        return sorted((path.stem, owner) for path in sorted(SRC.glob("*.py"))
+                      for owner in calls_of(path, name))
+
+    for name in ("_coupling", "_subtract_coupling"):
+        assert callers(name) == [("checks", "_krein_level.max_error"),
+                                 ("krein", "krein_resolvent")], name
+    assert callers("outer") == [("krein", "_subtract_coupling"),
+                                ("krein", "sqrt_kernel"),
+                                ("krein", "sqrt_kernel")]
+    assert not calls_of(SRC / "checks.py", "krein_resolvent")
+
+
 # defaulted parameters + dataclass init fields + cli.DEFAULTS keys
 SETTABLE_CEILING = 78
 
