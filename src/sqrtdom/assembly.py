@@ -12,7 +12,8 @@ only where a consumer reads one, by ``_dense``.  ``orthonormalize`` scales
 the forms' sum into the operator matrix in L2-orthonormal coordinates and
 forms it densely; ``problems.Problem`` keeps that one dense matrix, formed
 on its first read, together with its inputs, and hands out the scaled
-diagonals themselves.
+diagonals themselves (``FormMatrices.congruence``, diagonals to
+diagonals), the one operator format every band function takes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 __all__ = [
     "IntervalSpec",
     "Mesh",
+    "MeshError",
     "BoundaryCondition",
     "CoefficientSet",
     "FormMatrices",
@@ -66,6 +68,11 @@ class IntervalSpec:
         return -self.truncation_radius, self.truncation_radius
 
 
+class MeshError(ValueError):
+    """Raised for a mesh that cannot be built: fewer than 2 cells, or nodes
+    that double precision does not keep strictly increasing."""
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Uniform partition of an interval into ``n_cells`` cells."""
@@ -75,9 +82,9 @@ class Mesh:
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 3:
-            raise ValueError("mesh needs at least 2 cells")
+            raise MeshError("mesh needs at least 2 cells")
         if not np.all(np.diff(nodes) > 0):
-            raise ValueError("mesh nodes must be strictly increasing")
+            raise MeshError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
 
     @property
@@ -104,7 +111,7 @@ class Mesh:
 def build_mesh(interval: IntervalSpec, n: int) -> Mesh:
     """Uniform mesh with ``n`` cells over the (truncated) interval."""
     if n < 2:
-        raise ValueError("need at least 2 cells")
+        raise MeshError("need at least 2 cells")
     lo, hi = interval.endpoints()
     return Mesh(nodes=np.linspace(lo, hi, n + 1))
 
@@ -253,17 +260,12 @@ class FormMatrices:
             raise ValueError("lumped mass is not positive definite")
         return 1.0 / np.sqrt(w)
 
-    def congruence(self, S: np.ndarray | tuple):
-        """``D S D``, ``D = diag(orthonormal_scaling)``: a form matrix as an
-        orthonormal-coordinate operator, or such an operator as a kernel.
-
-        A dense ``S`` gives a dense matrix and diagonals ``(lo, d, up)``
-        give diagonals, each entry scaled in the same order,
-        ``(w_i S_ij) w_j``.
+    def congruence(self, S: tuple) -> tuple:
+        """``D S D``, ``D = diag(orthonormal_scaling)``: the tridiagonal
+        form with diagonals ``S = (lo, d, up)`` as an orthonormal-coordinate
+        operator, as its diagonals, each entry scaled as ``(w_i S_ij) w_j``.
         """
         winv = self.orthonormal_scaling
-        if not isinstance(S, tuple):
-            return winv[:, None] * S * winv[None, :]
         lo, d, up = S
         return ((winv[1:] * lo) * winv[:-1], (winv * d) * winv,
                 (winv[:-1] * up) * winv[1:])

@@ -204,11 +204,11 @@ def decay_suite(prob: Problem, E_grid) -> dict:
     vanish has nothing to decay and is exempt; any other ``nan`` slope
     fails.
     """
-    base = _InvSqrtShifted(prob.base_operator())
+    base = _InvSqrtShifted(prob.base_diagonals())
     profiles = {v: decay_profile(base, build_factorization(prob, v), E_grid)
                 for v in VARIANTS}
     c = prob.coeffs
-    halver = _InvSqrtShifted(prob.reference_operator())
+    halver = _InvSqrtShifted(prob.reference_diagonals())
     multipliers = {name: thmA1_decay(prob.lumped_average(cells), halver,
                                      E_grid)
                    for name, cells in (("abs_r", np.abs(c.r)),

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import csvio
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                       _dense, build_mesh, w12_norm_matrix)
+                       MeshError, _dense, build_mesh, w12_norm_matrix)
 from .checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU, TOL_SLACK,
                      TOL_SLOPE, TOL_TRACE, decay_suite, failed,
                      form_bound_suite, kato_checks, krein_suite, trace_suite)
@@ -323,15 +323,17 @@ def cmd_verify_kato(cfg: dict, outdir: Path) -> int:
 @contextmanager
 def _krein_guards(cfg: dict, E: float):
     """Report Krein's guards on ``[a, b]`` at the shift ``z = -E`` as
-    configuration errors: a shared spectrum names ``--E``, and a coupling
-    denominator or square-root quadrature that is not finite (``sqrt(E)
-    (b - a)`` or the mesh width below double precision) the interval."""
+    configuration errors: a shared spectrum names ``--E``, and the interval
+    is named for a mesh that ``build_mesh`` refuses (nodes a rounding step
+    apart) and for a Dirichlet Green kernel, coupling denominator or
+    square-root quadrature that is not finite (``sqrt(E) (b - a)``, ``E
+    (b - a)`` or the mesh width below double precision)."""
     try:
         yield
     except SharedSpectrumError as exc:
         raise ConfigError(f"--E {E:g}: z = {-E:g} lies in the spectra of "
                           f"both realizations ({exc}); change --E") from exc
-    except FloatingPointError as exc:
+    except (FloatingPointError, MeshError) as exc:
         raise ConfigError(f"a finite interval with --a {cfg['a']!r} --b "
                           f"{cfg['b']!r} is too short: {exc}") from exc
 
@@ -440,22 +442,23 @@ def cmd_decay_study(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_kernel_dump(cfg: dict, outdir: Path) -> int:
-    mesh = build_mesh(interval_from(cfg), cfg["n"])
     E = cfg["E"] or 25.0
     z = -E
     th = parse_theta(cfg["theta_a"])
-    X, Xp = np.meshgrid(mesh.nodes, mesh.nodes, indexing="ij")
     # every table is computed before any is written, so a guard that
     # refuses the input leaves no CSV
-    tables = {"green_dirichlet": green_kernel_dirichlet(z, X, Xp, cfg["a"],
-                                                        cfg["b"])}
-    checks = {"green-kernel": None}
-    extra = {"E": E, "n": cfg["n"]}
-    if not th.is_dirichlet:
-        with _krein_guards(cfg, E):
+    with _krein_guards(cfg, E):
+        mesh = build_mesh(interval_from(cfg), cfg["n"])
+        X, Xp = np.meshgrid(mesh.nodes, mesh.nodes, indexing="ij")
+        tables = {"green_dirichlet": green_kernel_dirichlet(
+            z, X, Xp, cfg["a"], cfg["b"])}
+        if not th.is_dirichlet:
             tables["green_robin"] = krein_resolvent(
                 tables["green_dirichlet"], z, th, mesh)
             tables["sqrt_kernel"] = sqrt_kernel(E, th, mesh)
+    checks = {"green-kernel": None}
+    extra = {"E": E, "n": cfg["n"]}
+    if not th.is_dirichlet:
         checks |= dict.fromkeys(("rank-one-corrected-green", "sqrt-kernel"))
         extra["coupling_denominator"] = abs(d_theta(z, th, cfg["a"], cfg["b"]))
         extra["u2_left_value"] = abs(u2_closed_form(z, cfg["a"], cfg["a"],
@@ -495,8 +498,9 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
 
     # factored-perturbation admissibility: compressed resolvent is bounded
     # and decays along the shift grid
-    E0 = safe_shift(prob.base_diagonals()) + 10.0
-    halver = _InvSqrtShifted(prob.base_operator())
+    base = prob.base_diagonals()
+    E0 = safe_shift(base) + 10.0
+    halver = _InvSqrtShifted(base)
     decay = decay_profile(halver, build_factorization(prob, "full_triple"),
                           [E0, 10 * E0, 100 * E0])
 

@@ -11,12 +11,14 @@ to its adjoint.  The two norms are ``||X f||`` for the power X and ``||Y f||``
 for any factor Y of the reference Gram, so kappa is exactly
 ``cond_2(X Y^-1)``, ``cond_2((H + E)^alpha (H_ref + E)^-alpha)`` whichever
 factor is taken; ``sqrt_domain_kappa`` reads it from the extreme eigenvalues
-of ``Z^H Z``.  ``_kappa_row`` takes each level's cheapest exact factor: at
-the critical power the bidiagonal Cholesky factor of the tridiagonal
-``H_ref + E``, applied by banded substitution (a Hermitian ``H + E`` is its
-own bidiagonal X); at any other power the gauge route's
-``(H_ref + E)^-alpha``; for the control ``Z = T^alpha (T^-alpha)^H``, both
-powers closed-form.  A problem passes when ``kappa`` stays bounded under
+of ``Z^H Z``.  A problem's operator and reference reach
+``_power_over_reference`` and ``_band_cholesky`` only as their diagonals
+``(lo, d, up)``, with E added to the main diagonal.  ``_kappa_row`` takes
+each level's cheapest exact factor: at the critical power the bidiagonal
+Cholesky factor of the tridiagonal ``H_ref + E``, applied by banded
+substitution (a Hermitian ``H + E`` is its own bidiagonal X); at any other
+power the gauge route's ``(H_ref + E)^-alpha``; for the control
+``Z = T^alpha (T^-alpha)^H``, both powers closed-form.  A problem passes when ``kappa`` stays bounded under
 mesh refinement; the control's critical-power ratio keeps growing.
 
 Every fractional power goes through ``matrix_power``, which takes a matrix
@@ -49,7 +51,7 @@ import scipy.linalg as sla
 from .assembly import _dense
 from .kato import _InvSqrtShifted, _loglog_slope
 from .matfun import (ShiftBelowSpectrumError, SpectrumOnCutError,
-                     _band_storage, _bandwidths, _diagonals, _gauge,
+                     _band_storage, _diagonals, _gauge,
                      _principal_sqrt, _require_root, _require_shifted,
                      _residual_fails, is_hermitian)
 from .problems import lions_operator
@@ -260,21 +262,17 @@ def matrix_power(H: np.ndarray | tuple, alpha: float) -> np.ndarray:
     return Q @ U @ Q.conj().T
 
 
-def _band_cholesky(A: np.ndarray | tuple) -> np.ndarray:
-    """Upper Cholesky factor ``R`` of a Hermitian banded matrix,
-    ``A = R^H R``, in LAPACK upper band storage; a real-valued ``A`` is
-    factored in real arithmetic.
-
-    ``A`` is a matrix, whose bandwidth comes from its nonzero pattern
-    (``matfun._bandwidths``), or the diagonals ``(lo, d, up)`` of a
-    tridiagonal one; for the operators of the package ``R`` is upper
-    bidiagonal.  Raises ``LinAlgError`` unless ``A`` is positive definite.
+def _band_cholesky(band: tuple) -> np.ndarray:
+    """Upper Cholesky factor ``R`` of the Hermitian tridiagonal matrix with
+    diagonals ``band = (lo, d, up)``, ``A = R^H R``, in LAPACK upper band
+    storage: ``R`` is upper bidiagonal, and a real-valued ``A`` is factored
+    in real arithmetic.  Raises ``LinAlgError`` unless ``A`` is positive
+    definite.
     """
-    width = 1 if isinstance(A, tuple) else max(_bandwidths(A))
-    band = _band_storage(A, 0, width)
-    if not np.any(band.imag):
-        band = band.real
-    return sla.cholesky_banded(band, lower=False, check_finite=False)
+    ab = _band_storage(band, 0, 1)
+    if not np.any(ab.imag):
+        ab = ab.real
+    return sla.cholesky_banded(ab, lower=False, check_finite=False)
 
 
 def _right_solve(X: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -288,43 +286,32 @@ def _right_solve(X: np.ndarray, R: np.ndarray) -> np.ndarray:
     return ZH.conj().T
 
 
-def _shifted(H: np.ndarray | tuple, E: float) -> np.ndarray | tuple:
-    """``H + E``: the diagonals ``(lo, d + E, up)`` of a tridiagonal H,
-    given as a matrix or as its diagonals (``_diagonals``), and the dense
-    sum for any other matrix.  The diagonals equal those of the dense
-    ``H + E I`` bit for bit."""
-    if (band := _diagonals(H)) is None:
-        return H + E * np.eye(H.shape[0])
-    lo, d, up = band
-    return lo, d + E, up
-
-
-def _power_over_reference(H: np.ndarray | tuple, H_ref: np.ndarray | tuple,
-                          E: float, alpha: float) -> np.ndarray:
+def _power_over_reference(band: tuple, ref_band: tuple, E: float,
+                          alpha: float) -> np.ndarray:
     """``Z = (H + E)^alpha Y^-1`` for a factor ``Y`` of the reference Gram,
     ``Y^H Y = (H_ref + E)^(2 alpha)``.
 
-    ``H`` and ``H_ref`` are matrices, or the diagonals ``(lo, d, up)`` of
-    tridiagonal ones, and E is added to the main diagonal of a band
-    (``_shifted``), so a tridiagonal operator is shifted, factored and
-    powered without a dense ``H + E``.  The singular values of ``Z`` do
-    not depend on which factor is taken, so each case takes its cheapest
-    exact one.  At the critical power ``Y`` is the bidiagonal Cholesky
-    factor of the tridiagonal ``H_ref + E``, applied by substitution, and a
-    Hermitian tridiagonal ``H + E`` is its own bidiagonal factor ``X``,
-    which no root is formed for (a real-valued one factored in real
+    ``band`` and ``ref_band`` are the diagonals ``(lo, d, up)`` of the
+    tridiagonal H and H_ref, and E is added to each main diagonal, so both
+    operators are shifted, factored and powered without a dense ``H + E``.
+    The singular values of ``Z`` do not depend on which factor is taken, so
+    each case takes its cheapest exact one.  At the critical power ``Y`` is
+    the bidiagonal Cholesky factor of the tridiagonal ``H_ref + E``, applied
+    by substitution, and a Hermitian ``H + E`` is its own bidiagonal factor
+    ``X``, which no root is formed for (a real-valued one factored in real
     arithmetic, so the self-adjoint baseline reads ``Z = I`` exactly); any
     other ``H + E`` takes its root as ``X``.  At any other power
     ``Y^-1 = (H_ref + E)^-alpha`` is the gauge route's power.
     """
-    shifted, ref = _shifted(H, E), _shifted(H_ref, E)
+    (lo, d, up), (ref_lo, ref_d, ref_up) = band, ref_band
+    shifted, ref = (lo, d + E, up), (ref_lo, ref_d + E, ref_up)
     if alpha != 0.5:
         return matrix_power(shifted, alpha) @ matrix_power(ref, -alpha)
     try:
         R = _band_cholesky(ref)
     except np.linalg.LinAlgError as exc:
         raise ValueError("reference Gram is not positive definite") from exc
-    if not (isinstance(shifted, tuple) and is_hermitian(shifted)):
+    if not is_hermitian(shifted):
         return _right_solve(matrix_power(shifted, alpha), R)
     try:
         X = _band_cholesky(shifted)

@@ -11,9 +11,11 @@ reproduces the one-shot discretization exactly at the matrix level (LU
 roundoff only).  That exactness is the primary oracle of this module:
 ``verify_identity`` checks it for a ``Problem``, with all three lower-order
 terms adjoined at once and in two steps (r/q, then s), at shifts it derives
-from the problem.  ``build_factorization`` holds the pair in the P1 cell
-layout of the forms (``FactoredPerturbation``): per cell block, the values
-at each cell's two nodes, and per node block, one value per retained node.
+from the problem, whose operators arrive as their diagonals ``(lo, d, up)``,
+the band layer's one format.  ``build_factorization`` holds the pair in the
+P1 cell layout of the forms (``FactoredPerturbation``): per cell block, the
+values at each cell's two nodes, and per node block, one value per retained
+node.
 A product with a factor (``_times``) reads its operand in node layout by
 two slices per cell block, and the pair's n x n products ``B^H A``,
 ``A^H A`` and ``B^H B`` are cell sums (``assembly._cell_sum``), kept as
@@ -42,8 +44,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import _cell_sum, _trim
-from .matfun import (_band_matmul, _blocks, _diagonals, _gauge,
+from .assembly import _cell_sum, _dense, _trim
+from .matfun import (_band_matmul, _blocks, _gauge,
                      _principal_sqrt, _require_shifted, _residual_fails,
                      _squared_norm, is_hermitian, power_norms, power_start,
                      resolvent, spectral_norm)
@@ -320,11 +322,11 @@ def _solve_core(R: np.ndarray, fact: FactoredPerturbation, z: complex,
     V, GA, GB = fact.products
     n = R.shape[0]
     # tr(R^H G_A R G_B), with R G_B = (G_B^T R^T)^T
-    RGB = _band_matmul(GB[::-1], 1, 1, R.T).T
-    gram = sum(np.vdot(R[:, cols], _band_matmul(GA, 1, 1, RGB[:, cols])).real
+    RGB = _band_matmul(GB[::-1], R.T).T
+    gram = sum(np.vdot(R[:, cols], _band_matmul(GA, RGB[:, cols])).real
                for cols in _blocks(n, n))
     del RGB
-    X = _band_matmul(V[::-1], 1, 1, R.T).T  # R V = (V^T R^T)^T
+    X = _band_matmul(V[::-1], R.T).T  # R V = (V^T R^T)^T
     X[np.diag_indices_from(X)] += 1.0
     Xinv = _inverse(X)
     if Xinv is None:
@@ -425,12 +427,12 @@ class TwoStepResolvent:
         return _solve_core(R1, self.fact_s, z, "stage 2 (s):")
 
 
-def _unitary_gauge(H: np.ndarray) -> tuple | None:
-    """``(d_ref + c mu, D V)`` when the gauge of a tridiagonal H
-    (``matfun._gauge``) has S real and every ``|g_k| = 1`` within the
-    residual rule, so that ``D V`` is unitary and
+def _unitary_gauge(band: tuple) -> tuple | None:
+    """``(d_ref + c mu, D V)`` when the gauge of the tridiagonal H with
+    diagonals ``band`` (``matfun._gauge``) has S real and every
+    ``|g_k| = 1`` within the residual rule, so that ``D V`` is unitary and
     ``H = (D V) diag(d_ref + c mu) (D V)^H``; else None."""
-    if (band := _diagonals(H)) is None or (gauge := _gauge(band)) is None:
+    if (gauge := _gauge(band)) is None:
         return None
     g, d_ref, c, mu, V, corner = gauge
     if corner is not None or _residual_fails(np.abs(np.abs(g) - 1.0), 1.0):
@@ -445,11 +447,13 @@ _BLOCK_ENTRIES = 2 ** 16
 class _InvSqrtShifted:
     """Norms of products with ``F_c = (T0 + c)^{-1/2}`` and ``(T0 + c)^{-1}``
     over many shifts ``c``, from one factorization of ``T0``, by one of
-    three paths, named in ``path``.
+    three paths, named in ``path``.  ``T0`` arrives as its diagonals
+    ``(lo, d, up)``, cast to complex, and is formed densely only for
+    ``eigh`` and the Schur form.
 
     - ``hermitian``: ``T0`` is diagonalized once (``eigh``).
-    - ``normal``: the discrete Liouville gauge (``matfun._gauge``) takes a
-      tridiagonal ``T0`` to ``D (d_ref I + c S) D^-1`` with S real and
+    - ``normal``: the discrete Liouville gauge (``matfun._gauge``) takes
+      ``T0`` to ``D (d_ref I + c S) D^-1`` with S real and
       ``|g_k| = 1`` (constant complex p with Dirichlet or Neumann ends), so
       the basis ``D V`` of ``eigh_tridiagonal(S)`` is unitary.
     - ``schur``: any other ``T0`` (a complex Robin end, varying complex p)
@@ -470,17 +474,17 @@ class _InvSqrtShifted:
     the start vector is carried into the basis coordinates.
     """
 
-    def __init__(self, H: np.ndarray):
-        H = np.asarray(H, dtype=complex)
-        if is_hermitian(H):
+    def __init__(self, band: tuple):
+        band = tuple(np.asarray(x, dtype=complex) for x in band)
+        if is_hermitian(band):
             self.path = "hermitian"
-            self.diag, self.basis = np.linalg.eigh(H)
-        elif (normal := _unitary_gauge(H)) is not None:
+            self.diag, self.basis = np.linalg.eigh(_dense(band))
+        elif (normal := _unitary_gauge(band)) is not None:
             self.path = "normal"
             self.diag, self.basis = normal
         else:
             self.path = "schur"
-            self.U, self.basis = sla.schur(H, output="complex")
+            self.U, self.basis = sla.schur(_dense(band), output="complex")
             self.diag = np.diag(self.U)
 
     def _factors(self, shifts: np.ndarray):

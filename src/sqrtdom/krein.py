@@ -122,9 +122,23 @@ def green_kernel_dirichlet(z: complex, x, xp, a: float, b: float):
 
     Written as ``exp(-sqrt(-z) |x - x'|)`` times bounded hyperbolic ratios,
     so evaluation is stable arbitrarily deep on the negative real axis.
+    Raises ``FloatingPointError`` if an entry is not finite: the
+    denominator ``2 sqrt(-z) (1 - exp(-2 sqrt(-z) (b - a)))`` underflows to
+    zero once ``-z`` and ``b - a`` are small enough.
     """
     # principal root of -z; positive for z = -E
-    return _green_from_root(np.sqrt(-complex(z)), x, xp, a, b)
+    st = np.sqrt(-complex(z))
+    with np.errstate(divide="ignore", invalid="ignore"):  # refused below
+        table = _green_from_root(st, x, xp, a, b)
+    if not np.all(np.isfinite(table)):
+        den = 2.0 * st * _expm1_ratio(st, b - a)
+        raise FloatingPointError(
+            f"the Dirichlet Green kernel at z = {z} has "
+            f"{np.size(table) - np.count_nonzero(np.isfinite(table))} "
+            f"entries that are not finite: its denominator "
+            f"2 sqrt(-z) (1 - exp(-2 sqrt(-z) (b - a))) has modulus "
+            f"{abs(den):g}")
+    return table
 
 
 def _t_kernel(tau, x, xp, cot_a: complex, a: float, b: float):

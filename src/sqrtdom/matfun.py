@@ -1,16 +1,14 @@
 """Complex matrix functions: resolvents, square roots, fractional powers and
 the power iteration for operator norms.
 
-Resolvents are solved in the band of their input: every operator the
-package assembles is tridiagonal, and ``resolvent`` takes it as its three
-diagonals ``(lo, d, up)`` or reads the bandwidths off a matrix's nonzero
-pattern, so a dense input is simply its own full band, laid
-out by the one band builder ``_band_storage`` and multiplied by the one
-band product ``_band_matmul``, which the factored cores of ``kato`` share.
-The roots and powers return
-dense matrices; a tridiagonal input may also arrive as its three diagonals
-``(lo, d, up)``, which ``_diagonals`` passes through as it reads them off a
-matrix, so that its power is taken and root-checked with no dense input.
+Every operator the package assembles is tridiagonal, and the band layer
+takes it in one format, its three diagonals ``(lo, d, up)``: ``resolvent``
+solves in that (1, 1) band, laid out by the one band builder
+``_band_storage`` and multiplied by the one band product ``_band_matmul``,
+which the factored cores of ``kato`` share.  The roots and powers return
+dense matrices.  ``domains.matrix_power`` alone also takes a matrix, whose
+diagonals ``_diagonals`` reads off when it is tridiagonal, so that a
+power is taken and root-checked with no dense input.
 
 Verdicts take their powers from ``domains.matrix_power`` and their inverse
 half powers from ``kato._InvSqrtShifted``.  Both read a tridiagonal input
@@ -160,49 +158,29 @@ def _residual_fails(residual, scale) -> bool:
                 and np.all(residual <= _RESIDUAL_TOL * scale))
 
 
-def _bandwidths(H: np.ndarray) -> tuple[int, int]:
-    """Lower and upper bandwidths ``(l, u)`` of the nonzero pattern of ``H``:
-    ``H[i, j] = 0`` unless ``-l <= j - i <= u``.  A dense matrix is its own
-    full band, and a zero matrix has ``(0, 0)``."""
-    rows, cols = np.nonzero(H)
-    if not rows.size:
-        return 0, 0
-    offsets = cols - rows
-    return max(0, -int(offsets.min())), max(0, int(offsets.max()))
-
-
-def _band_storage(H: np.ndarray | tuple, l: int, u: int) -> np.ndarray:
-    """Diagonals ``-l..u`` of ``H``, in its dtype, in LAPACK band storage:
-    ``ab[u - k, j] = H[j - k, j]``, zero elsewhere; ``u = 0`` is lower,
-    ``l = 0`` upper.
-    ``H`` is a matrix, or the diagonals ``(lo, d, up)`` of a tridiagonal
-    one (``l, u <= 1``)."""
-    band = isinstance(H, tuple)
-    n = H[1].size if band else H.shape[0]
-    ab = np.zeros((l + u + 1, n), dtype=np.result_type(*H) if band
-                  else H.dtype)
+def _band_storage(band: tuple, l: int, u: int) -> np.ndarray:
+    """Diagonals ``-l..u`` of the tridiagonal matrix with diagonals
+    ``band = (lo, d, up)`` (``l, u <= 1``), in their dtype, in LAPACK band
+    storage: ``ab[u - k, j] = H[j - k, j]``, zero elsewhere; ``u = 0`` is
+    lower, ``l = 0`` upper."""
+    n = band[1].size
+    ab = np.zeros((l + u + 1, n), dtype=np.result_type(*band))
     for k in range(-l, u + 1):
-        ab[u - k, max(0, k):n + min(0, k)] = (H[k + 1] if band
-                                              else np.diagonal(H, k))
+        ab[u - k, max(0, k):n + min(0, k)] = band[k + 1]
     return ab
 
 
-def _band_matmul(H: np.ndarray | tuple, l: int, u: int,
-                 X: np.ndarray) -> np.ndarray:
-    """``H X`` for the banded H with bandwidths ``(l, u)``, given in LAPACK
-    band storage (``_band_storage``) or as the diagonals ``(lo, d, up)`` of
-    a tridiagonal one (``l = u = 1``): one slice product per diagonal, the
-    main diagonal's first, then the upper ones', then the lower ones'.  The
-    result takes the memory layout of ``X``, so a transposed ``X`` gives
-    ``X^T H^T`` transposed at no copy: ``(X H)^T = H^T X^T``, and ``H^T``
-    has the diagonals ``(up, d, lo)``."""
-    ab = _band_storage(H, l, u) if isinstance(H, tuple) else H
-    n = X.shape[0]
-    out = ab[u, :, None] * X
-    for k in range(1, u + 1):  # H[i, i + k] = ab[u - k, i + k]
-        out[:n - k] += ab[u - k, k:, None] * X[k:]
-    for k in range(1, l + 1):  # H[i + k, i] = ab[u + k, i]
-        out[k:] += ab[u + k, :n - k, None] * X[:n - k]
+def _band_matmul(band: tuple, X: np.ndarray) -> np.ndarray:
+    """``H X`` for the tridiagonal H with diagonals ``band = (lo, d, up)``:
+    one slice product per diagonal, the main diagonal's first, then the
+    upper one's, then the lower one's.  The result takes the memory layout
+    of ``X``, so a transposed ``X`` gives ``X^T H^T`` transposed at no
+    copy: ``(X H)^T = H^T X^T``, and ``H^T`` has the diagonals
+    ``(up, d, lo)``."""
+    lo, d, up = band
+    out = d[:, None] * X
+    out[:-1] += up[:, None] * X[1:]
+    out[1:] += lo[:, None] * X[:-1]
     return out
 
 
@@ -211,11 +189,14 @@ def _diagonals(H: np.ndarray | tuple) -> tuple | None:
 
     A tuple of them is returned unchanged, so a tridiagonal matrix and its
     diagonals take the same route; a matrix gives its diagonals when one
-    read of its nonzero pattern (``_bandwidths``) finds it tridiagonal with
-    n >= 2, and None otherwise."""
+    read of its nonzero pattern finds it tridiagonal (every nonzero
+    ``H[i, j]`` has ``|j - i| <= 1``) with n >= 2, and None otherwise."""
     if isinstance(H, tuple):
         return H
-    if H.shape[0] < 2 or max(_bandwidths(H)) > 1:
+    if H.shape[0] < 2:
+        return None
+    rows, cols = np.nonzero(H)
+    if np.any(np.abs(cols - rows) > 1):
         return None
     return np.diag(H, -1), np.diag(H), np.diag(H, 1)
 
@@ -290,31 +271,18 @@ def _squared_norm(X: np.ndarray) -> float:
     return np.vdot(flat, flat).real
 
 
-def _operator_band(H: np.ndarray | tuple) -> tuple:
-    """``(H, l, u)``: ``H`` in complex with its bandwidths, read off a
-    matrix's nonzero pattern (``_bandwidths``).  The diagonals
-    ``(lo, d, up)`` of a tridiagonal matrix are its (1, 1) band with no
-    scan, so both give the same band storage."""
-    if isinstance(H, tuple):
-        return tuple(np.asarray(x, dtype=complex) for x in H), 1, 1
-    H = np.asarray(H, dtype=complex)
-    return (H, *_bandwidths(H))
+def resolvent(band: tuple, z: complex) -> np.ndarray:
+    """Solve ``(H - z) R = I`` in the band of the tridiagonal H with
+    diagonals ``band = (lo, d, up)`` and verify the residual.
 
-
-def resolvent(H: np.ndarray | tuple, z: complex) -> np.ndarray:
-    """Solve ``(H - z) R = I`` in the band of ``H`` and verify the residual.
-
-    ``H`` is a matrix, or the diagonals ``(lo, d, up)`` of a tridiagonal
-    one, which go straight to its (1, 1) band (``_operator_band``), so no
-    dense operator is read.  A matrix's bandwidths ``(l, u)`` come from its
-    nonzero pattern (``_bandwidths``).  LAPACK's banded LU solves the
-    system in place of its identity right-hand side: ``gtsv`` for the
-    tridiagonal operators of the package, ``gbsv`` otherwise, in
-    O((l + u) n^2) against the O(n^3) of a dense solve.  The residual
-    ``||(H - z) R - I||_F`` goes through the same bands, one slice product
-    per diagonal (``_band_matmul``), by column blocks of ``R``
-    (``_blocks``), whose squared norms add in column order, so that ``R``
-    is the only n x n array.  It must stay within
+    The shifted diagonals ``(lo, d - z, up)``, in complex, go straight to
+    LAPACK band storage (``_band_storage``), so no dense operator is read,
+    and LAPACK's banded LU (``gtsv``) solves the system in place of its
+    identity right-hand side, in O(n^2) against the O(n^3) of a dense
+    solve.  The residual ``||(H - z) R - I||_F`` reads the same shifted
+    diagonals, one slice product per diagonal (``_band_matmul``), by
+    column blocks of ``R`` (``_blocks``), whose squared norms add in column
+    order, so that ``R`` is the only n x n array.  It must stay within
     ``_RESIDUAL_TOL max(1, ||H - z||_F ||R||_F)``.
 
     Raises ``ResolventError`` if the shifted matrix is singular, reporting
@@ -322,15 +290,15 @@ def resolvent(H: np.ndarray | tuple, z: complex) -> np.ndarray:
     condition estimate is not finite (``_residual_fails``): a resolvent too
     large or too small to represent has no scale to check against.
     """
-    H, l, u = _operator_band(H)
-    ab = _band_storage(H, l, u)
-    ab[u] -= z
-    n = ab.shape[1]
+    lo, d, up = (np.asarray(x, dtype=complex) for x in band)
+    shifted = (lo, d - z, up)
+    ab = _band_storage(shifted, 1, 1)
+    n = d.size
     try:
         # a 1 x 1 system is a division, which flags a zero pivot this way
         with np.errstate(divide="raise"):
             # LAPACK's column-major identity, which the solve overwrites
-            R = sla.solve_banded((l, u), ab,
+            R = sla.solve_banded((1, 1), ab,
                                  np.eye(n, dtype=complex, order="F"),
                                  overwrite_b=True, check_finite=False)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
@@ -338,7 +306,7 @@ def resolvent(H: np.ndarray | tuple, z: complex) -> np.ndarray:
     # the residual by column blocks: R is the only n x n array
     squares = 0.0
     for cols in _blocks(n, n):
-        block = _band_matmul(ab, l, u, R[:, cols])
+        block = _band_matmul(shifted, R[:, cols])
         k = np.arange(block.shape[1])
         block[cols.start + k, k] -= 1.0
         squares += _squared_norm(block)
@@ -509,7 +477,8 @@ def trace_det_check(A: np.ndarray, A0: np.ndarray, z: complex,
 
     Approximates ``-d/dz log det((A-z)^{1/2} (A0-z)^{-1} (A-z)^{1/2})`` by a
     central difference with step ``h`` and compares it against
-    ``tr((A-z)^{-1} - (A0-z)^{-1})``; the return value decays like O(h^2).
+    ``tr((A-z)^{-1} - (A0-z)^{-1})``, from two dense inverses; the return
+    value decays like O(h^2).  ``A`` and ``A0`` are dense matrices.
     """
     A = np.asarray(A, dtype=complex)
     A0 = np.asarray(A0, dtype=complex)
@@ -519,7 +488,8 @@ def trace_det_check(A: np.ndarray, A0: np.ndarray, z: complex,
     # because the guard in _log_sym_det keeps both spectra off the cut
     dlog = (lp - lm) / (2.0 * h)
     lhs = -dlog
-    rhs = np.trace(resolvent(A, z) - resolvent(A0, z))
+    I = np.eye(A.shape[0])
+    rhs = np.trace(np.linalg.inv(A - z * I) - np.linalg.inv(A0 - z * I))
     return abs(lhs - rhs)
 
 

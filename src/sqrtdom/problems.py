@@ -6,10 +6,9 @@ whose singularity is truncated at grid scale.  A ``Problem`` holds its five
 inputs (interval, mesh, coefficients, two boundary conditions) and builds
 its form matrices from them, and every operator from those, so they cannot
 disagree.  The forms are the diagonals ``(lo, d, up)`` of tridiagonal
-matrices, and so are the operator and its reference, scaled from them.  The
-operator matrix ``H`` is the one dense matrix it keeps, formed on its first
-read; the base and reference operators are also diagonals, formed densely
-only when asked for.
+matrices, and so are the operator, its base and its reference, scaled from
+them: the band layer's one operator format.  The operator matrix ``H`` is
+the one dense matrix it keeps, formed on its first read.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import (BoundaryCondition, CoefficientSet, FormMatrices,
-                       IntervalSpec, Mesh, _dense, _trim, _unit_stiffness,
+                       IntervalSpec, Mesh, _trim, _unit_stiffness,
                        assemble_forms, build_mesh, orthonormalize)
 
 __all__ = [
@@ -96,13 +95,12 @@ class Problem:
     its diagonals) and the operator ``H = M^{-1/2} S M^{-1/2}`` in
     L2-orthonormal coordinates.
 
-    The operator, its base and its self-adjoint reference are also given
-    as diagonals (``diagonals``, ``base_diagonals``,
-    ``reference_diagonals``): the scaled forms themselves.  The dense ``H``
-    is formed on its first read and then kept, the one dense matrix a
-    problem holds; a caller that works in the band never forms it: a kappa
-    row, ``verify-kato`` (``kato.verify_identity``) and ``verify-krein``'s
-    refinement ladder (``checks.krein_suite``).
+    The operator, its base and its self-adjoint reference are given as
+    diagonals (``diagonals``, ``base_diagonals``, ``reference_diagonals``),
+    the scaled forms themselves.  The dense ``H`` is formed on its first
+    read and then kept, the one dense matrix a problem holds; a caller that
+    works in the band never forms it: a kappa row, ``verify-kato``,
+    ``decay-study`` and ``verify-krein``'s ladder (``checks.krein_suite``).
     """
 
     interval: IntervalSpec
@@ -130,30 +128,20 @@ class Problem:
         return self.forms.congruence(self.forms.total())
 
     def base_diagonals(self) -> tuple:
-        """``(lo, d, up)``, the three diagonals of ``base_operator()``,
-        which it forms: the same second-order part and boundary conditions,
-        no lower-order terms, ``forms.K0 + forms.Bdry`` scaled as
-        ``orthonormalize`` scales the total."""
+        """``(lo, d, up)``, the three diagonals of the base operator: the
+        same second-order part and boundary conditions, no lower-order
+        terms, ``forms.K0 + forms.Bdry`` scaled as ``orthonormalize``
+        scales the total."""
         return self.forms.congruence(self.forms.plus_boundary(self.forms.K0))
 
-    def base_operator(self) -> np.ndarray:
-        """The base operator (``base_diagonals``), formed densely."""
-        return _dense(self.base_diagonals())
-
-    def reference_operator(self) -> np.ndarray:
-        """Self-adjoint unit-diffusion reference with the same form domain,
-        as a real (float64, C-contiguous) matrix.
+    def reference_diagonals(self) -> tuple:
+        """``(lo, d, up)``, the three real diagonals of the self-adjoint
+        unit-diffusion reference with the same form domain.
 
         Non-Dirichlet ends become Neumann, since the form domain only sees
         whether a boundary parameter vanishes: the unit stiffness on the
         retained nodes, scaled as ``orthonormalize`` scales the total.
         """
-        return _dense(self.reference_diagonals())
-
-    def reference_diagonals(self) -> tuple:
-        """``(lo, d, up)``, the three real diagonals of
-        ``reference_operator()``, which it forms: the unit stiffness on the
-        retained nodes, scaled as ``orthonormalize`` scales the total."""
         return self.forms.congruence(
             _trim(_unit_stiffness(self.mesh), self.forms.dof_nodes))
 

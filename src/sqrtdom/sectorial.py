@@ -1,4 +1,8 @@
-"""Numerical-range and resolvent diagnostics for accretivity and sectoriality."""
+"""Numerical-range and resolvent diagnostics for accretivity and sectoriality.
+
+``check_m_accretive`` and ``safe_shift`` take an operator only as its
+diagonals ``(lo, d, up)``; ``numerical_range_hull`` takes a matrix.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .matfun import _band_storage, _operator_band, resolvent
+from .matfun import _band_storage, resolvent
 
 __all__ = [
     "SectorReport",
@@ -73,45 +77,39 @@ def numerical_range_hull(H: np.ndarray) -> SectorReport:
     return SectorReport(gamma=gamma, theta=theta, angles=phis, boundary=pts)
 
 
-def check_m_accretive(H: np.ndarray | tuple,
-                      zeta_grid) -> tuple[bool, float]:
+def check_m_accretive(band: tuple, zeta_grid) -> tuple[bool, float]:
     """Verify the resolvent bound ``||(H + z)^{-1}|| <= 1 / Re z``.
 
-    ``H`` is a matrix or the diagonals ``(lo, d, up)`` of a tridiagonal
-    one, as ``resolvent`` takes it.  Returns the verdict together with the
-    worst observed value of ``||(H + z)^{-1}|| * Re z`` over the grid (at
-    most 1 for an m-accretive matrix, up to roundoff).
+    ``band`` holds the diagonals ``(lo, d, up)`` of the tridiagonal H, as
+    ``resolvent`` takes them.  Returns the verdict together with the worst
+    observed value of ``||(H + z)^{-1}|| * Re z`` over the grid (at most 1
+    for an m-accretive matrix, up to roundoff).
     """
     worst = 0.0
     for zeta in zeta_grid:
         zeta = complex(zeta)
         if zeta.real <= 0:
             raise ValueError("grid points need Re(zeta) > 0")
-        R = resolvent(H, -zeta)
+        R = resolvent(band, -zeta)
         worst = max(worst, np.linalg.norm(R, 2) * zeta.real)
     return bool(worst <= 1.0 + 1e-10), float(worst)
 
 
-def safe_shift(H: np.ndarray | tuple) -> float:
+def safe_shift(band: tuple) -> float:
     """Shift pushing the numerical range into the open right half-plane.
 
     Uses the vertex of the Hermitian part, its lowest eigenvalue, plus a
     unit margin, so ``H + E`` is strictly accretive and principal square
-    roots stay off the cut.  The Hermitian part shares the band of ``H``
-    (``matfun._operator_band``): the diagonals ``(lo, d, up)`` of a
-    tridiagonal ``H`` are its (1, 1) band, a matrix's band is read off its
-    nonzero pattern, and a dense matrix is its own full band.  The
-    eigenvalue comes from the lower band storage through LAPACK's banded
-    Hermitian eigensolver, in O(n) for the tridiagonal operators of the
-    package.
+    roots stay off the cut.  ``band`` holds the diagonals ``(lo, d, up)``
+    of the tridiagonal H, and the Hermitian part shares its (1, 1) band.
+    The eigenvalue comes from the lower band storage through LAPACK's
+    banded Hermitian eigensolver, in O(n).
     """
-    H, l, u = _operator_band(H)
-    width = max(l, u)
+    band = tuple(np.asarray(x, dtype=complex) for x in band)
     # lower band storage of the Hermitian part (H + H^H)/2; the transpose
     # of diagonals (lo, d, up) has the diagonals (up, d, lo)
-    band = 0.5 * (_band_storage(H, width, 0)
-                  + _band_storage(H[::-1] if isinstance(H, tuple) else H.T,
-                                  width, 0).conj())
-    gamma = float(sla.eigvals_banded(band, lower=True, select="i",
+    lower = 0.5 * (_band_storage(band, 1, 0)
+                   + _band_storage(band[::-1], 1, 0).conj())
+    gamma = float(sla.eigvals_banded(lower, lower=True, select="i",
                                      select_range=(0, 0))[0])
     return max(0.0, -gamma) + 1.0

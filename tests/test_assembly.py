@@ -239,8 +239,8 @@ class TestBandStorage:
         try:
             prob = make_problem("sawtooth", n=n, bc_left=NEU)
             prob.H
-            prob.base_operator()
-            prob.reference_operator()
+            prob.base_diagonals()
+            prob.reference_diagonals()
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -257,7 +257,8 @@ class TestProblemDiagonals:
     def test_equal_the_dense_diagonals_bitwise(self, family, interval):
         # the operator and its reference are the scaled form diagonals,
         # with no dense matrix formed, and equal the diagonals of the dense
-        # H and reference_operator() bit for bit, at every pair of ends
+        # H and of the scatter-assembled reference bit for bit, at every
+        # pair of ends
         ends = (DIR, NEU, BoundaryCondition(1 + 0.5j))
         for bc_left, bc_right in itertools.product(ends, ends):
             prob = make_problem(family, interval, 16, bc_left, bc_right)
@@ -265,8 +266,8 @@ class TestProblemDiagonals:
             assert "H" not in vars(prob)
             for k, (g, want) in enumerate(zip(got, _diagonals(prob.H))):
                 assert_bitwise(g, want, bc_left, bc_right, "H", k)
-            for k, (g, want) in enumerate(zip(
-                    ref, _diagonals(prob.reference_operator()))):
+            for k, (g, want) in enumerate(zip(ref, _diagonals(
+                    scatter_reference(prob.mesh, bc_left, bc_right)))):
                 assert_bitwise(g, want, bc_left, bc_right, "reference", k)
 
     def test_dense_operator_formed_on_first_read_and_kept(self):
@@ -361,7 +362,7 @@ class TestBaseOperator:
                                                   s=zero)
                             H0 = orthonormalize(assemble_forms(
                                 prob.mesh, base, bl, br))
-                            got = prob.base_operator()
+                            got = _dense(prob.base_diagonals())
                             assert got.dtype == H0.dtype
                             assert got.tobytes() == H0.tobytes(), (
                                 family, interval.kind, bl, br, n)
@@ -371,7 +372,7 @@ class TestBaseOperator:
         calls = []
         monkeypatch.setattr(problems, "assemble_forms",
                             lambda *args: calls.append(args))
-        prob.base_operator()
+        prob.base_diagonals()
         assert not calls
 
 
@@ -382,8 +383,9 @@ class TestReferenceOperator:
         # p = 1 with no lower-order terms and Dirichlet or Neumann ends has
         # an exactly real matrix; a Robin end is referred to Neumann
         prob = make_problem("sawtooth", n=48, bc_left=bl, bc_right=NEU)
-        ref = prob.reference_operator()
-        assert ref.dtype == np.float64 and ref.flags.c_contiguous
+        band = prob.reference_diagonals()
+        assert all(x.dtype == np.float64 for x in band)
+        ref = _dense(band)
         ends = [bc if bc.is_dirichlet else NEU for bc in (bl, NEU)]
         H = orthonormalize(assemble_forms(
             prob.mesh, coeffs_for(prob.mesh, p=1.0), *ends))
@@ -401,8 +403,7 @@ class TestReferenceOperator:
         for bc_right in (DIR, NEU, BoundaryCondition(0.4 - 0.2j)):
             for n in (2, 37):
                 prob = make_problem(family, interval, n, bc_left, bc_right)
-                got = prob.reference_operator()
-                assert got.flags.c_contiguous
+                got = _dense(prob.reference_diagonals())
                 assert_bitwise(got, scatter_reference(prob.mesh, bc_left,
                                                       bc_right), bc_right, n)
 
@@ -412,7 +413,7 @@ class TestReferenceOperator:
         for module in (assembly, problems):
             monkeypatch.setattr(module, "assemble_forms",
                                 lambda *args: calls.append(args))
-        prob.reference_operator()
+        prob.reference_diagonals()
         w12_norm_matrix(prob.mesh, prob.bc_left, prob.bc_right, 4.0)
         assert not calls
 

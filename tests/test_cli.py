@@ -408,6 +408,37 @@ class TestVerifyCommands:
         assert "--E 1: z = -1 lies in the spectra of both" in err, err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("command, args", [
+        ("verify-krein", ("--n-list", "8,16", "--n", "8")),
+        ("kernel-dump", ("--n", "8")),
+        ("kernel-dump", ("--n", "8", "--theta-a", "neumann"))])
+    def test_krein_mesh_refused_is_a_config_error(self, tmp_path, capsys,
+                                                  command, args):
+        # [-3, -3 + 4.4e-16] holds only two doubles past -3, so the nodes of
+        # 8 cells coincide: build_mesh's refusal exited 1 with no manifest
+        code, out = run(tmp_path, "o", command, "--a", "-3", "--b",
+                        "-2.9999999999999996", *args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("a finite interval with --a -3.0 --b -2.9999999999999996 is "
+                "too short: mesh nodes must be strictly increasing") in err
+        assert not list(out.glob("*.csv"))
+
+    def test_kernel_dump_non_finite_dirichlet_table_is_a_config_error(
+            self, tmp_path, capsys):
+        # E (b - a) = 1.9e-361: the Green kernel's denominator
+        # 2 sqrt(E) (1 - exp(-2 sqrt(E) (b - a))) underflows to zero, and
+        # the run exited 0 with 81 nan cells in green_dirichlet.csv
+        code, out = run(tmp_path, "o", "kernel-dump", "--a", "0", "--b",
+                        "9.4e-249", "--E", "2.0e-113", "--n", "8",
+                        "--theta-a", "dirichlet")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "a finite interval with --a 0.0 --b 9.4e-249 is too short" \
+            in err, err
+        assert "Dirichlet Green kernel at z = -2e-113 has 81 entries" in err
+        assert not list(out.glob("*.csv"))
+
     def test_verify_krein_reads_its_ladder_coarse_to_fine(self, tmp_path):
         # the ladder was judged in the order typed: 16,8 read
         # min_observed_order = -2 and failed rank-one convergence
@@ -738,13 +769,15 @@ class TestVerifyCommands:
         cfg = load_config(build_parser().parse_args(
             [*args, "--outdir", str(out)]))
         manifest = read_manifest(out)
+        # against a dense inverse of H + E_acc, the test-local reference
         H = problem_from(cfg).H
         Hs = H + float(manifest["accretive_shift"]) * np.eye(H.shape[0])
         rows = (out / "positive_type.csv").read_text().splitlines()
         assert rows[0] == "t,ratio" and len(rows) == 18
         for line in rows[1:]:
             t, ratio = map(float, line.split(","))
-            exact = (1 + t) * np.linalg.norm(resolvent(Hs, -t), 2)
+            exact = (1 + t) * np.linalg.norm(
+                np.linalg.inv(Hs + t * np.eye(H.shape[0])), 2)
             assert ratio == pytest.approx(exact, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("interval", ["half_line", "full_line"])

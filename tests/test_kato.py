@@ -22,9 +22,22 @@ NEU = BoundaryCondition.neumann()
 
 
 def setup_pair(family, n):
-    """(problem, base operator) for one family on [0, 1]."""
+    """(problem, base operator's diagonals) for one family on [0, 1]."""
     prob = make_problem(family, n=n)
-    return prob, prob.base_operator()
+    return prob, prob.base_diagonals()
+
+
+def random_band(rng, n):
+    """The diagonals of a random complex tridiagonal matrix of unit scale,
+    plus 3 on its diagonal."""
+    lo, d, up = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                 for m in (n - 1, n, n - 1))
+    return lo, d + 3.0, up
+
+
+def dense_inverse(H, z):
+    """The test-local reference resolvent ``(H - z)^{-1}`` of a dense H."""
+    return np.linalg.inv(H - z * np.eye(H.shape[0]))
 
 
 def with_coeffs(n, bl=DIR, br=DIR, **coeffs):
@@ -206,7 +219,7 @@ class TestKatoK:
 
     def test_scalar_toy(self):
         # hand-built 1x1 operator: T0 = [1], A = B = [1], z = 0 -> K = -1
-        T0 = np.eye(1, dtype=complex)
+        T0 = (np.zeros(0), np.ones(1, dtype=complex), np.zeros(0))
         fact = FactoredPerturbation(A=identity_factor(1),
                                     B=identity_factor(1))
         np.testing.assert_allclose(kato_K(T0, fact, 0.0), [[-1.0]])
@@ -258,19 +271,18 @@ class TestPerturbedResolvent:
         assert np.linalg.norm(R1 - R2 - rhs) / np.linalg.norm(rhs) < 1e-9
 
     def test_random_pair(self):
-        # a dense H0 and a random pair: every value of A and B in its cell
-        # and node blocks is nonzero
+        # a random tridiagonal H0 and a random pair: every value of A and B
+        # in its cell and node blocks is nonzero
         rng = np.random.default_rng(5)
         n, z = 20, -1.0 + 0.5j
-        H0 = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-              ) / np.sqrt(n) + 3.0 * np.eye(n)
+        H0 = random_band(rng, n)
         A, B = tall_factor(rng, n, 2), tall_factor(rng, n, 2)
         # ||K|| = 1/2 keeps 1 out of the spectrum of K
         scale = np.sqrt(0.5 / spectral_norm(kato_K(
             H0, FactoredPerturbation(A=A, B=B), z)))
         fact = FactoredPerturbation(A=scaled(A, scale), B=scaled(B, scale))
         R = perturbed_resolvent(resolvent(H0, z), fact, z)
-        R_direct = resolvent(H0 + perturbation(fact), z)
+        R_direct = dense_inverse(_dense(H0) + perturbation(fact), z)
         assert (np.linalg.norm(R - R_direct) / np.linalg.norm(R_direct)
                 <= 1e-12)
 
@@ -457,8 +469,7 @@ class TestSolveCore:
         # array (the parent formed I - K and read 1.92 times that)
         rng = np.random.default_rng(11)
         n, blocks, z = 40, 6, -1.0 + 0.5j
-        H0 = (rng.standard_normal((n, n))
-              + 1j * rng.standard_normal((n, n))) / np.sqrt(n) + 3 * np.eye(n)
+        H0 = random_band(rng, n)
         A, B = tall_factor(rng, n, blocks), tall_factor(rng, n, blocks)
         # ||K|| = 1/2 keeps 1 out of the spectrum of K
         scale = np.sqrt(0.5 / spectral_norm(kato_K(
@@ -473,7 +484,7 @@ class TestSolveCore:
             tracemalloc.stop()
         m = dense(fact.A).shape[0]
         assert peak < m * m * np.dtype(complex).itemsize
-        R_direct = resolvent(H0 + perturbation(fact), z)
+        R_direct = dense_inverse(_dense(H0) + perturbation(fact), z)
         assert (np.linalg.norm(R - R_direct) / np.linalg.norm(R_direct)
                 <= 1e-12)
 
@@ -599,23 +610,24 @@ class TestDecayProfile:
         built = []
         init = _InvSqrtShifted.__init__
 
-        def counting_init(self, H):
-            built.append(H.shape)
-            init(self, H)
+        def counting_init(self, band):
+            built.append(band[1].shape)
+            init(self, band)
 
         references = []
-        reference_operator = Problem.reference_operator
+        reference_diagonals = Problem.reference_diagonals
 
         def counting_reference(self):
             references.append(self)
-            return reference_operator(self)
+            return reference_diagonals(self)
 
         monkeypatch.setattr(_InvSqrtShifted, "__init__", counting_init)
-        monkeypatch.setattr(Problem, "reference_operator", counting_reference)
+        monkeypatch.setattr(Problem, "reference_diagonals",
+                            counting_reference)
         suite = decay_suite(prob, E_grid)
         assert len(built) == 2 and len(references) == 1
         # the same numbers as one factorization per variant and multiplier
-        T0 = prob.base_operator()
+        T0 = prob.base_diagonals()
         for variant, prof in suite["profiles"].items():
             fact = build_factorization(prob, variant)
             alone = decay_profile(_InvSqrtShifted(T0), fact, E_grid)
@@ -627,7 +639,7 @@ class TestDecayProfile:
         assert suite["multipliers"].keys() == multipliers.keys()
         for name, samples in multipliers.items():
             alone = thmA1_decay(prob.lumped_average(samples),
-                                _InvSqrtShifted(prob.reference_operator()),
+                                _InvSqrtShifted(prob.reference_diagonals()),
                                 E_grid)
             shared = suite["multipliers"][name]
             assert np.array_equal(shared["norms"], alone["norms"])
@@ -641,7 +653,7 @@ class TestMultiplierDecay:
         prob = with_coeffs(32, bl=NEU, r=1.0)
         E_grid = [1.0, 10.0, 100.0]
         rec = decay_suite(prob, E_grid)["multipliers"]["abs_r"]
-        lam = np.linalg.eigvalsh(prob.reference_operator())[0]
+        lam = np.linalg.eigvalsh(_dense(prob.reference_diagonals()))[0]
         np.testing.assert_allclose(rec["norms"],
                                    (lam + np.array(E_grid)) ** -0.5,
                                    rtol=1e-8)
@@ -672,31 +684,33 @@ class TestInvSqrtShifted:
     def test_fresh_factor_not_served_a_stale_projection(self):
         # a new array of the same size often takes a freed array's id, so
         # a long-lived instance must not key anything on id(X)
-        H = make_problem("free", n=48).H
-        halver = _InvSqrtShifted(H)
+        band = make_problem("free", n=48).diagonals()
+        halver = _InvSqrtShifted(band)
         rng = np.random.default_rng(3)
         for _ in range(200):
-            X = rng.standard_normal((5, H.shape[0])) + 0j
+            X = rng.standard_normal((5, band[1].size)) + 0j
             got = halver.norms([2.0], X)[0][0]
-            assert got == _InvSqrtShifted(H).norms([2.0], X)[0][0]
+            assert got == _InvSqrtShifted(band).norms([2.0], X)[0][0]
             del X
 
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_norms_match_explicit_inverse_root(self, hermitian):
-        H = make_problem("free", n=24).H
+        lo, d, up = make_problem("free", n=24).diagonals()
         if not hermitian:
-            H = H + 1j * np.diag(np.linspace(0.0, 5.0, H.shape[0]))
+            d = d + 1j * np.linspace(0.0, 5.0, d.size)
+        band = (lo, d, up)
+        H = _dense(band)
         rng = np.random.default_rng(4)
         A = rng.standard_normal((3, H.shape[0])) + 0j
         B = rng.standard_normal((2, H.shape[0])) + 0j
         shifts = [1.0, 10.0, 100.0]
-        right, left, _ = _InvSqrtShifted(H).norms(shifts, A, B)
+        right, left, _ = _InvSqrtShifted(band).norms(shifts, A, B)
         for c, r, l in zip(shifts, right, left):
             R = np.linalg.inv(sla.sqrtm(H + c * np.eye(H.shape[0])))
             assert r == pytest.approx(np.linalg.norm(A @ R, 2), rel=1e-6)
             assert l == pytest.approx(np.linalg.norm(R @ B.conj().T, 2),
                                       rel=1e-6)
-        assert len(_InvSqrtShifted(H).norms(shifts, A)) == 1
+        assert len(_InvSqrtShifted(band).norms(shifts, A)) == 1
 
     @pytest.mark.parametrize("family", ["constant_qrs", "sawtooth"])
     def test_batched_norms_match_explicit_products(self, family):
@@ -705,10 +719,10 @@ class TestInvSqrtShifted:
         # block holds, so blocks are crossed
         prob = make_problem(family, n=64, bc_left=(
             BoundaryCondition(1 + 0.5j) if family == "sawtooth" else None))
-        T0 = prob.base_operator()
+        T0 = prob.base_diagonals()
         fact = build_factorization(prob, "full_triple")
         halver = _InvSqrtShifted(T0)
-        n = T0.shape[0]
+        n = T0[1].size
         assert halver.path == ("hermitian" if family == "constant_qrs"
                                else "schur")
         shifts = np.geomspace(1.0, 1e4, 20)
@@ -725,7 +739,7 @@ class TestInvSqrtShifted:
                 M_right = (A @ halver.basis) * d
                 M_left = (B @ halver.basis) * d
             else:
-                R = np.linalg.inv(sla.sqrtm(T0 + c * np.eye(n)))
+                R = np.linalg.inv(sla.sqrtm(_dense(T0) + c * np.eye(n)))
                 M_right = A @ R
                 M_left = R @ B.conj().T
             assert r == pytest.approx(spectral_norm(M_right), rel=1e-12)
@@ -739,8 +753,8 @@ class TestInvSqrtShifted:
         # after the cut guard, and used to be skipped
         n = 12
         rng = np.random.default_rng(6)
-        H = np.diag(np.append(-20.0 + 3.0j, np.arange(1.0, n))) + np.triu(
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        H = (np.zeros(n - 1), np.append(-20.0 + 3.0j, np.arange(1.0, n)),
+             rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
         halver = _InvSqrtShifted(H)
         X = np.ones((2, n), dtype=complex)
         for args in ((X,), (X, X)):
@@ -750,13 +764,13 @@ class TestInvSqrtShifted:
                        for norm in halver.norms([30.0, 100.0], *args))
 
     def test_schur_path_guards_the_cut(self):
-        # non-Hermitian with the real eigenvalues 1..n: the shift -1 puts
-        # one at 0, on the cut, and -3 puts two below zero and one at 0,
-        # which the one guard reports by the shift rule first
+        # upper bidiagonal with the real eigenvalues 1..n: the shift -1
+        # puts one at 0, on the cut, and -3 puts two below zero and one at
+        # 0, which the one guard reports by the shift rule first
         n = 12
         rng = np.random.default_rng(5)
-        H = np.diag(np.arange(1.0, n + 1)) + np.triu(
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        H = (np.zeros(n - 1), np.arange(1.0, n + 1),
+             rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
         halver = _InvSqrtShifted(H)
         assert halver.path == "schur"
         X = np.ones((2, n), dtype=complex)
@@ -778,13 +792,13 @@ class TestInvSqrtShifted:
         # products of a Schur-method root, taken before sla.schur and
         # sla.sqrtm are forbidden
         prob = make_problem(family, n=48, bc_left=bc, bc_right=bc)
-        T0 = prob.base_operator()
+        T0 = prob.base_diagonals()
         fact = build_factorization(prob, "full_triple")
         shifts = np.geomspace(1e2, 1e6, 5)
         A, B = dense_pair(fact)
         oracle = []
         for c in shifts:
-            R = np.linalg.inv(sla.sqrtm(T0 + c * np.eye(T0.shape[0])))
+            R = np.linalg.inv(sla.sqrtm(_dense(T0) + c * np.eye(T0[1].size)))
             oracle.append([spectral_norm(A @ R),
                            spectral_norm(R @ B.conj().T),
                            spectral_norm(kato_K(T0, fact, -c))])
@@ -818,7 +832,7 @@ class TestInvSqrtShifted:
 
         monkeypatch.setattr(sla, "schur", counting)
         fact = build_factorization(prob, "full_triple")
-        halver = _InvSqrtShifted(prob.base_operator())
+        halver = _InvSqrtShifted(prob.base_diagonals())
         assert halver.path == "schur"
         assert all(np.all(norm > 0)
                    for norm in halver.norms([1e2, 1e3], fact.A, fact.B))
@@ -828,10 +842,11 @@ class TestInvSqrtShifted:
         # one subdiagonal entry of sawtooth's normal T0 scaled by 1 + 1e-6:
         # S stays real, but |g_k| leaves 1 by 5e-7 from k on, so D V is no
         # longer unitary and the basis would not be orthonormal
-        T0 = make_problem("sawtooth", n=32).base_operator()
-        assert _InvSqrtShifted(T0).path == "normal"
-        T0[11, 10] *= 1 + 1e-6
-        g, *_, corner = matfun._gauge(matfun._diagonals(T0))
+        lo, d, up = make_problem("sawtooth", n=32).base_diagonals()
+        assert _InvSqrtShifted((lo, d, up)).path == "normal"
+        lo = lo.copy()
+        lo[10] *= 1 + 1e-6  # the entry T0[11, 10]
+        g, *_, corner = matfun._gauge((lo, d, up))
         assert corner is None
         assert np.abs(np.abs(g) - 1).max() > 1e-7
-        assert _InvSqrtShifted(T0).path == "schur"
+        assert _InvSqrtShifted((lo, d, up)).path == "schur"

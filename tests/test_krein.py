@@ -45,7 +45,7 @@ def discrete_kernel(n, z, bc_left, bc_right=DIR):
     mesh = build_mesh(interval, n)
     coeffs = CoefficientSet.from_callables(mesh, p=1.0)
     op = Problem(interval, mesh, coeffs, bc_left, bc_right)
-    R = resolvent(op.H, z)
+    R = resolvent(op.diagonals(), z)
     return mesh, op, op.kernel_table(R)
 
 
@@ -299,7 +299,7 @@ class TestSqrtKernel:
         mesh = build_mesh(interval, n)
         coeffs = CoefficientSet.from_callables(mesh, p=1.0)
         op = Problem(interval, mesh, coeffs, NEU, DIR)
-        S = sqrt_db(resolvent(op.H + E * np.eye(op.H.shape[0]), 0.0))
+        S = sqrt_db(resolvent(op.diagonals(), -E))
         disc = op.kernel_table(S)
         cont = sqrt_kernel(E, NEU, mesh)
         band = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1))) >= 4

@@ -80,10 +80,10 @@ class TestKreinAtComplexSpectralPoints:
         mesh = build_mesh(IntervalSpec(), n)
         coeffs = CoefficientSet.from_callables(mesh, p=1.0)
         op_dir = Problem(IntervalSpec(), mesh, coeffs, DIR, DIR)
-        dir_tab = op_dir.kernel_table(resolvent(op_dir.H, z))
+        dir_tab = op_dir.kernel_table(resolvent(op_dir.diagonals(), z))
         krein_tab = krein_resolvent(dir_tab, z, th, mesh)
         op_rob = Problem(IntervalSpec(), mesh, coeffs, th, DIR)
-        rob_tab = op_rob.kernel_table(resolvent(op_rob.H, z))
+        rob_tab = op_rob.kernel_table(resolvent(op_rob.diagonals(), z))
         scale = np.max(np.abs(rob_tab))
         assert np.max(np.abs(krein_tab - rob_tab)) <= 5e-3 * scale
 
@@ -99,7 +99,7 @@ class TestComplexRobinSqrtKernel:
         assert np.max(np.abs(table[-1, :])) == 0.0
         coeffs = CoefficientSet.from_callables(mesh, p=1.0)
         op = Problem(IntervalSpec(), mesh, coeffs, th, DIR)
-        S = sqrt_db(resolvent(op.H + E * np.eye(op.H.shape[0]), 0.0))
+        S = sqrt_db(resolvent(op.diagonals(), -E))
         disc = op.kernel_table(S)
         band = np.abs(np.subtract.outer(np.arange(n + 1),
                                         np.arange(n + 1))) >= 4
@@ -160,7 +160,7 @@ UNIT = build_mesh(IntervalSpec(), 8)
 
 
 def free_halver():
-    return _InvSqrtShifted(make_problem("free", n=8).H)
+    return _InvSqrtShifted(make_problem("free", n=8).diagonals())
 
 
 def kernel_on_a_tiny_interval(tmp_path):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                              assemble_forms, build_mesh, orthonormalize)
+                              _dense, assemble_forms, build_mesh,
+                              orthonormalize)
+from sqrtdom.matfun import _diagonals
 from sqrtdom.problems import lions_operator, make_problem
 from sqrtdom.sectorial import (check_m_accretive, numerical_range_hull,
                                safe_shift)
@@ -81,20 +83,29 @@ class TestNumericalRangeHull:
         assert np.tan(rep.theta) <= np.abs(coeffs.p).max() / coeffs.lam + 1e-9
 
 
+def hermitian_psd_band(n, seed):
+    """The diagonals of a random diagonally dominant Hermitian tridiagonal
+    matrix, so positive semidefinite, with complex off-diagonals."""
+    rng = np.random.default_rng(seed)
+    up = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    d = np.r_[np.abs(up), 0.0] + np.r_[0.0, np.abs(up)]
+    return up.conj(), d, up
+
+
 class TestCheckMAccretive:
     def test_zero_matrix(self):
-        ok, worst = check_m_accretive(np.zeros((4, 4)),
+        ok, worst = check_m_accretive((np.zeros(3), np.zeros(4), np.zeros(3)),
                                       [1.0, 1 + 1j, 0.5 - 2j])
         assert ok and worst <= 1.0 + 1e-12
 
     def test_hermitian_psd_real_shifts(self):
-        H = hermitian_psd(10, 5)
-        ok, worst = check_m_accretive(H, [0.5, 1.0, 10.0])
+        band = hermitian_psd_band(10, 5)
+        ok, worst = check_m_accretive(band, [0.5, 1.0, 10.0])
         assert ok and worst <= 1.0 + 1e-10
 
     def test_lions_operator_accretive_but_not_sectorial(self):
         T = lions_operator(96)
-        ok, worst = check_m_accretive(T, [0.5, 1.0, 4.0, 1 + 3j])
+        ok, worst = check_m_accretive(_diagonals(T), [0.5, 1.0, 4.0, 1 + 3j])
         assert ok
         # no n-uniform proper sector: the fitted angle creeps toward pi/2
         angles = [numerical_range_hull(lions_operator(n)).theta
@@ -122,62 +133,73 @@ class TestCheckMAccretive:
 
     def test_eigenvalue_just_left_of_axis_fails(self):
         # Re z = 0.5 against the eigenvalue -1e-4: the exact worst ratio is
-        # 0.5 / 0.4999 = 1.0002, which 50 power-iteration steps read as 0.999
-        rng = np.random.default_rng(0)
-        Q = np.linalg.qr(rng.standard_normal((200, 200))
-                         + 1j * rng.standard_normal((200, 200)))[0]
-        lam = np.concatenate(([-1e-4], np.linspace(0.0, 1e-2, 199)))
-        H = Q @ np.diag(lam) @ Q.conj().T
-        ok, worst = check_m_accretive(H, (0.5, 1.0, 4.0, 1 + 2j))
+        # 0.5 / 0.4999 = 1.0002.  The spectrum, c (2 - 2 cos(k pi / 201))
+        # shifted to start at -1e-4, spans 1e-2 with its lowest modes 2e-6
+        # apart, where 50 power-iteration steps read 0.997
+        n, c = 200, 2.5e-3
+        phase = np.exp(1j * np.linspace(0.0, 3.0, n - 1))
+        bottom = c * (2.0 - 2.0 * np.cos(np.pi / (n + 1)))
+        band = (-c * phase.conj(), np.full(n, 2.0 * c - bottom - 1e-4),
+                -c * phase)
+        ok, worst = check_m_accretive(band, (0.5, 1.0, 4.0, 1 + 2j))
         assert not ok
         assert worst == pytest.approx(0.5 / (0.5 - 1e-4), rel=1e-9)
 
     def test_rejects_left_halfplane_grid(self):
         with pytest.raises(ValueError):
-            check_m_accretive(np.eye(3), [-1.0])
+            check_m_accretive((np.zeros(2), np.ones(3), np.zeros(2)), [-1.0])
 
 
 class TestSafeShift:
     def test_accretive_input_needs_only_margin(self):
-        assert safe_shift(np.eye(3)) == pytest.approx(1.0)
+        assert safe_shift((np.zeros(2), np.ones(3), np.zeros(2))) == (
+            pytest.approx(1.0))
 
     def test_shifted_operator_is_accretive(self):
         rng = np.random.default_rng(8)
-        A = rng.standard_normal((12, 12)) - 2 * np.eye(12)
-        E = safe_shift(A)
-        lo = np.linalg.eigvalsh(0.5 * (A + A.conj().T))[0]
-        assert lo + E >= 1.0 - 1e-12
+        lo, d, up = (rng.standard_normal(m) for m in (11, 12, 11))
+        band = (lo, d - 2.0, up)
+        E = safe_shift(band)
+        A = _dense(band)
+        lowest = np.linalg.eigvalsh(0.5 * (A + A.conj().T))[0]
+        assert lowest + E >= 1.0 - 1e-12
 
 
 def sawtooth_operator():
-    """The n = 150 sawtooth operator on the half-line with a Neumann end:
-    tridiagonal and complex, as every operator the package assembles."""
+    """The diagonals of the n = 150 sawtooth operator on the half-line with
+    a Neumann end: tridiagonal and complex, as every operator the package
+    assembles."""
     return make_problem("sawtooth", IntervalSpec("half_line",
                                                  truncation_radius=10.0),
-                        n=150, bc_left=BoundaryCondition.neumann()).H
+                        n=150, bc_left=BoundaryCondition.neumann()).diagonals()
 
 
-def eigvalsh_shift(H):
-    """The margin rule of ``safe_shift`` on a dense eigendecomposition."""
+def eigvalsh_shift(band):
+    """The margin rule of ``safe_shift`` on a dense eigendecomposition, the
+    test-local reference."""
+    H = _dense(band)
     lowest = np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0]
     return max(0.0, -lowest) + 1.0
 
 
 class TestBandedSafeShift:
-    @pytest.mark.parametrize("name", ["tridiagonal", "dense", "scalar"])
+    @pytest.mark.parametrize("name", ["tridiagonal", "random", "scalar"])
     def test_matches_dense_eigenvalue(self, name):
         rng = np.random.default_rng(4)
-        H = {"tridiagonal": sawtooth_operator,
-             "dense": lambda: rng.standard_normal((7, 7))
-             + 1j * rng.standard_normal((7, 7)) - 3 * np.eye(7),
-             "scalar": lambda: np.array([[-2.5 + 4.0j]])}[name]()
-        assert safe_shift(H) == pytest.approx(eigvalsh_shift(H), rel=1e-12)
+        band = {"tridiagonal": sawtooth_operator,
+                "random": lambda: tuple(
+                    rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                    - 3.0 * (m == 7) for m in (6, 7, 6)),
+                "scalar": lambda: (np.zeros(0), np.array([-2.5 + 4.0j]),
+                                   np.zeros(0))}[name]()
+        assert safe_shift(band) == pytest.approx(eigvalsh_shift(band),
+                                                 rel=1e-12)
 
     def test_needs_no_dense_eigendecomposition(self, monkeypatch):
         # the Hermitian part shares the band of H, so its lowest eigenvalue
         # comes from the banded solver, not from a dense one
-        H = sawtooth_operator()
-        expected = eigvalsh_shift(H)
+        band = sawtooth_operator()
+        expected = eigvalsh_shift(band)
         eigvalsh = np.linalg.eigvalsh
 
         def small_only(M, *args, **kwargs):
@@ -186,4 +208,4 @@ class TestBandedSafeShift:
             return eigvalsh(M, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", small_only)
-        assert safe_shift(H) == pytest.approx(expected, rel=1e-12)
+        assert safe_shift(band) == pytest.approx(expected, rel=1e-12)

@@ -138,7 +138,7 @@ def dirichlet_table(n, z):
     mesh = build_mesh(interval, n)
     op = Problem(interval, mesh, CoefficientSet.from_callables(mesh), DIR,
                  DIR)
-    return mesh, op.kernel_table(resolvent(op.H, z))
+    return mesh, op.kernel_table(resolvent(op.diagonals(), z))
 
 
 def krein_gap(z, theta, theta_adjoint=None):

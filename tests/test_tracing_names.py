@@ -3,8 +3,9 @@ public function feeds a verdict, the settable values do not regrow, only
 ``csvio`` formats output, only ``cli._manifest`` decides a verdict, no
 verdict reads random vectors, every power route makes one eigenvalue
 guard call, every Krein kernel reads one boundary solution and one
-coupling denominator, and a tridiagonal form has one format, with no
-module on ``scipy.sparse``.
+coupling denominator, a tridiagonal form has one format, with no module
+on ``scipy.sparse``, and the band layer takes an operator only as its
+diagonals.
 
 A deletion that breaks ``perfbench/run.py --trace 1`` fails here by name,
 not deep inside a traced benchmark run.  The tracer module is loaded
@@ -390,3 +391,46 @@ def test_one_tridiagonal_format():
     imports = {path.name: lines for path in sorted(SRC.glob("*.py"))
                if (lines := sparse_uses(path))}
     assert not imports, f"scipy.sparse imported: {imports}"
+
+
+def tuple_tests(path):
+    """The owner of each ``isinstance(x, tuple)`` in one file, the bare
+    name ``tuple`` its second argument: the innermost function that holds
+    it, ``Class.method`` for a method."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, ast.ClassDef):
+                inner = child.name
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name if owner is None else (
+                    f"{owner}.{child.name}")
+            elif (isinstance(child, ast.Call)
+                  and getattr(child.func, "id", None) == "isinstance"
+                  and len(child.args) == 2
+                  and getattr(child.args[1], "id", None) == "tuple"):
+                owners.append(owner)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), None)
+    return owners
+
+
+def test_one_operator_format():
+    # the band layer takes an operator as its diagonals (lo, d, up) only:
+    # a matrix is still read by the power dispatch, whose Schur route is
+    # dense, by the Hermitian test and the root check, and a factor of a
+    # pair is a tuple beside a matrix or a vector; the dense base and
+    # reference operators are gone
+    from sqrtdom.problems import Problem
+
+    found = {(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             for owner in tuple_tests(path)}
+    allowed = {("domains", "matrix_power"), ("matfun", "_diagonals"),
+               ("matfun", "is_hermitian"), ("matfun", "_require_root"),
+               ("kato", "_times")}
+    assert found <= allowed, sorted(found - allowed)
+    kept = {"base_operator", "reference_operator"} & set(vars(Problem))
+    assert not kept, f"Problem still defines {sorted(kept)}"
