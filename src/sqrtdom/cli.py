@@ -452,17 +452,18 @@ def cmd_kernel_dump(cfg: dict, outdir: Path) -> int:
         X, Xp = np.meshgrid(mesh.nodes, mesh.nodes, indexing="ij")
         tables = {"green_dirichlet": green_kernel_dirichlet(
             z, X, Xp, cfg["a"], cfg["b"])}
+        checks = {"green-kernel": None}
+        extra = {"E": E, "n": cfg["n"]}
         if not th.is_dirichlet:
             tables["green_robin"] = krein_resolvent(
                 tables["green_dirichlet"], z, th, mesh)
             tables["sqrt_kernel"] = sqrt_kernel(E, th, mesh)
-    checks = {"green-kernel": None}
-    extra = {"E": E, "n": cfg["n"]}
-    if not th.is_dirichlet:
-        checks |= dict.fromkeys(("rank-one-corrected-green", "sqrt-kernel"))
-        extra["coupling_denominator"] = abs(d_theta(z, th, cfg["a"], cfg["b"]))
-        extra["u2_left_value"] = abs(u2_closed_form(z, cfg["a"], cfg["a"],
-                                                    cfg["b"]))
+            checks |= dict.fromkeys(("rank-one-corrected-green",
+                                     "sqrt-kernel"))
+            extra["coupling_denominator"] = abs(d_theta(z, th, cfg["a"],
+                                                        cfg["b"]))
+            extra["u2_left_value"] = abs(u2_closed_form(z, cfg["a"],
+                                                        cfg["a"], cfg["b"]))
     for name, table in tables.items():
         csvio.write_kernel(outdir / f"{name}.csv", mesh.nodes, table)
     return _manifest(outdir, cfg, "kernel-dump", checks, extra)

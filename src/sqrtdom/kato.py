@@ -230,11 +230,12 @@ def build_factorization(prob: Problem, variant: str) -> FactoredPerturbation:
     return FactoredPerturbation(A=factor(*A), B=factor(*B))
 
 
-def kato_K(H0: np.ndarray, fact: FactoredPerturbation,
+def kato_K(H0: tuple, fact: FactoredPerturbation,
            z: complex) -> np.ndarray:
     """The compressed resolvent ``K(z) = -A (R0 B^H)`` with
-    ``R0 = (H0 - z)^{-1}``, with ``R0 B^H`` formed as ``(B R0^H)^H``
-    through the cell layout of ``B``."""
+    ``R0 = (H0 - z)^{-1}``, ``H0`` the diagonals ``(lo, d, up)`` of the base
+    operator, with ``R0 B^H`` formed as ``(B R0^H)^H`` through the cell
+    layout of ``B``."""
     RB = _times(fact.B, resolvent(H0, z).conj().T).conj().T
     return -_times(fact.A, RB)
 

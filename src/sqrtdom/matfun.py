@@ -210,8 +210,8 @@ _MAX_SIMILARITY_COND = 1e2
 def _gauge(band: tuple) -> tuple | None:
     """The discrete Liouville gauge of the tridiagonal H with diagonals
     ``band = (lo, d, up)``: ``(g, d_ref, c, mu, V, corner)``, or None unless
-    every ``lo_k up_k != 0`` and the gauge applies.  Real diagonals are
-    worked in real arithmetic.
+    H has two rows or more, every ``lo_k up_k != 0`` and the gauge applies.
+    Real diagonals are worked in real arithmetic.
 
     With ``e_k = sqrt(lo_k up_k)`` (principal branch) and ``D = diag(g)``,
     ``g_{k+1} / g_k = e_k / up_k``, ``D^-1 H D`` is symmetric tridiagonal
@@ -229,8 +229,8 @@ def _gauge(band: tuple) -> tuple | None:
     Complex corners at both ends give None.
     """
     lo, d, up = band
-    if not np.all(lo * up):
-        return None
+    if d.size < 2 or not np.all(lo * up):
+        return None  # a 1 x 1 H has no off-diagonal to scale c = e_0 by
     e = np.emath.sqrt(lo * up)
     g = np.r_[1.0, e / up]
     if np.ptp(np.cumsum(np.log(np.abs(g)))) > np.log(_MAX_SIMILARITY_COND):

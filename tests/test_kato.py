@@ -693,6 +693,19 @@ class TestInvSqrtShifted:
             assert got == _InvSqrtShifted(band).norms([2.0], X)[0][0]
             del X
 
+    def test_one_unknown_takes_the_schur_path(self):
+        # two cells with Dirichlet ends leave one unknown: a 1 x 1 band has
+        # no off-diagonal for the gauge, so a complex T0 takes Schur
+        band = make_problem("complex_p", n=2).base_diagonals()
+        assert band[1].size == 1 and np.any(band[1].imag)
+        halver = _InvSqrtShifted(band)
+        assert halver.path == "schur"
+        X = np.ones((1, 1), dtype=complex)
+        right, left, _ = halver.norms([4.0], X, X)
+        want = abs((band[1][0] + 4.0) ** -0.5)
+        assert right[0] == pytest.approx(want, rel=1e-12)
+        assert left[0] == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_norms_match_explicit_inverse_root(self, hermitian):
         lo, d, up = make_problem("free", n=24).diagonals()

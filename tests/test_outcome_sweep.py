@@ -108,6 +108,10 @@ def test_every_outcome_is_what_its_exit_code_says(tmp_path, command):
             assert (out / "manifest.txt").exists(), where
             entries = manifest(out)
             assert entries["failed_checks"] not in ("", "none"), where
+            # kappa-study keeps its study's reading under ``verdict``: the
+            # open case that ROADMAP's outcome-sweep item and a CHANGES.md
+            # FOUND record; drop this exemption once that reading has its
+            # own key
             if command != "kappa-study":
                 assert entries["verdict"] == "fail", where
         else:
