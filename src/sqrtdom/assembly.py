@@ -10,9 +10,9 @@ Every form is tridiagonal and is held as its three diagonals
 ``(lo, d, up)``, from the cell sums through the scaling: a matrix is formed
 only where a consumer reads one, by ``_dense``.  ``orthonormalize`` scales
 the forms' sum into the operator matrix in L2-orthonormal coordinates and
-forms it densely; ``problems.Problem`` keeps that one dense matrix, formed
-on its first read, together with its inputs, and hands out the scaled
-diagonals themselves (``FormMatrices.congruence``, diagonals to
+forms it densely, for the two readers of a dense operator;
+``problems.Problem`` keeps only its inputs and forms, and hands out the
+scaled diagonals themselves (``FormMatrices.congruence``, diagonals to
 diagonals), the one operator format every band function takes.
 """
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import csvio
 from .assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                       MeshError, _dense, build_mesh, w12_norm_matrix)
+                       MeshError, _dense, build_mesh, orthonormalize,
+                       w12_norm_matrix)
 from .checks import (TOL_K0, TOL_KATO, TOL_ORDER, TOL_PLATEAU, TOL_SLACK,
                      TOL_SLOPE, TOL_TRACE, decay_suite, failed,
                      form_bound_suite, kato_checks, krein_suite, trace_suite)
@@ -296,7 +297,7 @@ def cmd_assemble(cfg: dict, outdir: Path) -> int:
     for name in ("M", "K0", "K1", "K2", "K3", "Bdry"):
         csvio.write_matrix(outdir / f"{name}.csv",
                            _dense(getattr(forms, name)))
-    csvio.write_matrix(outdir / "operator.csv", prob.H)
+    csvio.write_matrix(outdir / "operator.csv", orthonormalize(forms))
     csvio.write_rows(outdir / "mesh.csv", "i,x", enumerate(prob.mesh.nodes))
     GE = w12_norm_matrix(prob.mesh, prob.bc_left, prob.bc_right,
                          cfg["E"] or 1.0)
@@ -481,7 +482,7 @@ def cmd_hypothesis_check(cfg: dict, outdir: Path) -> int:
                      [(eps[e], j + 1, ratio[e, j])
                       for e, j in np.ndindex(ratio.shape)])
 
-    hull = numerical_range_hull(prob.H)
+    hull = numerical_range_hull(orthonormalize(prob.forms))
     csvio.write_rows(outdir / "range_boundary.csv", "phi,re,im",
                      [(p, v.real, v.imag)
                       for p, v in zip(hull.angles, hull.boundary)])

@@ -21,9 +21,9 @@ power the gauge route's ``(H_ref + E)^-alpha``; for the control
 ``Z = T^alpha (T^-alpha)^H``, both powers closed-form.  A problem passes when ``kappa`` stays bounded under
 mesh refinement; the control's critical-power ratio keeps growing.
 
-Every fractional power goes through ``matrix_power``, which takes a matrix
-or the diagonals ``(lo, d, up)`` of a tridiagonal one, and whose three
-routes are all exact to roundoff: the terminating binomial series for a
+Every fractional power goes through ``matrix_power``, which takes the
+diagonals ``(lo, d, up)`` of a tridiagonal matrix, and whose three routes
+are all exact to roundoff: the terminating binomial series for a
 tridiagonal Toeplitz matrix with a zero superdiagonal (the negative
 control, lower bidiagonal); the discrete Liouville gauge
 (``matfun._gauge``) for a tridiagonal matrix that a diagonal similarity D
@@ -32,8 +32,8 @@ coefficients with real ends, and every constant-coefficient family with
 Dirichlet ends), or to one with a single complex boundary corner, a
 rank-one update whose eigenpairs come from its secular equation (one
 complex Robin end with real coefficients; one Neumann or Robin end with
-constant coefficients); and one complex Schur form for any other input,
-dense input included, whose triangular factor is rooted k times at
+constant coefficients); and one complex Schur form of the dense matrix for
+any other band, whose triangular factor is rooted k times at
 alpha = 2^-k and raised by Schur-Pade otherwise.  Real input stays real on
 the first two routes.  A shift that leaves an eigenvalue of negative real
 part (on every route, by the one guard ``matfun._require_shifted``), a
@@ -51,9 +51,8 @@ import scipy.linalg as sla
 from .assembly import _dense
 from .kato import _InvSqrtShifted, _loglog_slope
 from .matfun import (ShiftBelowSpectrumError, SpectrumOnCutError,
-                     _band_storage, _diagonals, _gauge,
-                     _principal_sqrt, _require_root, _require_shifted,
-                     _residual_fails, is_hermitian)
+                     _band_storage, _gauge, _principal_sqrt, _require_root,
+                     _require_shifted, _residual_fails, is_hermitian)
 from .problems import lions_operator
 
 __all__ = [
@@ -217,24 +216,23 @@ def _gauge_power(band: tuple, alpha: float) -> np.ndarray | None:
     return X.astype(dtype, copy=False)
 
 
-def matrix_power(H: np.ndarray | tuple, alpha: float) -> np.ndarray:
-    """Fractional power ``H^alpha``; the one place a route is chosen.
+def matrix_power(band: tuple, alpha: float) -> np.ndarray:
+    """Fractional power ``H^alpha`` of the tridiagonal H with diagonals
+    ``band = (lo, d, up)``; the one place a route is chosen.
 
-    ``H`` is a matrix or the diagonals ``(lo, d, up)`` of a tridiagonal
-    one, and ``_diagonals`` reads either: a tuple as it is, a matrix by one
-    read of its nonzero pattern.  The Toeplitz and gauge tests then read
-    only the three diagonals.  A tridiagonal Toeplitz matrix with a zero
-    superdiagonal takes ``_toeplitz_power``, and a tridiagonal matrix that a
-    diagonal similarity symmetrizes, up to one complex boundary corner,
-    takes ``_gauge_power`` (Hermitian tridiagonal input among them, with
-    ``|g_k| = 1``).  These two routes return a real power for real input.
-    Any other input, dense Hermitian input included, is factored once as
-    ``Q U Q^H`` (complex Schur), the one route that forms given diagonals
-    into a dense matrix.  At ``alpha = 2^-k`` the triangular ``U`` is rooted k times
-    (``matfun._principal_sqrt``, each root residual-checked); any other
-    alpha raises ``U`` by the Schur-Pade algorithm (Higham & Lin, SIAM J.
-    Matrix Anal. Appl. 32, 2011), which takes no second Schur step on
-    triangular input.  The triangular power ``R`` returns as ``Q R Q^H``.
+    The Toeplitz and gauge tests read only the three diagonals.  A
+    tridiagonal Toeplitz matrix with a zero superdiagonal takes
+    ``_toeplitz_power``, and a tridiagonal matrix that a diagonal
+    similarity symmetrizes, up to one complex boundary corner, takes
+    ``_gauge_power`` (Hermitian input among them, with ``|g_k| = 1``).
+    These two routes return a real power for real input.  Any other band,
+    and one of a single row, is formed into the dense H (``_dense``) and
+    factored once as ``Q U Q^H`` (complex Schur).  At ``alpha = 2^-k`` the
+    triangular ``U`` is rooted k times (``matfun._principal_sqrt``, each
+    root residual-checked); any other alpha raises ``U`` by the Schur-Pade
+    algorithm (Higham & Lin, SIAM J. Matrix Anal. Appl. 32, 2011), which
+    takes no second Schur step on triangular input.  The triangular power
+    ``R`` returns as ``Q R Q^H``.
 
     Every route passes the eigenvalues it has (the binomial series' one
     diagonal value, the gauge's ``d_ref + c mu`` or ``diag(U)``) once
@@ -242,17 +240,13 @@ def matrix_power(H: np.ndarray | tuple, alpha: float) -> np.ndarray:
     eigenvalues, not the route.  A negative ``alpha`` takes the same
     routes.
     """
-    if not isinstance(H, tuple):
-        H = np.asarray(H)
-    if (band := _diagonals(H)) is not None and band[1].size >= 2:
+    if band[1].size >= 2:
         if (toeplitz := _tridiagonal_toeplitz(band)) and toeplitz[2] == 0:
             return _toeplitz_power(toeplitz[1], toeplitz[0], band[1].size,
                                    alpha)
         if (X := _gauge_power(band, alpha)) is not None:
             return X
-    if isinstance(H, tuple):
-        H = _dense(H)
-    U, Q = sla.schur(H, output="complex")
+    U, Q = sla.schur(_dense(band), output="complex")
     _require_shifted(np.diag(U))
     if roots := _dyadic_roots(alpha):
         for _ in range(roots):
@@ -366,12 +360,12 @@ def _kappa_row(operator_at, n: int, E: float, alpha: float) -> dict:
     ``Problem`` is referred to the same power of its self-adjoint
     reference operator (``_power_over_reference``), whose Gram at the
     critical power is ``H_ref + E``, the E-scaled Sobolev Gram in
-    orthonormal coordinates.  Both operators arrive as their diagonals,
-    the problem's scaled forms, so the row forms neither dense
-    ``H`` nor dense reference; its dense arrays are the power, its root
-    check and ``Z``."""
+    orthonormal coordinates.  Every operator arrives as its diagonals,
+    with E added to the main one, so the row forms no dense operator; its
+    dense arrays are the power, its root check and ``Z``."""
     if operator_at is lions_operator:
-        T = lions_operator(n) + E * np.eye(n)
+        lo, d, up = lions_operator(n)
+        T = (lo, d + E, up)
         Z = matrix_power(T, alpha) @ matrix_power(T, -alpha).conj().T
     else:
         prob = operator_at(n)

@@ -52,7 +52,8 @@ def _sqrt_nodes(cutoff: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _expm1_ratio(st, d):
-    """(1 - exp(-2 st d)) terms, stable for large |st|."""
+    """The ``1 - exp(-2 st d)`` term of every Krein kernel, by ``expm1``:
+    bounded for large ``|st|``, and its digits kept as ``st d -> 0``."""
     return -np.expm1(-2.0 * st * d)
 
 
@@ -66,9 +67,11 @@ def _boundary_solution(st, x, a: float, b: float):
 
 def _denominator(st, cot_a, a: float, b: float):
     """``cot(theta_a) + u2'(a) = cot(theta_a) - st coth(st (b - a))`` at
-    ``z = -st**2``, the coth by one-sided exponentials; broadcasts."""
-    em = np.exp(-2.0 * st * (b - a))
-    return cot_a - st * (1.0 + em) / (1.0 - em)
+    ``z = -st**2``; broadcasts.  With ``r = _expm1_ratio(st, b - a)`` the
+    coth is ``(2 - r) / r``, so ``st / r`` keeps its digits as ``z -> 0``,
+    where the denominator tends to ``cot(theta_a) - 1 / (b - a)``."""
+    r = _expm1_ratio(st, b - a)
+    return cot_a - st * (2.0 - r) / r
 
 
 def u2_closed_form(z: complex, x, a: float, b: float):

@@ -6,9 +6,7 @@ takes it in one format, its three diagonals ``(lo, d, up)``: ``resolvent``
 solves in that (1, 1) band, laid out by the one band builder
 ``_band_storage`` and multiplied by the one band product ``_band_matmul``,
 which the factored cores of ``kato`` share.  The roots and powers return
-dense matrices.  ``domains.matrix_power`` alone also takes a matrix, whose
-diagonals ``_diagonals`` reads off when it is tridiagonal, so that a
-power is taken and root-checked with no dense input.
+dense matrices.
 
 Verdicts take their powers from ``domains.matrix_power`` and their inverse
 half powers from ``kato._InvSqrtShifted``.  Both read a tridiagonal input
@@ -17,11 +15,12 @@ that symmetrizes it, up to one complex boundary corner, and diagonalizes
 the symmetric part with ``eigh_tridiagonal``.  ``matrix_power`` takes any
 such input; ``_InvSqrtShifted`` takes the normal ones, whose similarity is
 unitary, and diagonalizes Hermitian input by a dense ``eigh``.  Other
-input takes one complex Schur form, whose triangular factor
-``_principal_sqrt`` roots.  Their eigenvalues pass the one guard
-``_require_shifted``, and every computed square root the one residual rule
-``_require_root``.  The Denman-Beavers ``sqrt_db`` is left only to the
-determinant-trace identity and to the tests, as an independent root.
+input is formed densely and takes one complex Schur form, whose
+triangular factor ``_principal_sqrt`` roots.  Their eigenvalues pass the
+one guard ``_require_shifted``, and every computed square root the one
+residual rule ``_require_root``.  The Denman-Beavers ``sqrt_db`` is left
+only to the determinant-trace identity and to the tests, as an
+independent root.
 ``frac_power_quad`` is the independent reference that criterion 3 and the
 tests compare against.  It uses the classical integral representation
 
@@ -182,23 +181,6 @@ def _band_matmul(band: tuple, X: np.ndarray) -> np.ndarray:
     out[:-1] += up[:, None] * X[1:]
     out[1:] += lo[:, None] * X[:-1]
     return out
-
-
-def _diagonals(H: np.ndarray | tuple) -> tuple | None:
-    """``(lo, d, up)``, the three diagonals of a tridiagonal H.
-
-    A tuple of them is returned unchanged, so a tridiagonal matrix and its
-    diagonals take the same route; a matrix gives its diagonals when one
-    read of its nonzero pattern finds it tridiagonal (every nonzero
-    ``H[i, j]`` has ``|j - i| <= 1``) with n >= 2, and None otherwise."""
-    if isinstance(H, tuple):
-        return H
-    if H.shape[0] < 2:
-        return None
-    rows, cols = np.nonzero(H)
-    if np.any(np.abs(cols - rows) > 1):
-        return None
-    return np.diag(H, -1), np.diag(H), np.diag(H, 1)
 
 
 # Largest cond(D) that ``_gauge`` accepts: roundoff grows with it, so worse

@@ -7,20 +7,20 @@ inputs (interval, mesh, coefficients, two boundary conditions) and builds
 its form matrices from them, and every operator from those, so they cannot
 disagree.  The forms are the diagonals ``(lo, d, up)`` of tridiagonal
 matrices, and so are the operator, its base and its reference, scaled from
-them: the band layer's one operator format.  The operator matrix ``H`` is
-the one dense matrix it keeps, formed on its first read.
+them, and the upwind control ``lions_operator``: the band layer's one
+operator format.  A problem holds no dense matrix; a caller that reads one
+forms it, ``assembly.orthonormalize(prob.forms)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .assembly import (BoundaryCondition, CoefficientSet, FormMatrices,
                        IntervalSpec, Mesh, _trim, _unit_stiffness,
-                       assemble_forms, build_mesh, orthonormalize)
+                       assemble_forms, build_mesh)
 
 __all__ = [
     "FAMILY_NAMES",
@@ -91,16 +91,15 @@ def build_coefficients(name: str, mesh: Mesh) -> CoefficientSet:
 
 @dataclass(frozen=True)
 class Problem:
-    """One assembled operator: its inputs, form matrices ``forms`` (each
-    its diagonals) and the operator ``H = M^{-1/2} S M^{-1/2}`` in
-    L2-orthonormal coordinates.
+    """One assembled operator: its inputs and form matrices ``forms``
+    (each its diagonals).
 
-    The operator, its base and its self-adjoint reference are given as
+    The operator ``H = M^{-1/2} S M^{-1/2}`` in L2-orthonormal
+    coordinates, its base and its self-adjoint reference are given as
     diagonals (``diagonals``, ``base_diagonals``, ``reference_diagonals``),
-    the scaled forms themselves.  The dense ``H`` is formed on its first
-    read and then kept, the one dense matrix a problem holds; a caller that
-    works in the band never forms it: a kappa row, ``verify-kato``,
-    ``decay-study`` and ``verify-krein``'s ladder (``checks.krein_suite``).
+    the scaled forms themselves.  A problem holds no dense matrix: the two
+    readers of a dense ``H``, ``assemble``'s dump and the numerical-range
+    sweep, form it where they read it, ``orthonormalize(prob.forms)``.
     """
 
     interval: IntervalSpec
@@ -115,16 +114,10 @@ class Problem:
                                self.bc_right)
         object.__setattr__(self, "forms", forms)
 
-    @cached_property
-    def H(self) -> np.ndarray:
-        """The operator matrix (``orthonormalize``), formed densely on the
-        first read and kept."""
-        return orthonormalize(self.forms)
-
     def diagonals(self) -> tuple:
         """``(lo, d, up)``, the three diagonals of ``H``: the scaled form
-        sum that ``orthonormalize`` forms, so equal to those of ``H`` bit
-        for bit."""
+        sum that ``orthonormalize`` forms, so equal to those of its dense
+        ``H`` bit for bit."""
         return self.forms.congruence(self.forms.total())
 
     def base_diagonals(self) -> tuple:
@@ -194,17 +187,16 @@ def make_problem(family: str, interval: IntervalSpec | None = None,
                    bc_right if bc_right is not None else dirichlet)
 
 
-def lions_operator(n: int) -> np.ndarray:
-    """Upwind first-derivative matrix with a Dirichlet condition at 0.
+def lions_operator(n: int) -> tuple:
+    """Upwind first-derivative operator with a Dirichlet condition at 0, as
+    its diagonals ``(lo, d, up) = (-1/h, 1/h, 0)``.
 
     Forward differences on ``(0, 1)`` with ``n`` cells in L2-orthonormal
     coordinates give the lower-bidiagonal Toeplitz matrix with ``1/h`` on
     the diagonal: accretive, heavily nonnormal, and the canonical negative
     control for square-root domain questions at the critical power.  The
-    matrix is real (float64), so its powers are taken in real arithmetic.
+    diagonals are real (float64), so its powers are taken in real
+    arithmetic.
     """
     h = 1.0 / n
-    T = np.zeros((n, n))
-    np.fill_diagonal(T, 1.0 / h)
-    T[np.arange(1, n), np.arange(0, n - 1)] = -1.0 / h
-    return T
+    return np.full(n - 1, -1.0 / h), np.full(n, 1.0 / h), np.zeros(n - 1)

@@ -1,7 +1,9 @@
 """Numerical-range and resolvent diagnostics for accretivity and sectoriality.
 
 ``check_m_accretive`` and ``safe_shift`` take an operator only as its
-diagonals ``(lo, d, up)``; ``numerical_range_hull`` takes a matrix.
+diagonals ``(lo, d, up)``; ``numerical_range_hull`` takes a dense matrix,
+which its caller forms (``assembly.orthonormalize(prob.forms)``): a
+``Problem`` holds none.
 """
 
 from __future__ import annotations

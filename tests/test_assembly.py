@@ -9,7 +9,6 @@ from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               _dense, assemble_forms, build_mesh,
                               orthonormalize, w12_norm_matrix)
 from sqrtdom import assembly, csvio, problems
-from sqrtdom.matfun import _diagonals
 from sqrtdom.problems import FAMILY_NAMES, _spike, make_problem
 
 DIR = BoundaryCondition.dirichlet()
@@ -63,6 +62,11 @@ def scatter_assembly(mesh, coeffs, bc_left, bc_right):
              + mats["Bdry"])
     mats["H"] = winv[:, None] * total * winv[None, :]
     return mats, keep, weights[keep]
+
+
+def dense_diagonals(A):
+    """The three diagonals ``(lo, d, up)`` of a dense matrix."""
+    return np.diag(A, -1), np.diag(A), np.diag(A, 1)
 
 
 def scatter_reference(mesh, bc_left, bc_right):
@@ -172,8 +176,8 @@ class TestAssembleForms:
         cot = BoundaryCondition(theta).cot()
         assert cot.imag == 0.0
         assert cot.real == assembly._stable_cot(complex(theta)).real
-        H = make_problem("free", n=64, bc_left=BoundaryCondition(theta)).H
-        assert not np.any(H.imag)
+        prob = make_problem("free", n=64, bc_left=BoundaryCondition(theta))
+        assert not np.any(orthonormalize(prob.forms).imag)
         assert BoundaryCondition(theta + 0.1j).cot().imag != 0.0
 
     def test_form_consistency_against_fine_quadrature(self):
@@ -223,29 +227,31 @@ class TestCellSum:
                 for name in ("M", "K0", "K1", "K2", "K3", "Bdry"):
                     assert_bitwise(_dense(getattr(prob.forms, name)),
                                    want[name], name, *where)
-                assert_bitwise(prob.H, want["H"], "H", *where)
+                assert_bitwise(orthonormalize(prob.forms), want["H"], "H",
+                               *where)
                 assert_bitwise(prob.forms.dof_nodes, keep, *where)
                 assert_bitwise(prob.forms.lumped_weights, weights, *where)
 
 
 class TestBandStorage:
-    def test_problem_keeps_one_dense_matrix(self):
-        # the six forms stay diagonals and H, formed on its first read,
-        # is the one dense matrix a problem keeps; held densely, they
-        # retained 7 and peaked at 12 dense matrices here
+    def test_problem_keeps_no_dense_matrix(self):
+        # the six forms stay diagonals, and so do the three operators a
+        # problem hands out: it keeps no dense matrix.  Held densely, the
+        # forms retained 7 and peaked at 12 dense matrices here, and with
+        # its dense H cached a problem retained about one
         n = 512
         dense = 16 * n * n
         tracemalloc.start()
         try:
             prob = make_problem("sawtooth", n=n, bc_left=NEU)
-            prob.H
+            prob.diagonals()
             prob.base_diagonals()
             prob.reference_diagonals()
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert retained <= 1.5 * dense
-        assert peak <= 4 * dense
+        assert retained <= 0.1 * dense
+        assert peak <= 0.1 * dense
         for name in ("M", "K0", "K1", "K2", "K3", "Bdry"):
             assert sum(x.size for x in getattr(prob.forms, name)) \
                 <= 3 * prob.forms.n_dof
@@ -263,19 +269,19 @@ class TestProblemDiagonals:
         for bc_left, bc_right in itertools.product(ends, ends):
             prob = make_problem(family, interval, 16, bc_left, bc_right)
             got, ref = prob.diagonals(), prob.reference_diagonals()
-            assert "H" not in vars(prob)
-            for k, (g, want) in enumerate(zip(got, _diagonals(prob.H))):
+            for k, (g, want) in enumerate(zip(
+                    got, dense_diagonals(orthonormalize(prob.forms)))):
                 assert_bitwise(g, want, bc_left, bc_right, "H", k)
-            for k, (g, want) in enumerate(zip(ref, _diagonals(
+            for k, (g, want) in enumerate(zip(ref, dense_diagonals(
                     scatter_reference(prob.mesh, bc_left, bc_right)))):
                 assert_bitwise(g, want, bc_left, bc_right, "reference", k)
 
-    def test_dense_operator_formed_on_first_read_and_kept(self):
+    def test_dense_operator_is_formed_from_the_diagonals(self):
+        # a problem keeps no dense H: its readers form one from the forms,
+        # the matrix with the problem's diagonals bit for bit
         prob = make_problem("sawtooth", n=16, bc_left=NEU)
-        assert "H" not in vars(prob)
-        H = prob.H
-        assert prob.H is H
-        assert_bitwise(H, orthonormalize(prob.forms))
+        assert not hasattr(prob, "H")
+        assert_bitwise(orthonormalize(prob.forms), _dense(prob.diagonals()))
 
 
 class TestOrthonormalize:
@@ -534,6 +540,37 @@ class TestCsvRoundtrip:
             csvio.write_kernel(path, grid, vals)
             assert path.read_text(encoding="ascii").splitlines() == [
                 "x,xp,re,im", *expected[name]], name
+
+    @staticmethod
+    def entry_rule(header, row_labels, col_labels, table):
+        """A table's bytes by the per-entry rule: one ``a,b,re,im`` line
+        per entry, each part by ``_fmt``."""
+        lines = [header] + [
+            f"{a},{b},{csvio._fmt(float(v.real))},{csvio._fmt(float(v.imag))}"
+            for a, row in zip(row_labels, table)
+            for b, v in zip(col_labels, row)]
+        return ("\n".join(lines) + "\n").encode("ascii")
+
+    @pytest.mark.parametrize("layout", ["C", "F", "real"])
+    def test_table_bytes_follow_the_entry_rule(self, tmp_path, layout):
+        # one % template per row writes the per-entry rule's bytes, for
+        # any layout; the matrix is a non-contiguous slice
+        rng = np.random.default_rng(4)
+        re = (rng.standard_normal((6, 6))
+              * 10.0 ** rng.integers(-300, 300, (6, 6)))
+        im = rng.standard_normal((6, 6))
+        re[0] = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308]
+        im[1] = [1e-310, 1e308, -np.inf, -0.0, np.nan, 5e-324]
+        vals = {"C": self.cplx(re, im),
+                "F": np.asfortranarray(self.cplx(re, im)), "real": re}[layout]
+        grid = np.linspace(-1.0, 1.0, 6)
+        csvio.write_matrix(tmp_path / "m.csv", vals[:, :5])
+        csvio.write_kernel(tmp_path / "k.csv", grid, vals)
+        ints, xs = list(map(str, range(6))), [csvio._fmt(x) for x in grid]
+        assert (tmp_path / "m.csv").read_bytes() == self.entry_rule(
+            "i,j,re,im", ints, ints[:5], vals[:, :5])
+        assert (tmp_path / "k.csv").read_bytes() == self.entry_rule(
+            "x,xp,re,im", xs, xs, vals)
 
     def test_coefficient(self, tmp_path):
         x = np.linspace(0, 1, 7)

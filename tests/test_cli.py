@@ -12,7 +12,8 @@ import scipy.linalg as sla
 
 from csv_tables import read_matrix, write_coefficient
 from sqrtdom import checks, cli, formbounds, kato, krein, problems
-from sqrtdom.assembly import BoundaryCondition, CoefficientSet, assemble_forms
+from sqrtdom.assembly import (BoundaryCondition, CoefficientSet,
+                              assemble_forms, orthonormalize)
 from sqrtdom.cli import (COMMANDS, build_parser, load_config, main,
                          parse_theta, problem_from, read_config_file)
 from sqrtdom.matfun import resolvent, spectral_norm
@@ -351,19 +352,27 @@ class TestVerifyCommands:
             assert table.shape == (81, 4) and np.all(np.isfinite(table)), name
         assert read_manifest(out)["u2_left_value"] == "1"
 
-    @pytest.mark.parametrize("theta_a", ["neumann", "1+0.5i"])
-    def test_kernel_dump_at_a_tiny_shift_is_finite(self, tmp_path, theta_a):
+    @pytest.mark.parametrize("E", ["1e-30", "1e-40"])
+    @pytest.mark.parametrize("theta_a, limit", [
+        ("neumann", "1"), ("1+0.5i", "0.80434604595169901")])
+    def test_kernel_dump_at_a_tiny_shift_is_finite(self, tmp_path, theta_a,
+                                                   limit, E):
         # the boundary solution's guard compared 1 - exp(-2 sqrt(E)), about
         # 2 sqrt(E) near 0, with an absolute 2e-12 and exited 1 calling
-        # z = -1e-30 a Dirichlet eigenvalue, though the lowest is pi^2
+        # z = -1e-30 a Dirichlet eigenvalue, though the lowest is pi^2.  The
+        # coupling denominator reads its limit |cot(theta_a) - 1|: formed
+        # by subtraction, it read 1.0008 and 0.80488 at E = 1e-30 and was
+        # not finite at E = 1e-40, a configuration error
         code, out = run(tmp_path, "o", "kernel-dump", "--theta-a", theta_a,
-                        "--E", "1e-30", "--n", "8")
+                        "--E", E, "--n", "8")
         assert code == 0
         for name in ("green_dirichlet", "green_robin", "sqrt_kernel"):
             table = np.loadtxt(out / f"{name}.csv", delimiter=",",
                                skiprows=1)
             assert table.shape == (81, 4) and np.all(np.isfinite(table)), name
-        assert read_manifest(out)["u2_left_value"] == "1"
+        manifest = read_manifest(out)
+        assert manifest["u2_left_value"] == "1"
+        assert manifest["coupling_denominator"] == limit
 
     def test_verify_krein_at_a_huge_shift_is_a_config_error(self, tmp_path,
                                                             capsys):
@@ -378,14 +387,14 @@ class TestVerifyCommands:
 
     @pytest.mark.parametrize("args, interval", [
         ("--b 1e-300", "--a 0.0 --b 1e-300"),
-        ("--b 1e-200", "--a 0.0 --b 1e-200"),
-        ("--E 1e-40", "--a 0.0 --b 1.0")])
+        ("--b 1e-200", "--a 0.0 --b 1e-200")])
     def test_kernel_dump_below_double_precision_is_a_config_error(
             self, tmp_path, capsys, args, interval):
         # sqrt(E) (b - a) below double precision gave a coupling denominator
-        # of -inf + nan i, which the shared-spectrum guard passed: the
-        # first two wrote green_robin.csv full of nan and exited 1 blaming
-        # the square-root quadrature, the third exited 0
+        # of -inf + nan i, which the shared-spectrum guard passed: these
+        # wrote green_robin.csv full of nan and exited 1 blaming the
+        # square-root quadrature.  The denominator is finite now, and the
+        # quadrature, whose cutoff pi / h overflows, is what refuses them
         with np.errstate(all="ignore"):
             code, out = run(tmp_path, "o", "kernel-dump", "--n", "8",
                             "--theta-a", "neumann", *args.split())
@@ -770,7 +779,7 @@ class TestVerifyCommands:
             [*args, "--outdir", str(out)]))
         manifest = read_manifest(out)
         # against a dense inverse of H + E_acc, the test-local reference
-        H = problem_from(cfg).H
+        H = orthonormalize(problem_from(cfg).forms)
         Hs = H + float(manifest["accretive_shift"]) * np.eye(H.shape[0])
         rows = (out / "positive_type.csv").read_text().splitlines()
         assert rows[0] == "t,ratio" and len(rows) == 18

@@ -26,12 +26,18 @@ def family_at(family, interval=None, bc_left=None):
     return lambda n: make_problem(family, interval, n, bc_left)
 
 
+def shifted(band, E=1.0):
+    """The diagonals of ``H + E`` for the diagonals ``band`` of H."""
+    lo, d, up = band
+    return lo, d + E, up
+
+
 def robin_complex(n, bc_right=None):
     """The shifted operator of the robin_complex kappa problem, or with
-    ``bc_right`` in place of its Dirichlet right end."""
+    ``bc_right`` in place of its Dirichlet right end, as its diagonals."""
     prob = make_problem("mixed_sign", n=n, bc_left=BoundaryCondition(1 + 0.5j),
                         bc_right=bc_right)
-    return prob.H + np.eye(prob.H.shape[0])
+    return shifted(prob.diagonals())
 
 
 def two_robin_ends(n):
@@ -40,10 +46,11 @@ def two_robin_ends(n):
     return robin_complex(n, BoundaryCondition(2 - 1j))
 
 
-def schur_power(H, alpha):
-    """``H^alpha`` for alpha in {1/2, 1/4, 3/8} from one Schur form, by
-    ``sqrtm`` or Schur-Pade on its triangular factor."""
-    T, Z = sla.schur(H, output="complex")
+def schur_power(band, alpha):
+    """``H^alpha`` for alpha in {1/2, 1/4, 3/8} from one Schur form of the
+    dense H with diagonals ``band``, by ``sqrtm`` or Schur-Pade on its
+    triangular factor."""
+    T, Z = sla.schur(_dense(band), output="complex")
     if alpha == 0.375:
         R = sla.fractional_matrix_power(T, alpha)
     else:
@@ -82,72 +89,85 @@ def count_secular_solves(monkeypatch):
     return calls
 
 
-def eigh_power(H, alpha):
-    """``H^alpha`` of a Hermitian positive definite H from a dense ``eigh``
-    of its Hermitian part: an oracle independent of every route of
-    ``matrix_power``."""
+def eigh_power(band, alpha):
+    """``H^alpha`` of the Hermitian positive definite H with diagonals
+    ``band`` from a dense ``eigh`` of its Hermitian part: an oracle
+    independent of every route of ``matrix_power``."""
+    H = _dense(band)
     evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
     return (evecs * evals ** alpha) @ evecs.conj().T
 
 
 def hermitian_tridiagonal(n):
-    """A complex Hermitian tridiagonal matrix, positive definite by
-    diagonal dominance: the gauge's ``g_k`` are of modulus one."""
+    """The diagonals of a complex Hermitian tridiagonal matrix, positive
+    definite by diagonal dominance: the gauge's ``g_k`` are of modulus
+    one."""
     rng = np.random.default_rng(3)
     off = rng.uniform(0.2, 1.0, n - 1) * np.exp(2j * np.pi * rng.random(n - 1))
-    return np.diag(off, -1) + np.diag(4.0 + rng.random(n)) \
-        + np.diag(off.conj(), 1)
+    return off, 4.0 + rng.random(n) + 0j, off.conj()
 
 
 def neumann_reference(n):
     """mixed_sign's self-adjoint reference with a Neumann left end, plus
-    the shift E = 1: a real symmetric tridiagonal ``H_ref + E``."""
-    H = _dense(make_problem("mixed_sign", n=n,
-                            bc_left=NEU).reference_diagonals())
-    return H + np.eye(H.shape[0])
+    the shift E = 1: the real diagonals of ``H_ref + E``."""
+    return shifted(make_problem("mixed_sign", n=n,
+                                bc_left=NEU).reference_diagonals())
 
 
 def free_real_robin(n):
     """free with the real Robin end theta_a = 0.7, plus the shift E = 1."""
-    H = make_problem("free", n=n, bc_left=BoundaryCondition(0.7)).H
-    return H + np.eye(H.shape[0])
+    return shifted(make_problem("free", n=n,
+                                bc_left=BoundaryCondition(0.7)).diagonals())
+
+
+def lower_bidiagonal(evals):
+    """The diagonals of a lower bidiagonal matrix with eigenvalues
+    ``evals`` (its diagonal) and a nonzero subdiagonal: not Toeplitz, and
+    refused by the gauge (``lo up = 0``), so it takes the Schur route."""
+    evals = np.asarray(evals, dtype=float)
+    lo = np.random.default_rng(5).uniform(0.5, 1.5, evals.size - 1)
+    return lo, evals, np.zeros(evals.size - 1)
 
 
 class TestMatrixPower:
     @pytest.mark.parametrize("alpha", [0.3, 0.5])
-    def test_dense_hermitian_input_takes_one_schur_form(self, alpha,
-                                                        monkeypatch):
+    def test_decoupled_hermitian_band_takes_one_schur_form(self, alpha,
+                                                           monkeypatch):
+        # a zero coupling lo_k = up_k = 0 leaves no gauge to scale by
         rng = np.random.default_rng(0)
-        B = rng.standard_normal((15, 15))
-        H = (B @ B.T + np.eye(15)).astype(complex)
+        off = rng.standard_normal(14) + 1j * rng.standard_normal(14)
+        off[7] = 0.0
+        H = (off, 4.0 + rng.random(15) + 0j, off.conj())
+        assert matfun.is_hermitian(H)
         schur_calls = count_schur_forms(monkeypatch)
         P1 = matrix_power(H, alpha)
         assert schur_calls == ["complex"]
-        P2 = frac_power_quad(H, alpha, QuadratureSpec(panels=16))
+        P2 = frac_power_quad(_dense(H), alpha, QuadratureSpec(panels=16))
         np.testing.assert_allclose(P1, P2, atol=1e-8 * np.linalg.norm(P1))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("upper", [False, True])
     def test_toeplitz_path_matches_schur_pade(self, alpha, upper):
-        L = lions_operator(64)
+        lo, d, up = lions_operator(64)
         if upper:
             # the upper bidiagonal transpose has a zero subdiagonal, so it
             # takes the Schur route; its power is the transpose of the lower
             # one's, which the binomial series gives in closed form
-            band = domains._diagonals(L.T)
+            band = (up, d, lo)
             assert domains._tridiagonal_toeplitz(band)[0] == 0
-            X = matrix_power(L.T + np.eye(64), alpha)
-            ref = matrix_power(L + np.eye(64), alpha).T
+            X = matrix_power(shifted(band), alpha)
+            ref = matrix_power(shifted((lo, d, up)), alpha).T
         else:
-            X = matrix_power(L + np.eye(64), alpha)
-            ref = sla.fractional_matrix_power(L + np.eye(64), alpha)
+            X = matrix_power(shifted((lo, d, up)), alpha)
+            ref = sla.fractional_matrix_power(_dense(shifted((lo, d, up))),
+                                              alpha)
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
     def test_toeplitz_path_matches_quadrature(self, alpha):
-        T = lions_operator(24)
-        X = matrix_power(T + np.eye(24), alpha)
-        Xq = frac_power_quad(T + np.eye(24), alpha, QuadratureSpec(panels=16))
+        T = shifted(lions_operator(24))
+        X = matrix_power(T, alpha)
+        Xq = frac_power_quad(_dense(T), alpha, QuadratureSpec(panels=16))
         assert np.linalg.norm(X - Xq) <= 1e-8 * np.linalg.norm(Xq)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0])
@@ -155,50 +175,48 @@ class TestMatrixPower:
         # an eigenvalue at 0 is on the cut; one at -1 lies below the shift
         # rule, which the one guard applies first
         T = lions_operator(16)
-        E = lam - T[0, 0].real
+        E = lam - T[1][0]
         error = (SpectrumOnCutError if lam == 0
                  else domains.ShiftBelowSpectrumError)
         with pytest.raises(error):
-            matrix_power(T + E * np.eye(16), 0.25)
+            matrix_power(shifted(T, E), 0.25)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5])
     @pytest.mark.parametrize("route", ["hermitian_gauge", "toeplitz"])
     def test_real_input_stays_real(self, route, alpha):
         # the reference operator and the lions control are real themselves
         if route == "hermitian_gauge":
-            H = _dense(make_problem("free", n=65).reference_diagonals()) \
-                + np.eye(64)
+            H = shifted(make_problem("free", n=65).reference_diagonals())
         else:
-            H = lions_operator(64) + np.eye(64)
-        assert H.dtype == np.float64
+            H = shifted(lions_operator(64))
+        assert all(x.dtype == np.float64 for x in H)
         X = matrix_power(H, alpha)
-        Xc = matrix_power(H.astype(complex), alpha)
+        Xc = matrix_power(tuple(x.astype(complex) for x in H), alpha)
         assert X.dtype == np.float64 and np.iscomplexobj(Xc)
         assert np.linalg.norm(X - Xc) <= 1e-13 * np.linalg.norm(Xc)
 
-    def test_dense_path_rejects_cut(self):
+    def test_dense_path_rejects_cut(self, monkeypatch):
         # an eigenvalue at 0 is on the cut; one at -1 lies below the shift
         # rule, which the one guard applies first
-        rng = np.random.default_rng(5)
-        V = rng.standard_normal((12, 12))
+        schur_calls = count_schur_forms(monkeypatch)
         for lowest, error in ((0.0, SpectrumOnCutError),
                               (-1.0, domains.ShiftBelowSpectrumError)):
-            evals = np.concatenate(([lowest], np.linspace(1.0, 3.0, 11)))
-            H = V @ np.diag(evals) @ np.linalg.inv(V)
+            H = lower_bidiagonal(np.r_[np.linspace(1.0, 3.0, 11), lowest])
             for alpha in (0.25, 0.5):
                 with pytest.raises(error):
                     matrix_power(H, alpha)
+        assert schur_calls == ["complex"] * 4
 
     def test_dense_path_exact(self):
         H = two_robin_ends(64)
+        dense = _dense(H)
         for k in (4, 8):
             Xk = np.linalg.matrix_power(matrix_power(H, 1 / k), k)
-            assert np.linalg.norm(Xk - H) <= 1e-12 * np.linalg.norm(H)
+            assert np.linalg.norm(Xk - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_dense_half_power_matches_denman_beavers(self):
-        prob = make_problem("complex_constant", n=48)
-        H = prob.H + np.eye(prob.H.shape[0])
-        Y = sqrt_db(H)
+        H = shifted(make_problem("complex_constant", n=48).diagonals())
+        Y = sqrt_db(_dense(H))
         assert np.linalg.norm(matrix_power(H, 0.5) - Y) \
             <= 1e-12 * np.linalg.norm(Y)
 
@@ -215,28 +233,25 @@ class TestMatrixPower:
         assert schur_calls == ["complex"]
 
     def test_dense_path_matches_quadrature(self):
-        prob = make_problem("complex_constant", n=24)
-        H = prob.H + np.eye(prob.H.shape[0])
+        H = shifted(make_problem("complex_constant", n=24).diagonals())
         X = matrix_power(H, 0.3)
-        Xq = frac_power_quad(H, 0.3, QuadratureSpec(panels=16))
+        Xq = frac_power_quad(_dense(H), 0.3, QuadratureSpec(panels=16))
         assert np.linalg.norm(X - Xq) <= 1e-8 * np.linalg.norm(Xq)
 
     def test_schur_half_power_matches_denman_beavers(self):
         # the twin of the test above on input that is not Toeplitz, so the
         # Schur route keeps an independent root to agree with
-        prob = make_problem("sawtooth", n=48)
-        H = prob.H + np.eye(prob.H.shape[0])
-        assert domains._tridiagonal_toeplitz(domains._diagonals(H)) is None
-        Y = sqrt_db(H)
+        H = shifted(make_problem("sawtooth", n=48).diagonals())
+        assert domains._tridiagonal_toeplitz(H) is None
+        Y = sqrt_db(_dense(H))
         assert np.linalg.norm(matrix_power(H, 0.5) - Y) \
             <= 1e-12 * np.linalg.norm(Y)
 
     def test_schur_path_matches_quadrature(self):
-        prob = make_problem("sawtooth", n=24)
-        H = prob.H + np.eye(prob.H.shape[0])
-        assert domains._tridiagonal_toeplitz(domains._diagonals(H)) is None
+        H = shifted(make_problem("sawtooth", n=24).diagonals())
+        assert domains._tridiagonal_toeplitz(H) is None
         X = matrix_power(H, 0.3)
-        Xq = frac_power_quad(H, 0.3, QuadratureSpec(panels=16))
+        Xq = frac_power_quad(_dense(H), 0.3, QuadratureSpec(panels=16))
         assert np.linalg.norm(X - Xq) <= 1e-8 * np.linalg.norm(Xq)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.375])
@@ -264,7 +279,7 @@ class TestMatrixPower:
             ("complex_p", "robin"), ("mixed_sign", "right_complex_robin")}
         prob = make_problem(family, n=n, bc_left=BoundaryCondition(left),
                             bc_right=BoundaryCondition(right))
-        H = prob.H + np.eye(prob.H.shape[0])
+        H = shifted(prob.diagonals())
         ref = schur_power(H, alpha)
         forbid_schur(monkeypatch)
         betas = count_secular_solves(monkeypatch)
@@ -301,25 +316,22 @@ class TestMatrixPower:
     @pytest.mark.parametrize("family,bc_left", [
         ("complex_constant", None), ("constant_qrs", None),
         ("mixed_sign", BoundaryCondition(1 + 0.5j))])
-    def test_tridiagonal_input_is_read_once(self, family, bc_left,
-                                            monkeypatch):
-        # one scan of the nonzero pattern; every later test reads the band
-        nonzero, scans = np.nonzero, []
+    def test_gauge_input_is_never_formed(self, family, bc_left, monkeypatch):
+        # the gauge routes read the band alone: no dense input is formed,
+        # and every Hermitian test reads diagonals
         hermitian, tested = matfun.is_hermitian, []
-
-        def counting(a):
-            scans.append(np.shape(a))
-            return nonzero(a)
 
         def band_only(H):
             tested.append(isinstance(H, tuple) or H.ndim == 1)
             return hermitian(H)
 
-        H = make_problem(family, n=64, bc_left=bc_left).H
-        monkeypatch.setattr(np, "nonzero", counting)
+        def forbidden(band):
+            raise AssertionError("dense input formed")
+
+        H = shifted(make_problem(family, n=64, bc_left=bc_left).diagonals())
+        monkeypatch.setattr(domains, "_dense", forbidden)
         monkeypatch.setattr(matfun, "is_hermitian", band_only)
-        matrix_power(H + np.eye(H.shape[0]), 0.5)
-        assert [shape for shape in scans if len(shape) == 2] == [H.shape]
+        matrix_power(H, 0.5)
         assert tested and all(tested)
 
     @pytest.mark.parametrize("case", ["neumann", "sawtooth", "large_r",
@@ -335,7 +347,7 @@ class TestMatrixPower:
             # real coefficients, but cond(D) is about 2.3e4 on [0, 20]
             prob = make_problem("mixed_sign", IntervalSpec("half_line"), 64,
                                 NEU)
-            lo, up = np.diag(prob.H, -1), np.diag(prob.H, 1)
+            lo, _, up = prob.diagonals()
             log_g = np.cumsum(np.log(np.abs(np.sqrt(lo * up) / up)))
             assert np.ptp(log_g) > np.log(1e4)
         elif case == "complex_robin":
@@ -349,11 +361,10 @@ class TestMatrixPower:
             prob = Problem(IntervalSpec(), mesh,
                            CoefficientSet.from_callables(mesh, r=50.0),
                            DIR, DIR)
-            b, a, c = domains._tridiagonal_toeplitz(
-                domains._diagonals(prob.H))
+            b, a, c = domains._tridiagonal_toeplitz(prob.diagonals())
             assert b * c != 0
         schur_calls = count_schur_forms(monkeypatch)
-        matrix_power(prob.H + np.eye(prob.H.shape[0]), 0.5)
+        matrix_power(shifted(prob.diagonals()), 0.5)
         assert schur_calls == ["complex"]
 
     @pytest.mark.parametrize("route", ["hermitian_gauge", "real_gauge",
@@ -364,20 +375,20 @@ class TestMatrixPower:
         # Real eigenvalues on the gauge route used to reach the cut guard
         # first and raise SpectrumOnCutError
         if route == "hermitian_gauge":
-            H = make_problem("free", n=32).H - 100 * np.eye(31)
+            H = shifted(make_problem("free", n=32).diagonals(), -100)
         elif route == "real_gauge":
             # r = 1: real, not Hermitian, lo up > 0, so the spectrum is real
             mesh = build_mesh(IntervalSpec(), 32)
             prob = Problem(IntervalSpec(), mesh,
                            CoefficientSet.from_callables(mesh, r=1.0),
                            DIR, DIR)
-            assert not matfun.is_hermitian(prob.H)
-            H = prob.H.real - 100 * np.eye(31)
+            assert not matfun.is_hermitian(prob.diagonals())
+            H = shifted(tuple(x.real for x in prob.diagonals()), -100)
         elif route == "bidiagonal":
-            H = lions_operator(16) - (16 + 90 - 1j) * np.eye(16)
+            H = shifted(lions_operator(16), -(16 + 90 - 1j))
         else:
             family = "free" if route == "gauge" else "sawtooth"
-            H = make_problem(family, n=32).H - (100 - 1j) * np.eye(31)
+            H = shifted(make_problem(family, n=32).diagonals(), -(100 - 1j))
         for alpha in (0.5, 0.25, 0.375):
             with pytest.raises(domains.ShiftBelowSpectrumError):
                 matrix_power(H, alpha)
@@ -388,13 +399,13 @@ class TestMatrixPower:
         # alpha <= 0 is no dyadic root: it used to reach log2 with a
         # RuntimeWarning off the Hermitian and binomial routes
         if route == "hermitian_gauge":
-            H = _dense(make_problem("mixed_sign", n=65).reference_diagonals())
+            H = make_problem("mixed_sign", n=65).reference_diagonals()
         elif route == "binomial":
             H = lions_operator(64)
         else:
             family = "complex_constant" if route == "gauge" else "sawtooth"
-            H = make_problem(family, n=65).H
-        H = H + np.eye(64)
+            H = make_problem(family, n=65).diagonals()
+        H = shifted(H)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             P = matrix_power(H, -0.5) @ matrix_power(H, 0.5)
@@ -405,7 +416,8 @@ class TestMatrixPower:
         # the eigenvalue passes the shift rule and sits on the cut, where a
         # negative power used to come back as inf.  A diagonal matrix has
         # lo up = 0, so it takes the Schur route
-        H = np.diag([lowest, 1.0, 2.0, 3.0, 4.0, 5.0])
+        H = (np.zeros(5), np.array([lowest, 1.0, 2.0, 3.0, 4.0, 5.0]),
+             np.zeros(5))
         with pytest.raises(SpectrumOnCutError):
             matrix_power(H, -0.25)
 
@@ -443,24 +455,24 @@ class TestMatrixPower:
         forbid_schur(monkeypatch)
         prob = make_problem("mixed_sign", n=64, bc_left=NEU)
         with pytest.raises(SpectrumOnCutError):
-            matrix_power(prob.H + np.eye(64), alpha)
+            matrix_power(shifted(prob.diagonals()), alpha)
 
     def test_power_above_one_is_not_a_root(self):
         # alpha = 2 is a dyadic exponent, but not a root to be taken
         for family in ("complex_constant", "sawtooth"):
-            H = make_problem(family, n=24).H + np.eye(23)
+            H = shifted(make_problem(family, n=24).diagonals())
             X = matrix_power(H, 2.0)
-            assert np.linalg.norm(X - H @ H) <= 1e-12 * np.linalg.norm(H @ H)
+            H2 = _dense(H) @ _dense(H)
+            assert np.linalg.norm(X - H2) <= 1e-12 * np.linalg.norm(H2)
 
     @pytest.mark.parametrize("ratio", [1.21, -1.21])
     def test_real_toeplitz_stays_real(self, ratio):
         # a real nonsymmetric tridiagonal Toeplitz matrix: rho is real for
         # b/c > 0 and imaginary for b/c < 0; the power is real either way
         n = 12
-        H = sla.toeplitz(np.r_[4.0, ratio, np.zeros(n - 2)],
-                         np.r_[4.0, 1.0, np.zeros(n - 2)])
+        H = np.full(n - 1, ratio), np.full(n, 4.0), np.ones(n - 1)
         X = matrix_power(H, 0.5)
-        ref = sla.sqrtm(H)
+        ref = sla.sqrtm(_dense(H))
         assert X.dtype == np.float64
         assert np.linalg.norm(X - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -509,7 +521,7 @@ class TestSqrtDomainKappa:
             prob.diagonals(), prob.reference_diagonals(), 1.0, 0.5))
         # the two norms from their own Grams: the power's, and the Sobolev
         # Gram assembled on the mesh
-        X = matrix_power(prob.H + np.eye(prob.H.shape[0]), 0.5)
+        X = matrix_power(shifted(prob.diagonals()), 0.5)
         P = X.conj().T @ X
         winv = 1.0 / np.sqrt(prob.forms.lumped_weights)
         G = w12_norm_matrix(prob.mesh, prob.bc_left, prob.bc_right, 1.0)
@@ -556,8 +568,8 @@ class TestSqrtDomainKappa:
 
 class TestKappaRowInTheBand:
     """A kappa row takes its problem's operator and reference as diagonals
-    and shifts them on the main diagonal, so the dense ``H``, reference,
-    identity and shifted copies are never formed."""
+    and shifts them on the main diagonal, so no dense operator, reference,
+    identity or shifted copy is formed."""
 
     @pytest.mark.parametrize("family,bc_left", [
         ("complex_constant", None), ("free", None), ("sawtooth", None),
@@ -573,7 +585,9 @@ class TestKappaRowInTheBand:
         for alpha in (0.5, 0.25, 0.375):
             _kappa_row(operator_at, 24, 1.0, alpha)
         assert len(built) == 3
-        assert not any("H" in vars(prob) for prob in built)
+        # a problem holds no dense matrix, before or after its rows
+        assert not any(np.ndim(value) == 2
+                       for prob in built for value in vars(prob).values())
 
     @pytest.mark.parametrize("family,bc_left,alpha", [
         ("complex_constant", None, 0.5),
@@ -610,7 +624,7 @@ class TestLionsDichotomy:
     @pytest.mark.parametrize("n", [32, 256])
     def test_real_row_matches_complex_arithmetic(self, n, alpha):
         row = _kappa_row(lions_operator, n, 1.0, alpha)
-        T = (lions_operator(n) + np.eye(n)).astype(complex)
+        T = tuple(x.astype(complex) for x in shifted(lions_operator(n)))
         Z = matrix_power(T, alpha) @ matrix_power(T, -alpha).conj().T
         assert np.iscomplexobj(Z)
         ref = sqrt_domain_kappa(Z)
@@ -618,14 +632,14 @@ class TestLionsDichotomy:
             assert abs(row[key] - ref[key]) <= 1e-13 * ref[key], key
 
 
-def pencil_power_gram(H, E, alpha):
-    """``X^H X`` for ``X = (H + E)^alpha``, one side of the Gram pencil
-    that the factor route must match.  A Hermitian ``H + E`` at the
-    critical power is its own Gram."""
-    shifted = H + E * np.eye(H.shape[0])
-    if alpha == 0.5 and matfun.is_hermitian(shifted):
-        return shifted
-    X = domains.matrix_power(shifted, alpha)
+def pencil_power_gram(band, E, alpha):
+    """``X^H X`` for ``X = (H + E)^alpha``, H with diagonals ``band``, one
+    side of the Gram pencil that the factor route must match.  A Hermitian
+    ``H + E`` at the critical power is its own Gram."""
+    H = shifted(band, E)
+    if alpha == 0.5 and matfun.is_hermitian(H):
+        return _dense(H)
+    X = domains.matrix_power(H, alpha)
     return X.conj().T @ X
 
 
@@ -654,28 +668,25 @@ def pencil_kappa_row(operator_at, n, E, alpha):
     """One kappa level by the Gram pencil: the lions control's ``X^H X``
     against ``X X^H``, a ``Problem``'s power Gram against its reference's."""
     if operator_at is lions_operator:
-        X = domains.matrix_power(lions_operator(n) + E * np.eye(n), alpha)
+        X = domains.matrix_power(shifted(lions_operator(n), E), alpha)
         return pencil_kappa(X.conj().T @ X, X @ X.conj().T)
     prob = operator_at(n)
-    return pencil_kappa(pencil_power_gram(prob.H, E, alpha),
-                        pencil_power_gram(_dense(prob.reference_diagonals()),
-                                          E, alpha))
+    return pencil_kappa(pencil_power_gram(prob.diagonals(), E, alpha),
+                        pencil_power_gram(prob.reference_diagonals(), E,
+                                          alpha))
 
 
 @pytest.fixture
 def shared_powers(monkeypatch):
     """``domains.matrix_power`` memoized on its input's bytes, so that a
-    row and its pencil reference take one power between them.  A row
-    passes the diagonals of a tridiagonal input and the pencil the dense
-    matrix, so either is keyed on its diagonals."""
+    row and its pencil reference take one power between them; both pass
+    the diagonals."""
     power, memo = domains.matrix_power, {}
 
-    def memoized(H, alpha):
-        band = domains._diagonals(H)
-        key = (alpha, *((x.dtype.str, x.shape, x.tobytes())
-                        for x in (band if band is not None else (H,))))
+    def memoized(band, alpha):
+        key = (alpha, *((x.dtype.str, x.shape, x.tobytes()) for x in band))
         if key not in memo:
-            memo[key] = power(H, alpha)
+            memo[key] = power(band, alpha)
         return memo[key]
 
     monkeypatch.setattr(domains, "matrix_power", memoized)
@@ -941,7 +952,7 @@ class TestThreeQuarterPower:
 class TestThmA1Decay:
     def test_constant_multiplier_closed_form(self):
         prob = make_problem("free", n=64)
-        L = prob.H
+        L = _dense(prob.diagonals())
         lam_min = np.linalg.eigvalsh(L.real)[0]
         c = 3.0
         E_grid = np.geomspace(1e2, 1e6, 9)

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               _dense, build_mesh)
-from sqrtdom import kato, matfun
+from sqrtdom import assembly, cli, kato, matfun
 from sqrtdom.checks import decay_suite, failed, krein_suite
 from sqrtdom.domains import thmA1_decay
 from sqrtdom.kato import (AdmissibilityError, FactoredPerturbation,
@@ -306,7 +306,7 @@ class TestPerturbedResolvent:
         prob, T0 = setup_pair("constant_qrs", n=20)
         fact = build_factorization(prob, "full_triple")
         # an eigenvalue of the perturbed operator is not admissible
-        lam = np.linalg.eigvals(prob.H)
+        lam = np.linalg.eigvals(_dense(prob.diagonals()))
         z = lam[np.argmin(np.abs(lam))]
         with pytest.raises((AdmissibilityError, np.linalg.LinAlgError)):
             perturbed_resolvent(resolvent(T0, complex(z)), fact, complex(z))
@@ -491,11 +491,12 @@ class TestSolveCore:
 
 def test_verdicts_form_no_dense_operator(monkeypatch):
     # verify-kato and verify-krein's ladder solve from the diagonals of the
-    # operator and of its base: a read of the dense H fails
-    def no_dense(prob):
-        raise AssertionError("Problem.H formed")
+    # operator and of its base: forming the dense operator fails
+    def no_dense(forms):
+        raise AssertionError("dense operator formed")
 
-    monkeypatch.setattr(Problem, "H", property(no_dense))
+    for module in (assembly, cli):
+        monkeypatch.setattr(module, "orthonormalize", no_dense)
     prob = make_problem("sawtooth", n=24, bc_left=NEU)
     rep = verify_identity(prob)
     assert not rep["excluded"] and max(rep["max_error"].values()) <= 1e-9

@@ -4,7 +4,7 @@ from scipy import special
 
 from sqrtdom import checks, krein
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                              build_mesh)
+                              build_mesh, orthonormalize)
 from sqrtdom.krein import (bessel_bound_check, bessel_k0_quad, d_theta,
                            green_kernel_dirichlet, krein_resolvent,
                            sqrt_kernel, u2_closed_form)
@@ -122,6 +122,18 @@ class TestDTheta:
         got = d_theta(z, th, A, B)
         assert got == pytest.approx(th.cot() + slope, rel=1e-8)
 
+    @pytest.mark.parametrize("th", [NEU, BoundaryCondition(1 + 0.5j)])
+    @pytest.mark.parametrize("a, b, E", [
+        (0.0, 1.0, 1e-30), (0.0, 1.0, 1e-20), (-1.0, 1.5, 1e-30),
+        (0.0, 1e-300, 25.0), (0.0, 1e-200, 25.0), (0.0, 1.0, 1e-40)])
+    def test_limit_near_zero_shift(self, th, a, b, E):
+        # d -> cot(theta_a) - 1 / (b - a) as sqrt(E) (b - a) -> 0.  Formed
+        # by subtraction, 1 - exp(-2 sqrt(E) (b - a)) lost its digits: d
+        # read -1.0008 for -1 at E = 1e-30 on [0, 1], and was not finite
+        # from E = 1e-40 on [0, 1] or on [0, 1e-300] at E = 25
+        limit = th.cot() - 1.0 / (b - a)
+        assert abs(d_theta(-E, th, a, b) - limit) <= 1e-15 * abs(limit)
+
     def test_large_shift_asymptote(self):
         # d ~ -sqrt(E), uniformly in the boundary parameter
         for th in (NEU, BoundaryCondition(np.pi / 4), BoundaryCondition(1 + 0.5j)):
@@ -168,8 +180,9 @@ class TestGreenKernel:
             w = np.sqrt(op.forms.lumped_weights)
             sub = np.ix_(op.forms.dof_nodes, op.forms.dof_nodes)
             R_orth = w[:, None] * table[sub] * w[None, :]
-            n_dof = op.H.shape[0]
-            D = (op.H - z * np.eye(n_dof)) @ R_orth - np.eye(n_dof)
+            H = orthonormalize(op.forms)
+            n_dof = H.shape[0]
+            D = (H - z * np.eye(n_dof)) @ R_orth - np.eye(n_dof)
             assert np.abs(D).max() <= mesh.h
 
 
@@ -245,12 +258,11 @@ class TestKreinResolvent:
         assert all(np.isnan(err) for _, err in got)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("b, z", [(1e-300, -25.0), (1e-200, -25.0),
-                                      (1.0, -1e-40)])
+    @pytest.mark.parametrize("b, z", [(1e-300, -1e-50), (1e-200, -1e-250)])
     def test_non_finite_denominator_rejected_before_the_table(self, b, z):
-        # sqrt(-z) (b - a) below double precision makes 1 - exp(-2 sqrt(-z)
-        # (b - a)) zero and d = -inf + nan i, which |d| < 1e-12 (1 + |u2'|)
-        # let through: the table came back full of nan
+        # sqrt(-z) (b - a) = 1e-325 underflows, so expm1 is zero and d is
+        # not finite, which |d| < 1e-12 (1 + |u2'|) let through: the table
+        # came back full of nan
         mesh = build_mesh(IntervalSpec("finite", A, b), 8)
         table = np.eye(9, dtype=complex)
         with pytest.raises(FloatingPointError, match="not finite"):

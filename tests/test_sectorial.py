@@ -4,7 +4,6 @@ import pytest
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
                               _dense, assemble_forms, build_mesh,
                               orthonormalize)
-from sqrtdom.matfun import _diagonals
 from sqrtdom.problems import lions_operator, make_problem
 from sqrtdom.sectorial import (check_m_accretive, numerical_range_hull,
                                safe_shift)
@@ -104,11 +103,11 @@ class TestCheckMAccretive:
         assert ok and worst <= 1.0 + 1e-10
 
     def test_lions_operator_accretive_but_not_sectorial(self):
-        T = lions_operator(96)
-        ok, worst = check_m_accretive(_diagonals(T), [0.5, 1.0, 4.0, 1 + 3j])
+        ok, worst = check_m_accretive(lions_operator(96),
+                                      [0.5, 1.0, 4.0, 1 + 3j])
         assert ok
         # no n-uniform proper sector: the fitted angle creeps toward pi/2
-        angles = [numerical_range_hull(lions_operator(n)).theta
+        angles = [numerical_range_hull(_dense(lions_operator(n))).theta
                   for n in (16, 64, 256)]
         assert angles[0] < angles[1] < angles[2]
         assert angles[2] > 0.45 * np.pi
@@ -117,7 +116,7 @@ class TestCheckMAccretive:
         # the fitted angles above differ only in the last ulps, all at the
         # 64-direction sweep's limit pi/2 - pi/64; the exact angle shows the
         # growth itself: tan theta reads 2.76, 5.63 and 11.30
-        tans = [np.tan(exact_sector_angle(lions_operator(n)))
+        tans = [np.tan(exact_sector_angle(_dense(lions_operator(n))))
                 for n in (16, 64, 256)]
         assert all(t2 >= 1.8 * t1 for t1, t2 in zip(tans, tans[1:]))
         # a sectorial control on the same ladder: with p = 1 + 0.5i the

@@ -19,7 +19,7 @@ import pytest
 
 from sqrtdom import krein, problems
 from sqrtdom.assembly import (BoundaryCondition, CoefficientSet, IntervalSpec,
-                              build_mesh)
+                              build_mesh, orthonormalize)
 from sqrtdom.krein import krein_resolvent, sqrt_kernel
 from sqrtdom.matfun import resolvent
 from sqrtdom.problems import FAMILY_NAMES, Problem, make_problem
@@ -57,13 +57,20 @@ def reflected_problem(prob):
                    prob.bc_right, prob.bc_left)
 
 
+def dense_operator(prob):
+    """The problem's operator matrix, formed from its forms."""
+    return orthonormalize(prob.forms)
+
+
 def adjoint_gap(prob, adjoint=adjoint_problem):
-    H = prob.H
-    return np.max(np.abs(adjoint(prob).H - H.conj().T)) / np.max(np.abs(H))
+    H = dense_operator(prob)
+    return (np.max(np.abs(dense_operator(adjoint(prob)) - H.conj().T))
+            / np.max(np.abs(H)))
 
 
 def reflects(prob):
-    return np.array_equal(reflected_problem(prob).H, prob.H[::-1, ::-1])
+    return np.array_equal(dense_operator(reflected_problem(prob)),
+                          dense_operator(prob)[::-1, ::-1])
 
 
 def end_pairs():

@@ -4,12 +4,14 @@ public function feeds a verdict, the settable values do not regrow, only
 verdict reads random vectors, every power route makes one eigenvalue
 guard call, every Krein kernel reads one boundary solution and one
 coupling denominator, a tridiagonal form has one format, with no module
-on ``scipy.sparse``, and the band layer takes an operator only as its
-diagonals.
+on ``scipy.sparse``, the band layer takes an operator only as its
+diagonals, and a traced run forms no dense operator that an untraced one
+does not.
 
 A deletion that breaks ``perfbench/run.py --trace 1`` fails here by name,
-not deep inside a traced benchmark run.  The tracer module is loaded
-read-only from its file and never installed.
+not deep inside a traced benchmark run.  The name checks load the tracer
+module read-only from its file; only the traced-run test installs it, and
+puts every binding back.
 """
 
 import ast
@@ -419,18 +421,39 @@ def tuple_tests(path):
 
 
 def test_one_operator_format():
-    # the band layer takes an operator as its diagonals (lo, d, up) only:
-    # a matrix is still read by the power dispatch, whose Schur route is
-    # dense, by the Hermitian test and the root check, and a factor of a
-    # pair is a tuple beside a matrix or a vector; the dense base and
-    # reference operators are gone
+    # the band layer takes an operator as its diagonals (lo, d, up) only,
+    # the power dispatch included: a matrix is still read by the Hermitian
+    # test and the root check, and a factor of a pair is a tuple beside a
+    # matrix or a vector; a problem keeps no dense operator, base or
+    # reference
     from sqrtdom.problems import Problem
 
     found = {(path.stem, owner) for path in sorted(SRC.glob("*.py"))
              for owner in tuple_tests(path)}
-    allowed = {("domains", "matrix_power"), ("matfun", "_diagonals"),
-               ("matfun", "is_hermitian"), ("matfun", "_require_root"),
-               ("kato", "_times")}
-    assert found <= allowed, sorted(found - allowed)
-    kept = {"base_operator", "reference_operator"} & set(vars(Problem))
+    assert found == {("matfun", "is_hermitian"), ("matfun", "_require_root"),
+                     ("kato", "_times")}, sorted(found)
+    kept = {"H", "base_operator", "reference_operator"} & set(vars(Problem))
     assert not kept, f"Problem still defines {sorted(kept)}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay-study", "--problem", "constant_qrs", "--n", "96"],
+    ["verify-kato", "--problem", "sawtooth", "--n", "150"]],
+    ids=["decay-study", "verify-kato"])
+def test_traced_run_forms_no_dense_operator(argv, tmp_path):
+    # the tracer reads the size of each call's arguments, and a problem has
+    # no dense operator for it to form: a traced run does the work of an
+    # untraced one, which forms none
+    from tracing import Tracer
+
+    from sqrtdom import cli
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main([*argv, "--outdir", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    names = {span.name for span in tracer.spans}
+    assert f"cli.{argv[0]}" in names
+    assert "assembly.orthonormalize" not in names
